@@ -3,6 +3,7 @@ package scorpion
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -384,10 +385,11 @@ func explainFull(ctx context.Context, req *Request) (*Result, []partition.Candid
 	if req.Shards < 0 {
 		return nil, nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", req.Shards)
 	}
-	if req.Epsilon < 0 {
-		return nil, nil, fmt.Errorf("scorpion: epsilon %v must be >= 0 (0 = exact)", req.Epsilon)
+	// Written so that NaN, which fails every comparison, is refused too.
+	if !(req.Epsilon >= 0) || math.IsInf(req.Epsilon, 1) {
+		return nil, nil, fmt.Errorf("scorpion: epsilon %v must be finite and >= 0 (0 = exact)", req.Epsilon)
 	}
-	if req.Confidence != 0 && (req.Confidence <= 0 || req.Confidence >= 1) {
+	if req.Confidence != 0 && !(req.Confidence > 0 && req.Confidence < 1) {
 		return nil, nil, fmt.Errorf("scorpion: confidence %v must lie in (0, 1)", req.Confidence)
 	}
 	reg := obs.RegistryFrom(ctx)

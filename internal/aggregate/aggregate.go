@@ -36,29 +36,61 @@ type Func interface {
 	Independent() bool
 }
 
-// State is a constant-size summary of an input set for incrementally
-// removable aggregates, as produced by Removable.State.
-type State []float64
+// State is the fixed-size summary of a value multiset that every
+// incrementally removable aggregate shares: the sum, the sum of squares and
+// the count cover SUM, COUNT, AVG, VARIANCE and STDDEV. It is a plain value —
+// copied, not cloned, and never nil; the zero State summarizes the empty set.
+// N is a float so that the Merger can scale a state by a fractional
+// (estimated) tuple count.
+type State struct {
+	Sum, SumSq, N float64
+}
 
-// Clone returns an independent copy of the state.
-func (s State) Clone() State {
-	c := make(State, len(s))
-	copy(c, s)
-	return c
+// Add folds one value into the state. Folding a group's values in ascending
+// row order from the zero State is how every state in the system is built,
+// so two computations over the same rows agree to the last bit.
+func (s *State) Add(v float64) {
+	s.Sum += v
+	s.SumSq += v * v
+	s.N++
 }
 
 // Removable is the incrementally removable property (§5.1): F(D−S) is
 // computable from state(D) and state(S) alone.
 type Removable interface {
 	Func
-	// State summarizes a value multiset into a constant-size tuple.
+	// State summarizes a value multiset, folding vals in slice order.
 	State(vals []float64) State
-	// Update combines n disjoint states into the state of their union.
-	Update(states ...State) State
+	// Update combines two disjoint states into the state of their union.
+	Update(a, b State) State
 	// Remove computes state(D−S) from state(D) and state(S), where S ⊆ D.
 	Remove(d, s State) State
 	// Recover recomputes the aggregate result from a state.
 	Recover(s State) float64
+}
+
+// moments implements the state, update and remove functions of Removable
+// once for all built-ins: with one state layout they are the same three
+// functions for each of them, and only Recover differs.
+type moments struct{}
+
+// State implements Removable.
+func (moments) State(vals []float64) State {
+	var s State
+	for _, v := range vals {
+		s.Add(v)
+	}
+	return s
+}
+
+// Update implements Removable.
+func (moments) Update(a, b State) State {
+	return State{Sum: a.Sum + b.Sum, SumSq: a.SumSq + b.SumSq, N: a.N + b.N}
+}
+
+// Remove implements Removable.
+func (moments) Remove(d, s State) State {
+	return State{Sum: d.Sum - s.Sum, SumSq: d.SumSq - s.SumSq, N: d.N - s.N}
 }
 
 // AntiMonotonic is the §5.3 property. Check inspects the aggregate's input

@@ -4,7 +4,7 @@ import "math"
 
 // Sum is the SUM aggregate: incrementally removable, independent, and
 // anti-monotonic when all inputs are non-negative (§5.3).
-type Sum struct{}
+type Sum struct{ moments }
 
 // Name implements Func.
 func (Sum) Name() string { return "sum" }
@@ -21,23 +21,8 @@ func (Sum) Compute(vals []float64) float64 {
 // Independent implements Func.
 func (Sum) Independent() bool { return true }
 
-// State implements Removable: [sum].
-func (Sum) State(vals []float64) State { return State{Sum{}.Compute(vals)} }
-
-// Update implements Removable.
-func (Sum) Update(states ...State) State {
-	s := 0.0
-	for _, st := range states {
-		s += st[0]
-	}
-	return State{s}
-}
-
-// Remove implements Removable.
-func (Sum) Remove(d, s State) State { return State{d[0] - s[0]} }
-
 // Recover implements Removable.
-func (Sum) Recover(s State) float64 { return s[0] }
+func (Sum) Recover(s State) float64 { return s.Sum }
 
 // Check implements AntiMonotonic: SUM(D) bounds SUM of subsets only when no
 // value is negative.
@@ -55,7 +40,7 @@ func (Sum) EmptyValue() float64 { return 0 }
 
 // Count is the COUNT aggregate: incrementally removable, independent, and
 // unconditionally anti-monotonic.
-type Count struct{}
+type Count struct{ moments }
 
 // Name implements Func.
 func (Count) Name() string { return "count" }
@@ -66,23 +51,8 @@ func (Count) Compute(vals []float64) float64 { return float64(len(vals)) }
 // Independent implements Func.
 func (Count) Independent() bool { return true }
 
-// State implements Removable: [count].
-func (Count) State(vals []float64) State { return State{float64(len(vals))} }
-
-// Update implements Removable.
-func (Count) Update(states ...State) State {
-	n := 0.0
-	for _, st := range states {
-		n += st[0]
-	}
-	return State{n}
-}
-
-// Remove implements Removable.
-func (Count) Remove(d, s State) State { return State{d[0] - s[0]} }
-
 // Recover implements Removable.
-func (Count) Recover(s State) float64 { return s[0] }
+func (Count) Recover(s State) float64 { return s.N }
 
 // Check implements AntiMonotonic: density is always anti-monotonic.
 func (Count) Check([]float64) bool { return true }
@@ -92,7 +62,7 @@ func (Count) EmptyValue() float64 { return 0 }
 
 // Avg is the AVG aggregate: incrementally removable and independent
 // (the paper's §5.1 worked example).
-type Avg struct{}
+type Avg struct{ moments }
 
 // Name implements Func.
 func (Avg) Name() string { return "avg" }
@@ -108,35 +78,17 @@ func (Avg) Compute(vals []float64) float64 {
 // Independent implements Func.
 func (Avg) Independent() bool { return true }
 
-// State implements Removable: [sum, count].
-func (Avg) State(vals []float64) State {
-	return State{Sum{}.Compute(vals), float64(len(vals))}
-}
-
-// Update implements Removable.
-func (Avg) Update(states ...State) State {
-	out := State{0, 0}
-	for _, st := range states {
-		out[0] += st[0]
-		out[1] += st[1]
-	}
-	return out
-}
-
-// Remove implements Removable.
-func (Avg) Remove(d, s State) State { return State{d[0] - s[0], d[1] - s[1]} }
-
 // Recover implements Removable. Empty state recovers NaN.
 func (Avg) Recover(s State) float64 {
-	if s[1] == 0 {
+	if s.N == 0 {
 		return math.NaN()
 	}
-	return s[0] / s[1]
+	return s.Sum / s.N
 }
 
 // Variance is the population VARIANCE aggregate: incrementally removable
-// (state [sum, sumsq, count]) and independent.
-type Variance struct{}
+// and independent.
+type Variance struct{ moments }
 
 // Name implements Func.
 func (Variance) Name() string { return "variance" }
@@ -149,41 +101,15 @@ func (Variance) Compute(vals []float64) float64 {
 // Independent implements Func.
 func (Variance) Independent() bool { return true }
 
-// State implements Removable: [sum, sum of squares, count].
-func (Variance) State(vals []float64) State {
-	var sum, sumsq float64
-	for _, v := range vals {
-		sum += v
-		sumsq += v * v
-	}
-	return State{sum, sumsq, float64(len(vals))}
-}
-
-// Update implements Removable.
-func (Variance) Update(states ...State) State {
-	out := State{0, 0, 0}
-	for _, st := range states {
-		out[0] += st[0]
-		out[1] += st[1]
-		out[2] += st[2]
-	}
-	return out
-}
-
-// Remove implements Removable.
-func (Variance) Remove(d, s State) State {
-	return State{d[0] - s[0], d[1] - s[1], d[2] - s[2]}
-}
-
 // Recover implements Removable: E[X²] − E[X]², clamped at zero to absorb
 // floating-point cancellation.
 func (Variance) Recover(s State) float64 {
-	n := s[2]
+	n := s.N
 	if n <= 0 {
 		return math.NaN()
 	}
-	mean := s[0] / n
-	v := s[1]/n - mean*mean
+	mean := s.Sum / n
+	v := s.SumSq/n - mean*mean
 	if v < 0 {
 		v = 0
 	}
@@ -192,7 +118,7 @@ func (Variance) Recover(s State) float64 {
 
 // StdDev is the population STDDEV aggregate: incrementally removable and
 // independent. It is the aggregate used by the paper's INTEL workloads.
-type StdDev struct{}
+type StdDev struct{ moments }
 
 // Name implements Func.
 func (StdDev) Name() string { return "stddev" }
@@ -204,15 +130,6 @@ func (StdDev) Compute(vals []float64) float64 {
 
 // Independent implements Func.
 func (StdDev) Independent() bool { return true }
-
-// State implements Removable (same state as Variance).
-func (StdDev) State(vals []float64) State { return Variance{}.State(vals) }
-
-// Update implements Removable.
-func (StdDev) Update(states ...State) State { return Variance{}.Update(states...) }
-
-// Remove implements Removable.
-func (StdDev) Remove(d, s State) State { return Variance{}.Remove(d, s) }
 
 // Recover implements Removable.
 func (StdDev) Recover(s State) float64 { return math.Sqrt(Variance{}.Recover(s)) }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -93,11 +94,13 @@ func (t *Task) Validate() error {
 	if len(t.Outliers) == 0 {
 		return fmt.Errorf("influence: task has no outlier results")
 	}
-	if t.Lambda < 0 || t.Lambda > 1 {
+	// The checks are written so that a NaN, which fails every comparison,
+	// fails them: a NaN knob would turn the whole ranking into NaN silently.
+	if !(t.Lambda >= 0 && t.Lambda <= 1) {
 		return fmt.Errorf("influence: lambda %v outside [0,1]", t.Lambda)
 	}
-	if t.C < 0 {
-		return fmt.Errorf("influence: c %v must be non-negative", t.C)
+	if err := validC(t.C); err != nil {
+		return err
 	}
 	if t.AggCol >= 0 && t.Table.Schema().Column(t.AggCol).Kind != relation.Continuous {
 		return fmt.Errorf("influence: aggregate column must be continuous")
@@ -106,6 +109,14 @@ func (t *Task) Validate() error {
 		if g.Direction != TooHigh && g.Direction != TooLow {
 			return fmt.Errorf("influence: outlier %q needs an error vector of ±1", g.Key)
 		}
+	}
+	return nil
+}
+
+// validC checks the c knob: finite and non-negative.
+func validC(c float64) error {
+	if !(c >= 0) || math.IsInf(c, 1) {
+		return fmt.Errorf("influence: c %v must be finite and non-negative", c)
 	}
 	return nil
 }
@@ -122,21 +133,20 @@ func (t *Task) Value(r int) float64 {
 	return t.Table.Floats(t.AggCol)[r]
 }
 
-// groupValues projects the aggregate attribute over a group.
-func (t *Task) groupValues(g Group) []float64 {
-	out := make([]float64, 0, g.Rows.Count())
-	g.Rows.ForEach(func(r int) { out = append(out, t.Value(r)) })
-	return out
-}
-
 // Scorer evaluates predicate influence. It caches per-group aggregate state
-// (for incrementally removable aggregates) and memoizes predicate scores.
+// (for incrementally removable aggregates) and memoizes the scores of
+// predicates asked for through Influence — the callers that revisit
+// predicates (merge expansions, refinement re-scores). Searches that score
+// each predicate exactly once (NAIVE's grid, through a Layout) and the
+// component calls (Parts, OutlierInfluence, ...) bypass the memo.
 //
 // A Scorer is safe for concurrent use: the per-group states are immutable
 // after construction, the memoized score cache is sharded and synchronized,
 // and the Calls counter is atomic — so every worker of a parallel search
 // can share one Scorer (and one memo cache) instead of rebuilding per-group
-// state per goroutine.
+// state per goroutine. Scoring keeps nothing on the Scorer but the memo and
+// the counter: every selection state lives on the caller's stack, and
+// anything larger (a Layout) belongs to the search that built it.
 type Scorer struct {
 	task *Task
 	rem  aggregate.Removable // nil → black-box path
@@ -148,7 +158,7 @@ type Scorer struct {
 
 	outOrig   []float64 // original aggregate value per outlier group
 	holdOrig  []float64
-	outState  []aggregate.State // cached state(g), incremental path only
+	outState  []aggregate.State // cached state(g); zero on the black-box path
 	holdState []aggregate.State
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
@@ -245,27 +255,20 @@ func (c *scoreCache) reset() {
 // NewScorer builds a scorer, validating the task and choosing the
 // incremental path when the aggregate supports it.
 func NewScorer(task *Task) (*Scorer, error) {
-	if err := task.Validate(); err != nil {
+	s, err := newScorer(task)
+	if err != nil {
 		return nil, err
 	}
-	s := &Scorer{task: task, tab: task.Table.Data()}
-	if task.AggCol >= 0 {
-		s.aggVals = s.tab.Floats(task.AggCol)
-	}
-	s.cache.init()
-	if rem, ok := task.Agg.(aggregate.Removable); ok {
-		s.rem = rem
-	}
+	s.rem, _ = task.Agg.(aggregate.Removable)
 	init := func(groups []Group) ([]float64, []aggregate.State) {
 		orig := make([]float64, len(groups))
 		states := make([]aggregate.State, len(groups))
 		for i, g := range groups {
-			vals := task.groupValues(g)
 			if s.rem != nil {
-				states[i] = s.rem.State(vals)
+				states[i] = GroupState(s.tab, task.AggCol, g.Rows)
 				orig[i] = s.rem.Recover(states[i])
 			} else {
-				orig[i] = task.Agg.Compute(vals)
+				orig[i] = task.Agg.Compute(s.groupValues(g.Rows))
 			}
 		}
 		return orig, states
@@ -284,9 +287,10 @@ func NewScorer(task *Task) (*Scorer, error) {
 //
 // The task's aggregate must be incrementally removable, and outStates /
 // holdStates must align 1:1 with task.Outliers / task.HoldOuts. States are
-// cloned, so the caller may keep advancing its own copies afterwards.
+// values, so the caller may keep advancing its own afterwards.
 func NewScorerSeeded(task *Task, outStates, holdStates []aggregate.State) (*Scorer, error) {
-	if err := task.Validate(); err != nil {
+	s, err := newScorer(task)
+	if err != nil {
 		return nil, err
 	}
 	rem, ok := task.Agg.(aggregate.Removable)
@@ -297,23 +301,66 @@ func NewScorerSeeded(task *Task, outStates, holdStates []aggregate.State) (*Scor
 		return nil, fmt.Errorf("influence: seeded states mismatch groups: %d/%d outliers, %d/%d hold-outs",
 			len(outStates), len(task.Outliers), len(holdStates), len(task.HoldOuts))
 	}
-	s := &Scorer{task: task, tab: task.Table.Data(), rem: rem}
-	if task.AggCol >= 0 {
-		s.aggVals = s.tab.Floats(task.AggCol)
-	}
-	s.cache.init()
+	s.rem = rem
 	adopt := func(states []aggregate.State) ([]float64, []aggregate.State) {
 		orig := make([]float64, len(states))
-		own := make([]aggregate.State, len(states))
 		for i, st := range states {
-			own[i] = st.Clone()
-			orig[i] = rem.Recover(own[i])
+			orig[i] = rem.Recover(st)
 		}
-		return orig, own
+		return orig, append([]aggregate.State(nil), states...)
 	}
 	s.outOrig, s.outState = adopt(outStates)
 	s.holdOrig, s.holdState = adopt(holdStates)
 	return s, nil
+}
+
+// newScorer validates the task and binds the scorer to its columns.
+func newScorer(task *Task) (*Scorer, error) {
+	if err := task.Validate(); err != nil {
+		return nil, err
+	}
+	s := &Scorer{task: task, tab: task.Table.Data()}
+	if task.AggCol >= 0 {
+		s.aggVals = s.tab.Floats(task.AggCol)
+	}
+	s.cache.init()
+	return s, nil
+}
+
+// GroupState folds the aggregate attribute of a group's rows, in ascending
+// row order from the zero State, into state(g) — the one way group states
+// are built, by the scorer and by whoever seeds one (the stream tracker).
+// rel is the relation the row ids index; aggCol < 0 is count(*), where
+// every tuple contributes 1 and all three moments equal the count.
+func GroupState(rel relation.Relation, aggCol int, rows *relation.RowSet) aggregate.State {
+	if aggCol < 0 {
+		n := float64(rows.Count())
+		return aggregate.State{Sum: n, SumSq: n, N: n}
+	}
+	var st aggregate.State
+	col := rel.Floats(aggCol)
+	rows.ForEachRun(func(lo, hi int) {
+		for _, v := range col[lo:hi] {
+			st.Add(v)
+		}
+	})
+	return st
+}
+
+// groupValues projects the aggregate attribute over a group in ascending
+// row order.
+func (s *Scorer) groupValues(rows *relation.RowSet) []float64 {
+	out := make([]float64, 0, rows.Count())
+	rows.ForEachRun(func(lo, hi int) {
+		if s.aggVals != nil {
+			out = append(out, s.aggVals[lo:hi]...)
+			return
+		}
+		for ; lo < hi; lo++ {
+			out = append(out, 1)
+		}
+	})
+	return out
 }
 
 // Task returns the scorer's task.
@@ -343,6 +390,10 @@ func (s *Scorer) MemoSize() (entries int, bytes int64) { return s.cache.size() }
 // OutlierResult returns the cached original aggregate value of outlier i.
 func (s *Scorer) OutlierResult(i int) float64 { return s.outOrig[i] }
 
+// OutlierState returns the cached state(g) of outlier i (the zero State on
+// the black-box path).
+func (s *Scorer) OutlierState(i int) aggregate.State { return s.outState[i] }
+
 // HoldOutResult returns the cached original aggregate value of hold-out i.
 func (s *Scorer) HoldOutResult(i int) float64 { return s.holdOrig[i] }
 
@@ -356,76 +407,116 @@ func (s *Scorer) value(r int) float64 {
 	return s.aggVals[r]
 }
 
-// delta computes Δagg(group, p) and the number of matched tuples.
-func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate.Predicate) (float64, int) {
-	s.calls.Add(1)
-	t := s.task
-	matched := 0
-	total := 0
-	var matchedVals, restVals []float64
-	if s.rem == nil {
-		restVals = make([]float64, 0, g.Rows.Count())
-	}
-	g.Rows.ForEach(func(r int) {
-		total++
-		if p.Match(s.tab, r) {
-			matched++
-			if s.rem != nil {
-				matchedVals = append(matchedVals, s.value(r))
-			}
-		} else if s.rem == nil {
-			restVals = append(restVals, s.value(r))
+// selection is what one group's scoring loop gathers about p(g) before
+// finish turns it into Δagg. It lives on the caller's stack.
+type selection struct {
+	matched int
+	// sel is state(p(g)), folded in ascending row order (incremental path).
+	sel aggregate.State
+	// rest holds the values of g − p(g) in ascending row order, with room
+	// for matched more (black-box path).
+	rest []float64
+}
+
+// take folds one window of a value column into the selection: vals[base+i]
+// is matched when bit i of m is set, and the window is n <= 64 values wide.
+// A nil vals is count(*)'s column of ones. Windows must arrive in ascending
+// order: the fold order is the summation order, and every path that scores
+// the same rows must add them up the same way.
+func (x *selection) take(vals []float64, base, n int, m uint64, incremental bool) {
+	k := bits.OnesCount64(m)
+	x.matched += k
+	if incremental {
+		if vals == nil {
+			// Ones sum to their count exactly, in any order.
+			c := float64(k)
+			x.sel.Sum, x.sel.SumSq, x.sel.N = x.sel.Sum+c, x.sel.SumSq+c, x.sel.N+c
+			return
 		}
-	})
-	if matched == 0 {
-		return 0, 0
+		for ; m != 0; m &= m - 1 {
+			x.sel.Add(vals[base+bits.TrailingZeros64(m)])
+		}
+		return
 	}
-	if t.Perturb != nil {
-		return s.perturbDelta(orig, state, matchedVals, restVals, matched), matched
+	if k == n {
+		return
 	}
-	if matched == total {
+	for m = ^m & (^uint64(0) >> uint(64-n)); m != 0; m &= m - 1 {
+		v := 1.0
+		if vals != nil {
+			v = vals[base+bits.TrailingZeros64(m)]
+		}
+		x.rest = append(x.rest, v)
+	}
+}
+
+// finish computes Δagg for one group of total tuples from its selection.
+func (s *Scorer) finish(orig float64, state aggregate.State, x *selection, total int) float64 {
+	if x.matched == 0 {
+		return 0
+	}
+	t := s.task
+	var updated float64
+	switch {
+	case t.Perturb != nil:
+		// The footnote-3 variant: matched values are replaced by the target
+		// value rather than deleted.
+		if s.rem != nil {
+			var repl aggregate.State
+			for i := 0; i < x.matched; i++ {
+				repl.Add(*t.Perturb)
+			}
+			updated = s.rem.Recover(s.rem.Update(s.rem.Remove(state, x.sel), repl))
+		} else {
+			for i := 0; i < x.matched; i++ {
+				x.rest = append(x.rest, *t.Perturb)
+			}
+			updated = t.Agg.Compute(x.rest)
+		}
+	case x.matched == total:
 		// The predicate deletes the whole input group: the output would
 		// disappear rather than move. For aggregates with a defined empty
 		// value (SUM, COUNT → 0) use it; otherwise treat as non-influential.
 		if es, ok := t.Agg.(aggregate.EmptySafe); ok {
-			return orig - es.EmptyValue(), matched
+			return orig - es.EmptyValue()
 		}
-		return 0, matched
+		return 0
+	case s.rem != nil:
+		updated = s.rem.Recover(s.rem.Remove(state, x.sel))
+	default:
+		updated = t.Agg.Compute(x.rest)
 	}
-	var updated float64
-	if s.rem != nil {
-		updated = s.rem.Recover(s.rem.Remove(state, s.rem.State(matchedVals)))
-	} else {
-		updated = t.Agg.Compute(restVals)
-	}
-	d := orig - updated
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		return 0, matched
-	}
-	return d, matched
+	return finite(orig - updated)
 }
 
-// perturbDelta computes the footnote-3 variant: matched values are replaced
-// by the target value rather than deleted.
-func (s *Scorer) perturbDelta(orig float64, state aggregate.State, matchedVals, restVals []float64, matched int) float64 {
-	target := *s.task.Perturb
-	replacement := make([]float64, matched)
-	for i := range replacement {
-		replacement[i] = target
-	}
-	var updated float64
-	if s.rem != nil {
-		st := s.rem.Remove(state, s.rem.State(matchedVals))
-		st = s.rem.Update(st, s.rem.State(replacement))
-		updated = s.rem.Recover(st)
-	} else {
-		updated = s.task.Agg.Compute(append(restVals, replacement...))
-	}
-	d := orig - updated
+// finite maps an undefined Δ (NaN, ±Inf) to "no influence".
+func finite(d float64) float64 {
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		return 0
 	}
 	return d
+}
+
+// delta computes Δagg(group, p) and the number of matched tuples: a loop
+// over the group's maximal row runs, 64 rows at a time, that tests the
+// clauses on the column slices and folds the matched values in ascending
+// row order. On the incremental path nothing is allocated.
+func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate.Predicate) (float64, int) {
+	s.calls.Add(1)
+	var x selection
+	incremental := s.rem != nil
+	if !incremental {
+		x.rest = make([]float64, 0, g.Rows.Count())
+	}
+	total := 0
+	g.Rows.ForEachRun(func(lo, hi int) {
+		total += hi - lo
+		for ; lo < hi; lo += 64 {
+			n := min(64, hi-lo)
+			x.take(s.aggVals, lo, n, p.MatchMask(s.tab, lo, n), incremental)
+		}
+	})
+	return s.finish(orig, state, &x, total), x.matched
 }
 
 // scale applies the c-knob denominator: Δ / n^c with n = |p(g)| ≥ 1.
@@ -442,22 +533,13 @@ func (s *Scorer) scale(delta float64, n int) float64 {
 // OutlierInfluence computes inf(o_i, p, v_i) for outlier index i.
 func (s *Scorer) OutlierInfluence(i int, p predicate.Predicate) float64 {
 	g := s.task.Outliers[i]
-	var st aggregate.State
-	if s.rem != nil {
-		st = s.outState[i]
-	}
-	d, n := s.delta(g, s.outOrig[i], st, p)
+	d, n := s.delta(g, s.outOrig[i], s.outState[i], p)
 	return s.scale(d, n) * float64(g.Direction)
 }
 
 // HoldOutInfluence computes inf(h_i, p) (no error vector) for hold-out i.
 func (s *Scorer) HoldOutInfluence(i int, p predicate.Predicate) float64 {
-	g := s.task.HoldOuts[i]
-	var st aggregate.State
-	if s.rem != nil {
-		st = s.holdState[i]
-	}
-	d, n := s.delta(g, s.holdOrig[i], st, p)
+	d, n := s.delta(s.task.HoldOuts[i], s.holdOrig[i], s.holdState[i], p)
 	return s.scale(d, n)
 }
 
@@ -507,59 +589,43 @@ func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
 // within outlier group i: Δagg(o, {t}) · v_o. Used by the DT partitioner to
 // label tuples. Cost is O(1) on the incremental path.
 func (s *Scorer) TupleOutlierInfluence(i, r int) float64 {
-	return s.tupleInfluence(s.task.Outliers[i], s.outOrig[i], s.outStateAt(i), r) *
+	return s.tupleInfluence(s.task.Outliers[i], s.outOrig[i], s.outState[i], r) *
 		float64(s.task.Outliers[i].Direction)
 }
 
 // TupleHoldOutInfluence computes Δagg(h, {t}) for row r of hold-out group i.
 func (s *Scorer) TupleHoldOutInfluence(i, r int) float64 {
-	return s.tupleInfluence(s.task.HoldOuts[i], s.holdOrig[i], s.holdStateAt(i), r)
-}
-
-func (s *Scorer) outStateAt(i int) aggregate.State {
-	if s.rem == nil {
-		return nil
-	}
-	return s.outState[i]
-}
-
-func (s *Scorer) holdStateAt(i int) aggregate.State {
-	if s.rem == nil {
-		return nil
-	}
-	return s.holdState[i]
+	return s.tupleInfluence(s.task.HoldOuts[i], s.holdOrig[i], s.holdState[i], r)
 }
 
 func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r int) float64 {
 	s.calls.Add(1)
 	t := s.task
 	if s.rem != nil {
-		st := s.rem.Remove(state, s.rem.State([]float64{s.value(r)}))
+		var one aggregate.State
+		one.Add(s.value(r))
+		st := s.rem.Remove(state, one)
 		if t.Perturb != nil {
-			st = s.rem.Update(st, s.rem.State([]float64{*t.Perturb}))
+			var repl aggregate.State
+			repl.Add(*t.Perturb)
+			st = s.rem.Update(st, repl)
 		}
-		d := orig - s.rem.Recover(st)
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			return 0
-		}
-		return d
+		return finite(orig - s.rem.Recover(st))
 	}
 	// Black-box: rebuild the group without row r (or with r's value
 	// replaced, in perturbation mode).
 	rest := make([]float64, 0, g.Rows.Count())
-	g.Rows.ForEach(func(rr int) {
-		if rr != r {
-			rest = append(rest, s.value(rr))
+	g.Rows.ForEachRun(func(lo, hi int) {
+		for ; lo < hi; lo++ {
+			if lo != r {
+				rest = append(rest, s.value(lo))
+			}
 		}
 	})
 	if t.Perturb != nil {
 		rest = append(rest, *t.Perturb)
 	}
-	d := orig - t.Agg.Compute(rest)
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		return 0
-	}
-	return d
+	return finite(orig - t.Agg.Compute(rest))
 }
 
 // MaxTupleInfluence returns the maximum single-tuple influence of any tuple
@@ -568,10 +634,12 @@ func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r 
 func (s *Scorer) MaxTupleInfluence(p predicate.Predicate) float64 {
 	best := math.Inf(-1)
 	for i, g := range s.task.Outliers {
-		g.Rows.ForEach(func(r int) {
-			if p.Match(s.tab, r) {
-				if v := s.TupleOutlierInfluence(i, r); v > best {
-					best = v
+		g.Rows.ForEachRun(func(lo, hi int) {
+			for ; lo < hi; lo += 64 {
+				for m := p.MatchMask(s.tab, lo, min(64, hi-lo)); m != 0; m &= m - 1 {
+					if v := s.TupleOutlierInfluence(i, lo+bits.TrailingZeros64(m)); v > best {
+						best = v
+					}
 				}
 			}
 		})
@@ -589,8 +657,8 @@ func (s *Scorer) ResetCache() { s.cache.reset() }
 // rebuilding. Not safe to call concurrently with scoring: callers (the
 // Explainer's per-session c sweeps) serialize runs.
 func (s *Scorer) SetC(c float64) error {
-	if c < 0 {
-		return fmt.Errorf("influence: c %v must be non-negative", c)
+	if err := validC(c); err != nil {
+		return err
 	}
 	if s.task.C == c {
 		return nil // same knob: the memoized scores stay valid

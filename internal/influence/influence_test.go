@@ -344,6 +344,55 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteKnobsRejected: every range check on λ and c must refuse NaN
+// and ±Inf — a NaN fails "x < 0 || x > 1" and used to slip through, turning
+// the whole ranking into NaN without an error.
+func TestNonFiniteKnobsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name      string
+		lambda, c float64
+		ok        bool
+	}{
+		{"defaults", 0.5, 0.2, true},
+		{"zero knobs", 0, 0, true},
+		{"lambda one", 1, 3, true},
+		{"lambda NaN", nan, 0.2, false},
+		{"lambda +Inf", inf, 0.2, false},
+		{"lambda -Inf", -inf, 0.2, false},
+		{"c NaN", 0.5, nan, false},
+		{"c +Inf", 0.5, inf, false},
+		{"c -Inf", 0.5, -inf, false},
+		{"c negative", 0.5, -0.1, false},
+	}
+	for _, tc := range cases {
+		task := *paperTask(t)
+		task.Lambda, task.C = tc.lambda, tc.c
+		if err := task.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(%s): err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if _, err := NewScorer(&task); (err == nil) != tc.ok {
+			t.Errorf("NewScorer(%s): err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	s, err := NewScorer(paperTask(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Task().C
+	for _, c := range []float64{nan, inf, -inf, -1} {
+		if err := s.SetC(c); err == nil {
+			t.Errorf("SetC(%v) accepted", c)
+		}
+	}
+	if s.Task().C != before {
+		t.Errorf("a refused SetC changed c to %v", s.Task().C)
+	}
+	if err := s.SetC(0.7); err != nil || s.Task().C != 0.7 {
+		t.Errorf("SetC(0.7): err = %v, c = %v", err, s.Task().C)
+	}
+}
+
 func TestScorerCallCountingAndCache(t *testing.T) {
 	task := paperTask(t)
 	s, err := NewScorer(task)
@@ -702,9 +751,9 @@ func TestSeededScorerMatchesPlainScorer(t *testing.T) {
 	if a, b := seeded.TupleOutlierInfluence(0, 5), plain.TupleOutlierInfluence(0, 5); !almostEqual(a, b) {
 		t.Fatalf("seeded tuple influence %v != plain %v", a, b)
 	}
-	// Seeding clones: mutating the caller's state afterwards must not
+	// Seeding copies: mutating the caller's state afterwards must not
 	// perturb the scorer.
-	outStates[0][0] += 1000
+	outStates[0].Sum += 1000
 	if a, b := seeded.OutlierResult(0), plain.OutlierResult(0); !almostEqual(a, b) {
 		t.Fatalf("seeded scorer aliased caller state: %v != %v", a, b)
 	}

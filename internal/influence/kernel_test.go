@@ -1,0 +1,497 @@
+package influence
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/scorpiondb/scorpion/internal/aggregate"
+	"github.com/scorpiondb/scorpion/internal/predicate"
+	"github.com/scorpiondb/scorpion/internal/relation"
+)
+
+// refScorer is the scoring computation as it was before the columnar
+// kernel, kept as the reference the kernel is held to: one Predicate.Match
+// per row per predicate, matched values appended to a slice, and Δ taken
+// through Removable.State/Update/Remove/Recover (or Func.Compute on the
+// remainder for a black-box aggregate). It caches nothing.
+type refScorer struct {
+	task *Task
+	tab  *relation.Table
+	rem  aggregate.Removable
+}
+
+func newRefScorer(task *Task) *refScorer {
+	r := &refScorer{task: task, tab: task.Table.Data()}
+	r.rem, _ = task.Agg.(aggregate.Removable)
+	return r
+}
+
+func (r *refScorer) values(g Group) []float64 {
+	var out []float64
+	g.Rows.ForEach(func(row int) { out = append(out, r.task.Value(row)) })
+	return out
+}
+
+func (r *refScorer) orig(g Group) (float64, aggregate.State) {
+	if r.rem != nil {
+		st := r.rem.State(r.values(g))
+		return r.rem.Recover(st), st
+	}
+	return r.task.Agg.Compute(r.values(g)), aggregate.State{}
+}
+
+func refFinite(d float64) float64 {
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		return 0
+	}
+	return d
+}
+
+func (r *refScorer) delta(g Group, p predicate.Predicate) (float64, int) {
+	t := r.task
+	orig, state := r.orig(g)
+	matched, total := 0, 0
+	var matchedVals, restVals []float64
+	g.Rows.ForEach(func(row int) {
+		total++
+		if p.Match(r.tab, row) {
+			matched++
+			matchedVals = append(matchedVals, t.Value(row))
+		} else {
+			restVals = append(restVals, t.Value(row))
+		}
+	})
+	if matched == 0 {
+		return 0, 0
+	}
+	if t.Perturb != nil {
+		replacement := make([]float64, matched)
+		for i := range replacement {
+			replacement[i] = *t.Perturb
+		}
+		var updated float64
+		if r.rem != nil {
+			st := r.rem.Remove(state, r.rem.State(matchedVals))
+			updated = r.rem.Recover(r.rem.Update(st, r.rem.State(replacement)))
+		} else {
+			updated = t.Agg.Compute(append(restVals, replacement...))
+		}
+		return refFinite(orig - updated), matched
+	}
+	if matched == total {
+		if es, ok := t.Agg.(aggregate.EmptySafe); ok {
+			return orig - es.EmptyValue(), matched
+		}
+		return 0, matched
+	}
+	var updated float64
+	if r.rem != nil {
+		updated = r.rem.Recover(r.rem.Remove(state, r.rem.State(matchedVals)))
+	} else {
+		updated = t.Agg.Compute(restVals)
+	}
+	return refFinite(orig - updated), matched
+}
+
+func (r *refScorer) scale(d float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	if r.task.C == 0 {
+		return d
+	}
+	return d / math.Pow(float64(n), r.task.C)
+}
+
+func (r *refScorer) outlierInfluence(i int, p predicate.Predicate) float64 {
+	g := r.task.Outliers[i]
+	d, n := r.delta(g, p)
+	return r.scale(d, n) * float64(g.Direction)
+}
+
+func (r *refScorer) holdOutInfluence(i int, p predicate.Predicate) float64 {
+	d, n := r.delta(r.task.HoldOuts[i], p)
+	return r.scale(d, n)
+}
+
+func (r *refScorer) parts(p predicate.Predicate) (outMean, holdPenalty float64) {
+	sum := 0.0
+	for i := range r.task.Outliers {
+		sum += r.outlierInfluence(i, p)
+	}
+	outMean = sum / float64(len(r.task.Outliers))
+	for i := range r.task.HoldOuts {
+		if h := math.Abs(r.holdOutInfluence(i, p)); h > holdPenalty {
+			holdPenalty = h
+		}
+	}
+	return outMean, holdPenalty
+}
+
+func (r *refScorer) tupleOutlierInfluence(i, row int) float64 {
+	t := r.task
+	g := t.Outliers[i]
+	orig, state := r.orig(g)
+	var d float64
+	if r.rem != nil {
+		st := r.rem.Remove(state, r.rem.State([]float64{t.Value(row)}))
+		if t.Perturb != nil {
+			st = r.rem.Update(st, r.rem.State([]float64{*t.Perturb}))
+		}
+		d = orig - r.rem.Recover(st)
+	} else {
+		var rest []float64
+		g.Rows.ForEach(func(rr int) {
+			if rr != row {
+				rest = append(rest, t.Value(rr))
+			}
+		})
+		if t.Perturb != nil {
+			rest = append(rest, *t.Perturb)
+		}
+		d = orig - t.Agg.Compute(rest)
+	}
+	return refFinite(d) * float64(g.Direction)
+}
+
+func (r *refScorer) maxTupleInfluence(p predicate.Predicate) float64 {
+	best := math.Inf(-1)
+	for i, g := range r.task.Outliers {
+		g.Rows.ForEach(func(row int) {
+			if p.Match(r.tab, row) {
+				if v := r.tupleOutlierInfluence(i, row); v > best {
+					best = v
+				}
+			}
+		})
+	}
+	return best
+}
+
+// kernelTable is an 8192-row table (wide enough that a scattered 60-row
+// group stays under the run budget of the table and of a 6000-row window
+// of it, so all three RowSet encodings can hold the group) with a discrete attribute d, continuous attributes x and y, and the
+// aggregate column v.
+func kernelTable(rng *rand.Rand, nasty bool) *relation.Table {
+	schema := relation.MustSchema(
+		relation.Column{Name: "d", Kind: relation.Discrete},
+		relation.Column{Name: "x", Kind: relation.Continuous},
+		relation.Column{Name: "y", Kind: relation.Continuous},
+		relation.Column{Name: "v", Kind: relation.Continuous},
+	)
+	b := relation.NewBuilder(schema)
+	for i := 0; i < 8192; i++ {
+		v := rng.NormFloat64()*25 + 40 // negative values occur
+		if nasty {
+			switch rng.Intn(12) {
+			case 0:
+				v = math.NaN()
+			case 1:
+				v = math.Inf(1 - 2*rng.Intn(2))
+			case 2:
+				v = -v * 1e6
+			}
+		}
+		b.MustAppend(relation.Row{
+			relation.S(fmt.Sprintf("c%d", rng.Intn(4))),
+			relation.F(rng.Float64() * 100),
+			relation.F(math.Floor(rng.Float64() * 10)),
+			relation.F(v),
+		})
+	}
+	return b.Build()
+}
+
+// groupShape draws one group's member rows inside [lo, hi): a few runs, a
+// scatter of single rows, or both; at most 60 rows, so the sparse encoding
+// can hold it. Size 1 gives the single-row group.
+func groupShape(rng *rand.Rand, lo, hi, size int) []int {
+	in := map[int]bool{}
+	for len(in) < size {
+		if rng.Intn(3) == 0 {
+			start := lo + rng.Intn(hi-lo)
+			for r := start; r < hi && r < start+1+rng.Intn(12) && len(in) < size; r++ {
+				in[r] = true
+			}
+		} else {
+			in[lo+rng.Intn(hi-lo)] = true
+		}
+	}
+	var rows []int
+	for r := lo; r < hi; r++ {
+		if in[r] {
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+// encode builds the row set in the named encoding and checks it took.
+func encode(t *testing.T, n int, rows []int, enc string) *relation.RowSet {
+	t.Helper()
+	s := relation.NewRowSet(n)
+	if enc == "dense" {
+		s = relation.NewDenseRowSet(n)
+	}
+	// A two-row range converts a fresh set to runs; whichever of the two
+	// rows is not a member is taken out again below.
+	seed := min(rows[0], n-2)
+	if enc == "runs" {
+		s.AddRange(seed, seed+2)
+	}
+	member := map[int]bool{}
+	for _, r := range rows {
+		s.Add(r)
+		member[r] = true
+	}
+	if enc == "runs" {
+		for _, r := range []int{seed, seed + 1} {
+			if !member[r] {
+				s.Remove(r)
+			}
+		}
+	}
+	if s.Encoding() != enc || s.Count() != len(rows) {
+		t.Fatalf("wanted a %s row set of %d rows, got %s", enc, len(rows), s)
+	}
+	return s
+}
+
+// kernelPredicates draws predicates over d, x, y and the aggregate column v
+// itself: single clauses, conjunctions, a match-everything range (whole-
+// group deletion) and a match-nothing range.
+func kernelPredicates(rng *rand.Rand, tbl *relation.Table) []predicate.Predicate {
+	rangeOn := func(col int, name string, max float64) predicate.Clause {
+		lo := rng.Float64() * max
+		return predicate.NewRangeClause(col, name, lo, lo+rng.Float64()*(max-lo), rng.Intn(2) == 0)
+	}
+	setOn := func() predicate.Clause {
+		codes := []int32{int32(rng.Intn(4))}
+		if rng.Intn(2) == 0 {
+			codes = append(codes, int32(rng.Intn(4)))
+		}
+		return predicate.NewSetClause(0, "d", codes)
+	}
+	ps := []predicate.Predicate{
+		predicate.MustNew(predicate.NewRangeClause(1, "x", -1, 101, true)), // every row
+		predicate.MustNew(predicate.NewRangeClause(1, "x", 200, 300, false)),
+		predicate.MustNew(predicate.NewRangeClause(3, "v", 40, math.Inf(1), true)),
+	}
+	for i := 0; i < 6; i++ {
+		ps = append(ps,
+			predicate.MustNew(rangeOn(1, "x", 100)),
+			predicate.MustNew(setOn()),
+			predicate.MustNew(rangeOn(1, "x", 100), rangeOn(2, "y", 10)),
+			predicate.MustNew(setOn(), rangeOn(2, "y", 10), rangeOn(3, "v", 80)),
+		)
+	}
+	return ps
+}
+
+// sameBits is bit equality, except that any NaN equals any NaN: which
+// operand's payload and sign survive an addition of two NaNs is the
+// hardware's choice of operand order, which the compiler is free to swap
+// (the race build does), so NaN payloads are not part of the contract.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestKernelMatchesReference holds the columnar kernel to the per-row
+// reference, bit for bit, over seeded random tables × aggregates ×
+// {deletion, perturbation} × the three RowSet encodings × {table, view
+// window}, with failure_test.go's nasty inputs mixed in: NaN and ±Inf
+// values, single-row groups, whole-group deletion, negative values under
+// SUM, discrete clauses and a predicate on the aggregate column.
+func TestKernelMatchesReference(t *testing.T) {
+	aggs := []string{"sum", "count", "avg", "variance", "stddev", "median"}
+	target := 17.5
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tbl := kernelTable(rng, seed%2 == 0)
+		// Groups live in [1000, 7000) so that a view window can hold them.
+		shapes := [][]int{
+			groupShape(rng, 1000, 7000, 60),
+			groupShape(rng, 1000, 1200, 45),
+			groupShape(rng, 1000, 7000, 1),
+			groupShape(rng, 2000, 2100, 60),
+		}
+		preds := kernelPredicates(rng, tbl)
+		for _, windowed := range []bool{false, true} {
+			var rel relation.Relation = tbl
+			off := 0
+			if windowed {
+				off = 1000
+				rel = tbl.Window(1000, 7000)
+			}
+			for _, enc := range []string{"dense", "runs", "sparse"} {
+				var groups []Group
+				for i, rows := range shapes {
+					local := make([]int, len(rows))
+					for k, r := range rows {
+						local[k] = r - off
+					}
+					dir := TooHigh
+					if i == 1 {
+						dir = TooLow
+					}
+					groups = append(groups, Group{Key: fmt.Sprint(i), Rows: encode(t, rel.NumRows(), local, enc), Direction: dir})
+				}
+				for _, aggName := range aggs {
+					agg, err := aggregate.ByName(aggName)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, perturb := range []*float64{nil, &target} {
+						for _, aggCol := range []int{3, -1} {
+							if aggCol < 0 && aggName != "count" {
+								continue
+							}
+							task := &Task{
+								Table: rel, Agg: agg, AggCol: aggCol,
+								Outliers: groups[:2], HoldOuts: groups[2:],
+								Lambda: 0.6, C: 0.3, Perturb: perturb,
+							}
+							name := fmt.Sprintf("seed=%d window=%v enc=%s agg=%s col=%d perturb=%v", seed, windowed, enc, aggName, aggCol, perturb != nil)
+							checkKernel(t, name, task, preds)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkKernel(t *testing.T, name string, task *Task, preds []predicate.Predicate) {
+	t.Helper()
+	s, err := NewScorer(task)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ref := newRefScorer(task)
+	for pi, p := range preds {
+		for i := range task.Outliers {
+			if got, want := s.OutlierInfluence(i, p), ref.outlierInfluence(i, p); !sameBits(got, want) {
+				t.Fatalf("%s: OutlierInfluence(%d, %v) = %v, reference %v", name, i, p, got, want)
+			}
+		}
+		for i := range task.HoldOuts {
+			if got, want := s.HoldOutInfluence(i, p), ref.holdOutInfluence(i, p); !sameBits(got, want) {
+				t.Fatalf("%s: HoldOutInfluence(%d, %v) = %v, reference %v", name, i, p, got, want)
+			}
+		}
+		gotOut, gotHold := s.Parts(p)
+		wantOut, wantHold := ref.parts(p)
+		if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
+			t.Fatalf("%s: Parts(%v) = (%v, %v), reference (%v, %v)", name, p, gotOut, gotHold, wantOut, wantHold)
+		}
+		if pi%4 == 0 {
+			if got, want := s.MaxTupleInfluence(p), ref.maxTupleInfluence(p); !sameBits(got, want) {
+				t.Fatalf("%s: MaxTupleInfluence(%v) = %v, reference %v", name, p, got, want)
+			}
+		}
+	}
+	for i, g := range task.Outliers {
+		g.Rows.ForEach(func(row int) {
+			if got, want := s.TupleOutlierInfluence(i, row), ref.tupleOutlierInfluence(i, row); !sameBits(got, want) {
+				t.Fatalf("%s: TupleOutlierInfluence(%d, %d) = %v, reference %v", name, i, row, got, want)
+			}
+		})
+	}
+}
+
+// TestLayoutMatchesScorer checks the position-mask entry point against the
+// predicate one: a conjunction scored as the AND of its clauses' masks has
+// the bits of Scorer.Influence, and costs the same number of calls.
+func TestLayoutMatchesScorer(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tbl := kernelTable(rng, true)
+	var groups []Group
+	for i, size := range []int{200, 64, 1, 129} {
+		rows := relation.NewRowSet(tbl.NumRows())
+		for rows.Count() < size {
+			rows.Add(rng.Intn(tbl.NumRows()))
+		}
+		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: rows, Direction: TooHigh})
+	}
+	target := 3.0
+	for _, aggName := range []string{"sum", "avg", "stddev", "median"} {
+		for _, perturb := range []*float64{nil, &target} {
+			agg, _ := aggregate.ByName(aggName)
+			task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.5, C: 0.2, Perturb: perturb}
+			s, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := s.NewLayout()
+			for _, p := range kernelPredicates(rng, tbl) {
+				masks := make([][]uint64, l.Groups())
+				for g := range masks {
+					masks[g] = make([]uint64, l.Words(g))
+					for i := range masks[g] {
+						masks[g][i] = ^uint64(0)
+					}
+					one := make([]uint64, l.Words(g))
+					for ci := range p.Clauses() {
+						l.ClauseMask(g, &p.Clauses()[ci], one)
+						for i := range one {
+							masks[g][i] &= one[i]
+						}
+					}
+				}
+				before := s.Calls()
+				got := l.Influence(masks)
+				if n := s.Calls() - before; n != int64(len(groups)) {
+					t.Fatalf("layout scoring counted %d calls, want %d", n, len(groups))
+				}
+				if want := s.Influence(p); !sameBits(got, want) {
+					t.Fatalf("agg=%s perturb=%v: layout influence of %v = %v, scorer %v", aggName, perturb != nil, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaZeroAlloc pins the incremental path's allocation count: scoring
+// an arbitrary predicate, or a tuple, against a group allocates nothing —
+// whatever the group's encoding.
+func TestDeltaZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tbl := kernelTable(rng, false)
+	scattered := relation.NewRowSet(tbl.NumRows())
+	for scattered.Count() < 500 {
+		scattered.Add(rng.Intn(tbl.NumRows()))
+	}
+	few := relation.RowSetOf(tbl.NumRows(), 5, 900, 901, 8000)
+	p := predicate.MustNew(
+		predicate.NewSetClause(0, "d", []int32{0, 2}),
+		predicate.NewRangeClause(1, "x", 10, 90, false),
+	)
+	target := 1.0
+	for _, rows := range []*relation.RowSet{relation.FullRowSet(tbl.NumRows()), scattered, few} {
+		for _, perturb := range []*float64{nil, &target} {
+			task := &Task{
+				Table: tbl, Agg: aggregate.StdDev{}, AggCol: 3,
+				Outliers: []Group{{Key: "o", Rows: rows, Direction: TooHigh}},
+				Lambda:   0.5, C: 0.2, Perturb: perturb,
+			}
+			s, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.Incremental() {
+				t.Fatal("stddev must take the incremental path")
+			}
+			row := rows.Min()
+			var sink float64
+			if n := testing.AllocsPerRun(100, func() { sink += s.OutlierInfluence(0, p) }); n != 0 {
+				t.Errorf("%s group, perturb=%v: OutlierInfluence allocates %v times per call", rows.Encoding(), perturb != nil, n)
+			}
+			if n := testing.AllocsPerRun(100, func() { sink += s.TupleOutlierInfluence(0, row) }); n != 0 {
+				t.Errorf("%s group, perturb=%v: TupleOutlierInfluence allocates %v times per call", rows.Encoding(), perturb != nil, n)
+			}
+			_ = sink
+		}
+	}
+}

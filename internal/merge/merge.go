@@ -23,7 +23,6 @@ package merge
 import (
 	"context"
 	"math"
-	"sync"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/influence"
@@ -68,14 +67,10 @@ type Merger struct {
 	space  *predicate.Space
 	params Params
 	pool   *partition.Pool
-	rem    aggregate.Removable
-	// Approximation caches: per-outlier-group full states, original values,
-	// and per-row singleton states (synchronized: parallel expansion scores
-	// merge candidates concurrently).
-	groupStates []aggregate.State
-	groupOrig   []float64
-	rowStatesMu sync.Mutex
-	rowStates   map[int]aggregate.State
+	// rem is the aggregate's removable interface, nil for a black box; the
+	// approximation reads the outlier groups' states and original values
+	// off the scorer.
+	rem aggregate.Removable
 }
 
 // New builds a Merger over the given scorer and search space. It runs
@@ -87,18 +82,7 @@ func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merge
 		params: params.withDefaults(),
 		pool:   partition.NewPool(context.Background(), 1),
 	}
-	if rem, ok := scorer.Task().Agg.(aggregate.Removable); ok {
-		m.rem = rem
-		if m.params.UseApproximation {
-			task := scorer.Task()
-			m.rowStates = make(map[int]aggregate.State)
-			for _, g := range task.Outliers {
-				st := rem.State(groupValues(task, g))
-				m.groupStates = append(m.groupStates, st)
-				m.groupOrig = append(m.groupOrig, rem.Recover(st))
-			}
-		}
-	}
+	m.rem, _ = scorer.Task().Agg.(aggregate.Removable)
 	return m
 }
 
@@ -113,20 +97,15 @@ func (m *Merger) WithPool(pool *partition.Pool) *Merger {
 	return m
 }
 
-// rowState returns (and caches) state({value of row}).
+// rowState returns state({value of row}).
 func (m *Merger) rowState(row int) aggregate.State {
-	m.rowStatesMu.Lock()
-	defer m.rowStatesMu.Unlock()
-	if st, ok := m.rowStates[row]; ok {
-		return st
-	}
 	task := m.scorer.Task()
 	v := 0.0
 	if task.AggCol >= 0 {
 		v = task.Table.Floats(task.AggCol)[row]
 	}
-	st := m.rem.State([]float64{v})
-	m.rowStates[row] = st
+	var st aggregate.State
+	st.Add(v)
 	return st
 }
 
@@ -293,19 +272,14 @@ func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Can
 			}
 			sawStats = true
 			n := q.GroupCards[gi] * frac
-			st := scaleState(m.rowState(row), n)
-			if removedState == nil {
-				removedState = st
-			} else {
-				removedState = m.rem.Update(removedState, st)
-			}
+			removedState = m.rem.Update(removedState, scaleState(m.rowState(row), n))
 			removedN += n
 		}
-		if removedN <= 0 || removedState == nil {
+		if removedN <= 0 {
 			continue
 		}
-		orig := m.groupOrig[gi]
-		updated := m.rem.Recover(m.rem.Remove(m.groupStates[gi], removedState))
+		orig := m.scorer.OutlierResult(gi)
+		updated := m.rem.Recover(m.rem.Remove(m.scorer.OutlierState(gi), removedState))
 		delta := orig - updated
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			continue
@@ -346,27 +320,11 @@ func sameColumns(a, b predicate.Predicate) bool {
 	return true
 }
 
-// groupValues projects the aggregate column over a group.
-func groupValues(task *influence.Task, g influence.Group) []float64 {
-	out := make([]float64, 0, g.Rows.Count())
-	if task.AggCol < 0 {
-		return make([]float64, g.Rows.Count())
-	}
-	col := task.Table.Floats(task.AggCol)
-	g.Rows.ForEach(func(r int) { out = append(out, col[r]) })
-	return out
-}
-
 // scaleState multiplies a state by a (possibly fractional) tuple count.
-// Every built-in removable aggregate's state is linear in its inputs
-// ([sum], [count], [sum,count], [sum,sumsq,count]), so componentwise
-// scaling equals update-ing n copies.
+// The state (sum, sum of squares, count) is linear in its inputs, so
+// componentwise scaling equals update-ing n copies.
 func scaleState(s aggregate.State, n float64) aggregate.State {
-	out := s.Clone()
-	for i := range out {
-		out[i] *= n
-	}
-	return out
+	return aggregate.State{Sum: s.Sum * n, SumSq: s.SumSq * n, N: s.N * n}
 }
 
 // overlapFraction estimates the fraction of q's box that lies inside p*,

@@ -209,12 +209,12 @@ func TestOverlapFractionDiscreteAndUnconstrained(t *testing.T) {
 }
 
 func TestScaleState(t *testing.T) {
-	s := aggregate.State{2, 4}
+	s := aggregate.State{Sum: 2, N: 4}
 	out := scaleState(s, 2.5)
-	if out[0] != 5 || out[1] != 10 {
+	if out.Sum != 5 || out.N != 10 {
 		t.Errorf("scaleState = %v", out)
 	}
-	if s[0] != 2 {
+	if s.Sum != 2 {
 		t.Error("scaleState mutated input")
 	}
 }

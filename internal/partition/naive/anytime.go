@@ -23,7 +23,7 @@ const anytimeBatch = 1024
 // and exact-scoring only the escalated remainder.
 func runAnytime(e *enumerator, res *Result, pool *partition.Pool, params Params, maxCard, maxClauses int) {
 	est := params.Estimator
-	keeper := topkKeeper{k: params.TopK}
+	keeper := topK[predicate.Predicate]{k: params.TopK}
 	tracker := partition.NewAnytimeTracker(params.TopK, est.Epsilon())
 
 	type item struct {
@@ -70,15 +70,15 @@ func runAnytime(e *enumerator, res *Result, pool *partition.Pool, params Params,
 				continue
 			}
 			tracker.Observe(s.score)
-			keeper.consider(scoredPred{partition.Candidate{Pred: batch[i].p, Score: s.score}, batch[i].seq})
+			keeper.offer(s.score, batch[i].seq, batch[i].p)
 		}
 		if pool.Board() != nil {
-			pool.PublishBest(keeper.ranked())
+			pool.PublishBest(candidates(&keeper))
 		}
 		batch = batch[:0]
 	}
-	e.sink = func(p predicate.Predicate, seq int64) {
-		batch = append(batch, item{p, seq})
+	e.sink = func(c conj, seq int64) {
+		batch = append(batch, item{e.predicate(c), seq})
 		if len(batch) >= anytimeBatch {
 			flush()
 		}
@@ -91,7 +91,7 @@ func runAnytime(e *enumerator, res *Result, pool *partition.Pool, params Params,
 	if pool.Cancelled() {
 		e.interrupted = true
 	}
-	res.TopK = keeper.ranked()
+	res.TopK = candidates(&keeper)
 	res.Pruned = tracker.Pruned()
 	res.Escalated = tracker.Escalated()
 }

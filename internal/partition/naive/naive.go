@@ -126,93 +126,86 @@ func RunContext(ctx context.Context, scorer *influence.Scorer, space *predicate.
 // runPool is the search core shared by every entry point.
 func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Space, params Params) (*Result, error) {
 	params = params.withDefaults()
-	task := scorer.Task()
-
-	outRows := unionRows(task)
-	clauseSets, maxCard, err := buildClauseSets(space, task.Table.Data(), outRows, params)
+	e, maxCard, maxClauses, err := newEnumerator(pool, scorer, space, params)
 	if err != nil {
 		return nil, err
-	}
-	if params.MaxDiscreteSubset > 0 && params.MaxDiscreteSubset < maxCard {
-		maxCard = params.MaxDiscreteSubset
-	}
-	if maxCard < 1 {
-		maxCard = 1
-	}
-	maxClauses := len(clauseSets)
-	if params.MaxClauses > 0 && params.MaxClauses < maxClauses {
-		maxClauses = params.MaxClauses
-	}
-
-	e := &enumerator{
-		params: params,
-		start:  time.Now(),
-		sets:   clauseSets,
-		pool:   pool,
 	}
 	res := &Result{}
 
 	if params.Estimator != nil {
 		runAnytime(e, res, pool, params, maxCard, maxClauses)
-	} else if pool.Workers() <= 1 {
+	} else if tbl := newClauseTable(scorer, e.sets); pool.Workers() <= 1 {
 		// Serial: score inline, record the convergence trace. Every trace
 		// improvement also goes to the pool's board (when one is attached)
 		// so observers see the same best-so-far curve mid-run.
-		keeper := topkKeeper{k: params.TopK}
-		e.sink = func(p predicate.Predicate, seq int64) {
-			score := scorer.Influence(p)
-			keeper.consider(scoredPred{partition.Candidate{Pred: p, Score: score}, seq})
-			if len(res.Trace) == 0 || score > res.Trace[len(res.Trace)-1].Score {
+		keeper := topK[predicate.Predicate]{k: params.TopK}
+		scratch := tbl.newScratch()
+		e.sink = func(c conj, seq int64) {
+			score := tbl.score(c, scratch)
+			slot := keeper.slot(score, seq)
+			improved := len(res.Trace) == 0 || score > res.Trace[len(res.Trace)-1].Score
+			if slot < 0 && !improved {
+				return
+			}
+			// Only an entrant to the top-k or the trace is worth a
+			// predicate value; the rest were scored from their indexes.
+			p := e.predicate(c)
+			if slot >= 0 {
+				keeper.put(slot, ranked[predicate.Predicate]{score, seq, p})
+			}
+			if improved {
 				res.Trace = append(res.Trace, TracePoint{
 					Elapsed: time.Since(e.start),
 					Score:   score,
 					Pred:    p,
 				})
 				if pool.Board() != nil {
-					pool.PublishBest(keeper.ranked())
+					pool.PublishBest(candidates(&keeper))
 				}
 			}
 		}
 		e.run(maxCard, maxClauses)
-		res.TopK = keeper.ranked()
+		res.TopK = candidates(&keeper)
 	} else {
-		// Parallel: stream predicate batches to the pool's workers, all
-		// sharing one scorer. Each batch reduces to a local top-k which is
-		// folded into the global keeper under a brief lock; (score, seq)
-		// ordering makes the final list independent of arrival order.
+		// Parallel: stream conjunction batches to the pool's workers, all
+		// sharing one scorer and one clause table. Each batch reduces to a
+		// local top-k which is folded into the global keeper under a brief
+		// lock; (score, seq) ordering makes the final list independent of
+		// arrival order.
 		const batchSize = 256
-		type item struct {
-			p   predicate.Predicate
-			seq int64
-		}
 		var mu sync.Mutex
-		global := topkKeeper{k: params.TopK}
-		submit, wait := partition.Stream(pool, func(batch []item) {
-			local := topkKeeper{k: params.TopK}
-			for _, it := range batch {
-				local.consider(scoredPred{partition.Candidate{Pred: it.p, Score: scorer.Influence(it.p)}, it.seq})
+		global := topK[predicate.Predicate]{k: params.TopK}
+		submit, wait := partition.Stream(pool, func(b *conjBatch) {
+			local := topK[int]{k: params.TopK}
+			scratch := tbl.newScratch()
+			for i := 0; i < b.len(); i++ {
+				local.offer(tbl.score(b.at(i), scratch), b.first+int64(i), i)
 			}
 			mu.Lock()
-			for _, s := range local.list {
-				global.consider(s)
+			for _, r := range local.list {
+				if slot := global.slot(r.score, r.seq); slot >= 0 {
+					global.put(slot, ranked[predicate.Predicate]{r.score, r.seq, e.predicate(b.at(r.val))})
+				}
 			}
 			if pool.Board() != nil {
 				// Publish the running top-k after each folded batch; the
 				// board itself drops publications that don't improve it.
-				pool.PublishBest(global.ranked())
+				pool.PublishBest(candidates(&global))
 			}
 			mu.Unlock()
 		})
-		var batch []item
-		e.sink = func(p predicate.Predicate, seq int64) {
-			batch = append(batch, item{p, seq})
-			if len(batch) >= batchSize {
+		batch := &conjBatch{}
+		e.sink = func(c conj, seq int64) {
+			batch.add(c, seq)
+			if batch.len() >= batchSize {
 				submit(batch)
-				batch = nil
+				// Sized like the batch just filled: growing each batch from
+				// nothing doubled the search's allocation.
+				batch = &conjBatch{terms: make([]int32, 0, len(batch.terms)), ends: make([]int32, 0, batchSize)}
 			}
 		}
 		e.run(maxCard, maxClauses)
-		if len(batch) > 0 {
+		if batch.len() > 0 {
 			submit(batch)
 		}
 		wait()
@@ -222,7 +215,7 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 		if pool.Cancelled() {
 			e.interrupted = true
 		}
-		res.TopK = global.ranked()
+		res.TopK = candidates(&global)
 	}
 
 	res.Enumerated = e.produced
@@ -232,6 +225,33 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 		res.Best = best
 	}
 	return res, nil
+}
+
+// newEnumerator derives the clause inventory from the data and returns the
+// enumerator over it with the bounds of its complexity passes.
+func newEnumerator(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Space, params Params) (e *enumerator, maxCard, maxClauses int, err error) {
+	task := scorer.Task()
+	clauseSets, maxCard, err := buildClauseSets(space, task.Table.Data(), unionRows(task), params)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if params.MaxDiscreteSubset > 0 && params.MaxDiscreteSubset < maxCard {
+		maxCard = params.MaxDiscreteSubset
+	}
+	if maxCard < 1 {
+		maxCard = 1
+	}
+	maxClauses = len(clauseSets)
+	if params.MaxClauses > 0 && params.MaxClauses < maxClauses {
+		maxClauses = params.MaxClauses
+	}
+	e = &enumerator{
+		params: params,
+		start:  time.Now(),
+		sets:   clauseSets,
+		pool:   pool,
+	}
+	return e, maxCard, maxClauses, nil
 }
 
 // unionRows returns g_O, the union of the outlier input groups.
@@ -308,12 +328,132 @@ func binRanges(col int, name string, lo, hi float64, bins int) []predicate.Claus
 	return out
 }
 
+// clauseTable holds, for the life of one exact search, the rows every clause
+// of the inventory selects in every group, as bitsets over the group's row
+// positions (see influence.Layout). Each clause is evaluated against the
+// data once per group, here; a conjunction is then scored as the AND of its
+// clauses' bitsets, however many conjunctions share a clause. The table
+// belongs to the search and is garbage when it returns.
+type clauseTable struct {
+	layout *influence.Layout
+	// words[g] is the bitset length of group g and offs[g] its offset in a
+	// scratch buffer that holds one bitset per group back to back.
+	words, offs []int
+	total       int
+	// atoms[a][g] holds attribute a's atoms for group g back to back, atom
+	// k at [k*words[g], (k+1)*words[g]): one atom per range clause of a
+	// continuous attribute, one per single code of a discrete attribute (a
+	// value subset selects the OR of its codes' atoms).
+	atoms [][][]uint64
+}
+
+func newClauseTable(scorer *influence.Scorer, sets []attrClauses) *clauseTable {
+	layout := scorer.NewLayout()
+	t := &clauseTable{layout: layout, atoms: make([][][]uint64, len(sets))}
+	for g := 0; g < layout.Groups(); g++ {
+		t.words = append(t.words, layout.Words(g))
+		t.offs = append(t.offs, t.total)
+		t.total += layout.Words(g)
+	}
+	for a := range sets {
+		set := &sets[a]
+		clauses := set.ranges
+		if set.discrete {
+			clauses = make([]predicate.Clause, len(set.codes))
+			for k, code := range set.codes {
+				clauses[k] = predicate.NewSetClause(set.col, set.name, []int32{code})
+			}
+		}
+		t.atoms[a] = make([][]uint64, layout.Groups())
+		for g, w := range t.words {
+			masks := make([]uint64, len(clauses)*w)
+			for k := range clauses {
+				layout.ClauseMask(g, &clauses[k], masks[k*w:(k+1)*w])
+			}
+			t.atoms[a][g] = masks
+		}
+	}
+	return t
+}
+
+// conjScratch is one worker's buffers for assembling a conjunction's
+// bitsets: and and or hold one bitset per group back to back, masks the
+// per-group result handed to the layout.
+type conjScratch struct {
+	and, or []uint64
+	masks   [][]uint64
+}
+
+func (t *clauseTable) newScratch() *conjScratch {
+	return &conjScratch{
+		and:   make([]uint64, t.total),
+		or:    make([]uint64, t.total),
+		masks: make([][]uint64, len(t.words)),
+	}
+}
+
+// score computes the conjunction's influence from the table.
+func (t *clauseTable) score(c conj, sc *conjScratch) float64 {
+	single := len(c) == 2+int(c[1])
+	first := true
+	c.terms(func(attr int, atoms []int32) {
+		for g, w := range t.words {
+			all := t.atoms[attr][g]
+			term := all[int(atoms[0])*w:][:w]
+			if len(atoms) > 1 {
+				or := sc.or[t.offs[g]:][:w]
+				copy(or, term)
+				for _, a := range atoms[1:] {
+					for i, m := range all[int(a)*w:][:w] {
+						or[i] |= m
+					}
+				}
+				term = or
+			}
+			and := sc.and[t.offs[g]:][:w]
+			switch {
+			case single:
+				// One term: its bitset is the answer, uncopied.
+				sc.masks[g] = term
+			case first:
+				copy(and, term)
+				sc.masks[g] = and
+			default:
+				for i, m := range term {
+					and[i] &= m
+				}
+			}
+		}
+		first = false
+	})
+	return t.layout.Influence(sc.masks)
+}
+
 // checkInterval is how many emitted predicates pass between deadline and
 // cancellation checks.
 const checkInterval = 64
 
+// conj is one enumerated conjunction by reference into the clause
+// inventory, as a flat list of terms: [attribute index, k, k atom indexes]
+// per chosen attribute, attributes ascending. A continuous attribute's term
+// names one range clause (k = 1, an index into ranges); a discrete
+// attribute's term names the k codes of its value subset (ascending indexes
+// into codes). Scoring works on this form; a predicate.Predicate is built
+// from it only for the few conjunctions that someone gets to see.
+type conj []int32
+
+// terms calls fn for every term of the conjunction.
+func (c conj) terms(fn func(attr int, atoms []int32)) {
+	for i := 0; i < len(c); {
+		k := int(c[i+1])
+		fn(int(c[i]), c[i+2:i+2+k])
+		i += 2 + k
+	}
+}
+
 // enumerator walks attribute combinations and clause choices, handing each
-// assembled predicate (with its sequence number) to sink.
+// assembled conjunction (with its sequence number) to sink. The conjunction
+// is the enumerator's own buffer: a sink that keeps it copies it.
 type enumerator struct {
 	params      Params
 	start       time.Time
@@ -323,22 +463,43 @@ type enumerator struct {
 	timedOut    bool
 	interrupted bool
 	produced    int64
-	sink        func(p predicate.Predicate, seq int64)
+	sink        func(c conj, seq int64)
+}
+
+// predicate builds the predicate a conjunction stands for.
+func (e *enumerator) predicate(c conj) predicate.Predicate {
+	var clauses []predicate.Clause
+	c.terms(func(attr int, atoms []int32) {
+		set := &e.sets[attr]
+		if !set.discrete {
+			clauses = append(clauses, set.ranges[atoms[0]])
+			return
+		}
+		codes := make([]int32, len(atoms))
+		for i, a := range atoms {
+			codes[i] = set.codes[a]
+		}
+		clauses = append(clauses, predicate.NewSetClause(set.col, set.name, codes))
+	})
+	return predicate.MustNew(clauses...)
 }
 
 // run drives the increasing-complexity passes: discrete subset size first,
 // then clause count.
 func (e *enumerator) run(maxCard, maxClauses int) {
+	// Room for the longest conjunction, so that the recursion's appends
+	// extend one buffer instead of allocating.
+	buf := make(conj, 0, maxClauses*(2+maxCard))
 	for size := 1; size <= maxCard && !e.done; size++ {
 		for nAttrs := 1; nAttrs <= maxClauses && !e.done; nAttrs++ {
-			e.enumerate(0, nAttrs, size, nil)
+			e.enumerate(0, nAttrs, size, buf)
 		}
 	}
 }
 
 // enumerate recursively picks nAttrs attributes from sets[from:], assigning
 // every clause choice; size is the current discrete-subset complexity pass.
-func (e *enumerator) enumerate(from, nAttrs, size int, chosen []predicate.Clause) {
+func (e *enumerator) enumerate(from, nAttrs, size int, chosen conj) {
 	if e.done {
 		return
 	}
@@ -347,15 +508,15 @@ func (e *enumerator) enumerate(from, nAttrs, size int, chosen []predicate.Clause
 		return
 	}
 	for i := from; i+nAttrs <= len(e.sets); i++ {
-		set := e.sets[i]
+		set := &e.sets[i]
 		if set.discrete {
-			e.enumerateSubsets(set, size, 1, 0, nil, func(codes []int32) {
-				clause := predicate.NewSetClause(set.col, set.name, codes)
-				e.enumerate(i+1, nAttrs-1, size, append(chosen, clause))
+			e.enumerateSubsets(set, size, 1, 0, make([]int32, 0, size), func(codes []int32) {
+				term := append(append(chosen, int32(i), int32(len(codes))), codes...)
+				e.enumerate(i+1, nAttrs-1, size, term)
 			})
 		} else {
-			for _, cl := range set.ranges {
-				e.enumerate(i+1, nAttrs-1, size, append(chosen, cl))
+			for k := range set.ranges {
+				e.enumerate(i+1, nAttrs-1, size, append(chosen, int32(i), 1, int32(k)))
 				if e.done {
 					return
 				}
@@ -364,8 +525,9 @@ func (e *enumerator) enumerate(from, nAttrs, size int, chosen []predicate.Clause
 	}
 }
 
-// enumerateSubsets yields all value subsets of sizes [minSize..size].
-func (e *enumerator) enumerateSubsets(set attrClauses, size, minSize, from int, cur []int32, yield func([]int32)) {
+// enumerateSubsets yields all value subsets of sizes [minSize..size], as
+// ascending indexes into set.codes.
+func (e *enumerator) enumerateSubsets(set *attrClauses, size, minSize, from int, cur []int32, yield func([]int32)) {
 	if e.done {
 		return
 	}
@@ -376,36 +538,31 @@ func (e *enumerator) enumerateSubsets(set attrClauses, size, minSize, from int, 
 		return
 	}
 	for i := from; i < len(set.codes); i++ {
-		e.enumerateSubsets(set, size, minSize, i+1, append(cur, set.codes[i]), yield)
+		e.enumerateSubsets(set, size, minSize, i+1, append(cur, int32(i)), yield)
 		if e.done {
 			return
 		}
 	}
 }
 
-// emit hands a fully-assembled predicate to the sink, de-duplicating across
-// complexity passes: a predicate is emitted only in the pass equal to its
-// largest discrete clause (or pass 1 when it has none). Every
+// emit hands a fully-assembled conjunction to the sink, de-duplicating
+// across complexity passes: a conjunction is emitted only in the pass equal
+// to its largest discrete clause (or pass 1 when it has none). Every
 // checkInterval emissions it polls the deadline and the pool's context.
-func (e *enumerator) emit(clauses []predicate.Clause, size int) {
-	maxDiscrete := 0
-	for _, c := range clauses {
-		if c.Kind == relation.Discrete && len(c.Values) > maxDiscrete {
-			maxDiscrete = len(c.Values)
+func (e *enumerator) emit(c conj, size int) {
+	complexity := 1
+	c.terms(func(attr int, atoms []int32) {
+		if e.sets[attr].discrete && len(atoms) > complexity {
+			complexity = len(atoms)
 		}
-	}
-	complexity := maxDiscrete
-	if complexity == 0 {
-		complexity = 1
-	}
+	})
 	if complexity != size {
 		return
 	}
 
-	p := predicate.MustNew(clauses...)
 	seq := e.produced
 	e.produced++
-	e.sink(p, seq)
+	e.sink(c, seq)
 
 	if e.produced%checkInterval == 0 {
 		if e.params.Deadline > 0 && time.Since(e.start) > e.params.Deadline {
@@ -419,36 +576,70 @@ func (e *enumerator) emit(clauses []predicate.Clause, size int) {
 	}
 }
 
-// scoredPred couples a candidate with its enumeration sequence number — the
-// tie-break that makes parallel and serial top-k selections identical.
-type scoredPred struct {
-	cand partition.Candidate
-	seq  int64
+// conjBatch is a run of consecutively enumerated conjunctions, copied out
+// of the enumerator's buffer back to back: conjunction i is
+// terms[ends[i-1]:ends[i]] and has sequence number first+i.
+type conjBatch struct {
+	first int64
+	terms []int32
+	ends  []int32
+}
+
+func (b *conjBatch) len() int { return len(b.ends) }
+
+func (b *conjBatch) add(c conj, seq int64) {
+	if len(b.ends) == 0 {
+		b.first = seq
+	}
+	b.terms = append(b.terms, c...)
+	b.ends = append(b.ends, int32(len(b.terms)))
+}
+
+func (b *conjBatch) at(i int) conj {
+	lo := int32(0)
+	if i > 0 {
+		lo = b.ends[i-1]
+	}
+	return b.terms[lo:b.ends[i]]
+}
+
+// ranked is one scored entry of a top-k list. seq is its enumeration
+// sequence number — the tie-break that makes parallel and serial top-k
+// selections identical.
+type ranked[T any] struct {
+	score float64
+	seq   int64
+	val   T
 }
 
 // outranks reports whether a strictly precedes b in the result order:
 // higher score first, earlier enumeration on ties. Sequence numbers are
 // unique, so this is a strict total order and the top-k of any emission set
 // is unique and independent of scoring order.
-func (a scoredPred) outranks(b scoredPred) bool {
-	if a.cand.Score != b.cand.Score {
-		return a.cand.Score > b.cand.Score
+func (a ranked[T]) outranks(b ranked[T]) bool { return outranks(a.score, a.seq, b.score, b.seq) }
+
+func outranks(aScore float64, aSeq int64, bScore float64, bSeq int64) bool {
+	if aScore != bScore {
+		return aScore > bScore
 	}
-	return a.seq < b.seq
+	return aSeq < bSeq
 }
 
-// topkKeeper is a bounded best-candidates list under the outranks order.
-// Its contents after considering any set of entries are the set's unique
-// top k, regardless of arrival order.
-type topkKeeper struct {
+// topK is a bounded best-entries list under the outranks order. Its
+// contents after offering any set of entries are the set's unique top k,
+// regardless of arrival order.
+type topK[T any] struct {
 	k    int
-	list []scoredPred
+	list []ranked[T]
 }
 
-func (t *topkKeeper) consider(s scoredPred) {
+// slot returns where an entry ranked (score, seq) would go — a fresh slot
+// while the list has room, else the worst entry's if the newcomer outranks
+// it — or -1 when it would not enter. Asking first lets a caller build an
+// expensive val only for entrants.
+func (t *topK[T]) slot(score float64, seq int64) int {
 	if len(t.list) < t.k {
-		t.list = append(t.list, s)
-		return
+		return len(t.list)
 	}
 	worst := 0
 	for i := 1; i < len(t.list); i++ {
@@ -456,17 +647,33 @@ func (t *topkKeeper) consider(s scoredPred) {
 			worst = i
 		}
 	}
-	if s.outranks(t.list[worst]) {
-		t.list[worst] = s
+	if outranks(score, seq, t.list[worst].score, t.list[worst].seq) {
+		return worst
+	}
+	return -1
+}
+
+// put stores an entry at a slot that slot returned for it.
+func (t *topK[T]) put(slot int, r ranked[T]) {
+	if slot == len(t.list) {
+		t.list = append(t.list, r)
+		return
+	}
+	t.list[slot] = r
+}
+
+func (t *topK[T]) offer(score float64, seq int64, val T) {
+	if slot := t.slot(score, seq); slot >= 0 {
+		t.put(slot, ranked[T]{score, seq, val})
 	}
 }
 
-// ranked returns the kept candidates in result order.
-func (t *topkKeeper) ranked() []partition.Candidate {
+// candidates returns the kept predicates in result order.
+func candidates(t *topK[predicate.Predicate]) []partition.Candidate {
 	sort.Slice(t.list, func(i, j int) bool { return t.list[i].outranks(t.list[j]) })
 	out := make([]partition.Candidate, len(t.list))
-	for i, s := range t.list {
-		out[i] = s.cand
+	for i, r := range t.list {
+		out[i] = partition.Candidate{Pred: r.val, Score: r.score}
 	}
 	return out
 }

@@ -13,9 +13,11 @@ package predicate
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/scorpiondb/scorpion/internal/relation"
 )
@@ -60,7 +62,7 @@ func NewSetClause(col int, name string, codes []int32) Clause {
 }
 
 // matchFloat reports whether the continuous clause admits v.
-func (c Clause) matchFloat(v float64) bool {
+func (c *Clause) matchFloat(v float64) bool {
 	if v < c.Lo {
 		return false
 	}
@@ -71,9 +73,60 @@ func (c Clause) matchFloat(v float64) bool {
 }
 
 // matchCode reports whether the discrete clause admits the code.
-func (c Clause) matchCode(code int32) bool {
-	i := sort.Search(len(c.Values), func(i int) bool { return c.Values[i] >= code })
-	return i < len(c.Values) && c.Values[i] == code
+func (c *Clause) matchCode(code int32) bool {
+	lo, hi := 0, len(c.Values)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.Values[mid] < code {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(c.Values) && c.Values[lo] == code
+}
+
+// MatchMask tests the n consecutive rows [lo, lo+n) of t, 1 <= n <= 64,
+// against the clause on its column slice and returns the matches as a
+// bitmask: bit i is set when row lo+i satisfies the clause.
+func (c *Clause) MatchMask(t *relation.Table, lo, n int) uint64 {
+	var m uint64
+	if c.Kind != relation.Continuous {
+		for i, code := range t.Codes(c.Col)[lo : lo+n] {
+			if c.matchCode(code) {
+				m |= 1 << uint(i)
+			}
+		}
+		return m
+	}
+	// Both bounds are tested without a data-dependent branch: a NaN fails
+	// each comparison, exactly as in matchFloat.
+	vals := t.Floats(c.Col)[lo : lo+n]
+	cl, ch := c.Lo, c.Hi
+	if c.HiInc {
+		for i, v := range vals {
+			var a, b uint64
+			if v >= cl {
+				a = 1
+			}
+			if v <= ch {
+				b = 1
+			}
+			m |= (a & b) << uint(i)
+		}
+		return m
+	}
+	for i, v := range vals {
+		var a, b uint64
+		if v >= cl {
+			a = 1
+		}
+		if v < ch {
+			b = 1
+		}
+		m |= (a & b) << uint(i)
+	}
+	return m
 }
 
 // isEmptyRange reports whether the continuous clause can match nothing.
@@ -118,17 +171,27 @@ func (c Clause) containsClause(o Clause) bool {
 // every row.
 type Predicate struct {
 	clauses []Clause
-	// key is the canonical fingerprint, computed once at construction and
-	// shared by copies of the value. Predicates are immutable, so the box
-	// is written exactly once before the value escapes — safe to read from
-	// any goroutine. nil only for the zero value (True), whose key is "".
-	key *string
+	// key boxes the canonical fingerprint. It is built on the first Key()
+	// call, not at construction — most predicates a search builds are
+	// scored and dropped without anyone looking their key up — and the box
+	// is shared by copies of the value, so it is built once per predicate,
+	// not once per copy, and any goroutine may ask for it. nil only for the
+	// zero value (True), whose key is "".
+	key *lazyKey
 }
 
-// newPredicate wraps sorted clauses and stamps their canonical fingerprint.
+// lazyKey holds a predicate's fingerprint once some caller has asked for
+// it. The string is a plain field behind a sync.Once (not an atomic
+// pointer) so that two equal predicates whose keys were both built stay
+// reflect.DeepEqual.
+type lazyKey struct {
+	once sync.Once
+	s    string
+}
+
+// newPredicate wraps sorted clauses.
 func newPredicate(clauses []Clause) Predicate {
-	k := buildKey(clauses)
-	return Predicate{clauses: clauses, key: &k}
+	return Predicate{clauses: clauses, key: new(lazyKey)}
 }
 
 // True returns the empty predicate, which matches all rows.
@@ -187,7 +250,8 @@ func (p Predicate) Columns() []int {
 
 // Match reports whether row r of table t satisfies the predicate.
 func (p Predicate) Match(t *relation.Table, r int) bool {
-	for _, c := range p.clauses {
+	for i := range p.clauses {
+		c := &p.clauses[i]
 		if c.Kind == relation.Continuous {
 			if !c.matchFloat(t.Floats(c.Col)[r]) {
 				return false
@@ -201,21 +265,46 @@ func (p Predicate) Match(t *relation.Table, r int) bool {
 	return true
 }
 
+// MatchMask tests the n consecutive rows [lo, lo+n) of t, 1 <= n <= 64,
+// against the predicate and returns the matches as a bitmask: bit i is set
+// when row lo+i satisfies every clause. It is Match for a window of rows:
+// each clause runs down its own column slice, so nothing is looked up per
+// row, and a window no row of which survives a clause skips the rest.
+func (p Predicate) MatchMask(t *relation.Table, lo, n int) uint64 {
+	m := ^uint64(0) >> uint(64-n)
+	for i := range p.clauses {
+		if m &= p.clauses[i].MatchMask(t, lo, n); m == 0 {
+			break
+		}
+	}
+	return m
+}
+
+// forEachMask calls fn with the match mask of every window of at most 64
+// consecutive rows of universe (or of the whole table when universe is
+// nil), in ascending row order; windows without a match are skipped.
+func (p Predicate) forEachMask(t *relation.Table, universe *relation.RowSet, fn func(lo int, m uint64)) {
+	run := func(lo, hi int) {
+		for ; lo < hi; lo += 64 {
+			if m := p.MatchMask(t, lo, min(64, hi-lo)); m != 0 {
+				fn(lo, m)
+			}
+		}
+	}
+	if universe == nil {
+		run(0, t.NumRows())
+		return
+	}
+	universe.ForEachRun(run)
+}
+
 // Eval returns the rows of universe (or the whole table when universe is
 // nil) that satisfy the predicate.
 func (p Predicate) Eval(t *relation.Table, universe *relation.RowSet) *relation.RowSet {
 	out := relation.NewRowSet(t.NumRows())
-	if universe == nil {
-		for r := 0; r < t.NumRows(); r++ {
-			if p.Match(t, r) {
-				out.Add(r)
-			}
-		}
-		return out
-	}
-	universe.ForEach(func(r int) {
-		if p.Match(t, r) {
-			out.Add(r)
+	p.forEachMask(t, universe, func(lo int, m uint64) {
+		for ; m != 0; m &= m - 1 {
+			out.Add(lo + bits.TrailingZeros64(m))
 		}
 	})
 	return out
@@ -224,19 +313,7 @@ func (p Predicate) Eval(t *relation.Table, universe *relation.RowSet) *relation.
 // Count returns |p(universe)| without materializing the row set.
 func (p Predicate) Count(t *relation.Table, universe *relation.RowSet) int {
 	n := 0
-	if universe == nil {
-		for r := 0; r < t.NumRows(); r++ {
-			if p.Match(t, r) {
-				n++
-			}
-		}
-		return n
-	}
-	universe.ForEach(func(r int) {
-		if p.Match(t, r) {
-			n++
-		}
-	})
+	p.forEachMask(t, universe, func(_ int, m uint64) { n += bits.OnesCount64(m) })
 	return n
 }
 
@@ -441,16 +518,17 @@ func (p Predicate) Equal(o Predicate) bool {
 }
 
 // Key returns a canonical string usable as a map key for de-duplication.
-// The fingerprint is computed once when the predicate is constructed, so
-// the hot callers — the scorer's memo lookup, candidate de-duplication,
-// obs labels — pay a pointer read, not a string build, per call.
+// The fingerprint is built on the first call and kept, so the callers that
+// look keys up repeatedly — the scorer's memo, candidate de-duplication,
+// obs labels — pay the string build once and a pointer read afterwards.
 func (p Predicate) Key() string {
-	if p.key != nil {
-		return *p.key
+	if p.key == nil {
+		// Zero-value predicates (True) never went through a constructor;
+		// their key is the empty clause list's rendering.
+		return buildKey(p.clauses)
 	}
-	// Zero-value predicates (True) never went through a constructor; their
-	// key is the empty clause list's rendering.
-	return buildKey(p.clauses)
+	p.key.once.Do(func() { p.key.s = buildKey(p.clauses) })
+	return p.key.s
 }
 
 // buildKey renders the canonical fingerprint of a sorted clause list:

@@ -30,8 +30,8 @@ import (
 // for the compact encodings, so id translation between a table and its
 // Views never copies bitmap words unless the set really is dense.
 //
-// All read-only methods (Contains, Count, CountRange, ForEach, Rows,
-// SubsetOf, Equal, Slice, Embed, Min, Max) never re-encode the receiver and
+// All read-only methods (Contains, Count, CountRange, ForEach, ForEachRun,
+// Rows, SubsetOf, Equal, Slice, Embed, Min, Max) never re-encode the receiver and
 // are safe for concurrent readers; mutating methods are not.
 type RowSet struct {
 	n     int
@@ -1152,6 +1152,17 @@ func (s *RowSet) ForEach(fn func(row int)) {
 				fn(i)
 			}
 		}
+	}
+}
+
+// ForEachRun calls fn for every maximal run [lo, hi) of consecutive member
+// rows, in ascending order — the columnar sibling of ForEach: a caller that
+// reads column slices gets whole windows to loop over instead of one
+// callback per row, whatever the encoding.
+func (s *RowSet) ForEachRun(fn func(lo, hi int)) {
+	it := s.iter()
+	for lo, hi, ok := it.next(); ok; lo, hi, ok = it.next() {
+		fn(lo, hi)
 	}
 }
 

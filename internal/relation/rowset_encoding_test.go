@@ -396,3 +396,34 @@ func TestMemBytesTracksEncoding(t *testing.T) {
 		t.Fatal("full sets differ")
 	}
 }
+
+// TestForEachRunProperty: in every encoding, ForEachRun yields ascending,
+// non-adjacent, non-empty runs whose rows are exactly the members.
+func TestForEachRunProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 200; iter++ {
+		s := randomSet(rng, rng.Intn(700))
+		want := s.Rows()
+		for _, v := range encVariants(s) {
+			var got []int
+			prevHi := -1
+			v.ForEachRun(func(lo, hi int) {
+				if lo >= hi || lo <= prevHi {
+					t.Fatalf("%s: run [%d,%d) after a run ending at %d", v, lo, hi, prevHi)
+				}
+				prevHi = hi
+				for r := lo; r < hi; r++ {
+					got = append(got, r)
+				}
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%s: runs cover %d rows, want %d", v, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: row %d of the runs is %d, want %d", v, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -356,10 +356,32 @@ type QueryRow struct {
 	GroupSize int     `json:"group_size"`
 }
 
+// maxRequestBytes bounds the JSON body of /explain, /jobs and /query. The
+// largest legitimate request is a few kilobytes of SQL, keys and knobs, so
+// the limit is a constant, not a setting.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes a JSON request body of at most maxRequestBytes into
+// v. On failure it answers — 413 for an oversized body, 400 for malformed
+// JSON — and reports false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", maxRequestBytes))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	entry, err := s.resolveTable(req.Table)
@@ -680,8 +702,7 @@ func explainResultJSON(res *scorpion.Result) map[string]any {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	async := req.Mode == "async" || r.URL.Query().Get("mode") == "async"
@@ -755,8 +776,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	plan, status, err := s.buildExplainTask(&req, obs.RequestID(r.Context()))

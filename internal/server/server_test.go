@@ -311,3 +311,40 @@ func TestExplainClientDisconnect(t *testing.T) {
 		t.Fatal("handler did not return after client disconnect")
 	}
 }
+
+// oversizedBody posts a well-formed JSON request padded past
+// maxRequestBytes and wants 413 with a JSON error body — and the same
+// request unpadded accepted, so the refusal is about size alone.
+func oversizedBody(t *testing.T, path string, body map[string]any) {
+	t.Helper()
+	srv := New(testTable(t))
+	t.Cleanup(srv.Close)
+	if rec := postJSON(t, srv, path, body); rec.Code >= 400 {
+		t.Fatalf("%s with a small body = %d (%s)", path, rec.Code, rec.Body)
+	}
+	body["padding"] = strings.Repeat("x", maxRequestBytes)
+	rec := postJSON(t, srv, path, body)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%s with an oversized body = %d, want 413 (%.80s)", path, rec.Code, rec.Body)
+	}
+	var out map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || !strings.Contains(out["error"], "limit") {
+		t.Errorf("%s 413 body = %q (decode error %v), want a JSON error naming the limit", path, rec.Body, err)
+	}
+}
+
+func smallExplainBody() map[string]any {
+	return map[string]any{
+		"sql":                "SELECT avg(temp), time FROM sensors GROUP BY time",
+		"outliers":           []string{"12PM", "1PM"},
+		"all_others_holdout": true,
+	}
+}
+
+func TestExplainOversizedBody(t *testing.T) { oversizedBody(t, "/explain", smallExplainBody()) }
+
+func TestJobsOversizedBody(t *testing.T) { oversizedBody(t, "/jobs", smallExplainBody()) }
+
+func TestQueryOversizedBody(t *testing.T) {
+	oversizedBody(t, "/query", map[string]any{"sql": "SELECT avg(temp), time FROM sensors GROUP BY time"})
+}

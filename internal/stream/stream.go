@@ -28,6 +28,7 @@ import (
 	"sort"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
+	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/query"
 	"github.com/scorpiondb/scorpion/internal/relation"
 )
@@ -120,25 +121,10 @@ func newTracker(tbl *relation.Table, sql string, q *query.AggregateQuery, res *q
 			Key:       row.Key,
 			KeyValues: row.KeyValues,
 			Rows:      row.Group,
-			State:     rem.State(tr.values(tbl, row.Group)),
+			State:     influence.GroupState(tbl, q.AggCol, row.Group),
 		}
 	}
 	return tr, nil
-}
-
-// values projects the aggregate attribute over a group, with the Task
-// convention for count(*): every tuple contributes 1.
-func (tr *Tracker) values(tbl *relation.Table, rows *relation.RowSet) []float64 {
-	out := make([]float64, 0, rows.Count())
-	if tr.q.AggCol < 0 {
-		for i := 0; i < rows.Count(); i++ {
-			out = append(out, 1)
-		}
-		return out
-	}
-	col := tbl.Floats(tr.q.AggCol)
-	rows.ForEach(func(r int) { out = append(out, col[r]) })
-	return out
 }
 
 // Rows reports the row count the tracker's state matches.
@@ -212,7 +198,7 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 		local := row.Group
 		delta.TailRows += local.Count()
 		global := tail.GlobalRows(local)
-		tailState := tr.rem.State(tr.valuesView(tail, local))
+		tailState := influence.GroupState(tail, tr.q.AggCol, local)
 		if g, ok := tr.groups[row.Key]; ok {
 			g.Rows.Or(global)
 			g.State = tr.rem.Update(g.State, tailState)
@@ -237,20 +223,6 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 	}
 	tr.q = q
 	return delta, nil
-}
-
-// valuesView projects the aggregate attribute over window-local rows.
-func (tr *Tracker) valuesView(v *relation.View, rows *relation.RowSet) []float64 {
-	out := make([]float64, 0, rows.Count())
-	if tr.q.AggCol < 0 {
-		for i := 0; i < rows.Count(); i++ {
-			out = append(out, 1)
-		}
-		return out
-	}
-	col := v.Floats(tr.q.AggCol)
-	rows.ForEach(func(r int) { out = append(out, col[r]) })
-	return out
 }
 
 // Result materializes the tracked groups as a query.Result over the

@@ -5,6 +5,7 @@ package scorpion
 // Explainer session's §8.3.3 partition reuse.
 
 import (
+	"math"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/influence"
@@ -59,6 +60,52 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	if direct.ResolvedLambda() != 0.3 || direct.ResolvedC() != 0.7 {
 		t.Errorf("non-zero field writes resolved to λ=%v c=%v",
 			direct.ResolvedLambda(), direct.ResolvedC())
+	}
+}
+
+// TestNonFiniteKnobsRejected: NaN and ±Inf for λ, c, epsilon and confidence
+// are refused with an error at every entry point instead of silently
+// producing an all-NaN ranking (NaN fails "x < 0 || x > 1").
+func TestNonFiniteKnobsRejected(t *testing.T) {
+	base := Request{
+		Table:            sensorsTable(t),
+		SQL:              "SELECT avg(temp), time FROM sensors GROUP BY time",
+		Outliers:         []string{"12PM", "1PM"},
+		AllOthersHoldOut: true,
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(*Request)
+	}{
+		{"lambda NaN", func(r *Request) { r.Lambda = nan }},
+		{"lambda +Inf", func(r *Request) { r.Lambda = inf }},
+		{"c NaN", func(r *Request) { r.C = nan }},
+		{"c +Inf", func(r *Request) { r.C = inf }},
+		{"c -Inf", func(r *Request) { r.C = -inf }},
+		{"epsilon NaN", func(r *Request) { r.Epsilon = nan }},
+		{"epsilon +Inf", func(r *Request) { r.Epsilon = inf }},
+		{"epsilon -Inf", func(r *Request) { r.Epsilon = -inf }},
+		{"confidence NaN", func(r *Request) { r.Confidence = nan }},
+	}
+	for _, tc := range cases {
+		req := base
+		tc.set(&req)
+		if res, err := Explain(&req); err == nil {
+			t.Errorf("%s: accepted, top influence %v", tc.name, res.Explanations[0].Influence)
+		}
+	}
+	if _, err := Explain(&base); err != nil {
+		t.Fatalf("finite knobs refused: %v", err)
+	}
+	e, err := NewExplainer(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{nan, inf, -inf} {
+		if _, err := e.ExplainC(c); err == nil {
+			t.Errorf("ExplainC(%v) accepted", c)
+		}
 	}
 }
 

@@ -1,12 +1,13 @@
-// Knob: the §7 c parameter explored interactively with the caching
-// Explainer. On a synthetic dataset with planted nested cubes, sweeping c
-// from 1 to 0 walks the returned predicate from the tight inner cube out to
-// the full outer cube — and the Explainer reuses the DT partitioning and
-// prior merge results so each step after the first is much cheaper
-// (the paper's §8.3.3 caching experiment).
+// Knob: the §7 c parameter explored interactively with a Session. On a
+// synthetic dataset with planted nested cubes, sweeping c from 1 to 0 walks
+// the returned predicate from the tight inner cube out to the full outer
+// cube — and the Session reuses the DT partitioning and prior merge results
+// so each step after the first is much cheaper (the paper's §8.3.3 caching
+// experiment).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,22 +27,25 @@ func main() {
 	fmt.Printf("planted inner cube: a1 ∈ [%.1f, %.1f], a2 ∈ [%.1f, %.1f]\n\n",
 		ds.Inner.Lo[0], ds.Inner.Hi[0], ds.Inner.Lo[1], ds.Inner.Hi[1])
 
-	explainer, err := scorpion.NewExplainer(&scorpion.Request{
+	base := scorpion.Request{
 		Table:            ds.Table,
 		SQL:              "SELECT avg(v), g FROM synth GROUP BY g",
 		Outliers:         ds.OutlierKeys,
 		AllOthersHoldOut: true,
 		Direction:        scorpion.TooHigh,
 		Attributes:       ds.DimNames(),
+		Algorithm:        scorpion.DT,
 		TopK:             1,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
+	session := scorpion.NewSession(&base)
 
-	fmt.Println("sweeping the c knob (cached Explainer):")
+	fmt.Println("sweeping the c knob (one Session):")
 	for _, c := range []float64{1.0, 0.5, 0.2, 0.1, 0.0} {
-		res, err := explainer.ExplainC(c)
+		// SetC (not a field write) so the sweep's final c=0 step is an
+		// explicit zero rather than the default.
+		req := base
+		req.SetC(c)
+		res, err := session.Explain(context.Background(), &req, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,20 +56,9 @@ func main() {
 
 	fmt.Println("\nsame sweep without caching (fresh Explain each time):")
 	for _, c := range []float64{1.0, 0.5, 0.2, 0.1, 0.0} {
-		req := &scorpion.Request{
-			Table:            ds.Table,
-			SQL:              "SELECT avg(v), g FROM synth GROUP BY g",
-			Outliers:         ds.OutlierKeys,
-			AllOthersHoldOut: true,
-			Direction:        scorpion.TooHigh,
-			Attributes:       ds.DimNames(),
-			Algorithm:        scorpion.DT,
-			TopK:             1,
-		}
-		// SetC (not a field write) so the sweep's final c=0 step is an
-		// explicit zero, matching ExplainC's semantics above.
+		req := base
 		req.SetC(c)
-		res, err := scorpion.Explain(req)
+		res, err := scorpion.Explain(&req)
 		if err != nil {
 			log.Fatal(err)
 		}

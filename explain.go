@@ -3,7 +3,6 @@ package scorpion
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -110,11 +109,6 @@ type Request struct {
 	// negative value uses GOMAXPROCS. Parallel runs return the same
 	// explanations as serial runs.
 	Workers int
-	// NaiveWorkers is honored when Workers is zero.
-	//
-	// Deprecated: use Workers, which parallelizes all three algorithms
-	// rather than NAIVE alone.
-	NaiveWorkers int
 	// Shards fans the search across horizontal slices of the table: the
 	// table is cut into (at most) Shards contiguous zero-copy views,
 	// group-aware — cut points follow the outlier provenance quantiles —
@@ -317,10 +311,10 @@ type Stats struct {
 	Pruned    int64
 	Escalated int64
 	// ReusedPartition reports that the search skipped re-partitioning by
-	// reusing an Explainer session's cached DT partitioning (§8.3.3) — the
-	// c-sweep fast path. Always false for one-shot Explain calls.
+	// reusing a Session's cached DT partitioning (§8.3.3) — the c-sweep
+	// fast path. Always false for one-shot Explain calls.
 	ReusedPartition bool
-	// Refreshed reports that the result came from a Refresher's warm path:
+	// Refreshed reports that the result came from a Session's warm path:
 	// after an append, the previous run's candidates were re-scored exactly
 	// against the grown table (per-group aggregate states advanced
 	// incrementally from the appended tail) instead of re-running the
@@ -364,111 +358,13 @@ func Explain(req *Request) (*Result, error) {
 // answers should check the Result before discarding it on error.
 //
 // Request.Workers sizes the worker pool shared by all three algorithms;
-// parallel searches return the same explanations as serial ones.
+// parallel searches return the same explanations as serial ones. It is a
+// one-shot run of the Session spine that retains nothing.
 func ExplainContext(ctx context.Context, req *Request) (*Result, error) {
-	res, _, err := explainFull(ctx, req)
-	return res, err
-}
-
-// explainFull is ExplainContext returning, alongside the capped Result, the
-// FULL deduped exact-scored candidate list the top-k was cut from — the
-// state a Refresher snapshots so a later append can re-rank warm instead of
-// re-searching. The slice is nil when the search errored before scoring.
-func explainFull(ctx context.Context, req *Request) (*Result, []partition.Candidate, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("scorpion: %w", err)
-	}
-	if req.Shards < 0 {
-		return nil, nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", req.Shards)
-	}
-	// Written so that NaN, which fails every comparison, is refused too.
-	if !(req.Epsilon >= 0) || math.IsInf(req.Epsilon, 1) {
-		return nil, nil, fmt.Errorf("scorpion: epsilon %v must be finite and >= 0 (0 = exact)", req.Epsilon)
-	}
-	if req.Confidence != 0 && !(req.Confidence > 0 && req.Confidence < 1) {
-		return nil, nil, fmt.Errorf("scorpion: confidence %v must lie in (0, 1)", req.Confidence)
-	}
-	reg := obs.RegistryFrom(ctx)
-	_, planSpan := obs.StartSpan(ctx, "plan")
-	scorer, space, qres, err := buildScorer(req)
-	if err != nil {
-		planSpan.End()
-		return nil, nil, err
-	}
-	algo, err := chooseAlgorithm(req, scorer)
-	if err != nil {
-		planSpan.End()
-		return nil, nil, err
-	}
-	searcher, coord, err := buildTopSearcher(req, scorer, space, algo, reg)
-	if err != nil {
-		planSpan.End()
-		return nil, nil, err
-	}
-	planSpan.SetAttr("algorithm", algo.String())
-	planSpan.SetAttr("rows", req.Table.NumRows())
-	planSpan.SetAttr("workers", req.effectiveWorkers())
-	if coord != nil {
-		planSpan.SetAttr("shards", coord.NumShards())
-	}
-	planSpan.End()
-	calls := func() int64 {
-		n := scorer.Calls()
-		if coord != nil {
-			n += coord.Calls()
-		}
-		return n
-	}
-	var board *partition.Board
-	var stopMonitor func()
-	if req.OnProgress != nil {
-		board = partition.NewBoard()
-		stopMonitor = watchProgress(req, calls, board, start)
-	}
-	searchCtx, searchSpan := obs.StartSpan(ctx, "search")
-	searchSpan.SetAttr("algorithm", algo.String())
-	outcome, err := partition.RunSearchObserved(searchCtx, req.effectiveWorkers(), board, searcher)
-	if stopMonitor != nil {
-		stopMonitor()
-	}
-	if outcome != nil {
-		searchSpan.SetAttr("candidates", len(outcome.Candidates))
-		searchSpan.SetAttr("pruned", outcome.Pruned)
-		searchSpan.SetAttr("escalated", outcome.Escalated)
-	}
-	searchSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	_, rankSpan := obs.StartSpan(ctx, "rank")
-	res, scored := assemble(req, scorer, outcome.Candidates, qres)
-	rankSpan.SetAttr("candidates", len(scored))
-	rankSpan.End()
-	res.Stats.Algorithm = algo
-	res.Stats.Duration = time.Since(start)
-	res.Stats.ScorerCalls = calls()
-	res.Stats.Shards = 1
-	if coord != nil {
-		res.Stats.Shards = coord.NumShards()
-	}
-	res.Stats.Pruned = outcome.Pruned
-	res.Stats.Escalated = outcome.Escalated
-	if outcome.Interrupted {
-		cause := ctx.Err()
-		if cause == nil {
-			cause = context.Canceled
-		}
-		res.Stats.Interrupted = true
-		res.Stats.InterruptReason = cause.Error()
-		recordSearchMetrics(reg, algo, res.Stats, scorer)
-		return res, scored, fmt.Errorf("scorpion: search interrupted: %w", cause)
-	}
-	recordSearchMetrics(reg, algo, res.Stats, scorer)
-	return res, scored, nil
+	return (*Session)(nil).run(ctx, req, 0)
 }
 
 // recordSearchMetrics publishes one finished search's counters into the
@@ -573,14 +469,10 @@ func (r *Request) directionFor(key string) Direction {
 	return r.Direction
 }
 
-// effectiveWorkers resolves the Workers knob, honoring the deprecated
-// NaiveWorkers alias when Workers is unset.
+// effectiveWorkers resolves the Workers knob: 0 runs serially.
 func (r *Request) effectiveWorkers() int {
 	if r.Workers != 0 {
 		return r.Workers
-	}
-	if r.NaiveWorkers != 0 {
-		return r.NaiveWorkers
 	}
 	return 1
 }
@@ -603,13 +495,10 @@ const maxAutoSerialShards = 8
 // ResolvedShards is the slice count the search will use: the Shards knob
 // resolved like ResolvedLambda/ResolvedC resolve theirs. Serving layers
 // consult it to route requests — a request that resolves to a sharded run
-// must bypass Explainer sessions, whose cached partitioning is a
-// full-table artifact.
-func (r *Request) ResolvedShards() int { return r.effectiveShards() }
-
-// effectiveShards resolves the Shards knob: an explicit count is clamped
-// to [1, maxShards]; 0 picks from the table size and worker budget.
-func (r *Request) effectiveShards() int {
+// never takes a Session's DT path, whose cached partitioning is a
+// full-table artifact. An explicit count is clamped to [1, maxShards]; 0
+// picks from the table size and worker budget.
+func (r *Request) ResolvedShards() int {
 	k := r.Shards
 	if k == 0 {
 		rows := 0
@@ -698,7 +587,7 @@ func remoteDispatchable(req *Request, algo Algorithm) bool {
 // fanning that same algorithm across horizontal table slices. The returned
 // coordinator is nil for unsharded searches.
 func buildTopSearcher(req *Request, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, reg *obs.Registry) (partition.Searcher, *shard.Coordinator, error) {
-	if k := req.effectiveShards(); k > 1 {
+	if k := req.ResolvedShards(); k > 1 {
 		factory := func(sc *influence.Scorer, sp *predicate.Space, domains map[int]predicate.Domain) (partition.Searcher, error) {
 			r := req
 			if algo == Naive && (req.NaiveParams == nil || req.NaiveParams.TopK == 0) {
@@ -786,42 +675,9 @@ func buildScorer(req *Request) (*influence.Scorer, *predicate.Space, *query.Resu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	task := &influence.Task{
-		Table:   req.Table,
-		Agg:     q.Agg,
-		AggCol:  q.AggCol,
-		Lambda:  req.ResolvedLambda(),
-		C:       req.ResolvedC(),
-		Perturb: req.Perturb,
-	}
-
-	flagged := make(map[string]bool, len(req.Outliers))
-	for _, key := range req.Outliers {
-		row, ok := qres.Lookup(key)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("scorpion: no query result group %q (have %v)", key, qres.Keys())
-		}
-		task.Outliers = append(task.Outliers, influence.Group{Key: key, Rows: row.Group, Direction: req.directionFor(key)})
-		flagged[key] = true
-	}
-	holdKeys := req.HoldOuts
-	if len(holdKeys) == 0 && req.AllOthersHoldOut {
-		for _, key := range qres.Keys() {
-			if !flagged[key] {
-				holdKeys = append(holdKeys, key)
-			}
-		}
-	}
-	for _, key := range holdKeys {
-		if flagged[key] {
-			return nil, nil, nil, fmt.Errorf("scorpion: group %q is both outlier and hold-out", key)
-		}
-		row, ok := qres.Lookup(key)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("scorpion: no query result group %q", key)
-		}
-		task.HoldOuts = append(task.HoldOuts, influence.Group{Key: key, Rows: row.Group})
+	task, err := bindTask(req, q.Agg, q.AggCol, qres)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	attrs := req.Attributes
@@ -848,6 +704,48 @@ func buildScorer(req *Request) (*influence.Scorer, *predicate.Space, *query.Resu
 		}
 	}
 	return scorer, space, qres, nil
+}
+
+// bindTask labels the groups of qres — a query result over req.Table — for
+// req: the flagged outliers, and the hold-outs (every other group under
+// AllOthersHoldOut), in qres's group order.
+func bindTask(req *Request, agg aggregate.Func, aggCol int, qres *query.Result) (*influence.Task, error) {
+	task := &influence.Task{
+		Table:   req.Table,
+		Agg:     agg,
+		AggCol:  aggCol,
+		Lambda:  req.ResolvedLambda(),
+		C:       req.ResolvedC(),
+		Perturb: req.Perturb,
+	}
+	flagged := make(map[string]bool, len(req.Outliers))
+	for _, key := range req.Outliers {
+		row, ok := qres.Lookup(key)
+		if !ok {
+			return nil, fmt.Errorf("scorpion: no query result group %q (have %v)", key, qres.Keys())
+		}
+		task.Outliers = append(task.Outliers, influence.Group{Key: key, Rows: row.Group, Direction: req.directionFor(key)})
+		flagged[key] = true
+	}
+	holdKeys := req.HoldOuts
+	if len(holdKeys) == 0 && req.AllOthersHoldOut {
+		for _, key := range qres.Keys() {
+			if !flagged[key] {
+				holdKeys = append(holdKeys, key)
+			}
+		}
+	}
+	for _, key := range holdKeys {
+		if flagged[key] {
+			return nil, fmt.Errorf("scorpion: group %q is both outlier and hold-out", key)
+		}
+		row, ok := qres.Lookup(key)
+		if !ok {
+			return nil, fmt.Errorf("scorpion: no query result group %q", key)
+		}
+		task.HoldOuts = append(task.HoldOuts, influence.Group{Key: key, Rows: row.Group})
+	}
+	return task, nil
 }
 
 // chooseAlgorithm resolves Auto using the aggregate's properties (§5).
@@ -957,25 +855,35 @@ func buildSearcher(req *Request, scorer *influence.Scorer, space *predicate.Spac
 // dtSearcher composes the DT partitioner with the §6.3 Merger behind the
 // partition.Searcher interface. The composition lives at this layer (rather
 // than in the dt package) so dt stays independent of the merger, mirroring
-// the paper's partitioner/merger split.
+// the paper's partitioner/merger split. A Session's DT path hands it the
+// cached partitioning and merge seeds, and reads back a freshly built
+// complete partitioning from part.
 type dtSearcher struct {
 	scorer      *influence.Scorer
 	space       *predicate.Space
 	params      dt.Params
 	mergeParams merge.Params
+	part        *dt.Partitioning
+	seeds       []partition.Candidate
 }
 
 func (s *dtSearcher) Name() string { return "dt" }
 
 func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
-	pt, err := dt.PartitionPool(pool, s.scorer, s.space, s.params)
-	if err != nil {
-		return nil, err
+	pt := s.part
+	if pt == nil {
+		var err error
+		if pt, err = dt.PartitionPool(pool, s.scorer, s.space, s.params); err != nil {
+			return nil, err
+		}
+		if !pt.Interrupted {
+			s.part = pt
+		}
 	}
 	cands := pt.CandidatesPool(s.scorer, pool)
 	// The scored leaves are a valid partial answer while the merge runs.
 	pool.PublishBest(cands)
-	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).Merge(cands)
+	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).MergeSeeded(cands, s.seeds)
 	pool.PublishBest(merged)
 	return &partition.Outcome{
 		Candidates:  merged,
@@ -984,20 +892,13 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	}, nil
 }
 
-// assemble converts candidates into ranked explanations, also returning the
-// full exact-scored list the top-k Result was cut from.
-func assemble(req *Request, scorer *influence.Scorer, cands []partition.Candidate, qres *query.Result) (*Result, []partition.Candidate) {
-	scored := rescoreExact(scorer, cands)
-	return present(req, scorer, scored, qres), scored
-}
-
 // rescoreExact dedupes candidates, re-scores them exactly, and sorts
 // descending — mutating the slice in place. The hold-out flag is
 // recomputed from the exact penalty rather than copied from the search:
 // partitioners set it from estimates (sampled influence, the §6.1.4
 // combine step), so the search-time flag could contradict the exact
-// HoldOutPenalty reported right beside it. The Explainer caches the
-// returned slice as merge seeds for future lower-c runs.
+// HoldOutPenalty reported right beside it. A Session keeps the returned
+// slice as the run's candidate pool.
 func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate) []partition.Candidate {
 	cands = partition.Dedupe(cands)
 	for i := range cands {
@@ -1021,7 +922,7 @@ func present(req *Request, scorer *influence.Scorer, cands []partition.Candidate
 		cands = cands[:topK]
 	}
 	res := &Result{QueryResult: qres}
-	gO := outlierUnion(scorer.Task())
+	gO := shard.OutlierUnion(scorer.Task())
 	for _, c := range cands {
 		matched := c.Pred.Eval(req.Table, gO)
 		res.Explanations = append(res.Explanations, Explanation{
@@ -1036,8 +937,4 @@ func present(req *Request, scorer *influence.Scorer, cands []partition.Candidate
 	}
 	res.Stats.Candidates = len(cands)
 	return res
-}
-
-func outlierUnion(task *influence.Task) *RowSet {
-	return shard.OutlierUnion(task)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/catalog"
+	"github.com/scorpiondb/scorpion/internal/partition/naive"
 )
 
 func TestExplainMalformedCSVKinds(t *testing.T) {
@@ -323,5 +324,84 @@ func TestAppendRacingUnload(t *testing.T) {
 		if _, err := cat.Append("t", []Row{{S("c"), F(3)}}); err != nil {
 			t.Fatalf("surviving entry %q not appendable: %v", e.Name, err)
 		}
+	}
+}
+
+// TestNaNRankingDeterministicAcrossWorkers: a NaN aggregate value makes
+// every predicate that deletes its whole group score NaN (SUM's empty
+// value minus a NaN sum). NaN fails both a > b and b > a, so unless the
+// comparators rank it last, the order of such candidates — and so the
+// parallel top-k — follows the order batches arrive in. Every worker
+// count must return the serial ranking, bit for bit.
+func TestNaNRankingDeterministicAcrossWorkers(t *testing.T) {
+	schema, err := NewSchema(
+		Column{Name: "g", Kind: Discrete},
+		Column{Name: "a", Kind: Continuous},
+		Column{Name: "b", Kind: Discrete},
+		Column{Name: "v", Kind: Continuous},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bld := NewBuilder(schema)
+	for _, g := range []string{"hold1", "hold2", "out"} {
+		for i := 0; i < 60; i++ {
+			v := 10.0
+			if g == "out" && i%10 >= 6 {
+				v = 100
+			}
+			if g == "out" && i == 7 {
+				v = math.NaN()
+			}
+			b := []string{"w", "x", "y"}[i%3]
+			if g == "out" {
+				b = "w" // every b clause holding w deletes the whole group
+			}
+			bld.MustAppend(Row{S(g), F(float64(i % 10)), S(b), F(v)})
+		}
+	}
+	tbl := bld.Build()
+	for _, algo := range []Algorithm{Naive, MC, DT} {
+		t.Run(algo.String(), func(t *testing.T) {
+			req := &Request{
+				Table:            tbl,
+				SQL:              "SELECT sum(v), g FROM t GROUP BY g",
+				Outliers:         []string{"out"},
+				AllOthersHoldOut: true,
+				Algorithm:        algo,
+				Shards:           1,
+				TopK:             200,
+				// Keep every NAIVE candidate, so the NaN ones reach the
+				// final ranking instead of being cut by the search's top-k.
+				NaiveParams: &naive.Params{TopK: 200},
+			}
+			serial, err := Explain(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(serial.Explanations) == 0 {
+				t.Fatal("serial run found nothing")
+			}
+			for _, workers := range []int{2, 4} {
+				for round := 0; round < 5; round++ {
+					r := *req
+					r.Workers = workers
+					par, err := Explain(&r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(par.Explanations) != len(serial.Explanations) {
+						t.Fatalf("workers %d: %d explanations, serial %d", workers, len(par.Explanations), len(serial.Explanations))
+					}
+					for i, s := range serial.Explanations {
+						p := par.Explanations[i]
+						if s.Where != p.Where || math.Float64bits(s.Influence) != math.Float64bits(p.Influence) {
+							t.Fatalf("workers %d round %d rank %d: %q %v, serial %q %v",
+								workers, round, i, p.Where, p.Influence, s.Where, s.Influence)
+						}
+					}
+				}
+			}
+		})
 	}
 }

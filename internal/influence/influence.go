@@ -654,8 +654,8 @@ func (s *Scorer) ResetCache() { s.cache.reset() }
 // SetC updates the task's c knob in place and clears the memoized
 // predicate scores; the cached per-group aggregate states — which do not
 // depend on c — are kept, so a c sweep pays only re-scoring, never state
-// rebuilding. Not safe to call concurrently with scoring: callers (the
-// Explainer's per-session c sweeps) serialize runs.
+// rebuilding. Not safe to call concurrently with scoring: callers (a
+// Session's c sweeps) serialize runs.
 func (s *Scorer) SetC(c float64) error {
 	if err := validC(c); err != nil {
 		return err

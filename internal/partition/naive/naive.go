@@ -613,14 +613,18 @@ type ranked[T any] struct {
 }
 
 // outranks reports whether a strictly precedes b in the result order:
-// higher score first, earlier enumeration on ties. Sequence numbers are
+// higher score first (NaN last), earlier enumeration on ties — two NaNs
+// tie. Sequence numbers are
 // unique, so this is a strict total order and the top-k of any emission set
 // is unique and independent of scoring order.
 func (a ranked[T]) outranks(b ranked[T]) bool { return outranks(a.score, a.seq, b.score, b.seq) }
 
 func outranks(aScore float64, aSeq int64, bScore float64, bSeq int64) bool {
-	if aScore != bScore {
-		return aScore > bScore
+	switch {
+	case partition.Better(aScore, bScore):
+		return true
+	case partition.Better(bScore, aScore):
+		return false
 	}
 	return aSeq < bSeq
 }

@@ -1,6 +1,9 @@
 package naive
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -170,5 +173,31 @@ func TestRunParallelSingleWorkerDelegates(t *testing.T) {
 	}
 	if len(res.Trace) == 0 {
 		t.Error("single-worker parallel run should delegate to Run (with trace)")
+	}
+}
+
+// TestTopKNaNOrderIndependent: a NaN score ranks below every number, so a
+// full top-k keeps the same entries, in the same order, whatever order
+// they are offered in.
+func TestTopKNaNOrderIndependent(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{nan, 2, nan, 5, 1, 4}
+	want := ""
+	for shift := range scores {
+		tk := &topK[int]{k: 3}
+		for i := range scores {
+			j := (i + shift) % len(scores)
+			tk.offer(scores[j], int64(j), j)
+		}
+		sort.Slice(tk.list, func(a, b int) bool { return tk.list[a].outranks(tk.list[b]) })
+		got := fmt.Sprint(tk.list)
+		if want == "" {
+			want = got
+			if tk.list[0].val != 3 || tk.list[1].val != 5 || tk.list[2].val != 1 {
+				t.Fatalf("top-3 = %v, want entries 3, 5, 1", got)
+			}
+		} else if got != want {
+			t.Fatalf("offer order %d kept %v, order 0 kept %v", shift, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@
 package partition
 
 import (
+	"math"
 	"sort"
 
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -34,9 +35,19 @@ type Candidate struct {
 	InfluencesHoldOut bool
 }
 
-// SortByScore orders candidates by descending score (stable).
+// Better reports whether score a ranks strictly above score b: descending,
+// with NaN below every number. A plain a > b is false both ways for a NaN,
+// which breaks sorting and makes parallel top-k depend on arrival order.
+func Better(a, b float64) bool {
+	if math.IsNaN(b) {
+		return !math.IsNaN(a)
+	}
+	return a > b
+}
+
+// SortByScore orders candidates by descending score (stable), NaN last.
 func SortByScore(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
+	sort.SliceStable(cands, func(i, j int) bool { return Better(cands[i].Score, cands[j].Score) })
 }
 
 // Dedupe removes candidates with duplicate canonical predicates, keeping the
@@ -47,7 +58,7 @@ func Dedupe(cands []Candidate) []Candidate {
 	for _, c := range cands {
 		key := c.Pred.Key()
 		if i, ok := best[key]; ok {
-			if c.Score > out[i].Score {
+			if Better(c.Score, out[i].Score) {
 				out[i] = c
 			}
 			continue
@@ -65,7 +76,7 @@ func Top(cands []Candidate) (Candidate, bool) {
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
-		if c.Score > best.Score {
+		if Better(c.Score, best.Score) {
 			best = c
 		}
 	}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -48,5 +49,31 @@ func TestTop(t *testing.T) {
 	})
 	if !ok || best.Score != 4 {
 		t.Errorf("Top = %v, %v", best, ok)
+	}
+}
+
+// TestNaNRanksLast: every order of the same scores sorts to one ranking
+// with the NaN last, and Dedupe keeps a duplicate's number over its NaN.
+func TestNaNRanksLast(t *testing.T) {
+	nan := math.NaN()
+	orders := [][]float64{{nan, 1, 3, 2}, {1, nan, 3, 2}, {3, 2, 1, nan}, {2, 3, nan, 1}}
+	for _, scores := range orders {
+		cands := make([]Candidate, len(scores))
+		for i, sc := range scores {
+			cands[i] = Candidate{Pred: pred(sc, sc+1), Score: sc}
+		}
+		SortByScore(cands)
+		if cands[0].Score != 3 || cands[1].Score != 2 || cands[2].Score != 1 || !math.IsNaN(cands[3].Score) {
+			t.Errorf("order %v sorted to %v %v %v %v", scores, cands[0].Score, cands[1].Score, cands[2].Score, cands[3].Score)
+		}
+		if top, _ := Top(cands); top.Score != 3 {
+			t.Errorf("order %v: Top = %v", scores, top.Score)
+		}
+	}
+	for _, pair := range [][2]float64{{nan, 1}, {1, nan}} {
+		out := Dedupe([]Candidate{{Pred: pred(0, 1), Score: pair[0]}, {Pred: pred(0, 1), Score: pair[1]}})
+		if len(out) != 1 || out[0].Score != 1 {
+			t.Errorf("Dedupe(%v) kept %v", pair, out)
+		}
 	}
 }

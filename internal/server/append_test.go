@@ -53,8 +53,8 @@ func streamBatchCSV(n int) string {
 }
 
 // streamExplainBody is the request the streaming tests repeat: forced
-// NAIVE, so it routes through a stream session rather than an Explainer
-// session.
+// NAIVE, so its session refreshes warm after an append rather than taking
+// the DT path.
 func streamExplainBody() map[string]any {
 	return map[string]any{
 		"table":              "t",

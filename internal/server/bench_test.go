@@ -7,7 +7,7 @@ package server
 //   - cold:   every request bypasses the cache (full search each time)
 //   - warm:   every request after the first is a cache hit
 //   - csweep: each request alternates c, so the result cache misses but
-//     the Explainer session reuses the DT partitioning
+//     the session reuses the DT partitioning
 //
 // The recorded baseline lives in BENCH_cache.json; re-record with
 //
@@ -166,7 +166,7 @@ func streamBenchPost(b *testing.B, srv *Server, path, contentType, body string, 
 // table: each iteration ingests one batch of rows and re-explains.
 //
 //   - refresh: POST /tables/{t}/rows + /explain — the server warm-starts
-//     from its stream session, re-scoring the previous run's candidates
+//     from its session, re-scoring the previous run's candidates
 //     against incrementally advanced group states ("refreshed_from").
 //   - reload: DELETE /tables/{t} + re-upload the WHOLE grown CSV + a cold
 //     /explain — the only way to track growing data when tables are

@@ -1,8 +1,8 @@
 package server
 
-// Server-level result caching and request coalescing (§8.3.3 serving
-// path). Three cooperating pieces make repeated traffic cheap rather than
-// merely schedulable:
+// Server-level result caching, request coalescing and session reuse
+// (§8.3.3 serving path). Three cooperating pieces make repeated traffic
+// cheap rather than merely schedulable:
 //
 //   - a bounded LRU of finished /explain results keyed by a canonical
 //     request fingerprint (internal/cache.Cache): a repeated identical
@@ -10,15 +10,21 @@ package server
 //     spending zero worker budget;
 //   - flight coalescing on the same keys: N concurrent identical requests
 //     admit ONE search job and all wait on (or poll) it;
-//   - per-(table, query, labels, lambda) Explainer sessions: a request
-//     that differs from a previous one only in the c knob reuses the
-//     session's cached DT partitioning and high-c merge seeds instead of
-//     re-partitioning.
+//   - one scorpion.Session per (table lineage, request without c): a
+//     request that differs from a previous one only in c reuses the
+//     session's DT partitioning and high-c merge seeds (DT path), and a
+//     request repeated after an append re-scores the previous run's
+//     candidate pool at its c against the grown groups instead of
+//     searching ("refreshed_from" names the generation the pool came from).
 //
-// Keys embed the catalog entry's generation ("<table>@<gen>|<hash>"), so
-// uploading over, replacing, or unloading a table can never serve results
-// computed against the old data; the handlers additionally invalidate the
-// "<table>@" prefix proactively to free dead entries.
+// Result keys embed the catalog entry's generation ("<table>@<gen>|<hash>"),
+// so uploading over, replacing, appending to or unloading a table can never
+// serve results computed against the old data. Session keys embed the
+// lineage instead ("<table>#<lineage>|<hash>"): an append's successor
+// generation lands on the same session and warm-starts from it, while a
+// replace or unload starts a new lineage. The handlers sweep the
+// "<table>@" prefix on every table change and the "<table>#" prefix on
+// replace and unload, to free dead entries.
 
 import (
 	"context"
@@ -28,7 +34,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	scorpion "github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/cache"
@@ -36,9 +41,14 @@ import (
 	"github.com/scorpiondb/scorpion/internal/jobs"
 )
 
-// defaultSessionEntries bounds the Explainer session store. Sessions pin a
-// scorer (per-group aggregate states) and a DT partitioning per distinct
-// (table, query, labels, lambda), so the bound is deliberately modest.
+// defaultSessionEntries bounds the session store. A session pins, per c,
+// a candidate pool and, per generation, either a DT plan (scorer states and
+// partitioning) or a stream tracker, so the bound is deliberately modest.
+// Sessions survive appends, so a DT session keeps its last generation's
+// plan until its next request (which drops it) or eviction: still one plan
+// per session. Successor snapshots share column storage with their
+// predecessor except across an append that outgrows the arrays' capacity,
+// so a stale plan rarely pins a second copy of the table.
 const defaultSessionEntries = 32
 
 // ConfigureCache sizes the server's result cache: entries > 0 sets the
@@ -49,12 +59,10 @@ func (s *Server) ConfigureCache(entries int) {
 	if entries < 0 {
 		s.cache = nil
 		s.sessions = nil
-		s.streams = nil
 		return
 	}
 	s.cache = cache.New(entries) // New maps 0 to cache.DefaultCapacity
 	s.sessions = cache.New(defaultSessionEntries)
-	s.streams = cache.New(defaultStreamEntries)
 }
 
 // --- request fingerprints ----------------------------------------------
@@ -72,7 +80,7 @@ type fingerprint struct {
 	AllOthers  bool     `json:"all_others"`
 	Attributes []string `json:"attributes"`
 	Lambda     float64  `json:"lambda"`
-	C          *float64 `json:"c,omitempty"` // nil for the c-agnostic session key
+	C          *float64 `json:"c,omitempty"` // nil for the session key
 	Algorithm  string   `json:"algorithm"`
 	TopK       int      `json:"top_k"`
 	// Shards is the raw sharding knob: sharded runs of the greedy
@@ -89,16 +97,12 @@ type fingerprint struct {
 	Confidence float64 `json:"confidence,omitempty"`
 }
 
-// explainKeys derives the result-cache key, the (c-agnostic) Explainer
-// session key, and the (generation-agnostic) stream-session key for a
-// compiled request — only the compiled scorpion.Request feeds the
-// fingerprint, never the raw HTTP body. The session key is empty when
-// session reuse cannot apply (explicitly forced NAIVE or MC searches); the
-// stream key is set exactly when the session key is NOT, so the two reuse
-// units never fight over a request. Lambda and C are the RESOLVED values,
-// so an explicit default, an unset knob — and, after the explicit-zero fix,
-// nothing else — map to the same entry.
-func explainKeys(entry *catalog.Entry, sreq *scorpion.Request) (resultKey, sessionKey, streamKey string) {
+// explainKeys derives the result-cache key and the (c- and
+// generation-agnostic) session key for a compiled request — only the
+// compiled scorpion.Request feeds the fingerprint, never the raw HTTP body.
+// Lambda and C are the RESOLVED values, so an explicit default and an unset
+// knob map to the same entry.
+func explainKeys(entry *catalog.Entry, sreq *scorpion.Request) (resultKey, sessionKey string) {
 	dir := "high"
 	if sreq.Direction == scorpion.TooLow {
 		dir = "low"
@@ -125,28 +129,15 @@ func explainKeys(entry *catalog.Entry, sreq *scorpion.Request) (resultKey, sessi
 		fp.Epsilon = sreq.Epsilon
 		fp.Confidence = sreq.ResolvedConfidence()
 	}
-	resultKey = keyFor(entry, &fp)
-	// Sessions cache a FULL-table DT partitioning, so any request that
-	// RESOLVES to a sharded run — explicit Shards > 1, or auto (0) on a
-	// table big enough to auto-shard — never routes through one (the
-	// Explainer would silently run it unsharded).
-	if sreq.ResolvedShards() <= 1 && (sreq.Algorithm == scorpion.Auto || sreq.Algorithm == scorpion.DT) {
-		fp.C = nil
-		sessionKey = keyFor(entry, &fp)
-	} else {
-		// Everything the Explainer sessions do not claim (forced NAIVE/MC,
-		// sharded runs) gets a stream session instead: keyed by LINEAGE
-		// rather than generation, so an append's successor generation lands
-		// on the same session and warm-starts from its state.
-		streamKey = streamKeyFor(entry, &fp)
-	}
-	return resultKey, sessionKey, streamKey
+	resultKey = keyFor(fmt.Sprintf("%s@%d", entry.Name, entry.Gen), &fp)
+	fp.C = nil
+	sessionKey = keyFor(fmt.Sprintf("%s#%d", entry.Name, entry.Lineage), &fp)
+	return resultKey, sessionKey
 }
 
-// keyFor renders "<table>@<generation>|<hash of the canonical request>".
-// The generation makes stale hits structurally impossible; the prefix
+// keyFor renders "<prefix>|<hash of the canonical request>". The prefix
 // before "|" is what table invalidation sweeps.
-func keyFor(entry *catalog.Entry, fp *fingerprint) string {
+func keyFor(prefix string, fp *fingerprint) string {
 	data, err := json.Marshal(fp)
 	if err != nil {
 		// Marshaling a struct of strings/floats cannot fail; treat an
@@ -154,21 +145,7 @@ func keyFor(entry *catalog.Entry, fp *fingerprint) string {
 		return ""
 	}
 	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s@%d|%x", entry.Name, entry.Gen, sum[:12])
-}
-
-// streamKeyFor renders "<table>#<lineage>|<hash>": generation-free, so a
-// successor generation (an append) maps to the SAME stream session, while a
-// replace or reload (a new lineage) maps to a fresh one. The "#" separator
-// keeps the "<table>@" invalidation sweep from touching stream sessions —
-// appends must warm-start, not invalidate.
-func streamKeyFor(entry *catalog.Entry, fp *fingerprint) string {
-	data, err := json.Marshal(fp)
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s#%d|%x", entry.Name, entry.Lineage, sum[:12])
+	return fmt.Sprintf("%s|%x", prefix, sum[:12])
 }
 
 func sortedCopy(in []string) []string {
@@ -179,86 +156,74 @@ func sortedCopy(in []string) []string {
 }
 
 // invalidateTable drops every cached result and session belonging to the
-// named table; called when a table is uploaded over or unloaded. (Keys
-// carry the catalog generation too, so this is proactive memory hygiene,
-// not the correctness mechanism.)
+// named table; called when a table is uploaded over or unloaded, which ends
+// its lineage. (Keys carry the generation or lineage too, so this is
+// proactive memory hygiene, not the correctness mechanism.)
 func (s *Server) invalidateTable(name string) {
 	if s.cache != nil {
 		s.cache.InvalidatePrefix(name + "@")
 	}
 	if s.sessions != nil {
-		s.sessions.InvalidatePrefix(name + "@")
-	}
-	// Replace/unload ends the lineage: stream sessions die with it. (The
-	// append path does NOT call this — successor generations warm-start.)
-	if s.streams != nil {
-		s.streams.InvalidatePrefix(name + "#")
+		s.sessions.InvalidatePrefix(name + "#")
 	}
 }
 
-// --- Explainer sessions -------------------------------------------------
+// --- sessions -----------------------------------------------------------
 
-// explainSession is the per-(table, query, labels, lambda) reuse unit: one
-// Explainer whose DT partitioning and merge seeds survive across requests
-// that differ only in c. Runs are serialized per session — shared mutable
-// search state cannot be raced — while distinct sessions run concurrently.
-type explainSession struct {
-	mu    sync.Mutex
-	tried bool
-	exp   *scorpion.Explainer
+// session is the server's one reuse unit: a scorpion.Session plus the
+// catalog generation of its last successful run. Runs are serialized per
+// session; concurrent identical requests coalesce upstream, and a
+// concurrent DIFFERENT request on the same session (another c) falls back
+// to a plain search rather than queueing.
+type session struct {
+	mu  sync.Mutex
+	s   *scorpion.Session
+	gen int64
 }
 
 // sessionFor resolves (or creates) the session under key; nil when session
-// reuse is disabled or inapplicable.
-func (s *Server) sessionFor(key string) *explainSession {
+// reuse is disabled or bypassed.
+func (s *Server) sessionFor(key string, sreq *scorpion.Request) *session {
 	if s.sessions == nil || key == "" {
 		return nil
 	}
-	return s.sessions.GetOrCreate(key, 1, func() any { return &explainSession{} }).(*explainSession)
+	return s.sessions.GetOrCreate(key, 1, func() any {
+		return &session{s: scorpion.NewSession(sreq)}
+	}).(*session)
 }
 
-// run executes one request through the session, falling back to a plain
-// ExplainContext when the session cannot answer it. The session only
-// substitutes for searches that would run the DT path anyway: explicit DT
-// requests, and Auto requests whose aggregate resolves to DT — so reuse
-// never changes which algorithm a request observes.
-func (sess *explainSession) run(ctx context.Context, r *scorpion.Request, granted int, onProgress func(scorpion.Progress), interval time.Duration) (*scorpion.Result, error) {
-	if !sess.mu.TryLock() {
-		// The session is mid-search for another c. Don't park this job's
-		// granted workers (and its deadline, and its cancelability) on a
-		// mutex doing nothing — run sessionless instead. Only the
-		// partition reuse is forgone; the answer is identical.
-		return scorpion.ExplainContext(ctx, r)
-	}
-	if !sess.tried {
-		sess.tried = true
-		if exp, err := scorpion.NewExplainer(r); err == nil {
-			if r.Algorithm == scorpion.DT ||
-				(r.Algorithm == scorpion.Auto && exp.AutoAlgorithm() == scorpion.DT) {
-				sess.exp = exp
-			}
+// run executes one request through the session. r already carries the
+// job's granted workers and progress reporter. It returns the generation
+// the result was refreshed from (0 unless warm) and, for a request off the
+// DT path that did not refresh, why — the reason label of the server's
+// scorpion_stream_cold_total counter ("" otherwise).
+func (sess *session) run(ctx context.Context, r *scorpion.Request, entry *catalog.Entry) (*scorpion.Result, int64, string, error) {
+	sessionless := func(reason string) (*scorpion.Result, int64, string, error) {
+		res, err := scorpion.ExplainContext(ctx, r)
+		if r.ResolvedShards() <= 1 && (r.Algorithm == scorpion.Auto || r.Algorithm == scorpion.DT) {
+			reason = "" // may be the DT path, which has no warm/cold
 		}
-		// NewExplainer errors (non-independent aggregate, bad labels) and
-		// non-DT Auto resolutions leave sess.exp nil: the decision is
-		// cached so later requests skip straight to the fallback. The very
-		// first such request pays the probe's query execution twice (once
-		// here, once in the fallback) — a one-time cost per session key;
-		// avoiding it would need ExplainContext to accept a prebuilt
-		// scorer.
+		return res, 0, reason, err
 	}
-	exp := sess.exp
-	if exp == nil {
-		sess.mu.Unlock()
-		return scorpion.ExplainContext(ctx, r)
+	if !sess.mu.TryLock() {
+		// Mid-run for another request: don't park this job's granted
+		// workers (and its deadline, and its cancelability) on a mutex
+		// doing nothing. Only the reuse is forgone.
+		return sessionless("busy")
 	}
 	defer sess.mu.Unlock()
-	exp.Configure(granted, onProgress, interval)
-	res, err := exp.ExplainCContext(ctx, r.ResolvedC())
-	// Drop the per-job callback: the long-lived session must only pin the
-	// state it reuses (scorer, partitioning, merge seeds), not the
-	// finished job reachable through the progress closure.
-	exp.Configure(0, nil, 0)
-	return res, err
+	if entry.Gen < sess.gen {
+		// A queued job that resolved its entry BEFORE an append another
+		// request has since advanced past: answering it from the session
+		// would rebuild on the obsolete snapshot and throw away the fresher
+		// state.
+		return sessionless("stale_generation")
+	}
+	res, err := sess.s.Explain(ctx, r, entry.Gen)
+	if err == nil {
+		sess.gen = entry.Gen
+	}
+	return res, sess.s.RefreshedFrom(), sess.s.FallbackReason(), err
 }
 
 // --- coalesced in-flight jobs -------------------------------------------

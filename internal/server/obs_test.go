@@ -211,10 +211,9 @@ func TestJobViewTimingsAndRequestID(t *testing.T) {
 			names = append(names, m["name"].(string))
 		}
 	}
-	// This request routes through the Explainer session path, whose trace
-	// is search + rank (the plan phase is the cached session state; the
-	// one-shot path's plan span is pinned by the root package's trace
-	// suite).
+	// This request routes through a session, whose trace always has
+	// search + rank (a warm DT-path run skips the plan phase; the one-shot
+	// path's plan span is pinned by the root package's trace suite).
 	joined := strings.Join(names, ",")
 	for _, phase := range []string{"search", "rank"} {
 		if !strings.Contains(joined, phase) {

@@ -22,24 +22,22 @@
 //	GET    /jobs/{id}     — job status, progress, best-so-far, final result
 //	DELETE /jobs/{id}     — cancel a live job / forget a finished one
 //	GET    /cache         — result-cache stats (hits/misses/coalesced/…)
-//	DELETE /cache         — drop all cached results and Explainer sessions
+//	DELETE /cache         — drop all cached results and sessions
 //
 // The "table" parameter may be omitted while exactly one table is loaded.
 // Synchronous /explain is a thin wait-on-job wrapper, so both paths share
 // one execution story: queued admission, the per-job worker grant, progress
 // snapshots, and cancellation through the job's context.
 //
-// Repeated traffic is served from a result cache (see cache.go): an
-// identical repeat answers instantly with "cached": true, concurrent
-// identical requests coalesce onto one job, and a repeat differing only in
-// the c knob reuses the session's DT partitioning (§8.3.3). Requests opt
-// out per call with "cache": "bypass".
-//
-// Appended tables are served warm (see stream.go): appending rows publishes
-// a SUCCESSOR generation on the same lineage, and a repeated explanation
-// after the append re-scores the previous run's candidates against the
-// grown groups — "refreshed_from" in the result names the generation the
-// warm state came from — instead of invalidating and re-searching.
+// Repeated traffic is served from a result cache and one session store
+// (see cache.go): an identical repeat answers instantly with "cached":
+// true, concurrent identical requests coalesce onto one job, a repeat
+// differing only in the c knob reuses the session's DT partitioning
+// (§8.3.3), and a repeat after an append — which publishes a SUCCESSOR
+// generation on the same lineage — re-scores the previous run's candidates
+// against the grown groups instead of re-searching ("refreshed_from" names
+// the generation they came from). Requests opt out per call with "cache":
+// "bypass".
 package server
 
 import (
@@ -69,14 +67,10 @@ type Server struct {
 	mux     *http.ServeMux
 	// cache holds finished /explain results keyed by request fingerprint
 	// and coalesces concurrent identical requests; sessions holds the
-	// per-(table, query, labels, lambda) Explainer reuse units. Both nil
-	// when caching is disabled (ConfigureCache(-1)).
+	// per-(table lineage, request without c) scorpion.Session reuse units.
+	// Both nil when caching is disabled (ConfigureCache(-1)).
 	cache    *cache.Cache
 	sessions *cache.Cache
-	// streams holds per-(table lineage, request) Refresher sessions: the
-	// append-path warm-start units (see stream.go). nil when caching is
-	// disabled.
-	streams *cache.Cache
 	// reg is the process-wide metrics registry (always non-nil; NewCatalog
 	// installs one): HTTP traffic, scheduler and cache collectors, and the
 	// search spine (through job contexts) all report into it. log is the
@@ -140,7 +134,6 @@ func NewCatalog(cat *catalog.Catalog, sched *jobs.Scheduler) *Server {
 		mux:      http.NewServeMux(),
 		cache:    cache.New(0), // 0 = cache.DefaultCapacity
 		sessions: cache.New(defaultSessionEntries),
-		streams:  cache.New(defaultStreamEntries),
 		reg:      obs.NewRegistry(),
 	}
 	sched.SetRegistry(s.reg)
@@ -150,7 +143,6 @@ func NewCatalog(cat *catalog.Catalog, sched *jobs.Scheduler) *Server {
 	s.reg.RegisterFunc(func(emit obs.EmitFunc) {
 		s.cache.EmitMetrics(emit, "results")
 		s.sessions.EmitMetrics(emit, "sessions")
-		s.streams.EmitMetrics(emit, "streams")
 	})
 	s.mux.HandleFunc("GET /tables", s.handleTables)
 	s.mux.HandleFunc("POST /tables", s.handleTableUpload)
@@ -256,10 +248,10 @@ func (s *Server) handleTableUpload(w http.ResponseWriter, r *http.Request) {
 
 // handleTableAppend grows a loaded table by a CSV batch (header row naming
 // the table's columns, any order). The append publishes a successor
-// generation on the same lineage: cached results and Explainer sessions of
-// the old generation are swept (they can never be hit again), but stream
-// sessions survive — the next explanation against this table warm-starts
-// from them instead of searching cold.
+// generation on the same lineage: cached results of the old generation are
+// swept (they can never be hit again), but sessions survive — the next
+// explanation against this table warm-starts from them instead of
+// searching cold.
 func (s *Server) handleTableAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	limit := s.MaxUploadBytes
@@ -281,15 +273,12 @@ func (s *Server) handleTableAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	// Old-generation results and sessions are unreachable now (keys embed
-	// the generation); sweep them for memory, NOT for correctness. The
-	// stream sessions (keyed by lineage) are deliberately kept: successor
-	// generations warm-start rather than invalidate.
+	// Old-generation results are unreachable now (keys embed the
+	// generation); sweep them for memory, NOT for correctness. Sessions
+	// (keyed by lineage) are deliberately kept: successor generations
+	// warm-start rather than invalidate.
 	if s.cache != nil {
 		s.cache.InvalidatePrefix(name + "@")
-	}
-	if s.sessions != nil {
-		s.sessions.InvalidatePrefix(name + "@")
 	}
 	s.reg.Counter("scorpion_append_batches_total", "table", name).Inc()
 	s.reg.Counter("scorpion_append_rows_total", "table", name).Add(float64(n))
@@ -429,9 +418,9 @@ type ExplainRequest struct {
 	// Shards fans the search across horizontal slices of the table
 	// (scorpion.Request.Shards): 0 = auto from the table size and worker
 	// grant, 1 = unsharded, k > 1 = slice into k group-aware windows.
-	// Negative values are rejected. Sharded requests run one-shot (no
-	// Explainer-session partition reuse) and per-shard best-so-far appears
-	// in job progress snapshots.
+	// Negative values are rejected. Sharded requests never take a session's
+	// DT path (no partition reuse) and per-shard best-so-far appears in job
+	// progress snapshots.
 	Shards int `json:"shards,omitempty"`
 	// Epsilon switches the search to the anytime path
 	// (scorpion.Request.Epsilon): candidates whose sampled influence
@@ -447,8 +436,8 @@ type ExplainRequest struct {
 	// ignored on /jobs, which is always async.
 	Mode string `json:"mode,omitempty"`
 	// Cache controls result caching for this request: "" (default) serves
-	// hits, coalesces duplicates, and reuses Explainer sessions; "bypass"
-	// forces a cold search whose result is not stored.
+	// hits, coalesces duplicates, and reuses sessions; "bypass" forces a
+	// cold one-shot search whose result is not stored.
 	Cache string `json:"cache,omitempty"`
 }
 
@@ -585,9 +574,9 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 		sreq.ShardDispatch = s.dispatch.For(entry.Name, entry.Gen)
 	}
 
-	var key, sessionKey, streamKey string
+	var key, sessionKey string
 	if s.cache != nil && req.Cache != "bypass" {
-		key, sessionKey, streamKey = explainKeys(entry, sreq)
+		key, sessionKey = explainKeys(entry, sreq)
 	}
 
 	interval := s.ProgressInterval
@@ -615,7 +604,7 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 			r := *sreq
 			r.Workers = granted
 			r.ProgressInterval = interval
-			onProgress := func(p scorpion.Progress) {
+			r.OnProgress = func(p scorpion.Progress) {
 				report(JobProgress{
 					ElapsedMS:   p.Elapsed.Milliseconds(),
 					ScorerCalls: p.ScorerCalls,
@@ -624,21 +613,19 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 					Version:     p.Version,
 				})
 			}
-			r.OnProgress = onProgress
 			var res *scorpion.Result
 			var refreshedFrom int64
 			var err error
-			if ss := s.streamFor(streamKey); ss != nil {
+			if sess := s.sessionFor(sessionKey, sreq); sess != nil {
 				var reason string
-				res, refreshedFrom, reason, err = ss.run(ctx, &r, entry)
-				if reason == "" {
+				res, refreshedFrom, reason, err = sess.run(ctx, &r, entry)
+				switch {
+				case refreshedFrom > 0:
 					s.reg.Counter("scorpion_stream_warm_total", "table", entry.Name).Inc()
-				} else {
+				case reason != "":
 					s.reg.Counter("scorpion_stream_cold_total",
 						"table", entry.Name, "reason", reason).Inc()
 				}
-			} else if sess := s.sessionFor(sessionKey); sess != nil {
-				res, err = sess.run(ctx, &r, granted, onProgress, interval)
 			} else {
 				res, err = scorpion.ExplainContext(ctx, &r)
 			}
@@ -817,11 +804,10 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 		"enabled":  true,
 		"results":  s.cache.Stats(),
 		"sessions": s.sessions.Stats().Entries,
-		"streams":  s.streams.Stats().Entries,
 	})
 }
 
-// handleCacheClear drops every cached result and Explainer session.
+// handleCacheClear drops every cached result and session.
 // In-flight searches are untouched; their results repopulate the cache.
 func (s *Server) handleCacheClear(w http.ResponseWriter, _ *http.Request) {
 	if s.cache == nil {
@@ -831,7 +817,6 @@ func (s *Server) handleCacheClear(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cleared":          s.cache.Clear(),
 		"sessions_cleared": s.sessions.Clear(),
-		"streams_cleared":  s.streams.Clear(),
 	})
 }
 

@@ -63,7 +63,7 @@ type Delta struct {
 
 // Tracker maintains per-group provenance and Removable states for one
 // query over one append-only table lineage. It is not safe for concurrent
-// use; callers (the Refresher, the server's stream sessions) serialize.
+// use; its caller, a scorpion.Session, serializes runs.
 type Tracker struct {
 	sql    string
 	table  *relation.Table

@@ -1,8 +1,8 @@
 package scorpion
 
 // Regression tests for the explicit-zero knob fix, the hold-out flag
-// recomputation in assemble, the count(*) algorithm auto-pick, and the
-// Explainer session's §8.3.3 partition reuse.
+// recomputation in the exact re-score, the count(*) algorithm auto-pick,
+// and the Session's §8.3.3 partition reuse.
 
 import (
 	"math"
@@ -27,7 +27,7 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	}
 
 	unset := base
-	s, err := buildScorerForTest(&unset)
+	s, _, _, err := buildScorer(&unset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	explicit := base
 	explicit.SetLambda(0) // legal §3.2 setting: all weight on hold-outs
 	explicit.SetC(0)      // legal §7 setting: Δ unscaled by |p(g)|
-	s, err = buildScorerForTest(&explicit)
+	s, _, _, err = buildScorer(&explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestLambdaZeroChangesRanking(t *testing.T) {
 	}
 }
 
-// TestAssembleRecomputesHoldOutFlag checks assemble derives
+// TestAssembleRecomputesHoldOutFlag checks the rank phase derives
 // InfluencesHoldOut from the exact re-scored penalty instead of copying
 // the partitioner's search-time estimate: a wrongly-true flag on a
 // predicate that touches no hold-out rows is cleared, and a wrongly-false
@@ -146,7 +146,7 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		AllOthersHoldOut: true,
 		Direction:        TooHigh,
 	}
-	scorer, err := buildScorerForTest(req)
+	scorer, _, _, err := buildScorer(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		{Pred: outlierOnly, Score: 1, InfluencesHoldOut: true},
 		{Pred: holdOutTouching, Score: 0.5, InfluencesHoldOut: false},
 	}
-	res, _ := assemble(req, scorer, cands, nil)
+	res := present(req, scorer, rescoreExact(scorer, cands), nil)
 	if len(res.Explanations) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(res.Explanations))
 	}

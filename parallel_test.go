@@ -98,25 +98,6 @@ func TestWorkersDeterministicAcrossAlgorithms(t *testing.T) {
 	}
 }
 
-// TestNaiveWorkersDeprecatedAlias checks the old NaiveWorkers field still
-// fans the search out (Workers unset) and matches the serial result.
-func TestNaiveWorkersDeprecatedAlias(t *testing.T) {
-	req := synthRequest(t, "median", 100)
-	req.Algorithm = Naive
-	req.NaiveParams = &naive.Params{Bins: 6}
-	serial, err := Explain(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqP := *req
-	reqP.NaiveWorkers = 4
-	parallel, err := Explain(&reqP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	identicalResults(t, serial, parallel, "naive-workers-alias")
-}
-
 // TestExplainContextPreCancelled checks an already-expired context returns
 // promptly with context.DeadlineExceeded surfaced.
 func TestExplainContextPreCancelled(t *testing.T) {

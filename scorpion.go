@@ -29,8 +29,13 @@
 // best explanations found so far alongside the context error. Request.
 // Workers fans all three algorithms out over a shared worker pool — the
 // parallelization §8.3.2 of the paper leaves to future work — with output
-// identical to the serial run. (Request.NaiveWorkers is the deprecated,
-// NAIVE-only spelling of the same knob.)
+// identical to the serial run.
+//
+// # Sessions
+//
+// A Session keeps one request's work for its next run: a c sweep re-uses
+// the DT partitioning (§8.3.3), and a re-ask after an append re-scores the
+// previous candidate pool against the grown table instead of searching.
 package scorpion
 
 import (

@@ -266,7 +266,9 @@ func TestExplainerCachedSweep(t *testing.T) {
 		t.Errorf("cached sweep influence %v far below fresh %v",
 			cached.Explanations[0].Influence, fresh.Explanations[0].Influence)
 	}
-	e.InvalidateCache()
+	if e, err = NewExplainer(req); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.ExplainC(0.2); err != nil {
 		t.Fatalf("after invalidate: %v", err)
 	}

@@ -1,0 +1,551 @@
+package scorpion
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"time"
+
+	"github.com/scorpiondb/scorpion/internal/influence"
+	"github.com/scorpiondb/scorpion/internal/obs"
+	"github.com/scorpiondb/scorpion/internal/partition"
+	"github.com/scorpiondb/scorpion/internal/partition/dt"
+	"github.com/scorpiondb/scorpion/internal/predicate"
+	"github.com/scorpiondb/scorpion/internal/query"
+	"github.com/scorpiondb/scorpion/internal/shard"
+	"github.com/scorpiondb/scorpion/internal/stream"
+)
+
+// Session answers repeated explanation requests that share one query, one
+// set of labels and one λ — a UI sweeping the c knob, or a client
+// re-asking after an append — by keeping each run's exact-scored candidate
+// pool and re-using it when only c or the data changed. Every run goes
+// through the same spine as ExplainContext; what a run re-uses depends on
+// the algorithm the request resolves to:
+//
+//   - On the generation it last planned, a request that resolves to an
+//     unsharded DT search (the "DT path") re-uses the executed query, the
+//     scorer's per-group states and the c-agnostic DT partitioning, and
+//     seeds its merge with the pool of the smallest cached c above its own
+//     (§8.3.3: lowering c only grows predicates). Stats.ReusedPartition
+//     reports the reuse.
+//   - Any other request that finds a pool at its own c re-scores that pool
+//     exactly against the current data through a stream.Tracker, which
+//     folds each appended tail into per-group provenance and states at
+//     O(batch) cost — no query re-execution, no search (Stats.Refreshed).
+//     Structural changes fall back cold; FallbackReason names why.
+//   - Every other request runs cold and stores its pool.
+//
+// The pool map holds at most maxCachedPools entries (one per c). The
+// tracker is built only on the refresh path, so DT-path sessions hold
+// none. A Session is NOT safe for concurrent use; callers serialize runs.
+type Session struct {
+	// req is the request ExplainC and ExplainTable run; its Table is the
+	// latest snapshot a run used and gen that snapshot's label.
+	req  Request
+	gen  int64
+	plan *plan // the DT path's plan for gen; nil on every other path
+
+	pools   map[float64]*pool
+	tracker *stream.Tracker
+
+	// refreshDT keeps DT requests off the DT path so that they refresh
+	// warm like every other algorithm. Only NewRefresher sets it, for
+	// callers of the deprecated ExplainTable; delete it with them.
+	refreshDT bool
+
+	// fallback and refreshedFrom describe the last run (see
+	// FallbackReason and RefreshedFrom).
+	fallback      string
+	refreshedFrom int64
+}
+
+// plan is what a run builds before it searches: the labelled scorer, the
+// (possibly feature-selected) predicate space, the executed query and the
+// resolved algorithm. A DT-path session keeps it, with the completed
+// partitioning, for every later run on the same generation.
+type plan struct {
+	scorer *influence.Scorer
+	space  *predicate.Space
+	qres   *query.Result
+	algo   Algorithm
+	part   *dt.Partitioning
+}
+
+// pool is one run's full deduped, exact-scored candidate list (descending)
+// plus what the run that produced it was: the generation label, resolved
+// algorithm, shard count, and the table's row count when it was searched
+// (MaxWarmGrowth's baseline — a warm refresh keeps it).
+type pool struct {
+	cands  []partition.Candidate
+	gen    int64
+	algo   Algorithm
+	shards int
+	rows   int
+}
+
+// maxCachedPools bounds the pool map: a long-lived serving session sweeping
+// a continuous c slider must not accumulate one candidate slice per
+// distinct float forever.
+const maxCachedPools = 16
+
+// MaxWarmGrowth caps how much the table may grow, relative to its size when
+// a pool was searched, before a session re-searches instead of re-scoring
+// the pool: past 50% growth the pool is more stale than warm.
+const MaxWarmGrowth = 0.5
+
+// NewSession prepares a session for req (copied; it must be non-nil). No
+// query runs until the first call.
+func NewSession(req *Request) *Session {
+	return &Session{req: *req, pools: make(map[float64]*pool)}
+}
+
+// Explain runs r through the session. r must be the session's request up
+// to C, Table, Workers, OnProgress and ProgressInterval; r.Table must be the
+// snapshot of the previous call or an append successor of it (a later
+// snapshot of the same append chain — what catalog entries sharing a
+// Lineage guarantee). gen labels r.Table: equal labels mean the same
+// snapshot, a larger one a successor. It returns what ExplainContext
+// returns, including the partial result on interruption; an interrupted
+// run never stores state later runs would reuse.
+func (s *Session) Explain(ctx context.Context, r *Request, gen int64) (*Result, error) {
+	return s.explain(ctx, r, gen)
+}
+
+// FallbackReason names why the last call did not refresh warm: one of
+// "cold_start", "table_shrunk", "schema_changed", "growth_cap",
+// "advance_failed", "new_group", "group_missing", "states_unavailable" or
+// "seed_failed". It is empty after a warm refresh and after a DT-path run,
+// which never refreshes.
+func (s *Session) FallbackReason() string { return s.fallback }
+
+// RefreshedFrom reports the generation label of the pool the last call
+// re-scored, or 0 when it did not refresh.
+func (s *Session) RefreshedFrom() int64 { return s.refreshedFrom }
+
+// NewExplainer returns a session for c sweeps: every run takes the DT path
+// (Request.Algorithm and Request.Shards are ignored). The aggregate must be
+// independent.
+//
+// Deprecated: use NewSession.
+func NewExplainer(req *Request) (*Session, error) {
+	if req.Table == nil {
+		return nil, fmt.Errorf("scorpion: request has no table")
+	}
+	q, err := query.FromSQL(req.Table, req.SQL)
+	if err != nil {
+		return nil, err
+	}
+	if !q.Agg.Independent() {
+		return nil, fmt.Errorf("scorpion: Explainer requires an independent aggregate; %q is not", q.Agg.Name())
+	}
+	r := *req
+	r.Algorithm, r.Shards = DT, 1
+	return NewSession(&r), nil
+}
+
+// ExplainC runs the session's request at c on its current table.
+//
+// Deprecated: use Session.Explain.
+func (s *Session) ExplainC(c float64) (*Result, error) {
+	r := s.req
+	r.SetC(c)
+	return s.explain(context.Background(), &r, s.genOf(r.Table))
+}
+
+// NewRefresher returns a session whose ExplainTable calls refresh warm
+// whatever the request's algorithm.
+//
+// Deprecated: use NewSession.
+func NewRefresher(req *Request) (*Session, error) {
+	if req == nil {
+		return nil, fmt.Errorf("scorpion: nil request")
+	}
+	s := NewSession(req)
+	s.refreshDT = true
+	return s, nil
+}
+
+// ExplainTable runs the session's request against tbl, refreshing the pool
+// at the request's c warm (whatever the algorithm, on a NewRefresher
+// session), and reports whether it did.
+//
+// Deprecated: use Session.Explain.
+func (s *Session) ExplainTable(ctx context.Context, tbl *Table) (*Result, bool, error) {
+	r := s.req
+	r.Table = tbl
+	res, err := s.explain(ctx, &r, s.genOf(tbl))
+	return res, res != nil && res.Stats.Refreshed, err
+}
+
+// genOf labels tbl for the deprecated forwards: the current label for the
+// current snapshot, the next one for any other.
+func (s *Session) genOf(tbl *Table) int64 {
+	if s.gen != 0 && tbl == s.req.Table {
+		return s.gen
+	}
+	return s.gen + 1
+}
+
+// dtPath reports whether a request resolved to algo takes the DT reuse
+// path. A one-shot run (s nil) never does.
+func (s *Session) dtPath(algo Algorithm, r *Request) bool {
+	return s != nil && !s.refreshDT && algo == DT && r.ResolvedShards() <= 1
+}
+
+// explain routes one call: a warm refresh when a pool waits at r's c off
+// the DT path, else a run of the spine.
+func (s *Session) explain(ctx context.Context, r *Request, gen int64) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if r.Table == nil {
+		return nil, fmt.Errorf("scorpion: nil table")
+	}
+	if gen != s.gen {
+		// A new snapshot: the plan is stale, and without a tracker no pool
+		// can be re-scored, nor may one seed a merge on this snapshot.
+		s.plan = nil
+		if s.tracker == nil {
+			clear(s.pools)
+		}
+	}
+	s.req.Table, s.gen = r.Table, gen
+	s.fallback, s.refreshedFrom = "cold_start", 0
+	c := r.ResolvedC()
+	if p := s.pools[c]; p != nil && !s.dtPath(p.algo, r) {
+		if s.fallback = s.warmBlocker(r.Table, p); s.fallback == "" {
+			if res, err, ok := s.refresh(ctx, r, p, gen); ok {
+				return res, err
+			}
+		}
+	}
+	return s.run(ctx, r, gen)
+}
+
+// warmBlocker runs the cheap structural checks before a refresh; refresh
+// itself re-checks what only the appended tail reveals.
+func (s *Session) warmBlocker(tbl *Table, p *pool) string {
+	switch n := tbl.NumRows(); {
+	case s.tracker == nil || p.rows == 0:
+		return "cold_start"
+	case n < s.tracker.Rows():
+		// Not an append successor at all — distinct from a schema change,
+		// and serving layers alert on the two differently.
+		return "table_shrunk"
+	case !tbl.Schema().Equal(s.tracker.Table().Schema()):
+		return "schema_changed"
+	case float64(n-p.rows) > MaxWarmGrowth*float64(p.rows):
+		return "growth_cap"
+	}
+	return ""
+}
+
+// run is the one run spine — plan → search → rank → stats → interrupt
+// handling → metrics — behind ExplainContext (s nil: a one-shot run that
+// retains nothing) and every session run that does not refresh warm.
+func (s *Session) run(ctx context.Context, req *Request, gen int64) (*Result, error) {
+	start := time.Now()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("scorpion: %w", err)
+	}
+	if req.Shards < 0 {
+		return nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", req.Shards)
+	}
+	// Written so that NaN, which fails every comparison, is refused too.
+	if !(req.Epsilon >= 0) || math.IsInf(req.Epsilon, 1) {
+		return nil, fmt.Errorf("scorpion: epsilon %v must be finite and >= 0 (0 = exact)", req.Epsilon)
+	}
+	if req.Confidence != 0 && !(req.Confidence > 0 && req.Confidence < 1) {
+		return nil, fmt.Errorf("scorpion: confidence %v must lie in (0, 1)", req.Confidence)
+	}
+	reg := obs.RegistryFrom(ctx)
+	c := req.ResolvedC()
+
+	var p *plan
+	var searcher partition.Searcher
+	var coord *shard.Coordinator
+	var err error
+	if s != nil && s.plan != nil {
+		// The DT path on its planned generation: nothing to plan.
+		p = s.plan
+		if err = p.scorer.SetC(c); err != nil {
+			return nil, fmt.Errorf("scorpion: %w", err)
+		}
+		searcher, coord, err = buildTopSearcher(req, p.scorer, p.space, p.algo, reg)
+	} else {
+		p, searcher, coord, err = planRun(ctx, req, reg)
+	}
+	if err != nil {
+		if s.dtPath(req.Algorithm, req) {
+			s.fallback = ""
+		}
+		return nil, err
+	}
+	reused := false
+	searchName := p.algo.String()
+	session := s.dtPath(p.algo, req)
+	if session {
+		s.fallback = ""              // the DT path has no warm/cold
+		ds := searcher.(*dtSearcher) // dtPath means unsharded
+		ds.part, ds.seeds = p.part, s.seedsFor(c)
+		reused = p.part != nil
+		searchName = "dt-session"
+	}
+	// Calls are this run's only: a session's scorer counts every run.
+	callsBefore := p.scorer.Calls()
+	calls := func() int64 {
+		n := p.scorer.Calls() - callsBefore
+		if coord != nil {
+			n += coord.Calls()
+		}
+		return n
+	}
+	var board *partition.Board
+	var stopMonitor func()
+	if req.OnProgress != nil {
+		board = partition.NewBoard()
+		stopMonitor = watchProgress(req, calls, board, start)
+	}
+	searchCtx, searchSpan := obs.StartSpan(ctx, "search")
+	searchSpan.SetAttr("algorithm", searchName)
+	if session {
+		searchSpan.SetAttr("c", c)
+		searchSpan.SetAttr("reused_partition", reused)
+	}
+	outcome, err := partition.RunSearchObserved(searchCtx, req.effectiveWorkers(), board, searcher)
+	if stopMonitor != nil {
+		stopMonitor()
+	}
+	if outcome != nil {
+		searchSpan.SetAttr("candidates", len(outcome.Candidates))
+		if !session { // the DT path never prunes
+			searchSpan.SetAttr("pruned", outcome.Pruned)
+			searchSpan.SetAttr("escalated", outcome.Escalated)
+		}
+	}
+	searchSpan.End()
+	if err != nil {
+		return nil, err
+	}
+
+	_, rankSpan := obs.StartSpan(ctx, "rank")
+	// One exact re-scoring pass feeds both the response and the pool
+	// (present never mutates the slice, so they can share it).
+	scored := rescoreExact(p.scorer, outcome.Candidates)
+	res := present(req, p.scorer, scored, p.qres)
+	if !session {
+		rankSpan.SetAttr("candidates", len(scored))
+	}
+	rankSpan.End()
+
+	res.Stats.Algorithm = p.algo
+	res.Stats.Duration = time.Since(start)
+	res.Stats.ScorerCalls = calls()
+	res.Stats.Shards = 1
+	if coord != nil {
+		res.Stats.Shards = coord.NumShards()
+	}
+	res.Stats.Pruned = outcome.Pruned
+	res.Stats.Escalated = outcome.Escalated
+	res.Stats.ReusedPartition = reused
+	if s != nil {
+		s.keep(req, gen, p, session, searcher, scored, res.Stats, outcome.Interrupted)
+	}
+	if outcome.Interrupted {
+		cause := ctx.Err()
+		if cause == nil {
+			cause = context.Canceled
+		}
+		res.Stats.Interrupted = true
+		res.Stats.InterruptReason = cause.Error()
+		recordSearchMetrics(reg, p.algo, res.Stats, p.scorer)
+		return res, fmt.Errorf("scorpion: search interrupted: %w", cause)
+	}
+	recordSearchMetrics(reg, p.algo, res.Stats, p.scorer)
+	return res, nil
+}
+
+// planRun is the spine's plan phase: execute and label the query, resolve
+// the algorithm, and build the searcher that runs it.
+func planRun(ctx context.Context, req *Request, reg *obs.Registry) (*plan, partition.Searcher, *shard.Coordinator, error) {
+	_, span := obs.StartSpan(ctx, "plan")
+	defer span.End()
+	scorer, space, qres, err := buildScorer(req)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	algo, err := chooseAlgorithm(req, scorer)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	searcher, coord, err := buildTopSearcher(req, scorer, space, algo, reg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	span.SetAttr("algorithm", algo.String())
+	span.SetAttr("rows", req.Table.NumRows())
+	span.SetAttr("workers", req.effectiveWorkers())
+	if coord != nil {
+		span.SetAttr("shards", coord.NumShards())
+	}
+	return &plan{scorer: scorer, space: space, qres: qres, algo: algo}, searcher, coord, nil
+}
+
+// keep records what a finished spine run leaves for later runs. Only clean
+// runs store a pool or a partitioning: a partial one would silently
+// degrade every later run that re-used it.
+func (s *Session) keep(req *Request, gen int64, p *plan, session bool, searcher partition.Searcher, scored []partition.Candidate, st Stats, interrupted bool) {
+	c := req.ResolvedC()
+	if interrupted {
+		delete(s.pools, c)
+	} else {
+		s.store(c, &pool{cands: scored, gen: gen, algo: p.algo, shards: st.Shards, rows: req.Table.NumRows()})
+	}
+	if session {
+		if s.plan != p {
+			// A new generation's plan: the older pools can seed nothing.
+			for k, old := range s.pools {
+				if old.gen != gen {
+					delete(s.pools, k)
+				}
+			}
+		}
+		if part := searcher.(*dtSearcher).part; part != nil {
+			p.part = part
+		}
+		s.plan, s.tracker = p, nil
+		return
+	}
+	s.plan = nil
+	if !interrupted {
+		// Seed the tracker from the run's own query result: only the
+		// per-group states are built here, not a second grouping pass. A
+		// non-removable aggregate leaves it nil: such sessions run cold.
+		s.tracker, _ = stream.NewTrackerFromResult(req.Table, req.SQL, p.qres)
+	}
+}
+
+// store caches a pool under its c, evicting the smallest cached c when
+// full — high-c pools seed the widest range of later (lower-c) DT runs, so
+// they are the ones worth keeping.
+func (s *Session) store(c float64, p *pool) {
+	if _, exists := s.pools[c]; !exists && len(s.pools) >= maxCachedPools {
+		evict := c
+		for k := range s.pools {
+			if k < evict {
+				evict = k
+			}
+		}
+		if evict == c {
+			return // c is the smallest of all: not worth a slot
+		}
+		delete(s.pools, evict)
+	}
+	s.pools[c] = p
+}
+
+// seedsFor returns the strongest few candidates of the current
+// generation's pool at the smallest cached c still greater than c — the
+// §8.3.3 reuse rule ("if the user first ran c = 1, those results can be
+// re-used when the user reduces c to 0.5"). Seeding everything would defeat
+// the point of the cache; seeding from another snapshot would grow the
+// merge from stale scores.
+func (s *Session) seedsFor(c float64) []partition.Candidate {
+	var keys []float64
+	for k, p := range s.pools {
+		if k > c && p.gen == s.gen && p.algo == DT {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	sort.Float64s(keys)
+	seeds := s.pools[keys[0]].cands
+	if len(seeds) > 5 {
+		seeds = seeds[:5]
+	}
+	return seeds
+}
+
+// refresh advances the tracker over the appended tail and re-scores the
+// pool exactly under the grown groups. ok=false means the delta revealed a
+// structural change (s.fallback names it) and the caller should run cold.
+func (s *Session) refresh(ctx context.Context, r *Request, p *pool, gen int64) (*Result, error, bool) {
+	start := time.Now()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("scorpion: %w", err), true
+	}
+	tbl := r.Table
+	if _, err := s.tracker.Advance(tbl); err != nil {
+		// An advance that failed structurally may have been a half-applied
+		// batch; drop the tracker so the cold run rebuilds it. The error
+		// explains WHY the warm path bailed — surface it instead of letting
+		// the cold run look unprovoked.
+		obs.LoggerFrom(ctx).Warn("scorpion: warm refresh abandoned, tracker advance failed",
+			"error", err, "rows", tbl.NumRows())
+		obs.SpanFrom(ctx).SetAttr("advance_error", err.Error())
+		s.tracker = nil
+		s.fallback = "advance_failed"
+		return nil, nil, false
+	}
+	qres := s.tracker.Result()
+	task, err := bindTask(r, s.tracker.Removable(), s.tracker.AggCol(), qres)
+	if err != nil {
+		s.fallback = "group_missing" // a label group gone from the query output
+		return nil, nil, false
+	}
+	if len(r.HoldOuts) == 0 && r.AllOthersHoldOut {
+		for _, h := range task.HoldOuts {
+			if h.Rows.Min() >= p.rows {
+				// A group born since the pool was searched changes the
+				// all-others label set itself: the pool never faced it.
+				s.fallback = "new_group"
+				return nil, nil, false
+			}
+		}
+	}
+	outStates, err := s.tracker.States(groupKeys(task.Outliers))
+	if err != nil {
+		s.fallback = "states_unavailable"
+		return nil, nil, false
+	}
+	holdStates, err := s.tracker.States(groupKeys(task.HoldOuts))
+	if err != nil {
+		s.fallback = "states_unavailable"
+		return nil, nil, false
+	}
+	scorer, err := influence.NewScorerSeeded(task, outStates, holdStates)
+	if err != nil {
+		s.fallback = "seed_failed"
+		return nil, nil, false
+	}
+	// Re-score a copy: rescoreExact sorts and rewrites scores in place, and
+	// a cold fallback must not observe a half-updated pool.
+	scored := rescoreExact(scorer, append([]partition.Candidate(nil), p.cands...))
+	// rows stays at the searched size: MaxWarmGrowth caps cumulative drift
+	// since the pool was searched, not per-batch growth.
+	s.pools[r.ResolvedC()] = &pool{cands: scored, gen: gen, algo: p.algo, shards: p.shards, rows: p.rows}
+	s.refreshedFrom = p.gen
+	s.fallback = ""
+	res := present(r, scorer, scored, qres)
+	res.Stats.Algorithm = p.algo
+	res.Stats.Duration = time.Since(start)
+	res.Stats.ScorerCalls = scorer.Calls()
+	// Report the shard count of the search that PRODUCED the pool: the
+	// re-score itself is windowless, but dropping the field would make a
+	// sharded request look like its knob was ignored.
+	res.Stats.Shards = p.shards
+	res.Stats.Refreshed = true
+	return res, nil, true
+}
+
+func groupKeys(groups []influence.Group) []string {
+	keys := make([]string, len(groups))
+	for i, g := range groups {
+		keys[i] = g.Key
+	}
+	return keys
+}

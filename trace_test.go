@@ -90,21 +90,20 @@ func TestExplainSpanTree(t *testing.T) {
 }
 
 // TestExplainSpanTreeSession pins the session (c-sweep) path's trace shape:
-// no plan span, a dt-session search span that flips its reused_partition
-// attr on the second run, and a rank span.
+// a plan span on the cold run only, a dt-session search span that flips its
+// reused_partition attr on the second run, and a rank span.
 func TestExplainSpanTreeSession(t *testing.T) {
 	ds := synth.Generate(synth.Config{
 		Dims: 2, TuplesPerGroup: 100, Groups: 6, OutlierGroups: 2, Mu: 80, Seed: 3,
 	})
 	req := anytimeRequest(ds, DT)
-	exp, err := NewExplainer(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := NewSession(req)
 	for i, want := range []bool{false, true} {
 		root := obs.NewSpan("explain")
 		ctx := obs.ContextWithSpan(context.Background(), root)
-		if _, err := exp.ExplainCContext(ctx, 0.5-0.2*float64(i)); err != nil {
+		r := *req
+		r.SetC(0.5 - 0.2*float64(i))
+		if _, err := exp.Explain(ctx, &r, 1); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
@@ -112,6 +111,12 @@ func TestExplainSpanTreeSession(t *testing.T) {
 		search := node.Find("search")
 		if search == nil || node.Find("rank") == nil {
 			t.Fatalf("run %d: missing search/rank span", i)
+		}
+		if got := search.Attrs["algorithm"]; got != "dt-session" {
+			t.Errorf("run %d: search algorithm = %v, want dt-session", i, got)
+		}
+		if plan := node.Find("plan"); (plan != nil) != (i == 0) {
+			t.Errorf("run %d: plan span present = %v", i, plan != nil)
 		}
 		if got := search.Attrs["reused_partition"]; got != want {
 			t.Errorf("run %d: reused_partition = %v, want %v", i, got, want)

@@ -3,7 +3,6 @@ package scorpion
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -14,6 +13,7 @@ import (
 	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/partition/dt"
+	"github.com/scorpiondb/scorpion/internal/partition/grid"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -173,12 +173,6 @@ type Request struct {
 	MergeParams *merge.Params
 }
 
-// DefaultC is the default §7 selectivity knob value.
-const DefaultC = 0.2
-
-// DefaultLambda is the default hold-out trade-off.
-const DefaultLambda = 0.5
-
 // SetLambda sets the λ trade-off, honoring explicit zeros: unlike a plain
 // field write, SetLambda(0) resolves to 0 (all weight on hold-outs)
 // rather than DefaultLambda.
@@ -193,42 +187,6 @@ func (r *Request) SetLambda(v float64) {
 func (r *Request) SetC(v float64) {
 	r.C = v
 	r.cSet = true
-}
-
-// ResolvedLambda is the λ the scorer will use: Lambda, unless it is an
-// unset zero, in which case DefaultLambda. Cache keys must use resolved
-// values so an explicit default and an unset knob never alias to
-// different entries — nor an explicit zero to the default.
-func (r *Request) ResolvedLambda() float64 {
-	if r.Lambda == 0 && !r.lambdaSet {
-		return DefaultLambda
-	}
-	return r.Lambda
-}
-
-// ResolvedC is the c the scorer will use: C, unless it is an unset zero,
-// in which case DefaultC.
-func (r *Request) ResolvedC() float64 {
-	if r.C == 0 && !r.cSet {
-		return DefaultC
-	}
-	return r.C
-}
-
-// DefaultConfidence is the interval confidence the anytime path uses when
-// Request.Confidence is unset.
-const DefaultConfidence = estimate.DefaultConfidence
-
-// ResolvedConfidence is the interval confidence the anytime path will use:
-// Confidence, unless it is an unset zero, in which case DefaultConfidence.
-// Unlike Lambda and C, zero is not a legal confidence, so no explicit-zero
-// setter is needed. Cache keys must use resolved values (see
-// ResolvedLambda).
-func (r *Request) ResolvedConfidence() float64 {
-	if r.Confidence == 0 {
-		return DefaultConfidence
-	}
-	return r.Confidence
 }
 
 // Explanation is one ranked answer.
@@ -364,7 +322,11 @@ func ExplainContext(ctx context.Context, req *Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return (*Session)(nil).run(ctx, req, 0)
+	p, err := req.Plan()
+	if err != nil {
+		return nil, err
+	}
+	return (*Session)(nil).run(ctx, p, 0)
 }
 
 // recordSearchMetrics publishes one finished search's counters into the
@@ -396,22 +358,14 @@ func recordSearchMetrics(reg *obs.Registry, algo Algorithm, st Stats, scorer *in
 // scorers — and delivers a Progress snapshot. The returned stop function
 // emits one final snapshot and joins the goroutine, so OnProgress is
 // never invoked after ExplainContext returns.
-func watchProgress(req *Request, calls func() int64, board *partition.Board, start time.Time) (stop func()) {
-	interval := req.ProgressInterval
-	if interval <= 0 {
-		interval = 200 * time.Millisecond
-	}
-	topK := req.TopK
-	if topK <= 0 {
-		topK = 5
-	}
+func watchProgress(p *Plan, calls func() int64, board *partition.Board, start time.Time) (stop func()) {
 	render := func(cands []partition.Candidate) []BestSoFar {
-		if len(cands) > topK {
-			cands = cands[:topK]
+		if len(cands) > p.topK {
+			cands = cands[:p.topK]
 		}
 		best := make([]BestSoFar, len(cands))
 		for i, c := range cands {
-			best[i] = BestSoFar{Where: c.Pred.Format(req.Table), Influence: c.Score}
+			best[i] = BestSoFar{Where: c.Pred.Format(p.req.Table), Influence: c.Score}
 		}
 		return best
 	}
@@ -427,7 +381,7 @@ func watchProgress(req *Request, calls func() int64, board *partition.Board, sta
 		for _, child := range board.Children() {
 			shards = append(shards, ShardProgress{Shard: child.Tag, Best: render(child.Cands)})
 		}
-		req.OnProgress(Progress{
+		p.req.OnProgress(Progress{
 			Elapsed:     time.Since(start),
 			ScorerCalls: calls(),
 			Best:        render(cands),
@@ -439,7 +393,7 @@ func watchProgress(req *Request, calls func() int64, board *partition.Board, sta
 	joined := make(chan struct{})
 	go func() {
 		defer close(joined)
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(p.interval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -469,204 +423,52 @@ func (r *Request) directionFor(key string) Direction {
 	return r.Direction
 }
 
-// effectiveWorkers resolves the Workers knob: 0 runs serially.
-func (r *Request) effectiveWorkers() int {
-	if r.Workers != 0 {
-		return r.Workers
-	}
-	return 1
-}
-
-// autoShardRows is the row volume one shard should cover when Shards is
-// auto (0): tables under 2× this never auto-shard.
-const autoShardRows = 1 << 17
-
-// maxShards caps the slice count: beyond this, per-shard setup (scorer
-// states, clause grids) outweighs any slicing benefit.
-const maxShards = 64
-
-// maxAutoSerialShards bounds auto-sharding below the worker budget. The
-// sharding win is algorithmic (skipped hold-out-only slices, window-local
-// scans — see BENCH_shard.json, recorded at Workers=1), so a serial
-// request on a huge table still benefits from a handful of slices; more
-// than the budget only helps up to this point.
-const maxAutoSerialShards = 8
-
-// ResolvedShards is the slice count the search will use: the Shards knob
-// resolved like ResolvedLambda/ResolvedC resolve theirs. Serving layers
-// consult it to route requests — a request that resolves to a sharded run
-// never takes a Session's DT path, whose cached partitioning is a
-// full-table artifact. An explicit count is clamped to [1, maxShards]; 0
-// picks from the table size and worker budget.
-func (r *Request) ResolvedShards() int {
-	k := r.Shards
-	if k == 0 {
-		rows := 0
-		if r.Table != nil {
-			rows = r.Table.NumRows()
-		}
-		workers := r.effectiveWorkers()
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		cap := workers
-		if cap < maxAutoSerialShards {
-			cap = maxAutoSerialShards
-		}
-		k = rows / autoShardRows
-		if k > cap {
-			k = cap
-		}
-	}
-	if k > maxShards {
-		k = maxShards
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
-// DispatchSpec pins the search parameters a remote shard worker needs to
-// reproduce a shard search exactly: the query, the algorithm, and the
-// resolved grid knobs (resolved HERE, coordinator-side, so a worker built
-// from different defaults cannot skew the grid).
-type DispatchSpec struct {
-	// SQL is the request's aggregate query, parsed (never executed) by the
-	// worker to recover the aggregate function and column.
-	SQL string
-	// Algorithm is the resolved search strategy (Naive or MC).
-	Algorithm Algorithm
-	// Bins is the resolved continuous grid (naive/mc Params.Bins).
-	Bins int
-	// TopK is the resolved per-shard candidate retention (NAIVE only).
-	TopK int
-	// Epsilon and Confidence configure the worker's anytime estimator;
-	// Epsilon 0 is the exact path.
-	Epsilon    float64
-	Confidence float64
-}
-
-// ShardDispatcher turns a resolved search spec into a per-shard remote
-// searcher. Implemented by internal/dispatch's peer pool; defined here so
-// the root package never imports the networking layer.
+// ShardDispatcher turns a Plan's shard searches into a per-shard remote
+// searcher for a search resolved to algo (nil when it cannot serve them).
+// Implemented by internal/dispatch's peer pool; defined here so the root
+// package never imports the networking layer.
 type ShardDispatcher interface {
-	Remote(spec DispatchSpec) shard.RemoteSearcher
-}
-
-// remoteDispatchable reports whether the request's shard searches can be
-// reproduced remotely from a DispatchSpec alone: grid algorithm, and no
-// tuning overrides beyond Bins/TopK (which the spec carries). Anything
-// else must run locally or results could differ between paths.
-func remoteDispatchable(req *Request, algo Algorithm) bool {
-	switch algo {
-	case Naive:
-		if p := req.NaiveParams; p != nil {
-			if p.MaxClauses != 0 || p.MaxDiscreteSubset != 0 || p.Deadline != 0 || p.Domains != nil || p.Estimator != nil {
-				return false
-			}
-		}
-		return true
-	case MC:
-		if req.MergeParams != nil && *req.MergeParams != (merge.Params{}) {
-			return false
-		}
-		if p := req.MCParams; p != nil {
-			if p.MaxDiscreteValues != 0 || p.MaxIterations != 0 || p.MaxUnits != 0 || p.Merge != (merge.Params{}) || p.Domains != nil || p.Estimator != nil {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
+	Remote(p *Plan, algo Algorithm) shard.RemoteSearcher
 }
 
 // buildTopSearcher resolves the searcher ExplainContext drives: the plain
 // algorithm searcher, or — when the request shards — a shard.Coordinator
 // fanning that same algorithm across horizontal table slices. The returned
 // coordinator is nil for unsharded searches.
-func buildTopSearcher(req *Request, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, reg *obs.Registry) (partition.Searcher, *shard.Coordinator, error) {
-	if k := req.ResolvedShards(); k > 1 {
+func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, reg *obs.Registry) (partition.Searcher, *shard.Coordinator, error) {
+	if p.shards > 1 {
 		factory := func(sc *influence.Scorer, sp *predicate.Space, domains map[int]predicate.Domain) (partition.Searcher, error) {
-			r := req
-			if algo == Naive && (req.NaiveParams == nil || req.NaiveParams.TopK == 0) {
-				// Shard-local rankings are window estimates (shards without
-				// local hold-out rows rank unpenalized), so each shard must
-				// hand the combiner deeper recall than a final top-k for the
-				// exact re-score to recover the true winner.
-				params := naive.Params{}
-				if req.NaiveParams != nil {
-					params = *req.NaiveParams
-				}
-				params.TopK = shard.DefaultTopPerShard
-				rc := *req
-				rc.NaiveParams = &params
-				r = &rc
-			}
-			return buildSearcher(r, sc, sp, algo, domains, reg)
+			return buildSearcher(p, sc, sp, algo, domains, p.ShardTopK(algo), reg)
 		}
-		params := shard.Params{}
-		if req.MergeParams != nil {
-			params.Merge = *req.MergeParams
-		}
-		// Tell the combiner the shard searchers' grid so its refine pass
-		// can climb to any bin edge (15 is naive/mc's shared paper
-		// default). DT has no grid; its refine lattice stays
+		// The combiner's refine pass climbs to any edge of the shard
+		// searchers' grid; DT has no grid, so its lattice stays
 		// candidate-derived.
-		switch algo {
-		case Naive:
-			params.GridBins = 15
-			if req.NaiveParams != nil && req.NaiveParams.Bins > 0 {
-				params.GridBins = req.NaiveParams.Bins
-			}
-		case MC:
-			params.GridBins = 15
-			if req.MCParams != nil && req.MCParams.Bins > 0 {
-				params.GridBins = req.MCParams.Bins
-			}
+		params := shard.Params{GridBins: p.Bins(algo)}
+		if p.req.MergeParams != nil {
+			params.Merge = *p.req.MergeParams
 		}
-		if req.Epsilon > 0 {
+		if p.req.Epsilon > 0 {
 			// Anytime runs also ship a full-table hold-out sketch to every
 			// shard, so shard-local rankings become penalty-aware before the
 			// TopPerShard cut (nil for unsupported tasks or no hold-outs).
 			params.Penalty = estimate.NewSketch(scorer, 0)
 		}
-		if req.ShardDispatch != nil && remoteDispatchable(req, algo) {
-			spec := DispatchSpec{SQL: req.SQL, Algorithm: algo, Bins: params.GridBins}
-			if algo == Naive {
-				spec.TopK = shard.DefaultTopPerShard
-				if req.NaiveParams != nil && req.NaiveParams.TopK != 0 {
-					spec.TopK = req.NaiveParams.TopK
-				}
-			}
-			if req.Epsilon > 0 {
-				spec.Epsilon = req.Epsilon
-				spec.Confidence = req.ResolvedConfidence()
-			}
-			params.Remote = req.ShardDispatch.Remote(spec)
+		if p.req.ShardDispatch != nil && p.remote(algo) {
+			params.Remote = p.req.ShardDispatch.Remote(p, algo)
 		}
-		if coord := shard.NewCoordinator(scorer, space, factory, k, params); coord.NumShards() > 1 {
+		if coord := shard.NewCoordinator(scorer, space, factory, p.shards, params); coord.NumShards() > 1 {
 			return coord, coord, nil
 		}
 		// The planner collapsed to one slice (tiny table or concentrated
 		// outliers): run unsharded.
 	}
-	s, err := buildSearcher(req, scorer, space, algo, nil, reg)
+	s, err := buildSearcher(p, scorer, space, algo, nil, 0, reg)
 	return s, nil, err
 }
 
 // buildScorer parses, executes and labels the query.
-func buildScorer(req *Request) (*influence.Scorer, *predicate.Space, *query.Result, error) {
-	if req.Table == nil {
-		return nil, nil, nil, fmt.Errorf("scorpion: request has no table")
-	}
-	if req.SQL == "" {
-		return nil, nil, nil, fmt.Errorf("scorpion: request has no SQL query")
-	}
-	if len(req.Outliers) == 0 {
-		return nil, nil, nil, fmt.Errorf("scorpion: request flags no outlier results")
-	}
+func buildScorer(p *Plan) (*influence.Scorer, *predicate.Space, *query.Result, error) {
+	req := &p.req
 	q, err := query.FromSQL(req.Table, req.SQL)
 	if err != nil {
 		return nil, nil, nil, err
@@ -675,7 +477,7 @@ func buildScorer(req *Request) (*influence.Scorer, *predicate.Space, *query.Resu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	task, err := bindTask(req, q.Agg, q.AggCol, qres)
+	task, err := bindTask(p, q.Agg, q.AggCol, qres)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -706,16 +508,17 @@ func buildScorer(req *Request) (*influence.Scorer, *predicate.Space, *query.Resu
 	return scorer, space, qres, nil
 }
 
-// bindTask labels the groups of qres — a query result over req.Table — for
-// req: the flagged outliers, and the hold-outs (every other group under
-// AllOthersHoldOut), in qres's group order.
-func bindTask(req *Request, agg aggregate.Func, aggCol int, qres *query.Result) (*influence.Task, error) {
+// bindTask labels the groups of qres — a query result over the Plan's
+// table — for the Plan: the flagged outliers, and the hold-outs (every
+// other group under AllOthersHoldOut), in qres's group order.
+func bindTask(p *Plan, agg aggregate.Func, aggCol int, qres *query.Result) (*influence.Task, error) {
+	req := &p.req
 	task := &influence.Task{
 		Table:   req.Table,
 		Agg:     agg,
 		AggCol:  aggCol,
-		Lambda:  req.ResolvedLambda(),
-		C:       req.ResolvedC(),
+		Lambda:  p.lambda,
+		C:       p.c,
 		Perturb: req.Perturb,
 	}
 	flagged := make(map[string]bool, len(req.Outliers))
@@ -794,27 +597,25 @@ func chooseAlgorithm(req *Request, scorer *influence.Scorer) (Algorithm, error) 
 // budget, so all three strategies share one execution spine. domains, when
 // non-nil, pins the continuous clause-grid extents (a shard-local searcher
 // receives the global outlier extents so every shard enumerates the grid
-// the unsharded search would).
-func buildSearcher(req *Request, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, domains map[int]predicate.Domain, reg *obs.Registry) (partition.Searcher, error) {
+// the unsharded search would), and a positive topK overrides NAIVE's
+// candidate retention (a shard's ShardTopK).
+func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, domains map[int]predicate.Domain, topK int, reg *obs.Registry) (partition.Searcher, error) {
+	req := &p.req
+	anytime := estimate.Params{Epsilon: req.Epsilon, Confidence: p.confidence, Metrics: reg}
 	switch algo {
 	case Naive:
 		params := naive.Params{}
 		if req.NaiveParams != nil {
 			params = *req.NaiveParams
 		}
+		params.Bins = p.naiveBins
+		if topK > 0 {
+			params.TopK = topK
+		}
 		if domains != nil {
 			params.Domains = domains
 		}
-		if req.Epsilon > 0 {
-			// nil when the task is unsupported (AVG, perturbation): the
-			// search then runs its exact path.
-			params.Estimator = estimate.New(scorer, estimate.Params{
-				Epsilon:    req.Epsilon,
-				Confidence: req.ResolvedConfidence(),
-				Metrics:    reg,
-			})
-		}
-		return naive.NewSearcher(scorer, space, params), nil
+		return grid.Naive(scorer, space, params, anytime), nil
 
 	case DT:
 		params := dt.Params{}
@@ -832,20 +633,14 @@ func buildSearcher(req *Request, scorer *influence.Scorer, space *predicate.Spac
 		if req.MCParams != nil {
 			params = *req.MCParams
 		}
+		params.Bins = p.mcBins
 		if req.MergeParams != nil {
 			params.Merge = *req.MergeParams
 		}
 		if domains != nil {
 			params.Domains = domains
 		}
-		if req.Epsilon > 0 {
-			params.Estimator = estimate.New(scorer, estimate.Params{
-				Epsilon:    req.Epsilon,
-				Confidence: req.ResolvedConfidence(),
-				Metrics:    reg,
-			})
-		}
-		return mc.NewSearcher(scorer, space, params), nil
+		return grid.MC(scorer, space, params, anytime), nil
 
 	default:
 		return nil, fmt.Errorf("scorpion: unknown algorithm %v", algo)
@@ -911,23 +706,19 @@ func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate) []parti
 	return cands
 }
 
-// present renders exactly-scored candidates as the request's top-k ranked
+// present renders exactly-scored candidates as the Plan's top-k ranked
 // explanations. It does not mutate cands.
-func present(req *Request, scorer *influence.Scorer, cands []partition.Candidate, qres *query.Result) *Result {
-	topK := req.TopK
-	if topK <= 0 {
-		topK = 5
-	}
-	if len(cands) > topK {
-		cands = cands[:topK]
+func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, qres *query.Result) *Result {
+	if len(cands) > p.topK {
+		cands = cands[:p.topK]
 	}
 	res := &Result{QueryResult: qres}
 	gO := shard.OutlierUnion(scorer.Task())
 	for _, c := range cands {
-		matched := c.Pred.Eval(req.Table, gO)
+		matched := c.Pred.Eval(p.req.Table, gO)
 		res.Explanations = append(res.Explanations, Explanation{
 			Predicate:            c.Pred,
-			Where:                c.Pred.Format(req.Table),
+			Where:                c.Pred.Format(p.req.Table),
 			Influence:            c.Score,
 			MatchedOutlierTuples: matched.Count(),
 			Matched:              matched,

@@ -1,5 +1,5 @@
 // Package cache is the server-level explanation cache: a bounded LRU of
-// finished results keyed by a canonical request fingerprint, plus a
+// finished results keyed by a canonical request key, plus a
 // singleflight-style flight registry so N concurrent identical requests
 // admit ONE search and all wait on it.
 //

@@ -165,37 +165,31 @@ type tableDispatcher struct {
 }
 
 // Remote implements scorpion.ShardDispatcher.
-func (d *tableDispatcher) Remote(spec scorpion.DispatchSpec) shard.RemoteSearcher {
-	var algo string
-	switch spec.Algorithm {
-	case scorpion.Naive:
-		algo = "naive"
-	case scorpion.MC:
-		algo = "mc"
-	default:
+func (d *tableDispatcher) Remote(p *scorpion.Plan, algo scorpion.Algorithm) shard.RemoteSearcher {
+	if algo != scorpion.Naive && algo != scorpion.MC {
 		return nil // DT and friends never dispatch
 	}
 	return func(ctx context.Context, rs *shard.RemoteShard) (*partition.Outcome, bool) {
-		return d.pool.search(ctx, d, algo, spec, rs)
+		return d.pool.search(ctx, d, p, algo, rs)
 	}
 }
 
-// buildTask assembles the wire task for one shard.
-func buildTask(d *tableDispatcher, algo string, spec scorpion.DispatchSpec, rs *shard.RemoteShard) *wire.Task {
+// buildTask assembles the wire task for one shard from the Plan.
+func buildTask(d *tableDispatcher, p *scorpion.Plan, algo scorpion.Algorithm, rs *shard.RemoteShard) *wire.Task {
 	lo := rs.View.Off()
 	return &wire.Task{
 		Version:    wire.Version,
 		Table:      d.table,
 		Gen:        d.gen,
 		Rows:       rs.View.Base().NumRows(),
-		SQL:        spec.SQL,
+		SQL:        p.SQL(),
 		WindowLo:   lo,
 		WindowHi:   lo + rs.View.NumRows(),
-		Algorithm:  algo,
-		Bins:       spec.Bins,
-		TopK:       spec.TopK,
-		Epsilon:    spec.Epsilon,
-		Confidence: spec.Confidence,
+		Algorithm:  algo.String(),
+		Bins:       p.Bins(algo),
+		TopK:       p.ShardTopK(algo),
+		Epsilon:    p.Epsilon(),
+		Confidence: p.Confidence(),
 		Attrs:      rs.Attrs,
 		Lambda:     rs.Task.Lambda,
 		C:          rs.Task.C,
@@ -211,11 +205,11 @@ func buildTask(d *tableDispatcher, algo string, spec scorpion.DispatchSpec, rs *
 // up to 1+Retries attempts across healthy peers with jittered backoff
 // between them. Any terminal failure returns ok = false — the caller
 // falls back to the local search path.
-func (p *Pool) search(ctx context.Context, d *tableDispatcher, algo string, spec scorpion.DispatchSpec, rs *shard.RemoteShard) (*partition.Outcome, bool) {
+func (p *Pool) search(ctx context.Context, d *tableDispatcher, plan *scorpion.Plan, algo scorpion.Algorithm, rs *shard.RemoteShard) (*partition.Outcome, bool) {
 	log := obs.LoggerFrom(ctx)
 	start := time.Now()
 	p.dispatched.Add(1)
-	body, err := json.Marshal(buildTask(d, algo, spec, rs))
+	body, err := json.Marshal(buildTask(d, plan, algo, rs))
 	if err != nil {
 		log.Warn("dispatch: marshal shard task", "shard", rs.Index, "error", err)
 		p.fallbacks.Add(1)

@@ -13,16 +13,15 @@ import (
 	scorpion "github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/partition"
+	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/shard"
 	"github.com/scorpiondb/scorpion/internal/wire"
 )
 
-// testShard builds a minimal remote-shard description over a tiny table —
-// enough structure for buildTask to serialize, none of it searched (the
-// fake workers answer canned results).
-func testShard(t *testing.T) *shard.RemoteShard {
+// testTable is a tiny two-group table.
+func testTable(t *testing.T) *relation.Table {
 	t.Helper()
 	schema, err := relation.NewSchema(
 		relation.Column{Name: "g", Kind: relation.Discrete},
@@ -40,8 +39,15 @@ func testShard(t *testing.T) *shard.RemoteShard {
 		}
 		b.MustAppend(relation.Row{relation.S(g), relation.F(float64(i % 10)), relation.F(10)})
 	}
-	tbl := b.Build()
-	v := tbl.Window(10, 30)
+	return b.Build()
+}
+
+// testShard builds a minimal remote-shard description over testTable —
+// enough structure for buildTask to serialize, none of it searched (the
+// fake workers answer canned results).
+func testShard(t *testing.T) *shard.RemoteShard {
+	t.Helper()
+	v := testTable(t).Window(10, 30)
 	out := relation.NewRowSet(v.NumRows())
 	out.AddRange(0, 5)
 	task := &influence.Task{
@@ -53,8 +59,17 @@ func testShard(t *testing.T) *shard.RemoteShard {
 	return &shard.RemoteShard{Index: 3, View: v, Task: task, Attrs: []string{"a"}, Workers: 1}
 }
 
-func testSpec() scorpion.DispatchSpec {
-	return scorpion.DispatchSpec{SQL: "SELECT sum(v), g FROM t GROUP BY g", Algorithm: scorpion.Naive, Bins: 6, TopK: 4}
+// testPlan is the Plan a NAIVE shard search is dispatched from.
+func testPlan(t *testing.T) *scorpion.Plan {
+	t.Helper()
+	p, err := (&scorpion.Request{
+		Table: testTable(t), SQL: "SELECT sum(v), g FROM t GROUP BY g", Outliers: []string{"out"},
+		NaiveParams: &naive.Params{Bins: 6, TopK: 4},
+	}).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func cannedOutcome(t *testing.T) *partition.Outcome {
@@ -85,7 +100,8 @@ func okWorker(t *testing.T, hits *atomic.Int64) *httptest.Server {
 		if err := task.Validate(); err != nil {
 			t.Errorf("worker: invalid task: %v", err)
 		}
-		if task.Table != "readings" || task.WindowLo != 10 || task.WindowHi != 30 {
+		if task.Table != "readings" || task.WindowLo != 10 || task.WindowHi != 30 ||
+			task.Algorithm != "naive" || task.Bins != 6 || task.TopK != 4 {
 			t.Errorf("worker: wrong task envelope: %+v", task)
 		}
 		json.NewEncoder(w).Encode(wire.EncodeOutcome(cannedOutcome(t)))
@@ -118,9 +134,7 @@ func TestPoolRequiresPeers(t *testing.T) {
 
 func TestRemoteNilForUnserializableAlgorithms(t *testing.T) {
 	p := mustPool(t, Options{Peers: []string{"http://unused"}})
-	spec := testSpec()
-	spec.Algorithm = scorpion.DT
-	if p.For("t", 1).Remote(spec) != nil {
+	if p.For("t", 1).Remote(testPlan(t), scorpion.DT) != nil {
 		t.Fatal("DT produced a remote searcher; its parameters do not serialize")
 	}
 }
@@ -129,7 +143,7 @@ func TestDispatchSuccess(t *testing.T) {
 	srv := okWorker(t, nil)
 	defer srv.Close()
 	p := mustPool(t, Options{Peers: []string{srv.URL}})
-	search := p.For("readings", 1).Remote(testSpec())
+	search := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)
 	outcome, ok := search(context.Background(), testShard(t))
 	if !ok {
 		t.Fatal("dispatch fell back with a healthy worker")
@@ -156,7 +170,7 @@ func TestDispatchRetriesAcrossPeers(t *testing.T) {
 	defer good.Close()
 	// Round-robin starts at peer 0, so the failing peer is hit first.
 	p := mustPool(t, Options{Peers: []string{bad.URL, good.URL}, Backoff: time.Millisecond})
-	_, ok := p.For("readings", 1).Remote(testSpec())(context.Background(), testShard(t))
+	_, ok := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)(context.Background(), testShard(t))
 	if !ok {
 		t.Fatal("dispatch fell back despite a healthy second peer")
 	}
@@ -170,7 +184,7 @@ func TestDispatchRetriesAcrossPeers(t *testing.T) {
 
 	// The failed peer is benched: the next dispatch goes straight to the
 	// healthy one even though round-robin points at the benched peer.
-	if _, ok := p.For("readings", 1).Remote(testSpec())(context.Background(), testShard(t)); !ok {
+	if _, ok := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)(context.Background(), testShard(t)); !ok {
 		t.Fatal("second dispatch fell back")
 	}
 	if badHits.Load() != 1 {
@@ -182,7 +196,7 @@ func TestDispatchFallsBackWhenFleetIsDown(t *testing.T) {
 	bad := failWorker(http.StatusInternalServerError, nil)
 	defer bad.Close()
 	p := mustPool(t, Options{Peers: []string{bad.URL}, Retries: -1})
-	if _, ok := p.For("readings", 1).Remote(testSpec())(context.Background(), testShard(t)); ok {
+	if _, ok := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)(context.Background(), testShard(t)); ok {
 		t.Fatal("dispatch claimed success against a failing fleet")
 	}
 	s := p.Stats()
@@ -206,7 +220,7 @@ func TestDispatchTimesOutHungWorker(t *testing.T) {
 	}()
 	p := mustPool(t, Options{Peers: []string{hung.URL}, ShardTimeout: 50 * time.Millisecond, Retries: -1})
 	start := time.Now()
-	_, ok := p.For("readings", 1).Remote(testSpec())(context.Background(), testShard(t))
+	_, ok := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)(context.Background(), testShard(t))
 	if ok {
 		t.Fatal("hung worker reported success")
 	}
@@ -226,7 +240,7 @@ func TestDispatchRejectsVersionMismatch(t *testing.T) {
 	}))
 	defer skewed.Close()
 	p := mustPool(t, Options{Peers: []string{skewed.URL}, Retries: -1})
-	if _, ok := p.For("readings", 1).Remote(testSpec())(context.Background(), testShard(t)); ok {
+	if _, ok := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)(context.Background(), testShard(t)); ok {
 		t.Fatal("version-skewed result accepted")
 	}
 }
@@ -249,7 +263,7 @@ func TestBenchedPeerIsProbedBeforeReadmission(t *testing.T) {
 	}))
 	defer srv.Close()
 	p := mustPool(t, Options{Peers: []string{srv.URL}, Retries: -1, BenchFor: 20 * time.Millisecond})
-	search := p.For("readings", 1).Remote(testSpec())
+	search := p.For("readings", 1).Remote(testPlan(t), scorpion.Naive)
 	if _, ok := search(context.Background(), testShard(t)); ok {
 		t.Fatal("failing worker reported success")
 	}

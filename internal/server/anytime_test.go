@@ -93,14 +93,26 @@ func TestAnytimeFingerprintSeparatesCacheEntries(t *testing.T) {
 		t.Fatal("distinct confidence served from another bound's entry")
 	}
 
-	// Confidence without epsilon is inert: the request is exact, and must
-	// map to the exact entry rather than fragment the cache.
-	inert := postExplain(t, srv, body(map[string]any{"epsilon": 0.0, "confidence": 0.8}))
-	if inert.CacheKey != exact.CacheKey {
-		t.Fatalf("epsilon=0 with confidence got key %q, want the exact key %q",
-			inert.CacheKey, exact.CacheKey)
+	// Requests that resolve to the same Plan share the exact entry rather
+	// than fragment the cache: confidence without epsilon is inert (the
+	// request is exact), an explicit default equals an unset knob, and the
+	// order of the labelled groups is irrelevant.
+	for name, knobs := range map[string]map[string]any{
+		"confidence without epsilon": {"epsilon": 0.0, "confidence": 0.8},
+		"explicit defaults":          {"lambda": 0.5, "c": 0.2, "top_k": 5},
+		"outliers reordered":         {"outliers": []string{"g3", "g2"}},
+	} {
+		same := postExplain(t, srv, body(knobs))
+		if same.CacheKey != exact.CacheKey {
+			t.Fatalf("%s: key %q, want the exact key %q", name, same.CacheKey, exact.CacheKey)
+		}
+		if same.Cached == nil || !*same.Cached {
+			t.Fatalf("%s: did not hit the exact entry", name)
+		}
 	}
-	if inert.Cached == nil || !*inert.Cached {
-		t.Fatal("epsilon=0 with confidence did not hit the exact entry")
+	held := postExplain(t, srv, body(map[string]any{"all_others_holdout": false, "holdouts": []string{"g0", "g1"}}))
+	reordered := postExplain(t, srv, body(map[string]any{"all_others_holdout": false, "holdouts": []string{"g1", "g0"}}))
+	if reordered.CacheKey != held.CacheKey || reordered.Cached == nil || !*reordered.Cached {
+		t.Fatalf("hold-outs reordered: key %q cached %v, want a hit on %q", reordered.CacheKey, reordered.Cached, held.CacheKey)
 	}
 }

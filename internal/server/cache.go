@@ -4,8 +4,8 @@ package server
 // (§8.3.3 serving path). Three cooperating pieces make repeated traffic
 // cheap rather than merely schedulable:
 //
-//   - a bounded LRU of finished /explain results keyed by a canonical
-//     request fingerprint (internal/cache.Cache): a repeated identical
+//   - a bounded LRU of finished /explain results keyed by the request's
+//     scorpion.Plan key (internal/cache.Cache): a repeated identical
 //     request is answered from memory as an instantly-terminal job,
 //     spending zero worker budget;
 //   - flight coalescing on the same keys: N concurrent identical requests
@@ -17,9 +17,10 @@ package server
 //     candidate pool at its c against the grown groups instead of
 //     searching ("refreshed_from" names the generation the pool came from).
 //
-// Result keys embed the catalog entry's generation ("<table>@<gen>|<hash>"),
-// so uploading over, replacing, appending to or unloading a table can never
-// serve results computed against the old data. Session keys embed the
+// Result keys are Plan.Key and session keys Plan.SessionKey (the same
+// encoding without c). Result keys embed the catalog entry's generation
+// ("<table>@<gen>|<hash>"), so uploading over, replacing, appending to or
+// unloading a table can never serve results computed against the old data. Session keys embed the
 // lineage instead ("<table>#<lineage>|<hash>"): an append's successor
 // generation lands on the same session and warm-starts from it, while a
 // replace or unload starts a new lineage. The handlers sweep the
@@ -28,10 +29,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -63,96 +60,6 @@ func (s *Server) ConfigureCache(entries int) {
 	}
 	s.cache = cache.New(entries) // New maps 0 to cache.DefaultCapacity
 	s.sessions = cache.New(defaultSessionEntries)
-}
-
-// --- request fingerprints ----------------------------------------------
-
-// fingerprint is the canonical JSON shape hashed into cache keys. Every
-// field that changes what a search returns is present; knobs that only
-// change how fast it runs (workers, progress interval, sync vs async) are
-// deliberately absent — parallel searches return the same explanations as
-// serial ones, so they may share entries.
-type fingerprint struct {
-	SQL        string   `json:"sql"`
-	Outliers   []string `json:"outliers"`
-	Direction  string   `json:"direction"`
-	HoldOuts   []string `json:"holdouts"`
-	AllOthers  bool     `json:"all_others"`
-	Attributes []string `json:"attributes"`
-	Lambda     float64  `json:"lambda"`
-	C          *float64 `json:"c,omitempty"` // nil for the session key
-	Algorithm  string   `json:"algorithm"`
-	TopK       int      `json:"top_k"`
-	// Shards is the raw sharding knob: sharded runs of the greedy
-	// algorithms (MC, DT) are distinct heuristics from unsharded ones, so
-	// they must not share entries. (Auto, 0, resolves per worker grant; its
-	// rare heuristic variance across grants is accepted as cache-equal.)
-	Shards int `json:"shards,omitempty"`
-	// Epsilon and Confidence shape which candidates survive the anytime
-	// path's pruning, so approximate runs never share entries with exact
-	// ones (or with runs at a different error bound). Confidence is the
-	// RESOLVED value, like Lambda and C; it is omitted entirely when
-	// Epsilon is 0 — exact requests are confidence-agnostic.
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
-}
-
-// explainKeys derives the result-cache key and the (c- and
-// generation-agnostic) session key for a compiled request — only the
-// compiled scorpion.Request feeds the fingerprint, never the raw HTTP body.
-// Lambda and C are the RESOLVED values, so an explicit default and an unset
-// knob map to the same entry.
-func explainKeys(entry *catalog.Entry, sreq *scorpion.Request) (resultKey, sessionKey string) {
-	dir := "high"
-	if sreq.Direction == scorpion.TooLow {
-		dir = "low"
-	}
-	topK := sreq.TopK
-	if topK <= 0 {
-		topK = 5
-	}
-	c := sreq.ResolvedC()
-	fp := fingerprint{
-		SQL:        sreq.SQL,
-		Outliers:   sortedCopy(sreq.Outliers),
-		Direction:  dir,
-		HoldOuts:   sortedCopy(sreq.HoldOuts),
-		AllOthers:  sreq.AllOthersHoldOut,
-		Attributes: sreq.Attributes,
-		Lambda:     sreq.ResolvedLambda(),
-		C:          &c,
-		Algorithm:  sreq.Algorithm.String(),
-		TopK:       topK,
-		Shards:     sreq.Shards,
-	}
-	if sreq.Epsilon > 0 {
-		fp.Epsilon = sreq.Epsilon
-		fp.Confidence = sreq.ResolvedConfidence()
-	}
-	resultKey = keyFor(fmt.Sprintf("%s@%d", entry.Name, entry.Gen), &fp)
-	fp.C = nil
-	sessionKey = keyFor(fmt.Sprintf("%s#%d", entry.Name, entry.Lineage), &fp)
-	return resultKey, sessionKey
-}
-
-// keyFor renders "<prefix>|<hash of the canonical request>". The prefix
-// before "|" is what table invalidation sweeps.
-func keyFor(prefix string, fp *fingerprint) string {
-	data, err := json.Marshal(fp)
-	if err != nil {
-		// Marshaling a struct of strings/floats cannot fail; treat an
-		// impossible failure as uncacheable rather than panicking.
-		return ""
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%s|%x", prefix, sum[:12])
-}
-
-func sortedCopy(in []string) []string {
-	out := make([]string, len(in))
-	copy(out, in)
-	sort.Strings(out)
-	return out
 }
 
 // invalidateTable drops every cached result and session belonging to the
@@ -193,14 +100,15 @@ func (s *Server) sessionFor(key string, sreq *scorpion.Request) *session {
 }
 
 // run executes one request through the session. r already carries the
-// job's granted workers and progress reporter. It returns the generation
-// the result was refreshed from (0 unless warm) and, for a request off the
-// DT path that did not refresh, why — the reason label of the server's
-// scorpion_stream_cold_total counter ("" otherwise).
-func (sess *session) run(ctx context.Context, r *scorpion.Request, entry *catalog.Entry) (*scorpion.Result, int64, string, error) {
+// job's granted workers and progress reporter; mayReuse is its Plan's
+// MayReusePartition from admission (the worker grant cannot change it). It
+// returns the generation the result was refreshed from (0 unless warm) and,
+// for a request off the DT path that did not refresh, why — the reason
+// label of the server's scorpion_stream_cold_total counter ("" otherwise).
+func (sess *session) run(ctx context.Context, r *scorpion.Request, mayReuse bool, entry *catalog.Entry) (*scorpion.Result, int64, string, error) {
 	sessionless := func(reason string) (*scorpion.Result, int64, string, error) {
 		res, err := scorpion.ExplainContext(ctx, r)
-		if r.ResolvedShards() <= 1 && (r.Algorithm == scorpion.Auto || r.Algorithm == scorpion.DT) {
+		if mayReuse {
 			reason = "" // may be the DT path, which has no warm/cold
 		}
 		return res, 0, reason, err

@@ -298,6 +298,14 @@ func TestExplicitZeroKnobsSurviveHTTP(t *testing.T) {
 	if len(z.Explanations) == 0 || len(d.Explanations) == 0 {
 		t.Fatal("no explanations")
 	}
+	// The keys agree: an explicit zero is its own entry, an explicit
+	// default is the unset request's.
+	if lz.CacheKey == withDefaults.CacheKey || z.CacheKey == withDefaults.CacheKey {
+		t.Errorf("an explicit zero shares the default key %q", withDefaults.CacheKey)
+	}
+	if d.CacheKey != withDefaults.CacheKey || d.Cached == nil || !*d.Cached {
+		t.Errorf("explicit c 0.2: key %q cached %v, want a hit on the default key %q", d.CacheKey, d.Cached, withDefaults.CacheKey)
+	}
 	if z.Explanations[0].Influence == d.Explanations[0].Influence {
 		t.Errorf("c 0 and c 0.2 produced identical top influence %v — the explicit zero did not reach the scorer",
 			z.Explanations[0].Influence)

@@ -48,6 +48,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -65,7 +66,7 @@ type Server struct {
 	catalog *catalog.Catalog
 	sched   *jobs.Scheduler
 	mux     *http.ServeMux
-	// cache holds finished /explain results keyed by request fingerprint
+	// cache holds finished /explain results keyed by their Plan key
 	// and coalesces concurrent identical requests; sessions holds the
 	// per-(table lineage, request without c) scorpion.Session reuse units.
 	// Both nil when caching is disabled (ConfigureCache(-1)).
@@ -508,15 +509,6 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if req.Shards < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad shards %d (want 0 = auto, 1 = unsharded, or a positive count)", req.Shards)
-	}
-	if req.Epsilon != nil && *req.Epsilon < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad epsilon %v (want >= 0; 0 = exact)", *req.Epsilon)
-	}
-	if req.Confidence != nil && (*req.Confidence <= 0 || *req.Confidence >= 1) {
-		return nil, http.StatusBadRequest, fmt.Errorf("bad confidence %v (want a value in (0, 1))", *req.Confidence)
-	}
 	sreq := &scorpion.Request{
 		Table:            entry.Table,
 		SQL:              req.SQL,
@@ -573,11 +565,20 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 		// is always safe to set; the local path is the fallback.
 		sreq.ShardDispatch = s.dispatch.For(entry.Name, entry.Gen)
 	}
-
+	// Validate and resolve before admission: a bad knob is a 400 that
+	// names it, never a queued job that fails later.
+	plan, err := sreq.Plan()
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
 	var key, sessionKey string
 	if s.cache != nil && req.Cache != "bypass" {
-		key, sessionKey = explainKeys(entry, sreq)
+		key = plan.Key(entry.Name + "@" + strconv.FormatInt(entry.Gen, 10))
+		sessionKey = plan.SessionKey(entry.Name + "#" + strconv.FormatInt(entry.Lineage, 10))
 	}
+	// The task outlives the run in the scheduler's terminal-job ring, so
+	// its closure keeps the one bit of the Plan it needs, not the Plan.
+	mayReuse := plan.MayReusePartition()
 
 	interval := s.ProgressInterval
 	if interval <= 0 {
@@ -618,7 +619,7 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 			var err error
 			if sess := s.sessionFor(sessionKey, sreq); sess != nil {
 				var reason string
-				res, refreshedFrom, reason, err = sess.run(ctx, &r, entry)
+				res, refreshedFrom, reason, err = sess.run(ctx, &r, mayReuse, entry)
 				switch {
 				case refreshedFrom > 0:
 					s.reg.Counter("scorpion_stream_warm_total", "table", entry.Name).Inc()

@@ -148,19 +148,38 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestExplainEndpointValidation(t *testing.T) {
 	srv := New(testTable(t))
-	cases := []ExplainRequest{
-		{}, // no SQL
-		{SQL: "SELECT avg(temp), time FROM s GROUP BY time"}, // no outliers
-		{SQL: "SELECT avg(temp), time FROM s GROUP BY time",
-			Outliers: []string{"12PM"}, Direction: "sideways"},
-		{SQL: "SELECT avg(temp), time FROM s GROUP BY time",
-			Outliers: []string{"12PM"}, Algorithm: "quantum"},
+	t.Cleanup(srv.Close)
+	knob := func(v float64) *float64 { return &v }
+	const sql = "SELECT avg(temp), time FROM sensors GROUP BY time"
+	cases := []struct {
+		req  ExplainRequest
+		want string // substring the error must name; "" = any
+	}{
+		{ExplainRequest{}, "SQL"},
+		{ExplainRequest{SQL: sql}, "outlier"},
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Direction: "sideways"}, "direction"},
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Algorithm: "quantum"}, "algorithm"},
+		// λ and c are validated by the Plan before admission, like shards,
+		// epsilon and confidence: no job is minted for them.
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Lambda: knob(2)}, "lambda"},
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Lambda: knob(-0.5)}, "lambda"},
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, C: knob(-1)}, "c -1"},
 	}
-	for i, req := range cases {
-		rec := postJSON(t, srv, "/explain", req)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("case %d: status = %d", i, rec.Code)
+	for _, route := range []string{"/explain", "/jobs"} {
+		for i, tc := range cases {
+			rec := postJSON(t, srv, route, tc.req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s case %d: status = %d (%s)", route, i, rec.Code, rec.Body)
+			} else if !strings.Contains(rec.Body.String(), tc.want) {
+				t.Errorf("%s case %d: error %s does not name %q", route, i, rec.Body, tc.want)
+			}
 		}
+	}
+	if n := startedJobs(t, srv); n != 0 {
+		t.Errorf("%d jobs started for rejected requests, want 0", n)
+	}
+	if jobs := srv.Scheduler().Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected requests minted %d jobs", len(jobs))
 	}
 	// Malformed JSON bodies.
 	req := httptest.NewRequest("POST", "/explain", strings.NewReader("{"))

@@ -13,6 +13,7 @@ import (
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
+	"github.com/scorpiondb/scorpion/internal/partition/grid"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -84,28 +85,13 @@ func Run(ctx context.Context, tbl *relation.Table, t *wire.Task, maxWorkers int)
 	}
 	domains := wire.DecodeDomains(t.Domains)
 
+	anytime := estimate.Params{Epsilon: t.Epsilon, Confidence: t.Confidence, Metrics: obs.RegistryFrom(ctx)}
 	var searcher partition.Searcher
 	switch t.Algorithm {
 	case "naive":
-		params := naive.Params{Bins: t.Bins, TopK: t.TopK, Domains: domains}
-		if t.Epsilon > 0 {
-			params.Estimator = estimate.New(scorer, estimate.Params{
-				Epsilon:    t.Epsilon,
-				Confidence: t.Confidence,
-				Metrics:    obs.RegistryFrom(ctx),
-			})
-		}
-		searcher = naive.NewSearcher(scorer, space, params)
+		searcher = grid.Naive(scorer, space, naive.Params{Bins: t.Bins, TopK: t.TopK, Domains: domains}, anytime)
 	case "mc":
-		params := mc.Params{Bins: t.Bins, Domains: domains}
-		if t.Epsilon > 0 {
-			params.Estimator = estimate.New(scorer, estimate.Params{
-				Epsilon:    t.Epsilon,
-				Confidence: t.Confidence,
-				Metrics:    obs.RegistryFrom(ctx),
-			})
-		}
-		searcher = mc.NewSearcher(scorer, space, params)
+		searcher = grid.MC(scorer, space, mc.Params{Bins: t.Bins, Domains: domains}, anytime)
 	default:
 		return nil, fmt.Errorf("worker: unsupported algorithm %q", t.Algorithm)
 	}

@@ -15,9 +15,19 @@ import (
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
+// mustPlan resolves req or fails the test.
+func mustPlan(t *testing.T, req *Request) *Plan {
+	t.Helper()
+	p, err := req.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestExplicitZeroKnobsReachScorer proves SetLambda(0)/SetC(0) survive to
 // the scorer's task, while plain zero fields still resolve to defaults —
-// the resolved-defaults step that un-aliases "unset" from "explicitly 0".
+// the Plan step that un-aliases "unset" from "explicitly 0".
 func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	base := Request{
 		Table:            sensorsTable(t),
@@ -27,7 +37,7 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	}
 
 	unset := base
-	s, _, _, err := buildScorer(&unset)
+	s, _, _, err := buildScorer(mustPlan(t, &unset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +49,8 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	explicit := base
 	explicit.SetLambda(0) // legal §3.2 setting: all weight on hold-outs
 	explicit.SetC(0)      // legal §7 setting: Δ unscaled by |p(g)|
-	s, _, _, err = buildScorer(&explicit)
+	p := mustPlan(t, &explicit)
+	s, _, _, err = buildScorer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +58,15 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 		t.Fatalf("explicit zeros reached the scorer as λ=%v c=%v, want 0/0",
 			s.Task().Lambda, s.Task().C)
 	}
-	if got := explicit.ResolvedLambda(); got != 0 {
-		t.Errorf("ResolvedLambda = %v, want 0", got)
-	}
-	if got := explicit.ResolvedC(); got != 0 {
-		t.Errorf("ResolvedC = %v, want 0", got)
+	if p.lambda != 0 || p.c != 0 {
+		t.Errorf("Plan resolved explicit zeros to λ=%v c=%v, want 0/0", p.lambda, p.c)
 	}
 
 	// Non-zero field writes keep working without the setters.
 	direct := base
 	direct.Lambda, direct.C = 0.3, 0.7
-	if direct.ResolvedLambda() != 0.3 || direct.ResolvedC() != 0.7 {
-		t.Errorf("non-zero field writes resolved to λ=%v c=%v",
-			direct.ResolvedLambda(), direct.ResolvedC())
+	if p := mustPlan(t, &direct); p.lambda != 0.3 || p.c != 0.7 {
+		t.Errorf("non-zero field writes resolved to λ=%v c=%v", p.lambda, p.c)
 	}
 }
 
@@ -146,7 +153,8 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		AllOthersHoldOut: true,
 		Direction:        TooHigh,
 	}
-	scorer, _, _, err := buildScorer(req)
+	p := mustPlan(t, req)
+	scorer, _, _, err := buildScorer(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +169,7 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		{Pred: outlierOnly, Score: 1, InfluencesHoldOut: true},
 		{Pred: holdOutTouching, Score: 0.5, InfluencesHoldOut: false},
 	}
-	res := present(req, scorer, rescoreExact(scorer, cands), nil)
+	res := present(p, scorer, rescoreExact(scorer, cands), nil)
 	if len(res.Explanations) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(res.Explanations))
 	}

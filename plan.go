@@ -1,0 +1,284 @@
+package scorpion
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"slices"
+	"time"
+
+	"github.com/scorpiondb/scorpion/internal/estimate"
+	"github.com/scorpiondb/scorpion/internal/merge"
+	"github.com/scorpiondb/scorpion/internal/partition/mc"
+	"github.com/scorpiondb/scorpion/internal/partition/naive"
+	"github.com/scorpiondb/scorpion/internal/shard"
+)
+
+// DefaultC is the default §7 selectivity knob value.
+const DefaultC = 0.2
+
+// DefaultLambda is the default hold-out trade-off.
+const DefaultLambda = 0.5
+
+// DefaultConfidence is the interval confidence the anytime path uses when
+// Request.Confidence is unset.
+const DefaultConfidence = estimate.DefaultConfidence
+
+// defaultTopK is how many explanations a request returns when TopK is unset.
+const defaultTopK = 5
+
+// defaultGridBins is the continuous grid NAIVE and MC search when their
+// Params leave Bins unset (the paper's 15).
+const defaultGridBins = 15
+
+// autoShardRows is the row volume one shard should cover when Shards is
+// auto (0): tables under 2× this never auto-shard.
+const autoShardRows = 1 << 17
+
+// maxShards caps the slice count: beyond this, per-shard setup (scorer
+// states, clause grids) outweighs any slicing benefit.
+const maxShards = 64
+
+// maxAutoSerialShards bounds auto-sharding below the worker budget. The
+// sharding win is algorithmic (skipped hold-out-only slices, window-local
+// scans — see BENCH_shard.json, recorded at Workers=1), so a serial
+// request on a huge table still benefits from a handful of slices; more
+// than the budget only helps up to this point.
+const maxAutoSerialShards = 8
+
+// Plan is a Request resolved once: every knob validated and every default
+// filled in. The run spine, the shard coordinator, remote dispatch and the
+// server's cache all read the Plan instead of re-deriving the request, and
+// its canonical encoding (Key) is the result-cache key. A Plan is
+// immutable.
+type Plan struct {
+	req Request
+
+	lambda, c  float64
+	confidence float64 // 0 on an exact search (Epsilon 0)
+	topK       int
+	// shards is the slice count (1 = unsharded); workers reads 0 as serial.
+	shards, workers int
+	interval        time.Duration
+	// naiveBins and mcBins are the grids NAIVE and MC search; shardTopK is
+	// how many candidates a NAIVE shard hands the combiner.
+	naiveBins, mcBins, shardTopK int
+	outliers, holdOuts           []string // sorted, as the key encodes them
+	// cacheable is false under a *Params override, whose Estimator and
+	// Domains cannot be encoded.
+	cacheable bool
+}
+
+// Plan validates r and resolves its defaults. It fails, naming the knob,
+// on a request no search could answer: no table, SQL or outliers, shards
+// below 0, λ outside [0, 1], c below 0, epsilon below 0, confidence outside
+// (0, 1), or any of them non-finite.
+func (r *Request) Plan() (*Plan, error) {
+	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
+		interval: r.ProgressInterval, naiveBins: defaultGridBins, mcBins: defaultGridBins,
+		shardTopK: shard.DefaultTopPerShard}
+	if r.Lambda != 0 || r.lambdaSet {
+		p.lambda = r.Lambda
+	}
+	if r.C != 0 || r.cSet {
+		p.c = r.C
+	}
+	// The comparisons are written so that NaN, which fails every one of
+	// them, is refused too.
+	switch {
+	case r.Table == nil:
+		return nil, fmt.Errorf("scorpion: request has no table")
+	case r.SQL == "":
+		return nil, fmt.Errorf("scorpion: request has no SQL query")
+	case len(r.Outliers) == 0:
+		return nil, fmt.Errorf("scorpion: request flags no outlier results")
+	case r.Shards < 0:
+		return nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", r.Shards)
+	case !(p.lambda >= 0 && p.lambda <= 1):
+		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
+	case !(p.c >= 0) || math.IsInf(p.c, 1):
+		return nil, fmt.Errorf("scorpion: c %v must be finite and >= 0", p.c)
+	case !(r.Epsilon >= 0) || math.IsInf(r.Epsilon, 1):
+		return nil, fmt.Errorf("scorpion: epsilon %v must be finite and >= 0 (0 = exact)", r.Epsilon)
+	case r.Confidence != 0 && !(r.Confidence > 0 && r.Confidence < 1):
+		return nil, fmt.Errorf("scorpion: confidence %v must lie in (0, 1)", r.Confidence)
+	}
+	if r.Epsilon > 0 {
+		p.confidence = r.Confidence
+		if p.confidence == 0 {
+			p.confidence = DefaultConfidence
+		}
+	}
+	if p.topK <= 0 {
+		p.topK = defaultTopK
+	}
+	if p.workers == 0 {
+		p.workers = 1
+	}
+	if p.interval <= 0 {
+		p.interval = 200 * time.Millisecond
+	}
+	if r.NaiveParams != nil {
+		if r.NaiveParams.Bins > 0 {
+			p.naiveBins = r.NaiveParams.Bins
+		}
+		if r.NaiveParams.TopK != 0 {
+			p.shardTopK = r.NaiveParams.TopK
+		}
+	}
+	if r.MCParams != nil && r.MCParams.Bins > 0 {
+		p.mcBins = r.MCParams.Bins
+	}
+	// Auto shards pick one slice per autoShardRows rows, up to the worker
+	// budget (at least maxAutoSerialShards); every count is clamped.
+	if p.shards = r.Shards; p.shards == 0 {
+		workers := p.workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		p.shards = min(r.Table.NumRows()/autoShardRows, max(workers, maxAutoSerialShards))
+	}
+	p.shards = max(1, min(p.shards, maxShards))
+	p.outliers, p.holdOuts = sortedKeys(r.Outliers), sortedKeys(r.HoldOuts)
+	p.cacheable = r.NaiveParams == nil && r.DTParams == nil && r.MCParams == nil && r.MergeParams == nil
+	return p, nil
+}
+
+// sortedKeys returns keys in sorted order, copying only when they are not
+// sorted already.
+func sortedKeys(keys []string) []string {
+	if slices.IsSorted(keys) {
+		return keys
+	}
+	return slices.Sorted(slices.Values(keys))
+}
+
+// dtPath reports whether a search resolved to algo runs unsharded DT — the
+// only search whose partitioning a Session can reuse across c.
+func (p *Plan) dtPath(algo Algorithm) bool { return algo == DT && p.shards <= 1 }
+
+// MayReusePartition reports whether the request can take a Session's DT
+// path: it asks for DT, or for Auto (which may resolve to DT), and resolves
+// unsharded. Such a run never refreshes warm, so it has no cold reason.
+func (p *Plan) MayReusePartition() bool {
+	return (p.req.Algorithm == Auto || p.req.Algorithm == DT) && p.dtPath(DT)
+}
+
+// SQL is the request's aggregate query.
+func (p *Plan) SQL() string { return p.req.SQL }
+
+// Bins is the continuous grid a search resolved to algo runs over: NAIVE's
+// and MC's clause grid, 0 for DT, which has none.
+func (p *Plan) Bins(algo Algorithm) int {
+	switch algo {
+	case Naive:
+		return p.naiveBins
+	case MC:
+		return p.mcBins
+	}
+	return 0
+}
+
+// ShardTopK is how many candidates one shard of a search resolved to algo
+// returns: deeper than the final top-k for NAIVE, whose shard-local
+// rankings are window estimates; 0 (the searcher's own cut) otherwise.
+func (p *Plan) ShardTopK(algo Algorithm) int {
+	if algo == Naive {
+		return p.shardTopK
+	}
+	return 0
+}
+
+// Epsilon is the anytime error bound (0 = exact) and Confidence its
+// resolved interval confidence (0 on an exact search).
+func (p *Plan) Epsilon() float64    { return p.req.Epsilon }
+func (p *Plan) Confidence() float64 { return p.confidence }
+
+// remote reports whether a shard search resolved to algo can be reproduced
+// by a worker from Bins, ShardTopK and the anytime knobs alone: a grid
+// algorithm with no tuning override beyond those.
+func (p *Plan) remote(algo Algorithm) bool {
+	n, m, mp := p.req.NaiveParams, p.req.MCParams, p.req.MergeParams
+	switch algo {
+	case Naive:
+		return n == nil || reflect.DeepEqual(*n, naive.Params{Bins: n.Bins, TopK: n.TopK})
+	case MC:
+		return (mp == nil || *mp == merge.Params{}) && (m == nil || reflect.DeepEqual(*m, mc.Params{Bins: m.Bins}))
+	}
+	return false
+}
+
+// Key is "<prefix>|<hash>" over the canonical encoding of every resolved
+// input that can change the answer, or "" when the Plan is uncacheable: an
+// explicit default shares the unset knob's key, an explicit zero does not.
+func (p *Plan) Key(prefix string) string { return p.key(prefix, true) }
+
+// SessionKey is Key without c: the requests one Session serves.
+func (p *Plan) SessionKey(prefix string) string { return p.key(prefix, false) }
+
+func (p *Plan) key(prefix string, withC bool) string {
+	if !p.cacheable {
+		return ""
+	}
+	var buf [512]byte
+	b := p.encode(buf[:0])
+	if withC {
+		b = appendFloat(b, p.c)
+	}
+	sum := sha256.Sum256(b)
+	return prefix + "|" + hex.EncodeToString(sum[:12])
+}
+
+// encode appends the canonical encoding of everything but c (DESIGN.md
+// lists what it covers and why the rest is answer-neutral).
+func (p *Plan) encode(b []byte) []byte {
+	r := &p.req
+	b = appendString(b, r.SQL)
+	b = binary.AppendUvarint(b, uint64(len(p.outliers)))
+	for _, key := range p.outliers {
+		b = appendFloat(appendString(b, key), float64(r.directionFor(key)))
+	}
+	b = binary.AppendUvarint(b, uint64(len(p.holdOuts)))
+	for _, key := range p.holdOuts {
+		b = appendString(b, key)
+	}
+	// Explicit hold-outs win over AllOthersHoldOut, and Attributes over
+	// AutoSelectAttributes: the losing knob is inert.
+	allOthers := byte(0)
+	if len(r.HoldOuts) == 0 && r.AllOthersHoldOut {
+		allOthers = 1
+	}
+	b = append(b, allOthers)
+	b = binary.AppendUvarint(b, uint64(len(r.Attributes)))
+	for _, a := range r.Attributes {
+		b = appendString(b, a)
+	}
+	autoSelect := 0
+	if len(r.Attributes) == 0 {
+		autoSelect = r.AutoSelectAttributes
+	}
+	b = binary.AppendVarint(b, int64(autoSelect))
+	b = appendFloat(b, p.lambda)
+	if r.Perturb != nil {
+		b = appendFloat(append(b, 1), *r.Perturb)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendVarint(b, int64(r.Algorithm))
+	b = binary.AppendVarint(b, int64(p.topK))
+	b = binary.AppendVarint(b, int64(r.Shards))
+	b = appendFloat(b, r.Epsilon)
+	return appendFloat(b, p.confidence)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}

@@ -1,0 +1,95 @@
+package scorpion
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/scorpiondb/scorpion/internal/shard"
+)
+
+// stubDispatcher is a ShardDispatcher that never dispatches.
+type stubDispatcher struct{}
+
+func (stubDispatcher) Remote(*Plan, Algorithm) shard.RemoteSearcher { return nil }
+
+// TestPlanCoversRequest pins the answer-changing surface of a Request to
+// its Plan: every exported field, set to a non-default value, must change
+// Plan.Key, make the Plan uncacheable, or sit on the answer-neutral list
+// below. A new Request field fails here until someone classifies it.
+func TestPlanCoversRequest(t *testing.T) {
+	neutral := map[string]string{
+		"Table":            "keys carry the table's generation instead",
+		"Workers":          "parallel searches return the serial answer",
+		"OnProgress":       "observes the search, never steers it",
+		"ProgressInterval": "observes the search, never steers it",
+		"ShardDispatch":    "remote shard searches return the local answer",
+	}
+	base := Request{
+		Table:    sensorsTable(t),
+		SQL:      "SELECT avg(temp), time FROM sensors GROUP BY time",
+		Outliers: []string{"12PM", "1PM"},
+		Epsilon:  0.1, // so that Confidence is live
+	}
+	// Values for the fields whose kind alone does not give a usable one.
+	special := map[string]any{
+		"Table":         sensorsTable(t),
+		"Direction":     TooLow,
+		"Directions":    map[string]Direction{"12PM": TooLow},
+		"OnProgress":    func(Progress) {},
+		"ShardDispatch": stubDispatcher{},
+	}
+	nonDefault := func(f reflect.StructField) reflect.Value {
+		if v, ok := special[f.Name]; ok {
+			return reflect.ValueOf(v)
+		}
+		switch f.Type.Kind() {
+		case reflect.String:
+			return reflect.ValueOf("x").Convert(f.Type)
+		case reflect.Slice:
+			if f.Type.Elem().Kind() == reflect.String {
+				return reflect.ValueOf([]string{"x"})
+			}
+		case reflect.Bool:
+			return reflect.ValueOf(true)
+		case reflect.Int, reflect.Int64:
+			return reflect.ValueOf(3).Convert(f.Type)
+		case reflect.Float64:
+			return reflect.ValueOf(0.7).Convert(f.Type)
+		case reflect.Pointer:
+			return reflect.New(f.Type.Elem())
+		}
+		t.Fatalf("Request.%s (%s): no non-default value; classify the new field here", f.Name, f.Type)
+		return reflect.Value{}
+	}
+
+	basePlan := mustPlan(t, &base)
+	baseKey, baseSession := basePlan.Key("t"), basePlan.SessionKey("t")
+	if baseKey == "" {
+		t.Fatal("the base request is uncacheable")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		req := base
+		reflect.ValueOf(&req).Elem().Field(i).Set(nonDefault(f))
+		p, err := req.Plan()
+		if err != nil {
+			t.Errorf("Request.%s: %v", f.Name, err)
+			continue
+		}
+		key := p.Key("t")
+		_, isNeutral := neutral[f.Name]
+		switch {
+		case isNeutral && key != baseKey:
+			t.Errorf("Request.%s is listed answer-neutral but changes Plan.Key", f.Name)
+		case isNeutral, key == "":
+		case key == baseKey:
+			t.Errorf("Request.%s leaves Plan.Key unchanged: encode it, make it uncacheable, or list it as answer-neutral", f.Name)
+		case (p.SessionKey("t") == baseSession) != (f.Name == "C"):
+			t.Errorf("Request.%s: only C may share the session key of a different result key", f.Name)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package scorpion
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -45,7 +44,7 @@ type Session struct {
 	// latest snapshot a run used and gen that snapshot's label.
 	req  Request
 	gen  int64
-	plan *plan // the DT path's plan for gen; nil on every other path
+	prep *prepared // the DT path's prepared search for gen; nil on every other path
 
 	pools   map[float64]*pool
 	tracker *stream.Tracker
@@ -61,11 +60,11 @@ type Session struct {
 	refreshedFrom int64
 }
 
-// plan is what a run builds before it searches: the labelled scorer, the
-// (possibly feature-selected) predicate space, the executed query and the
-// resolved algorithm. A DT-path session keeps it, with the completed
+// prepared is what a run builds before it searches: the labelled scorer,
+// the (possibly feature-selected) predicate space, the executed query and
+// the resolved algorithm. A DT-path session keeps it, with the completed
 // partitioning, for every later run on the same generation.
-type plan struct {
+type prepared struct {
 	scorer *influence.Scorer
 	space  *predicate.Space
 	qres   *query.Result
@@ -188,10 +187,10 @@ func (s *Session) genOf(tbl *Table) int64 {
 	return s.gen + 1
 }
 
-// dtPath reports whether a request resolved to algo takes the DT reuse
-// path. A one-shot run (s nil) never does.
-func (s *Session) dtPath(algo Algorithm, r *Request) bool {
-	return s != nil && !s.refreshDT && algo == DT && r.ResolvedShards() <= 1
+// dtPath reports whether a Plan's search resolved to algo takes the DT
+// reuse path. A one-shot run (s nil) never does.
+func (s *Session) dtPath(algo Algorithm, p *Plan) bool {
+	return s != nil && !s.refreshDT && p.dtPath(algo)
 }
 
 // explain routes one call: a warm refresh when a pool waits at r's c off
@@ -200,28 +199,29 @@ func (s *Session) explain(ctx context.Context, r *Request, gen int64) (*Result, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if r.Table == nil {
-		return nil, fmt.Errorf("scorpion: nil table")
+	p, err := r.Plan()
+	if err != nil {
+		s.fallback, s.refreshedFrom = "", 0
+		return nil, err
 	}
 	if gen != s.gen {
-		// A new snapshot: the plan is stale, and without a tracker no pool
-		// can be re-scored, nor may one seed a merge on this snapshot.
-		s.plan = nil
+		// A new snapshot: the prepared search is stale, and without a tracker
+		// no pool can be re-scored, nor may one seed a merge on it.
+		s.prep = nil
 		if s.tracker == nil {
 			clear(s.pools)
 		}
 	}
 	s.req.Table, s.gen = r.Table, gen
 	s.fallback, s.refreshedFrom = "cold_start", 0
-	c := r.ResolvedC()
-	if p := s.pools[c]; p != nil && !s.dtPath(p.algo, r) {
-		if s.fallback = s.warmBlocker(r.Table, p); s.fallback == "" {
-			if res, err, ok := s.refresh(ctx, r, p, gen); ok {
+	if pl := s.pools[p.c]; pl != nil && !s.dtPath(pl.algo, p) {
+		if s.fallback = s.warmBlocker(r.Table, pl); s.fallback == "" {
+			if res, err, ok := s.refresh(ctx, p, pl, gen); ok {
 				return res, err
 			}
 		}
 	}
-	return s.run(ctx, r, gen)
+	return s.run(ctx, p, gen)
 }
 
 // warmBlocker runs the cheap structural checks before a refresh; refresh
@@ -245,58 +245,47 @@ func (s *Session) warmBlocker(tbl *Table, p *pool) string {
 // run is the one run spine — plan → search → rank → stats → interrupt
 // handling → metrics — behind ExplainContext (s nil: a one-shot run that
 // retains nothing) and every session run that does not refresh warm.
-func (s *Session) run(ctx context.Context, req *Request, gen int64) (*Result, error) {
+func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scorpion: %w", err)
 	}
-	if req.Shards < 0 {
-		return nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", req.Shards)
-	}
-	// Written so that NaN, which fails every comparison, is refused too.
-	if !(req.Epsilon >= 0) || math.IsInf(req.Epsilon, 1) {
-		return nil, fmt.Errorf("scorpion: epsilon %v must be finite and >= 0 (0 = exact)", req.Epsilon)
-	}
-	if req.Confidence != 0 && !(req.Confidence > 0 && req.Confidence < 1) {
-		return nil, fmt.Errorf("scorpion: confidence %v must lie in (0, 1)", req.Confidence)
-	}
 	reg := obs.RegistryFrom(ctx)
-	c := req.ResolvedC()
 
-	var p *plan
+	var pr *prepared
 	var searcher partition.Searcher
 	var coord *shard.Coordinator
 	var err error
-	if s != nil && s.plan != nil {
-		// The DT path on its planned generation: nothing to plan.
-		p = s.plan
-		if err = p.scorer.SetC(c); err != nil {
+	if s != nil && s.prep != nil {
+		// The DT path on its prepared generation: nothing to prepare.
+		pr = s.prep
+		if err = pr.scorer.SetC(p.c); err != nil {
 			return nil, fmt.Errorf("scorpion: %w", err)
 		}
-		searcher, coord, err = buildTopSearcher(req, p.scorer, p.space, p.algo, reg)
+		searcher, coord, err = buildTopSearcher(p, pr.scorer, pr.space, pr.algo, reg)
 	} else {
-		p, searcher, coord, err = planRun(ctx, req, reg)
+		pr, searcher, coord, err = prepare(ctx, p, reg)
 	}
 	if err != nil {
-		if s.dtPath(req.Algorithm, req) {
+		if s.dtPath(p.req.Algorithm, p) {
 			s.fallback = ""
 		}
 		return nil, err
 	}
 	reused := false
-	searchName := p.algo.String()
-	session := s.dtPath(p.algo, req)
+	searchName := pr.algo.String()
+	session := s.dtPath(pr.algo, p)
 	if session {
 		s.fallback = ""              // the DT path has no warm/cold
 		ds := searcher.(*dtSearcher) // dtPath means unsharded
-		ds.part, ds.seeds = p.part, s.seedsFor(c)
-		reused = p.part != nil
+		ds.part, ds.seeds = pr.part, s.seedsFor(p.c)
+		reused = pr.part != nil
 		searchName = "dt-session"
 	}
 	// Calls are this run's only: a session's scorer counts every run.
-	callsBefore := p.scorer.Calls()
+	callsBefore := pr.scorer.Calls()
 	calls := func() int64 {
-		n := p.scorer.Calls() - callsBefore
+		n := pr.scorer.Calls() - callsBefore
 		if coord != nil {
 			n += coord.Calls()
 		}
@@ -304,17 +293,17 @@ func (s *Session) run(ctx context.Context, req *Request, gen int64) (*Result, er
 	}
 	var board *partition.Board
 	var stopMonitor func()
-	if req.OnProgress != nil {
+	if p.req.OnProgress != nil {
 		board = partition.NewBoard()
-		stopMonitor = watchProgress(req, calls, board, start)
+		stopMonitor = watchProgress(p, calls, board, start)
 	}
 	searchCtx, searchSpan := obs.StartSpan(ctx, "search")
 	searchSpan.SetAttr("algorithm", searchName)
 	if session {
-		searchSpan.SetAttr("c", c)
+		searchSpan.SetAttr("c", p.c)
 		searchSpan.SetAttr("reused_partition", reused)
 	}
-	outcome, err := partition.RunSearchObserved(searchCtx, req.effectiveWorkers(), board, searcher)
+	outcome, err := partition.RunSearchObserved(searchCtx, p.workers, board, searcher)
 	if stopMonitor != nil {
 		stopMonitor()
 	}
@@ -333,14 +322,14 @@ func (s *Session) run(ctx context.Context, req *Request, gen int64) (*Result, er
 	_, rankSpan := obs.StartSpan(ctx, "rank")
 	// One exact re-scoring pass feeds both the response and the pool
 	// (present never mutates the slice, so they can share it).
-	scored := rescoreExact(p.scorer, outcome.Candidates)
-	res := present(req, p.scorer, scored, p.qres)
+	scored := rescoreExact(pr.scorer, outcome.Candidates)
+	res := present(p, pr.scorer, scored, pr.qres)
 	if !session {
 		rankSpan.SetAttr("candidates", len(scored))
 	}
 	rankSpan.End()
 
-	res.Stats.Algorithm = p.algo
+	res.Stats.Algorithm = pr.algo
 	res.Stats.Duration = time.Since(start)
 	res.Stats.ScorerCalls = calls()
 	res.Stats.Shards = 1
@@ -351,7 +340,7 @@ func (s *Session) run(ctx context.Context, req *Request, gen int64) (*Result, er
 	res.Stats.Escalated = outcome.Escalated
 	res.Stats.ReusedPartition = reused
 	if s != nil {
-		s.keep(req, gen, p, session, searcher, scored, res.Stats, outcome.Interrupted)
+		s.keep(p, gen, pr, session, searcher, scored, res.Stats, outcome.Interrupted)
 	}
 	if outcome.Interrupted {
 		cause := ctx.Err()
@@ -360,52 +349,51 @@ func (s *Session) run(ctx context.Context, req *Request, gen int64) (*Result, er
 		}
 		res.Stats.Interrupted = true
 		res.Stats.InterruptReason = cause.Error()
-		recordSearchMetrics(reg, p.algo, res.Stats, p.scorer)
+		recordSearchMetrics(reg, pr.algo, res.Stats, pr.scorer)
 		return res, fmt.Errorf("scorpion: search interrupted: %w", cause)
 	}
-	recordSearchMetrics(reg, p.algo, res.Stats, p.scorer)
+	recordSearchMetrics(reg, pr.algo, res.Stats, pr.scorer)
 	return res, nil
 }
 
-// planRun is the spine's plan phase: execute and label the query, resolve
+// prepare is the spine's plan phase: execute and label the query, resolve
 // the algorithm, and build the searcher that runs it.
-func planRun(ctx context.Context, req *Request, reg *obs.Registry) (*plan, partition.Searcher, *shard.Coordinator, error) {
+func prepare(ctx context.Context, p *Plan, reg *obs.Registry) (*prepared, partition.Searcher, *shard.Coordinator, error) {
 	_, span := obs.StartSpan(ctx, "plan")
 	defer span.End()
-	scorer, space, qres, err := buildScorer(req)
+	scorer, space, qres, err := buildScorer(p)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	algo, err := chooseAlgorithm(req, scorer)
+	algo, err := chooseAlgorithm(&p.req, scorer)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	searcher, coord, err := buildTopSearcher(req, scorer, space, algo, reg)
+	searcher, coord, err := buildTopSearcher(p, scorer, space, algo, reg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	span.SetAttr("algorithm", algo.String())
-	span.SetAttr("rows", req.Table.NumRows())
-	span.SetAttr("workers", req.effectiveWorkers())
+	span.SetAttr("rows", p.req.Table.NumRows())
+	span.SetAttr("workers", p.workers)
 	if coord != nil {
 		span.SetAttr("shards", coord.NumShards())
 	}
-	return &plan{scorer: scorer, space: space, qres: qres, algo: algo}, searcher, coord, nil
+	return &prepared{scorer: scorer, space: space, qres: qres, algo: algo}, searcher, coord, nil
 }
 
 // keep records what a finished spine run leaves for later runs. Only clean
 // runs store a pool or a partitioning: a partial one would silently
 // degrade every later run that re-used it.
-func (s *Session) keep(req *Request, gen int64, p *plan, session bool, searcher partition.Searcher, scored []partition.Candidate, st Stats, interrupted bool) {
-	c := req.ResolvedC()
+func (s *Session) keep(p *Plan, gen int64, pr *prepared, session bool, searcher partition.Searcher, scored []partition.Candidate, st Stats, interrupted bool) {
 	if interrupted {
-		delete(s.pools, c)
+		delete(s.pools, p.c)
 	} else {
-		s.store(c, &pool{cands: scored, gen: gen, algo: p.algo, shards: st.Shards, rows: req.Table.NumRows()})
+		s.store(p.c, &pool{cands: scored, gen: gen, algo: pr.algo, shards: st.Shards, rows: p.req.Table.NumRows()})
 	}
 	if session {
-		if s.plan != p {
-			// A new generation's plan: the older pools can seed nothing.
+		if s.prep != pr {
+			// A new generation's search: the older pools can seed nothing.
 			for k, old := range s.pools {
 				if old.gen != gen {
 					delete(s.pools, k)
@@ -413,17 +401,17 @@ func (s *Session) keep(req *Request, gen int64, p *plan, session bool, searcher 
 			}
 		}
 		if part := searcher.(*dtSearcher).part; part != nil {
-			p.part = part
+			pr.part = part
 		}
-		s.plan, s.tracker = p, nil
+		s.prep, s.tracker = pr, nil
 		return
 	}
-	s.plan = nil
+	s.prep = nil
 	if !interrupted {
 		// Seed the tracker from the run's own query result: only the
 		// per-group states are built here, not a second grouping pass. A
 		// non-removable aggregate leaves it nil: such sessions run cold.
-		s.tracker, _ = stream.NewTrackerFromResult(req.Table, req.SQL, p.qres)
+		s.tracker, _ = stream.NewTrackerFromResult(p.req.Table, p.req.SQL, pr.qres)
 	}
 }
 
@@ -473,11 +461,12 @@ func (s *Session) seedsFor(c float64) []partition.Candidate {
 // refresh advances the tracker over the appended tail and re-scores the
 // pool exactly under the grown groups. ok=false means the delta revealed a
 // structural change (s.fallback names it) and the caller should run cold.
-func (s *Session) refresh(ctx context.Context, r *Request, p *pool, gen int64) (*Result, error, bool) {
+func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*Result, error, bool) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scorpion: %w", err), true
 	}
+	r := &pl.req
 	tbl := r.Table
 	if _, err := s.tracker.Advance(tbl); err != nil {
 		// An advance that failed structurally may have been a half-applied
@@ -492,7 +481,7 @@ func (s *Session) refresh(ctx context.Context, r *Request, p *pool, gen int64) (
 		return nil, nil, false
 	}
 	qres := s.tracker.Result()
-	task, err := bindTask(r, s.tracker.Removable(), s.tracker.AggCol(), qres)
+	task, err := bindTask(pl, s.tracker.Removable(), s.tracker.AggCol(), qres)
 	if err != nil {
 		s.fallback = "group_missing" // a label group gone from the query output
 		return nil, nil, false
@@ -527,10 +516,10 @@ func (s *Session) refresh(ctx context.Context, r *Request, p *pool, gen int64) (
 	scored := rescoreExact(scorer, append([]partition.Candidate(nil), p.cands...))
 	// rows stays at the searched size: MaxWarmGrowth caps cumulative drift
 	// since the pool was searched, not per-batch growth.
-	s.pools[r.ResolvedC()] = &pool{cands: scored, gen: gen, algo: p.algo, shards: p.shards, rows: p.rows}
+	s.pools[pl.c] = &pool{cands: scored, gen: gen, algo: p.algo, shards: p.shards, rows: p.rows}
 	s.refreshedFrom = p.gen
 	s.fallback = ""
-	res := present(r, scorer, scored, qres)
+	res := present(pl, scorer, scored, qres)
 	res.Stats.Algorithm = p.algo
 	res.Stats.Duration = time.Since(start)
 	res.Stats.ScorerCalls = scorer.Calls()

@@ -3,6 +3,7 @@ package scorpion
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -693,17 +694,61 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 // partitioners set it from estimates (sampled influence, the §6.1.4
 // combine step), so the search-time flag could contradict the exact
 // HoldOutPenalty reported right beside it. A Session keeps the returned
-// slice as the run's candidate pool.
-func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate) []partition.Candidate {
-	cands = partition.Dedupe(cands)
-	for i := range cands {
-		outMean, holdPen := scorer.Parts(cands[i].Pred)
-		cands[i].Score = scorer.Task().Lambda*outMean - (1-scorer.Task().Lambda)*holdPen
-		cands[i].HoldPenalty = holdPen
-		cands[i].InfluencesHoldOut = holdPen > 0
+// slice as the run's candidate pool. With keep set (an incremental scorer)
+// it also returns each candidate's per-group selections, sels[i] belonging
+// to the returned cands[i], for a warm refresh to extend; otherwise sels is
+// nil.
+func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate, keep bool) ([]partition.Candidate, [][]influence.Selection) {
+	r := ranked{cands: partition.Dedupe(cands)}
+	task := scorer.Task()
+	groups := len(task.Outliers) + len(task.HoldOuts)
+	var flat []influence.Selection
+	if keep {
+		r.sels = make([][]influence.Selection, len(r.cands))
+		flat = make([]influence.Selection, len(r.cands)*groups)
 	}
-	partition.SortByScore(cands)
-	return cands
+	for i := range r.cands {
+		var outMean, holdPen float64
+		if keep {
+			r.sels[i] = scorer.Select(r.cands[i].Pred, flat[i*groups:i*groups:(i+1)*groups])
+			outMean, holdPen = scorer.Score(r.sels[i])
+		} else {
+			outMean, holdPen = scorer.Parts(r.cands[i].Pred)
+		}
+		setScore(&r.cands[i], task.Lambda, outMean, holdPen)
+	}
+	r.sort()
+	return r.cands, r.sels
+}
+
+// setScore gives a candidate its exact objective from the two parts.
+func setScore(c *partition.Candidate, lambda, outMean, holdPen float64) {
+	c.Score = lambda*outMean - (1-lambda)*holdPen
+	c.HoldPenalty = holdPen
+	c.InfluencesHoldOut = holdPen > 0
+}
+
+// ranked is a candidate list with, when kept, each candidate's selections.
+type ranked struct {
+	cands []partition.Candidate
+	sels  [][]influence.Selection
+}
+
+// sort orders the candidates as partition.SortByScore does, moving each
+// candidate's selections with it.
+func (r ranked) sort() {
+	if r.sels == nil {
+		partition.SortByScore(r.cands)
+		return
+	}
+	sort.Stable(r)
+}
+
+func (r ranked) Len() int           { return len(r.cands) }
+func (r ranked) Less(i, j int) bool { return partition.Better(r.cands[i].Score, r.cands[j].Score) }
+func (r ranked) Swap(i, j int) {
+	r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
+	r.sels[i], r.sels[j] = r.sels[j], r.sels[i]
 }
 
 // present renders exactly-scored candidates as the Plan's top-k ranked

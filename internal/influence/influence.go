@@ -26,6 +26,7 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -160,6 +161,9 @@ type Scorer struct {
 	holdOrig  []float64
 	outState  []aggregate.State // cached state(g); zero on the black-box path
 	holdState []aggregate.State
+	// sizes is |g| per group, outliers then hold-outs: what Score needs of a
+	// group it does not walk.
+	sizes []int
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
 	cache scoreCache
@@ -275,6 +279,7 @@ func NewScorer(task *Task) (*Scorer, error) {
 	}
 	s.outOrig, s.outState = init(task.Outliers)
 	s.holdOrig, s.holdState = init(task.HoldOuts)
+	s.sizeGroups()
 	return s, nil
 }
 
@@ -311,7 +316,18 @@ func NewScorerSeeded(task *Task, outStates, holdStates []aggregate.State) (*Scor
 	}
 	s.outOrig, s.outState = adopt(outStates)
 	s.holdOrig, s.holdState = adopt(holdStates)
+	s.sizeGroups()
 	return s, nil
+}
+
+// sizeGroups records |g| for every group, outliers then hold-outs.
+func (s *Scorer) sizeGroups() {
+	s.sizes = make([]int, 0, len(s.task.Outliers)+len(s.task.HoldOuts))
+	for _, groups := range [][]Group{s.task.Outliers, s.task.HoldOuts} {
+		for _, g := range groups {
+			s.sizes = append(s.sizes, g.Rows.Count())
+		}
+	}
 }
 
 // newScorer validates the task and binds the scorer to its columns.
@@ -407,12 +423,24 @@ func (s *Scorer) value(r int) float64 {
 	return s.aggVals[r]
 }
 
-// selection is what one group's scoring loop gathers about p(g) before
-// finish turns it into Δagg. It lives on the caller's stack.
-type selection struct {
+// Selection is what the incremental path gathers about p(g) for one group
+// before finish turns it into Δagg: the number of matched tuples and
+// state(p(g)), folded in ascending row order. It is a 32-byte value. For an
+// append-only group it stays valid as the group grows: folding the new rows'
+// matches onto it gives the bits a fold of the whole group gives, because
+// every old row precedes every new one (see Select, Extend and Score).
+type Selection struct {
 	matched int
-	// sel is state(p(g)), folded in ascending row order (incremental path).
-	sel aggregate.State
+	sel     aggregate.State
+}
+
+// Matched reports |p(g)|.
+func (x Selection) Matched() int { return x.matched }
+
+// selection is one group's scoring loop state; it lives on the caller's
+// stack.
+type selection struct {
+	Selection
 	// rest holds the values of g − p(g) in ascending row order, with room
 	// for matched more (black-box path).
 	rest []float64
@@ -497,25 +525,32 @@ func finite(d float64) float64 {
 	return d
 }
 
-// delta computes Δagg(group, p) and the number of matched tuples: a loop
-// over the group's maximal row runs, 64 rows at a time, that tests the
-// clauses on the column slices and folds the matched values in ascending
-// row order. On the incremental path nothing is allocated.
-func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate.Predicate) (float64, int) {
+// fold is one group's scoring loop: over the group's maximal row runs from
+// row from on, 64 rows at a time, it tests the clauses on the column slices
+// and folds the matched values into x in ascending row order. It returns
+// the number of rows it tested. On the incremental path nothing is
+// allocated; the black-box path needs from = 0.
+func (s *Scorer) fold(g Group, p predicate.Predicate, from int, x *selection) int {
 	s.calls.Add(1)
-	var x selection
 	incremental := s.rem != nil
 	if !incremental {
 		x.rest = make([]float64, 0, g.Rows.Count())
 	}
-	total := 0
-	g.Rows.ForEachRun(func(lo, hi int) {
-		total += hi - lo
+	tested := 0
+	g.Rows.ForEachRunFrom(from, func(lo, hi int) {
+		tested += hi - lo
 		for ; lo < hi; lo += 64 {
 			n := min(64, hi-lo)
 			x.take(s.aggVals, lo, n, p.MatchMask(s.tab, lo, n), incremental)
 		}
 	})
+	return tested
+}
+
+// delta computes Δagg(group, p) and the number of matched tuples.
+func (s *Scorer) delta(g Group, orig float64, state aggregate.State, p predicate.Predicate) (float64, int) {
+	var x selection
+	total := s.fold(g, p, 0, &x)
 	return s.finish(orig, state, &x, total), x.matched
 }
 
@@ -574,15 +609,87 @@ func (s *Scorer) influenceUncached(p predicate.Predicate) float64 {
 
 // Parts returns the two components of the objective: the mean outlier
 // influence and the hold-out penalty max_h |inf(h, p)| (0 without
-// hold-outs), before the λ weighting.
+// hold-outs), before the λ weighting. It folds each whole group into a
+// selection and scores the selections.
 func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
-	outMean = s.InfluenceOutliersOnly(p)
-	for i := range s.task.HoldOuts {
-		if h := math.Abs(s.HoldOutInfluence(i, p)); h > holdPenalty {
+	return s.objective(func(g Group, _ int) (x selection, total int) {
+		total = s.fold(g, p, 0, &x)
+		return x, total
+	})
+}
+
+// Select folds p over every group of the task from its first row — the
+// outliers, then the hold-outs — into dst (grown as needed), one Selection
+// per group, and returns it. Score(Select(p, nil)) is Parts(p). It needs the
+// incremental path: a black-box aggregate has no state to keep.
+func (s *Scorer) Select(p predicate.Predicate, dst []Selection) []Selection {
+	s.mustIncremental()
+	dst = slices.Grow(dst[:0], len(s.sizes))[:len(s.sizes)]
+	clear(dst)
+	s.Extend(p, 0, dst)
+	return dst
+}
+
+// Extend folds p's matches among the rows at or after from of every group
+// onto sels, one Selection per group as Select lays them out, and returns
+// the number of rows it tested. Each selection must hold p's fold of its
+// group's rows before from: a group that only grew by rows at or after from
+// then holds exactly what Select would fold for it. It allocates nothing.
+func (s *Scorer) Extend(p predicate.Predicate, from int, sels []Selection) int {
+	s.mustIncremental()
+	tested := 0
+	nOut := len(s.task.Outliers)
+	for gi := range sels {
+		g := s.group(gi, nOut)
+		x := selection{Selection: sels[gi]}
+		tested += s.fold(g, p, from, &x)
+		sels[gi] = x.Selection
+	}
+	return tested
+}
+
+// Score returns Parts' two components from one selection per group, laid
+// out as Select lays them out.
+func (s *Scorer) Score(sels []Selection) (outMean, holdPenalty float64) {
+	return s.objective(func(_ Group, gi int) (selection, int) {
+		return selection{Selection: sels[gi]}, s.sizes[gi]
+	})
+}
+
+// objective is the one formula behind Parts and Score: gather returns each
+// group's selection and |g| — the outliers first, then the hold-outs, gi
+// counting across both — and objective combines them into the mean outlier
+// influence and the hold-out penalty. Selections travel by value: a pointer
+// handed to a func value would move every one of them to the heap.
+func (s *Scorer) objective(gather func(g Group, gi int) (selection, int)) (outMean, holdPenalty float64) {
+	nOut := len(s.task.Outliers)
+	for i, g := range s.task.Outliers {
+		x, total := gather(g, i)
+		outMean += s.scale(s.finish(s.outOrig[i], s.outState[i], &x, total), x.matched) * float64(g.Direction)
+	}
+	outMean /= float64(nOut)
+	for i, g := range s.task.HoldOuts {
+		x, total := gather(g, nOut+i)
+		if h := math.Abs(s.scale(s.finish(s.holdOrig[i], s.holdState[i], &x, total), x.matched)); h > holdPenalty {
 			holdPenalty = h
 		}
 	}
 	return outMean, holdPenalty
+}
+
+// group returns group gi, counting the outliers first and then the
+// hold-outs; nOut is the number of outliers.
+func (s *Scorer) group(gi, nOut int) Group {
+	if gi < nOut {
+		return s.task.Outliers[gi]
+	}
+	return s.task.HoldOuts[gi-nOut]
+}
+
+func (s *Scorer) mustIncremental() {
+	if s.rem == nil {
+		panic(fmt.Sprintf("influence: selections need an incrementally removable aggregate; %q is not", s.task.Agg.Name()))
+	}
 }
 
 // TupleOutlierInfluence computes the influence of the single tuple at row r

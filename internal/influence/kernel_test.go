@@ -495,3 +495,125 @@ func TestDeltaZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestExtendMatchesSelect: selections folded over a prefix of each group
+// and extended over the rest hold the bits of selections folded over the
+// whole group, and Score of them is Parts — over the three RowSet
+// encodings, the removable aggregates, perturbation on and off, and cut
+// points before, inside and after the groups.
+func TestExtendMatchesSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tbl := kernelTable(rng, false)
+	n := tbl.NumRows()
+	shapes := [][]int{
+		groupShape(rng, 1000, 7000, 60),
+		groupShape(rng, 1000, 1200, 45),
+		groupShape(rng, 2000, 2100, 60),
+	}
+	preds := kernelPredicates(rng, tbl)
+	target := 5.0
+	for _, enc := range []string{"dense", "runs", "sparse"} {
+		var groups []Group
+		for i, rows := range shapes {
+			groups = append(groups, Group{Key: fmt.Sprint(i), Rows: encode(t, n, rows, enc), Direction: TooHigh})
+		}
+		for _, aggName := range []string{"sum", "count", "avg", "variance", "stddev"} {
+			agg, _ := aggregate.ByName(aggName)
+			for _, perturb := range []*float64{nil, &target} {
+				task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:1], HoldOuts: groups[1:], Lambda: 0.6, C: 0.3, Perturb: perturb}
+				full, err := NewScorer(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, from := range []int{0, 1100, 2050, 4000, n} {
+					prefix := *task
+					prefix.Outliers, prefix.HoldOuts = nil, nil
+					for i, g := range groups {
+						g.Rows = g.Rows.Slice(0, from).Embed(0, n)
+						if i == 0 {
+							prefix.Outliers = append(prefix.Outliers, g)
+						} else {
+							prefix.HoldOuts = append(prefix.HoldOuts, g)
+						}
+					}
+					old, err := NewScorer(&prefix)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range preds {
+						sels := old.Select(p, nil)
+						before := full.Calls()
+						tested := full.Extend(p, from, sels)
+						if got := full.Calls() - before; got != int64(len(groups)) {
+							t.Fatalf("Extend counted %d calls, want one per group (%d)", got, len(groups))
+						}
+						wantTested := 0
+						for _, g := range groups {
+							wantTested += g.Rows.CountRange(from, n)
+						}
+						if tested != wantTested {
+							t.Fatalf("Extend from %d tested %d rows, want %d", from, tested, wantTested)
+						}
+						whole := full.Select(p, nil)
+						for g := range whole {
+							if sels[g].matched != whole[g].matched || !sameBits(sels[g].sel.Sum, whole[g].sel.Sum) ||
+								!sameBits(sels[g].sel.SumSq, whole[g].sel.SumSq) || !sameBits(sels[g].sel.N, whole[g].sel.N) {
+								t.Fatalf("enc=%s agg=%s from=%d group %d: extended %+v, whole %+v", enc, aggName, from, g, sels[g], whole[g])
+							}
+						}
+						gotOut, gotHold := full.Score(sels)
+						wantOut, wantHold := full.Parts(p)
+						if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
+							t.Fatalf("enc=%s agg=%s from=%d: Score = (%v, %v), Parts (%v, %v)", enc, aggName, from, gotOut, gotHold, wantOut, wantHold)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTailFoldZeroAlloc pins the refresh kernel's allocation count: Parts,
+// extending kept selections over a tail and scoring them allocate nothing,
+// whatever the group's encoding.
+func TestTailFoldZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tbl := kernelTable(rng, false)
+	n := tbl.NumRows()
+	scattered := relation.NewRowSet(n)
+	for scattered.Count() < 500 {
+		scattered.Add(rng.Intn(n))
+	}
+	p := predicate.MustNew(
+		predicate.NewSetClause(0, "d", []int32{0, 2}),
+		predicate.NewRangeClause(1, "x", 10, 90, false),
+	)
+	target := 1.0
+	for _, rows := range []*relation.RowSet{relation.FullRowSet(n), scattered, relation.RowSetOf(n, 5, 900, 901, 8000)} {
+		for _, perturb := range []*float64{nil, &target} {
+			task := &Task{
+				Table: tbl, Agg: aggregate.StdDev{}, AggCol: 3,
+				Outliers: []Group{{Key: "o", Rows: rows, Direction: TooHigh}},
+				HoldOuts: []Group{{Key: "h", Rows: rows}},
+				Lambda:   0.5, C: 0.2, Perturb: perturb,
+			}
+			s, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sels := s.Select(p, nil)
+			var sink float64
+			if a := testing.AllocsPerRun(100, func() { o, h := s.Parts(p); sink += o + h }); a != 0 {
+				t.Errorf("%s group, perturb=%v: Parts allocates %v times per call", rows.Encoding(), perturb != nil, a)
+			}
+			if a := testing.AllocsPerRun(100, func() {
+				s.Extend(p, n-200, sels)
+				o, h := s.Score(sels)
+				sink += o + h
+			}); a != 0 {
+				t.Errorf("%s group, perturb=%v: Extend and Score allocate %v times per call", rows.Encoding(), perturb != nil, a)
+			}
+			_ = sink
+		}
+	}
+}

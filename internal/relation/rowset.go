@@ -532,6 +532,22 @@ func (s *RowSet) iter() runIter {
 	return runIter{enc: s.enc, words: s.words, runs: s.runs, elems: s.elems}
 }
 
+// seek skips the runs that end at or before from; the next run may still
+// start before from.
+func (it *runIter) seek(from int) {
+	if from <= 0 {
+		return
+	}
+	switch it.enc {
+	case encRuns:
+		it.i = sort.Search(len(it.runs), func(k int) bool { return int(it.runs[k].hi) > from })
+	case encSparse:
+		it.i = sort.Search(len(it.elems), func(k int) bool { return int(it.elems[k]) >= from })
+	default:
+		it.pos = from
+	}
+}
+
 func (it *runIter) next() (lo, hi int, ok bool) {
 	switch it.enc {
 	case encRuns:
@@ -1160,9 +1176,17 @@ func (s *RowSet) ForEach(fn func(row int)) {
 // reads column slices gets whole windows to loop over instead of one
 // callback per row, whatever the encoding.
 func (s *RowSet) ForEachRun(fn func(lo, hi int)) {
+	s.ForEachRunFrom(0, fn)
+}
+
+// ForEachRunFrom is ForEachRun over the members at or after from: the run
+// holding from starts at from. A caller that already folded the rows before
+// from skips them in O(log #runs) for the compact encodings.
+func (s *RowSet) ForEachRunFrom(from int, fn func(lo, hi int)) {
 	it := s.iter()
+	it.seek(from)
 	for lo, hi, ok := it.next(); ok; lo, hi, ok = it.next() {
-		fn(lo, hi)
+		fn(max(lo, from), hi)
 	}
 }
 

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -422,6 +423,31 @@ func TestForEachRunProperty(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s: row %d of the runs is %d, want %d", v, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForEachRunFromProperty: in every encoding, ForEachRunFrom yields
+// exactly ForEachRun's runs clipped to the rows at or after from — from
+// before, inside, between and past the members.
+func TestForEachRunFromProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 200; iter++ {
+		s := randomSet(rng, rng.Intn(700))
+		for _, from := range []int{0, rng.Intn(s.Universe() + 1), rng.Intn(s.Universe() + 1), s.Universe(), s.Universe() + 64} {
+			var want [][2]int
+			s.ForEachRun(func(lo, hi int) {
+				if hi > from {
+					want = append(want, [2]int{max(lo, from), hi})
+				}
+			})
+			for _, v := range encVariants(s) {
+				var got [][2]int
+				v.ForEachRunFrom(from, func(lo, hi int) { got = append(got, [2]int{lo, hi}) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s from %d: runs %v, want %v", v, from, got, want)
 				}
 			}
 		}

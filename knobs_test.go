@@ -169,7 +169,8 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		{Pred: outlierOnly, Score: 1, InfluencesHoldOut: true},
 		{Pred: holdOutTouching, Score: 0.5, InfluencesHoldOut: false},
 	}
-	res := present(p, scorer, rescoreExact(scorer, cands), nil)
+	scored, _ := rescoreExact(scorer, cands, false)
+	res := present(p, scorer, scored, nil)
 	if len(res.Explanations) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(res.Explanations))
 	}

@@ -3,6 +3,7 @@ package scorpion
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,7 +34,9 @@ import (
 //     exactly against the current data through a stream.Tracker, which
 //     folds each appended tail into per-group provenance and states at
 //     O(batch) cost — no query re-execution, no search (Stats.Refreshed).
-//     Structural changes fall back cold; FallbackReason names why.
+//     The pool keeps each candidate's per-group selection, state(p(g)), so
+//     the re-score also tests only the appended rows. Structural changes
+//     fall back cold; FallbackReason names why.
 //   - Every other request runs cold and stores its pool.
 //
 // The pool map holds at most maxCachedPools entries (one per c). The
@@ -76,12 +79,20 @@ type prepared struct {
 // plus what the run that produced it was: the generation label, resolved
 // algorithm, shard count, and the table's row count when it was searched
 // (MaxWarmGrowth's baseline — a warm refresh keeps it).
+//
+// A pool a refresh can reach (off the DT path, removable aggregate) also
+// keeps, per candidate, one influence.Selection per labelled group: sels[i]
+// belongs to cands[i] and follows the group order of keys. absorbed is the
+// row count the selections cover; a refresh folds only the rows after it.
 type pool struct {
-	cands  []partition.Candidate
-	gen    int64
-	algo   Algorithm
-	shards int
-	rows   int
+	cands    []partition.Candidate
+	sels     [][]influence.Selection
+	keys     []string
+	absorbed int
+	gen      int64
+	algo     Algorithm
+	shards   int
+	rows     int
 }
 
 // maxCachedPools bounds the pool map: a long-lived serving session sweeping
@@ -228,7 +239,7 @@ func (s *Session) explain(ctx context.Context, r *Request, gen int64) (*Result, 
 // itself re-checks what only the appended tail reveals.
 func (s *Session) warmBlocker(tbl *Table, p *pool) string {
 	switch n := tbl.NumRows(); {
-	case s.tracker == nil || p.rows == 0:
+	case s.tracker == nil || p.rows == 0 || p.sels == nil:
 		return "cold_start"
 	case n < s.tracker.Rows():
 		// Not an append successor at all — distinct from a schema change,
@@ -321,8 +332,10 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 
 	_, rankSpan := obs.StartSpan(ctx, "rank")
 	// One exact re-scoring pass feeds both the response and the pool
-	// (present never mutates the slice, so they can share it).
-	scored := rescoreExact(pr.scorer, outcome.Candidates)
+	// (present never mutates the slice, so they can share it). A pool that
+	// may refresh keeps its selections; keep builds its tracker.
+	refreshable := s != nil && !session && !outcome.Interrupted && pr.scorer.Incremental()
+	scored, sels := rescoreExact(pr.scorer, outcome.Candidates, refreshable)
 	res := present(p, pr.scorer, scored, pr.qres)
 	if !session {
 		rankSpan.SetAttr("candidates", len(scored))
@@ -340,7 +353,7 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 	res.Stats.Escalated = outcome.Escalated
 	res.Stats.ReusedPartition = reused
 	if s != nil {
-		s.keep(p, gen, pr, session, searcher, scored, res.Stats, outcome.Interrupted)
+		s.keep(p, gen, pr, session, searcher, &pool{cands: scored, sels: sels}, res.Stats, outcome.Interrupted)
 	}
 	if outcome.Interrupted {
 		cause := ctx.Err()
@@ -385,11 +398,18 @@ func prepare(ctx context.Context, p *Plan, reg *obs.Registry) (*prepared, partit
 // keep records what a finished spine run leaves for later runs. Only clean
 // runs store a pool or a partitioning: a partial one would silently
 // degrade every later run that re-used it.
-func (s *Session) keep(p *Plan, gen int64, pr *prepared, session bool, searcher partition.Searcher, scored []partition.Candidate, st Stats, interrupted bool) {
+func (s *Session) keep(p *Plan, gen int64, pr *prepared, session bool, searcher partition.Searcher, pl *pool, st Stats, interrupted bool) {
 	if interrupted {
 		delete(s.pools, p.c)
 	} else {
-		s.store(p.c, &pool{cands: scored, gen: gen, algo: pr.algo, shards: st.Shards, rows: p.req.Table.NumRows()})
+		pl.gen, pl.algo, pl.shards = gen, pr.algo, st.Shards
+		pl.rows = p.req.Table.NumRows()
+		if pl.sels != nil {
+			task := pr.scorer.Task()
+			pl.keys = append(groupKeys(task.Outliers), groupKeys(task.HoldOuts)...)
+			pl.absorbed = pl.rows
+		}
+		s.store(p.c, pl)
 	}
 	if session {
 		if s.prep != pr {
@@ -459,67 +479,62 @@ func (s *Session) seedsFor(c float64) []partition.Candidate {
 }
 
 // refresh advances the tracker over the appended tail and re-scores the
-// pool exactly under the grown groups. ok=false means the delta revealed a
-// structural change (s.fallback names it) and the caller should run cold.
+// pool exactly under the grown groups, testing each candidate against the
+// rows its selections have not absorbed yet. ok=false means the delta
+// revealed a structural change (s.fallback names it) and the caller should
+// run cold; the pool is untouched until nothing can fail.
 func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*Result, error, bool) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("scorpion: %w", err), true
 	}
+	ctx, span := obs.StartSpan(ctx, "refresh")
+	defer span.End()
 	r := &pl.req
 	tbl := r.Table
-	if _, err := s.tracker.Advance(tbl); err != nil {
+	_, advance := obs.StartSpan(ctx, "advance")
+	_, err := s.tracker.Advance(tbl)
+	advance.End()
+	if err != nil {
 		// An advance that failed structurally may have been a half-applied
 		// batch; drop the tracker so the cold run rebuilds it. The error
 		// explains WHY the warm path bailed — surface it instead of letting
 		// the cold run look unprovoked.
 		obs.LoggerFrom(ctx).Warn("scorpion: warm refresh abandoned, tracker advance failed",
 			"error", err, "rows", tbl.NumRows())
-		obs.SpanFrom(ctx).SetAttr("advance_error", err.Error())
+		span.SetAttr("advance_error", err.Error())
 		s.tracker = nil
 		s.fallback = "advance_failed"
 		return nil, nil, false
 	}
-	qres := s.tracker.Result()
-	task, err := bindTask(pl, s.tracker.Removable(), s.tracker.AggCol(), qres)
-	if err != nil {
-		s.fallback = "group_missing" // a label group gone from the query output
+	_, seed := obs.StartSpan(ctx, "seed")
+	scorer, qres := s.seed(pl, p)
+	seed.End()
+	if scorer == nil {
 		return nil, nil, false
 	}
-	if len(r.HoldOuts) == 0 && r.AllOthersHoldOut {
-		for _, h := range task.HoldOuts {
-			if h.Rows.Min() >= p.rows {
-				// A group born since the pool was searched changes the
-				// all-others label set itself: the pool never faced it.
-				s.fallback = "new_group"
-				return nil, nil, false
-			}
-		}
+
+	// Nothing fails from here on: the pool is re-scored in place. rows stays
+	// at the searched size — MaxWarmGrowth caps cumulative drift since the
+	// pool was searched, not per-batch growth.
+	_, rescore := obs.StartSpan(ctx, "rescore")
+	tested := 0
+	lambda := scorer.Task().Lambda
+	for i := range p.cands {
+		tested += scorer.Extend(p.cands[i].Pred, p.absorbed, p.sels[i])
+		outMean, holdPen := scorer.Score(p.sels[i])
+		setScore(&p.cands[i], lambda, outMean, holdPen)
 	}
-	outStates, err := s.tracker.States(groupKeys(task.Outliers))
-	if err != nil {
-		s.fallback = "states_unavailable"
-		return nil, nil, false
-	}
-	holdStates, err := s.tracker.States(groupKeys(task.HoldOuts))
-	if err != nil {
-		s.fallback = "states_unavailable"
-		return nil, nil, false
-	}
-	scorer, err := influence.NewScorerSeeded(task, outStates, holdStates)
-	if err != nil {
-		s.fallback = "seed_failed"
-		return nil, nil, false
-	}
-	// Re-score a copy: rescoreExact sorts and rewrites scores in place, and
-	// a cold fallback must not observe a half-updated pool.
-	scored := rescoreExact(scorer, append([]partition.Candidate(nil), p.cands...))
-	// rows stays at the searched size: MaxWarmGrowth caps cumulative drift
-	// since the pool was searched, not per-batch growth.
-	s.pools[pl.c] = &pool{cands: scored, gen: gen, algo: p.algo, shards: p.shards, rows: p.rows}
+	ranked{p.cands, p.sels}.sort()
+	rescore.End()
+	obs.RegistryFrom(ctx).Counter("scorpion_refresh_rows_scanned_total").Add(float64(tested))
 	s.refreshedFrom = p.gen
 	s.fallback = ""
-	res := present(pl, scorer, scored, qres)
+	p.absorbed, p.gen = tbl.NumRows(), gen
+
+	_, presentSpan := obs.StartSpan(ctx, "present")
+	res := present(pl, scorer, p.cands, qres)
+	presentSpan.End()
 	res.Stats.Algorithm = p.algo
 	res.Stats.Duration = time.Since(start)
 	res.Stats.ScorerCalls = scorer.Calls()
@@ -529,6 +544,83 @@ func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*R
 	res.Stats.Shards = p.shards
 	res.Stats.Refreshed = true
 	return res, nil, true
+}
+
+// seed labels the advanced tracker's groups for the Plan, builds a scorer
+// seeded with their states and aligns p's selections to its group order.
+// On a structural change it sets s.fallback and returns a nil scorer.
+func (s *Session) seed(pl *Plan, p *pool) (*influence.Scorer, *query.Result) {
+	r := &pl.req
+	qres := s.tracker.Result()
+	task, err := bindTask(pl, s.tracker.Removable(), s.tracker.AggCol(), qres)
+	if err != nil {
+		s.fallback = "group_missing" // a label group gone from the query output
+		return nil, nil
+	}
+	if len(r.HoldOuts) == 0 && r.AllOthersHoldOut {
+		for _, h := range task.HoldOuts {
+			if h.Rows.Min() >= p.rows {
+				// A group born since the pool was searched changes the
+				// all-others label set itself: the pool never faced it.
+				s.fallback = "new_group"
+				return nil, nil
+			}
+		}
+	}
+	outKeys, holdKeys := groupKeys(task.Outliers), groupKeys(task.HoldOuts)
+	outStates, err := s.tracker.States(outKeys)
+	if err != nil {
+		s.fallback = "states_unavailable"
+		return nil, nil
+	}
+	holdStates, err := s.tracker.States(holdKeys)
+	if err != nil {
+		s.fallback = "states_unavailable"
+		return nil, nil
+	}
+	scorer, err := influence.NewScorerSeeded(task, outStates, holdStates)
+	if err != nil {
+		s.fallback = "seed_failed"
+		return nil, nil
+	}
+	if !p.align(outKeys, holdKeys) {
+		s.fallback = "new_group" // a labelled group the selections never covered
+		return nil, nil
+	}
+	return scorer, qres
+}
+
+// align reorders every candidate's selections from the group order of
+// p.keys to the task's: the outliers' keys out, then the hold-outs' hold.
+// It reports false, changing nothing, when the task labels a group p.keys
+// lacks.
+func (p *pool) align(out, hold []string) bool {
+	n := len(out)
+	if len(p.keys) == n+len(hold) && slices.Equal(p.keys[:n], out) && slices.Equal(p.keys[n:], hold) {
+		return true
+	}
+	keys := append(append([]string(nil), out...), hold...)
+	at := make(map[string]int, len(p.keys))
+	for i, k := range p.keys {
+		at[k] = i
+	}
+	from := make([]int, len(keys))
+	for i, k := range keys {
+		j, ok := at[k]
+		if !ok {
+			return false
+		}
+		from[i] = j
+	}
+	for c, old := range p.sels {
+		sels := make([]influence.Selection, len(keys))
+		for i, j := range from {
+			sels[i] = old[j]
+		}
+		p.sels[c] = sels
+	}
+	p.keys = keys
+	return true
 }
 
 func groupKeys(groups []influence.Group) []string {

@@ -330,11 +330,22 @@ func ExplainContext(ctx context.Context, req *Request) (*Result, error) {
 	return (*Session)(nil).run(ctx, p, 0)
 }
 
+// memoDelta returns a func reporting the scorer's memo hits and misses
+// since the call: the one run's share of a scorer a session keeps across
+// runs.
+func memoDelta(scorer *influence.Scorer) func() (hits, misses int64) {
+	hits0, misses0 := scorer.MemoStats()
+	return func() (int64, int64) {
+		hits, misses := scorer.MemoStats()
+		return hits - hits0, misses - misses0
+	}
+}
+
 // recordSearchMetrics publishes one finished search's counters into the
-// request's registry (no-op when telemetry is off). Scorers are built
-// per search, so totals are deltas; memo stats fold in the hit-rate
-// signal without touching the registry from the scoring hot path.
-func recordSearchMetrics(reg *obs.Registry, algo Algorithm, st Stats, scorer *influence.Scorer) {
+// request's registry (no-op when telemetry is off). Totals are the run's
+// deltas; memo stats fold in the hit-rate signal without touching the
+// registry from the scoring hot path.
+func recordSearchMetrics(reg *obs.Registry, algo Algorithm, st Stats, memo func() (hits, misses int64)) {
 	if reg == nil {
 		return
 	}
@@ -342,7 +353,7 @@ func recordSearchMetrics(reg *obs.Registry, algo Algorithm, st Stats, scorer *in
 	reg.Counter("scorpion_search_total", label...).Inc()
 	reg.Histogram("scorpion_search_seconds", nil, label...).Observe(st.Duration.Seconds())
 	reg.Counter("scorpion_scorer_calls_total").Add(float64(st.ScorerCalls))
-	hits, misses := scorer.MemoStats()
+	hits, misses := memo()
 	reg.Counter("scorpion_scorer_memo_hits_total").Add(float64(hits))
 	reg.Counter("scorpion_scorer_memo_misses_total").Add(float64(misses))
 	reg.Counter("scorpion_anytime_pruned_total").Add(float64(st.Pruned))

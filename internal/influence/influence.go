@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -141,13 +142,18 @@ func (t *Task) Value(r int) float64 {
 // each predicate exactly once (NAIVE's grid, through a Layout) and the
 // component calls (Parts, OutlierInfluence, ...) bypass the memo.
 //
+// A scorer that outlives one c value (a Session's DT path) can also keep a
+// selection memo (MemoizeSelections): the per-group selections of every box
+// Parts or Influence folded, which do not depend on c, so a later run at
+// another c re-scores a known box without testing a row.
+//
 // A Scorer is safe for concurrent use: the per-group states are immutable
-// after construction, the memoized score cache is sharded and synchronized,
-// and the Calls counter is atomic — so every worker of a parallel search
-// can share one Scorer (and one memo cache) instead of rebuilding per-group
-// state per goroutine. Scoring keeps nothing on the Scorer but the memo and
-// the counter: every selection state lives on the caller's stack, and
-// anything larger (a Layout) belongs to the search that built it.
+// after construction, both memos are sharded and synchronized, and the
+// Calls counter is atomic — so every worker of a parallel search can share
+// one Scorer (and its memos) instead of rebuilding per-group state per
+// goroutine. Scoring keeps nothing on the Scorer but the memos and the
+// counter: every selection state lives on the caller's stack, and anything
+// larger (a Layout) belongs to the search that built it.
 type Scorer struct {
 	task *Task
 	rem  aggregate.Removable // nil → black-box path
@@ -166,42 +172,55 @@ type Scorer struct {
 	sizes []int
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
-	cache scoreCache
+	cache memo[float64]
+	// sels is the selection memo: Predicate.Key() → Select's selections.
+	// nil unless MemoizeSelections turned it on.
+	sels *memo[[]Selection]
 }
 
-// cacheShards is the number of score-cache stripes. Keys hash across
-// shards, so concurrent workers scoring distinct predicates rarely contend
-// on the same lock.
+// cacheShards is the number of memo stripes. Keys hash across shards, so
+// concurrent workers scoring distinct predicates rarely contend on the same
+// lock.
 const cacheShards = 64
 
-// scoreCache is a sharded, synchronized string→float64 memo table.
-// Hit/miss counters are striped per shard (the shard struct is already a
-// contention domain), so the memo hit rate is observable without adding
-// a shared cache-line to the scoring hot path.
-type scoreCache struct {
-	seed   maphash.Seed
-	shards [cacheShards]cacheShard
+// maxMemoSelections caps the selection memo's entries: past it a box is
+// folded without being stored. A DT session's generation meets a few
+// hundred distinct boxes; the cap only bounds a pathological sweep.
+const maxMemoSelections = 4096
+
+// memo is a sharded, synchronized string-keyed memo table. Hit/miss
+// counters are striped per shard (the shard struct is already a contention
+// domain), so the memo hit rate is observable without adding a shared
+// cache-line to the scoring hot path.
+type memo[V any] struct {
+	seed maphash.Seed
+	// limit is the most entries put stores, 0 for no limit; entries counts
+	// a limited memo's stored entries across shards.
+	limit   int64
+	entries atomic.Int64
+	shards  [cacheShards]memoShard[V]
 }
 
-type cacheShard struct {
+type memoShard[V any] struct {
 	mu     sync.RWMutex
-	m      map[string]float64
+	m      map[string]V
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-func (c *scoreCache) init() {
+func (c *memo[V]) init(limit int64) {
 	c.seed = maphash.MakeSeed()
+	c.limit = limit
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]float64)
+		c.shards[i].m = make(map[string]V)
 	}
 }
 
-func (c *scoreCache) shard(key string) *cacheShard {
+func (c *memo[V]) shard(key string) *memoShard[V] {
 	return &c.shards[maphash.String(c.seed, key)%cacheShards]
 }
 
-func (c *scoreCache) get(key string) (float64, bool) {
+func (c *memo[V]) get(key string) (V, bool) {
 	sh := c.shard(key)
 	sh.mu.RLock()
 	v, ok := sh.m[key]
@@ -214,7 +233,7 @@ func (c *scoreCache) get(key string) (float64, bool) {
 	return v, ok
 }
 
-func (c *scoreCache) stats() (hits, misses int64) {
+func (c *memo[V]) stats() (hits, misses int64) {
 	for i := range c.shards {
 		hits += c.shards[i].hits.Load()
 		misses += c.shards[i].misses.Load()
@@ -223,10 +242,11 @@ func (c *scoreCache) stats() (hits, misses int64) {
 }
 
 // size reports the number of memoized entries and an estimate of their
-// heap footprint: per-entry map overhead plus the interned key bytes.
-func (c *scoreCache) size() (entries int, bytes int64) {
-	// Rough per-entry cost of a map[string]float64 bucket slot: the string
-	// header (16) + float64 (8) + amortized bucket/overflow overhead.
+// heap footprint: per-entry map overhead plus the interned key bytes. A
+// value's own heap (a slice's backing array) is the caller's to add.
+func (c *memo[V]) size() (entries int, bytes int64) {
+	// Rough per-entry cost of a map bucket slot: the string header (16) +
+	// a word-sized value + amortized bucket/overflow overhead.
 	const entryOverhead = 48
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -240,18 +260,41 @@ func (c *scoreCache) size() (entries int, bytes int64) {
 	return entries, bytes
 }
 
-func (c *scoreCache) put(key string, v float64) {
+// put stores v under key unless that would take a limited memo past its
+// limit. The entry is reserved before it is stored, so concurrent puts on
+// different shards never overshoot; an unlimited memo counts nothing, so
+// its puts share no cache line across shards.
+func (c *memo[V]) put(key string, v V) {
 	sh := c.shard(key)
 	sh.mu.Lock()
-	sh.m[key] = v
+	if c.limit == 0 || c.reserve(sh.m, key) {
+		sh.m[key] = v
+	}
 	sh.mu.Unlock()
 }
 
-func (c *scoreCache) reset() {
+// reserve counts key as a new entry of a limited memo, or reports false,
+// counting nothing, when that would pass the limit. A key already stored
+// needs no reservation. The caller holds the key's shard lock.
+func (c *memo[V]) reserve(m map[string]V, key string) bool {
+	if _, ok := m[key]; ok {
+		return true
+	}
+	if c.entries.Add(1) > c.limit {
+		c.entries.Add(-1)
+		return false
+	}
+	return true
+}
+
+func (c *memo[V]) reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		sh.m = make(map[string]float64)
+		if c.limit > 0 {
+			c.entries.Add(-int64(len(sh.m)))
+		}
+		sh.m = make(map[string]V)
 		sh.mu.Unlock()
 	}
 }
@@ -339,7 +382,7 @@ func newScorer(task *Task) (*Scorer, error) {
 	if task.AggCol >= 0 {
 		s.aggVals = s.tab.Floats(task.AggCol)
 	}
-	s.cache.init()
+	s.cache.init(0)
 	return s, nil
 }
 
@@ -392,16 +435,50 @@ func (s *Scorer) Incremental() bool { return s.rem != nil }
 // §8.3.3 partition reuse (a reused partitioning skips all re-labeling).
 func (s *Scorer) Calls() int64 { return s.calls.Load() }
 
-// MemoStats reports memo-cache hits and misses across all shards. The
-// hit rate (hits / (hits+misses)) is the serving-layer signal for how
-// much revisiting (merge expansions, refinement re-scores) a search did.
-func (s *Scorer) MemoStats() (hits, misses int64) { return s.cache.stats() }
+// MemoStats reports memo hits and misses across all shards of the score
+// memo and, when kept, the selection memo. The hit rate (hits /
+// (hits+misses)) is the serving-layer signal for how much revisiting
+// (merge expansions, refinement re-scores, a c sweep's re-scores) a search
+// did.
+func (s *Scorer) MemoStats() (hits, misses int64) {
+	hits, misses = s.cache.stats()
+	if s.sels != nil {
+		h, m := s.sels.stats()
+		hits, misses = hits+h, misses+m
+	}
+	return hits, misses
+}
 
-// MemoSize reports the number of memoized predicate scores and an estimate
-// of the memo cache's heap footprint in bytes. The BENCH_memory lane tracks
-// it next to provenance bytes/row; it walks every shard under its read
-// lock, so it is a diagnostics call, not a hot-path one.
-func (s *Scorer) MemoSize() (entries int, bytes int64) { return s.cache.size() }
+// MemoSize reports the number of memoized predicate scores and selection
+// lists and an estimate of their heap footprint in bytes. The BENCH_memory
+// lane tracks it next to provenance bytes/row; it walks every shard under
+// its read lock, so it is a diagnostics call, not a hot-path one.
+func (s *Scorer) MemoSize() (entries int, bytes int64) {
+	entries, bytes = s.cache.size()
+	if s.sels != nil {
+		n, b := s.sels.size()
+		// Each entry's selections: one 32-byte Selection per group.
+		perEntry := int64(len(s.sizes)) * int64(unsafe.Sizeof(Selection{}))
+		entries, bytes = entries+n, bytes+b+int64(n)*perEntry
+	}
+	return entries, bytes
+}
+
+// MemoizeSelections turns on the selection memo: from then on Parts and
+// Influence keep each box's per-group selections under its key, and a box
+// they meet again — at any c, since SetC keeps them — is scored from them
+// without testing a row. It is for a scorer that outlives one c (a
+// Session's DT path); the memo lives as long as the scorer and holds at
+// most maxMemoSelections boxes. A black-box scorer has no selections to
+// keep, so the call is a no-op there, as it is when the memo is already on.
+// Call it before scoring, not concurrently with it.
+func (s *Scorer) MemoizeSelections() {
+	if s.rem == nil || s.sels != nil {
+		return
+	}
+	s.sels = new(memo[[]Selection])
+	s.sels.init(maxMemoSelections)
+}
 
 // OutlierResult returns the cached original aggregate value of outlier i.
 func (s *Scorer) OutlierResult(i int) float64 { return s.outOrig[i] }
@@ -610,12 +687,30 @@ func (s *Scorer) influenceUncached(p predicate.Predicate) float64 {
 // Parts returns the two components of the objective: the mean outlier
 // influence and the hold-out penalty max_h |inf(h, p)| (0 without
 // hold-outs), before the λ weighting. It folds each whole group into a
-// selection and scores the selections.
+// selection and scores the selections; with the selection memo on, it
+// scores p's memoized selections instead, folding and keeping them first
+// on a miss. Both give the same bits: Score(Select(p, nil)) is a fold of
+// every whole group.
 func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
+	if s.sels != nil {
+		return s.Score(s.selections(p))
+	}
 	return s.objective(func(g Group, _ int) (x selection, total int) {
 		total = s.fold(g, p, 0, &x)
 		return x, total
 	})
+}
+
+// selections returns p's per-group selections from the selection memo,
+// folding and storing them on a miss.
+func (s *Scorer) selections(p predicate.Predicate) []Selection {
+	key := p.Key()
+	if sels, ok := s.sels.get(key); ok {
+		return sels
+	}
+	sels := s.Select(p, nil)
+	s.sels.put(key, sels)
+	return sels
 }
 
 // Select folds p over every group of the task from its first row — the
@@ -755,13 +850,15 @@ func (s *Scorer) MaxTupleInfluence(p predicate.Predicate) float64 {
 }
 
 // ResetCache clears the memoized predicate scores (used when the task's C
-// changes between runs while keeping cached group states).
+// changes between runs while keeping cached group states). The selection
+// memo, which does not depend on C, is kept.
 func (s *Scorer) ResetCache() { s.cache.reset() }
 
 // SetC updates the task's c knob in place and clears the memoized
-// predicate scores; the cached per-group aggregate states — which do not
-// depend on c — are kept, so a c sweep pays only re-scoring, never state
-// rebuilding. Not safe to call concurrently with scoring: callers (a
+// predicate scores; the cached per-group aggregate states and the
+// selection memo — which do not depend on c — are kept, so a c sweep pays
+// only re-scoring, never state rebuilding nor, for a box the memo holds,
+// row testing. Not safe to call concurrently with scoring: callers (a
 // Session's c sweeps) serialize runs.
 func (s *Scorer) SetC(c float64) error {
 	if err := validC(c); err != nil {

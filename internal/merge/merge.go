@@ -248,61 +248,71 @@ func (m *Merger) score(p predicate.Predicate, pool []partition.Candidate) float6
 
 // approxInfluence estimates inf(O, H, p*, V) from the partition statistics
 // alone (§6.3). Returns false when the pool lacks the needed statistics.
+//
+// One pass over the pool computes each member's overlap with p* once and
+// folds it into every outlier group's estimate and into the hold-out
+// penalty. Each group still sees its updates in pool order, so the bits are
+// those of a pass per group.
 func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Candidate) (float64, bool) {
 	task := m.scorer.Task()
 	nGroups := len(task.Outliers)
+	// The estimated state and size of p*(g) per outlier group, accumulated
+	// from cached tuples; on the stack for the usual handful of outliers.
+	var stateBuf [8]aggregate.State
+	var nBuf [8]float64
+	var removed []aggregate.State
+	var removedN []float64
+	if nGroups <= len(stateBuf) {
+		removed, removedN = stateBuf[:nGroups], nBuf[:nGroups]
+	} else {
+		removed, removedN = make([]aggregate.State, nGroups), make([]float64, nGroups)
+	}
 	sawStats := false
-
-	total := 0.0
-	for gi := 0; gi < nGroups; gi++ {
-		// Accumulate the estimated state of p*(g) from cached tuples.
-		var removedState aggregate.State
-		removedN := 0.0
-		for _, q := range pool {
-			if len(q.GroupCards) != nGroups || len(q.CachedRows) != nGroups {
-				continue
-			}
-			frac := overlapFraction(m.space, q.Pred, pstar)
-			if frac <= 0 {
-				continue
-			}
+	// Hold-out penalty: reuse the worst stored leaf penalty among overlapping
+	// partitions (a merged predicate's max_h penalty is at least its parts').
+	penalty := 0.0
+	for i := range pool {
+		q := &pool[i]
+		frac := overlapFraction(m.space, q.Pred, pstar)
+		if frac > 0 && q.HoldPenalty > penalty {
+			penalty = q.HoldPenalty
+		}
+		if len(q.GroupCards) != nGroups || len(q.CachedRows) != nGroups || frac <= 0 {
+			continue
+		}
+		for gi := range removed {
 			row := q.CachedRows[gi]
 			if row < 0 || q.GroupCards[gi] <= 0 {
 				continue
 			}
 			sawStats = true
 			n := q.GroupCards[gi] * frac
-			removedState = m.rem.Update(removedState, scaleState(m.rowState(row), n))
-			removedN += n
+			removed[gi] = m.rem.Update(removed[gi], scaleState(m.rowState(row), n))
+			removedN[gi] += n
 		}
-		if removedN <= 0 {
+	}
+	if !sawStats {
+		return 0, false
+	}
+
+	total := 0.0
+	for gi := range removed {
+		if removedN[gi] <= 0 {
 			continue
 		}
 		orig := m.scorer.OutlierResult(gi)
-		updated := m.rem.Recover(m.rem.Remove(m.scorer.OutlierState(gi), removedState))
+		updated := m.rem.Recover(m.rem.Remove(m.scorer.OutlierState(gi), removed[gi]))
 		delta := orig - updated
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			continue
 		}
 		inf := delta
 		if task.C != 0 {
-			inf = delta / math.Pow(removedN, task.C)
+			inf = delta / math.Pow(removedN[gi], task.C)
 		}
 		total += inf * float64(task.Outliers[gi].Direction)
 	}
-	if !sawStats {
-		return 0, false
-	}
 	outPart := total / float64(nGroups)
-
-	// Hold-out penalty: reuse the worst stored leaf penalty among overlapping
-	// partitions (a merged predicate's max_h penalty is at least its parts').
-	penalty := 0.0
-	for _, q := range pool {
-		if overlapFraction(m.space, q.Pred, pstar) > 0 && q.HoldPenalty > penalty {
-			penalty = q.HoldPenalty
-		}
-	}
 	return task.Lambda*outPart - (1-task.Lambda)*penalty, true
 }
 
@@ -330,14 +340,22 @@ func scaleState(s aggregate.State, n float64) aggregate.State {
 // overlapFraction estimates the fraction of q's box that lies inside p*,
 // assuming uniform density: the product over attributes of the fractional
 // overlap of q's clause with p*'s clause (1 when p* leaves the attribute
-// unconstrained).
+// unconstrained). Both clause lists are sorted by column, so it walks them
+// by index, clause by pointer; the factors multiply in a fixed order — the
+// columns q constrains, then those only p* constrains — each ascending.
 func overlapFraction(space *predicate.Space, q, pstar predicate.Predicate) float64 {
 	frac := 1.0
-	for _, qc := range q.Clauses() {
-		pc, ok := pstar.ClauseOn(qc.Col)
-		if !ok {
+	qcs, pcs := q.Clauses(), pstar.Clauses()
+	j := 0
+	for i := range qcs {
+		qc := &qcs[i]
+		for j < len(pcs) && pcs[j].Col < qc.Col {
+			j++
+		}
+		if j == len(pcs) || pcs[j].Col != qc.Col {
 			continue
 		}
+		pc := &pcs[j]
 		if qc.Kind == relation.Continuous {
 			width := qc.Hi - qc.Lo
 			lo := math.Max(qc.Lo, pc.Lo)
@@ -358,17 +376,17 @@ func overlapFraction(space *predicate.Space, q, pstar predicate.Predicate) float
 				return 0
 			}
 			common := 0
-			i, j := 0, 0
-			for i < len(qc.Values) && j < len(pc.Values) {
+			a, b := 0, 0
+			for a < len(qc.Values) && b < len(pc.Values) {
 				switch {
-				case qc.Values[i] < pc.Values[j]:
-					i++
-				case qc.Values[i] > pc.Values[j]:
-					j++
+				case qc.Values[a] < pc.Values[b]:
+					a++
+				case qc.Values[a] > pc.Values[b]:
+					b++
 				default:
 					common++
-					i++
-					j++
+					a++
+					b++
 				}
 			}
 			if common == 0 {
@@ -379,8 +397,13 @@ func overlapFraction(space *predicate.Space, q, pstar predicate.Predicate) float
 	}
 	// Attributes constrained by p* but not by q: q spans the whole domain
 	// there, so the overlap shrinks by p*'s coverage of the domain.
-	for _, pc := range pstar.Clauses() {
-		if _, ok := q.ClauseOn(pc.Col); ok {
+	i := 0
+	for j := range pcs {
+		pc := &pcs[j]
+		for i < len(qcs) && qcs[i].Col < pc.Col {
+			i++
+		}
+		if i < len(qcs) && qcs[i].Col == pc.Col {
 			continue
 		}
 		d, ok := space.Domain(pc.Col)
@@ -409,7 +432,10 @@ func overlapFraction(space *predicate.Space, q, pstar predicate.Predicate) float
 }
 
 // rescoreTop replaces the approximate scores of the best candidates with
-// exact Scorer values so the returned ranking is trustworthy.
+// exact Scorer values so the returned ranking is trustworthy. It goes
+// through Scorer.Influence, so on a scorer that keeps its boxes' selections
+// (a Session's DT path) a box met in an earlier run is re-scored without
+// testing a row.
 func (m *Merger) rescoreTop(cands []partition.Candidate) {
 	if !m.params.UseApproximation {
 		return

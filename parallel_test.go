@@ -7,6 +7,7 @@ package scorpion
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -33,7 +34,8 @@ func synthRequest(t testing.TB, agg string, perGroup int) *Request {
 }
 
 // identicalResults fails unless both results carry exactly the same ranked
-// explanations: predicate, bit-equal influence, matched counts.
+// explanations: predicate, bit-equal influence and hold-out penalty,
+// matched counts.
 func identicalResults(t *testing.T, serial, parallel *Result, label string) {
 	t.Helper()
 	if len(serial.Explanations) == 0 {
@@ -49,13 +51,13 @@ func identicalResults(t *testing.T, serial, parallel *Result, label string) {
 			t.Fatalf("%s: explanation %d predicate differs:\nserial   %s\nparallel %s",
 				label, i, s.Where, p.Where)
 		}
-		if s.Influence != p.Influence {
+		if math.Float64bits(s.Influence) != math.Float64bits(p.Influence) {
 			t.Fatalf("%s: explanation %d influence differs: %v vs %v", label, i, s.Influence, p.Influence)
 		}
 		if s.MatchedOutlierTuples != p.MatchedOutlierTuples {
 			t.Fatalf("%s: explanation %d matched count differs", label, i)
 		}
-		if s.HoldOutPenalty != p.HoldOutPenalty {
+		if math.Float64bits(s.HoldOutPenalty) != math.Float64bits(p.HoldOutPenalty) {
 			t.Fatalf("%s: explanation %d hold-out penalty differs", label, i)
 		}
 	}

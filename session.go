@@ -29,7 +29,10 @@ import (
 //     scorer's per-group states and the c-agnostic DT partitioning, and
 //     seeds its merge with the pool of the smallest cached c above its own
 //     (§8.3.3: lowering c only grows predicates). Stats.ReusedPartition
-//     reports the reuse.
+//     reports the reuse. From the second run on, the scorer also keeps
+//     every box's per-group selections, which do not depend on c, so a run
+//     re-scores the pieces and merged boxes an earlier run folded without
+//     testing a row.
 //   - Any other request that finds a pool at its own c re-scores that pool
 //     exactly against the current data through a stream.Tracker, which
 //     folds each appended tail into per-group provenance and states at
@@ -62,6 +65,11 @@ type Session struct {
 	fallback      string
 	refreshedFrom int64
 }
+
+// memoizeSelections turns on the DT path's selection memo
+// (influence.Scorer.MemoizeSelections). Tests switch it off to check that
+// the memo changes no answer.
+var memoizeSelections = true
 
 // prepared is what a run builds before it searches: the labelled scorer,
 // the (possibly feature-selected) predicate space, the executed query and
@@ -293,8 +301,10 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 		reused = pr.part != nil
 		searchName = "dt-session"
 	}
-	// Calls are this run's only: a session's scorer counts every run.
+	// Calls and memo counts are this run's only: a session's scorer counts
+	// every run.
 	callsBefore := pr.scorer.Calls()
+	memo := memoDelta(pr.scorer)
 	calls := func() int64 {
 		n := pr.scorer.Calls() - callsBefore
 		if coord != nil {
@@ -362,10 +372,10 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 		}
 		res.Stats.Interrupted = true
 		res.Stats.InterruptReason = cause.Error()
-		recordSearchMetrics(reg, pr.algo, res.Stats, pr.scorer)
+		recordSearchMetrics(reg, pr.algo, res.Stats, memo)
 		return res, fmt.Errorf("scorpion: search interrupted: %w", cause)
 	}
-	recordSearchMetrics(reg, pr.algo, res.Stats, pr.scorer)
+	recordSearchMetrics(reg, pr.algo, res.Stats, memo)
 	return res, nil
 }
 
@@ -422,6 +432,12 @@ func (s *Session) keep(p *Plan, gen int64, pr *prepared, session bool, searcher 
 		}
 		if part := searcher.(*dtSearcher).part; part != nil {
 			pr.part = part
+		}
+		// The kept scorer scores the generation's later runs: let them share
+		// the boxes' c-independent selections. Turning the memo on only now
+		// keeps a session's first run the one-shot run, call for call.
+		if memoizeSelections {
+			pr.scorer.MemoizeSelections()
 		}
 		s.prep, s.tracker = pr, nil
 		return

@@ -453,6 +453,107 @@ func TestLayoutMatchesScorer(t *testing.T) {
 	}
 }
 
+// TestLayoutGateMatchesInfluence holds the gated entry point — Bound, then
+// HoldOut only when Bound is not below the floor, as NAIVE calls them — to
+// Layout.Influence on random masks: a returned score has Influence's bits,
+// and a declined predicate scores below the floor. A NaN never gates, as
+// the floor or as the bound (the nasty table's NaN values under SUM make
+// NaN bounds). The one declined predicate that does not score below the
+// floor scores NaN, which ranks below every floor: at λ = 1 an infinite
+// hold-out penalty (an Inf value under SUM, whole group deleted) turns the
+// objective's 0·Inf into NaN.
+func TestLayoutGateMatchesInfluence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tbl := kernelTable(rng, true)
+	var groups []Group
+	for i, size := range []int{200, 64, 1, 129, 70} {
+		rows := relation.NewRowSet(tbl.NumRows())
+		for rows.Count() < size {
+			rows.Add(rng.Intn(tbl.NumRows()))
+		}
+		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: rows, Direction: Direction(1 - 2*(i%2))})
+	}
+	randomMasks := func(l *Layout) [][]uint64 {
+		masks := make([][]uint64, l.Groups())
+		for g := range masks {
+			n := groups[g].Rows.Count()
+			masks[g] = make([]uint64, l.Words(g))
+			density := []float64{0, 1, 0.02, 0.3, 0.9}[rng.Intn(5)]
+			for i := 0; i < n; i++ {
+				if rng.Float64() < density {
+					masks[g][i>>6] |= 1 << (i & 63)
+				}
+			}
+		}
+		return masks
+	}
+	target := 3.0
+	nanBounds, declined, early := 0, 0, 0
+	for _, aggName := range []string{"sum", "avg", "stddev", "median"} {
+		for _, perturb := range []*float64{nil, &target} {
+			for _, lambda := range []float64{0, 0.5, 1} {
+				agg, _ := aggregate.ByName(aggName)
+				task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: lambda, C: 0.2, Perturb: perturb}
+				s, err := NewScorer(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := s.NewLayout()
+				for trial := 0; trial < 60; trial++ {
+					masks := randomMasks(l)
+					want := l.Influence(masks)
+					bound := l.Bound(masks)
+					if math.IsNaN(bound) {
+						nanBounds++
+					} else if bound < want {
+						t.Fatalf("agg=%s λ=%v: bound %v below the objective %v", aggName, lambda, bound, want)
+					}
+					for _, floor := range []float64{math.Inf(-1), math.Inf(1), math.NaN(), want,
+						math.Nextafter(want, math.Inf(1)), math.Nextafter(want, math.Inf(-1)), rng.NormFloat64() * 50} {
+						name := fmt.Sprintf("agg=%s perturb=%v λ=%v floor=%v", aggName, perturb != nil, lambda, floor)
+						before := s.Calls()
+						score, folded, ok := 0.0, 0, false
+						if !(bound < floor) {
+							score, folded, ok = l.HoldOut(bound, floor, masks)
+						}
+						// HoldOut alone gates on the bound too.
+						if alone, _, aloneOK := l.HoldOut(bound, floor, masks); aloneOK != ok || ok && !sameBits(alone, score) {
+							t.Fatalf("%s: HoldOut alone gives %v, %v; gated %v, %v", name, alone, aloneOK, score, ok)
+						}
+						if s.Calls() != before {
+							t.Fatalf("%s: Bound and HoldOut counted calls", name)
+						}
+						if !ok && folded > 0 {
+							early++
+						}
+						if math.IsNaN(floor) || math.IsNaN(bound) {
+							if !ok {
+								t.Fatalf("%s: a NaN gated (bound %v)", name, bound)
+							}
+						}
+						if ok {
+							if !sameBits(score, want) {
+								t.Fatalf("%s: gated score %v, Influence %v", name, score, want)
+							}
+							if folded != len(groups)-2 {
+								t.Fatalf("%s: a returned score folded %d hold-outs", name, folded)
+							}
+							continue
+						}
+						declined++
+						if !(want < floor) && !(lambda == 1 && math.IsNaN(want)) {
+							t.Fatalf("%s: declined, but Influence %v is not below the floor", name, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if nanBounds == 0 || declined == 0 || early == 0 {
+		t.Fatalf("uncovered: %d NaN bounds, %d declined, %d early exits", nanBounds, declined, early)
+	}
+}
+
 // TestDeltaZeroAlloc pins the incremental path's allocation count: scoring
 // an arbitrary predicate, or a tuple, against a group allocates nothing —
 // whatever the group's encoding.

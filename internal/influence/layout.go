@@ -85,6 +85,12 @@ func (l *Layout) scale(delta float64, n int) float64 {
 // hold-outs.
 func (l *Layout) Groups() int { return len(l.groups) }
 
+// Outliers reports the number of outlier groups, which come first.
+func (l *Layout) Outliers() int { return len(l.s.task.Outliers) }
+
+// Count adds n group folds to the scorer's Calls counter.
+func (l *Layout) Count(n int) { l.s.calls.Add(int64(n)) }
+
 // Words reports the length, in 64-bit words, of group g's position bitsets.
 func (l *Layout) Words(g int) int { return (l.groups[g].n + 63) / 64 }
 
@@ -114,23 +120,41 @@ func (l *Layout) ClauseMask(g int, c *predicate.Clause, dst []uint64) {
 // without the memo: a grid search scores each predicate once. The Calls
 // counter advances by one per group, in one step.
 func (l *Layout) Influence(masks [][]uint64) float64 {
-	s := l.s
-	s.calls.Add(int64(len(l.groups)))
-	nOut := len(s.task.Outliers)
+	l.Count(len(l.groups))
+	score, _, _ := l.HoldOut(l.Bound(masks), math.Inf(-1), masks)
+	return score
+}
+
+// Bound folds the outlier groups (the first Outliers() masks) and returns
+// λ·outMean, an upper bound on the objective since the hold-out penalty is
+// never negative: against a floor, HoldOut and the hold-out masks are needed
+// only when Bound is not below it. Neither counts calls.
+func (l *Layout) Bound(masks [][]uint64) float64 {
 	sum := 0.0
-	for g := 0; g < nOut; g++ {
+	for g := range l.Outliers() {
 		d, n := l.delta(g, masks[g])
 		sum += l.scale(d, n) * l.groups[g].dir
 	}
-	outMean := sum / float64(nOut)
-	holdPenalty := 0.0
-	for g := nOut; g < len(l.groups); g++ {
-		d, n := l.delta(g, masks[g])
-		if h := math.Abs(l.scale(d, n)); h > holdPenalty {
-			holdPenalty = h
+	return l.s.task.Lambda * (sum / float64(l.Outliers()))
+}
+
+// HoldOut completes the objective from bound = Bound(masks), folding the
+// hold-outs in order, with the bits Influence gives. Once bound − (1−λ)·
+// (running penalty) is below floor it declines (ok false): the penalty only
+// grows and IEEE subtraction is monotone, so the objective is below floor
+// too. A NaN never declines. folded counts the hold-outs folded.
+func (l *Layout) HoldOut(bound, floor float64, masks [][]uint64) (score float64, folded int, ok bool) {
+	penalty := 0.0
+	for g := l.Outliers(); ; g++ {
+		if score = bound - (1-l.s.task.Lambda)*penalty; score < floor || g == len(l.groups) {
+			return score, folded, !(score < floor)
 		}
+		d, n := l.delta(g, masks[g])
+		if h := math.Abs(l.scale(d, n)); h > penalty {
+			penalty = h
+		}
+		folded++
 	}
-	return s.task.Lambda*outMean - (1-s.task.Lambda)*holdPenalty
 }
 
 // delta is Scorer.delta over a position mask instead of a predicate.

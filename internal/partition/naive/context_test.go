@@ -2,6 +2,7 @@ package naive
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,6 +67,60 @@ func TestRunContextCancellation(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Fatalf("workers=%d: cancellation took %s", workers, elapsed)
+		}
+	}
+}
+
+// TestRunContextCancelMidSearch cancels a long search once it has scored
+// some batches, so that batches are in flight and the producer may be
+// waiting on the lagged floor when the pool starts dropping them: the run
+// must still return promptly, flagged interrupted, and leave no goroutine
+// behind.
+func TestRunContextCancelMidSearch(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		baseline := runtime.NumGoroutine()
+		scorer, space, _ := smallSetup(t, 0.1)
+		ctx, cancel := context.WithCancel(context.Background())
+		watched := make(chan struct{})
+		go func() {
+			defer close(watched)
+			for scorer.Calls() < 20*batchSize {
+				if ctx.Err() != nil {
+					return
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			cancel()
+		}()
+		type outcome struct {
+			res *Result
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := RunContext(ctx, scorer, space, Params{Bins: 40}, workers)
+			done <- outcome{res, err}
+		}()
+		var out outcome
+		select {
+		case out = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: the search did not return after cancellation", workers)
+		}
+		cancel()
+		<-watched
+		if out.err != nil {
+			t.Fatalf("workers=%d: %v", workers, out.err)
+		}
+		if !out.res.Interrupted {
+			t.Fatalf("workers=%d: cancelled run not marked interrupted (enumerated %d)", workers, out.res.Enumerated)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines, baseline %d", workers, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 }

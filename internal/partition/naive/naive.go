@@ -11,21 +11,23 @@
 // context.Context into the enumeration loop (cancellation returns the best
 // predicates found so far) and fans scoring out over a partition.Pool — the
 // parallelization the paper's §8.3.2 leaves to future work. All workers
-// share one influence.Scorer, which is safe for concurrent use. Parallel
-// top-k output is identical to the serial output: every enumerated
-// predicate carries its enumeration sequence number, and the top-k order is
-// (score descending, sequence ascending) on both paths.
+// share one influence.Scorer, which is safe for concurrent use. Every
+// enumerated predicate carries its enumeration sequence number, the top-k
+// order is (score descending, sequence ascending), and the exact path scores
+// batches against floors that follow from the enumeration alone, so its
+// output, scorer calls and trace are the same for every worker count.
 package naive
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/scorpiondb/scorpion/internal/estimate"
 	"github.com/scorpiondb/scorpion/internal/influence"
+	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
@@ -87,9 +89,9 @@ type Result struct {
 	Best partition.Candidate
 	// TopK holds the best candidates in descending score order.
 	TopK []partition.Candidate
-	// Trace records every improvement with its wall-clock offset
-	// (single-worker runs only; improvement order is non-deterministic
-	// across workers).
+	// Trace records every improvement of the best score in enumeration
+	// order, with the wall-clock offset of its fold: only Elapsed varies
+	// with the worker count. The anytime path records none.
 	Trace []TracePoint
 	// Enumerated counts enumerated predicates.
 	Enumerated int64
@@ -98,6 +100,9 @@ type Result struct {
 	// Both stay 0 on the exact path.
 	Pruned    int64
 	Escalated int64
+	// Gated counts the predicates the exact path gated on their outlier
+	// bound; SkippedHoldOuts the hold-out group scans it skipped.
+	Gated, SkippedHoldOuts int64
 	// TimedOut reports whether the Deadline cut the search short.
 	TimedOut bool
 	// Interrupted reports whether context cancellation cut the search
@@ -134,88 +139,8 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 
 	if params.Estimator != nil {
 		runAnytime(e, res, pool, params, maxCard, maxClauses)
-	} else if tbl := newClauseTable(scorer, e.sets); pool.Workers() <= 1 {
-		// Serial: score inline, record the convergence trace. Every trace
-		// improvement also goes to the pool's board (when one is attached)
-		// so observers see the same best-so-far curve mid-run.
-		keeper := topK[predicate.Predicate]{k: params.TopK}
-		scratch := tbl.newScratch()
-		e.sink = func(c conj, seq int64) {
-			score := tbl.score(c, scratch)
-			slot := keeper.slot(score, seq)
-			improved := len(res.Trace) == 0 || score > res.Trace[len(res.Trace)-1].Score
-			if slot < 0 && !improved {
-				return
-			}
-			// Only an entrant to the top-k or the trace is worth a
-			// predicate value; the rest were scored from their indexes.
-			p := e.predicate(c)
-			if slot >= 0 {
-				keeper.put(slot, ranked[predicate.Predicate]{score, seq, p})
-			}
-			if improved {
-				res.Trace = append(res.Trace, TracePoint{
-					Elapsed: time.Since(e.start),
-					Score:   score,
-					Pred:    p,
-				})
-				if pool.Board() != nil {
-					pool.PublishBest(candidates(&keeper))
-				}
-			}
-		}
-		e.run(maxCard, maxClauses)
-		res.TopK = candidates(&keeper)
 	} else {
-		// Parallel: stream conjunction batches to the pool's workers, all
-		// sharing one scorer and one clause table. Each batch reduces to a
-		// local top-k which is folded into the global keeper under a brief
-		// lock; (score, seq) ordering makes the final list independent of
-		// arrival order.
-		const batchSize = 256
-		var mu sync.Mutex
-		global := topK[predicate.Predicate]{k: params.TopK}
-		submit, wait := partition.Stream(pool, func(b *conjBatch) {
-			local := topK[int]{k: params.TopK}
-			scratch := tbl.newScratch()
-			for i := 0; i < b.len(); i++ {
-				local.offer(tbl.score(b.at(i), scratch), b.first+int64(i), i)
-			}
-			mu.Lock()
-			for _, r := range local.list {
-				if slot := global.slot(r.score, r.seq); slot >= 0 {
-					global.put(slot, ranked[predicate.Predicate]{r.score, r.seq, e.predicate(b.at(r.val))})
-				}
-			}
-			if pool.Board() != nil {
-				// Publish the running top-k after each folded batch; the
-				// board itself drops publications that don't improve it.
-				pool.PublishBest(candidates(&global))
-			}
-			mu.Unlock()
-		})
-		batch := &conjBatch{}
-		e.sink = func(c conj, seq int64) {
-			batch.add(c, seq)
-			if batch.len() >= batchSize {
-				submit(batch)
-				// Sized like the batch just filled: growing each batch from
-				// nothing doubled the search's allocation.
-				batch = &conjBatch{terms: make([]int32, 0, len(batch.terms)), ends: make([]int32, 0, batchSize)}
-			}
-		}
-		e.run(maxCard, maxClauses)
-		if batch.len() > 0 {
-			submit(batch)
-		}
-		wait()
-		// Batches in flight at cancellation time are dropped by the stream
-		// workers, so a cancelled run is partial even when enumeration
-		// finished.
-		if pool.Cancelled() {
-			e.interrupted = true
-		}
-		res.TopK = candidates(&global)
+		runExact(e, res, pool, newClauseTable(scorer, e.sets), params, maxCard, maxClauses)
 	}
 
 	res.Enumerated = e.produced
@@ -376,32 +301,17 @@ func newClauseTable(scorer *influence.Scorer, sets []attrClauses) *clauseTable {
 	return t
 }
 
-// conjScratch is one worker's buffers for assembling a conjunction's
-// bitsets: and and or hold one bitset per group back to back, masks the
-// per-group result handed to the layout.
-type conjScratch struct {
-	and, or []uint64
-	masks   [][]uint64
-}
-
-func (t *clauseTable) newScratch() *conjScratch {
-	return &conjScratch{
-		and:   make([]uint64, t.total),
-		or:    make([]uint64, t.total),
-		masks: make([][]uint64, len(t.words)),
-	}
-}
-
-// score computes the conjunction's influence from the table.
-func (t *clauseTable) score(c conj, sc *conjScratch) float64 {
+// fill assembles the conjunction's bitsets of groups [lo, hi) in b.masks.
+func (t *clauseTable) fill(c conj, b *conjBatch, lo, hi int) {
 	single := len(c) == 2+int(c[1])
 	first := true
 	c.terms(func(attr int, atoms []int32) {
-		for g, w := range t.words {
+		for g := lo; g < hi; g++ {
+			w := t.words[g]
 			all := t.atoms[attr][g]
 			term := all[int(atoms[0])*w:][:w]
 			if len(atoms) > 1 {
-				or := sc.or[t.offs[g]:][:w]
+				or := b.or[t.offs[g]:][:w]
 				copy(or, term)
 				for _, a := range atoms[1:] {
 					for i, m := range all[int(a)*w:][:w] {
@@ -410,14 +320,14 @@ func (t *clauseTable) score(c conj, sc *conjScratch) float64 {
 				}
 				term = or
 			}
-			and := sc.and[t.offs[g]:][:w]
+			and := b.and[t.offs[g]:][:w]
 			switch {
 			case single:
 				// One term: its bitset is the answer, uncopied.
-				sc.masks[g] = term
+				b.masks[g] = term
 			case first:
 				copy(and, term)
-				sc.masks[g] = and
+				b.masks[g] = and
 			default:
 				for i, m := range term {
 					and[i] &= m
@@ -426,7 +336,6 @@ func (t *clauseTable) score(c conj, sc *conjScratch) float64 {
 		}
 		first = false
 	})
-	return t.layout.Influence(sc.masks)
 }
 
 // checkInterval is how many emitted predicates pass between deadline and
@@ -578,11 +487,23 @@ func (e *enumerator) emit(c conj, size int) {
 
 // conjBatch is a run of consecutively enumerated conjunctions, copied out
 // of the enumerator's buffer back to back: conjunction i is
-// terms[ends[i-1]:ends[i]] and has sequence number first+i.
+// terms[ends[i-1]:ends[i]] and has sequence number first+i. A worker scores
+// it against floor into hits, assembling bitsets in and, or and masks (one
+// per group, laid out as the table's offs), then signals ready.
 type conjBatch struct {
-	first int64
-	terms []int32
-	ends  []int32
+	first        int64
+	terms, ends  []int32
+	floor        float64
+	and, or      []uint64
+	masks        [][]uint64
+	hits         []ranked[int32]
+	folds, gated int
+	ready        chan struct{}
+}
+
+func (t *clauseTable) newBatch() *conjBatch {
+	and, or := make([]uint64, t.total), make([]uint64, t.total)
+	return &conjBatch{and: and, or: or, masks: make([][]uint64, len(t.words)), ready: make(chan struct{}, 1)}
 }
 
 func (b *conjBatch) len() int { return len(b.ends) }
@@ -601,6 +522,117 @@ func (b *conjBatch) at(i int) conj {
 		lo = b.ends[i-1]
 	}
 	return b.terms[lo:b.ends[i]]
+}
+
+// score scores the batch, assembling a conjunction's hold-out bitsets only
+// when its outliers' bound reaches the floor, and adds the groups it folded
+// to the scorer's calls in one step.
+func (b *conjBatch) score(t *clauseTable) {
+	nOut, n := t.layout.Outliers(), len(t.words)
+	for i := range b.len() {
+		t.fill(b.at(i), b, 0, nOut)
+		bound := t.layout.Bound(b.masks)
+		if b.folds += nOut; bound < b.floor {
+			b.gated++
+			continue
+		}
+		t.fill(b.at(i), b, nOut, n)
+		score, folded, ok := t.layout.HoldOut(bound, b.floor, b.masks)
+		if b.folds += folded; ok {
+			b.hits = append(b.hits, ranked[int32]{score, b.first + int64(i), int32(i)})
+		}
+	}
+	t.layout.Count(b.folds)
+	b.ready <- struct{}{}
+}
+
+// Batch b is scored against the k-th best score kept after folding batches
+// 0 … b−lag (−Inf until k are kept), and batches fold in enumeration order:
+// floors, gates, scorer calls and trace follow from the enumeration alone,
+// whatever the worker count. At most lag batches are scored at once.
+const batchSize, lag = 128, 4
+
+// runExact scores the enumeration batch by batch over the pool (inline on a
+// one-worker pool) and folds the batches into the top-k and the trace.
+func runExact(e *enumerator, res *Result, pool *partition.Pool, tbl *clauseTable, params Params, maxCard, maxClauses int) {
+	keeper := topK[predicate.Predicate]{k: params.TopK}
+	submit, wait := func(b *conjBatch) { b.score(tbl) }, func() {}
+	if pool.Workers() > 1 {
+		submit, wait = partition.Stream(pool, submit)
+	}
+	var inflight []*conjBatch // oldest first; a folded batch is refilled
+	// foldOldest folds the oldest batch in flight once it is scored and
+	// returns it for reuse; nil if cancellation came first (and dropped it).
+	foldOldest := func() *conjBatch {
+		b := inflight[0]
+		select {
+		case <-b.ready:
+		case <-pool.Context().Done():
+			return nil
+		}
+		changed := false
+		for _, h := range b.hits {
+			slot := keeper.slot(h.score, h.seq)
+			improved := len(res.Trace) == 0 || h.score > res.Trace[len(res.Trace)-1].Score
+			if slot < 0 && !improved {
+				continue
+			}
+			// Only an entrant to the top-k or the trace is worth a
+			// predicate value; the rest were scored from their indexes.
+			p := e.predicate(b.at(int(h.val)))
+			if slot >= 0 {
+				keeper.put(slot, ranked[predicate.Predicate]{h.score, h.seq, p})
+				changed = true
+			}
+			if improved {
+				res.Trace = append(res.Trace, TracePoint{Elapsed: time.Since(e.start), Score: h.score, Pred: p})
+			}
+		}
+		res.Gated += int64(b.gated)
+		res.SkippedHoldOuts += int64(b.len()*len(tbl.words) - b.folds)
+		if changed && pool.Board() != nil {
+			pool.PublishBest(candidates(&keeper))
+		}
+		inflight = append(inflight[:0], inflight[1:]...)
+		return b
+	}
+	cur := tbl.newBatch()
+	flush := func() {
+		var next *conjBatch
+		for len(inflight) >= lag {
+			if next = foldOldest(); next == nil {
+				e.done, e.interrupted = true, true
+				return
+			}
+		}
+		cur.floor = keeper.floor()
+		inflight = append(inflight, cur)
+		submit(cur)
+		if cur = next; cur == nil {
+			cur = tbl.newBatch()
+		}
+		cur.terms, cur.ends, cur.hits, cur.folds, cur.gated = cur.terms[:0], cur.ends[:0], cur.hits[:0], 0, 0
+	}
+	e.sink = func(c conj, seq int64) {
+		if cur.add(c, seq); cur.len() >= batchSize {
+			flush()
+		}
+	}
+	e.run(maxCard, maxClauses)
+	if cur.len() > 0 && !e.interrupted {
+		flush()
+	}
+	wait()
+	for len(inflight) > 0 && foldOldest() != nil {
+	}
+	if pool.Cancelled() {
+		e.interrupted = true
+	}
+	res.TopK = candidates(&keeper)
+	obs.SpanFrom(pool.Context()).SetAttr("gated", res.Gated)
+	obs.SpanFrom(pool.Context()).SetAttr("holdouts_skipped", res.SkippedHoldOuts)
+	obs.RegistryFrom(pool.Context()).Counter("scorpion_naive_gated_total").Add(float64(res.Gated))
+	obs.RegistryFrom(pool.Context()).Counter("scorpion_naive_holdouts_skipped_total").Add(float64(res.SkippedHoldOuts))
 }
 
 // ranked is one scored entry of a top-k list. seq is its enumeration
@@ -645,16 +677,30 @@ func (t *topK[T]) slot(score float64, seq int64) int {
 	if len(t.list) < t.k {
 		return len(t.list)
 	}
-	worst := 0
-	for i := 1; i < len(t.list); i++ {
-		if t.list[worst].outranks(t.list[i]) {
-			worst = i
-		}
-	}
-	if outranks(score, seq, t.list[worst].score, t.list[worst].seq) {
-		return worst
+	if w := t.worst(); outranks(score, seq, t.list[w].score, t.list[w].seq) {
+		return w
 	}
 	return -1
+}
+
+// worst returns the index of the last-ranked entry of a non-empty list.
+func (t *topK[T]) worst() (w int) {
+	for i := 1; i < len(t.list); i++ {
+		if t.list[w].outranks(t.list[i]) {
+			w = i
+		}
+	}
+	return w
+}
+
+// floor is the score below which no newcomer can enter: the worst kept
+// score once the list is full (NaN, which gates nothing, if it is NaN),
+// −Inf before.
+func (t *topK[T]) floor() float64 {
+	if len(t.list) < t.k {
+		return math.Inf(-1)
+	}
+	return t.list[t.worst()].score
 }
 
 // put stores an entry at a slot that slot returned for it.

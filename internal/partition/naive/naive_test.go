@@ -1,6 +1,7 @@
 package naive
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/scorpiondb/scorpion/internal/eval"
 	"github.com/scorpiondb/scorpion/internal/influence"
+	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
@@ -143,36 +145,59 @@ func TestNaiveMaxClauses(t *testing.T) {
 	}
 }
 
+// TestRunParallelMatchesSequential: batches fold in enumeration order
+// against floors that trail by a fixed number of batches, so a parallel run
+// enumerates, ranks, gates and traces exactly as the serial run does — the
+// same trace scores and predicates for every worker count; only Elapsed
+// differs.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
 	seq, err := Run(scorer, space, Params{Bins: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scorer2, space2, _ := smallSetup(t, 0.1)
-	par, err := RunParallel(scorer2, space2, Params{Bins: 8}, 4)
-	if err != nil {
-		t.Fatal(err)
+	if len(seq.Trace) == 0 {
+		t.Fatal("serial run recorded no trace")
 	}
-	if par.Enumerated != seq.Enumerated {
-		t.Errorf("enumerated %d (parallel) vs %d (sequential)", par.Enumerated, seq.Enumerated)
-	}
-	if par.Best.Score < seq.Best.Score-1e-9 {
-		t.Errorf("parallel best %v < sequential best %v", par.Best.Score, seq.Best.Score)
-	}
-	if len(par.Trace) != 0 {
-		t.Error("parallel mode must not record a trace")
+	for _, workers := range []int{2, 4} {
+		scorerP, spaceP, _ := smallSetup(t, 0.1)
+		par, err := RunContext(context.Background(), scorerP, spaceP, Params{Bins: 8}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Enumerated != seq.Enumerated || par.Gated != seq.Gated || par.SkippedHoldOuts != seq.SkippedHoldOuts {
+			t.Errorf("workers=%d: enumerated/gated/skipped %d/%d/%d, serial %d/%d/%d", workers,
+				par.Enumerated, par.Gated, par.SkippedHoldOuts, seq.Enumerated, seq.Gated, seq.SkippedHoldOuts)
+		}
+		if scorerP.Calls() != scorer.Calls() {
+			t.Errorf("workers=%d: %d scorer calls, serial %d", workers, scorerP.Calls(), scorer.Calls())
+		}
+		identicalCandidates(t, seq.TopK, par.TopK)
+		if len(par.Trace) != len(seq.Trace) {
+			t.Fatalf("workers=%d: %d trace points, serial %d", workers, len(par.Trace), len(seq.Trace))
+		}
+		for i, p := range par.Trace {
+			if s := seq.Trace[i]; math.Float64bits(p.Score) != math.Float64bits(s.Score) || !p.Pred.Equal(s.Pred) {
+				t.Fatalf("workers=%d: trace point %d is %v (%v), serial %v (%v)", workers, i, p.Pred, p.Score, s.Pred, s.Score)
+			}
+		}
 	}
 }
 
+// TestRunParallelSingleWorkerDelegates: a one-worker run scores inline on
+// the same batch path as any other worker count, trace included.
 func TestRunParallelSingleWorkerDelegates(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
-	res, err := RunParallel(scorer, space, Params{Bins: 6}, 1)
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 {
-		t.Error("single-worker parallel run should delegate to Run (with trace)")
+	want, err := Run(scorer, space, Params{Bins: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) == 0 || len(res.Trace) != len(want.Trace) {
+		t.Errorf("single-worker run recorded %d trace points, Run %d", len(res.Trace), len(want.Trace))
 	}
 }
 
@@ -199,5 +224,38 @@ func TestTopKNaNOrderIndependent(t *testing.T) {
 		} else if got != want {
 			t.Fatalf("offer order %d kept %v, order 0 kept %v", shift, got, want)
 		}
+	}
+}
+
+// TestExactGateObservability: the exact path reports what the gate saved
+// on the search span of its context (gated, holdouts_skipped) and on the
+// registry's scorpion_naive_{gated,holdouts_skipped}_total counters, equal
+// to the Result's counts and adding up across runs.
+func TestExactGateObservability(t *testing.T) {
+	reg := obs.NewRegistry()
+	var gated, skipped int64
+	for run := 0; run < 2; run++ {
+		span := obs.NewSpan("search")
+		ctx := obs.ContextWithRegistry(obs.ContextWithSpan(context.Background(), span), reg)
+		scorer, space, _ := smallSetup(t, 0.1)
+		res, err := RunContext(ctx, scorer, space, Params{Bins: 8}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Gated == 0 || res.SkippedHoldOuts < res.Gated {
+			t.Fatalf("gated %d, skipped hold-out scans %d", res.Gated, res.SkippedHoldOuts)
+		}
+		gated, skipped = gated+res.Gated, skipped+res.SkippedHoldOuts
+		span.End()
+		attrs := span.Snapshot().Attrs
+		if attrs["gated"] != res.Gated || attrs["holdouts_skipped"] != res.SkippedHoldOuts {
+			t.Fatalf("span attrs %v, want gated %d, holdouts_skipped %d", attrs, res.Gated, res.SkippedHoldOuts)
+		}
+	}
+	if got := reg.Counter("scorpion_naive_gated_total").Value(); got != float64(gated) {
+		t.Errorf("scorpion_naive_gated_total = %v, want %d", got, gated)
+	}
+	if got := reg.Counter("scorpion_naive_holdouts_skipped_total").Value(); got != float64(skipped) {
+		t.Errorf("scorpion_naive_holdouts_skipped_total = %v, want %d", got, skipped)
 	}
 }

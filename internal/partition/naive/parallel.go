@@ -1,20 +1,10 @@
 package naive
 
 import (
-	"context"
-
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 )
-
-// RunParallel is Run with scoring fanned out over worker goroutines.
-//
-// Deprecated: use RunContext, which adds cancellation on top of the same
-// worker pool (RunParallel is RunContext with a background context).
-func RunParallel(scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Result, error) {
-	return RunContext(context.Background(), scorer, space, params, workers)
-}
 
 // searcher adapts the NAIVE search to the partition.Searcher interface.
 type searcher struct {

@@ -415,81 +415,3 @@ func benchMerger(b *testing.B, approx bool) {
 	}
 	b.ReportMetric(float64(calls), "scorer-calls/op")
 }
-
-// --- Anytime search benches -------------------------------------------
-
-// BenchmarkExplainAnytime measures the interval-pruning win on the NAIVE
-// enumeration at a stated error bound (epsilon = 2000 on a workload whose
-// top scores sit near 11.6k, i.e. tolerate up to ~17% rank regret;
-// confidence 0.95), against the exact run on the same dataset — the perf trajectory baseline
-// recorded in BENCH_anytime.json. The workload is the shape the anytime
-// path targets: few flagged outlier groups among many hold-outs, so a
-// candidate settled by the sampled outlier interval skips the full outlier
-// AND hold-out scans of the exact scorer. The bench asserts the anytime
-// answer stays within epsilon of the exact run at every reported rank (the
-// knob's contract), and reports pruned/escalated alongside gomaxprocs so
-// re-records stay machine-comparable.
-func BenchmarkExplainAnytime(b *testing.B) {
-	const eps = 2000
-	ds := synth.Generate(synth.Config{
-		Dims: 2, TuplesPerGroup: 2000, Groups: 24, OutlierGroups: 2, Mu: 300, Seed: 29,
-	})
-	request := func(epsilon float64) *Request {
-		return &Request{
-			Table:            ds.Table,
-			SQL:              "SELECT sum(v), g FROM synth GROUP BY g",
-			Outliers:         ds.OutlierKeys,
-			AllOthersHoldOut: true,
-			Direction:        TooHigh,
-			Attributes:       ds.DimNames(),
-			Algorithm:        Naive,
-			Workers:          1,
-			Epsilon:          epsilon,
-		}
-	}
-	exact, err := Explain(request(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name    string
-		epsilon float64
-	}{
-		{"exact", 0},
-		{"anytime/eps=2000", eps},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var res *Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res, err = Explain(request(tc.epsilon)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			if tc.epsilon == 0 {
-				return
-			}
-			b.ReportMetric(float64(res.Stats.Pruned), "pruned")
-			b.ReportMetric(float64(res.Stats.Escalated), "escalated")
-			if res.Stats.Pruned == 0 {
-				b.Fatal("anytime bench run pruned nothing")
-			}
-			n := len(res.Explanations)
-			if len(exact.Explanations) < n {
-				n = len(exact.Explanations)
-			}
-			worst := 0.0
-			for i := 0; i < n; i++ {
-				if d := exact.Explanations[i].Influence - res.Explanations[i].Influence; d > worst {
-					worst = d
-				}
-			}
-			if worst > tc.epsilon+1e-9 {
-				b.Fatalf("anytime regret %v exceeds epsilon %v", worst, tc.epsilon)
-			}
-			b.ReportMetric(worst, "max-regret")
-		})
-	}
-}

@@ -6,7 +6,7 @@
 //	   -sql "SELECT stddev(temp), hour FROM readings GROUP BY hour" \
 //	   -outliers h012,h013 -direction high [-holdouts h000,h001 | -all-others] \
 //	   [-c 0.2] [-lambda 0.5] [-algo auto|naive|dt|mc] [-attrs a,b,c] [-topk 5] \
-//	   [-workers 4] [-timeout 30s] [-epsilon 0.05] [-confidence 0.95]
+//	   [-workers 4] [-timeout 30s]
 //
 // The tool prints the query result (so the flagged groups can be checked)
 // followed by the ranked explanation predicates. The search is fanned out
@@ -77,8 +77,6 @@ func run(ctx context.Context, args []string) error {
 		showQuery = fs.Bool("show-query", true, "print the aggregate query result first")
 		workers   = fs.Int("workers", 0, "search worker pool (0 = serial, -1 = GOMAXPROCS)")
 		shards    = fs.Int("shards", 0, "horizontal table shards for one search (0 = auto, 1 = unsharded)")
-		epsilon   = fs.Float64("epsilon", 0, "anytime error bound in influence units (0 = exact search)")
-		confid    = fs.Float64("confidence", 0, "anytime interval confidence in (0, 1) (0 = default 0.95)")
 		timeout   = fs.Duration("timeout", 0, "search deadline (0 = none); best-so-far results are printed on expiry")
 		serverURL = fs.String("server", "", "base URL of a running scorpion-server (explain remotely instead of loading a CSV)")
 		table     = fs.String("table", "", "table name in the server's catalog (with -server; empty = its only table)")
@@ -169,12 +167,6 @@ func run(ctx context.Context, args []string) error {
 		if *shards != 0 {
 			body["shards"] = *shards
 		}
-		if *epsilon != 0 {
-			body["epsilon"] = *epsilon
-		}
-		if *confid != 0 {
-			body["confidence"] = *confid
-		}
 		if *noCache {
 			body["cache"] = "bypass"
 		}
@@ -242,8 +234,6 @@ func run(ctx context.Context, args []string) error {
 		Attributes:       splitList(*attrs),
 		Workers:          *workers,
 		Shards:           *shards,
-		Epsilon:          *epsilon,
-		Confidence:       *confid,
 	}
 	// Setters, not field writes: a flag value is always explicit, so
 	// -lambda 0 / -c 0 must reach the scorer as real zeros instead of
@@ -319,10 +309,6 @@ func run(ctx context.Context, args []string) error {
 
 	fmt.Printf("algorithm: %s   scorer calls: %d   elapsed: %s\n\n",
 		res.Stats.Algorithm, res.Stats.ScorerCalls, res.Stats.Duration.Round(time.Millisecond))
-	if res.Stats.Pruned > 0 || res.Stats.Escalated > 0 {
-		fmt.Printf("anytime: pruned %d candidates on interval bounds, escalated %d to exact scoring\n\n",
-			res.Stats.Pruned, res.Stats.Escalated)
-	}
 	if interrupted {
 		fmt.Printf("search interrupted (%s); showing best results so far\n\n", res.Stats.InterruptReason)
 	}

@@ -44,8 +44,6 @@ type remoteResult struct {
 	DurationMS      int64               `json:"duration_ms"`
 	ScorerCalls     int64               `json:"scorer_calls"`
 	Shards          int                 `json:"shards"`
-	Pruned          int64               `json:"pruned"`
-	Escalated       int64               `json:"escalated"`
 	Explanations    []remoteExplanation `json:"explanations"`
 	Cached          bool                `json:"cached"`
 	ReusedPartition bool                `json:"reused_partition"`
@@ -377,10 +375,6 @@ func printRemoteResult(res *remoteResult) {
 	}
 	fmt.Printf("algorithm: %s   scorer calls: %d   elapsed: %s%s\n\n",
 		res.Algorithm, res.ScorerCalls, time.Duration(res.DurationMS)*time.Millisecond, note)
-	if res.Pruned > 0 || res.Escalated > 0 {
-		fmt.Printf("anytime: pruned %d candidates on interval bounds, escalated %d to exact scoring\n\n",
-			res.Pruned, res.Escalated)
-	}
 	if res.Interrupted {
 		fmt.Printf("search interrupted (%s); showing best results so far\n\n", res.InterruptReason)
 	}

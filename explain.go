@@ -7,14 +7,12 @@ import (
 	"time"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
-	"github.com/scorpiondb/scorpion/internal/estimate"
 	"github.com/scorpiondb/scorpion/internal/feature"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/partition/dt"
-	"github.com/scorpiondb/scorpion/internal/partition/grid"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -135,27 +133,6 @@ type Request struct {
 	ShardDispatch ShardDispatcher
 	// TopK bounds the returned explanations (default 5).
 	TopK int
-	// Epsilon, when positive, switches NAIVE and MC to the anytime path: an
-	// internal/estimate layer maintains stratified per-group row samples,
-	// brackets each candidate's influence in a [lower, upper] interval at
-	// increasing sample fractions, and escalates to the exact scorer only
-	// while the interval still overlaps the running top-k frontier. A
-	// candidate is pruned once its upper bound falls below the kth best
-	// exact score plus Epsilon, so — at the estimator's confidence — every
-	// reported rank is within Epsilon of the exact run's. Epsilon is in
-	// influence units (the same scale as Explanation.Influence). Zero (the
-	// default) runs the exact search, byte-identical to previous releases;
-	// negative values are rejected. Unsupported tasks (AVG and other
-	// non-linear aggregates, perturbation mode, DT) silently fall back to
-	// the exact path. Scores in the Result are always exact: anytime mode
-	// changes which candidates pay full scans, never the reported numbers.
-	Epsilon float64
-	// Confidence is the probability the anytime path's intervals jointly
-	// cover the true influences (so pruning errors beyond Epsilon happen
-	// with probability at most 1-Confidence). Zero means
-	// DefaultConfidence (0.95); other values must lie in (0, 1). Ignored
-	// when Epsilon is zero.
-	Confidence float64
 
 	// OnProgress, when non-nil, is invoked periodically while the search
 	// runs with a best-so-far snapshot: elapsed time, scorer calls, and the
@@ -258,17 +235,12 @@ type Stats struct {
 	Duration time.Duration
 	// ScorerCalls counts (group × predicate) influence evaluations.
 	ScorerCalls int64
-	// Candidates counts predicates considered.
+	// Candidates counts the deduped, exact-scored candidate pool the
+	// explanations were cut from (at least len(Explanations)).
 	Candidates int
 	// Shards is the number of horizontal slices the search ran across
 	// (1 = unsharded).
 	Shards int
-	// Pruned counts candidates the anytime path (Request.Epsilon > 0)
-	// discarded on a sample interval's upper bound without exact scoring;
-	// Escalated counts those that reached the exact scorer. Both are 0 on
-	// the exact path. Sharded searches sum across shards.
-	Pruned    int64
-	Escalated int64
 	// ReusedPartition reports that the search skipped re-partitioning by
 	// reusing a Session's cached DT partitioning (§8.3.3) — the c-sweep
 	// fast path. Always false for one-shot Explain calls.
@@ -356,8 +328,6 @@ func recordSearchMetrics(reg *obs.Registry, algo Algorithm, st Stats, memo func(
 	hits, misses := memo()
 	reg.Counter("scorpion_scorer_memo_hits_total").Add(float64(hits))
 	reg.Counter("scorpion_scorer_memo_misses_total").Add(float64(misses))
-	reg.Counter("scorpion_anytime_pruned_total").Add(float64(st.Pruned))
-	reg.Counter("scorpion_anytime_escalated_total").Add(float64(st.Escalated))
 	if st.Interrupted {
 		reg.Counter("scorpion_search_interrupted_total", label...).Inc()
 	}
@@ -447,10 +417,10 @@ type ShardDispatcher interface {
 // algorithm searcher, or — when the request shards — a shard.Coordinator
 // fanning that same algorithm across horizontal table slices. The returned
 // coordinator is nil for unsharded searches.
-func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, reg *obs.Registry) (partition.Searcher, *shard.Coordinator, error) {
+func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm) (partition.Searcher, *shard.Coordinator, error) {
 	if p.shards > 1 {
 		factory := func(sc *influence.Scorer, sp *predicate.Space, domains map[int]predicate.Domain) (partition.Searcher, error) {
-			return buildSearcher(p, sc, sp, algo, domains, p.ShardTopK(algo), reg)
+			return buildSearcher(p, sc, sp, algo, domains, p.ShardTopK(algo))
 		}
 		// The combiner's refine pass climbs to any edge of the shard
 		// searchers' grid; DT has no grid, so its lattice stays
@@ -458,12 +428,6 @@ func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space,
 		params := shard.Params{GridBins: p.Bins(algo)}
 		if p.req.MergeParams != nil {
 			params.Merge = *p.req.MergeParams
-		}
-		if p.req.Epsilon > 0 {
-			// Anytime runs also ship a full-table hold-out sketch to every
-			// shard, so shard-local rankings become penalty-aware before the
-			// TopPerShard cut (nil for unsupported tasks or no hold-outs).
-			params.Penalty = estimate.NewSketch(scorer, 0)
 		}
 		if p.req.ShardDispatch != nil && p.remote(algo) {
 			params.Remote = p.req.ShardDispatch.Remote(p, algo)
@@ -474,7 +438,7 @@ func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space,
 		// The planner collapsed to one slice (tiny table or concentrated
 		// outliers): run unsharded.
 	}
-	s, err := buildSearcher(p, scorer, space, algo, nil, 0, reg)
+	s, err := buildSearcher(p, scorer, space, algo, nil, 0)
 	return s, nil, err
 }
 
@@ -611,9 +575,8 @@ func chooseAlgorithm(req *Request, scorer *influence.Scorer) (Algorithm, error) 
 // receives the global outlier extents so every shard enumerates the grid
 // the unsharded search would), and a positive topK overrides NAIVE's
 // candidate retention (a shard's ShardTopK).
-func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, domains map[int]predicate.Domain, topK int, reg *obs.Registry) (partition.Searcher, error) {
+func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, domains map[int]predicate.Domain, topK int) (partition.Searcher, error) {
 	req := &p.req
-	anytime := estimate.Params{Epsilon: req.Epsilon, Confidence: p.confidence, Metrics: reg}
 	switch algo {
 	case Naive:
 		params := naive.Params{}
@@ -627,7 +590,7 @@ func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, al
 		if domains != nil {
 			params.Domains = domains
 		}
-		return grid.Naive(scorer, space, params, anytime), nil
+		return naive.NewSearcher(scorer, space, params), nil
 
 	case DT:
 		params := dt.Params{}
@@ -652,7 +615,7 @@ func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, al
 		if domains != nil {
 			params.Domains = domains
 		}
-		return grid.MC(scorer, space, params, anytime), nil
+		return mc.NewSearcher(scorer, space, params), nil
 
 	default:
 		return nil, fmt.Errorf("scorpion: unknown algorithm %v", algo)
@@ -762,13 +725,15 @@ func (r ranked) Swap(i, j int) {
 	r.sels[i], r.sels[j] = r.sels[j], r.sels[i]
 }
 
-// present renders exactly-scored candidates as the Plan's top-k ranked
-// explanations. It does not mutate cands.
+// present renders the deduped, exactly-scored pool as the Plan's top-k
+// ranked explanations; Stats.Candidates counts the whole pool. It does not
+// mutate cands.
 func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, qres *query.Result) *Result {
+	res := &Result{QueryResult: qres}
+	res.Stats.Candidates = len(cands)
 	if len(cands) > p.topK {
 		cands = cands[:p.topK]
 	}
-	res := &Result{QueryResult: qres}
 	gO := shard.OutlierUnion(scorer.Task())
 	for _, c := range cands {
 		matched := c.Pred.Eval(p.req.Table, gO)
@@ -782,6 +747,5 @@ func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, qre
 			InfluencesHoldOut:    c.InfluencesHoldOut,
 		})
 	}
-	res.Stats.Candidates = len(cands)
 	return res
 }

@@ -178,26 +178,24 @@ func (d *tableDispatcher) Remote(p *scorpion.Plan, algo scorpion.Algorithm) shar
 func buildTask(d *tableDispatcher, p *scorpion.Plan, algo scorpion.Algorithm, rs *shard.RemoteShard) *wire.Task {
 	lo := rs.View.Off()
 	return &wire.Task{
-		Version:    wire.Version,
-		Table:      d.table,
-		Gen:        d.gen,
-		Rows:       rs.View.Base().NumRows(),
-		SQL:        p.SQL(),
-		WindowLo:   lo,
-		WindowHi:   lo + rs.View.NumRows(),
-		Algorithm:  algo.String(),
-		Bins:       p.Bins(algo),
-		TopK:       p.ShardTopK(algo),
-		Epsilon:    p.Epsilon(),
-		Confidence: p.Confidence(),
-		Attrs:      rs.Attrs,
-		Lambda:     rs.Task.Lambda,
-		C:          rs.Task.C,
-		Perturb:    rs.Task.Perturb,
-		Workers:    rs.Workers,
-		Domains:    wire.EncodeDomains(rs.Domains),
-		Outliers:   wire.EncodeGroups(rs.Task.Outliers),
-		HoldOuts:   wire.EncodeGroups(rs.Task.HoldOuts),
+		Version:   wire.Version,
+		Table:     d.table,
+		Gen:       d.gen,
+		Rows:      rs.View.Base().NumRows(),
+		SQL:       p.SQL(),
+		WindowLo:  lo,
+		WindowHi:  lo + rs.View.NumRows(),
+		Algorithm: algo.String(),
+		Bins:      p.Bins(algo),
+		TopK:      p.ShardTopK(algo),
+		Attrs:     rs.Attrs,
+		Lambda:    rs.Task.Lambda,
+		C:         rs.Task.C,
+		Perturb:   rs.Task.Perturb,
+		Workers:   rs.Workers,
+		Domains:   wire.EncodeDomains(rs.Domains),
+		Outliers:  wire.EncodeGroups(rs.Task.Outliers),
+		HoldOuts:  wire.EncodeGroups(rs.Task.HoldOuts),
 	}
 }
 

@@ -36,12 +36,9 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"time"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/influence"
-	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/sample"
@@ -81,38 +78,6 @@ type Params struct {
 	// Gen identifies the table state for seeding; 0 means the table's row
 	// count (a generation proxy: an append reseeds, a re-run does not).
 	Gen int64
-	// Metrics, when non-nil, receives per-level ladder telemetry:
-	// prune/escalate counters, interval-width and level-latency
-	// histograms, each labelled by ladder level and sample fraction.
-	// Nil (the default) keeps the ladder free of any telemetry cost.
-	Metrics *obs.Registry
-}
-
-// widthBuckets spread interval widths, which are in influence units and
-// therefore data-scaled, across decades.
-var widthBuckets = []float64{0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 100, 1000}
-
-// estMetrics holds the pre-resolved instruments so the ladder's hot loop
-// never touches the registry maps.
-type estMetrics struct {
-	pruned    []*obs.Counter   // per level
-	width     []*obs.Histogram // objective interval width per level
-	seconds   []*obs.Histogram // level latency
-	escalated *obs.Counter
-}
-
-func newEstMetrics(reg *obs.Registry, fractions []float64) *estMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &estMetrics{escalated: reg.Counter("scorpion_estimate_escalated_total")}
-	for i, f := range fractions {
-		labels := []string{"level", strconv.Itoa(i), "fraction", strconv.FormatFloat(f, 'g', -1, 64)}
-		m.pruned = append(m.pruned, reg.Counter("scorpion_estimate_pruned_total", labels...))
-		m.width = append(m.width, reg.Histogram("scorpion_estimate_interval_width", widthBuckets, labels...))
-		m.seconds = append(m.seconds, reg.Histogram("scorpion_estimate_level_seconds", nil, labels...))
-	}
-	return m
 }
 
 // deltaKind classifies the supported linear-Δ aggregates.
@@ -186,7 +151,6 @@ type Estimator struct {
 	hold    []groupSample
 	// logB = ln(3/δ) and logZ = ln(1/δ) for the per-statistic budget δ.
 	logB, logZ float64
-	met        *estMetrics // nil when telemetry is off
 }
 
 // Supported reports whether the task's influence can be interval-estimated:
@@ -204,7 +168,9 @@ func Supported(task *influence.Task) bool {
 
 // New builds an Estimator over the scorer's task, or nil when the task is
 // unsupported or Epsilon is not positive — callers fall back to the exact
-// path on nil.
+// path on nil. No served request builds one: New survives only for the
+// benchmark ladder's estimate.* lane (naive.Params.Estimator), and the
+// package goes once that lane is dropped.
 func New(scorer *influence.Scorer, p Params) *Estimator {
 	task := scorer.Task()
 	if p.Epsilon <= 0 || !Supported(task) {
@@ -234,7 +200,6 @@ func New(scorer *influence.Scorer, p Params) *Estimator {
 		epsilon: p.Epsilon,
 		conf:    p.Confidence,
 		nLevels: len(fractions),
-		met:     newEstMetrics(p.Metrics, fractions),
 	}
 	if _, ok := task.Agg.(aggregate.Count); ok {
 		e.kind = kindCount
@@ -732,20 +697,8 @@ func (e *Estimator) Influence(p predicate.Predicate, level int) Interval {
 func (e *Estimator) Score(p predicate.Predicate, threshold float64) (float64, bool) {
 	if !math.IsInf(threshold, -1) {
 		for level := 0; level < e.nLevels; level++ {
-			var levelStart time.Time
-			if e.met != nil {
-				levelStart = time.Now()
-			}
 			out := e.OutlierInterval(p, level)
-			upper := e.lambda * out.Hi
-			if e.met != nil {
-				e.met.width[level].Observe(e.lambda * (out.Hi - out.Lo))
-				e.met.seconds[level].Observe(time.Since(levelStart).Seconds())
-			}
-			if upper < threshold {
-				if e.met != nil {
-					e.met.pruned[level].Inc()
-				}
+			if upper := e.lambda * out.Hi; upper < threshold {
 				return upper, true
 			}
 			// The penalty term only subtracts, so the early-escalate test
@@ -760,9 +713,6 @@ func (e *Estimator) Score(p predicate.Predicate, threshold float64) (float64, bo
 				}
 			}
 		}
-	}
-	if e.met != nil {
-		e.met.escalated.Inc()
 	}
 	return e.scorer.Influence(p), false
 }

@@ -273,40 +273,4 @@ func TestNewDeclinesUnsupported(t *testing.T) {
 	if e := New(perturbScorer, Params{Epsilon: 0.1}); e != nil {
 		t.Error("New accepted a perturbation task")
 	}
-	if s := NewSketch(avgScorer, 0); s != nil {
-		t.Error("NewSketch accepted an AVG task")
-	}
-}
-
-// TestSketchPenalty: the shard sketch's penalty estimate is deterministic,
-// zero for predicates missing every hold-out, and in the ballpark of the
-// exact penalty for predicates that hit them.
-func TestSketchPenalty(t *testing.T) {
-	fx := buildFixture(t, "bimodal", aggregate.Sum{}, 80)
-	sk := NewSketch(fx.scorer, 0)
-	if sk == nil {
-		t.Fatal("NewSketch returned nil for a supported task with hold-outs")
-	}
-	sk2 := NewSketch(fx.scorer, 0)
-	for _, p := range fx.preds {
-		got, again := sk.Penalty(p), sk2.Penalty(p)
-		if got != again {
-			t.Fatalf("sketch penalty nondeterministic: %v vs %v", got, again)
-		}
-		if got < 0 {
-			t.Fatalf("negative penalty %v", got)
-		}
-		_, exact := fx.scorer.Parts(p)
-		if exact > 0 && got == 0 && p.Eval(fx.task.Table.Data(), fx.task.HoldOuts[0].Rows).Count() > 200 {
-			t.Fatalf("sketch missed a broad hold-out predicate (exact penalty %v)", exact)
-		}
-		if exact == 0 && got > 1e-9 {
-			// A 256-row sample of a ~1200-row group that contains no matched
-			// row must estimate zero.
-			if p.Eval(fx.task.Table.Data(), fx.task.HoldOuts[0].Rows).Count() == 0 &&
-				p.Eval(fx.task.Table.Data(), fx.task.HoldOuts[1].Rows).Count() == 0 {
-				t.Fatalf("sketch invented penalty %v for a no-match predicate", got)
-			}
-		}
-	}
 }

@@ -7,6 +7,8 @@ import (
 )
 
 // AnytimeTracker is the interval-aware top-k frontier of an anytime search.
+// Its one caller is naive.Params.Estimator, which survives only for the
+// benchmark ladder's estimate.* lane.
 // Escalated candidates contribute their EXACT scores, so the frontier's kth
 // member has a degenerate interval whose lower bound is its score; a
 // candidate whose interval upper bound falls below that kth lower bound can

@@ -22,10 +22,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
-	"github.com/scorpiondb/scorpion/internal/estimate"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/obs"
@@ -54,14 +52,6 @@ type Params struct {
 	// column index (see naive.Params.Domains): a sharded search passes the
 	// global outlier extents so every shard builds an identical unit grid.
 	Domains map[int]predicate.Domain
-	// Estimator, when non-nil, switches the pruning bounds to the anytime
-	// path: each unit first tries the cheap cached max-tuple bound, then an
-	// interval estimate of its outlier-only influence at increasing sample
-	// fractions, and pays the exact outlier-only scan only while the
-	// interval still straddles the generation's best score. Keep/drop
-	// decisions match the exact path up to the estimator's confidence.
-	// Nil runs the exact bounds.
-	Estimator *estimate.Estimator
 }
 
 func (p Params) withDefaults() Params {
@@ -82,11 +72,6 @@ type Result struct {
 	Candidates []partition.Candidate
 	// Iterations is the number of completed intersection rounds.
 	Iterations int
-	// Pruned counts units the anytime path dropped on an interval upper
-	// bound; Escalated counts those that needed the exact outlier-only
-	// scan. Both stay 0 on the exact path.
-	Pruned    int64
-	Escalated int64
 	// Interrupted reports whether context cancellation cut the search
 	// short; Candidates then hold the best predicates found so far.
 	Interrupted bool
@@ -148,10 +133,6 @@ type runner struct {
 	gO       *relation.RowSet // union of outlier groups
 	tupleInf []float64        // per-row influence (NaN outside g_O)
 	units    []unit
-	// pruned/escalated tally the anytime prune outcomes (see Result); they
-	// are atomics because prune bounds fan out over the pool.
-	pruned    atomic.Int64
-	escalated atomic.Int64
 	// interrupted records a cancellation observed during a parallel phase;
 	// partially-scored state must not feed best-so-far updates.
 	interrupted bool
@@ -400,8 +381,6 @@ func (m *runner) run() (*Result, error) {
 	}
 	genSpan.End()
 	res.Interrupted = m.interrupted || m.pool.Cancelled()
-	res.Pruned = m.pruned.Load()
-	res.Escalated = m.escalated.Load()
 	if !haveGlobal {
 		if res.Interrupted {
 			// Cancelled before the first generation completed: return the
@@ -431,37 +410,6 @@ func (m *runner) prune(units []unit, bestScore float64) []unit {
 	keep := make([]bool, len(units))
 	if err := m.pool.ForEach(len(units), func(i int) {
 		u := units[i]
-		if est := m.params.Estimator; est != nil {
-			// Anytime ordering: the cached max-tuple bound is a few array
-			// lookups, so it goes first; the interval ladder then settles
-			// most units on a partial outlier sample, and only units whose
-			// interval straddles bestScore at every level pay the exact
-			// outlier-only scan.
-			maxTuple := math.Inf(-1)
-			u.rows.ForEach(func(r int) {
-				if v := m.tupleInf[r]; v > maxTuple {
-					maxTuple = v
-				}
-			})
-			if maxTuple >= bestScore {
-				keep[i] = true
-				return
-			}
-			for level := 0; level < est.Levels(); level++ {
-				iv := est.OutlierInterval(u.pred, level)
-				if iv.Hi < bestScore {
-					m.pruned.Add(1)
-					return
-				}
-				if iv.Lo >= bestScore {
-					keep[i] = true
-					return
-				}
-			}
-			m.escalated.Add(1)
-			keep[i] = m.scorer.InfluenceOutliersOnly(u.pred) >= bestScore
-			return
-		}
 		if m.scorer.InfluenceOutliersOnly(u.pred) >= bestScore {
 			keep[i] = true
 			return

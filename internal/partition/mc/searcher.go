@@ -29,8 +29,6 @@ func (s *searcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	return &partition.Outcome{
 		Candidates:  res.Candidates,
 		Work:        int64(res.Iterations),
-		Pruned:      res.Pruned,
-		Escalated:   res.Escalated,
 		Interrupted: res.Interrupted,
 	}, nil
 }

@@ -20,7 +20,8 @@ const anytimeBatch = 1024
 // Params.Estimator: NAIVE streams its enumeration through the estimator's
 // refinement ladder, pruning candidates whose influence interval upper
 // bound falls below the running top-k frontier (plus the epsilon margin)
-// and exact-scoring only the escalated remainder.
+// and exact-scoring only the escalated remainder. No served request
+// reaches it; it survives only for the benchmark ladder's estimate.* lane.
 func runAnytime(e *enumerator, res *Result, pool *partition.Pool, params Params, maxCard, maxClauses int) {
 	est := params.Estimator
 	keeper := topK[predicate.Predicate]{k: params.TopK}

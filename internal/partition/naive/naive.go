@@ -54,14 +54,10 @@ type Params struct {
 	// columns keep the local data-derived extent.
 	Domains map[int]predicate.Domain
 	// Estimator, when non-nil, switches scoring to the anytime
-	// estimate-then-escalate path: each enumerated predicate is interval-
-	// estimated at increasing sample fractions and escalates to the exact
-	// scorer only while its interval still overlaps the top-k frontier
-	// (pruned candidates cost a partial sample scan instead of a full
-	// one). Candidates are processed in deterministic enumeration-order
-	// batches with the frontier frozen per batch, so the output is
-	// identical for any worker count and across runs. The convergence
-	// Trace is not recorded on this path. Nil runs the exact search.
+	// estimate-then-escalate path (anytime.go). No served request sets it:
+	// it survives only for the benchmark ladder's estimate.* lane, and goes
+	// with internal/estimate once that lane is dropped. Nil runs the exact
+	// search.
 	Estimator *estimate.Estimator
 }
 
@@ -97,7 +93,8 @@ type Result struct {
 	Enumerated int64
 	// Pruned counts predicates the anytime path discarded on an interval
 	// upper bound; Escalated counts those that reached the exact scorer.
-	// Both stay 0 on the exact path.
+	// Both stay 0 on the exact path; like Params.Estimator they survive
+	// only for the benchmark ladder's estimate.* lane.
 	Pruned    int64
 	Escalated int64
 	// Gated counts the predicates the exact path gated on their outlier

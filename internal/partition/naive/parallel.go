@@ -29,8 +29,6 @@ func (s *searcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	return &partition.Outcome{
 		Candidates:  res.TopK,
 		Work:        res.Enumerated,
-		Pruned:      res.Pruned,
-		Escalated:   res.Escalated,
 		Interrupted: res.Interrupted,
 	}, nil
 }

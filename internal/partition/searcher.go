@@ -22,11 +22,6 @@ type Outcome struct {
 	// Work counts algorithm-specific units of search effort: predicates
 	// enumerated (NAIVE), tree leaves emitted (DT), units scored (MC).
 	Work int64
-	// Pruned counts candidates an anytime search discarded on a sample
-	// interval's upper bound without exact scoring; Escalated counts those
-	// that reached the exact scorer. Both are 0 on the exact path.
-	Pruned    int64
-	Escalated int64
 	// Interrupted reports that the pool's context was cancelled mid-search
 	// and Candidates holds partial best-so-far results.
 	Interrupted bool

@@ -36,6 +36,7 @@ type explainResult struct {
 	Cached          *bool             `json:"cached"`
 	CacheKey        string            `json:"cache_key"`
 	ReusedPartition bool              `json:"reused_partition"`
+	Shards          int               `json:"shards"`
 }
 
 func postExplain(t *testing.T, srv *Server, body map[string]any) explainResult {
@@ -84,7 +85,8 @@ func startedJobs(t *testing.T, srv *Server) int {
 // TestExplainCacheHitServesRepeat is the core acceptance criterion: an
 // identical repeated /explain is served from the cache — "cached": true,
 // identical explanations, zero new scorer calls (no second search job
-// ever starts).
+// ever starts). So is a request that resolves to the same Plan: an
+// explicit default equals an unset knob, and label order is irrelevant.
 func TestExplainCacheHitServesRepeat(t *testing.T) {
 	srv := New(bigTable(t))
 	t.Cleanup(srv.Close)
@@ -103,6 +105,18 @@ func TestExplainCacheHitServesRepeat(t *testing.T) {
 	if second.CacheKey != first.CacheKey {
 		t.Errorf("cache_key changed across identical requests: %q vs %q", first.CacheKey, second.CacheKey)
 	}
+	for name, knobs := range map[string]map[string]any{
+		"explicit defaults":  {"lambda": 0.5, "c": 0.2, "top_k": 5},
+		"outliers reordered": {"outliers": []string{"g3", "g2"}},
+	} {
+		body := explainBody()
+		for k, v := range knobs {
+			body[k] = v
+		}
+		if same := postExplain(t, srv, body); same.CacheKey != first.CacheKey || same.Cached == nil || !*same.Cached {
+			t.Errorf("%s: key %q cached %v, want a hit on %q", name, same.CacheKey, same.Cached, first.CacheKey)
+		}
+	}
 	if len(second.Explanations) == 0 || len(second.Explanations) != len(first.Explanations) {
 		t.Fatalf("cached explanations = %d, first = %d", len(second.Explanations), len(first.Explanations))
 	}
@@ -119,6 +133,15 @@ func TestExplainCacheHitServesRepeat(t *testing.T) {
 	results, _ := stats["results"].(map[string]any)
 	if results == nil || results["hits"].(float64) < 1 {
 		t.Errorf("cache stats after hit = %v", stats)
+	}
+
+	held := func(order ...string) explainResult {
+		body := explainBody()
+		body["all_others_holdout"], body["holdouts"] = false, order
+		return postExplain(t, srv, body)
+	}
+	if a, b := held("g0", "g1"), held("g1", "g0"); b.CacheKey != a.CacheKey || b.Cached == nil || !*b.Cached {
+		t.Errorf("hold-outs reordered: key %q cached %v, want a hit on %q", b.CacheKey, b.Cached, a.CacheKey)
 	}
 }
 

@@ -423,16 +423,6 @@ type ExplainRequest struct {
 	// DT path (no partition reuse) and per-shard best-so-far appears in job
 	// progress snapshots.
 	Shards int `json:"shards,omitempty"`
-	// Epsilon switches the search to the anytime path
-	// (scorpion.Request.Epsilon): candidates whose sampled influence
-	// interval falls more than epsilon below the running top-k frontier are
-	// pruned without exact scoring. 0 (or absent) = exact search; negative
-	// values are rejected.
-	Epsilon *float64 `json:"epsilon,omitempty"`
-	// Confidence is the anytime path's joint interval coverage
-	// (scorpion.Request.Confidence); absent = server default (0.95), other
-	// values must lie in (0, 1).
-	Confidence *float64 `json:"confidence,omitempty"`
 	// Mode selects sync (default) or "async" execution on /explain;
 	// ignored on /jobs, which is always async.
 	Mode string `json:"mode,omitempty"`
@@ -553,12 +543,6 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 	if req.Lambda != nil {
 		sreq.SetLambda(*req.Lambda)
 	}
-	if req.Epsilon != nil {
-		sreq.Epsilon = *req.Epsilon
-	}
-	if req.Confidence != nil {
-		sreq.Confidence = *req.Confidence
-	}
 	if s.dispatch != nil {
 		// Offer this search's shards to the worker fleet. The dispatcher
 		// declines non-grid algorithms and failed peers per shard, so this
@@ -670,10 +654,6 @@ func explainResultJSON(res *scorpion.Result) map[string]any {
 	}
 	if res.Stats.Shards > 1 {
 		out["shards"] = res.Stats.Shards
-	}
-	if res.Stats.Pruned > 0 || res.Stats.Escalated > 0 {
-		out["pruned"] = res.Stats.Pruned
-		out["escalated"] = res.Stats.Escalated
 	}
 	if res.Stats.ReusedPartition {
 		out["reused_partition"] = true

@@ -159,8 +159,8 @@ func TestExplainEndpointValidation(t *testing.T) {
 		{ExplainRequest{SQL: sql}, "outlier"},
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Direction: "sideways"}, "direction"},
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Algorithm: "quantum"}, "algorithm"},
-		// λ and c are validated by the Plan before admission, like shards,
-		// epsilon and confidence: no job is minted for them.
+		// λ and c are validated by the Plan before admission, like shards:
+		// no job is minted for them.
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Lambda: knob(2)}, "lambda"},
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Lambda: knob(-0.5)}, "lambda"},
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, C: knob(-1)}, "c -1"},

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/scorpiondb/scorpion/internal/estimate"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/obs"
@@ -85,18 +84,10 @@ type Params struct {
 	Merge merge.Params
 	// Remote, when non-nil, is offered every shard search before the local
 	// path runs it: a dispatcher that ships the shard to a worker fleet.
-	// The coordinator's post-processing (penalty rerank, TopPerShard cut,
-	// global id map-back) and the combiner are identical for both paths,
+	// The coordinator's post-processing (TopPerShard cut, global id
+	// map-back) and the combiner are identical for both paths,
 	// so remote and local shard searches produce identical final results.
 	Remote RemoteSearcher
-	// Penalty, when non-nil, is a full-table hold-out sample sketch shipped
-	// to every shard: before the TopPerShard cut, each shard's candidates
-	// are re-ranked by their local score minus the sketch's estimate of the
-	// GLOBAL hold-out penalty they would pay. Hold-out-blind shard rankings
-	// otherwise favour the widest boxes and can push the λ-optimal
-	// candidate below the cut; the combiner's exact re-score still settles
-	// final scores, so the sketch only shapes recall, never results.
-	Penalty *estimate.Sketch
 }
 
 func (p Params) withDefaults() Params {
@@ -186,8 +177,6 @@ func (c *Coordinator) Calls() int64 {
 type shardResult struct {
 	cands       []partition.Candidate
 	work        int64
-	pruned      int64
-	escalated   int64
 	interrupted bool
 	err         error
 }
@@ -253,7 +242,7 @@ func (c *Coordinator) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	wg.Wait()
 
 	var all []partition.Candidate
-	var work, pruned, escalated int64
+	var work int64
 	interrupted := false
 	searched := 0
 	for i, r := range results {
@@ -262,8 +251,6 @@ func (c *Coordinator) Search(pool *partition.Pool) (*partition.Outcome, error) {
 		}
 		all = append(all, r.cands...)
 		work += r.work
-		pruned += r.pruned
-		escalated += r.escalated
 		interrupted = interrupted || r.interrupted
 		if r.cands != nil || r.work > 0 {
 			searched++
@@ -284,8 +271,6 @@ func (c *Coordinator) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	return &partition.Outcome{
 		Candidates:  cands,
 		Work:        work,
-		Pruned:      pruned,
-		Escalated:   escalated,
 		Interrupted: interrupted || pool.Cancelled(),
 	}, nil
 }
@@ -348,32 +333,10 @@ func (c *Coordinator) searchShard(i int, pool *partition.Pool, workers int) shar
 }
 
 // finishShard applies the coordinator-side post-processing every shard
-// outcome gets, local or remote: the penalty-aware rerank, the
-// TopPerShard cut, and the map back to global row ids.
+// outcome gets, local or remote: the TopPerShard cut and the map back to
+// global row ids.
 func (c *Coordinator) finishShard(v *relation.View, outMap []int, outcome *partition.Outcome) shardResult {
 	cands := outcome.Candidates
-	if sk := c.params.Penalty; sk != nil && len(cands) > c.params.TopPerShard {
-		// Penalty-aware cut: shard predicates transfer verbatim to the base
-		// table (shared dictionaries, raw continuous values), so the
-		// full-table sketch can estimate each candidate's global hold-out
-		// penalty before the contribution is truncated. Stable sort keeps
-		// the shard's own order among penalty ties.
-		lambda := c.scorer.Task().Lambda
-		adj := make([]float64, len(cands))
-		for j := range cands {
-			adj[j] = cands[j].Score - (1-lambda)*sk.Penalty(cands[j].Pred)
-		}
-		order := make([]int, len(cands))
-		for j := range order {
-			order[j] = j
-		}
-		sort.SliceStable(order, func(a, b int) bool { return adj[order[a]] > adj[order[b]] })
-		reranked := make([]partition.Candidate, len(cands))
-		for j, o := range order {
-			reranked[j] = cands[o]
-		}
-		cands = reranked
-	}
 	if len(cands) > c.params.TopPerShard {
 		cands = cands[:c.params.TopPerShard]
 	}
@@ -384,8 +347,6 @@ func (c *Coordinator) finishShard(v *relation.View, outMap []int, outcome *parti
 	return shardResult{
 		cands:       mapped,
 		work:        outcome.Work,
-		pruned:      outcome.Pruned,
-		escalated:   outcome.Escalated,
 		interrupted: outcome.Interrupted,
 	}
 }

@@ -22,6 +22,10 @@
 //     envelope bump (and vice versa).
 //   - Any field addition that an old worker can safely ignore does NOT
 //     bump Version; any semantic change to existing fields does.
+//   - A field removal that leaves every answer exact does NOT bump Version
+//     either: Task no longer carries the anytime knobs (epsilon,
+//     confidence), and a worker ignores them in an older coordinator's
+//     task, answering exactly, which satisfies any error bound.
 package wire
 
 import (
@@ -64,12 +68,9 @@ type Task struct {
 	Algorithm string `json:"algorithm"`
 	// Search knobs, pre-resolved by the coordinator so defaults cannot
 	// skew across versions: Bins is the unit grid, TopK the per-shard
-	// candidate cut for NAIVE, Epsilon/Confidence the anytime estimator
-	// (Epsilon 0 = exact path).
-	Bins       int     `json:"bins"`
-	TopK       int     `json:"top_k,omitempty"`
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
+	// candidate cut for NAIVE.
+	Bins int `json:"bins"`
+	TopK int `json:"top_k,omitempty"`
 	// Attrs is the predicate search space (A_rest), in the coordinator's
 	// canonical order.
 	Attrs []string `json:"attrs"`
@@ -106,14 +107,12 @@ type Group struct {
 }
 
 // Result carries a shard search's outcome back: every candidate the
-// local searcher would have produced, before the coordinator-side penalty
-// rerank and top-per-shard cut.
+// local searcher would have produced, before the coordinator-side
+// top-per-shard cut.
 type Result struct {
 	Version     int         `json:"version"`
 	Candidates  []Candidate `json:"candidates"`
 	Work        int64       `json:"work"`
-	Pruned      int64       `json:"pruned,omitempty"`
-	Escalated   int64       `json:"escalated,omitempty"`
 	Interrupted bool        `json:"interrupted,omitempty"`
 }
 
@@ -273,8 +272,6 @@ func EncodeOutcome(o *partition.Outcome) *Result {
 		Version:     Version,
 		Candidates:  EncodeCandidates(o.Candidates),
 		Work:        o.Work,
-		Pruned:      o.Pruned,
-		Escalated:   o.Escalated,
 		Interrupted: o.Interrupted,
 	}
 }
@@ -291,8 +288,6 @@ func DecodeOutcome(r *Result) (*partition.Outcome, error) {
 	return &partition.Outcome{
 		Candidates:  cands,
 		Work:        r.Work,
-		Pruned:      r.Pruned,
-		Escalated:   r.Escalated,
 		Interrupted: r.Interrupted,
 	}, nil
 }

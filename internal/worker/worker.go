@@ -9,11 +9,8 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/scorpiondb/scorpion/internal/estimate"
 	"github.com/scorpiondb/scorpion/internal/influence"
-	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
-	"github.com/scorpiondb/scorpion/internal/partition/grid"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -85,13 +82,12 @@ func Run(ctx context.Context, tbl *relation.Table, t *wire.Task, maxWorkers int)
 	}
 	domains := wire.DecodeDomains(t.Domains)
 
-	anytime := estimate.Params{Epsilon: t.Epsilon, Confidence: t.Confidence, Metrics: obs.RegistryFrom(ctx)}
 	var searcher partition.Searcher
 	switch t.Algorithm {
 	case "naive":
-		searcher = grid.Naive(scorer, space, naive.Params{Bins: t.Bins, TopK: t.TopK, Domains: domains}, anytime)
+		searcher = naive.NewSearcher(scorer, space, naive.Params{Bins: t.Bins, TopK: t.TopK, Domains: domains})
 	case "mc":
-		searcher = grid.MC(scorer, space, mc.Params{Bins: t.Bins, Domains: domains}, anytime)
+		searcher = mc.NewSearcher(scorer, space, mc.Params{Bins: t.Bins, Domains: domains})
 	default:
 		return nil, fmt.Errorf("worker: unsupported algorithm %q", t.Algorithm)
 	}

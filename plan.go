@@ -11,7 +11,6 @@ import (
 	"slices"
 	"time"
 
-	"github.com/scorpiondb/scorpion/internal/estimate"
 	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
@@ -23,10 +22,6 @@ const DefaultC = 0.2
 
 // DefaultLambda is the default hold-out trade-off.
 const DefaultLambda = 0.5
-
-// DefaultConfidence is the interval confidence the anytime path uses when
-// Request.Confidence is unset.
-const DefaultConfidence = estimate.DefaultConfidence
 
 // defaultTopK is how many explanations a request returns when TopK is unset.
 const defaultTopK = 5
@@ -58,9 +53,8 @@ const maxAutoSerialShards = 8
 type Plan struct {
 	req Request
 
-	lambda, c  float64
-	confidence float64 // 0 on an exact search (Epsilon 0)
-	topK       int
+	lambda, c float64
+	topK      int
 	// shards is the slice count (1 = unsharded); workers reads 0 as serial.
 	shards, workers int
 	interval        time.Duration
@@ -75,8 +69,7 @@ type Plan struct {
 
 // Plan validates r and resolves its defaults. It fails, naming the knob,
 // on a request no search could answer: no table, SQL or outliers, shards
-// below 0, λ outside [0, 1], c below 0, epsilon below 0, confidence outside
-// (0, 1), or any of them non-finite.
+// below 0, λ outside [0, 1], c below 0, or either of them non-finite.
 func (r *Request) Plan() (*Plan, error) {
 	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
 		interval: r.ProgressInterval, naiveBins: defaultGridBins, mcBins: defaultGridBins,
@@ -102,16 +95,6 @@ func (r *Request) Plan() (*Plan, error) {
 		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
 	case !(p.c >= 0) || math.IsInf(p.c, 1):
 		return nil, fmt.Errorf("scorpion: c %v must be finite and >= 0", p.c)
-	case !(r.Epsilon >= 0) || math.IsInf(r.Epsilon, 1):
-		return nil, fmt.Errorf("scorpion: epsilon %v must be finite and >= 0 (0 = exact)", r.Epsilon)
-	case r.Confidence != 0 && !(r.Confidence > 0 && r.Confidence < 1):
-		return nil, fmt.Errorf("scorpion: confidence %v must lie in (0, 1)", r.Confidence)
-	}
-	if r.Epsilon > 0 {
-		p.confidence = r.Confidence
-		if p.confidence == 0 {
-			p.confidence = DefaultConfidence
-		}
 	}
 	if p.topK <= 0 {
 		p.topK = defaultTopK
@@ -193,14 +176,9 @@ func (p *Plan) ShardTopK(algo Algorithm) int {
 	return 0
 }
 
-// Epsilon is the anytime error bound (0 = exact) and Confidence its
-// resolved interval confidence (0 on an exact search).
-func (p *Plan) Epsilon() float64    { return p.req.Epsilon }
-func (p *Plan) Confidence() float64 { return p.confidence }
-
 // remote reports whether a shard search resolved to algo can be reproduced
-// by a worker from Bins, ShardTopK and the anytime knobs alone: a grid
-// algorithm with no tuning override beyond those.
+// by a worker from Bins and ShardTopK alone: a grid algorithm with no
+// tuning override beyond those.
 func (p *Plan) remote(algo Algorithm) bool {
 	n, m, mp := p.req.NaiveParams, p.req.MCParams, p.req.MergeParams
 	switch algo {
@@ -270,9 +248,7 @@ func (p *Plan) encode(b []byte) []byte {
 	}
 	b = binary.AppendVarint(b, int64(r.Algorithm))
 	b = binary.AppendVarint(b, int64(p.topK))
-	b = binary.AppendVarint(b, int64(r.Shards))
-	b = appendFloat(b, r.Epsilon)
-	return appendFloat(b, p.confidence)
+	return binary.AppendVarint(b, int64(r.Shards))
 }
 
 func appendString(b []byte, s string) []byte {

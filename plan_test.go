@@ -28,7 +28,6 @@ func TestPlanCoversRequest(t *testing.T) {
 		Table:    sensorsTable(t),
 		SQL:      "SELECT avg(temp), time FROM sensors GROUP BY time",
 		Outliers: []string{"12PM", "1PM"},
-		Epsilon:  0.1, // so that Confidence is live
 	}
 	// Values for the fields whose kind alone does not give a usable one.
 	special := map[string]any{

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
 // streamFixture builds a group-contiguous table whose "out" group has a
@@ -324,5 +326,50 @@ func TestRefresherWarmKeepsShardCount(t *testing.T) {
 	// reports the shard count of the search that produced the candidates.
 	if warm.Stats.Shards != cold.Stats.Shards {
 		t.Fatalf("warm Stats.Shards = %d, cold = %d", warm.Stats.Shards, cold.Stats.Shards)
+	}
+}
+
+// TestStatsCandidatesCountsPool: Stats.Candidates counts the deduped,
+// exact-scored pool the top-k is cut from, not the explanations returned —
+// on the spine and on a warm refresh alike.
+func TestStatsCandidatesCountsPool(t *testing.T) {
+	ds := synth.Generate(synth.Config{
+		Dims: 2, TuplesPerGroup: 100, Groups: 6, OutlierGroups: 2, Mu: 80, Seed: 5,
+	})
+	req := sumRequest(ds, Naive)
+	req.TopK = 1
+	res, err := Explain(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Explanations) != 1 || res.Stats.Candidates <= len(res.Explanations) {
+		t.Fatalf("spine: %d explanations, Stats.Candidates = %d; want 1 cut from a larger pool",
+			len(res.Explanations), res.Stats.Candidates)
+	}
+
+	schema, rows := streamFixture(t)
+	base := buildFrom(t, schema, rows)
+	r := streamRequest(base)
+	r.TopK = 1
+	s := NewSession(r)
+	cold, err := s.Explain(context.Background(), r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ, err := AppenderFor(base).Append(streamBatch(12, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Table = succ
+	warm, err := s.Explain(context.Background(), r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Stats.Refreshed {
+		t.Fatalf("second run did not refresh warm: %s", s.FallbackReason())
+	}
+	if warm.Stats.Candidates != cold.Stats.Candidates || warm.Stats.Candidates <= len(warm.Explanations) {
+		t.Fatalf("refresh: Stats.Candidates = %d (cold %d) for %d explanations; want the cold pool's size",
+			warm.Stats.Candidates, cold.Stats.Candidates, len(warm.Explanations))
 	}
 }

@@ -281,9 +281,9 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 		if err = pr.scorer.SetC(p.c); err != nil {
 			return nil, fmt.Errorf("scorpion: %w", err)
 		}
-		searcher, coord, err = buildTopSearcher(p, pr.scorer, pr.space, pr.algo, reg)
+		searcher, coord, err = buildTopSearcher(p, pr.scorer, pr.space, pr.algo)
 	} else {
-		pr, searcher, coord, err = prepare(ctx, p, reg)
+		pr, searcher, coord, err = prepare(ctx, p)
 	}
 	if err != nil {
 		if s.dtPath(p.req.Algorithm, p) {
@@ -330,10 +330,6 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 	}
 	if outcome != nil {
 		searchSpan.SetAttr("candidates", len(outcome.Candidates))
-		if !session { // the DT path never prunes
-			searchSpan.SetAttr("pruned", outcome.Pruned)
-			searchSpan.SetAttr("escalated", outcome.Escalated)
-		}
 	}
 	searchSpan.End()
 	if err != nil {
@@ -359,8 +355,6 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 	if coord != nil {
 		res.Stats.Shards = coord.NumShards()
 	}
-	res.Stats.Pruned = outcome.Pruned
-	res.Stats.Escalated = outcome.Escalated
 	res.Stats.ReusedPartition = reused
 	if s != nil {
 		s.keep(p, gen, pr, session, searcher, &pool{cands: scored, sels: sels}, res.Stats, outcome.Interrupted)
@@ -381,7 +375,7 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 
 // prepare is the spine's plan phase: execute and label the query, resolve
 // the algorithm, and build the searcher that runs it.
-func prepare(ctx context.Context, p *Plan, reg *obs.Registry) (*prepared, partition.Searcher, *shard.Coordinator, error) {
+func prepare(ctx context.Context, p *Plan) (*prepared, partition.Searcher, *shard.Coordinator, error) {
 	_, span := obs.StartSpan(ctx, "plan")
 	defer span.End()
 	scorer, space, qres, err := buildScorer(p)
@@ -392,7 +386,7 @@ func prepare(ctx context.Context, p *Plan, reg *obs.Registry) (*prepared, partit
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	searcher, coord, err := buildTopSearcher(p, scorer, space, algo, reg)
+	searcher, coord, err := buildTopSearcher(p, scorer, space, algo)
 	if err != nil {
 		return nil, nil, nil, err
 	}

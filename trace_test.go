@@ -3,8 +3,8 @@ package scorpion
 // Phase-trace structure suite: an explain run under a caller-provided root
 // span must produce the documented phase tree, with each phase parented
 // where the README says it is — plan and search under the root, per-shard
-// spans (with the algorithm's own spans below them) under search, refine
-// under combine, rank last. The companion registry assertions pin that the
+// spans (carrying the algorithm's own attrs) under search, refine under
+// combine, rank last. The companion registry assertions pin that the
 // same run also lands in the metrics spine.
 
 import (
@@ -17,15 +17,29 @@ import (
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
-// TestExplainSpanTree runs a sharded anytime NAIVE explain under a root
-// span and asserts the full phase tree.
+// sumRequest builds a SUM request over a synthetic dataset, every other
+// group held out; callers mutate the returned request per case.
+func sumRequest(ds *synth.Dataset, algo Algorithm) *Request {
+	return &Request{
+		Table:            ds.Table,
+		SQL:              "SELECT sum(v), g FROM synth GROUP BY g",
+		Outliers:         ds.OutlierKeys,
+		AllOthersHoldOut: true,
+		Direction:        TooHigh,
+		Attributes:       ds.DimNames(),
+		Algorithm:        algo,
+		Shards:           1,
+	}
+}
+
+// TestExplainSpanTree runs a sharded NAIVE explain under a root span and
+// asserts the full phase tree.
 func TestExplainSpanTree(t *testing.T) {
 	ds := synth.Generate(synth.Config{
 		Dims: 2, TuplesPerGroup: 150, Groups: 6, OutlierGroups: 2, Mu: 80, Seed: 11,
 	})
-	req := anytimeRequest(ds, Naive)
+	req := sumRequest(ds, Naive)
 	req.Shards = 2
-	req.Epsilon = 0.05
 	req.Workers = 2
 
 	root := obs.NewSpan("explain")
@@ -52,12 +66,15 @@ func TestExplainSpanTree(t *testing.T) {
 		root.WriteTree(&buf)
 		t.Fatalf("search span missing shard.search/combine children; trace:\n%s", buf.String())
 	}
-	// The anytime NAIVE path flushes at least one batch per shard search,
-	// and its span nests under THAT shard, not under search directly.
-	if shard.Find("naive.batch") == nil {
-		var buf bytes.Buffer
-		root.WriteTree(&buf)
-		t.Fatalf("shard.search has no naive.batch child; trace:\n%s", buf.String())
+	// NAIVE's frontier-gate counters land on the span of the search that
+	// ran them: THAT shard's, not search's.
+	for _, attr := range []string{"gated", "holdouts_skipped"} {
+		if shard.Attrs[attr] == nil {
+			t.Errorf("shard.search attrs = %v, want %s", shard.Attrs, attr)
+		}
+		if search.Attrs[attr] != nil {
+			t.Errorf("search span carries the shard's %s attr", attr)
+		}
 	}
 	// Refine is a combine sub-phase.
 	if combine.Find("refine") == nil {
@@ -96,7 +113,7 @@ func TestExplainSpanTreeSession(t *testing.T) {
 	ds := synth.Generate(synth.Config{
 		Dims: 2, TuplesPerGroup: 100, Groups: 6, OutlierGroups: 2, Mu: 80, Seed: 3,
 	})
-	req := anytimeRequest(ds, DT)
+	req := sumRequest(ds, DT)
 	exp := NewSession(req)
 	for i, want := range []bool{false, true} {
 		root := obs.NewSpan("explain")

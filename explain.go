@@ -653,7 +653,7 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	cands := pt.CandidatesPool(s.scorer, pool)
 	// The scored leaves are a valid partial answer while the merge runs.
 	pool.PublishBest(cands)
-	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).MergeSeeded(cands, s.seeds)
+	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).WithAlgo("dt").MergeSeeded(cands, s.seeds)
 	pool.PublishBest(merged)
 	return &partition.Outcome{
 		Candidates:  merged,

@@ -18,6 +18,11 @@
 //
 // Merged results can also seed a later run with a lower c value (§8.3.3
 // caching experiment) via MergeSeeded.
+//
+// Expansion works on predicate.Box values, merged, compared and memoized as
+// comparable values, and builds a Predicate only for the boxes it keeps and
+// for exact scoring. A predicate a Box cannot hold takes the Predicate path
+// and is counted as a box fallback.
 package merge
 
 import (
@@ -26,6 +31,7 @@ import (
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/influence"
+	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
@@ -71,6 +77,8 @@ type Merger struct {
 	// approximation reads the outlier groups' states and original values
 	// off the scorer.
 	rem aggregate.Removable
+	// algo labels the merge's counters.
+	algo string
 }
 
 // New builds a Merger over the given scorer and search space. It runs
@@ -97,16 +105,11 @@ func (m *Merger) WithPool(pool *partition.Pool) *Merger {
 	return m
 }
 
-// rowState returns state({value of row}).
-func (m *Merger) rowState(row int) aggregate.State {
-	task := m.scorer.Task()
-	v := 0.0
-	if task.AggCol >= 0 {
-		v = task.Table.Floats(task.AggCol)[row]
-	}
-	var st aggregate.State
-	st.Add(v)
-	return st
+// WithAlgo names the search the merge serves ("dt", "mc", "shard"): the
+// algo label of its counters. Returns the receiver for chaining.
+func (m *Merger) WithAlgo(algo string) *Merger {
+	m.algo = algo
+	return m
 }
 
 // Merge expands the candidates and returns the deduplicated, descending
@@ -122,45 +125,150 @@ func (m *Merger) Merge(cands []partition.Candidate) []partition.Candidate {
 // seeds grow (each from where the previous run stopped), while the pool
 // still supplies merge partners. This is what makes the cached c sweep
 // cheap.
+//
+// The call is one "merge" span under the pool's, with its work as attrs
+// and the exact re-score of the top as a "rescore_top" child; its
+// counters land in the pool's registry.
 func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Candidate) []partition.Candidate {
 	if len(cands) == 0 && len(seeds) == 0 {
 		return nil
 	}
+	ctx := m.pool.Context()
+	_, span := obs.StartSpan(ctx, "merge")
 	pool := make([]partition.Candidate, len(cands))
 	copy(pool, cands)
 	partition.SortByScore(pool)
+	r := m.newRun(pool)
 
-	expandFrom := pool
+	expandFrom := len(pool)
 	if m.params.TopQuartileOnly && len(pool) >= 4 {
-		expandFrom = pool[:(len(pool)+3)/4]
+		expandFrom = (len(pool) + 3) / 4
 	}
 	if len(seeds) > 0 {
-		expandFrom = nil
+		expandFrom = 0
 	}
-	absorbed := make(map[string]bool)
-
-	var out []partition.Candidate
+	out := make([]partition.Candidate, 0, len(seeds)+len(pool))
 	// Seeds first: they represent already-grown boxes.
 	for _, seed := range seeds {
-		out = append(out, m.expand(seed, pool, absorbed))
+		out = append(out, r.expand(seed))
 	}
-	for _, c := range expandFrom {
-		if absorbed[c.Pred.Key()] {
-			continue
+	for i := 0; i < expandFrom; i++ {
+		if !r.absorbed[r.class[i]] {
+			out = append(out, r.expand(pool[i]))
 		}
-		out = append(out, m.expand(c, pool, absorbed))
 	}
 	// Non-seed candidates that were never expanded nor absorbed still count
 	// as results (the paper returns the full resulting list).
-	for _, c := range pool {
-		if !absorbed[c.Pred.Key()] {
+	for i, c := range pool {
+		if !r.absorbed[r.class[i]] {
 			out = append(out, c)
 		}
 	}
 	out = partition.Dedupe(out)
+	rescore := span.Child("rescore_top")
 	m.rescoreTop(out)
+	rescore.End()
 	partition.SortByScore(out)
+	span.SetAttr("attempts", r.attempts)
+	span.SetAttr("approx_memo_hits", r.hits)
+	span.SetAttr("box_fallbacks", r.fallbacks)
+	span.SetAttr("rounds", r.rounds)
+	span.End()
+	reg := obs.RegistryFrom(ctx)
+	reg.Counter("scorpion_merge_attempts_total", "algo", m.algo).Add(float64(r.attempts))
+	reg.Counter("scorpion_merge_box_fallbacks_total").Add(float64(r.fallbacks))
 	return out
+}
+
+// run is one MergeSeeded call: the pool in score order with each member's
+// piece and key class (the first pool index with its key), what the
+// expansions absorbed (by class), and the memo of every box met so far —
+// its slot in scores. The pool is fixed for the call, so a memoized score
+// is the one a fresh pass would compute. The memo dies with the call: the
+// approximation sums in pool order, which the next call's c changes.
+type run struct {
+	*Merger
+	cands    []partition.Candidate
+	pieces   []*partition.Piece
+	class    []int32
+	absorbed []bool
+	approx   bool
+	memo     map[predicate.Box]int
+	scores   []float64
+	buf      []attempt // an expansion round's attempts
+	todo     []int     // the attempts of buf that need a score
+
+	attempts, hits, fallbacks, rounds int
+}
+
+// attempt is one merge an expansion round scores.
+type attempt struct {
+	idx    int
+	merged shape
+	slot   int
+}
+
+// shape is a box under search: its Box when the Box type can represent
+// it, and its predicate, which a box met by merging materializes only when
+// something needs it.
+type shape struct {
+	box            predicate.Box
+	boxed, hasPred bool
+	pred           predicate.Predicate
+}
+
+// newRun indexes the sorted pool. A member without a piece of this space
+// (an MC or shard pool, or a DT pool scored over another space) gets one
+// built here.
+func (m *Merger) newRun(pool []partition.Candidate) *run {
+	r := &run{
+		Merger:   m,
+		cands:    pool,
+		pieces:   make([]*partition.Piece, len(pool)),
+		class:    make([]int32, len(pool)),
+		absorbed: make([]bool, len(pool)),
+		approx:   m.params.UseApproximation && m.rem != nil,
+		memo:     make(map[predicate.Box]int),
+	}
+	var own []partition.Piece
+	first := make(map[string]int32, len(pool))
+	for i := range pool {
+		if r.pieces[i] = pool[i].Piece; !r.pieces[i].Of(m.space) {
+			if own == nil {
+				own = make([]partition.Piece, len(pool))
+			}
+			own[i] = partition.NewPiece(m.space, m.scorer.Task(), &pool[i])
+			r.pieces[i] = &own[i]
+		}
+		if !r.pieces[i].Boxed {
+			r.fallbacks++
+		}
+		k, ok := first[pool[i].Pred.Key()]
+		if !ok {
+			k = int32(i)
+			first[pool[i].Pred.Key()] = k
+		}
+		r.class[i] = k
+	}
+	return r
+}
+
+// shapeOf boxes p; a predicate the Box type cannot represent is counted
+// and takes the Predicate path.
+func (r *run) shapeOf(p predicate.Predicate) shape {
+	s := shape{pred: p, hasPred: true}
+	if s.box, s.boxed = r.space.Box(p); !s.boxed {
+		r.fallbacks++
+	}
+	return s
+}
+
+// predOf returns s's predicate, materializing it from its box once.
+func (r *run) predOf(s *shape) predicate.Predicate {
+	if !s.hasPred {
+		s.pred, s.hasPred = r.space.Predicate(s.box), true
+	}
+	return s.pred
 }
 
 // expand grows one candidate by greedily absorbing adjacent pool members
@@ -168,66 +276,63 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 // out over the attached worker pool; the greedy choice — the highest score,
 // earliest pool index on ties, strictly above the current score — matches
 // the serial scan exactly, so parallel and serial expansions agree.
-func (m *Merger) expand(c partition.Candidate, pool []partition.Candidate, absorbed map[string]bool) partition.Candidate {
+func (r *run) expand(c partition.Candidate) partition.Candidate {
 	cur := c
-	curScore := m.score(cur.Pred, pool)
-	rounds := m.params.MaxRounds
+	at := r.shapeOf(cur.Pred)
+	curScore := r.scoreMemo(&at)
+	rounds := r.params.MaxRounds
 	if rounds <= 0 {
-		rounds = len(pool) + 1
+		rounds = len(r.cands) + 1
 	}
-	for r := 0; r < rounds; r++ {
-		if m.pool.Cancelled() {
+	for round := 0; round < rounds; round++ {
+		if r.pool.Cancelled() {
 			break
 		}
-		// Gather the merge candidates cheaply, then score them in parallel.
-		type attempt struct {
-			idx    int
-			merged predicate.Predicate
-			score  float64
+		r.rounds++
+		// Gather the merge candidates cheaply, then score the boxes not met
+		// before in parallel.
+		r.buf, r.todo = r.buf[:0], r.todo[:0]
+		for i := range r.cands {
+			if merged, ok := r.join(&at, i); ok {
+				r.buf = append(r.buf, attempt{idx: i, merged: merged})
+			}
 		}
-		var attempts []attempt
-		for i, q := range pool {
-			if q.Pred.Equal(cur.Pred) {
-				continue
+		r.attempts += len(r.buf)
+		for k := range r.buf {
+			var fresh bool
+			if r.buf[k].slot, fresh = r.slot(&r.buf[k].merged); fresh {
+				r.todo = append(r.todo, k)
 			}
-			// Only predicates over the same subspace merge (CLIQUE merges
-			// same-dimensionality units; merging across attribute sets
-			// would drop clauses and balloon straight to the full space).
-			if !sameColumns(cur.Pred, q.Pred) {
-				continue
-			}
-			if !m.space.Adjacent(cur.Pred, q.Pred, m.params.AdjacencyEps) {
-				continue
-			}
-			merged := cur.Pred.Merge(q.Pred)
-			if merged.Equal(cur.Pred) {
-				continue
-			}
-			attempts = append(attempts, attempt{idx: i, merged: merged})
 		}
-		if err := m.pool.ForEach(len(attempts), func(i int) {
-			attempts[i].score = m.score(attempts[i].merged, pool)
+		if err := r.pool.ForEach(len(r.todo), func(k int) {
+			a := &r.buf[r.todo[k]]
+			r.scores[a.slot] = r.score(&a.merged)
 		}); err != nil {
+			for _, k := range r.todo {
+				if a := &r.buf[k]; a.merged.boxed {
+					delete(r.memo, a.merged.box)
+				}
+			}
 			break // cancelled mid-scoring: unscored attempts must not win
 		}
-		bestScore := curScore
-		var bestPred predicate.Predicate
-		bestIdx := -1
-		for _, a := range attempts {
-			if a.score > bestScore {
-				bestScore, bestPred, bestIdx = a.score, a.merged, a.idx
+		bestScore, best := curScore, -1
+		for k := range r.buf {
+			if v := r.scores[r.buf[k].slot]; v > bestScore {
+				bestScore, best = v, k
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		absorbed[pool[bestIdx].Pred.Key()] = true
+		a := &r.buf[best]
+		q := &r.cands[a.idx]
+		r.absorbed[r.class[a.idx]] = true
+		at = a.merged
 		cur = partition.Candidate{
-			Pred:        bestPred,
-			Score:       bestScore,
-			HoldPenalty: math.Max(cur.HoldPenalty, pool[bestIdx].HoldPenalty),
-			InfluencesHoldOut: cur.InfluencesHoldOut ||
-				pool[bestIdx].InfluencesHoldOut,
+			Pred:              r.predOf(&at),
+			Score:             bestScore,
+			HoldPenalty:       math.Max(cur.HoldPenalty, q.HoldPenalty),
+			InfluencesHoldOut: cur.InfluencesHoldOut || q.InfluencesHoldOut,
 		}
 		curScore = bestScore
 	}
@@ -235,26 +340,76 @@ func (m *Merger) expand(c partition.Candidate, pool []partition.Candidate, absor
 	return cur
 }
 
-// score estimates the influence of a predicate, via the cached-tuple
+// join merges cur with pool member i, or reports false when the Merger
+// does not try the pair: the member equals cur, constrains other columns,
+// is not adjacent, or adds nothing. Only predicates over the same subspace
+// merge (CLIQUE merges same-dimensionality units; merging across attribute
+// sets would drop clauses and balloon straight to the full space). A pair
+// the Box type cannot hold takes the Predicate path.
+func (r *run) join(cur *shape, i int) (shape, bool) {
+	eps := r.params.AdjacencyEps
+	if q := r.pieces[i]; cur.boxed && q.Boxed {
+		if q.Box == cur.box || !q.Box.SameColumns(cur.box) || !r.space.AdjacentBoxes(cur.box, q.Box, eps) {
+			return shape{}, false
+		}
+		b := cur.box.Merge(q.Box)
+		return shape{box: b, boxed: true}, b != cur.box
+	}
+	p, q := r.predOf(cur), r.cands[i].Pred
+	if q.Equal(p) || !sameColumns(p, q) || !r.space.Adjacent(p, q, eps) {
+		return shape{}, false
+	}
+	merged := p.Merge(q)
+	if merged.Equal(p) {
+		return shape{}, false
+	}
+	return r.shapeOf(merged), true
+}
+
+// slot returns s's slot in the call's scores and whether it still needs
+// its score: a box met before shares the slot (a memo hit), any other
+// shape gets a new one.
+func (r *run) slot(s *shape) (int, bool) {
+	if s.boxed {
+		if i, ok := r.memo[s.box]; ok {
+			r.hits++
+			return i, false
+		}
+		r.memo[s.box] = len(r.scores)
+	}
+	r.scores = append(r.scores, 0)
+	return len(r.scores) - 1, true
+}
+
+// scoreMemo is score through the call's memo.
+func (r *run) scoreMemo(s *shape) float64 {
+	i, fresh := r.slot(s)
+	if fresh {
+		r.scores[i] = r.score(s)
+	}
+	return r.scores[i]
+}
+
+// score estimates the influence of a box, via the cached-tuple
 // approximation when enabled and possible, else via the exact Scorer.
-func (m *Merger) score(p predicate.Predicate, pool []partition.Candidate) float64 {
-	if m.params.UseApproximation && m.rem != nil {
-		if v, ok := m.approxInfluence(p, pool); ok {
+func (r *run) score(s *shape) float64 {
+	if r.approx {
+		if v, ok := r.approxInfluence(s); ok {
 			return v
 		}
 	}
-	return m.scorer.Influence(p)
+	return r.scorer.Influence(r.predOf(s))
 }
 
-// approxInfluence estimates inf(O, H, p*, V) from the partition statistics
-// alone (§6.3). Returns false when the pool lacks the needed statistics.
+// approxInfluence estimates inf(O, H, p*, V) from the pool's pieces alone
+// (§6.3). Returns false when the pool lacks the needed statistics.
 //
-// One pass over the pool computes each member's overlap with p* once and
-// folds it into every outlier group's estimate and into the hold-out
-// penalty. Each group still sees its updates in pool order, so the bits are
-// those of a pass per group.
-func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Candidate) (float64, bool) {
-	task := m.scorer.Task()
+// One pass over the pool, in pool order, computes each member's overlap
+// with p* once and folds it into every outlier group's estimate and into
+// the hold-out penalty. Each group still sees its updates in pool order,
+// so the bits are those of a pass per group.
+func (r *run) approxInfluence(pstar *shape) (float64, bool) {
+	task := r.scorer.Task()
 	nGroups := len(task.Outliers)
 	// The estimated state and size of p*(g) per outlier group, accumulated
 	// from cached tuples; on the stack for the usual handful of outliers.
@@ -271,23 +426,26 @@ func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Can
 	// Hold-out penalty: reuse the worst stored leaf penalty among overlapping
 	// partitions (a merged predicate's max_h penalty is at least its parts').
 	penalty := 0.0
-	for i := range pool {
-		q := &pool[i]
-		frac := overlapFraction(m.space, q.Pred, pstar)
-		if frac > 0 && q.HoldPenalty > penalty {
-			penalty = q.HoldPenalty
+	for i, q := range r.pieces {
+		var frac float64
+		if q.Boxed && pstar.boxed {
+			frac = r.space.Overlap(q.Box, pstar.box)
+		} else {
+			frac = overlapFraction(r.space, r.cands[i].Pred, r.predOf(pstar))
 		}
-		if len(q.GroupCards) != nGroups || len(q.CachedRows) != nGroups || frac <= 0 {
+		if pen := r.cands[i].HoldPenalty; frac > 0 && pen > penalty {
+			penalty = pen
+		}
+		if frac <= 0 || len(q.Cards) != nGroups {
 			continue
 		}
-		for gi := range removed {
-			row := q.CachedRows[gi]
-			if row < 0 || q.GroupCards[gi] <= 0 {
+		for gi, card := range q.Cards {
+			if card <= 0 {
 				continue
 			}
 			sawStats = true
-			n := q.GroupCards[gi] * frac
-			removed[gi] = m.rem.Update(removed[gi], scaleState(m.rowState(row), n))
+			n := card * frac
+			removed[gi] = r.rem.Update(removed[gi], scaleState(q.Rows[gi], n))
 			removedN[gi] += n
 		}
 	}
@@ -300,8 +458,8 @@ func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Can
 		if removedN[gi] <= 0 {
 			continue
 		}
-		orig := m.scorer.OutlierResult(gi)
-		updated := m.rem.Recover(m.rem.Remove(m.scorer.OutlierState(gi), removed[gi]))
+		orig := r.scorer.OutlierResult(gi)
+		updated := r.rem.Recover(r.rem.Remove(r.scorer.OutlierState(gi), removed[gi]))
 		delta := orig - updated
 		if math.IsNaN(delta) || math.IsInf(delta, 0) {
 			continue
@@ -316,7 +474,8 @@ func (m *Merger) approxInfluence(pstar predicate.Predicate, pool []partition.Can
 	return task.Lambda*outPart - (1-task.Lambda)*penalty, true
 }
 
-// sameColumns reports whether two predicates constrain identical columns.
+// sameColumns reports whether two predicates constrain identical columns
+// (the Predicate path's SameColumns).
 func sameColumns(a, b predicate.Predicate) bool {
 	if a.NumClauses() != b.NumClauses() {
 		return false
@@ -337,7 +496,8 @@ func scaleState(s aggregate.State, n float64) aggregate.State {
 	return aggregate.State{Sum: s.Sum * n, SumSq: s.SumSq * n, N: s.N * n}
 }
 
-// overlapFraction estimates the fraction of q's box that lies inside p*,
+// overlapFraction is Space.Overlap on predicates, for the pairs the Box
+// type cannot hold: it estimates the fraction of q's box that lies inside p*,
 // assuming uniform density: the product over attributes of the fractional
 // overlap of q's clause with p*'s clause (1 when p* leaves the attribute
 // unconstrained). Both clause lists are sorted by column, so it walks them

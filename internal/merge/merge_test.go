@@ -138,22 +138,51 @@ func TestMergeEmptyInput(t *testing.T) {
 	}
 }
 
+// mustBox converts p over space, failing the test when a Box cannot hold it.
+func mustBox(t *testing.T, space *predicate.Space, p predicate.Predicate) predicate.Box {
+	t.Helper()
+	b, ok := space.Box(p)
+	if !ok {
+		t.Fatalf("Box(%v) failed", p)
+	}
+	return b
+}
+
+// TestSameColumns checks the column test of both paths: Box.SameColumns
+// (the kernel) and sameColumns (the fallback for predicates a Box cannot
+// hold).
 func TestSameColumns(t *testing.T) {
+	b := relation.NewBuilder(relation.MustSchema(
+		relation.Column{Name: "x", Kind: relation.Continuous},
+		relation.Column{Name: "y", Kind: relation.Continuous},
+	))
+	b.MustAppend(relation.Row{relation.F(0), relation.F(2)})
+	space, err := predicate.NewSpace(b.Build(), []string{"x", "y"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := predicate.MustNew(predicate.NewRangeClause(0, "x", 0, 1, false))
-	b := predicate.MustNew(predicate.NewRangeClause(0, "x", 1, 2, false))
+	bx := predicate.MustNew(predicate.NewRangeClause(0, "x", 1, 2, false))
 	c := predicate.MustNew(predicate.NewRangeClause(1, "y", 0, 1, false))
 	d := predicate.MustNew(
 		predicate.NewRangeClause(0, "x", 0, 1, false),
 		predicate.NewRangeClause(1, "y", 0, 1, false),
 	)
-	if !sameColumns(a, b) {
-		t.Error("same-column predicates reported different")
-	}
-	if sameColumns(a, c) || sameColumns(a, d) {
-		t.Error("different-column predicates reported same")
+	for _, tc := range []struct {
+		p, q predicate.Predicate
+		want bool
+	}{{a, bx, true}, {a, c, false}, {a, d, false}, {d, d, true}} {
+		if got := mustBox(t, space, tc.p).SameColumns(mustBox(t, space, tc.q)); got != tc.want {
+			t.Errorf("Box(%v).SameColumns(%v) = %v, want %v", tc.p, tc.q, got, tc.want)
+		}
+		if got := sameColumns(tc.p, tc.q); got != tc.want {
+			t.Errorf("sameColumns(%v, %v) = %v, want %v", tc.p, tc.q, got, tc.want)
+		}
 	}
 }
 
+// TestOverlapFraction checks the volume fraction of both paths: the Box
+// kernel's Space.Overlap and the clause walk a Box-less pair falls back to.
 func TestOverlapFraction(t *testing.T) {
 	fx := buildGrid(t, 0.2)
 	xCol := fx.table.Schema().MustIndex("x")
@@ -171,9 +200,12 @@ func TestOverlapFraction(t *testing.T) {
 		{mk(0, 100), mk(25, 75), 0.5},
 	}
 	for _, tc := range cases {
-		got := overlapFraction(fx.space, tc.q, tc.pstar)
+		got := fx.space.Overlap(mustBox(t, fx.space, tc.q), mustBox(t, fx.space, tc.pstar))
 		if math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("overlapFraction(%v, %v) = %v, want %v", tc.q, tc.pstar, got, tc.want)
+			t.Errorf("Overlap(%v, %v) = %v, want %v", tc.q, tc.pstar, got, tc.want)
+		}
+		if walk := overlapFraction(fx.space, tc.q, tc.pstar); walk != got {
+			t.Errorf("overlapFraction(%v, %v) = %v, the kernel %v", tc.q, tc.pstar, walk, got)
 		}
 	}
 }
@@ -195,15 +227,22 @@ func TestOverlapFractionDiscreteAndUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	overlap := func(q, pstar predicate.Predicate) float64 {
+		got := space.Overlap(mustBox(t, space, q), mustBox(t, space, pstar))
+		if walk := overlapFraction(space, q, pstar); walk != got {
+			t.Errorf("overlapFraction(%v, %v) = %v, the kernel %v", q, pstar, walk, got)
+		}
+		return got
+	}
 	q := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{0, 1}))
 	pstar := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{1, 2}))
-	if got := overlapFraction(space, q, pstar); math.Abs(got-0.5) > 1e-9 {
+	if got := overlap(q, pstar); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("discrete overlap = %v, want 0.5", got)
 	}
 	// p* constrains x (unconstrained in q): overlap shrinks by p*'s domain
 	// coverage. x domain is [0,7]; [0,3.5) covers half.
 	pstar2 := predicate.MustNew(predicate.NewRangeClause(1, "x", 0, 3.5, false))
-	if got := overlapFraction(space, q, pstar2); math.Abs(got-0.5) > 1e-9 {
+	if got := overlap(q, pstar2); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("unconstrained-attr overlap = %v, want 0.5", got)
 	}
 }

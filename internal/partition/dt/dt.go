@@ -134,6 +134,10 @@ type combinedPiece struct {
 	pred              predicate.Predicate
 	source            int // index into OutlierLeaves
 	influencesHoldOut bool
+	// cards and stats are the piece's §6.3 statistics and its Merger
+	// piece, built once by index.
+	cards []float64
+	stats partition.Piece
 }
 
 // Result is a scored DT run.
@@ -200,7 +204,29 @@ func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predic
 
 	pt := &Partitioning{OutlierLeaves: outLeaves, HoldOutLeaves: holdLeaves, Interrupted: interrupted}
 	pt.combine(space, params)
+	pt.index(space, task)
 	return pt, nil
+}
+
+// index builds each combined piece's statistics and Merger piece, once per
+// partitioning: a piece that equals its source leaf takes the leaf's
+// cardinalities, a proper part of it takes them scaled by its volume
+// fraction of the leaf.
+func (pt *Partitioning) index(space *predicate.Space, task *influence.Task) {
+	for i := range pt.Combined {
+		piece := &pt.Combined[i]
+		leaf := pt.OutlierLeaves[piece.source]
+		piece.cards = leaf.Cards
+		if !piece.pred.Equal(leaf.Pred) {
+			frac := pieceFraction(leaf.Pred, piece.pred)
+			piece.cards = make([]float64, len(leaf.Cards))
+			for g, n := range leaf.Cards {
+				piece.cards[g] = n * frac
+			}
+		}
+		c := partition.Candidate{Pred: piece.pred, GroupCards: piece.cards, CachedRows: leaf.CachedRows}
+		piece.stats = partition.NewPiece(space, task, &c)
+	}
 }
 
 // Candidates scores the combined partitioning with the given scorer,
@@ -219,31 +245,18 @@ func (pt *Partitioning) CandidatesPool(scorer *influence.Scorer, pool *partition
 	out := make([]partition.Candidate, len(pt.Combined))
 	scored := make([]bool, len(pt.Combined))
 	err := pool.ForEach(len(pt.Combined), func(i int) {
-		piece := pt.Combined[i]
+		piece := &pt.Combined[i]
 		leaf := pt.OutlierLeaves[piece.source]
 		outMean, holdPen := scorer.Parts(piece.pred)
-		score := task.Lambda*outMean - (1-task.Lambda)*holdPen
 		c := partition.Candidate{
 			Pred:              piece.pred,
-			Score:             score,
+			Score:             task.Lambda*outMean - (1-task.Lambda)*holdPen,
 			HoldPenalty:       holdPen,
 			InfluencesHoldOut: piece.influencesHoldOut,
-		}
-		// Piece statistics: when the piece equals its source leaf, reuse
-		// leaf stats; otherwise estimate by volume fraction of the source.
-		if piece.pred.Equal(leaf.Pred) {
-			c.GroupCards = leaf.Cards
-			c.CachedRows = leaf.CachedRows
-			c.MeanInfluences = leaf.Means
-		} else {
-			frac := pieceFraction(leaf.Pred, piece.pred)
-			cards := make([]float64, len(leaf.Cards))
-			for i, n := range leaf.Cards {
-				cards[i] = n * frac
-			}
-			c.GroupCards = cards
-			c.CachedRows = leaf.CachedRows
-			c.MeanInfluences = leaf.Means
+			GroupCards:        piece.cards,
+			CachedRows:        leaf.CachedRows,
+			MeanInfluences:    leaf.Means,
+			Piece:             &piece.stats,
 		}
 		out[i] = c
 		scored[i] = true

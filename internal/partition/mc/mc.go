@@ -287,7 +287,7 @@ func (m *runner) run() (*Result, error) {
 		maxIter = len(m.space.Columns())
 	}
 
-	merger := merge.New(m.scorer, m.space, m.params.Merge).WithPool(m.pool)
+	merger := merge.New(m.scorer, m.space, m.params.Merge).WithPool(m.pool).WithAlgo("mc")
 	global := partition.Candidate{Score: math.Inf(-1)}
 	haveGlobal := false
 	prevBest := math.Inf(-1) // the pseudocode's `best`: Null initially

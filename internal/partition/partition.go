@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 
+	"github.com/scorpiondb/scorpion/internal/aggregate"
+	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 )
 
@@ -33,7 +35,48 @@ type Candidate struct {
 	// InfluencesHoldOut marks partitions that overlap an influential
 	// hold-out partition after the §6.1.4 combine step.
 	InfluencesHoldOut bool
+	// Piece, when set, is the candidate's entry in its DT partitioning's
+	// piece table, which the Merger reads instead of deriving it again.
+	Piece *Piece
 }
+
+// Piece is a candidate as the Merger reads it: its Box and, per outlier
+// group, the estimated cardinality (0 without a cached row) and the state
+// of the cached row's aggregate value — both nil unless the candidate has
+// statistics for exactly the task's groups. A DT partitioning builds its
+// pieces once, for every c it is scored at.
+type Piece struct {
+	space *predicate.Space
+	Box   predicate.Box
+	Boxed bool
+	Cards []float64
+	Rows  []aggregate.State
+}
+
+// NewPiece builds c's piece over space for task.
+func NewPiece(space *predicate.Space, task *influence.Task, c *Candidate) Piece {
+	p := Piece{space: space}
+	p.Box, p.Boxed = space.Box(c.Pred)
+	n := len(task.Outliers)
+	if len(c.GroupCards) != n || len(c.CachedRows) != n {
+		return p
+	}
+	p.Cards, p.Rows = make([]float64, n), make([]aggregate.State, n)
+	for g, row := range c.CachedRows {
+		if row >= 0 {
+			v := 0.0 // count(*) has no aggregate column
+			if task.AggCol >= 0 {
+				v = task.Table.Floats(task.AggCol)[row]
+			}
+			p.Cards[g] = c.GroupCards[g]
+			p.Rows[g].Add(v)
+		}
+	}
+	return p
+}
+
+// Of reports whether p is a piece built over space.
+func (p *Piece) Of(space *predicate.Space) bool { return p != nil && p.space == space }
 
 // Better reports whether score a ranks strictly above score b: descending,
 // with NaN below every number. A plain a > b is false both ways for a NaN,

@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/scorpiondb/scorpion/internal/relation"
 )
@@ -24,6 +25,12 @@ type Space struct {
 	table   *relation.Table // rel.Data(): the concrete window hot loops use
 	cols    []int
 	domains map[int]Domain
+	// The Box kernel's view of the columns: sorted holds them ascending
+	// (a Box's ordinals), doms their domains, and cont marks the
+	// continuous ones.
+	sorted []int
+	doms   []Domain
+	cont   uint64
 }
 
 // NewSpace builds the search space over the named attributes of rel,
@@ -45,6 +52,16 @@ func NewSpace(rel relation.Relation, attrs []string, rows *relation.RowSet) (*Sp
 			s.domains[col] = Domain{Lo: st.Min, Hi: st.Max}
 		} else {
 			s.domains[col] = Domain{Card: rel.Dict(col).Len()}
+		}
+	}
+	for col := range s.domains {
+		s.sorted = append(s.sorted, col)
+	}
+	sort.Ints(s.sorted)
+	for k, col := range s.sorted {
+		s.doms = append(s.doms, s.domains[col])
+		if k < 64 && s.Kind(col) == relation.Continuous {
+			s.cont |= 1 << uint(k)
 		}
 	}
 	return s, nil

@@ -80,6 +80,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("tables = %d", rec.Code)
 	}
 
+	// And one DT explain, so the Merger's counters exist.
+	body := obsExplainBody()
+	body.Algorithm = "dt"
+	if rec := postJSON(t, srv, "/explain", body); rec.Code != http.StatusOK {
+		t.Fatalf("explain = %d, body %s", rec.Code, rec.Body)
+	}
+
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusOK {
@@ -95,6 +102,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`scorpion_cache_hits_total{cache="results"} 0`,
 		"scorpion_jobs_queue_depth 0",
 		"scorpion_jobs_worker_budget",
+		`scorpion_merge_attempts_total{algo="dt"}`,
+		"scorpion_merge_box_fallbacks_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q; got:\n%s", want, text)

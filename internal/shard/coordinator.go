@@ -429,7 +429,7 @@ func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) [
 	if len(all) > c.params.MergeTop {
 		head, tail = all[:c.params.MergeTop], all[c.params.MergeTop:]
 	}
-	merged := merge.New(c.scorer, c.space, c.params.Merge).WithPool(pool).Merge(head)
+	merged := merge.New(c.scorer, c.space, c.params.Merge).WithPool(pool).WithAlgo("shard").Merge(head)
 	out := partition.Dedupe(append(merged, tail...))
 	partition.SortByScore(out)
 	rspan := span.Child("refine")

@@ -104,6 +104,38 @@ func TestExplainSpanTree(t *testing.T) {
 			t.Errorf("metrics exposition missing %q; got:\n%s", want, text)
 		}
 	}
+
+	// A DT request: the Merger is one merge span under search, with its
+	// work as attrs and the exact re-score of the top as a child, and its
+	// counters land in the registry.
+	root = obs.NewSpan("explain")
+	reg = obs.NewRegistry()
+	ctx = obs.ContextWithRegistry(obs.ContextWithSpan(context.Background(), root), reg)
+	if _, err := ExplainContext(ctx, sumRequest(ds, DT)); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	node = root.Snapshot()
+	merge := node.Find("search").Find("merge")
+	if merge == nil || merge.Find("rescore_top") == nil {
+		var buf bytes.Buffer
+		root.WriteTree(&buf)
+		t.Fatalf("search has no merge span with a rescore_top child; trace:\n%s", buf.String())
+	}
+	for _, attr := range []string{"attempts", "approx_memo_hits", "box_fallbacks", "rounds"} {
+		if _, ok := merge.Attrs[attr].(int); !ok {
+			t.Errorf("merge attrs = %v, want an int %s", merge.Attrs, attr)
+		}
+	}
+	if n, _ := merge.Attrs["attempts"].(int); n == 0 {
+		t.Errorf("merge attempts = %v, want > 0", merge.Attrs["attempts"])
+	}
+	if got, want := reg.Counter("scorpion_merge_attempts_total", "algo", "dt").Value(), float64(merge.Attrs["attempts"].(int)); got != want {
+		t.Errorf("scorpion_merge_attempts_total{algo=dt} = %v, the span's attempts %v", got, want)
+	}
+	if got, want := reg.Counter("scorpion_merge_box_fallbacks_total").Value(), float64(merge.Attrs["box_fallbacks"].(int)); got != want {
+		t.Errorf("scorpion_merge_box_fallbacks_total = %v, the span's box_fallbacks %v", got, want)
+	}
 }
 
 // TestExplainSpanTreeSession pins the session (c-sweep) path's trace shape:

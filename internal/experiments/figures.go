@@ -1,15 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
+	"github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/eval"
 	"github.com/scorpiondb/scorpion/internal/influence"
-	"github.com/scorpiondb/scorpion/internal/merge"
-	"github.com/scorpiondb/scorpion/internal/partition"
-	"github.com/scorpiondb/scorpion/internal/partition/dt"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 )
 
@@ -102,16 +101,23 @@ func Figure11(s Scale, w io.Writer) ([]Figure11Row, error) {
 	ds := s.synthDataset(2, mu("Hard"))
 	var rows []Figure11Row
 	for _, c := range []float64{0, 0.1, 0.5} {
-		out, err := s.RunAlgorithm("naive", ds, c)
+		// NAIVE's best-so-far Trace has no public surface, so this figure
+		// alone drives the search directly instead of through the library.
+		task, space, err := eval.SynthTask(ds, "sum", 0.5, c)
 		if err != nil {
 			return nil, err
 		}
-		task, _, err := eval.SynthTask(ds, "sum", 0.5, c)
+		scorer, err := influence.NewScorer(task)
+		if err != nil {
+			return nil, err
+		}
+		res, err := naive.RunContext(context.Background(), scorer, space,
+			naive.Params{Bins: s.Bins, Deadline: s.NaiveDeadline}, 1)
 		if err != nil {
 			return nil, err
 		}
 		gO := eval.OutlierUnion(task)
-		for _, tp := range out.Trace {
+		for _, tp := range res.Trace {
 			inner := eval.Score(tp.Pred, ds.Table, gO, ds.InnerRows)
 			outer := eval.Score(tp.Pred, ds.Table, gO, ds.OuterRows)
 			rows = append(rows, Figure11Row{
@@ -275,99 +281,48 @@ type Figure16Row struct {
 	C          float64
 	Cached     time.Duration
 	NoCache    time.Duration
+	// CachedCalls and FreshCalls count each run's influence evaluations.
+	CachedCalls, FreshCalls int64
 }
 
 // Figure16 reproduces Figure 16: executing DT+Merger over a descending c
 // sweep with and without reusing the partitioning and prior merge results
-// (§8.3.3).
+// (§8.3.3). The cached column is one Session serving the whole sweep; the
+// fresh column explains every c from scratch.
 func Figure16(s Scale, w io.Writer) ([]Figure16Row, error) {
-	cs := []float64{0.5, 0.4, 0.3, 0.2, 0.1, 0}
 	var rows []Figure16Row
 	for _, d := range []int{3, 4} {
 		for _, diff := range []string{"Easy", "Hard"} {
 			ds := s.synthDataset(d, mu(diff))
-
-			// Cached sweep: partition once, seed each merge with the
-			// previous (higher-c) results.
-			var pt *dt.Partitioning
-			var prevMerged []partition.Candidate
-			cached := make(map[float64]time.Duration, len(cs))
-			for _, c := range cs {
-				task, space, err := eval.SynthTask(ds, "avg", 0.5, c)
+			req := synthRequest(ds, "avg", scorpion.DT, 0)
+			session := scorpion.NewSession(req)
+			for _, c := range []float64{0.5, 0.4, 0.3, 0.2, 0.1, 0} {
+				req.SetC(c)
+				cached, err := session.Explain(context.Background(), req, 1)
 				if err != nil {
 					return nil, err
 				}
-				scorer, err := influence.NewScorer(task)
+				fresh, err := explain(req)
 				if err != nil {
 					return nil, err
 				}
-				start := time.Now()
-				if pt == nil {
-					pt, err = dt.Partition(scorer, space, dt.Params{})
-					if err != nil {
-						return nil, err
-					}
-				}
-				cands := pt.Candidates(scorer)
-				merger := merge.New(scorer, space, merge.Params{
-					TopQuartileOnly:  true,
-					UseApproximation: true,
-				})
-				seeds := prevMerged
-				if len(seeds) > 5 {
-					seeds = seeds[:5]
-				}
-				prevMerged = merger.MergeSeeded(cands, seeds)
-				cached[c] = time.Since(start)
-			}
-
-			// Fresh sweep: everything recomputed per c.
-			fresh := make(map[float64]time.Duration, len(cs))
-			for _, c := range cs {
-				task, space, err := eval.SynthTask(ds, "avg", 0.5, c)
-				if err != nil {
-					return nil, err
-				}
-				scorer, err := influence.NewScorer(task)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				res, err := dt.Run(scorer, space, dt.Params{})
-				if err != nil {
-					return nil, err
-				}
-				merger := merge.New(scorer, space, merge.Params{
-					TopQuartileOnly:  true,
-					UseApproximation: true,
-				})
-				merger.Merge(res.Candidates)
-				fresh[c] = time.Since(start)
-			}
-
-			for _, c := range cs {
 				rows = append(rows, Figure16Row{
-					Dims:       d,
-					Difficulty: diff,
-					C:          c,
-					Cached:     cached[c],
-					NoCache:    fresh[c],
+					Dims:        d,
+					Difficulty:  diff,
+					C:           c,
+					Cached:      cached.Stats.Duration,
+					NoCache:     fresh.Stats.Duration,
+					CachedCalls: cached.Stats.ScorerCalls,
+					FreshCalls:  fresh.Stats.ScorerCalls,
 				})
 			}
 		}
 	}
 	Section(w, "Figure 16: DT cost with and without caching across a descending c sweep")
-	tbl := NewTextTable("dims", "difficulty", "c", "cached (s)", "no-cache (s)")
+	tbl := NewTextTable("dims", "difficulty", "c", "cached (s)", "no-cache (s)", "cached calls", "fresh calls")
 	for _, r := range rows {
-		tbl.AddRow(r.Dims, r.Difficulty, r.C, r.Cached.Seconds(), r.NoCache.Seconds())
+		tbl.AddRow(r.Dims, r.Difficulty, r.C, r.Cached.Seconds(), r.NoCache.Seconds(), r.CachedCalls, r.FreshCalls)
 	}
 	tbl.Render(w)
 	return rows, nil
 }
-
-// NaiveConvergenceDeadline exposes the scale's NAIVE deadline for callers
-// rendering Figure 11 commentary.
-func (s Scale) NaiveConvergenceDeadline() time.Duration { return s.NaiveDeadline }
-
-// guard against unused import when figures evolve.
-var _ = naive.Params{}

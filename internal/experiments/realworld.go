@@ -5,15 +5,12 @@ import (
 	"io"
 	"time"
 
+	"github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/datasets"
 	"github.com/scorpiondb/scorpion/internal/eval"
-	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/merge"
-	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/partition/dt"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
-	"github.com/scorpiondb/scorpion/internal/predicate"
-	"github.com/scorpiondb/scorpion/internal/query"
 	"github.com/scorpiondb/scorpion/internal/relation"
 )
 
@@ -49,70 +46,19 @@ func IntelWorkload(n int, scale IntelScale, w io.Writer) ([]RealWorldRow, error)
 		Workload:      datasets.IntelWorkload(n),
 		Seed:          scale.Seed,
 	})
-	q, err := query.FromSQL(ds.Table, "SELECT stddev(temp), hour FROM readings GROUP BY hour")
+	req := &scorpion.Request{
+		Table:      ds.Table,
+		SQL:        "SELECT stddev(temp), hour FROM readings GROUP BY hour",
+		Outliers:   ds.OutlierHours,
+		HoldOuts:   ds.HoldOutHours,
+		Direction:  scorpion.TooHigh,
+		Attributes: []string{"sensorid", "voltage", "humidity", "light"},
+		Algorithm:  scorpion.DT,
+		Shards:     1,
+	}
+	rows, err := realWorldSweep(fmt.Sprintf("INTEL#%d", n), req, []float64{1, 0.5, 0.2, 0.1, 0}, ds.TruthRows)
 	if err != nil {
 		return nil, err
-	}
-	qres, err := q.Run()
-	if err != nil {
-		return nil, err
-	}
-	space, err := predicate.NewSpace(ds.Table,
-		[]string{"sensorid", "voltage", "humidity", "light"}, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []RealWorldRow
-	for _, c := range []float64{1, 0.5, 0.2, 0.1, 0} {
-		task := &influence.Task{
-			Table:  ds.Table,
-			Agg:    q.Agg,
-			AggCol: q.AggCol,
-			Lambda: 0.5,
-			C:      c,
-		}
-		for _, h := range ds.OutlierHours {
-			row, ok := qres.Lookup(h)
-			if !ok {
-				return nil, fmt.Errorf("eval: missing hour %s", h)
-			}
-			task.Outliers = append(task.Outliers,
-				influence.Group{Key: h, Rows: row.Group, Direction: influence.TooHigh})
-		}
-		for _, h := range ds.HoldOutHours {
-			row, ok := qres.Lookup(h)
-			if !ok {
-				return nil, fmt.Errorf("eval: missing hour %s", h)
-			}
-			task.HoldOuts = append(task.HoldOuts, influence.Group{Key: h, Rows: row.Group})
-		}
-		scorer, err := influence.NewScorer(task)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := dt.Run(scorer, space, dt.Params{})
-		if err != nil {
-			return nil, err
-		}
-		merger := merge.New(scorer, space, merge.Params{
-			TopQuartileOnly:  true,
-			UseApproximation: true,
-		})
-		best, ok := partition.Top(merger.Merge(res.Candidates))
-		if !ok {
-			return nil, fmt.Errorf("eval: intel workload %d produced no candidates", n)
-		}
-		elapsed := time.Since(start)
-		gO := eval.OutlierUnion(task)
-		rows = append(rows, RealWorldRow{
-			Workload:  fmt.Sprintf("INTEL#%d", n),
-			C:         c,
-			Predicate: best.Pred.Format(ds.Table),
-			Acc:       eval.Score(best.Pred, ds.Table, gO, ds.TruthRows),
-			Elapsed:   elapsed,
-		})
 	}
 	Section(w, "§8.4 INTEL workload %d (sensor %s, %d outlier hours, %d hold-outs)",
 		n, ds.FailingSensor, len(ds.OutlierHours), len(ds.HoldOutHours))
@@ -145,69 +91,49 @@ func ExpenseWorkload(scale ExpenseScale, w io.Writer) ([]RealWorldRow, error) {
 		Recipients: scale.Recipients,
 		Seed:       scale.Seed,
 	})
-	q, err := query.FromSQL(ds.Table,
-		"SELECT sum(disb_amt), date FROM expenses WHERE candidate = 'Obama' GROUP BY date")
+	req := &scorpion.Request{
+		Table:     ds.Table,
+		SQL:       "SELECT sum(disb_amt), date FROM expenses WHERE candidate = 'Obama' GROUP BY date",
+		Outliers:  ds.OutlierDays,
+		HoldOuts:  ds.HoldOutDays,
+		Direction: scorpion.TooHigh,
+		Attributes: []string{"recipient_nm", "recipient_st", "recipient_city", "zip",
+			"organization_tp", "disb_desc", "file_num", "election_tp", "category",
+			"payee_tp", "memo"},
+		Algorithm: scorpion.MC,
+		Shards:    1,
+		MCParams:  &mc.Params{MaxDiscreteValues: 60},
+	}
+	rows, err := realWorldSweep("EXPENSE", req, []float64{1, 0.5, 0.2, 0.1, 0.05}, ds.TruthRows)
 	if err != nil {
 		return nil, err
-	}
-	qres, err := q.Run()
-	if err != nil {
-		return nil, err
-	}
-	attrs := []string{"recipient_nm", "recipient_st", "recipient_city", "zip",
-		"organization_tp", "disb_desc", "file_num", "election_tp", "category",
-		"payee_tp", "memo"}
-	space, err := predicate.NewSpace(ds.Table, attrs, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	var rows []RealWorldRow
-	for _, c := range []float64{1, 0.5, 0.2, 0.1, 0.05} {
-		task := &influence.Task{
-			Table:  ds.Table,
-			Agg:    q.Agg,
-			AggCol: q.AggCol,
-			Lambda: 0.5,
-			C:      c,
-		}
-		for _, d := range ds.OutlierDays {
-			row, ok := qres.Lookup(d)
-			if !ok {
-				return nil, fmt.Errorf("eval: missing day %s", d)
-			}
-			task.Outliers = append(task.Outliers,
-				influence.Group{Key: d, Rows: row.Group, Direction: influence.TooHigh})
-		}
-		for _, d := range ds.HoldOutDays {
-			row, ok := qres.Lookup(d)
-			if !ok {
-				return nil, fmt.Errorf("eval: missing day %s", d)
-			}
-			task.HoldOuts = append(task.HoldOuts, influence.Group{Key: d, Rows: row.Group})
-		}
-		scorer, err := influence.NewScorer(task)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res, err := mc.Run(scorer, space, mc.Params{MaxDiscreteValues: 60})
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		gO := eval.OutlierUnion(task)
-		rows = append(rows, RealWorldRow{
-			Workload:  "EXPENSE",
-			C:         c,
-			Predicate: res.Best.Pred.Format(ds.Table),
-			Acc:       eval.Score(res.Best.Pred, ds.Table, gO, ds.TruthRows),
-			Elapsed:   elapsed,
-		})
 	}
 	Section(w, "§8.4 EXPENSE workload (%d outlier days, %d hold-outs)",
 		len(ds.OutlierDays), len(ds.HoldOutDays))
 	writeRealWorld(w, rows)
+	return rows, nil
+}
+
+// realWorldSweep explains req at λ = 0.5 and each c, scoring each top
+// predicate against the planted truth.
+func realWorldSweep(workload string, req *scorpion.Request, cs []float64, truth *relation.RowSet) ([]RealWorldRow, error) {
+	req.SetLambda(0.5)
+	var rows []RealWorldRow
+	for _, c := range cs {
+		req.SetC(c)
+		res, err := explain(req)
+		if err != nil {
+			return nil, fmt.Errorf("eval: %s at c=%v: %w", workload, c, err)
+		}
+		best := res.Explanations[0].Predicate
+		rows = append(rows, RealWorldRow{
+			Workload:  workload,
+			C:         c,
+			Predicate: best.Format(req.Table),
+			Acc:       eval.Score(best, req.Table, outlierRows(req, res), truth),
+			Elapsed:   res.Stats.Duration,
+		})
+	}
 	return rows, nil
 }
 
@@ -225,11 +151,21 @@ func writeRealWorld(w io.Writer, rows []RealWorldRow) {
 // and 1PM outliers.
 func RunningExample(w io.Writer) (string, error) {
 	tbl := runningExampleTable()
-	q, err := query.FromSQL(tbl, "SELECT avg(temp), time FROM sensors GROUP BY time")
-	if err != nil {
-		return "", err
+	req := &scorpion.Request{
+		Table:       tbl,
+		SQL:         "SELECT avg(temp), time FROM sensors GROUP BY time",
+		Outliers:    []string{"12PM", "1PM"},
+		HoldOuts:    []string{"11AM"},
+		Direction:   scorpion.TooHigh,
+		Attributes:  []string{"sensorid", "voltage", "humidity"},
+		Algorithm:   scorpion.DT,
+		Shards:      1,
+		DTParams:    &dt.Params{DisableSampling: true},
+		MergeParams: &merge.Params{},
 	}
-	qres, err := q.Run()
+	req.SetLambda(0.5)
+	req.SetC(1)
+	res, err := explain(req)
 	if err != nil {
 		return "", err
 	}
@@ -245,7 +181,7 @@ func RunningExample(w io.Writer) (string, error) {
 
 	Section(w, "Table 2: Q1 results and annotations")
 	t2 := NewTextTable("result", "time", "avg(temp)", "label", "v")
-	for i, row := range qres.Rows {
+	for i, row := range res.QueryResult.Rows {
 		label, v := "Hold-out", "-"
 		if row.Key == "12PM" || row.Key == "1PM" {
 			label, v = "Outlier", "<+1>"
@@ -254,43 +190,12 @@ func RunningExample(w io.Writer) (string, error) {
 	}
 	t2.Render(w)
 
-	task := &influence.Task{
-		Table:  tbl,
-		Agg:    q.Agg,
-		AggCol: q.AggCol,
-		Lambda: 0.5,
-		C:      1,
-	}
-	for _, key := range []string{"12PM", "1PM"} {
-		row, _ := qres.Lookup(key)
-		task.Outliers = append(task.Outliers,
-			influence.Group{Key: key, Rows: row.Group, Direction: influence.TooHigh})
-	}
-	hold, _ := qres.Lookup("11AM")
-	task.HoldOuts = []influence.Group{{Key: "11AM", Rows: hold.Group}}
-	scorer, err := influence.NewScorer(task)
-	if err != nil {
-		return "", err
-	}
-	space, err := predicate.NewSpace(tbl, []string{"sensorid", "voltage", "humidity"}, nil)
-	if err != nil {
-		return "", err
-	}
-	res, err := dt.Run(scorer, space, dt.Params{DisableSampling: true})
-	if err != nil {
-		return "", err
-	}
-	merger := merge.New(scorer, space, merge.Params{})
-	best, ok := partition.Top(merger.Merge(res.Candidates))
-	if !ok {
-		return "", fmt.Errorf("eval: running example produced no explanation")
-	}
-	explanation := best.Pred.Format(tbl)
+	best := res.Explanations[0]
 	if w != nil {
 		fmt.Fprintf(w, "\nExplanation for {12PM, 1PM} too-high: %s (influence %.3f)\n",
-			explanation, scorer.Influence(best.Pred))
+			best.Where, best.Influence)
 	}
-	return explanation, nil
+	return best.Where, nil
 }
 
 func runningExampleTable() *relation.Table {

@@ -1,17 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/eval"
-	"github.com/scorpiondb/scorpion/internal/influence"
-	"github.com/scorpiondb/scorpion/internal/merge"
-	"github.com/scorpiondb/scorpion/internal/partition"
-	"github.com/scorpiondb/scorpion/internal/partition/dt"
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
+	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
@@ -91,73 +90,87 @@ type AlgoOutcome struct {
 	Algorithm string
 	Best      predicate.Predicate
 	Score     float64
-	Elapsed   time.Duration
+	// Elapsed is the run's Stats.Duration: plan, search and rank.
+	Elapsed time.Duration
 	// InnerAcc and OuterAcc compare against the two ground-truth cubes.
 	InnerAcc, OuterAcc eval.Accuracy
 	// ScorerCalls counts influence evaluations.
 	ScorerCalls int64
-	// Trace carries NAIVE's best-so-far curve (nil for DT/MC).
-	Trace []naive.TracePoint
 }
 
-// RunAlgorithm executes one named algorithm ("naive", "dt", "mc") on a
-// SYNTH dataset with SUM (the paper's §8.1 query) at the given c.
+// algorithms maps the grid's algorithm names to the library's choices.
+var algorithms = map[string]scorpion.Algorithm{
+	"naive": scorpion.Naive,
+	"dt":    scorpion.DT,
+	"mc":    scorpion.MC,
+}
+
+// RunAlgorithm explains a SYNTH dataset's outliers under SUM (the paper's
+// §8.1 query) at the given c, forcing one named algorithm ("naive", "dt",
+// "mc").
 func (s Scale) RunAlgorithm(algo string, ds *synth.Dataset, c float64) (AlgoOutcome, error) {
-	task, space, err := eval.SynthTask(ds, "sum", 0.5, c)
+	a, ok := algorithms[algo]
+	if !ok {
+		return AlgoOutcome{}, fmt.Errorf("eval: unknown algorithm %q", algo)
+	}
+	req := synthRequest(ds, "sum", a, c)
+	req.NaiveParams = &naive.Params{Bins: s.Bins, Deadline: s.NaiveDeadline}
+	req.MCParams = &mc.Params{Bins: s.Bins}
+	res, err := explain(req)
 	if err != nil {
-		return AlgoOutcome{}, err
+		return AlgoOutcome{Algorithm: algo}, err
 	}
-	scorer, err := influence.NewScorer(task)
+	best := res.Explanations[0]
+	gO := outlierRows(req, res)
+	return AlgoOutcome{
+		Algorithm:   algo,
+		Best:        best.Predicate,
+		Score:       best.Influence,
+		Elapsed:     res.Stats.Duration,
+		InnerAcc:    eval.Score(best.Predicate, ds.Table, gO, ds.InnerRows),
+		OuterAcc:    eval.Score(best.Predicate, ds.Table, gO, ds.OuterRows),
+		ScorerCalls: res.Stats.ScorerCalls,
+	}, nil
+}
+
+// synthRequest is the SYNTH query SELECT agg(v), g GROUP BY g as one
+// library request: the planted outlier groups flagged too high, the rest
+// held out, λ = 0.5, the given c, and algo searching one shard, so a figure
+// times one search however large its table grows.
+func synthRequest(ds *synth.Dataset, agg string, algo scorpion.Algorithm, c float64) *scorpion.Request {
+	req := &scorpion.Request{
+		Table:      ds.Table,
+		SQL:        fmt.Sprintf("SELECT %s(v), g FROM synth GROUP BY g", agg),
+		Outliers:   ds.OutlierKeys,
+		HoldOuts:   ds.HoldOutKeys,
+		Direction:  scorpion.TooHigh,
+		Attributes: ds.DimNames(),
+		Algorithm:  algo,
+		Shards:     1,
+	}
+	req.SetLambda(0.5)
+	req.SetC(c)
+	return req
+}
+
+// explain runs req through the library and fails when it found nothing.
+func explain(req *scorpion.Request) (*scorpion.Result, error) {
+	res, err := scorpion.ExplainContext(context.Background(), req)
 	if err != nil {
-		return AlgoOutcome{}, err
+		return nil, err
 	}
-	out := AlgoOutcome{Algorithm: algo}
-	start := time.Now()
-	var best partition.Candidate
-	switch algo {
-	case "naive":
-		res, err := naive.Run(scorer, space, naive.Params{
-			Bins:     s.Bins,
-			Deadline: s.NaiveDeadline,
-		})
-		if err != nil {
-			return out, err
-		}
-		best = res.Best
-		out.Trace = res.Trace
-
-	case "dt":
-		res, err := dt.Run(scorer, space, dt.Params{})
-		if err != nil {
-			return out, err
-		}
-		merger := merge.New(scorer, space, merge.Params{
-			TopQuartileOnly:  true,
-			UseApproximation: scorer.Incremental(),
-		})
-		merged := merger.Merge(res.Candidates)
-		b, ok := partition.Top(merged)
-		if !ok {
-			return out, fmt.Errorf("eval: dt produced no candidates")
-		}
-		best = b
-
-	case "mc":
-		res, err := mc.Run(scorer, space, mc.Params{Bins: s.Bins})
-		if err != nil {
-			return out, err
-		}
-		best = res.Best
-
-	default:
-		return out, fmt.Errorf("eval: unknown algorithm %q", algo)
+	if len(res.Explanations) == 0 {
+		return nil, fmt.Errorf("eval: %v produced no explanation", req.Algorithm)
 	}
-	out.Elapsed = time.Since(start)
-	out.Best = best.Pred
-	out.Score = scorer.Influence(best.Pred)
-	out.ScorerCalls = scorer.Calls()
-	gO := eval.OutlierUnion(task)
-	out.InnerAcc = eval.Score(best.Pred, ds.Table, gO, ds.InnerRows)
-	out.OuterAcc = eval.Score(best.Pred, ds.Table, gO, ds.OuterRows)
-	return out, nil
+	return res, nil
+}
+
+// outlierRows is g_O, the union of the flagged groups' provenance in res.
+func outlierRows(req *scorpion.Request, res *scorpion.Result) *relation.RowSet {
+	gO := relation.NewRowSet(req.Table.NumRows())
+	for _, key := range req.Outliers {
+		row, _ := res.QueryResult.Lookup(key)
+		gO.Or(row.Group)
+	}
+	return gO
 }

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -274,13 +275,14 @@ func TestApproximationAvoidsScorerCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dtpkg.Run(scorer, space, dtpkg.Params{DisableSampling: true})
+		pt, err := dtpkg.PartitionContext(context.Background(), scorer, space, dtpkg.Params{DisableSampling: true}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cands := pt.Candidates(scorer)
 		before := scorer.Calls()
 		m := New(scorer, space, Params{TopQuartileOnly: true, UseApproximation: useApprox})
-		out := m.Merge(res.Candidates)
+		out := m.Merge(cands)
 		best, ok := partition.Top(out)
 		if !ok {
 			t.Fatal("no merged output")

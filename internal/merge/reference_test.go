@@ -722,16 +722,17 @@ func TestMergeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dtpkg.Run(scorer, space, dtpkg.Params{})
+		pt, err := dtpkg.PartitionContext(context.Background(), scorer, space, dtpkg.Params{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := input{name: "dt c=" + strconv.FormatFloat(c, 'g', -1, 64), scorer: scorer, space: space, pool: res.Candidates}
-		for i := 0; i < len(res.Candidates); i += 4 {
-			in.pool = append(in.pool, res.Candidates[i]) // a duplicate piece
+		cands := pt.Candidates(scorer)
+		in := input{name: "dt c=" + strconv.FormatFloat(c, 'g', -1, 64), scorer: scorer, space: space, pool: cands}
+		for i := 0; i < len(cands); i += 4 {
+			in.pool = append(in.pool, cands[i]) // a duplicate piece
 		}
 		// Seeds: a higher c's merge, and a box off every piece's bounds.
-		prev := New(scorer, space, Params{TopQuartileOnly: true, UseApproximation: true}).Merge(res.Candidates)
+		prev := New(scorer, space, Params{TopQuartileOnly: true, UseApproximation: true}).Merge(cands)
 		in.seeds = append(prev[:min(3, len(prev))], partition.Candidate{Pred: predicate.MustNew(
 			predicate.NewRangeClause(space.Columns()[0], space.Name(space.Columns()[0]), 12.345, 67.891, false))})
 		inputs = append(inputs, in)

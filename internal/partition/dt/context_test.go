@@ -12,16 +12,17 @@ import (
 // scores, because every node draws from an RNG seeded by its tree position.
 func TestParallelPartitioningIdenticalToSerial(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 300, 80, 0.1)
-	serial, err := RunContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 7}, 1)
+	sp, err := PartitionContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 7}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial := sp.Candidates(scorer)
 	for _, workers := range []int{2, 8} {
-		par, err := RunContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 7}, workers)
+		pp, err := PartitionContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 7}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, pp := serial.Partitioning, par.Partitioning
+		par := pp.Candidates(scorer)
 		if len(sp.OutlierLeaves) != len(pp.OutlierLeaves) {
 			t.Fatalf("workers=%d: leaf counts differ: %d vs %d",
 				workers, len(sp.OutlierLeaves), len(pp.OutlierLeaves))
@@ -35,16 +36,16 @@ func TestParallelPartitioningIdenticalToSerial(t *testing.T) {
 				t.Fatalf("workers=%d: leaf %d mean influence differs", workers, i)
 			}
 		}
-		if len(serial.Candidates) != len(par.Candidates) {
+		if len(serial) != len(par) {
 			t.Fatalf("workers=%d: candidate counts differ: %d vs %d",
-				workers, len(serial.Candidates), len(par.Candidates))
+				workers, len(serial), len(par))
 		}
-		for i := range serial.Candidates {
-			if serial.Candidates[i].Pred.Key() != par.Candidates[i].Pred.Key() ||
-				serial.Candidates[i].Score != par.Candidates[i].Score {
+		for i := range serial {
+			if serial[i].Pred.Key() != par[i].Pred.Key() ||
+				serial[i].Score != par[i].Score {
 				t.Fatalf("workers=%d: candidate %d differs: %s %v vs %s %v", workers, i,
-					serial.Candidates[i].Pred.Key(), serial.Candidates[i].Score,
-					par.Candidates[i].Pred.Key(), par.Candidates[i].Score)
+					serial[i].Pred.Key(), serial[i].Score,
+					par[i].Pred.Key(), par[i].Score)
 			}
 		}
 	}
@@ -92,14 +93,14 @@ func TestRunContextCancellationPrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := RunContext(ctx, scorer, space, Params{DisableSampling: true}, 4)
+	pt, err := PartitionContext(ctx, scorer, space, Params{DisableSampling: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation took %s", elapsed)
 	}
-	if !res.Partitioning.Interrupted {
+	if !pt.Interrupted {
 		t.Fatal("expired build not marked interrupted")
 	}
 }

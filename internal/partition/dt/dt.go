@@ -12,10 +12,10 @@
 // denominator of 1^c), so a Partitioning can be cached and re-scored for
 // different c values (§8.3.3).
 //
-// The build is cancellable and parallel: RunContext/PartitionContext thread
-// a context.Context into the tree expansion (cancellation emits the
+// The build is cancellable and parallel: PartitionContext threads a
+// context.Context into the tree expansion (cancellation emits the
 // unfinished frontier as coarse leaves, so the partial partitioning still
-// tiles the space) and fan node expansion out over a partition.Pool.
+// tiles the space) and fans node expansion out over a partition.Pool.
 // Because every node's sampling randomness is derived from its position in
 // the tree, the partitioning is identical for any worker count.
 package dt
@@ -140,39 +140,12 @@ type combinedPiece struct {
 	stats partition.Piece
 }
 
-// Result is a scored DT run.
-type Result struct {
-	// Candidates is the combined partitioning scored with the task's c.
-	Candidates []partition.Candidate
-	// Partitioning is the reusable c-agnostic structure.
-	Partitioning *Partitioning
-}
-
-// Run partitions and scores in one call, serially and without cancellation.
-func Run(scorer *influence.Scorer, space *predicate.Space, params Params) (*Result, error) {
-	return RunContext(context.Background(), scorer, space, params, 1)
-}
-
-// RunContext is Run with cancellation and a worker budget: node expansion
-// fans out over a shared pool and the build stops early (keeping the
-// frontier as coarse leaves) once ctx is cancelled. workers <= 0 uses
-// GOMAXPROCS.
-func RunContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Result, error) {
-	pool := partition.NewPool(ctx, workers)
-	pt, err := PartitionPool(pool, scorer, space, params)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Candidates: pt.CandidatesPool(scorer, pool), Partitioning: pt}, nil
-}
-
-// Partition builds the outlier and hold-out trees and combines them. The
-// result does not depend on the task's C and can be cached across c sweeps.
-func Partition(scorer *influence.Scorer, space *predicate.Space, params Params) (*Partitioning, error) {
-	return PartitionContext(context.Background(), scorer, space, params, 1)
-}
-
-// PartitionContext is Partition with cancellation and a worker budget.
+// PartitionContext builds the outlier and hold-out trees and combines
+// them, under cancellation and a worker budget: node expansion fans out
+// over a shared pool and the build stops early (keeping the frontier as
+// coarse leaves) once ctx is cancelled. workers <= 0 uses GOMAXPROCS. The
+// result does not depend on the task's C and can be cached across c
+// sweeps.
 func PartitionContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Partitioning, error) {
 	return PartitionPool(partition.NewPool(ctx, workers), scorer, space, params)
 }

@@ -1,6 +1,7 @@
 package dt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestThresholdCurve(t *testing.T) {
 
 func TestPartitionLeavesTileOutlierGroups(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 200, 80, 0.1)
-	pt, err := Partition(scorer, space, Params{DisableSampling: true})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestPartitionLeavesTileOutlierGroups(t *testing.T) {
 
 func TestCombinedPiecesTileOutlierGroups(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 200, 80, 0.1)
-	pt, err := Partition(scorer, space, Params{DisableSampling: true})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestCombinedPiecesTileOutlierGroups(t *testing.T) {
 
 func TestLeafCardinalitiesAreExact(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 150, 80, 0.1)
-	pt, err := Partition(scorer, space, Params{DisableSampling: true})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +125,17 @@ func TestLeafCardinalitiesAreExact(t *testing.T) {
 
 func TestDTFindsPlantedCube(t *testing.T) {
 	scorer, space, ds := setup(t, 2, 300, 80, 0.1)
-	res, err := Run(scorer, space, Params{})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Candidates) == 0 {
+	cands := pt.Candidates(scorer)
+	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
 	// After merging, the top candidate should recover the planted cube.
 	merger := merge.New(scorer, space, merge.Params{TopQuartileOnly: true})
-	merged := merger.Merge(res.Candidates)
+	merged := merger.Merge(cands)
 	best, ok := partition.Top(merged)
 	if !ok {
 		t.Fatal("merger returned nothing")
@@ -147,12 +149,13 @@ func TestDTFindsPlantedCube(t *testing.T) {
 
 func TestDTWithSamplingStillWorks(t *testing.T) {
 	scorer, space, ds := setup(t, 2, 400, 80, 0.1)
-	res, err := Run(scorer, space, Params{Epsilon: 0.05, SampleSeed: 3})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cands := pt.Candidates(scorer)
 	merger := merge.New(scorer, space, merge.Params{TopQuartileOnly: true})
-	best, ok := partition.Top(merger.Merge(res.Candidates))
+	best, ok := partition.Top(merger.Merge(cands))
 	if !ok {
 		t.Fatal("no merged candidates")
 	}
@@ -164,7 +167,7 @@ func TestDTWithSamplingStillWorks(t *testing.T) {
 
 func TestPartitioningReusableAcrossC(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 150, 80, 0.5)
-	pt, err := Partition(scorer, space, Params{DisableSampling: true})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestDTRejectsNonIndependentAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Partition(s2, space, Params{}); err == nil {
+	if _, err := PartitionContext(context.Background(), s2, space, Params{}, 1); err == nil {
 		t.Fatal("expected error for non-independent aggregate")
 	}
 }
@@ -256,11 +259,12 @@ func TestDiscreteSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(scorer, space, Params{DisableSampling: true})
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, ok := partition.Top(res.Candidates)
+	cands := pt.Candidates(scorer)
+	best, ok := partition.Top(cands)
 	if !ok {
 		t.Fatal("no candidates")
 	}

@@ -13,7 +13,7 @@ import (
 // same predicates, same order, bit-equal scores.
 func TestParallelCandidatesIdenticalToSerial(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 200, 80, 0.1)
-	serial, err := Run(scorer, space, Params{})
+	serial, err := RunContext(context.Background(), scorer, space, Params{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,14 +86,9 @@ type unit struct {
 	score float64
 }
 
-// Run executes the MC algorithm, serially and without cancellation.
-func Run(scorer *influence.Scorer, space *predicate.Space, params Params) (*Result, error) {
-	return RunContext(context.Background(), scorer, space, params, 1)
-}
-
-// RunContext is Run with cancellation and a worker budget: unit scoring,
-// pruning bounds, per-tuple influence labeling and merge expansion fan out
-// over a shared pool, and the bottom-up loop stops early (returning the
+// RunContext executes the MC algorithm with cancellation and a worker
+// budget: unit scoring, pruning bounds, per-tuple influence labeling and
+// merge expansion fan out over a shared pool, and the bottom-up loop stops early (returning the
 // best candidates found so far with Result.Interrupted set) once ctx is
 // cancelled. workers <= 0 uses GOMAXPROCS. The candidate output is
 // identical for any worker count.

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -29,7 +30,7 @@ func setup(t testing.TB, dims, perGroup int, mu, c float64) (*influence.Scorer, 
 
 func TestMCFindsPlantedCube(t *testing.T) {
 	scorer, space, ds := setup(t, 2, 300, 80, 0.1)
-	res, err := Run(scorer, space, Params{})
+	res, err := RunContext(context.Background(), scorer, space, Params{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestMCFindsPlantedCube(t *testing.T) {
 
 func TestMCHigherDimensional(t *testing.T) {
 	scorer, space, ds := setup(t, 3, 250, 80, 0.1)
-	res, err := Run(scorer, space, Params{})
+	res, err := RunContext(context.Background(), scorer, space, Params{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestMCRequiresAntiMonotonicAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(s2, space, Params{}); err == nil {
+	if _, err := RunContext(context.Background(), s2, space, Params{}, 1); err == nil {
 		t.Fatal("expected error for non-anti-monotonic aggregate")
 	}
 }
@@ -85,7 +86,7 @@ func TestMCRejectsNegativeDataForSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(scorer, space, Params{}); err == nil {
+	if _, err := RunContext(context.Background(), scorer, space, Params{}, 1); err == nil {
 		t.Fatal("expected check(D) failure for negative values")
 	}
 }
@@ -134,7 +135,7 @@ func TestMCCountAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(scorer, space, Params{Bins: 10})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestMCDiscreteAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(scorer, space, Params{})
+	res, err := RunContext(context.Background(), scorer, space, Params{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestMCDiscreteAttributes(t *testing.T) {
 
 func TestMCMaxDiscreteValuesCap(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 120, 80, 0.1)
-	_, err := Run(scorer, space, Params{MaxDiscreteValues: 2})
+	_, err := RunContext(context.Background(), scorer, space, Params{MaxDiscreteValues: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +217,13 @@ func TestMCPruningKeepsOptimalReachable(t *testing.T) {
 	// With pruning, MC must still match a prune-free run's best score on a
 	// small instance.
 	scorer, space, _ := setup(t, 2, 150, 80, 0.1)
-	res, err := Run(scorer, space, Params{Bins: 8})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Compare against a wide-open run with more units allowed.
 	scorer2, space2, _ := setup(t, 2, 150, 80, 0.1)
-	res2, err := Run(scorer2, space2, Params{Bins: 8, MaxUnits: 100000})
+	res2, err := RunContext(context.Background(), scorer2, space2, Params{Bins: 8, MaxUnits: 100000}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,12 @@ func TestAnytimeNilEstimatorIsExact(t *testing.T) {
 			if est != nil {
 				t.Fatalf("estimate.New built an estimator for %s at ε %v", tc.agg, tc.epsilon)
 			}
-			res, err := Run(scorer, space, Params{Bins: 8, Estimator: est})
+			res, err := RunContext(context.Background(), scorer, space, Params{Bins: 8, Estimator: est}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exactScorer, exactSpace, _ := anytimeSetup(t, ds, tc.agg, 0)
-			exact, err := Run(exactScorer, exactSpace, Params{Bins: 8})
+			exact, err := RunContext(context.Background(), exactScorer, exactSpace, Params{Bins: 8}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestAnytimeWithinEpsilonOfExact(t *testing.T) {
 		Dims: 2, TuplesPerGroup: 400, Groups: 8, OutlierGroups: 3, Mu: 80, Seed: 23,
 	})
 	exactScorer, exactSpace, _ := anytimeSetup(t, ds, "sum", 0)
-	exact, err := Run(exactScorer, exactSpace, Params{Bins: 10})
+	exact, err := RunContext(context.Background(), exactScorer, exactSpace, Params{Bins: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAnytimeWithinEpsilonOfExact(t *testing.T) {
 			if est == nil {
 				t.Fatalf("estimate.New declined sum at ε %v", eps)
 			}
-			approx, err := Run(scorer, space, Params{Bins: 10, Estimator: est})
+			approx, err := RunContext(context.Background(), scorer, space, Params{Bins: 10, Estimator: est}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func identicalCandidates(t *testing.T, serial, parallel []partition.Candidate) {
 // predicates, same order, bit-equal scores.
 func TestParallelTopKIdenticalToSerial(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
-	serial, err := Run(scorer, space, Params{Bins: 8})
+	serial, err := RunContext(context.Background(), scorer, space, Params{Bins: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

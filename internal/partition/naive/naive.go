@@ -107,19 +107,15 @@ type Result struct {
 	Interrupted bool
 }
 
-// Run exhaustively searches the predicate space over the given attributes,
-// serially and without cancellation.
+// RunContext exhaustively searches the predicate space over the given
+// attributes.
 //
 // Clause domains are derived from the union of the outlier input groups
 // (g_O): a predicate that matches no outlier tuple cannot have positive
 // influence, so values appearing only outside g_O are not enumerated.
-func Run(scorer *influence.Scorer, space *predicate.Space, params Params) (*Result, error) {
-	return RunContext(context.Background(), scorer, space, params, 1)
-}
-
-// RunContext is Run with cancellation and a worker budget: the enumeration
-// checks ctx periodically and, once cancelled, stops and returns the best
-// candidates found so far with Result.Interrupted set. workers > 1 fans
+//
+// The enumeration checks ctx periodically and, once cancelled, stops and
+// returns the best candidates found so far with Result.Interrupted set. workers > 1 fans
 // scoring out over a shared pool; workers <= 0 uses GOMAXPROCS.
 func RunContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Result, error) {
 	return runPool(partition.NewPool(ctx, workers), scorer, space, params)

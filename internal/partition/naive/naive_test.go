@@ -34,7 +34,7 @@ func smallSetup(t testing.TB, c float64) (*influence.Scorer, *predicate.Space, *
 
 func TestNaiveFindsPlantedCube(t *testing.T) {
 	scorer, space, ds := smallSetup(t, 0.1)
-	res, err := Run(scorer, space, Params{Bins: 10})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestNaiveFindsPlantedCube(t *testing.T) {
 
 func TestNaiveTraceIsMonotone(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
-	res, err := Run(scorer, space, Params{Bins: 8})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestNaiveTraceIsMonotone(t *testing.T) {
 func TestNaiveDeadline(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.5)
 	start := time.Now()
-	res, err := Run(scorer, space, Params{Bins: 40, Deadline: 30 * time.Millisecond})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 40, Deadline: 30 * time.Millisecond}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestNaiveDeadline(t *testing.T) {
 
 func TestNaiveTopKOrdering(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
-	res, err := Run(scorer, space, Params{Bins: 6, TopK: 5})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 6, TopK: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestNaiveDiscreteSubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(scorer, scorerTask.space, Params{})
+	res, err := RunContext(context.Background(), scorer, scorerTask.space, Params{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestNaiveDiscreteSubsets(t *testing.T) {
 
 func TestNaiveMaxClauses(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
-	res, err := Run(scorer, space, Params{Bins: 6, MaxClauses: 1})
+	res, err := RunContext(context.Background(), scorer, space, Params{Bins: 6, MaxClauses: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestNaiveMaxClauses(t *testing.T) {
 // differs.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	scorer, space, _ := smallSetup(t, 0.1)
-	seq, err := Run(scorer, space, Params{Bins: 8})
+	seq, err := RunContext(context.Background(), scorer, space, Params{Bins: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRunParallelSingleWorkerDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(scorer, space, Params{Bins: 6})
+	want, err := RunContext(context.Background(), scorer, space, Params{Bins: 6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

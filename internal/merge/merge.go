@@ -47,25 +47,18 @@ type Params struct {
 	// aggregate and DT-style candidates (GroupCards/CachedRows populated);
 	// otherwise the Merger silently falls back to exact scoring.
 	UseApproximation bool
-	// AdjacencyEps tolerates floating-point gaps when testing adjacency.
-	AdjacencyEps float64
 	// MaxRounds caps merge iterations per expansion seed (safety valve;
 	// 0 = number of candidates).
 	MaxRounds int
-	// ExactRescoreTop re-scores the best k merged results with the exact
-	// Scorer before returning (default 5). Only matters with approximation.
-	ExactRescoreTop int
 }
 
-func (p Params) withDefaults() Params {
-	if p.AdjacencyEps <= 0 {
-		p.AdjacencyEps = 1e-9
-	}
-	if p.ExactRescoreTop <= 0 {
-		p.ExactRescoreTop = 5
-	}
-	return p
-}
+const (
+	// adjacencyEps tolerates floating-point gaps when testing adjacency.
+	adjacencyEps = 1e-9
+	// exactRescoreTop is how many of the best approximately scored results
+	// rescoreTop re-scores exactly before returning.
+	exactRescoreTop = 5
+)
 
 // Merger expands and merges candidate predicates.
 type Merger struct {
@@ -87,7 +80,7 @@ func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merge
 	m := &Merger{
 		scorer: scorer,
 		space:  space,
-		params: params.withDefaults(),
+		params: params,
 		pool:   partition.NewPool(context.Background(), 1),
 	}
 	m.rem, _ = scorer.Task().Agg.(aggregate.Removable)
@@ -347,16 +340,15 @@ func (r *run) expand(c partition.Candidate) partition.Candidate {
 // sets would drop clauses and balloon straight to the full space). A pair
 // the Box type cannot hold takes the Predicate path.
 func (r *run) join(cur *shape, i int) (shape, bool) {
-	eps := r.params.AdjacencyEps
 	if q := r.pieces[i]; cur.boxed && q.Boxed {
-		if q.Box == cur.box || !q.Box.SameColumns(cur.box) || !r.space.AdjacentBoxes(cur.box, q.Box, eps) {
+		if q.Box == cur.box || !q.Box.SameColumns(cur.box) || !r.space.AdjacentBoxes(cur.box, q.Box, adjacencyEps) {
 			return shape{}, false
 		}
 		b := cur.box.Merge(q.Box)
 		return shape{box: b, boxed: true}, b != cur.box
 	}
 	p, q := r.predOf(cur), r.cands[i].Pred
-	if q.Equal(p) || !sameColumns(p, q) || !r.space.Adjacent(p, q, eps) {
+	if q.Equal(p) || !sameColumns(p, q) || !r.space.Adjacent(p, q, adjacencyEps) {
 		return shape{}, false
 	}
 	merged := p.Merge(q)
@@ -592,20 +584,19 @@ func overlapFraction(space *predicate.Space, q, pstar predicate.Predicate) float
 }
 
 // rescoreTop replaces the approximate scores of the best candidates with
-// exact Scorer values so the returned ranking is trustworthy. It goes
-// through Scorer.Influence, so on a scorer that keeps its boxes' selections
-// (a Session's DT path) a box met in an earlier run is re-scored without
-// testing a row.
+// exact Scorer values so the returned ranking is trustworthy. It scores
+// through Scorer.Parts: the score memo Influence fills would only keep
+// boxes no later call reads. On a scorer that keeps its boxes' selections
+// (a Session's DT path) Parts reads them, so a box met in an earlier run is
+// re-scored without testing a row.
 func (m *Merger) rescoreTop(cands []partition.Candidate) {
 	if !m.params.UseApproximation {
 		return
 	}
 	partition.SortByScore(cands)
-	k := m.params.ExactRescoreTop
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for i := 0; i < k; i++ {
-		cands[i].Score = m.scorer.Influence(cands[i].Pred)
+	lambda := m.scorer.Task().Lambda
+	for i := range min(exactRescoreTop, len(cands)) {
+		out, hold := m.scorer.Parts(cands[i].Pred)
+		cands[i].Score = lambda*out - (1-lambda)*hold
 	}
 }

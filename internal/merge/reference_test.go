@@ -244,7 +244,7 @@ func (m *Merger) refExpand(c partition.Candidate, pool []partition.Candidate, ab
 			if !sameColumns(cur.Pred, q.Pred) {
 				continue
 			}
-			if !m.space.Adjacent(cur.Pred, q.Pred, m.params.AdjacencyEps) {
+			if !m.space.Adjacent(cur.Pred, q.Pred, adjacencyEps) {
 				continue
 			}
 			merged := cur.Pred.Merge(q.Pred)

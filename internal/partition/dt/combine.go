@@ -11,8 +11,8 @@ import (
 // intersections with influential hold-out partitions, so pieces that would
 // perturb hold-out results are separated (and flagged) from pieces that only
 // influence outliers.
-func (pt *Partitioning) combine(space *predicate.Space, params Params) {
-	influential := influentialHoldOuts(pt.HoldOutLeaves, params.HoldOutFrac)
+func (pt *Partitioning) combine(space *predicate.Space) {
+	influential := influentialHoldOuts(pt.HoldOutLeaves, holdOutFrac)
 	pt.Combined = pt.Combined[:0]
 	for li, leaf := range pt.OutlierLeaves {
 		pending := []predicate.Predicate{leaf.Pred}

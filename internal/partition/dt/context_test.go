@@ -12,13 +12,13 @@ import (
 // scores, because every node draws from an RNG seeded by its tree position.
 func TestParallelPartitioningIdenticalToSerial(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 300, 80, 0.1)
-	sp, err := PartitionContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 7}, 1)
+	sp, err := PartitionContext(context.Background(), scorer, space, Params{SampleSeed: 7}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := sp.Candidates(scorer)
 	for _, workers := range []int{2, 8} {
-		pp, err := PartitionContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 7}, workers)
+		pp, err := PartitionContext(context.Background(), scorer, space, Params{SampleSeed: 7}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

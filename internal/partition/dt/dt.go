@@ -33,64 +33,41 @@ import (
 
 // Params configures the DT partitioner.
 type Params struct {
-	// TauMin and TauMax bound the relative error threshold curve (Figure 4).
-	TauMin, TauMax float64
-	// InflectionP is the curve's inflection point p (paper: 0.5).
-	InflectionP float64
-	// MinSize stops splitting partitions with fewer sampled tuples.
-	MinSize int
-	// MaxDepth bounds tree depth (clamped to 60: node ids are heap-style
-	// path indices in a uint64).
-	MaxDepth int
-	// ContSplitCandidates is the number of quantile split candidates per
-	// continuous attribute.
-	ContSplitCandidates int
-	// Epsilon is the assumed fractional size of an influential cluster,
-	// driving the §6.1.2 initial sampling rate.
-	Epsilon float64
-	// Confidence is the probability of catching the cluster (paper: 0.95).
-	Confidence float64
 	// DisableSampling forces full scans (sampling rate 1).
 	DisableSampling bool
 	// SampleSeed seeds the deterministic sampler.
 	SampleSeed int64
-	// HoldOutFrac classifies a hold-out partition as influential when its
-	// |mean influence| exceeds this fraction of the hold-out influence
-	// spread (§6.1.4 combine step).
-	HoldOutFrac float64
 }
 
+// The partitioner's tuning constants; DESIGN.md ("Tuning constants") gives
+// each one's source.
+const (
+	// tauMin and tauMax bound the relative error threshold curve
+	// (Figure 4); inflectionP is its inflection point p.
+	tauMin, tauMax, inflectionP = 0.05, 0.5, 0.5
+	// minSize stops splitting partitions with fewer sampled tuples.
+	minSize = 10
+	// maxDepth bounds tree depth.
+	maxDepth = 12
+	// contSplitCandidates is the number of quantile split candidates per
+	// continuous attribute.
+	contSplitCandidates = 3
+	// sampleEpsilon is the assumed fractional size of an influential
+	// cluster and sampleConfidence the probability of catching it: the
+	// §6.1.2 initial sampling rate.
+	sampleEpsilon, sampleConfidence = 0.05, 0.95
+	// holdOutFrac classifies a hold-out partition as influential when its
+	// |mean influence| is at least this fraction of the largest hold-out
+	// leaf's (§6.1.4 combine step).
+	holdOutFrac = 0.1
+)
+
+// Node ids are heap-style path indices in a uint64, up to 2^(maxDepth+1)−1:
+// this constant overflows, failing the build, if a deeper tree's ids could
+// not fit.
+const _ uint64 = 1<<(maxDepth+1) - 1
+
 func (p Params) withDefaults() Params {
-	if p.TauMin <= 0 {
-		p.TauMin = 0.05
-	}
-	if p.TauMax <= 0 {
-		p.TauMax = 0.5
-	}
-	if p.InflectionP <= 0 {
-		p.InflectionP = 0.5
-	}
-	if p.MinSize <= 0 {
-		p.MinSize = 10
-	}
-	if p.MaxDepth <= 0 {
-		p.MaxDepth = 12
-	}
-	if p.MaxDepth > 60 {
-		p.MaxDepth = 60
-	}
-	if p.ContSplitCandidates <= 0 {
-		p.ContSplitCandidates = 3
-	}
-	if p.Epsilon <= 0 {
-		p.Epsilon = 0.05
-	}
-	if p.Confidence <= 0 {
-		p.Confidence = 0.95
-	}
-	if p.HoldOutFrac <= 0 {
-		p.HoldOutFrac = 0.1
-	}
 	if p.SampleSeed == 0 {
 		p.SampleSeed = 1
 	}
@@ -176,7 +153,7 @@ func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predic
 	}
 
 	pt := &Partitioning{OutlierLeaves: outLeaves, HoldOutLeaves: holdLeaves, Interrupted: interrupted}
-	pt.combine(space, params)
+	pt.combine(space)
 	pt.index(space, task)
 	return pt, nil
 }

@@ -149,7 +149,7 @@ func TestDTFindsPlantedCube(t *testing.T) {
 
 func TestDTWithSamplingStillWorks(t *testing.T) {
 	scorer, space, ds := setup(t, 2, 400, 80, 0.1)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{Epsilon: 0.05, SampleSeed: 3}, 1)
+	pt, err := PartitionContext(context.Background(), scorer, space, Params{SampleSeed: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type tree struct {
 	// Tree-global influence bounds, fixed from the root samples.
 	infL, infU float64
 	// minSize is the effective minimum sampled-tuple count per node:
-	// params.MinSize clamped so tiny datasets can still split.
+	// the minSize constant clamped so tiny datasets can still split.
 	minSize int
 	leaves  []Leaf
 	// interrupted records a context cancellation during the build; the
@@ -173,7 +173,7 @@ func (t *tree) makeRoot(pool *partition.Pool) node {
 	}
 	rate := 1.0
 	if !t.params.DisableSampling {
-		rate = sample.InitialRate(total, t.params.Epsilon, t.params.Confidence)
+		rate = sample.InitialRate(total, sampleEpsilon, sampleConfidence)
 	}
 	rng := t.rngFor(root.id)
 	for _, g := range t.groups {
@@ -246,7 +246,7 @@ func (t *tree) makeRoot(pool *partition.Pool) node {
 	if math.IsInf(t.infL, 1) {
 		t.infL, t.infU = 0, 0
 	}
-	t.minSize = t.params.MinSize
+	t.minSize = minSize
 	if adaptive := total / 3; adaptive < t.minSize {
 		t.minSize = adaptive
 	}
@@ -256,12 +256,12 @@ func (t *tree) makeRoot(pool *partition.Pool) node {
 	return root
 }
 
-// ensureMinSample tops up each group's sample to MinSize rows when the
+// ensureMinSample tops up each group's sample to minSize rows when the
 // initial rate under-draws tiny groups.
 func (t *tree) ensureMinSample(n *node, rng *rand.Rand) {
 	for gi := range n.groups {
 		ng := &n.groups[gi]
-		if len(ng.sampled) >= t.params.MinSize || len(ng.sampled) == len(ng.full) {
+		if len(ng.sampled) >= minSize || len(ng.sampled) == len(ng.full) {
 			continue
 		}
 		have := make(map[int]bool, len(ng.sampled))
@@ -270,7 +270,7 @@ func (t *tree) ensureMinSample(n *node, rng *rand.Rand) {
 		}
 		perm := rng.Perm(len(ng.full))
 		for _, idx := range perm {
-			if len(ng.sampled) >= t.params.MinSize {
+			if len(ng.sampled) >= minSize {
 				break
 			}
 			r := ng.full[idx]
@@ -319,8 +319,8 @@ func (t *tree) nodeStats(n *node) (pooledCount int, pooledMax float64, maxStd fl
 // nodes can be processed concurrently.
 func (t *tree) process(n *node) (children [2]node, split bool) {
 	count, infMax, maxStd := t.nodeStats(n)
-	thr := threshold(infMax, t.infL, t.infU, t.params.TauMin, t.params.TauMax, t.params.InflectionP)
-	if n.depth >= t.params.MaxDepth || count < t.minSize || maxStd <= thr {
+	thr := threshold(infMax, t.infL, t.infU, tauMin, tauMax, inflectionP)
+	if n.depth >= maxDepth || count < t.minSize || maxStd <= thr {
 		return children, false
 	}
 	best, ok := t.bestSplit(n, maxStd)
@@ -382,7 +382,7 @@ func (t *tree) continuousSplits(n *node, col int, best *candidateSplit) {
 		return
 	}
 	sort.Float64s(pool)
-	k := t.params.ContSplitCandidates
+	k := contSplitCandidates
 	tried := make(map[float64]bool, k)
 	for i := 1; i <= k; i++ {
 		v := pool[len(pool)*i/(k+1)]

@@ -40,9 +40,6 @@ type Params struct {
 	// MaxDiscreteValues caps the units of a discrete attribute to the
 	// values with the highest single-tuple influence; 0 = no cap.
 	MaxDiscreteValues int
-	// MaxIterations caps the dimensionality growth; 0 = number of
-	// attributes.
-	MaxIterations int
 	// MaxUnits caps the candidate population per generation (safety valve
 	// against joins exploding on dense data); 0 = 4096.
 	MaxUnits int
@@ -277,10 +274,7 @@ func (m *runner) run() (*Result, error) {
 	if len(m.units) == 0 {
 		return nil, fmt.Errorf("mc: no non-empty units over the outlier groups")
 	}
-	maxIter := m.params.MaxIterations
-	if maxIter <= 0 {
-		maxIter = len(m.space.Columns())
-	}
+	maxIter := len(m.space.Columns())
 
 	merger := merge.New(m.scorer, m.space, m.params.Merge).WithPool(m.pool).WithAlgo("mc")
 	global := partition.Candidate{Score: math.Inf(-1)}

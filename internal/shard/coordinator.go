@@ -51,26 +51,24 @@ type RemoteShard struct {
 // as a local search's would.
 type RemoteSearcher func(ctx context.Context, rs *RemoteShard) (*partition.Outcome, bool)
 
-// DefaultTopPerShard is the default per-shard candidate contribution;
-// searcher factories should make their shard searchers return at least
-// this many candidates so the combiner has real recall to re-score.
+// DefaultTopPerShard caps how many candidates each shard contributes to
+// the global combine; searcher factories should make their shard searchers
+// return at least this many candidates so the combiner has real recall to
+// re-score. Shard-local rankings are window estimates — a shard without
+// local hold-out rows ranks unpenalized — so the contribution must run
+// deeper than the final top-k for the exact re-score to recover the true
+// winner.
 const DefaultTopPerShard = 64
+
+// mergeTop is how many exactly re-scored candidates feed the global merge
+// pass and the refine lattice; the rest still rank in the result, they are
+// just not grown or climbed further. The combine stage's exact-scoring
+// budget is bounded by DefaultTopPerShard (every deduped shard candidate is
+// re-scored once); mergeTop bounds the merge/refine work on top of that.
+const mergeTop = 48
 
 // Params tunes the coordinator's combine stage.
 type Params struct {
-	// TopPerShard caps how many candidates each shard contributes to the
-	// global combine (default DefaultTopPerShard). Shard-local rankings
-	// are window estimates — a shard without local hold-out rows ranks
-	// unpenalized — so the contribution must run deeper than the final
-	// top-k for the exact re-score to recover the true winner.
-	TopPerShard int
-	// MergeTop is how many exactly re-scored candidates feed the global
-	// merge pass and the refine lattice (default 48); the rest still rank
-	// in the result, they are just not grown or climbed further. The
-	// combine stage's exact-scoring budget is bounded by TopPerShard (every
-	// deduped shard candidate is re-scored once); MergeTop bounds the
-	// merge/refine work on top of that.
-	MergeTop int
 	// GridBins is the continuous bin count of the shard searchers' clause
 	// grid (naive/mc Params.Bins). The combiner's refine pass uses it to
 	// rebuild the full bin-edge lattice over the global domains, so a
@@ -84,19 +82,13 @@ type Params struct {
 	Merge merge.Params
 	// Remote, when non-nil, is offered every shard search before the local
 	// path runs it: a dispatcher that ships the shard to a worker fleet.
-	// The coordinator's post-processing (TopPerShard cut, global id
-	// map-back) and the combiner are identical for both paths,
-	// so remote and local shard searches produce identical final results.
+	// The coordinator's post-processing (DefaultTopPerShard cut, global id
+	// map-back) and the combiner are identical for both paths, so remote
+	// and local shard searches produce identical final results.
 	Remote RemoteSearcher
 }
 
 func (p Params) withDefaults() Params {
-	if p.TopPerShard <= 0 {
-		p.TopPerShard = DefaultTopPerShard
-	}
-	if p.MergeTop <= 0 {
-		p.MergeTop = 48
-	}
 	p.Merge.UseApproximation = false
 	if p.Merge.MaxRounds <= 0 {
 		// Unsharded NAIVE/MC never grow a candidate more than a few steps
@@ -333,12 +325,12 @@ func (c *Coordinator) searchShard(i int, pool *partition.Pool, workers int) shar
 }
 
 // finishShard applies the coordinator-side post-processing every shard
-// outcome gets, local or remote: the TopPerShard cut and the map back to
-// global row ids.
+// outcome gets, local or remote: the DefaultTopPerShard cut and the map
+// back to global row ids.
 func (c *Coordinator) finishShard(v *relation.View, outMap []int, outcome *partition.Outcome) shardResult {
 	cands := outcome.Candidates
-	if len(cands) > c.params.TopPerShard {
-		cands = cands[:c.params.TopPerShard]
+	if len(cands) > DefaultTopPerShard {
+		cands = cands[:DefaultTopPerShard]
 	}
 	mapped := make([]partition.Candidate, len(cands))
 	for j, cand := range cands {
@@ -426,8 +418,8 @@ func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) [
 
 	head := all
 	var tail []partition.Candidate
-	if len(all) > c.params.MergeTop {
-		head, tail = all[:c.params.MergeTop], all[c.params.MergeTop:]
+	if len(all) > mergeTop {
+		head, tail = all[:mergeTop], all[mergeTop:]
 	}
 	merged := merge.New(c.scorer, c.space, c.params.Merge).WithPool(pool).WithAlgo("shard").Merge(head)
 	out := partition.Dedupe(append(merged, tail...))
@@ -501,8 +493,8 @@ func (c *Coordinator) refine(pool *partition.Pool, cands []partition.Candidate) 
 	los := make(map[int][]float64)
 	his := make(map[int][]hiBound)
 	latticeFrom := cands
-	if len(latticeFrom) > c.params.MergeTop {
-		latticeFrom = latticeFrom[:c.params.MergeTop]
+	if len(latticeFrom) > mergeTop {
+		latticeFrom = latticeFrom[:mergeTop]
 	}
 	for _, cand := range latticeFrom {
 		for _, cl := range cand.Pred.Clauses() {

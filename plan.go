@@ -69,7 +69,7 @@ type Plan struct {
 
 // Plan validates r and resolves its defaults. It fails, naming the knob,
 // on a request no search could answer: no table, SQL or outliers, shards
-// below 0, λ outside [0, 1], c below 0, or either of them non-finite.
+// below 0, λ outside [0, 1], c below 0, or λ, c or Perturb non-finite.
 func (r *Request) Plan() (*Plan, error) {
 	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
 		interval: r.ProgressInterval, naiveBins: defaultGridBins, mcBins: defaultGridBins,
@@ -95,6 +95,8 @@ func (r *Request) Plan() (*Plan, error) {
 		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
 	case !(p.c >= 0) || math.IsInf(p.c, 1):
 		return nil, fmt.Errorf("scorpion: c %v must be finite and >= 0", p.c)
+	case r.Perturb != nil && (math.IsNaN(*r.Perturb) || math.IsInf(*r.Perturb, 0)):
+		return nil, fmt.Errorf("scorpion: perturb %v must be finite", *r.Perturb)
 	}
 	if p.topK <= 0 {
 		p.topK = defaultTopK

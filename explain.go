@@ -176,13 +176,8 @@ type Explanation struct {
 	Where string
 	// Influence is inf(O, H, p, V), the ranking objective.
 	Influence float64
-	// MatchedOutlierTuples is |p(g_O)|.
+	// MatchedOutlierTuples is |p(g_O)|; Result.MatchedRows lists the rows.
 	MatchedOutlierTuples int
-	// Matched is p(g_O) itself: the influential subset of the outliers'
-	// provenance. This is the paper's §2 "extending provenance
-	// functionality" use case — the aggregate's full provenance reduced to
-	// the inputs that actually caused the anomaly.
-	Matched *RowSet
 	// HoldOutPenalty is max_h |inf(h, p)|.
 	HoldOutPenalty float64
 	// InfluencesHoldOut marks explanations that perturb a hold-out result.
@@ -268,6 +263,8 @@ type Result struct {
 	Stats Stats
 	// QueryResult is the executed aggregate query with provenance.
 	QueryResult *query.Result
+
+	task *influence.Task // the labelled groups the explanations were scored on
 }
 
 // Explain runs the full Scorpion pipeline: execute the query, resolve the
@@ -683,23 +680,26 @@ func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate, keep bo
 	}
 	for i := range r.cands {
 		var outMean, holdPen float64
+		var matched int
 		if keep {
 			r.sels[i] = scorer.Select(r.cands[i].Pred, flat[i*groups:i*groups:(i+1)*groups])
-			outMean, holdPen = scorer.Score(r.sels[i])
+			outMean, holdPen, matched = scorer.ScoreMatched(r.sels[i])
 		} else {
-			outMean, holdPen = scorer.Parts(r.cands[i].Pred)
+			outMean, holdPen, matched = scorer.PartsMatched(r.cands[i].Pred)
 		}
-		setScore(&r.cands[i], task.Lambda, outMean, holdPen)
+		setScore(&r.cands[i], task.Lambda, outMean, holdPen, matched)
 	}
 	r.sort()
 	return r.cands, r.sels
 }
 
-// setScore gives a candidate its exact objective from the two parts.
-func setScore(c *partition.Candidate, lambda, outMean, holdPen float64) {
+// setScore gives a candidate its exact objective from the two parts, and
+// its |p(g_O)|.
+func setScore(c *partition.Candidate, lambda, outMean, holdPen float64, matched int) {
 	c.Score = lambda*outMean - (1-lambda)*holdPen
 	c.HoldPenalty = holdPen
 	c.InfluencesHoldOut = holdPen > 0
+	c.Matched = matched
 }
 
 // ranked is a candidate list with, when kept, each candidate's selections.
@@ -727,22 +727,20 @@ func (r ranked) Swap(i, j int) {
 
 // present renders the deduped, exactly-scored pool as the Plan's top-k
 // ranked explanations; Stats.Candidates counts the whole pool. It does not
-// mutate cands.
+// mutate cands, and evaluates no predicate: the re-score counted the
+// matches.
 func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, qres *query.Result) *Result {
-	res := &Result{QueryResult: qres}
+	res := &Result{QueryResult: qres, task: scorer.Task()}
 	res.Stats.Candidates = len(cands)
 	if len(cands) > p.topK {
 		cands = cands[:p.topK]
 	}
-	gO := shard.OutlierUnion(scorer.Task())
 	for _, c := range cands {
-		matched := c.Pred.Eval(p.req.Table, gO)
 		res.Explanations = append(res.Explanations, Explanation{
 			Predicate:            c.Pred,
 			Where:                c.Pred.Format(p.req.Table),
 			Influence:            c.Score,
-			MatchedOutlierTuples: matched.Count(),
-			Matched:              matched,
+			MatchedOutlierTuples: c.Matched,
 			HoldOutPenalty:       c.HoldPenalty,
 			InfluencesHoldOut:    c.InfluencesHoldOut,
 		})

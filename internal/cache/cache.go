@@ -201,23 +201,13 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// RegisterMetrics wires the cache's counters into a registry as
-// scrape-time collectors: the cache keeps its cheap private counters on
-// the serving path, and every exposition reads one consistent Stats
-// snapshot — no double accounting, no per-Get registry traffic. The name
-// label distinguishes multiple caches in one process.
-func (c *Cache) RegisterMetrics(reg *obs.Registry, name string) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterFunc(func(emit obs.EmitFunc) { c.EmitMetrics(emit, name) })
-}
-
-// EmitMetrics emits one consistent Stats snapshot through emit. Callers
-// whose cache pointer can be swapped at runtime (the server's
-// ConfigureCache) register their own collector func and call this on
-// whichever cache is current — RegisterMetrics would pin the original
-// pointer forever. Safe on a nil receiver (emits nothing).
+// EmitMetrics emits one consistent Stats snapshot through emit, for a
+// scrape-time collector: the cache keeps its cheap private counters on the
+// serving path, so there is no double accounting and no per-Get registry
+// traffic. The name label distinguishes multiple caches in one process.
+// Collectors call it on whichever cache is current, so a cache swapped at
+// runtime (the server's ConfigureCache) is never pinned. Safe on a nil
+// receiver (emits nothing).
 func (c *Cache) EmitMetrics(emit obs.EmitFunc, name string) {
 	if c == nil {
 		return

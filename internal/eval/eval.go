@@ -85,12 +85,3 @@ func SynthTask(ds *synth.Dataset, aggName string, lambda, c float64) (*influence
 	}
 	return task, space, nil
 }
-
-// OutlierUnion returns g_O for a task.
-func OutlierUnion(task *influence.Task) *relation.RowSet {
-	u := relation.NewRowSet(task.Table.NumRows())
-	for _, g := range task.Outliers {
-		u.Or(g.Rows)
-	}
-	return u
-}

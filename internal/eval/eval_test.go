@@ -108,7 +108,7 @@ func TestSynthTaskShape(t *testing.T) {
 	if len(space.Columns()) != 2 {
 		t.Errorf("space columns = %v", space.Columns())
 	}
-	if u := OutlierUnion(task); u.Count() != 100 {
+	if u := task.OutlierUnion(); u.Count() != 100 {
 		t.Errorf("outlier union = %d rows, want 100", u.Count())
 	}
 }

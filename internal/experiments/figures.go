@@ -116,7 +116,7 @@ func Figure11(s Scale, w io.Writer) ([]Figure11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		gO := eval.OutlierUnion(task)
+		gO := task.OutlierUnion()
 		for _, tp := range res.Trace {
 			inner := eval.Score(tp.Pred, ds.Table, gO, ds.InnerRows)
 			outer := eval.Score(tp.Pred, ds.Table, gO, ds.OuterRows)

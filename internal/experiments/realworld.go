@@ -130,7 +130,7 @@ func realWorldSweep(workload string, req *scorpion.Request, cs []float64, truth 
 			Workload:  workload,
 			C:         c,
 			Predicate: best.Format(req.Table),
-			Acc:       eval.Score(best, req.Table, outlierRows(req, res), truth),
+			Acc:       eval.Score(best, req.Table, res.OutlierRows(), truth),
 			Elapsed:   res.Stats.Duration,
 		})
 	}

@@ -10,7 +10,6 @@ import (
 	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
-	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
@@ -121,7 +120,7 @@ func (s Scale) RunAlgorithm(algo string, ds *synth.Dataset, c float64) (AlgoOutc
 		return AlgoOutcome{Algorithm: algo}, err
 	}
 	best := res.Explanations[0]
-	gO := outlierRows(req, res)
+	gO := res.OutlierRows()
 	return AlgoOutcome{
 		Algorithm:   algo,
 		Best:        best.Predicate,
@@ -163,14 +162,4 @@ func explain(req *scorpion.Request) (*scorpion.Result, error) {
 		return nil, fmt.Errorf("eval: %v produced no explanation", req.Algorithm)
 	}
 	return res, nil
-}
-
-// outlierRows is g_O, the union of the flagged groups' provenance in res.
-func outlierRows(req *scorpion.Request, res *scorpion.Result) *relation.RowSet {
-	gO := relation.NewRowSet(req.Table.NumRows())
-	for _, key := range req.Outliers {
-		row, _ := res.QueryResult.Lookup(key)
-		gO.Or(row.Group)
-	}
-	return gO
 }

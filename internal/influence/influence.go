@@ -85,6 +85,15 @@ type Task struct {
 	Perturb *float64
 }
 
+// OutlierUnion returns g_O, the union of the outlier groups' provenance.
+func (t *Task) OutlierUnion() *relation.RowSet {
+	u := relation.NewRowSet(t.Table.NumRows())
+	for _, g := range t.Outliers {
+		u.Or(g.Rows)
+	}
+	return u
+}
+
 // Validate checks the task's invariants.
 func (t *Task) Validate() error {
 	if t.Table == nil {
@@ -692,8 +701,17 @@ func (s *Scorer) influenceUncached(p predicate.Predicate) float64 {
 // on a miss. Both give the same bits: Score(Select(p, nil)) is a fold of
 // every whole group.
 func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
+	outMean, holdPenalty, _ = s.PartsMatched(p)
+	return outMean, holdPenalty
+}
+
+// PartsMatched is Parts plus |p(g_O)|, the number of outlier tuples p
+// matches: the sum of the outlier groups' Selection.Matched, which GROUP BY
+// keeps disjoint. The exact re-score reads it so that ranking needs no
+// second pass over g_O.
+func (s *Scorer) PartsMatched(p predicate.Predicate) (outMean, holdPenalty float64, matched int) {
 	if s.sels != nil {
-		return s.Score(s.selections(p))
+		return s.ScoreMatched(s.selections(p))
 	}
 	return s.objective(func(g Group, _ int) (x selection, total int) {
 		total = s.fold(g, p, 0, &x)
@@ -746,6 +764,12 @@ func (s *Scorer) Extend(p predicate.Predicate, from int, sels []Selection) int {
 // Score returns Parts' two components from one selection per group, laid
 // out as Select lays them out.
 func (s *Scorer) Score(sels []Selection) (outMean, holdPenalty float64) {
+	outMean, holdPenalty, _ = s.ScoreMatched(sels)
+	return outMean, holdPenalty
+}
+
+// ScoreMatched is Score plus |p(g_O)|, as PartsMatched counts it.
+func (s *Scorer) ScoreMatched(sels []Selection) (outMean, holdPenalty float64, matched int) {
 	return s.objective(func(_ Group, gi int) (selection, int) {
 		return selection{Selection: sels[gi]}, s.sizes[gi]
 	})
@@ -754,12 +778,14 @@ func (s *Scorer) Score(sels []Selection) (outMean, holdPenalty float64) {
 // objective is the one formula behind Parts and Score: gather returns each
 // group's selection and |g| — the outliers first, then the hold-outs, gi
 // counting across both — and objective combines them into the mean outlier
-// influence and the hold-out penalty. Selections travel by value: a pointer
-// handed to a func value would move every one of them to the heap.
-func (s *Scorer) objective(gather func(g Group, gi int) (selection, int)) (outMean, holdPenalty float64) {
+// influence and the hold-out penalty, and sums the outlier groups' matches.
+// Selections travel by value: a pointer handed to a func value would move
+// every one of them to the heap.
+func (s *Scorer) objective(gather func(g Group, gi int) (selection, int)) (outMean, holdPenalty float64, matched int) {
 	nOut := len(s.task.Outliers)
 	for i, g := range s.task.Outliers {
 		x, total := gather(g, i)
+		matched += x.matched
 		outMean += s.scale(s.finish(s.outOrig[i], s.outState[i], &x, total), x.matched) * float64(g.Direction)
 	}
 	outMean /= float64(nOut)
@@ -769,7 +795,7 @@ func (s *Scorer) objective(gather func(g Group, gi int) (selection, int)) (outMe
 			holdPenalty = h
 		}
 	}
-	return outMean, holdPenalty
+	return outMean, holdPenalty, matched
 }
 
 // group returns group gi, counting the outliers first and then the

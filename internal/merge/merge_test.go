@@ -296,7 +296,7 @@ func TestApproximationAvoidsScorerCalls(t *testing.T) {
 	}
 	// Both paths should find influential predicates of comparable quality.
 	gOtask, _, _ := eval.SynthTask(ds, "avg", 0.5, 0.2)
-	gO := eval.OutlierUnion(gOtask)
+	gO := gOtask.OutlierUnion()
 	accExact := eval.Score(bestExact.Pred, ds.Table, gO, ds.OuterRows)
 	accApprox := eval.Score(bestApprox.Pred, ds.Table, gO, ds.OuterRows)
 	if accApprox.F1 < accExact.F1-0.35 {

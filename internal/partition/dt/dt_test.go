@@ -71,7 +71,7 @@ func TestPartitionLeavesTileOutlierGroups(t *testing.T) {
 		t.Fatal("no outlier leaves")
 	}
 	task := scorer.Task()
-	gO := eval.OutlierUnion(task)
+	gO := task.OutlierUnion()
 	gO.ForEach(func(r int) {
 		matches := 0
 		for _, leaf := range pt.OutlierLeaves {
@@ -92,7 +92,7 @@ func TestCombinedPiecesTileOutlierGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := scorer.Task()
-	gO := eval.OutlierUnion(task)
+	gO := task.OutlierUnion()
 	gO.ForEach(func(r int) {
 		matches := 0
 		for _, piece := range pt.Combined {
@@ -140,7 +140,7 @@ func TestDTFindsPlantedCube(t *testing.T) {
 	if !ok {
 		t.Fatal("merger returned nothing")
 	}
-	acc := eval.Score(best.Pred, ds.Table, eval.OutlierUnion(scorer.Task()), ds.OuterRows)
+	acc := eval.Score(best.Pred, ds.Table, scorer.Task().OutlierUnion(), ds.OuterRows)
 	if acc.F1 < 0.5 {
 		t.Errorf("merged F1 = %v (prec %v rec %v), pred = %v",
 			acc.F1, acc.Precision, acc.Recall, best.Pred)
@@ -159,7 +159,7 @@ func TestDTWithSamplingStillWorks(t *testing.T) {
 	if !ok {
 		t.Fatal("no merged candidates")
 	}
-	acc := eval.Score(best.Pred, ds.Table, eval.OutlierUnion(scorer.Task()), ds.OuterRows)
+	acc := eval.Score(best.Pred, ds.Table, scorer.Task().OutlierUnion(), ds.OuterRows)
 	if acc.F1 < 0.4 {
 		t.Errorf("sampled F1 = %v, pred = %v", acc.F1, best.Pred)
 	}

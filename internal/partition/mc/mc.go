@@ -147,7 +147,7 @@ func groupValues(task *influence.Task, g influence.Group) []float64 {
 // identical for any worker count.
 func (m *runner) init() {
 	t := m.task
-	m.gO = relation.NewRowSet(t.Table.NumRows())
+	m.gO = t.OutlierUnion()
 	m.tupleInf = make([]float64, t.Table.NumRows())
 	for i := range m.tupleInf {
 		m.tupleInf[i] = math.NaN()
@@ -156,7 +156,6 @@ func (m *runner) init() {
 	var refs []ref
 	for gi, g := range t.Outliers {
 		g.Rows.ForEach(func(r int) { refs = append(refs, ref{gi, r}) })
-		m.gO.Or(g.Rows)
 	}
 	if err := m.pool.ForEach(len(refs), func(i int) {
 		m.tupleInf[refs[i].row] = m.scorer.TupleOutlierInfluence(refs[i].gi, refs[i].row)

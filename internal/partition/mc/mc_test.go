@@ -37,7 +37,7 @@ func TestMCFindsPlantedCube(t *testing.T) {
 	if res.Best.Score <= 0 {
 		t.Fatalf("best score = %v", res.Best.Score)
 	}
-	acc := eval.Score(res.Best.Pred, ds.Table, eval.OutlierUnion(scorer.Task()), ds.OuterRows)
+	acc := eval.Score(res.Best.Pred, ds.Table, scorer.Task().OutlierUnion(), ds.OuterRows)
 	if acc.F1 < 0.5 {
 		t.Errorf("F1 = %v (prec %v rec %v), pred = %v",
 			acc.F1, acc.Precision, acc.Recall, res.Best.Pred)
@@ -53,7 +53,7 @@ func TestMCHigherDimensional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := eval.Score(res.Best.Pred, ds.Table, eval.OutlierUnion(scorer.Task()), ds.OuterRows)
+	acc := eval.Score(res.Best.Pred, ds.Table, scorer.Task().OutlierUnion(), ds.OuterRows)
 	if acc.F1 < 0.4 {
 		t.Errorf("3D F1 = %v, pred = %v", acc.F1, res.Best.Pred)
 	}

@@ -149,7 +149,7 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 // enumerator over it with the bounds of its complexity passes.
 func newEnumerator(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Space, params Params) (e *enumerator, maxCard, maxClauses int, err error) {
 	task := scorer.Task()
-	clauseSets, maxCard, err := buildClauseSets(space, task.Table.Data(), unionRows(task), params)
+	clauseSets, maxCard, err := buildClauseSets(space, task.Table.Data(), task.OutlierUnion(), params)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -170,15 +170,6 @@ func newEnumerator(pool *partition.Pool, scorer *influence.Scorer, space *predic
 		pool:   pool,
 	}
 	return e, maxCard, maxClauses, nil
-}
-
-// unionRows returns g_O, the union of the outlier input groups.
-func unionRows(task *influence.Task) *relation.RowSet {
-	u := relation.NewRowSet(task.Table.NumRows())
-	for _, g := range task.Outliers {
-		u.Or(g.Rows)
-	}
-	return u
 }
 
 // attrClauses holds the clause inventory of one attribute.

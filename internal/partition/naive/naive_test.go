@@ -44,7 +44,7 @@ func TestNaiveFindsPlantedCube(t *testing.T) {
 	if res.Best.Score <= 0 {
 		t.Fatalf("best score = %v, want positive", res.Best.Score)
 	}
-	acc := eval.Score(res.Best.Pred, ds.Table, eval.OutlierUnion(scorer.Task()), ds.OuterRows)
+	acc := eval.Score(res.Best.Pred, ds.Table, scorer.Task().OutlierUnion(), ds.OuterRows)
 	if acc.F1 < 0.5 {
 		t.Errorf("F1 = %v (prec %v, rec %v), want ≥ 0.5; pred = %v",
 			acc.F1, acc.Precision, acc.Recall, res.Best.Pred)

@@ -35,6 +35,8 @@ type Candidate struct {
 	// InfluencesHoldOut marks partitions that overlap an influential
 	// hold-out partition after the §6.1.4 combine step.
 	InfluencesHoldOut bool
+	// Matched is |p(g_O)| as the exact re-score counted it (0 before it).
+	Matched int
 	// Piece, when set, is the candidate's entry in its DT partitioning's
 	// piece table, which the Merger reads instead of deriving it again.
 	Piece *Piece

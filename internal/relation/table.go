@@ -148,9 +148,6 @@ func (t *Table) Row(row int) Row {
 	return out
 }
 
-// AllRows returns the full-universe RowSet for this table.
-func (t *Table) AllRows() *RowSet { return FullRowSet(t.n) }
-
 // Gather materializes a new table containing only the given rows, in set
 // order. Dictionaries are rebuilt so codes stay dense.
 func (t *Table) Gather(rows *RowSet) *Table {

@@ -164,6 +164,9 @@ func TestExplainEndpointValidation(t *testing.T) {
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Lambda: knob(2)}, "lambda"},
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, Lambda: knob(-0.5)}, "lambda"},
 		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, C: knob(-1)}, "c -1"},
+		// A repeated label would weigh its group twice.
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM", "1PM", "12PM"}}, `outlier \"12PM\" listed twice`},
+		{ExplainRequest{SQL: sql, Outliers: []string{"12PM"}, HoldOuts: []string{"11AM", "11AM"}}, `hold-out \"11AM\" listed twice`},
 	}
 	for _, route := range []string{"/explain", "/jobs"} {
 		for i, tc := range cases {

@@ -123,7 +123,7 @@ type Coordinator struct {
 // should fall back to an unsharded search when NumShards() < 2.
 func NewCoordinator(scorer *influence.Scorer, space *predicate.Space, factory Factory, shards int, params Params) *Coordinator {
 	task := scorer.Task()
-	anchor := OutlierUnion(task)
+	anchor := task.OutlierUnion()
 	views := Plan(task.Table.Data(), anchor, shards)
 	domains := make(map[int]predicate.Domain, len(space.Columns()))
 	for _, col := range space.Columns() {

@@ -159,15 +159,9 @@ func localTask(full *influence.Task, v *relation.View) (t *influence.Task, outMa
 	return local, outMap, holdMap, true
 }
 
-// OutlierUnion returns the union of a task's outlier provenance — the
-// planner's anchor.
-func OutlierUnion(task *influence.Task) *relation.RowSet {
-	u := relation.NewRowSet(task.Table.NumRows())
-	for _, g := range task.Outliers {
-		u.Or(g.Rows)
-	}
-	return u
-}
+// OutlierUnion forwards to task.OutlierUnion for the benchmark ladder, its
+// one remaining caller.
+func OutlierUnion(task *influence.Task) *relation.RowSet { return task.OutlierUnion() }
 
 // ShardTag names shard i in board children and progress snapshots.
 func ShardTag(i int) string { return fmt.Sprintf("shard-%d", i) }

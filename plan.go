@@ -69,7 +69,8 @@ type Plan struct {
 
 // Plan validates r and resolves its defaults. It fails, naming the knob,
 // on a request no search could answer: no table, SQL or outliers, shards
-// below 0, λ outside [0, 1], c below 0, or λ, c or Perturb non-finite.
+// below 0, λ outside [0, 1], c below 0, λ, c or Perturb non-finite, or an
+// outlier or hold-out key listed twice.
 func (r *Request) Plan() (*Plan, error) {
 	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
 		interval: r.ProgressInterval, naiveBins: defaultGridBins, mcBins: defaultGridBins,
@@ -129,6 +130,14 @@ func (r *Request) Plan() (*Plan, error) {
 	}
 	p.shards = max(1, min(p.shards, maxShards))
 	p.outliers, p.holdOuts = sortedKeys(r.Outliers), sortedKeys(r.HoldOuts)
+	// A repeated label would weigh its group twice; sorted, it is adjacent.
+	for i, keys := range [][]string{p.outliers, p.holdOuts} {
+		for j := 1; j < len(keys); j++ {
+			if keys[j] == keys[j-1] {
+				return nil, fmt.Errorf("scorpion: %s %q listed twice", [2]string{"outlier", "hold-out"}[i], keys[j])
+			}
+		}
+	}
 	p.cacheable = r.NaiveParams == nil && r.DTParams == nil && r.MCParams == nil && r.MergeParams == nil
 	return p, nil
 }

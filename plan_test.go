@@ -2,6 +2,7 @@ package scorpion
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/shard"
@@ -90,5 +91,37 @@ func TestPlanCoversRequest(t *testing.T) {
 		case (p.SessionKey("t") == baseSession) != (f.Name == "C"):
 			t.Errorf("Request.%s: only C may share the session key of a different result key", f.Name)
 		}
+	}
+}
+
+// TestPlanRejectsDuplicateLabels: a key listed twice among the outliers or
+// the hold-outs is refused by name; a repeated outlier would otherwise
+// weigh its group twice in the outlier mean.
+func TestPlanRejectsDuplicateLabels(t *testing.T) {
+	base := Request{
+		Table: sensorsTable(t),
+		SQL:   "SELECT avg(temp), time FROM sensors GROUP BY time",
+	}
+	for _, tc := range []struct {
+		outliers, holdOuts []string
+		want               string
+	}{
+		{[]string{"12PM", "1PM", "12PM"}, nil, `outlier "12PM" listed twice`},
+		{[]string{"1PM", "1PM"}, nil, `outlier "1PM" listed twice`},
+		{[]string{"12PM"}, []string{"11AM", "1PM", "11AM"}, `hold-out "11AM" listed twice`},
+	} {
+		req := base
+		req.Outliers, req.HoldOuts = tc.outliers, tc.holdOuts
+		if _, err := req.Plan(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("outliers %v, hold-outs %v: err = %v, want %q", tc.outliers, tc.holdOuts, err, tc.want)
+		}
+		if _, err := Explain(&req); err == nil {
+			t.Errorf("outliers %v, hold-outs %v: Explain accepted", tc.outliers, tc.holdOuts)
+		}
+	}
+	req := base
+	req.Outliers, req.HoldOuts = []string{"12PM", "1PM"}, []string{"11AM"}
+	if _, err := req.Plan(); err != nil {
+		t.Errorf("distinct labels refused: %v", err)
 	}
 }

@@ -147,3 +147,16 @@ func RunQuery(t *Table, sql string) (*QueryResult, error) {
 	}
 	return q.Run()
 }
+
+// OutlierRows returns g_O, the union of the flagged outlier groups'
+// provenance.
+func (r *Result) OutlierRows() *RowSet { return r.task.OutlierUnion() }
+
+// MatchedRows returns p(g_O) for explanation i: the influential subset of
+// the outliers' provenance. This is the paper's §2 "extending provenance
+// functionality" use case — the aggregate's full provenance reduced to the
+// inputs that actually caused the anomaly. It evaluates the predicate on
+// each call; MatchedOutlierTuples is its count.
+func (r *Result) MatchedRows(i int) *RowSet {
+	return r.Explanations[i].Predicate.Eval(r.task.Table.Data(), r.OutlierRows())
+}

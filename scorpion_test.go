@@ -364,7 +364,7 @@ func TestPerturbationModeThroughAPI(t *testing.T) {
 		t.Errorf("perturbation-mode explanation = %q", top.Where)
 	}
 	// Matched rows (provenance reduction) must expose T6 and T9.
-	if top.Matched == nil || !top.Matched.Contains(5) || !top.Matched.Contains(8) {
-		t.Errorf("Matched rows = %v, want {5, 8}", top.Matched)
+	if matched := res.MatchedRows(0); !matched.Contains(5) || !matched.Contains(8) {
+		t.Errorf("Matched rows = %v, want {5, 8}", matched)
 	}
 }

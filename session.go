@@ -532,8 +532,8 @@ func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*R
 	lambda := scorer.Task().Lambda
 	for i := range p.cands {
 		tested += scorer.Extend(p.cands[i].Pred, p.absorbed, p.sels[i])
-		outMean, holdPen := scorer.Score(p.sels[i])
-		setScore(&p.cands[i], lambda, outMean, holdPen)
+		outMean, holdPen, matched := scorer.ScoreMatched(p.sels[i])
+		setScore(&p.cands[i], lambda, outMean, holdPen, matched)
 	}
 	ranked{p.cands, p.sels}.sort()
 	rescore.End()

@@ -204,19 +204,9 @@ func BenchmarkDTNoSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkMergerExact measures merging DT candidates with exact Scorer
-// calls.
+// BenchmarkMergerExact measures merging DT candidates as a DT run does:
+// every merge scored exactly, through a fresh lattice per merge.
 func BenchmarkMergerExact(b *testing.B) {
-	benchMerger(b, false)
-}
-
-// BenchmarkMergerApproximation measures the §6.3 cached-tuple
-// approximation.
-func BenchmarkMergerApproximation(b *testing.B) {
-	benchMerger(b, true)
-}
-
-func benchMerger(b *testing.B, approx bool) {
 	scorer, space, _ := benchSetup(b, "avg", 0.2)
 	pt, err := dt.PartitionContext(context.Background(), scorer, space, dt.Params{DisableSampling: true}, 1)
 	if err != nil {
@@ -227,10 +217,7 @@ func benchMerger(b *testing.B, approx bool) {
 	var calls int64
 	for i := 0; i < b.N; i++ {
 		before := scorer.Calls()
-		m := merge.New(scorer, space, merge.Params{
-			TopQuartileOnly:  true,
-			UseApproximation: approx,
-		})
+		m := merge.New(scorer, space, merge.Params{TopQuartileOnly: true}).WithLattice(scorer.NewLattice(space))
 		out := m.Merge(cands)
 		if _, ok := partition.Top(out); !ok {
 			b.Fatal("no merged candidates")

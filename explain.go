@@ -594,7 +594,7 @@ func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, al
 		if req.DTParams != nil {
 			params = *req.DTParams
 		}
-		mergeParams := merge.Params{TopQuartileOnly: true, UseApproximation: scorer.Incremental()}
+		mergeParams := merge.Params{TopQuartileOnly: true}
 		if req.MergeParams != nil {
 			mergeParams = *req.MergeParams
 		}
@@ -624,7 +624,9 @@ func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, al
 // than in the dt package) so dt stays independent of the merger, mirroring
 // the paper's partitioner/merger split. A Session's DT path hands it the
 // cached partitioning and merge seeds, and reads back a freshly built
-// complete partitioning from part.
+// complete partitioning from part. The run's pieces, merges and exact
+// re-score all score boxes through one Lattice, lat, which the spine drops
+// once the re-score is done.
 type dtSearcher struct {
 	scorer      *influence.Scorer
 	space       *predicate.Space
@@ -632,6 +634,7 @@ type dtSearcher struct {
 	mergeParams merge.Params
 	part        *dt.Partitioning
 	seeds       []partition.Candidate
+	lat         *influence.Lattice
 }
 
 func (s *dtSearcher) Name() string { return "dt" }
@@ -647,10 +650,13 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 			s.part = pt
 		}
 	}
-	cands := pt.CandidatesPool(s.scorer, pool)
+	s.lat = s.scorer.NewLattice(s.space)
+	span := obs.SpanFrom(pool.Context()).Child("candidates")
+	cands := pt.CandidatesPool(s.scorer, s.lat, pool)
+	span.End()
 	// The scored leaves are a valid partial answer while the merge runs.
 	pool.PublishBest(cands)
-	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).WithAlgo("dt").MergeSeeded(cands, s.seeds)
+	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).WithLattice(s.lat).WithAlgo("dt").MergeSeeded(cands, s.seeds)
 	pool.PublishBest(merged)
 	return &partition.Outcome{
 		Candidates:  merged,
@@ -668,8 +674,9 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 // slice as the run's candidate pool. With keep set (an incremental scorer)
 // it also returns each candidate's per-group selections, sels[i] belonging
 // to the returned cands[i], for a warm refresh to extend; otherwise sels is
-// nil.
-func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate, keep bool) ([]partition.Candidate, [][]influence.Selection) {
+// nil, and a DT run's lattice, when given, scores each candidate by its
+// Box.
+func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []partition.Candidate, keep bool) ([]partition.Candidate, [][]influence.Selection) {
 	r := ranked{cands: partition.Dedupe(cands)}
 	task := scorer.Task()
 	groups := len(task.Outliers) + len(task.HoldOuts)
@@ -681,11 +688,16 @@ func rescoreExact(scorer *influence.Scorer, cands []partition.Candidate, keep bo
 	for i := range r.cands {
 		var outMean, holdPen float64
 		var matched int
-		if keep {
-			r.sels[i] = scorer.Select(r.cands[i].Pred, flat[i*groups:i*groups:(i+1)*groups])
+		p := r.cands[i].Pred
+		switch {
+		case keep:
+			r.sels[i] = scorer.Select(p, flat[i*groups:i*groups:(i+1)*groups])
 			outMean, holdPen, matched = scorer.ScoreMatched(r.sels[i])
-		} else {
-			outMean, holdPen, matched = scorer.PartsMatched(r.cands[i].Pred)
+		case lat != nil:
+			b, boxed := lat.Space().Box(p)
+			outMean, holdPen, matched = lat.Parts(b, boxed, p)
+		default:
+			outMean, holdPen, matched = scorer.PartsMatched(p)
 		}
 		setScore(&r.cands[i], task.Lambda, outMean, holdPen, matched)
 	}

@@ -153,8 +153,8 @@ func (t *Task) Value(r int) float64 {
 //
 // A scorer that outlives one c value (a Session's DT path) can also keep a
 // selection memo (MemoizeSelections): the per-group selections of every box
-// Parts or Influence folded, which do not depend on c, so a later run at
-// another c re-scores a known box without testing a row.
+// of one space its Lattices folded, which do not depend on c, so a later run
+// at another c re-scores a known box without testing a row.
 //
 // A Scorer is safe for concurrent use: the per-group states are immutable
 // after construction, both memos are sharded and synchronized, and the
@@ -181,10 +181,17 @@ type Scorer struct {
 	sizes []int
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
-	cache memo[float64]
-	// sels is the selection memo: Predicate.Key() → Select's selections.
-	// nil unless MemoizeSelections turned it on.
-	sels *memo[[]Selection]
+	cache memo[string, float64]
+	// sels is the selection memo: a Box of selsSpace → Select's selections
+	// of the predicate it holds. nil unless MemoizeSelections turned it on.
+	sels      *memo[predicate.Box, []Selection]
+	selsSpace *predicate.Space
+	// pow[n] holds the Float64bits of n^c for the current c, 0 until scale
+	// first needs it; SetC sizes and clears it (nil before the first
+	// SetC). A c sweep's warm run scores memoized selections, and math.Pow
+	// would be most of it. A looked-up power has the bits of a computed one,
+	// and workers that race to compute one store the same bits.
+	pow []atomic.Uint64
 }
 
 // cacheShards is the number of memo stripes. Keys hash across shards, so
@@ -197,39 +204,39 @@ const cacheShards = 64
 // hundred distinct boxes; the cap only bounds a pathological sweep.
 const maxMemoSelections = 4096
 
-// memo is a sharded, synchronized string-keyed memo table. Hit/miss
-// counters are striped per shard (the shard struct is already a contention
-// domain), so the memo hit rate is observable without adding a shared
-// cache-line to the scoring hot path.
-type memo[V any] struct {
-	seed maphash.Seed
+// memo is a sharded, synchronized memo table. Hit/miss counters are
+// striped per shard (the shard struct is already a contention domain), so
+// the memo hit rate is observable without adding a shared cache-line to the
+// scoring hot path.
+type memo[K comparable, V any] struct {
+	hash func(K) uint64
 	// limit is the most entries put stores, 0 for no limit; entries counts
 	// a limited memo's stored entries across shards.
 	limit   int64
 	entries atomic.Int64
-	shards  [cacheShards]memoShard[V]
+	shards  [cacheShards]memoShard[K, V]
 }
 
-type memoShard[V any] struct {
+type memoShard[K comparable, V any] struct {
 	mu     sync.RWMutex
-	m      map[string]V
+	m      map[K]V
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-func (c *memo[V]) init(limit int64) {
-	c.seed = maphash.MakeSeed()
+func (c *memo[K, V]) init(hash func(K) uint64, limit int64) {
+	c.hash = hash
 	c.limit = limit
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]V)
+		c.shards[i].m = make(map[K]V)
 	}
 }
 
-func (c *memo[V]) shard(key string) *memoShard[V] {
-	return &c.shards[maphash.String(c.seed, key)%cacheShards]
+func (c *memo[K, V]) shard(key K) *memoShard[K, V] {
+	return &c.shards[c.hash(key)%cacheShards]
 }
 
-func (c *memo[V]) get(key string) (V, bool) {
+func (c *memo[K, V]) get(key K) (V, bool) {
 	sh := c.shard(key)
 	sh.mu.RLock()
 	v, ok := sh.m[key]
@@ -242,7 +249,7 @@ func (c *memo[V]) get(key string) (V, bool) {
 	return v, ok
 }
 
-func (c *memo[V]) stats() (hits, misses int64) {
+func (c *memo[K, V]) stats() (hits, misses int64) {
 	for i := range c.shards {
 		hits += c.shards[i].hits.Load()
 		misses += c.shards[i].misses.Load()
@@ -251,18 +258,18 @@ func (c *memo[V]) stats() (hits, misses int64) {
 }
 
 // size reports the number of memoized entries and an estimate of their
-// heap footprint: per-entry map overhead plus the interned key bytes. A
+// heap footprint: per-entry map overhead plus keyBytes of each key. A
 // value's own heap (a slice's backing array) is the caller's to add.
-func (c *memo[V]) size() (entries int, bytes int64) {
-	// Rough per-entry cost of a map bucket slot: the string header (16) +
-	// a word-sized value + amortized bucket/overflow overhead.
-	const entryOverhead = 48
+func (c *memo[K, V]) size(keyBytes func(K) int64) (entries int, bytes int64) {
+	// Rough per-entry cost of a map bucket slot: a word-sized value +
+	// amortized bucket/overflow overhead.
+	const entryOverhead = 32
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		for k := range sh.m {
 			entries++
-			bytes += int64(len(k)) + entryOverhead
+			bytes += keyBytes(k) + entryOverhead
 		}
 		sh.mu.RUnlock()
 	}
@@ -273,7 +280,7 @@ func (c *memo[V]) size() (entries int, bytes int64) {
 // limit. The entry is reserved before it is stored, so concurrent puts on
 // different shards never overshoot; an unlimited memo counts nothing, so
 // its puts share no cache line across shards.
-func (c *memo[V]) put(key string, v V) {
+func (c *memo[K, V]) put(key K, v V) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if c.limit == 0 || c.reserve(sh.m, key) {
@@ -285,7 +292,7 @@ func (c *memo[V]) put(key string, v V) {
 // reserve counts key as a new entry of a limited memo, or reports false,
 // counting nothing, when that would pass the limit. A key already stored
 // needs no reservation. The caller holds the key's shard lock.
-func (c *memo[V]) reserve(m map[string]V, key string) bool {
+func (c *memo[K, V]) reserve(m map[K]V, key K) bool {
 	if _, ok := m[key]; ok {
 		return true
 	}
@@ -296,14 +303,16 @@ func (c *memo[V]) reserve(m map[string]V, key string) bool {
 	return true
 }
 
-func (c *memo[V]) reset() {
+func (c *memo[K, V]) reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if c.limit > 0 {
-			c.entries.Add(-int64(len(sh.m)))
+		if len(sh.m) > 0 { // a DT session's score memo stays empty: keep its maps
+			if c.limit > 0 {
+				c.entries.Add(-int64(len(sh.m)))
+			}
+			sh.m = make(map[K]V)
 		}
-		sh.m = make(map[string]V)
 		sh.mu.Unlock()
 	}
 }
@@ -391,7 +400,8 @@ func newScorer(task *Task) (*Scorer, error) {
 	if task.AggCol >= 0 {
 		s.aggVals = s.tab.Floats(task.AggCol)
 	}
-	s.cache.init(0)
+	seed := maphash.MakeSeed()
+	s.cache.init(func(k string) uint64 { return maphash.String(seed, k) }, 0)
 	return s, nil
 }
 
@@ -463,9 +473,9 @@ func (s *Scorer) MemoStats() (hits, misses int64) {
 // lane tracks it next to provenance bytes/row; it walks every shard under
 // its read lock, so it is a diagnostics call, not a hot-path one.
 func (s *Scorer) MemoSize() (entries int, bytes int64) {
-	entries, bytes = s.cache.size()
+	entries, bytes = s.cache.size(func(k string) int64 { return int64(len(k)) + 16 })
 	if s.sels != nil {
-		n, b := s.sels.size()
+		n, b := s.sels.size(func(predicate.Box) int64 { return int64(unsafe.Sizeof(predicate.Box{})) })
 		// Each entry's selections: one 32-byte Selection per group.
 		perEntry := int64(len(s.sizes)) * int64(unsafe.Sizeof(Selection{}))
 		entries, bytes = entries+n, bytes+b+int64(n)*perEntry
@@ -473,20 +483,22 @@ func (s *Scorer) MemoSize() (entries int, bytes int64) {
 	return entries, bytes
 }
 
-// MemoizeSelections turns on the selection memo: from then on Parts and
-// Influence keep each box's per-group selections under its key, and a box
-// they meet again — at any c, since SetC keeps them — is scored from them
-// without testing a row. It is for a scorer that outlives one c (a
-// Session's DT path); the memo lives as long as the scorer and holds at
-// most maxMemoSelections boxes. A black-box scorer has no selections to
-// keep, so the call is a no-op there, as it is when the memo is already on.
-// Call it before scoring, not concurrently with it.
-func (s *Scorer) MemoizeSelections() {
+// MemoizeSelections turns on the selection memo for the boxes of space:
+// from then on a Lattice over space keeps each box it folds — its
+// per-group selections under the Box — and a box met again, at any c since
+// SetC keeps them, is scored from them without testing a row. It is for a
+// scorer that outlives one c (a Session's DT path); the memo lives as long
+// as the scorer and holds at most maxMemoSelections boxes. A black-box
+// scorer has no selections to keep, so the call is a no-op there, as it is
+// when the memo is already on. Call it before scoring, not concurrently
+// with it.
+func (s *Scorer) MemoizeSelections(space *predicate.Space) {
 	if s.rem == nil || s.sels != nil {
 		return
 	}
-	s.sels = new(memo[[]Selection])
-	s.sels.init(maxMemoSelections)
+	s.sels = new(memo[predicate.Box, []Selection])
+	s.sels.init(predicate.Box.Hash, maxMemoSelections)
+	s.selsSpace = space
 }
 
 // OutlierResult returns the cached original aggregate value of outlier i.
@@ -648,7 +660,15 @@ func (s *Scorer) scale(delta float64, n int) float64 {
 	if s.task.C == 0 {
 		return delta
 	}
-	return delta / math.Pow(float64(n), s.task.C)
+	if n >= len(s.pow) {
+		return delta / math.Pow(float64(n), s.task.C)
+	}
+	p := s.pow[n].Load()
+	if p == 0 { // n ≥ 1, so n^c ≥ 1 is never +0
+		p = math.Float64bits(math.Pow(float64(n), s.task.C))
+		s.pow[n].Store(p)
+	}
+	return delta / math.Float64frombits(p)
 }
 
 // OutlierInfluence computes inf(o_i, p, v_i) for outlier index i.
@@ -696,10 +716,7 @@ func (s *Scorer) influenceUncached(p predicate.Predicate) float64 {
 // Parts returns the two components of the objective: the mean outlier
 // influence and the hold-out penalty max_h |inf(h, p)| (0 without
 // hold-outs), before the λ weighting. It folds each whole group into a
-// selection and scores the selections; with the selection memo on, it
-// scores p's memoized selections instead, folding and keeping them first
-// on a miss. Both give the same bits: Score(Select(p, nil)) is a fold of
-// every whole group.
+// selection and scores the selections: Score(Select(p, nil)) has its bits.
 func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
 	outMean, holdPenalty, _ = s.PartsMatched(p)
 	return outMean, holdPenalty
@@ -710,25 +727,10 @@ func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
 // keeps disjoint. The exact re-score reads it so that ranking needs no
 // second pass over g_O.
 func (s *Scorer) PartsMatched(p predicate.Predicate) (outMean, holdPenalty float64, matched int) {
-	if s.sels != nil {
-		return s.ScoreMatched(s.selections(p))
-	}
 	return s.objective(func(g Group, _ int) (x selection, total int) {
 		total = s.fold(g, p, 0, &x)
 		return x, total
 	})
-}
-
-// selections returns p's per-group selections from the selection memo,
-// folding and storing them on a miss.
-func (s *Scorer) selections(p predicate.Predicate) []Selection {
-	key := p.Key()
-	if sels, ok := s.sels.get(key); ok {
-		return sels
-	}
-	sels := s.Select(p, nil)
-	s.sels.put(key, sels)
-	return sels
 }
 
 // Select folds p over every group of the task from its first row — the
@@ -880,12 +882,12 @@ func (s *Scorer) MaxTupleInfluence(p predicate.Predicate) float64 {
 // memo, which does not depend on C, is kept.
 func (s *Scorer) ResetCache() { s.cache.reset() }
 
-// SetC updates the task's c knob in place and clears the memoized
-// predicate scores; the cached per-group aggregate states and the
-// selection memo — which do not depend on c — are kept, so a c sweep pays
-// only re-scoring, never state rebuilding nor, for a box the memo holds,
-// row testing. Not safe to call concurrently with scoring: callers (a
-// Session's c sweeps) serialize runs.
+// SetC updates the task's c knob in place, clears the memoized predicate
+// scores and the n^c table scale fills; the cached per-group
+// aggregate states and the selection memo — which do not depend on c — are
+// kept, so a c sweep pays only re-scoring, never state rebuilding nor, for
+// a box the memo holds, row testing. Not safe to call concurrently with
+// scoring: callers (a Session's c sweeps) serialize runs.
 func (s *Scorer) SetC(c float64) error {
 	if err := validC(c); err != nil {
 		return err
@@ -895,5 +897,9 @@ func (s *Scorer) SetC(c float64) error {
 	}
 	s.task.C = c
 	s.cache.reset()
+	if s.pow == nil {
+		s.pow = make([]atomic.Uint64, min(slices.Max(s.sizes), maxPowTable)+1)
+	}
+	clear(s.pow)
 	return nil
 }

@@ -47,6 +47,21 @@ type layoutGroup struct {
 
 // NewLayout lays the scorer's groups out by position.
 func (s *Scorer) NewLayout() *Layout {
+	l := s.layout()
+	maxN := 0
+	for i := range l.groups {
+		maxN = max(maxN, l.groups[i].n)
+	}
+	l.pow = make([]float64, min(maxN, maxPowTable)+1)
+	for n := range l.pow {
+		l.pow[n] = math.Pow(float64(n), s.task.C)
+	}
+	return l
+}
+
+// layout is NewLayout without the power table, for a Lattice, which scores
+// through the Scorer.
+func (s *Scorer) layout() *Layout {
 	l := &Layout{s: s, groups: make([]layoutGroup, 0, len(s.task.Outliers)+len(s.task.HoldOuts))}
 	add := func(groups []Group, orig []float64, states []aggregate.State, outlier bool) {
 		for i, g := range groups {
@@ -62,14 +77,6 @@ func (s *Scorer) NewLayout() *Layout {
 	}
 	add(s.task.Outliers, s.outOrig, s.outState, true)
 	add(s.task.HoldOuts, s.holdOrig, s.holdState, false)
-	maxN := 0
-	for i := range l.groups {
-		maxN = max(maxN, l.groups[i].n)
-	}
-	l.pow = make([]float64, min(maxN, maxPowTable)+1)
-	for n := range l.pow {
-		l.pow[n] = math.Pow(float64(n), s.task.C)
-	}
 	return l
 }
 

@@ -5,15 +5,55 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/predicate"
+	"github.com/scorpiondb/scorpion/internal/relation"
 )
+
+// boxOf converts p over space, failing the test when a Box cannot hold it.
+func boxOf(t testing.TB, space *predicate.Space, p predicate.Predicate) predicate.Box {
+	t.Helper()
+	b, ok := space.Box(p)
+	if !ok {
+		t.Fatalf("Box(%v) failed", p)
+	}
+	return b
+}
+
+// boxParts scores p through lat by its Box, as a DT run does.
+func boxParts(t testing.TB, lat *Lattice, p predicate.Predicate) (outMean, holdPenalty float64) {
+	t.Helper()
+	outMean, holdPenalty, _ = lat.Parts(boxOf(t, lat.Space(), p), true, p)
+	return outMean, holdPenalty
+}
+
+// kernelSpace is the space of kernelTable's attributes.
+func kernelSpace(t testing.TB, tbl *relation.Table) *predicate.Space {
+	t.Helper()
+	space, err := predicate.NewSpace(tbl, []string{"d", "x", "y", "v"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
+
+// voltageSpace is the space of the running example's voltage attribute.
+func voltageSpace(t testing.TB, tbl *relation.Table) *predicate.Space {
+	t.Helper()
+	space, err := predicate.NewSpace(tbl, []string{"voltage"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space
+}
 
 // TestSelectionMemoSurvivesSetC: with the selection memo on, a box scored
 // once is re-scored at every later c without testing a row — Calls()
 // advances by 0 — and with the bits a freshly built scorer at that c gets,
-// through Parts and through Influence, over the three RowSet encodings, the
+// through a Lattice's Parts (and Influence, which the selection memo does
+// not serve, keeps its bits), over the three RowSet encodings, the
 // removable aggregates and perturbation on and off.
 func TestSelectionMemoSurvivesSetC(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -25,6 +65,7 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 		groupShape(rng, 2000, 2100, 60),
 	}
 	preds := kernelPredicates(rng, tbl)
+	space := kernelSpace(t, tbl)
 	target := 5.0
 	cs := []float64{0.5, 0, 1, 0.25, 0.5, 2}
 	for _, enc := range []string{"dense", "runs", "sparse"} {
@@ -42,9 +83,9 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				memo.MemoizeSelections()
+				memo.MemoizeSelections(space)
 				for _, p := range preds {
-					memo.Parts(p)
+					boxParts(t, memo.NewLattice(space), p)
 				}
 				for _, c := range cs {
 					if err := memo.SetC(c); err != nil {
@@ -54,10 +95,10 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					lat := memo.NewLattice(space)
 					for _, p := range preds {
 						before := memo.Calls()
-						gotOut, gotHold := memo.Parts(p)
-						gotInf := memo.Influence(p)
+						gotOut, gotHold := boxParts(t, lat, p)
 						if d := memo.Calls() - before; d != 0 {
 							t.Fatalf("enc=%s agg=%s c=%v: a memoized box advanced Calls() by %d", enc, aggName, c, d)
 						}
@@ -65,8 +106,8 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 						if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
 							t.Fatalf("enc=%s agg=%s c=%v %s: memo Parts = (%v, %v), fresh (%v, %v)", enc, aggName, c, p.Key(), gotOut, gotHold, wantOut, wantHold)
 						}
-						if want := fresh.Influence(p); !sameBits(gotInf, want) {
-							t.Fatalf("enc=%s agg=%s c=%v %s: memo Influence = %v, fresh %v", enc, aggName, c, p.Key(), gotInf, want)
+						if got, want := memo.Influence(p), fresh.Influence(p); !sameBits(got, want) {
+							t.Fatalf("enc=%s agg=%s c=%v %s: memo Influence = %v, fresh %v", enc, aggName, c, p.Key(), got, want)
 						}
 					}
 				}
@@ -84,7 +125,9 @@ func TestSelectionMemoCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.MemoizeSelections()
+	space := voltageSpace(t, task.Table.Data())
+	s.MemoizeSelections(space)
+	lat := s.NewLattice(space)
 	fresh, err := NewScorer(paperTask(t))
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +144,7 @@ func TestSelectionMemoCap(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := w; i < boxes; i += 4 {
-				s.Parts(box(i))
+				boxParts(t, lat, box(i))
 			}
 		}()
 	}
@@ -113,7 +156,7 @@ func TestSelectionMemoCap(t *testing.T) {
 		t.Fatalf("MemoSize reports %d entries, want %d", entries, maxMemoSelections)
 	}
 	for _, i := range []int{0, boxes / 2, boxes - 1} {
-		gotOut, gotHold := s.Parts(box(i))
+		gotOut, gotHold := boxParts(t, lat, box(i))
 		wantOut, wantHold := fresh.Parts(box(i))
 		if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
 			t.Fatalf("box %d at the cap: (%v, %v), want (%v, %v)", i, gotOut, gotHold, wantOut, wantHold)
@@ -129,25 +172,27 @@ func TestSelectionMemoCap(t *testing.T) {
 // after SetC — and a scorer without the memo keeps none: after SetC its
 // Influence folds again, as ResetCache's does.
 func TestSelectionMemoStats(t *testing.T) {
-	p := voltagePredicate(sensorsTable(t))
+	tbl := sensorsTable(t)
+	p := voltagePredicate(tbl)
+	space := voltageSpace(t, tbl)
 	s, err := NewScorer(paperTask(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.MemoizeSelections()
-	s.Parts(p)
+	s.MemoizeSelections(space)
+	boxParts(t, s.NewLattice(space), p)
 	if hits, misses := s.MemoStats(); hits != 0 || misses != 1 {
 		t.Fatalf("after the first fold MemoStats = %d hits, %d misses; want 0, 1", hits, misses)
 	}
 	entries, bytes := s.MemoSize()
-	if entries != 1 || bytes < int64(len(p.Key()))+3*32 {
-		t.Fatalf("MemoSize = %d entries, %d bytes; want 1 entry of at least key + 3 selections", entries, bytes)
+	if entries != 1 || bytes < int64(unsafe.Sizeof(predicate.Box{}))+3*32 {
+		t.Fatalf("MemoSize = %d entries, %d bytes; want 1 entry of at least a Box + 3 selections", entries, bytes)
 	}
 	for _, c := range []float64{0.5, 0.2} {
 		if err := s.SetC(c); err != nil {
 			t.Fatal(err)
 		}
-		s.Parts(p)
+		boxParts(t, s.NewLattice(space), p)
 	}
 	if hits, misses := s.MemoStats(); hits != 2 || misses != 1 {
 		t.Fatalf("after two re-scores MemoStats = %d hits, %d misses; want 2, 1", hits, misses)
@@ -180,32 +225,38 @@ func TestSelectionMemoBlackBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.MemoizeSelections()
 	p := voltagePredicate(task.Table.Data())
-	s.Parts(p)
+	space := voltageSpace(t, task.Table.Data())
+	s.MemoizeSelections(space)
+	lat := s.NewLattice(space)
+	boxParts(t, lat, p)
 	before := s.Calls()
-	s.Parts(p)
+	boxParts(t, lat, p)
 	if s.Calls() == before {
 		t.Fatal("a black-box scorer skipped a fold")
 	}
 }
 
 // TestSelectionMemoHitZeroAlloc: re-scoring a memoized box after SetC —
-// through Parts, and through Influence once its score is memoized again —
-// allocates nothing.
+// through a Lattice's Parts, and through Influence once its score is
+// memoized again — allocates nothing.
 func TestSelectionMemoHitZeroAlloc(t *testing.T) {
-	p := voltagePredicate(sensorsTable(t))
+	tbl := sensorsTable(t)
+	p := voltagePredicate(tbl)
+	space := voltageSpace(t, tbl)
+	b := boxOf(t, space, p)
 	s, err := NewScorer(paperTask(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.MemoizeSelections()
-	s.Parts(p)
+	s.MemoizeSelections(space)
+	boxParts(t, s.NewLattice(space), p)
 	if err := s.SetC(0.3); err != nil {
 		t.Fatal(err)
 	}
+	lat := s.NewLattice(space)
 	var sink float64
-	if n := testing.AllocsPerRun(100, func() { out, hold := s.Parts(p); sink += out + hold }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { out, hold, _ := lat.Parts(b, true, p); sink += out + hold }); n != 0 {
 		t.Errorf("Parts on a memoized box allocates %v times per call", n)
 	}
 	s.Influence(p)

@@ -1,40 +1,29 @@
-// Package merge implements Scorpion's Merger (§4.3) and its optimizations
-// (§6.3): candidate predicates are expanded in decreasing score order by
-// greedily absorbing adjacent predicates while the (estimated) influence
-// increases.
-//
-// Two optimizations from the paper:
-//
-//  1. Top-quartile expansion: only predicates whose score is in the top
-//     quartile are used as expansion seeds.
-//  2. Cached-tuple approximation: for incrementally removable aggregates,
-//     a merged predicate's influence is estimated from each input
-//     partition's cardinality and its cached representative tuple, scaled
-//     by box-overlap volume fractions — no Scorer calls. We generalize the
-//     paper's pairwise n_p formula to the full disjoint partition list: the
-//     estimated contribution of leaf q to merged box p* is
-//     N_q · Vol(q ∩ p*)/Vol(q), which is identical under the paper's
-//     uniform-density assumption and has no special overlap cases.
+// Package merge implements Scorpion's Merger (§4.3) and the first of its
+// §6.3 optimizations: candidate predicates are expanded in decreasing score
+// order by greedily absorbing adjacent predicates while the influence
+// increases. Top-quartile expansion uses only predicates whose score is in
+// the top quartile as expansion seeds. Every merge is scored exactly: the
+// paper's second optimization, estimating a merged box from its parts'
+// cached tuples, is not implemented (DESIGN.md says why).
 //
 // Merged results can also seed a later run with a lower c value (§8.3.3
 // caching experiment) via MergeSeeded.
 //
 // Expansion works on predicate.Box values, merged, compared and memoized as
-// comparable values, and builds a Predicate only for the boxes it keeps and
-// for exact scoring. A predicate a Box cannot hold takes the Predicate path
-// and is counted as a box fallback.
+// comparable values, and builds a Predicate only for the boxes it keeps. A
+// Merger with a Lattice (DT's) scores boxes through it; one without scores
+// a Predicate through Scorer.Influence. A predicate a Box cannot hold takes
+// the Predicate path and is counted as a box fallback.
 package merge
 
 import (
 	"context"
 	"math"
 
-	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
-	"github.com/scorpiondb/scorpion/internal/relation"
 )
 
 // Params configures the Merger.
@@ -42,23 +31,16 @@ type Params struct {
 	// TopQuartileOnly restricts expansion seeds to the top quartile of
 	// candidate scores (§6.3 optimization 1).
 	TopQuartileOnly bool
-	// UseApproximation enables the cached-tuple influence approximation
-	// (§6.3 optimization 2). It requires an incrementally removable
-	// aggregate and DT-style candidates (GroupCards/CachedRows populated);
-	// otherwise the Merger silently falls back to exact scoring.
+	// UseApproximation is a no-op; benchmark/ladder.go sets it; delete
+	// with B.
 	UseApproximation bool
 	// MaxRounds caps merge iterations per expansion seed (safety valve;
 	// 0 = number of candidates).
 	MaxRounds int
 }
 
-const (
-	// adjacencyEps tolerates floating-point gaps when testing adjacency.
-	adjacencyEps = 1e-9
-	// exactRescoreTop is how many of the best approximately scored results
-	// rescoreTop re-scores exactly before returning.
-	exactRescoreTop = 5
-)
+// adjacencyEps tolerates floating-point gaps when testing adjacency.
+const adjacencyEps = 1e-9
 
 // Merger expands and merges candidate predicates.
 type Merger struct {
@@ -66,10 +48,8 @@ type Merger struct {
 	space  *predicate.Space
 	params Params
 	pool   *partition.Pool
-	// rem is the aggregate's removable interface, nil for a black box; the
-	// approximation reads the outlier groups' states and original values
-	// off the scorer.
-	rem aggregate.Removable
+	// lat, when set, scores boxes: a DT run's lattice over space.
+	lat *influence.Lattice
 	// algo labels the merge's counters.
 	algo string
 }
@@ -77,14 +57,12 @@ type Merger struct {
 // New builds a Merger over the given scorer and search space. It runs
 // serially and uncancellably unless WithPool is called.
 func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merger {
-	m := &Merger{
+	return &Merger{
 		scorer: scorer,
 		space:  space,
 		params: params,
 		pool:   partition.NewPool(context.Background(), 1),
 	}
-	m.rem, _ = scorer.Task().Agg.(aggregate.Removable)
-	return m
 }
 
 // WithPool attaches a worker pool: merge-candidate scoring fans out over
@@ -95,6 +73,15 @@ func (m *Merger) WithPool(pool *partition.Pool) *Merger {
 	if pool != nil {
 		m.pool = pool
 	}
+	return m
+}
+
+// WithLattice scores the merge's boxes through lat, a lattice over the
+// Merger's space: by Box, from the scorer's selection memo or the lattice's
+// bitsets, without a Predicate or its key. Returns the receiver for
+// chaining.
+func (m *Merger) WithLattice(lat *influence.Lattice) *Merger {
+	m.lat = lat
 	return m
 }
 
@@ -120,14 +107,18 @@ func (m *Merger) Merge(cands []partition.Candidate) []partition.Candidate {
 // cheap.
 //
 // The call is one "merge" span under the pool's, with its work as attrs
-// and the exact re-score of the top as a "rescore_top" child; its
-// counters land in the pool's registry.
+// (with a lattice, also the half-space bitsets it built and the boxes the
+// selection memo did not hold); its counters land in the pool's registry.
 func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Candidate) []partition.Candidate {
 	if len(cands) == 0 && len(seeds) == 0 {
 		return nil
 	}
 	ctx := m.pool.Context()
 	_, span := obs.StartSpan(ctx, "merge")
+	var masks, misses int64
+	if m.lat != nil {
+		masks, misses = m.lat.Stats()
+	}
 	pool := make([]partition.Candidate, len(cands))
 	copy(pool, cands)
 	partition.SortByScore(pool)
@@ -158,14 +149,16 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 		}
 	}
 	out = partition.Dedupe(out)
-	rescore := span.Child("rescore_top")
-	m.rescoreTop(out)
-	rescore.End()
 	partition.SortByScore(out)
 	span.SetAttr("attempts", r.attempts)
-	span.SetAttr("approx_memo_hits", r.hits)
+	span.SetAttr("repeats", r.repeats)
 	span.SetAttr("box_fallbacks", r.fallbacks)
 	span.SetAttr("rounds", r.rounds)
+	if m.lat != nil {
+		m2, miss2 := m.lat.Stats()
+		span.SetAttr("lattice_masks", int(m2-masks))
+		span.SetAttr("memo_misses", int(miss2-misses))
+	}
 	span.End()
 	reg := obs.RegistryFrom(ctx)
 	reg.Counter("scorpion_merge_attempts_total", "algo", m.algo).Add(float64(r.attempts))
@@ -176,22 +169,19 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 // run is one MergeSeeded call: the pool in score order with each member's
 // piece and key class (the first pool index with its key), what the
 // expansions absorbed (by class), and the memo of every box met so far —
-// its slot in scores. The pool is fixed for the call, so a memoized score
-// is the one a fresh pass would compute. The memo dies with the call: the
-// approximation sums in pool order, which the next call's c changes.
+// its slot in scores, which are at the call's c.
 type run struct {
 	*Merger
 	cands    []partition.Candidate
 	pieces   []*partition.Piece
 	class    []int32
 	absorbed []bool
-	approx   bool
 	memo     map[predicate.Box]int
 	scores   []float64
 	buf      []attempt // an expansion round's attempts
 	todo     []int     // the attempts of buf that need a score
 
-	attempts, hits, fallbacks, rounds int
+	attempts, repeats, fallbacks, rounds int
 }
 
 // attempt is one merge an expansion round scores.
@@ -220,7 +210,6 @@ func (m *Merger) newRun(pool []partition.Candidate) *run {
 		pieces:   make([]*partition.Piece, len(pool)),
 		class:    make([]int32, len(pool)),
 		absorbed: make([]bool, len(pool)),
-		approx:   m.params.UseApproximation && m.rem != nil,
 		memo:     make(map[predicate.Box]int),
 	}
 	var own []partition.Piece
@@ -230,7 +219,7 @@ func (m *Merger) newRun(pool []partition.Candidate) *run {
 			if own == nil {
 				own = make([]partition.Piece, len(pool))
 			}
-			own[i] = partition.NewPiece(m.space, m.scorer.Task(), &pool[i])
+			own[i] = partition.NewPiece(m.space, pool[i].Pred)
 			r.pieces[i] = &own[i]
 		}
 		if !r.pieces[i].Boxed {
@@ -265,7 +254,7 @@ func (r *run) predOf(s *shape) predicate.Predicate {
 }
 
 // expand grows one candidate by greedily absorbing adjacent pool members
-// while the (estimated) influence increases. Candidate-merge scoring fans
+// while the influence increases. Candidate-merge scoring fans
 // out over the attached worker pool; the greedy choice — the highest score,
 // earliest pool index on ties, strictly above the current score — matches
 // the serial scan exactly, so parallel and serial expansions agree.
@@ -364,7 +353,7 @@ func (r *run) join(cur *shape, i int) (shape, bool) {
 func (r *run) slot(s *shape) (int, bool) {
 	if s.boxed {
 		if i, ok := r.memo[s.box]; ok {
-			r.hits++
+			r.repeats++
 			return i, false
 		}
 		r.memo[s.box] = len(r.scores)
@@ -382,88 +371,16 @@ func (r *run) scoreMemo(s *shape) float64 {
 	return r.scores[i]
 }
 
-// score estimates the influence of a box, via the cached-tuple
-// approximation when enabled and possible, else via the exact Scorer.
+// score is the influence of a box: through the lattice when the Merger has
+// one (a shape no Box holds is folded from its predicate), else through
+// Scorer.Influence, whose score memo MC and the shard combine share.
 func (r *run) score(s *shape) float64 {
-	if r.approx {
-		if v, ok := r.approxInfluence(s); ok {
-			return v
-		}
+	if r.lat == nil {
+		return r.scorer.Influence(r.predOf(s))
 	}
-	return r.scorer.Influence(r.predOf(s))
-}
-
-// approxInfluence estimates inf(O, H, p*, V) from the pool's pieces alone
-// (§6.3). Returns false when the pool lacks the needed statistics.
-//
-// One pass over the pool, in pool order, computes each member's overlap
-// with p* once and folds it into every outlier group's estimate and into
-// the hold-out penalty. Each group still sees its updates in pool order,
-// so the bits are those of a pass per group.
-func (r *run) approxInfluence(pstar *shape) (float64, bool) {
-	task := r.scorer.Task()
-	nGroups := len(task.Outliers)
-	// The estimated state and size of p*(g) per outlier group, accumulated
-	// from cached tuples; on the stack for the usual handful of outliers.
-	var stateBuf [8]aggregate.State
-	var nBuf [8]float64
-	var removed []aggregate.State
-	var removedN []float64
-	if nGroups <= len(stateBuf) {
-		removed, removedN = stateBuf[:nGroups], nBuf[:nGroups]
-	} else {
-		removed, removedN = make([]aggregate.State, nGroups), make([]float64, nGroups)
-	}
-	sawStats := false
-	// Hold-out penalty: reuse the worst stored leaf penalty among overlapping
-	// partitions (a merged predicate's max_h penalty is at least its parts').
-	penalty := 0.0
-	for i, q := range r.pieces {
-		var frac float64
-		if q.Boxed && pstar.boxed {
-			frac = r.space.Overlap(q.Box, pstar.box)
-		} else {
-			frac = overlapFraction(r.space, r.cands[i].Pred, r.predOf(pstar))
-		}
-		if pen := r.cands[i].HoldPenalty; frac > 0 && pen > penalty {
-			penalty = pen
-		}
-		if frac <= 0 || len(q.Cards) != nGroups {
-			continue
-		}
-		for gi, card := range q.Cards {
-			if card <= 0 {
-				continue
-			}
-			sawStats = true
-			n := card * frac
-			removed[gi] = r.rem.Update(removed[gi], scaleState(q.Rows[gi], n))
-			removedN[gi] += n
-		}
-	}
-	if !sawStats {
-		return 0, false
-	}
-
-	total := 0.0
-	for gi := range removed {
-		if removedN[gi] <= 0 {
-			continue
-		}
-		orig := r.scorer.OutlierResult(gi)
-		updated := r.rem.Recover(r.rem.Remove(r.scorer.OutlierState(gi), removed[gi]))
-		delta := orig - updated
-		if math.IsNaN(delta) || math.IsInf(delta, 0) {
-			continue
-		}
-		inf := delta
-		if task.C != 0 {
-			inf = delta / math.Pow(removedN[gi], task.C)
-		}
-		total += inf * float64(task.Outliers[gi].Direction)
-	}
-	outPart := total / float64(nGroups)
-	return task.Lambda*outPart - (1-task.Lambda)*penalty, true
+	lambda := r.scorer.Task().Lambda
+	out, hold, _ := r.lat.Parts(s.box, s.boxed, s.pred)
+	return lambda*out - (1-lambda)*hold
 }
 
 // sameColumns reports whether two predicates constrain identical columns
@@ -479,124 +396,4 @@ func sameColumns(a, b predicate.Predicate) bool {
 		}
 	}
 	return true
-}
-
-// scaleState multiplies a state by a (possibly fractional) tuple count.
-// The state (sum, sum of squares, count) is linear in its inputs, so
-// componentwise scaling equals update-ing n copies.
-func scaleState(s aggregate.State, n float64) aggregate.State {
-	return aggregate.State{Sum: s.Sum * n, SumSq: s.SumSq * n, N: s.N * n}
-}
-
-// overlapFraction is Space.Overlap on predicates, for the pairs the Box
-// type cannot hold: it estimates the fraction of q's box that lies inside p*,
-// assuming uniform density: the product over attributes of the fractional
-// overlap of q's clause with p*'s clause (1 when p* leaves the attribute
-// unconstrained). Both clause lists are sorted by column, so it walks them
-// by index, clause by pointer; the factors multiply in a fixed order — the
-// columns q constrains, then those only p* constrains — each ascending.
-func overlapFraction(space *predicate.Space, q, pstar predicate.Predicate) float64 {
-	frac := 1.0
-	qcs, pcs := q.Clauses(), pstar.Clauses()
-	j := 0
-	for i := range qcs {
-		qc := &qcs[i]
-		for j < len(pcs) && pcs[j].Col < qc.Col {
-			j++
-		}
-		if j == len(pcs) || pcs[j].Col != qc.Col {
-			continue
-		}
-		pc := &pcs[j]
-		if qc.Kind == relation.Continuous {
-			width := qc.Hi - qc.Lo
-			lo := math.Max(qc.Lo, pc.Lo)
-			hi := math.Min(qc.Hi, pc.Hi)
-			if width <= 0 {
-				// Point range: inside or out.
-				if pc.Lo <= qc.Lo && qc.Lo <= pc.Hi {
-					continue
-				}
-				return 0
-			}
-			if hi <= lo {
-				return 0
-			}
-			frac *= (hi - lo) / width
-		} else {
-			if len(qc.Values) == 0 {
-				return 0
-			}
-			common := 0
-			a, b := 0, 0
-			for a < len(qc.Values) && b < len(pc.Values) {
-				switch {
-				case qc.Values[a] < pc.Values[b]:
-					a++
-				case qc.Values[a] > pc.Values[b]:
-					b++
-				default:
-					common++
-					a++
-					b++
-				}
-			}
-			if common == 0 {
-				return 0
-			}
-			frac *= float64(common) / float64(len(qc.Values))
-		}
-	}
-	// Attributes constrained by p* but not by q: q spans the whole domain
-	// there, so the overlap shrinks by p*'s coverage of the domain.
-	i := 0
-	for j := range pcs {
-		pc := &pcs[j]
-		for i < len(qcs) && qcs[i].Col < pc.Col {
-			i++
-		}
-		if i < len(qcs) && qcs[i].Col == pc.Col {
-			continue
-		}
-		d, ok := space.Domain(pc.Col)
-		if !ok {
-			continue
-		}
-		if pc.Kind == relation.Continuous {
-			width := d.Hi - d.Lo
-			if width <= 0 {
-				continue
-			}
-			lo := math.Max(pc.Lo, d.Lo)
-			hi := math.Min(pc.Hi, d.Hi)
-			if hi <= lo {
-				return 0
-			}
-			frac *= (hi - lo) / width
-		} else {
-			if d.Card <= 0 {
-				continue
-			}
-			frac *= float64(len(pc.Values)) / float64(d.Card)
-		}
-	}
-	return frac
-}
-
-// rescoreTop replaces the approximate scores of the best candidates with
-// exact Scorer values so the returned ranking is trustworthy. It scores
-// through Scorer.Parts: the score memo Influence fills would only keep
-// boxes no later call reads. On a scorer that keeps its boxes' selections
-// (a Session's DT path) Parts reads them, so a box met in an earlier run is
-// re-scored without testing a row.
-func (m *Merger) rescoreTop(cands []partition.Candidate) {
-	if !m.params.UseApproximation {
-		return
-	}
-	partition.SortByScore(cands)
-	lambda := m.scorer.Task().Lambda
-	for i := range min(exactRescoreTop, len(cands)) {
-		out, hold := m.scorer.Parts(cands[i].Pred)
-		cands[i].Score = lambda*out - (1-lambda)*hold
-	}
 }

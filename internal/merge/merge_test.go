@@ -1,18 +1,14 @@
 package merge
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
-	"github.com/scorpiondb/scorpion/internal/eval"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/partition"
-	dtpkg "github.com/scorpiondb/scorpion/internal/partition/dt"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
-	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
 // gridFixture builds a 1-attribute dataset with a high-valued run in
@@ -179,128 +175,6 @@ func TestSameColumns(t *testing.T) {
 		if got := sameColumns(tc.p, tc.q); got != tc.want {
 			t.Errorf("sameColumns(%v, %v) = %v, want %v", tc.p, tc.q, got, tc.want)
 		}
-	}
-}
-
-// TestOverlapFraction checks the volume fraction of both paths: the Box
-// kernel's Space.Overlap and the clause walk a Box-less pair falls back to.
-func TestOverlapFraction(t *testing.T) {
-	fx := buildGrid(t, 0.2)
-	xCol := fx.table.Schema().MustIndex("x")
-	mk := func(lo, hi float64) predicate.Predicate {
-		return predicate.MustNew(predicate.NewRangeClause(xCol, "x", lo, hi, false))
-	}
-	cases := []struct {
-		q, pstar predicate.Predicate
-		want     float64
-	}{
-		{mk(0, 10), mk(0, 10), 1},
-		{mk(0, 10), mk(5, 10), 0.5},
-		{mk(0, 10), mk(20, 30), 0},
-		{mk(0, 10), predicate.True(), 1},
-		{mk(0, 100), mk(25, 75), 0.5},
-	}
-	for _, tc := range cases {
-		got := fx.space.Overlap(mustBox(t, fx.space, tc.q), mustBox(t, fx.space, tc.pstar))
-		if math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Overlap(%v, %v) = %v, want %v", tc.q, tc.pstar, got, tc.want)
-		}
-		if walk := overlapFraction(fx.space, tc.q, tc.pstar); walk != got {
-			t.Errorf("overlapFraction(%v, %v) = %v, the kernel %v", tc.q, tc.pstar, walk, got)
-		}
-	}
-}
-
-func TestOverlapFractionDiscreteAndUnconstrained(t *testing.T) {
-	schema := relation.MustSchema(
-		relation.Column{Name: "d", Kind: relation.Discrete},
-		relation.Column{Name: "x", Kind: relation.Continuous},
-	)
-	b := relation.NewBuilder(schema)
-	for i := 0; i < 8; i++ {
-		b.MustAppend(relation.Row{
-			relation.S([]string{"a", "b", "c", "e"}[i%4]),
-			relation.F(float64(i)),
-		})
-	}
-	tbl := b.Build()
-	space, err := predicate.NewSpace(tbl, []string{"d", "x"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	overlap := func(q, pstar predicate.Predicate) float64 {
-		got := space.Overlap(mustBox(t, space, q), mustBox(t, space, pstar))
-		if walk := overlapFraction(space, q, pstar); walk != got {
-			t.Errorf("overlapFraction(%v, %v) = %v, the kernel %v", q, pstar, walk, got)
-		}
-		return got
-	}
-	q := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{0, 1}))
-	pstar := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{1, 2}))
-	if got := overlap(q, pstar); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("discrete overlap = %v, want 0.5", got)
-	}
-	// p* constrains x (unconstrained in q): overlap shrinks by p*'s domain
-	// coverage. x domain is [0,7]; [0,3.5) covers half.
-	pstar2 := predicate.MustNew(predicate.NewRangeClause(1, "x", 0, 3.5, false))
-	if got := overlap(q, pstar2); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("unconstrained-attr overlap = %v, want 0.5", got)
-	}
-}
-
-func TestScaleState(t *testing.T) {
-	s := aggregate.State{Sum: 2, N: 4}
-	out := scaleState(s, 2.5)
-	if out.Sum != 5 || out.N != 10 {
-		t.Errorf("scaleState = %v", out)
-	}
-	if s.Sum != 2 {
-		t.Error("scaleState mutated input")
-	}
-}
-
-// TestApproximationAvoidsScorerCalls verifies §6.3 optimization 2 end to
-// end: merging DT candidates with approximation must call the Scorer far
-// less than exact merging, while still ranking the planted cube first.
-func TestApproximationAvoidsScorerCalls(t *testing.T) {
-	ds := synth.Generate(synth.Config{
-		Dims: 2, TuplesPerGroup: 250, Groups: 6, OutlierGroups: 3, Mu: 80, Seed: 9,
-	})
-	run := func(useApprox bool) (int64, partition.Candidate) {
-		task, space, err := eval.SynthTask(ds, "avg", 0.5, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scorer, err := influence.NewScorer(task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := dtpkg.PartitionContext(context.Background(), scorer, space, dtpkg.Params{DisableSampling: true}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := pt.Candidates(scorer)
-		before := scorer.Calls()
-		m := New(scorer, space, Params{TopQuartileOnly: true, UseApproximation: useApprox})
-		out := m.Merge(cands)
-		best, ok := partition.Top(out)
-		if !ok {
-			t.Fatal("no merged output")
-		}
-		return scorer.Calls() - before, best
-	}
-	callsExact, bestExact := run(false)
-	callsApprox, bestApprox := run(true)
-	if callsApprox >= callsExact {
-		t.Errorf("approximation did not reduce Scorer calls: %d vs %d", callsApprox, callsExact)
-	}
-	// Both paths should find influential predicates of comparable quality.
-	gOtask, _, _ := eval.SynthTask(ds, "avg", 0.5, 0.2)
-	gO := gOtask.OutlierUnion()
-	accExact := eval.Score(bestExact.Pred, ds.Table, gO, ds.OuterRows)
-	accApprox := eval.Score(bestApprox.Pred, ds.Table, gO, ds.OuterRows)
-	if accApprox.F1 < accExact.F1-0.35 {
-		t.Errorf("approximation quality collapsed: F1 %v vs exact %v", accApprox.F1, accExact.F1)
 	}
 }
 

@@ -23,12 +23,10 @@ package dt
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
-	"github.com/scorpiondb/scorpion/internal/relation"
 )
 
 // Params configures the DT partitioner.
@@ -105,16 +103,17 @@ type Partitioning struct {
 	// short; the leaves still tile the space, but unfinished frontier
 	// nodes were kept as coarse partitions.
 	Interrupted bool
+	// space is the space the partitioning and its pieces' boxes are of.
+	space *predicate.Space
 }
 
 type combinedPiece struct {
 	pred              predicate.Predicate
 	source            int // index into OutlierLeaves
 	influencesHoldOut bool
-	// cards and stats are the piece's §6.3 statistics and its Merger
-	// piece, built once by index.
-	cards []float64
-	stats partition.Piece
+	// piece is its Box for the Merger and the Lattice, built once with the
+	// partitioning.
+	piece partition.Piece
 }
 
 // PartitionContext builds the outlier and hold-out trees and combines
@@ -152,61 +151,44 @@ func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predic
 		interrupted = interrupted || holdTree.interrupted
 	}
 
-	pt := &Partitioning{OutlierLeaves: outLeaves, HoldOutLeaves: holdLeaves, Interrupted: interrupted}
+	pt := &Partitioning{OutlierLeaves: outLeaves, HoldOutLeaves: holdLeaves, Interrupted: interrupted, space: space}
 	pt.combine(space)
-	pt.index(space, task)
+	for i := range pt.Combined {
+		pt.Combined[i].piece = partition.NewPiece(space, pt.Combined[i].pred)
+	}
 	return pt, nil
 }
 
-// index builds each combined piece's statistics and Merger piece, once per
-// partitioning: a piece that equals its source leaf takes the leaf's
-// cardinalities, a proper part of it takes them scaled by its volume
-// fraction of the leaf.
-func (pt *Partitioning) index(space *predicate.Space, task *influence.Task) {
-	for i := range pt.Combined {
-		piece := &pt.Combined[i]
-		leaf := pt.OutlierLeaves[piece.source]
-		piece.cards = leaf.Cards
-		if !piece.pred.Equal(leaf.Pred) {
-			frac := pieceFraction(leaf.Pred, piece.pred)
-			piece.cards = make([]float64, len(leaf.Cards))
-			for g, n := range leaf.Cards {
-				piece.cards[g] = n * frac
-			}
-		}
-		c := partition.Candidate{Pred: piece.pred, GroupCards: piece.cards, CachedRows: leaf.CachedRows}
-		piece.stats = partition.NewPiece(space, task, &c)
-	}
-}
-
 // Candidates scores the combined partitioning with the given scorer,
-// producing Merger-ready candidates carrying the §6.3 statistics.
+// producing Merger-ready candidates.
 func (pt *Partitioning) Candidates(scorer *influence.Scorer) []partition.Candidate {
-	return pt.CandidatesPool(scorer, partition.NewPool(context.Background(), 1))
+	return pt.CandidatesPool(scorer, scorer.NewLattice(pt.space), partition.NewPool(context.Background(), 1))
 }
 
-// CandidatesPool is Candidates with piece scoring fanned out over the pool.
-// Each piece writes its own slot, so the result (after the stable sort) is
-// identical for any worker count. On cancellation, pieces that were never
-// scored are dropped — the returned list is the scored best-so-far subset,
-// never zero-value (match-everything, score-0) placeholders.
-func (pt *Partitioning) CandidatesPool(scorer *influence.Scorer, pool *partition.Pool) []partition.Candidate {
+// CandidatesPool is Candidates with piece scoring fanned out over the pool
+// and done through lat, a lattice of scorer over the partitioning's space:
+// a piece is scored by its Box, from the scorer's selection memo or folded
+// from the lattice's bitsets. Each piece writes its own slot, so the
+// result (after the stable sort) is identical for any worker count. On
+// cancellation, pieces that were never scored are dropped — the returned
+// list is the scored best-so-far subset, never zero-value
+// (match-everything, score-0) placeholders.
+func (pt *Partitioning) CandidatesPool(scorer *influence.Scorer, lat *influence.Lattice, pool *partition.Pool) []partition.Candidate {
 	task := scorer.Task()
 	out := make([]partition.Candidate, len(pt.Combined))
 	scored := make([]bool, len(pt.Combined))
 	err := pool.ForEach(len(pt.Combined), func(i int) {
 		piece := &pt.Combined[i]
 		leaf := pt.OutlierLeaves[piece.source]
-		outMean, holdPen := scorer.Parts(piece.pred)
+		outMean, holdPen, _ := lat.Parts(piece.piece.Box, piece.piece.Boxed, piece.pred)
 		c := partition.Candidate{
 			Pred:              piece.pred,
 			Score:             task.Lambda*outMean - (1-task.Lambda)*holdPen,
 			HoldPenalty:       holdPen,
 			InfluencesHoldOut: piece.influencesHoldOut,
-			GroupCards:        piece.cards,
 			CachedRows:        leaf.CachedRows,
 			MeanInfluences:    leaf.Means,
-			Piece:             &piece.stats,
+			Piece:             &piece.piece,
 		}
 		out[i] = c
 		scored[i] = true
@@ -222,33 +204,6 @@ func (pt *Partitioning) CandidatesPool(scorer *influence.Scorer, pool *partition
 	}
 	partition.SortByScore(out)
 	return out
-}
-
-// pieceFraction estimates |piece| / |leaf| under uniform density.
-func pieceFraction(leaf, piece predicate.Predicate) float64 {
-	frac := 1.0
-	for _, pc := range piece.Clauses() {
-		lc, ok := leaf.ClauseOn(pc.Col)
-		if !ok {
-			continue
-		}
-		if lc.Kind == relation.Continuous {
-			lw := lc.Hi - lc.Lo
-			pw := math.Min(pc.Hi, lc.Hi) - math.Max(pc.Lo, lc.Lo)
-			if lw > 0 && pw > 0 {
-				frac *= pw / lw
-			}
-		} else if len(lc.Values) > 0 {
-			frac *= float64(len(pc.Values)) / float64(len(lc.Values))
-		}
-	}
-	if frac < 0 {
-		return 0
-	}
-	if frac > 1 {
-		return 1
-	}
-	return frac
 }
 
 // threshold computes the Figure 4 error threshold for a partition whose

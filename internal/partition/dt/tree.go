@@ -650,7 +650,7 @@ func replaceClause(p predicate.Predicate, cl predicate.Clause) predicate.Predica
 	return predicate.MustNew(clauses...)
 }
 
-// emitLeaf converts a node into a Leaf with the §6.3 statistics. Only the
+// emitLeaf converts a node into a Leaf with its per-group statistics. Only the
 // coordinating goroutine emits, so no synchronization is needed.
 func (t *tree) emitLeaf(n node) {
 	leaf := Leaf{

@@ -7,21 +7,18 @@ import (
 	"math"
 	"sort"
 
-	"github.com/scorpiondb/scorpion/internal/aggregate"
-	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 )
 
 // Candidate is a predicate produced by a partitioner, tagged with its
-// estimated influence and, for DT partitions, the statistics the Merger's
-// cached-tuple approximation needs (§6.3).
+// influence and, for DT partitions, the partition's statistics.
 type Candidate struct {
 	// Pred is the candidate explanation predicate.
 	Pred predicate.Predicate
 	// Score is the (estimated) influence inf(O, H, p, V).
 	Score float64
-	// GroupCards estimates |p(g_o)| per outlier group (DT only; nil
-	// otherwise). Estimated from samples when sampling is enabled.
+	// GroupCards estimates |p(g_o)| per outlier group. No search sets it;
+	// only the shard wire format carries it.
 	GroupCards []float64
 	// CachedRows holds, per outlier group, the row whose influence is
 	// closest to the partition's mean influence in that group, or -1.
@@ -29,8 +26,7 @@ type Candidate struct {
 	CachedRows []int
 	// MeanInfluences holds the per-group mean tuple influence (DT only).
 	MeanInfluences []float64
-	// HoldPenalty is max_h |inf(h, p)| at scoring time; the Merger's
-	// cached-tuple approximation reuses it for merged predicates.
+	// HoldPenalty is max_h |inf(h, p)| at scoring time.
 	HoldPenalty float64
 	// InfluencesHoldOut marks partitions that overlap an influential
 	// hold-out partition after the §6.1.4 combine step.
@@ -42,39 +38,19 @@ type Candidate struct {
 	Piece *Piece
 }
 
-// Piece is a candidate as the Merger reads it: its Box and, per outlier
-// group, the estimated cardinality (0 without a cached row) and the state
-// of the cached row's aggregate value — both nil unless the candidate has
-// statistics for exactly the task's groups. A DT partitioning builds its
-// pieces once, for every c it is scored at.
+// Piece is a candidate as the Merger and a Lattice read it: its Box over a
+// space, when a Box can hold it. A DT partitioning builds its pieces once,
+// for every c it is scored at.
 type Piece struct {
 	space *predicate.Space
 	Box   predicate.Box
 	Boxed bool
-	Cards []float64
-	Rows  []aggregate.State
 }
 
-// NewPiece builds c's piece over space for task.
-func NewPiece(space *predicate.Space, task *influence.Task, c *Candidate) Piece {
-	p := Piece{space: space}
-	p.Box, p.Boxed = space.Box(c.Pred)
-	n := len(task.Outliers)
-	if len(c.GroupCards) != n || len(c.CachedRows) != n {
-		return p
-	}
-	p.Cards, p.Rows = make([]float64, n), make([]aggregate.State, n)
-	for g, row := range c.CachedRows {
-		if row >= 0 {
-			v := 0.0 // count(*) has no aggregate column
-			if task.AggCol >= 0 {
-				v = task.Table.Floats(task.AggCol)[row]
-			}
-			p.Cards[g] = c.GroupCards[g]
-			p.Rows[g].Add(v)
-		}
-	}
-	return p
+// NewPiece builds p's piece over space.
+func NewPiece(space *predicate.Space, p predicate.Predicate) Piece {
+	b, ok := space.Box(p)
+	return Piece{space: space, Box: b, Boxed: ok}
 }
 
 // Of reports whether p is a piece built over space.

@@ -117,6 +117,43 @@ func (s *Space) Predicate(b Box) Predicate {
 	return newPredicate(cs)
 }
 
+// BoxClause is one clause of a Box as Space.Clauses reads it back: the
+// clause's column and either its range (continuous) or its code set.
+type BoxClause struct {
+	Col        int
+	Continuous bool
+	Lo, Hi     float64
+	HiInc      bool
+	Codes      uint64 // bit k: code k
+}
+
+// Clauses writes b's clauses, in ascending column order, to dst and
+// returns how many it wrote.
+func (s *Space) Clauses(b Box, dst *[MaxBoxDims]BoxClause) int {
+	n := 0
+	for m := b.cols; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		d := &b.dims[n]
+		dst[n] = BoxClause{Col: s.sorted[k], Continuous: s.cont>>uint(k)&1 != 0, Lo: d.lo, Hi: d.hi, HiInc: b.inc>>uint(n)&1 != 0, Codes: d.codes}
+		n++
+	}
+	return n
+}
+
+// Hash spreads boxes over a sharded table: boxes that are == hash alike
+// (adding +0 folds a −0 bound into +0, which == does not tell apart).
+func (b Box) Hash() uint64 {
+	h := b.cols ^ uint64(b.inc)<<56
+	mix := func(x uint64) { h = bits.RotateLeft64(h^x, 29) * 0x9e3779b97f4a7c15 }
+	for i := range b.dims {
+		d := &b.dims[i]
+		mix(math.Float64bits(d.lo + 0))
+		mix(math.Float64bits(d.hi + 0))
+		mix(d.codes)
+	}
+	return h ^ h>>32
+}
+
 // AdjacentBoxes is Adjacent on boxes.
 func (s *Space) AdjacentBoxes(p, q Box, eps float64) bool {
 	for m := p.cols & q.cols & s.cont; m != 0; m &= m - 1 {
@@ -126,67 +163,4 @@ func (s *Space) AdjacentBoxes(p, q Box, eps float64) bool {
 		}
 	}
 	return true
-}
-
-// Overlap estimates the fraction of q's box that lies inside p, assuming
-// uniform density (the Merger's §6.3 volume fraction): the product of the
-// per-column overlaps — first over the columns q constrains, then over
-// those only p constrains, each ascending, every factor computed from the
-// same floats in the same order as a walk over the predicates' clauses.
-func (s *Space) Overlap(q, p Box) float64 {
-	frac := 1.0
-	for m := q.cols & p.cols; m != 0; m &= m - 1 {
-		bit := m & -m
-		a, b := q.at(bit), p.at(bit)
-		if s.cont&bit != 0 {
-			width := a.hi - a.lo
-			lo := math.Max(a.lo, b.lo)
-			hi := math.Min(a.hi, b.hi)
-			if width <= 0 {
-				// Point range: inside or out.
-				if b.lo <= a.lo && a.lo <= b.hi {
-					continue
-				}
-				return 0
-			}
-			if hi <= lo {
-				return 0
-			}
-			frac *= (hi - lo) / width
-			continue
-		}
-		n := bits.OnesCount64(a.codes)
-		if n == 0 {
-			return 0
-		}
-		common := bits.OnesCount64(a.codes & b.codes)
-		if common == 0 {
-			return 0
-		}
-		frac *= float64(common) / float64(n)
-	}
-	// Columns only p constrains: q spans the whole domain there, so the
-	// overlap shrinks by p's coverage of the domain.
-	for m := p.cols &^ q.cols; m != 0; m &= m - 1 {
-		bit := m & -m
-		b, d := p.at(bit), s.doms[bits.TrailingZeros64(bit)]
-		if s.cont&bit != 0 {
-			width := d.Hi - d.Lo
-			if width <= 0 {
-				continue
-			}
-			lo := math.Max(b.lo, d.Lo)
-			hi := math.Min(b.hi, d.Hi)
-			if hi <= lo {
-				return 0
-			}
-			frac *= (hi - lo) / width
-			continue
-		}
-		if d.Card <= 0 {
-			continue
-		}
-		frac *= float64(bits.OnesCount64(b.codes)) / float64(d.Card)
-	}
-	return frac
 }

@@ -77,76 +77,12 @@ func decodePred(s *Space, data []byte) (Predicate, []byte) {
 	return MustNew(cs...), data
 }
 
-// refOverlap is the Merger's clause walk over predicates — the reference
-// Space.Overlap must match bit for bit.
-func refOverlap(space *Space, q, pstar Predicate) float64 {
-	frac := 1.0
-	for _, qc := range q.Clauses() {
-		pc, ok := pstar.ClauseOn(qc.Col)
-		if !ok {
-			continue
-		}
-		if qc.Kind == relation.Continuous {
-			width := qc.Hi - qc.Lo
-			lo := math.Max(qc.Lo, pc.Lo)
-			hi := math.Min(qc.Hi, pc.Hi)
-			if width <= 0 {
-				if pc.Lo <= qc.Lo && qc.Lo <= pc.Hi {
-					continue
-				}
-				return 0
-			}
-			if hi <= lo {
-				return 0
-			}
-			frac *= (hi - lo) / width
-			continue
-		}
-		if len(qc.Values) == 0 {
-			return 0
-		}
-		common := 0
-		for _, v := range qc.Values {
-			if pc.matchCode(v) {
-				common++
-			}
-		}
-		if common == 0 {
-			return 0
-		}
-		frac *= float64(common) / float64(len(qc.Values))
-	}
-	for _, pc := range pstar.Clauses() {
-		if _, ok := q.ClauseOn(pc.Col); ok {
-			continue
-		}
-		d, _ := space.Domain(pc.Col)
-		if pc.Kind == relation.Continuous {
-			width := d.Hi - d.Lo
-			if width <= 0 {
-				continue
-			}
-			lo := math.Max(pc.Lo, d.Lo)
-			hi := math.Min(pc.Hi, d.Hi)
-			if hi <= lo {
-				return 0
-			}
-			frac *= (hi - lo) / width
-			continue
-		}
-		if d.Card <= 0 {
-			continue
-		}
-		frac *= float64(len(pc.Values)) / float64(d.Card)
-	}
-	return frac
-}
-
 // checkBoxes holds the Box operations on p and q to their Predicate
 // versions: conversion fails only for what a Box cannot hold (a code past
 // 63 — the fuzzed predicates have at most MaxBoxDims clauses, all in the
-// space), and a converted predicate round-trips, merges, compares and
-// overlaps exactly as the predicate does.
+// space), and a converted predicate round-trips, merges and compares exactly
+// as the predicate does, hashes as its equals do and reads back clause for
+// clause.
 func checkBoxes(t *testing.T, s *Space, p, q Predicate) {
 	t.Helper()
 	wide := func(p Predicate) bool {
@@ -184,9 +120,30 @@ func checkBoxes(t *testing.T, s *Space, p, q Predicate) {
 	if want := p.Merge(q); merged.Key() != want.Key() {
 		t.Fatalf("Merge(%v, %v): box %v, predicate %v", p, q, merged, want)
 	}
-	got, want := s.Overlap(pb, qb), refOverlap(s, p, q)
-	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-		t.Fatalf("Overlap(%v, %v) = %v, reference %v", p, q, got, want)
+	if pb == qb && pb.Hash() != qb.Hash() {
+		t.Fatalf("%v == %v, but their boxes hash apart", p, q)
+	}
+	var cs [MaxBoxDims]BoxClause
+	n := s.Clauses(pb, &cs)
+	if n != p.NumClauses() {
+		t.Fatalf("Clauses(%v) gave %d clauses", p, n)
+	}
+	for i, c := range p.Clauses() {
+		bc := cs[i]
+		if bc.Col != c.Col || bc.Continuous != (c.Kind == relation.Continuous) {
+			t.Fatalf("Clauses(%v)[%d] = %+v", p, i, bc)
+		}
+		if bc.Continuous {
+			if math.Float64bits(bc.Lo) != math.Float64bits(c.Lo) || math.Float64bits(bc.Hi) != math.Float64bits(c.Hi) || bc.HiInc != c.HiInc {
+				t.Fatalf("Clauses(%v)[%d] = %+v", p, i, bc)
+			}
+			continue
+		}
+		for k := 0; k < 64; k++ {
+			if bc.Codes>>uint(k)&1 != 0 != c.matchCode(int32(k)) {
+				t.Fatalf("Clauses(%v)[%d] codes %b", p, i, bc.Codes)
+			}
+		}
 	}
 }
 

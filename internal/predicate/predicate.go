@@ -12,7 +12,6 @@ package predicate
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -607,35 +606,6 @@ func (p Predicate) Format(t *relation.Table) string {
 		}
 	}
 	return strings.Join(parts, " and ")
-}
-
-// Volume returns the fraction of the search space the predicate covers,
-// assuming independent uniform attributes: the product over its clauses of
-// (range width / domain width) for continuous and (|values| / cardinality)
-// for discrete attributes. Attributes without clauses contribute 1. Used by
-// the Merger's cached-tuple influence approximation (§6.3).
-func (p Predicate) Volume(space *Space) float64 {
-	v := 1.0
-	for _, c := range p.clauses {
-		d, ok := space.Domain(c.Col)
-		if !ok {
-			continue
-		}
-		if c.Kind == relation.Continuous {
-			w := d.Hi - d.Lo
-			if w <= 0 {
-				continue
-			}
-			frac := (c.Hi - c.Lo) / w
-			v *= math.Max(0, math.Min(1, frac))
-		} else {
-			if d.Card <= 0 {
-				continue
-			}
-			v *= float64(len(c.Values)) / float64(d.Card)
-		}
-	}
-	return v
 }
 
 func min(a, b int) int {

@@ -243,29 +243,6 @@ func TestStringAndFormat(t *testing.T) {
 	}
 }
 
-func TestVolume(t *testing.T) {
-	tbl := testTable(t)
-	space, err := NewSpace(tbl, []string{"x", "color"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// x spans [0,29]; a [0,14.5] clause covers half. color clause with 1 of 3
-	// values covers a third.
-	colorCol := tbl.Schema().MustIndex("color")
-	p := MustNew(
-		NewRangeClause(0, "x", 0, 14.5, false),
-		NewSetClause(colorCol, "color", []int32{0}),
-	)
-	got := p.Volume(space)
-	want := 0.5 * (1.0 / 3.0)
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("Volume = %v, want %v", got, want)
-	}
-	if v := True().Volume(space); v != 1 {
-		t.Errorf("Volume(true) = %v, want 1", v)
-	}
-}
-
 func TestSpace(t *testing.T) {
 	tbl := testTable(t)
 	space, err := NewSpace(tbl, []string{"x", "color"}, nil)

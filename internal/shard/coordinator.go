@@ -76,9 +76,7 @@ type Params struct {
 	// happens to carry. 0 leaves the lattice candidate-derived only (the
 	// DT path, whose split points are not on a grid).
 	GridBins int
-	// Merge tunes the global merge pass. The shard-local statistics behind
-	// the §6.3 cached-tuple approximation are window estimates, so the
-	// combine merge always scores exactly; UseApproximation is ignored.
+	// Merge tunes the global merge pass.
 	Merge merge.Params
 	// Remote, when non-nil, is offered every shard search before the local
 	// path runs it: a dispatcher that ships the shard to a worker fleet.
@@ -89,7 +87,6 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	p.Merge.UseApproximation = false
 	if p.Merge.MaxRounds <= 0 {
 		// Unsharded NAIVE/MC never grow a candidate more than a few steps
 		// past a shard boundary; unbounded rounds would let the combine

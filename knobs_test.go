@@ -167,7 +167,7 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		{Pred: outlierOnly, Score: 1, InfluencesHoldOut: true},
 		{Pred: holdOutTouching, Score: 0.5, InfluencesHoldOut: false},
 	}
-	scored, _ := rescoreExact(scorer, cands, false)
+	scored, _ := rescoreExact(scorer, nil, cands, false)
 	res := present(p, scorer, scored, nil)
 	if len(res.Explanations) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(res.Explanations))

@@ -65,7 +65,7 @@ var optionSurface = map[string][]string{
 	},
 	"merge.Params": {
 		"TopQuartileOnly",  // explain.go (DT), benchmark/ladder.go
-		"UseApproximation", // explain.go (DT), internal/shard (forced off), benchmark/ladder.go
+		"UseApproximation", // no-op; benchmark/ladder.go sets it; delete with B
 		"MaxRounds",        // internal/shard (its combine merge)
 	},
 	"shard.Params": {

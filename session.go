@@ -336,13 +336,22 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 		return nil, err
 	}
 
-	_, rankSpan := obs.StartSpan(ctx, "rank")
+	rankCtx, rankSpan := obs.StartSpan(ctx, "rank")
 	// One exact re-scoring pass feeds both the response and the pool
 	// (present never mutates the slice, so they can share it). A pool that
-	// may refresh keeps its selections; keep builds its tracker.
+	// may refresh keeps its selections; keep builds its tracker. A DT run
+	// re-scores through its lattice, and drops the lattice with it.
 	refreshable := s != nil && !session && !outcome.Interrupted && pr.scorer.Incremental()
-	scored, sels := rescoreExact(pr.scorer, outcome.Candidates, refreshable)
+	var lat *influence.Lattice
+	if ds, ok := searcher.(*dtSearcher); ok {
+		lat, ds.lat = ds.lat, nil
+	}
+	_, rescore := obs.StartSpan(rankCtx, "rescore")
+	scored, sels := rescoreExact(pr.scorer, lat, outcome.Candidates, refreshable)
+	rescore.End()
+	_, presentSpan := obs.StartSpan(rankCtx, "present")
 	res := present(p, pr.scorer, scored, pr.qres)
+	presentSpan.End()
 	if !session {
 		rankSpan.SetAttr("candidates", len(scored))
 	}
@@ -431,7 +440,7 @@ func (s *Session) keep(p *Plan, gen int64, pr *prepared, session bool, searcher 
 		// the boxes' c-independent selections. Turning the memo on only now
 		// keeps a session's first run the one-shot run, call for call.
 		if memoizeSelections {
-			pr.scorer.MemoizeSelections()
+			pr.scorer.MemoizeSelections(pr.space)
 		}
 		s.prep, s.tracker = pr, nil
 		return

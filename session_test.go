@@ -189,7 +189,7 @@ func refreshMatchesFullRescan(t *testing.T, sess *Session, r *Request, gen int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := rescoreExact(ref, before, false)
+	want, _ := rescoreExact(ref, nil, before, false)
 	if got.Stats.ScorerCalls != ref.Calls() {
 		t.Errorf("scorer calls %d, full rescan %d", got.Stats.ScorerCalls, ref.Calls())
 	}

@@ -137,3 +137,48 @@ func TestDTSweepMemoMetrics(t *testing.T) {
 		t.Errorf("warm runs added no memo hits (%v after the first two runs, %v after four)", coldHits, hitsCounter.Value())
 	}
 }
+
+// TestSessionSweepSharesLattice drives a DT Session's c sweep on two
+// workers — run under the race detector in CI — so that each run's pieces,
+// the Merger's workers and the re-score share one lattice, folding boxes
+// and building half-spaces concurrently: with the selection memo off every
+// run folds through it. Each answer must be the one-worker sweep's and
+// score as Parts on a fresh scorer does.
+func TestSessionSweepSharesLattice(t *testing.T) {
+	req := synthRequest(t, "avg", 200)
+	req.Algorithm = DT
+	cs := []float64{0.5, 0.3, 0.45, 0.1, 0.2, 0.05}
+	defer func(old bool) { memoizeSelections = old }(memoizeSelections)
+	for _, memo := range []bool{true, false} {
+		memoizeSelections = memo
+		sweep := func(workers int) (results []*Result, misses int) {
+			sess := NewSession(req)
+			for _, c := range cs {
+				r := *req
+				r.SetC(c)
+				r.Workers = workers
+				root := obs.NewSpan("explain")
+				res, err := sess.Explain(obs.ContextWithSpan(context.Background(), root), &r, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root.End()
+				if m := root.Snapshot().Find("merge"); m != nil {
+					n, _ := m.Attrs["memo_misses"].(int)
+					misses += n
+				}
+				results = append(results, res)
+			}
+			return results, misses
+		}
+		one, _ := sweep(1)
+		two, misses := sweep(2)
+		if misses == 0 {
+			t.Errorf("memo=%v: the two-worker merges folded no box through the lattice", memo)
+		}
+		for i, c := range cs {
+			identicalResults(t, one[i], two[i], fmt.Sprintf("memo=%v c=%v, 1 vs 2 workers", memo, c))
+			newFreshScorer(t, req, c).check(t, two[i], c)
+		}
+	}
+}

@@ -105,8 +105,9 @@ func TestExplainSpanTree(t *testing.T) {
 		}
 	}
 
-	// A DT request: the Merger is one merge span under search, with its
-	// work as attrs and the exact re-score of the top as a child, and its
+	// A DT request: the pieces' scoring is a candidates span under search,
+	// the Merger one merge span beside it with its work — lattice included
+	// — as attrs, and rank splits into rescore and present; the merge's
 	// counters land in the registry.
 	root = obs.NewSpan("explain")
 	reg = obs.NewRegistry()
@@ -117,12 +118,13 @@ func TestExplainSpanTree(t *testing.T) {
 	root.End()
 	node = root.Snapshot()
 	merge := node.Find("search").Find("merge")
-	if merge == nil || merge.Find("rescore_top") == nil {
+	rank := node.Find("rank")
+	if merge == nil || node.Find("search").Find("candidates") == nil || rank == nil || rank.Find("rescore") == nil || rank.Find("present") == nil {
 		var buf bytes.Buffer
 		root.WriteTree(&buf)
-		t.Fatalf("search has no merge span with a rescore_top child; trace:\n%s", buf.String())
+		t.Fatalf("want candidates and merge spans under search and rescore and present under rank; trace:\n%s", buf.String())
 	}
-	for _, attr := range []string{"attempts", "approx_memo_hits", "box_fallbacks", "rounds"} {
+	for _, attr := range []string{"attempts", "repeats", "box_fallbacks", "rounds", "lattice_masks", "memo_misses"} {
 		if _, ok := merge.Attrs[attr].(int); !ok {
 			t.Errorf("merge attrs = %v, want an int %s", merge.Attrs, attr)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -139,4 +140,171 @@ func TestLatticeMatchesSelect(t *testing.T) {
 		}
 	}
 	t.Logf("%d selections compared", compared)
+}
+
+// TestLatticeBuiltOnFirstMiss: a lattice builds nothing — no Layout, no
+// half-space — before its first fold, reuses a half-space every later box
+// shares, and a run whose boxes the selection memo all holds builds
+// nothing at all.
+func TestLatticeBuiltOnFirstMiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tbl := kernelTable(rng, false)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	task := &Task{Table: tbl, Agg: aggregate.Sum{}, AggCol: 3, Lambda: 0.5, C: 0.3,
+		Outliers: []Group{{Key: "o", Rows: encode(t, n, groupShape(rng, 0, 4000, 60), "dense"), Direction: TooHigh}},
+		HoldOuts: []Group{{Key: "h", Rows: encode(t, n, groupShape(rng, 4000, 8000, 60), "sparse")}},
+	}
+	s, err := NewScorer(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MemoizeSelections(space)
+	lat := s.NewLattice(space)
+	if lat.l != nil || lat.half != nil {
+		t.Fatal("a new lattice built its layout before any fold")
+	}
+	x := func(lo, hi float64) predicate.Predicate {
+		return predicate.MustNew(predicate.NewRangeClause(1, "x", lo, hi, false))
+	}
+	preds := []predicate.Predicate{x(10, 40), x(10, 60), x(40, 60)}
+	for i, p := range preds {
+		boxParts(t, lat, p)
+		// x ≥ 10, x < 40, x < 60 and x ≥ 40: the second box shares the
+		// first's lower bound, the third both of its bounds with the others.
+		wantMasks := []int64{2, 3, 4}[i]
+		if masks, misses := lat.Stats(); masks != wantMasks || misses != int64(i+1) {
+			t.Fatalf("after box %d Stats = (%d masks, %d misses), want (%d, %d)", i, masks, misses, wantMasks, i+1)
+		}
+	}
+	if err := s.SetC(0.1); err != nil {
+		t.Fatal(err)
+	}
+	warm := s.NewLattice(space)
+	before := s.Calls()
+	for _, p := range preds {
+		boxParts(t, warm, p)
+	}
+	if masks, misses := warm.Stats(); masks != 0 || misses != 0 || warm.l != nil || s.Calls() != before {
+		t.Fatalf("a run whose boxes the memo holds built %d masks, folded %d boxes (layout built: %v, %d calls)",
+			masks, misses, warm.l != nil, s.Calls()-before)
+	}
+}
+
+// TestLatticeKeepsWhatNoLookupFinds: a predicate no Box holds is scored by
+// PartsMatched and a box with a NaN bound — never equal to itself — is
+// folded; neither goes into the selection memo, so each is folded again on
+// every use, and both score as PartsMatched does.
+func TestLatticeKeepsWhatNoLookupFinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tbl := kernelTable(rng, true)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	task := &Task{Table: tbl, Agg: aggregate.Avg{}, AggCol: 3, Lambda: 0.7, C: 0.5,
+		Outliers: []Group{{Key: "o", Rows: encode(t, n, groupShape(rng, 0, 8192, 60), "runs"), Direction: TooHigh}},
+		HoldOuts: []Group{{Key: "h", Rows: encode(t, n, groupShape(rng, 1000, 3000, 45), "dense")}},
+	}
+	s, err := NewScorer(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.MemoizeSelections(space)
+	lat := s.NewLattice(space)
+	nan := predicate.MustNew(predicate.Clause{Col: 1, Name: "x", Kind: relation.Continuous, Lo: math.NaN(), Hi: 50})
+	// A code past 63 is one no Box's code set can hold.
+	wide := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{1, 64}), predicate.NewRangeClause(1, "x", 20, 90, true))
+	if _, ok := space.Box(wide); ok {
+		t.Fatalf("Box(%v) succeeded", wide)
+	}
+	for _, c := range []struct {
+		what  string
+		p     predicate.Predicate
+		boxed bool
+	}{{"NaN bound", nan, true}, {"no Box", wide, false}} {
+		var b predicate.Box
+		if c.boxed {
+			b = boxOf(t, space, c.p)
+		}
+		wantOut, wantHold, wantMatched := s.PartsMatched(c.p)
+		for rep := 0; rep < 2; rep++ {
+			before := s.Calls()
+			out, hold, matched := lat.Parts(b, c.boxed, c.p)
+			if !sameBits(out, wantOut) || !sameBits(hold, wantHold) || matched != wantMatched {
+				t.Fatalf("%s: Parts = (%v, %v, %d), PartsMatched (%v, %v, %d)", c.what, out, hold, matched, wantOut, wantHold, wantMatched)
+			}
+			if d := s.Calls() - before; d != 2 {
+				t.Fatalf("%s, use %d: Calls() advanced by %d, want a fold of both groups", c.what, rep, d)
+			}
+		}
+		if entries, _ := s.MemoSize(); entries != 0 {
+			t.Fatalf("%s: the selection memo holds %d entries, want none", c.what, entries)
+		}
+	}
+	if _, misses := lat.Stats(); misses != 2 {
+		t.Fatalf("the lattice folded %d boxes, want the NaN box twice", misses)
+	}
+}
+
+// TestLatticeConcurrentFolds: workers sharing one lattice fold the same
+// selections a lone fold does, and a half-space that several of them race
+// to build is stored and counted once.
+func TestLatticeConcurrentFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tbl := kernelTable(rng, true)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	task := &Task{Table: tbl, Agg: aggregate.Variance{}, AggCol: 3, Lambda: 0.6, C: 0.4,
+		Outliers: []Group{
+			{Key: "o0", Rows: encode(t, n, groupShape(rng, 0, 8192, 60), "dense"), Direction: TooHigh},
+			{Key: "o1", Rows: encode(t, n, groupShape(rng, 1000, 1200, 45), "sparse"), Direction: TooLow},
+		},
+		HoldOuts: []Group{{Key: "h", Rows: encode(t, n, groupShape(rng, 5000, 5600, 60), "runs")}},
+	}
+	s, err := NewScorer(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := latticeBoxes(rng)
+	serial := s.NewLattice(space)
+	want := make([][]Selection, len(preds))
+	boxes := make([]predicate.Box, len(preds))
+	for i, p := range preds {
+		boxes[i] = boxOf(t, space, p)
+		want[i] = serial.fold(boxes[i], nil)
+	}
+	shared := s.NewLattice(space)
+	const workers = 4
+	got := make([][][]Selection, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range preds {
+				j := (i + w*len(preds)/workers) % len(preds)
+				if got[w] == nil {
+					got[w] = make([][]Selection, len(preds))
+				}
+				got[w][j] = shared.fold(boxes[j], nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i, p := range preds {
+			for g := range want[i] {
+				a, b := got[w][i][g], want[i][g]
+				if a.matched != b.matched || !sameBits(a.sel.Sum, b.sel.Sum) || !sameBits(a.sel.SumSq, b.sel.SumSq) || !sameBits(a.sel.N, b.sel.N) {
+					t.Fatalf("worker %d %v group %d: shared fold %+v, lone fold %+v", w, p, g, a, b)
+				}
+			}
+		}
+	}
+	wantMasks, _ := serial.Stats()
+	if masks, misses := shared.Stats(); masks != wantMasks || misses != int64(workers*len(preds)) {
+		t.Fatalf("shared lattice Stats = (%d masks, %d misses), want (%d, %d)", masks, misses, wantMasks, workers*len(preds))
+	}
+	if len(shared.half) != int(wantMasks) {
+		t.Fatalf("shared lattice stores %d half-spaces, counted %d", len(shared.half), wantMasks)
+	}
 }

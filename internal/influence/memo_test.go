@@ -2,7 +2,9 @@ package influence
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"unsafe"
@@ -264,4 +266,110 @@ func TestSelectionMemoHitZeroAlloc(t *testing.T) {
 		t.Errorf("Influence on a memoized box allocates %v times per call", n)
 	}
 	_ = sink
+}
+
+// TestScalePowTable: after SetC, scale looks n^c up in a table sized to
+// the largest group (at most maxPowTable) and filled on first use, with
+// the bits math.Pow gives; a group past the table computes its power, a
+// new c clears the table, the same c keeps it, and c = 0 divides by 1.
+func TestScalePowTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tbl := kernelTable(rng, false)
+	n := tbl.NumRows()
+	big := make([]int, 5000)
+	for r := range big {
+		big[r] = r
+	}
+	task := &Task{Table: tbl, Agg: aggregate.Sum{}, AggCol: 3, Lambda: 0.5, C: 0.5,
+		Outliers: []Group{{Key: "o", Rows: encode(t, n, big, "dense"), Direction: TooHigh}},
+		HoldOuts: []Group{{Key: "h", Rows: encode(t, n, groupShape(rng, 0, 200, 50), "sparse")}},
+	}
+	s, err := NewScorer(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.sizes[0] <= maxPowTable {
+		t.Fatalf("the outlier group has %d rows; the test needs one past maxPowTable (%d)", s.sizes[0], maxPowTable)
+	}
+	ns := []int{1, 2, 3, 7, 100, 4095, maxPowTable, maxPowTable + 1, s.sizes[0]}
+	check := func(c float64) {
+		t.Helper()
+		for _, d := range []float64{1, -2.5, 1e-300, 3e5} {
+			for _, k := range ns {
+				want := d / math.Pow(float64(k), c)
+				if c == 0 {
+					want = d
+				}
+				if got := s.scale(d, k); !sameBits(got, want) {
+					t.Fatalf("c=%v scale(%v, %d) = %v, want %v", c, d, k, got, want)
+				}
+			}
+		}
+		if got := s.scale(7, 0); got != 0 {
+			t.Fatalf("c=%v scale(7, 0) = %v, want 0", c, got)
+		}
+	}
+	check(0.5)
+	if s.pow != nil {
+		t.Fatal("a scorer built the n^c table before its first SetC")
+	}
+	for _, c := range []float64{0.3, 1, 0.05, 0.3} {
+		if err := s.SetC(c); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.pow) != maxPowTable+1 {
+			t.Fatalf("the n^c table has %d entries, want maxPowTable+1", len(s.pow))
+		}
+		for k := range s.pow {
+			if s.pow[k].Load() != 0 {
+				t.Fatalf("c=%v: SetC left n=%d's power from an earlier c", c, k)
+			}
+		}
+		check(c)
+		if got := math.Float64frombits(s.pow[7].Load()); !sameBits(got, math.Pow(7, c)) {
+			t.Fatalf("c=%v: the table holds %v for n=7, want %v", c, got, math.Pow(7, c))
+		}
+		if err := s.SetC(c); err != nil {
+			t.Fatal(err)
+		}
+		if s.pow[7].Load() == 0 {
+			t.Fatalf("c=%v: SetC to the same c cleared the table", c)
+		}
+	}
+	if err := s.SetC(0); err != nil {
+		t.Fatal(err)
+	}
+	check(0)
+}
+
+// TestMemoReset: reset empties a memo, gives a limited memo its whole
+// limit back, and keeps the maps of shards that were already empty.
+func TestMemoReset(t *testing.T) {
+	var m memo[int, int]
+	m.init(func(k int) uint64 { return uint64(k) }, 10)
+	for k := 0; k < 20; k++ {
+		m.put(k, k)
+	}
+	if got := m.entries.Load(); got != 10 {
+		t.Fatalf("a memo limited to 10 holds %d entries", got)
+	}
+	empty := reflect.ValueOf(m.shards[cacheShards-1].m).UnsafePointer()
+	m.reset()
+	if got := m.entries.Load(); got != 0 {
+		t.Fatalf("after reset the memo counts %d entries", got)
+	}
+	for k := 0; k < 20; k++ {
+		if _, ok := m.get(k); ok {
+			t.Fatalf("key %d survived reset", k)
+		}
+	}
+	if got := reflect.ValueOf(m.shards[cacheShards-1].m).UnsafePointer(); got != empty {
+		t.Fatal("reset re-made an empty shard's map")
+	}
+	for k := 100; k < 120; k++ {
+		m.put(k, k)
+	}
+	if got, _ := m.size(func(int) int64 { return 8 }); got != 10 {
+		t.Fatalf("after reset the memo stored %d entries, want its limit of 10", got)
+	}
 }

@@ -182,3 +182,27 @@ func TestSessionSweepSharesLattice(t *testing.T) {
 		}
 	}
 }
+
+// TestDTExplainScoresExact: a one-shot DT run, which merges and re-scores
+// through its lattice, reports for every explanation the influence and
+// penalty Parts gives on a freshly built scorer, on one worker and on two.
+func TestDTExplainScoresExact(t *testing.T) {
+	req := synthRequest(t, "avg", 200)
+	req.Algorithm = DT
+	for _, c := range []float64{0.5, 0.2, 0.05} {
+		fresh := newFreshScorer(t, req, c)
+		for _, workers := range []int{1, 2} {
+			r := *req
+			r.SetC(c)
+			r.Workers = workers
+			res, err := ExplainContext(context.Background(), &r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Explanations) == 0 {
+				t.Fatalf("c=%v workers=%d: no explanations", c, workers)
+			}
+			fresh.check(t, res, c)
+		}
+	}
+}

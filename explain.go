@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
-	"github.com/scorpiondb/scorpion/internal/feature"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/obs"
@@ -74,11 +73,6 @@ type Request struct {
 	// Attributes restricts the explanation search space; empty means all
 	// of A_rest (every attribute neither grouped nor aggregated).
 	Attributes []string
-	// AutoSelectAttributes, when positive, keeps only the k attributes most
-	// informative about tuple influence (the §6.4 dimensionality-reduction
-	// step, implemented via filter-based feature selection). Ignored when
-	// Attributes is set explicitly.
-	AutoSelectAttributes int
 	// Lambda is the outlier/hold-out trade-off (§3.2). A zero value means
 	// DefaultLambda; to request an explicit λ = 0 (all weight on hold-out
 	// stability, a legal §3.2 setting), use SetLambda, which records
@@ -94,11 +88,6 @@ type Request struct {
 	// instead of being mistaken for "unset".
 	lambdaSet bool
 	cSet      bool
-	// Perturb, when non-nil, switches influence from tuple deletion to
-	// value perturbation (the §3.2 footnote's alternative): Δ measures how
-	// the result would change had the matched tuples' aggregate values
-	// been *Perturb instead.
-	Perturb *float64
 	// Algorithm forces a specific search strategy.
 	Algorithm Algorithm
 	// Workers sets the worker-pool size shared by every search algorithm
@@ -470,14 +459,6 @@ func buildScorer(p *Plan) (*influence.Scorer, *predicate.Space, *query.Result, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if req.AutoSelectAttributes > 0 && len(req.Attributes) == 0 &&
-		req.AutoSelectAttributes < len(attrs) {
-		selected := feature.Select(scorer, space, req.AutoSelectAttributes)
-		space, err = predicate.NewSpace(req.Table, selected, nil)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
 	return scorer, space, qres, nil
 }
 
@@ -487,12 +468,11 @@ func buildScorer(p *Plan) (*influence.Scorer, *predicate.Space, *query.Result, e
 func bindTask(p *Plan, agg aggregate.Func, aggCol int, qres *query.Result) (*influence.Task, error) {
 	req := &p.req
 	task := &influence.Task{
-		Table:   req.Table,
-		Agg:     agg,
-		AggCol:  aggCol,
-		Lambda:  p.lambda,
-		C:       p.c,
-		Perturb: req.Perturb,
+		Table:  req.Table,
+		Agg:    agg,
+		AggCol: aggCol,
+		Lambda: p.lambda,
+		C:      p.c,
 	}
 	flagged := make(map[string]bool, len(req.Outliers))
 	for _, key := range req.Outliers {

@@ -191,7 +191,6 @@ func buildTask(d *tableDispatcher, p *scorpion.Plan, algo scorpion.Algorithm, rs
 		Attrs:     rs.Attrs,
 		Lambda:    rs.Task.Lambda,
 		C:         rs.Task.C,
-		Perturb:   rs.Task.Perturb,
 		Workers:   rs.Workers,
 		Domains:   wire.EncodeDomains(rs.Domains),
 		Outliers:  wire.EncodeGroups(rs.Task.Outliers),

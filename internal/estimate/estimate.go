@@ -27,9 +27,9 @@
 // requested confidence as a whole.
 //
 // Estimation applies to aggregates whose Δ is linear in the matched rows —
-// SUM and COUNT, exactly the aggregates the MC path handles — and to
-// deletion influence only. New returns nil for anything else (black-box
-// UDAs, AVG, perturbation mode), which callers treat as "run exact".
+// SUM and COUNT, exactly the aggregates the MC path handles. New returns
+// nil for anything else (black-box UDAs, AVG), which callers treat as "run
+// exact".
 package estimate
 
 import (
@@ -154,9 +154,9 @@ type Estimator struct {
 }
 
 // Supported reports whether the task's influence can be interval-estimated:
-// deletion influence under a linear-Δ aggregate (SUM or COUNT).
+// its aggregate's Δ is linear in the matched rows (SUM or COUNT).
 func Supported(task *influence.Task) bool {
-	if task == nil || task.Perturb != nil {
+	if task == nil {
 		return false
 	}
 	switch task.Agg.(type) {

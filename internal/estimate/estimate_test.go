@@ -245,8 +245,8 @@ func TestScoreLadder(t *testing.T) {
 	}
 }
 
-// TestNewDeclinesUnsupported: AVG, perturbation mode and a non-positive
-// epsilon all fall back to the exact path via a nil estimator.
+// TestNewDeclinesUnsupported: AVG and a non-positive epsilon both fall
+// back to the exact path via a nil estimator.
 func TestNewDeclinesUnsupported(t *testing.T) {
 	fx := buildFixture(t, "constant", aggregate.Sum{}, 1)
 	if e := New(fx.scorer, Params{Epsilon: 0}); e != nil {
@@ -261,16 +261,5 @@ func TestNewDeclinesUnsupported(t *testing.T) {
 	}
 	if e := New(avgScorer, Params{Epsilon: 0.1}); e != nil {
 		t.Error("New accepted an AVG task")
-	}
-
-	v := 1.0
-	perturbTask := *fx.task
-	perturbTask.Perturb = &v
-	perturbScorer, err := influence.NewScorer(&perturbTask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := New(perturbScorer, Params{Epsilon: 0.1}); e != nil {
-		t.Error("New accepted a perturbation task")
 	}
 }

@@ -76,13 +76,6 @@ type Task struct {
 	Lambda float64
 	// C is the §7 selectivity knob; 1 recovers the basic definition.
 	C float64
-	// Perturb switches Δ from tuple deletion to value perturbation — the
-	// alternative formulation the paper's §3.2 footnote mentions but does
-	// not explore. When non-nil, Δagg(o, p) = agg(g) − agg(g with every
-	// matched tuple's aggregate value replaced by *Perturb), answering
-	// "how would the result change had these readings been <value>?". The
-	// matched-tuple count still feeds the c denominator.
-	Perturb *float64
 }
 
 // OutlierUnion returns g_O, the union of the outlier groups' provenance.
@@ -504,10 +497,6 @@ func (s *Scorer) MemoizeSelections(space *predicate.Space) {
 // OutlierResult returns the cached original aggregate value of outlier i.
 func (s *Scorer) OutlierResult(i int) float64 { return s.outOrig[i] }
 
-// OutlierState returns the cached state(g) of outlier i (the zero State on
-// the black-box path).
-func (s *Scorer) OutlierState(i int) aggregate.State { return s.outState[i] }
-
 // HoldOutResult returns the cached original aggregate value of hold-out i.
 func (s *Scorer) HoldOutResult(i int) float64 { return s.holdOrig[i] }
 
@@ -539,8 +528,8 @@ func (x Selection) Matched() int { return x.matched }
 // stack.
 type selection struct {
 	Selection
-	// rest holds the values of g − p(g) in ascending row order, with room
-	// for matched more (black-box path).
+	// rest holds the values of g − p(g) in ascending row order (black-box
+	// path).
 	rest []float64
 }
 
@@ -584,21 +573,6 @@ func (s *Scorer) finish(orig float64, state aggregate.State, x *selection, total
 	t := s.task
 	var updated float64
 	switch {
-	case t.Perturb != nil:
-		// The footnote-3 variant: matched values are replaced by the target
-		// value rather than deleted.
-		if s.rem != nil {
-			var repl aggregate.State
-			for i := 0; i < x.matched; i++ {
-				repl.Add(*t.Perturb)
-			}
-			updated = s.rem.Recover(s.rem.Update(s.rem.Remove(state, x.sel), repl))
-		} else {
-			for i := 0; i < x.matched; i++ {
-				x.rest = append(x.rest, *t.Perturb)
-			}
-			updated = t.Agg.Compute(x.rest)
-		}
 	case x.matched == total:
 		// The predicate deletes the whole input group: the output would
 		// disappear rather than move. For aggregates with a defined empty
@@ -830,20 +804,12 @@ func (s *Scorer) TupleHoldOutInfluence(i, r int) float64 {
 
 func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r int) float64 {
 	s.calls.Add(1)
-	t := s.task
 	if s.rem != nil {
 		var one aggregate.State
 		one.Add(s.value(r))
-		st := s.rem.Remove(state, one)
-		if t.Perturb != nil {
-			var repl aggregate.State
-			repl.Add(*t.Perturb)
-			st = s.rem.Update(st, repl)
-		}
-		return finite(orig - s.rem.Recover(st))
+		return finite(orig - s.rem.Recover(s.rem.Remove(state, one)))
 	}
-	// Black-box: rebuild the group without row r (or with r's value
-	// replaced, in perturbation mode).
+	// Black-box: rebuild the group without row r.
 	rest := make([]float64, 0, g.Rows.Count())
 	g.Rows.ForEachRun(func(lo, hi int) {
 		for ; lo < hi; lo++ {
@@ -852,29 +818,7 @@ func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r 
 			}
 		}
 	})
-	if t.Perturb != nil {
-		rest = append(rest, *t.Perturb)
-	}
-	return finite(orig - t.Agg.Compute(rest))
-}
-
-// MaxTupleInfluence returns the maximum single-tuple influence of any tuple
-// matched by p across the outlier groups — the upper bound used by MC's
-// second pruning rule (§6.2).
-func (s *Scorer) MaxTupleInfluence(p predicate.Predicate) float64 {
-	best := math.Inf(-1)
-	for i, g := range s.task.Outliers {
-		g.Rows.ForEachRun(func(lo, hi int) {
-			for ; lo < hi; lo += 64 {
-				for m := p.MatchMask(s.tab, lo, min(64, hi-lo)); m != 0; m &= m - 1 {
-					if v := s.TupleOutlierInfluence(i, lo+bits.TrailingZeros64(m)); v > best {
-						best = v
-					}
-				}
-			}
-		})
-	}
-	return best
+	return finite(orig - s.task.Agg.Compute(rest))
 }
 
 // ResetCache clears the memoized predicate scores (used when the task's C

@@ -480,28 +480,6 @@ func TestIncrementalEqualsBlackBoxProperty(t *testing.T) {
 	}
 }
 
-func TestMaxTupleInfluence(t *testing.T) {
-	task := paperTask(t)
-	s, err := NewScorer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Over the whole space, the max single-tuple influence is T6's 21.6̄.
-	got := s.MaxTupleInfluence(predicate.True())
-	if !almostEqual(got, 170.0/3-35) {
-		t.Errorf("MaxTupleInfluence(true) = %v, want %v", got, 170.0/3-35)
-	}
-	// Restricted to sensor 1: T4's influence is 56.6̄−67.5 = −10.83̄ and
-	// T7's is 50−57.5 = −7.5; the max is T7's.
-	col := task.Table.Schema().MustIndex("sensorid")
-	code, _ := task.Table.Dict(col).Lookup("1")
-	p := predicate.MustNew(predicate.NewSetClause(col, "sensorid", []int32{code}))
-	got = s.MaxTupleInfluence(p)
-	if !almostEqual(got, -7.5) {
-		t.Errorf("MaxTupleInfluence(sensor1) = %v, want -7.5", got)
-	}
-}
-
 func TestPartsDecomposition(t *testing.T) {
 	task := paperTask(t)
 	s, err := NewScorer(task)
@@ -562,60 +540,6 @@ func TestOriginalResultAccessors(t *testing.T) {
 	}
 	if s.Task() != task {
 		t.Error("Task() identity lost")
-	}
-}
-
-func TestPerturbationModeDelta(t *testing.T) {
-	task := paperTask(t)
-	target := 20.0
-	task.Perturb = &target
-	s, err := NewScorer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := voltagePredicate(task.Table.Data())
-	// 12PM: T6's 100 becomes 20 → avg{35,35,20} = 30; Δ = 56.6̄ − 30.
-	if got := s.OutlierInfluence(0, p); !almostEqual(got, 170.0/3-30) {
-		t.Errorf("perturb influence 12PM = %v, want %v", got, 170.0/3-30)
-	}
-	// 1PM: T9's 80 becomes 20 → avg{35,35,20} = 30; Δ = 50 − 30 = 20.
-	if got := s.OutlierInfluence(1, p); !almostEqual(got, 20) {
-		t.Errorf("perturb influence 1PM = %v, want 20", got)
-	}
-	// Tuple influence under perturbation: T6 from 100 → 20.
-	if got := s.TupleOutlierInfluence(0, 5); !almostEqual(got, 170.0/3-30) {
-		t.Errorf("perturb tuple influence T6 = %v", got)
-	}
-	// Whole-group predicates stay well-defined in perturbation mode.
-	col := task.Table.Schema().MustIndex("humidity")
-	whole := predicate.MustNew(predicate.NewRangeClause(col, "humidity", 0, 1, true))
-	// All three 12PM temps become 20 → avg 20; Δ = 56.6̄ − 20, scaled by
-	// the c=1 denominator |p(g)| = 3.
-	if got := s.OutlierInfluence(0, whole); !almostEqual(got, (170.0/3-20)/3) {
-		t.Errorf("perturb whole-group = %v, want %v", got, (170.0/3-20)/3)
-	}
-}
-
-func TestPerturbationBlackBoxAgrees(t *testing.T) {
-	task := paperTask(t)
-	target := 20.0
-	task.Perturb = &target
-	inc, err := NewScorer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blackTask := *task
-	blackTask.Agg = aggregate.UDA{FuncName: "avgbb", Fn: aggregate.Avg{}.Compute}
-	bb, err := NewScorer(&blackTask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := voltagePredicate(task.Table.Data())
-	if a, b := inc.Influence(p), bb.Influence(p); !almostEqual(a, b) {
-		t.Errorf("incremental %v != black-box %v in perturbation mode", a, b)
-	}
-	if a, b := inc.TupleOutlierInfluence(0, 5), bb.TupleOutlierInfluence(0, 5); !almostEqual(a, b) {
-		t.Errorf("tuple influence %v != %v in perturbation mode", a, b)
 	}
 }
 

@@ -66,20 +66,6 @@ func (r *refScorer) delta(g Group, p predicate.Predicate) (float64, int) {
 	if matched == 0 {
 		return 0, 0
 	}
-	if t.Perturb != nil {
-		replacement := make([]float64, matched)
-		for i := range replacement {
-			replacement[i] = *t.Perturb
-		}
-		var updated float64
-		if r.rem != nil {
-			st := r.rem.Remove(state, r.rem.State(matchedVals))
-			updated = r.rem.Recover(r.rem.Update(st, r.rem.State(replacement)))
-		} else {
-			updated = t.Agg.Compute(append(restVals, replacement...))
-		}
-		return refFinite(orig - updated), matched
-	}
 	if matched == total {
 		if es, ok := t.Agg.(aggregate.EmptySafe); ok {
 			return orig - es.EmptyValue(), matched
@@ -136,11 +122,7 @@ func (r *refScorer) tupleOutlierInfluence(i, row int) float64 {
 	orig, state := r.orig(g)
 	var d float64
 	if r.rem != nil {
-		st := r.rem.Remove(state, r.rem.State([]float64{t.Value(row)}))
-		if t.Perturb != nil {
-			st = r.rem.Update(st, r.rem.State([]float64{*t.Perturb}))
-		}
-		d = orig - r.rem.Recover(st)
+		d = orig - r.rem.Recover(r.rem.Remove(state, r.rem.State([]float64{t.Value(row)})))
 	} else {
 		var rest []float64
 		g.Rows.ForEach(func(rr int) {
@@ -148,26 +130,9 @@ func (r *refScorer) tupleOutlierInfluence(i, row int) float64 {
 				rest = append(rest, t.Value(rr))
 			}
 		})
-		if t.Perturb != nil {
-			rest = append(rest, *t.Perturb)
-		}
 		d = orig - t.Agg.Compute(rest)
 	}
 	return refFinite(d) * float64(g.Direction)
-}
-
-func (r *refScorer) maxTupleInfluence(p predicate.Predicate) float64 {
-	best := math.Inf(-1)
-	for i, g := range r.task.Outliers {
-		g.Rows.ForEach(func(row int) {
-			if p.Match(r.tab, row) {
-				if v := r.tupleOutlierInfluence(i, row); v > best {
-					best = v
-				}
-			}
-		})
-	}
-	return best
 }
 
 // kernelTable is an 8192-row table (wide enough that a scattered 60-row
@@ -299,14 +264,13 @@ func sameBits(a, b float64) bool {
 }
 
 // TestKernelMatchesReference holds the columnar kernel to the per-row
-// reference, bit for bit, over seeded random tables × aggregates ×
-// {deletion, perturbation} × the three RowSet encodings × {table, view
-// window}, with failure_test.go's nasty inputs mixed in: NaN and ±Inf
-// values, single-row groups, whole-group deletion, negative values under
-// SUM, discrete clauses and a predicate on the aggregate column.
+// reference, bit for bit, over seeded random tables × aggregates × the
+// three RowSet encodings × {table, view window}, with failure_test.go's
+// nasty inputs mixed in: NaN and ±Inf values, single-row groups,
+// whole-group deletion, negative values under SUM, discrete clauses and a
+// predicate on the aggregate column.
 func TestKernelMatchesReference(t *testing.T) {
 	aggs := []string{"sum", "count", "avg", "variance", "stddev", "median"}
-	target := 17.5
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := kernelTable(rng, seed%2 == 0)
@@ -343,19 +307,17 @@ func TestKernelMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, perturb := range []*float64{nil, &target} {
-						for _, aggCol := range []int{3, -1} {
-							if aggCol < 0 && aggName != "count" {
-								continue
-							}
-							task := &Task{
-								Table: rel, Agg: agg, AggCol: aggCol,
-								Outliers: groups[:2], HoldOuts: groups[2:],
-								Lambda: 0.6, C: 0.3, Perturb: perturb,
-							}
-							name := fmt.Sprintf("seed=%d window=%v enc=%s agg=%s col=%d perturb=%v", seed, windowed, enc, aggName, aggCol, perturb != nil)
-							checkKernel(t, name, task, preds)
+					for _, aggCol := range []int{3, -1} {
+						if aggCol < 0 && aggName != "count" {
+							continue
 						}
+						task := &Task{
+							Table: rel, Agg: agg, AggCol: aggCol,
+							Outliers: groups[:2], HoldOuts: groups[2:],
+							Lambda: 0.6, C: 0.3,
+						}
+						name := fmt.Sprintf("seed=%d window=%v enc=%s agg=%s col=%d", seed, windowed, enc, aggName, aggCol)
+						checkKernel(t, name, task, preds)
 					}
 				}
 			}
@@ -370,7 +332,7 @@ func checkKernel(t *testing.T, name string, task *Task, preds []predicate.Predic
 		t.Fatalf("%s: %v", name, err)
 	}
 	ref := newRefScorer(task)
-	for pi, p := range preds {
+	for _, p := range preds {
 		for i := range task.Outliers {
 			if got, want := s.OutlierInfluence(i, p), ref.outlierInfluence(i, p); !sameBits(got, want) {
 				t.Fatalf("%s: OutlierInfluence(%d, %v) = %v, reference %v", name, i, p, got, want)
@@ -385,11 +347,6 @@ func checkKernel(t *testing.T, name string, task *Task, preds []predicate.Predic
 		wantOut, wantHold := ref.parts(p)
 		if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
 			t.Fatalf("%s: Parts(%v) = (%v, %v), reference (%v, %v)", name, p, gotOut, gotHold, wantOut, wantHold)
-		}
-		if pi%4 == 0 {
-			if got, want := s.MaxTupleInfluence(p), ref.maxTupleInfluence(p); !sameBits(got, want) {
-				t.Fatalf("%s: MaxTupleInfluence(%v) = %v, reference %v", name, p, got, want)
-			}
 		}
 	}
 	for i, g := range task.Outliers {
@@ -415,39 +372,36 @@ func TestLayoutMatchesScorer(t *testing.T) {
 		}
 		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: rows, Direction: TooHigh})
 	}
-	target := 3.0
 	for _, aggName := range []string{"sum", "avg", "stddev", "median"} {
-		for _, perturb := range []*float64{nil, &target} {
-			agg, _ := aggregate.ByName(aggName)
-			task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.5, C: 0.2, Perturb: perturb}
-			s, err := NewScorer(task)
-			if err != nil {
-				t.Fatal(err)
+		agg, _ := aggregate.ByName(aggName)
+		task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.5, C: 0.2}
+		s, err := NewScorer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := s.NewLayout()
+		for _, p := range kernelPredicates(rng, tbl) {
+			masks := make([][]uint64, l.Groups())
+			for g := range masks {
+				masks[g] = make([]uint64, l.Words(g))
+				for i := range masks[g] {
+					masks[g][i] = ^uint64(0)
+				}
+				one := make([]uint64, l.Words(g))
+				for ci := range p.Clauses() {
+					l.ClauseMask(g, &p.Clauses()[ci], one)
+					for i := range one {
+						masks[g][i] &= one[i]
+					}
+				}
 			}
-			l := s.NewLayout()
-			for _, p := range kernelPredicates(rng, tbl) {
-				masks := make([][]uint64, l.Groups())
-				for g := range masks {
-					masks[g] = make([]uint64, l.Words(g))
-					for i := range masks[g] {
-						masks[g][i] = ^uint64(0)
-					}
-					one := make([]uint64, l.Words(g))
-					for ci := range p.Clauses() {
-						l.ClauseMask(g, &p.Clauses()[ci], one)
-						for i := range one {
-							masks[g][i] &= one[i]
-						}
-					}
-				}
-				before := s.Calls()
-				got := l.Influence(masks)
-				if n := s.Calls() - before; n != int64(len(groups)) {
-					t.Fatalf("layout scoring counted %d calls, want %d", n, len(groups))
-				}
-				if want := s.Influence(p); !sameBits(got, want) {
-					t.Fatalf("agg=%s perturb=%v: layout influence of %v = %v, scorer %v", aggName, perturb != nil, p, got, want)
-				}
+			before := s.Calls()
+			got := l.Influence(masks)
+			if n := s.Calls() - before; n != int64(len(groups)) {
+				t.Fatalf("layout scoring counted %d calls, want %d", n, len(groups))
+			}
+			if want := s.Influence(p); !sameBits(got, want) {
+				t.Fatalf("agg=%s: layout influence of %v = %v, scorer %v", aggName, p, got, want)
 			}
 		}
 	}
@@ -487,63 +441,60 @@ func TestLayoutGateMatchesInfluence(t *testing.T) {
 		}
 		return masks
 	}
-	target := 3.0
 	nanBounds, declined, early := 0, 0, 0
 	for _, aggName := range []string{"sum", "avg", "stddev", "median"} {
-		for _, perturb := range []*float64{nil, &target} {
-			for _, lambda := range []float64{0, 0.5, 1} {
-				agg, _ := aggregate.ByName(aggName)
-				task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: lambda, C: 0.2, Perturb: perturb}
-				s, err := NewScorer(task)
-				if err != nil {
-					t.Fatal(err)
+		for _, lambda := range []float64{0, 0.5, 1} {
+			agg, _ := aggregate.ByName(aggName)
+			task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: lambda, C: 0.2}
+			s, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := s.NewLayout()
+			for trial := 0; trial < 60; trial++ {
+				masks := randomMasks(l)
+				want := l.Influence(masks)
+				bound := l.Bound(masks)
+				if math.IsNaN(bound) {
+					nanBounds++
+				} else if bound < want {
+					t.Fatalf("agg=%s λ=%v: bound %v below the objective %v", aggName, lambda, bound, want)
 				}
-				l := s.NewLayout()
-				for trial := 0; trial < 60; trial++ {
-					masks := randomMasks(l)
-					want := l.Influence(masks)
-					bound := l.Bound(masks)
-					if math.IsNaN(bound) {
-						nanBounds++
-					} else if bound < want {
-						t.Fatalf("agg=%s λ=%v: bound %v below the objective %v", aggName, lambda, bound, want)
+				for _, floor := range []float64{math.Inf(-1), math.Inf(1), math.NaN(), want,
+					math.Nextafter(want, math.Inf(1)), math.Nextafter(want, math.Inf(-1)), rng.NormFloat64() * 50} {
+					name := fmt.Sprintf("agg=%s λ=%v floor=%v", aggName, lambda, floor)
+					before := s.Calls()
+					score, folded, ok := 0.0, 0, false
+					if !(bound < floor) {
+						score, folded, ok = l.HoldOut(bound, floor, masks)
 					}
-					for _, floor := range []float64{math.Inf(-1), math.Inf(1), math.NaN(), want,
-						math.Nextafter(want, math.Inf(1)), math.Nextafter(want, math.Inf(-1)), rng.NormFloat64() * 50} {
-						name := fmt.Sprintf("agg=%s perturb=%v λ=%v floor=%v", aggName, perturb != nil, lambda, floor)
-						before := s.Calls()
-						score, folded, ok := 0.0, 0, false
-						if !(bound < floor) {
-							score, folded, ok = l.HoldOut(bound, floor, masks)
+					// HoldOut alone gates on the bound too.
+					if alone, _, aloneOK := l.HoldOut(bound, floor, masks); aloneOK != ok || ok && !sameBits(alone, score) {
+						t.Fatalf("%s: HoldOut alone gives %v, %v; gated %v, %v", name, alone, aloneOK, score, ok)
+					}
+					if s.Calls() != before {
+						t.Fatalf("%s: Bound and HoldOut counted calls", name)
+					}
+					if !ok && folded > 0 {
+						early++
+					}
+					if math.IsNaN(floor) || math.IsNaN(bound) {
+						if !ok {
+							t.Fatalf("%s: a NaN gated (bound %v)", name, bound)
 						}
-						// HoldOut alone gates on the bound too.
-						if alone, _, aloneOK := l.HoldOut(bound, floor, masks); aloneOK != ok || ok && !sameBits(alone, score) {
-							t.Fatalf("%s: HoldOut alone gives %v, %v; gated %v, %v", name, alone, aloneOK, score, ok)
+					}
+					if ok {
+						if !sameBits(score, want) {
+							t.Fatalf("%s: gated score %v, Influence %v", name, score, want)
 						}
-						if s.Calls() != before {
-							t.Fatalf("%s: Bound and HoldOut counted calls", name)
+						if folded != len(groups)-2 {
+							t.Fatalf("%s: a returned score folded %d hold-outs", name, folded)
 						}
-						if !ok && folded > 0 {
-							early++
-						}
-						if math.IsNaN(floor) || math.IsNaN(bound) {
-							if !ok {
-								t.Fatalf("%s: a NaN gated (bound %v)", name, bound)
-							}
-						}
-						if ok {
-							if !sameBits(score, want) {
-								t.Fatalf("%s: gated score %v, Influence %v", name, score, want)
-							}
-							if folded != len(groups)-2 {
-								t.Fatalf("%s: a returned score folded %d hold-outs", name, folded)
-							}
-							continue
-						}
-						declined++
-						if !(want < floor) && !(lambda == 1 && math.IsNaN(want)) {
-							t.Fatalf("%s: declined, but Influence %v is not below the floor", name, want)
-						}
+						continue
+					}
+					declined++
+					if !(want < floor) && !(lambda == 1 && math.IsNaN(want)) {
+						t.Fatalf("%s: declined, but Influence %v is not below the floor", name, want)
 					}
 				}
 			}
@@ -569,39 +520,35 @@ func TestDeltaZeroAlloc(t *testing.T) {
 		predicate.NewSetClause(0, "d", []int32{0, 2}),
 		predicate.NewRangeClause(1, "x", 10, 90, false),
 	)
-	target := 1.0
 	for _, rows := range []*relation.RowSet{relation.FullRowSet(tbl.NumRows()), scattered, few} {
-		for _, perturb := range []*float64{nil, &target} {
-			task := &Task{
-				Table: tbl, Agg: aggregate.StdDev{}, AggCol: 3,
-				Outliers: []Group{{Key: "o", Rows: rows, Direction: TooHigh}},
-				Lambda:   0.5, C: 0.2, Perturb: perturb,
-			}
-			s, err := NewScorer(task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !s.Incremental() {
-				t.Fatal("stddev must take the incremental path")
-			}
-			row := rows.Min()
-			var sink float64
-			if n := testing.AllocsPerRun(100, func() { sink += s.OutlierInfluence(0, p) }); n != 0 {
-				t.Errorf("%s group, perturb=%v: OutlierInfluence allocates %v times per call", rows.Encoding(), perturb != nil, n)
-			}
-			if n := testing.AllocsPerRun(100, func() { sink += s.TupleOutlierInfluence(0, row) }); n != 0 {
-				t.Errorf("%s group, perturb=%v: TupleOutlierInfluence allocates %v times per call", rows.Encoding(), perturb != nil, n)
-			}
-			_ = sink
+		task := &Task{
+			Table: tbl, Agg: aggregate.StdDev{}, AggCol: 3,
+			Outliers: []Group{{Key: "o", Rows: rows, Direction: TooHigh}},
+			Lambda:   0.5, C: 0.2,
 		}
+		s, err := NewScorer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Incremental() {
+			t.Fatal("stddev must take the incremental path")
+		}
+		row := rows.Min()
+		var sink float64
+		if n := testing.AllocsPerRun(100, func() { sink += s.OutlierInfluence(0, p) }); n != 0 {
+			t.Errorf("%s group: OutlierInfluence allocates %v times per call", rows.Encoding(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink += s.TupleOutlierInfluence(0, row) }); n != 0 {
+			t.Errorf("%s group: TupleOutlierInfluence allocates %v times per call", rows.Encoding(), n)
+		}
+		_ = sink
 	}
 }
 
 // TestExtendMatchesSelect: selections folded over a prefix of each group
 // and extended over the rest hold the bits of selections folded over the
 // whole group, and Score of them is Parts — over the three RowSet
-// encodings, the removable aggregates, perturbation on and off, and cut
-// points before, inside and after the groups.
+// encodings, the removable aggregates, and cut points before, inside and after the groups.
 func TestExtendMatchesSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl := kernelTable(rng, false)
@@ -612,7 +559,6 @@ func TestExtendMatchesSelect(t *testing.T) {
 		groupShape(rng, 2000, 2100, 60),
 	}
 	preds := kernelPredicates(rng, tbl)
-	target := 5.0
 	for _, enc := range []string{"dense", "runs", "sparse"} {
 		var groups []Group
 		for i, rows := range shapes {
@@ -620,53 +566,51 @@ func TestExtendMatchesSelect(t *testing.T) {
 		}
 		for _, aggName := range []string{"sum", "count", "avg", "variance", "stddev"} {
 			agg, _ := aggregate.ByName(aggName)
-			for _, perturb := range []*float64{nil, &target} {
-				task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:1], HoldOuts: groups[1:], Lambda: 0.6, C: 0.3, Perturb: perturb}
-				full, err := NewScorer(task)
+			task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:1], HoldOuts: groups[1:], Lambda: 0.6, C: 0.3}
+			full, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []int{0, 1100, 2050, 4000, n} {
+				prefix := *task
+				prefix.Outliers, prefix.HoldOuts = nil, nil
+				for i, g := range groups {
+					g.Rows = g.Rows.Slice(0, from).Embed(0, n)
+					if i == 0 {
+						prefix.Outliers = append(prefix.Outliers, g)
+					} else {
+						prefix.HoldOuts = append(prefix.HoldOuts, g)
+					}
+				}
+				old, err := NewScorer(&prefix)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, from := range []int{0, 1100, 2050, 4000, n} {
-					prefix := *task
-					prefix.Outliers, prefix.HoldOuts = nil, nil
-					for i, g := range groups {
-						g.Rows = g.Rows.Slice(0, from).Embed(0, n)
-						if i == 0 {
-							prefix.Outliers = append(prefix.Outliers, g)
-						} else {
-							prefix.HoldOuts = append(prefix.HoldOuts, g)
+				for _, p := range preds {
+					sels := old.Select(p, nil)
+					before := full.Calls()
+					tested := full.Extend(p, from, sels)
+					if got := full.Calls() - before; got != int64(len(groups)) {
+						t.Fatalf("Extend counted %d calls, want one per group (%d)", got, len(groups))
+					}
+					wantTested := 0
+					for _, g := range groups {
+						wantTested += g.Rows.CountRange(from, n)
+					}
+					if tested != wantTested {
+						t.Fatalf("Extend from %d tested %d rows, want %d", from, tested, wantTested)
+					}
+					whole := full.Select(p, nil)
+					for g := range whole {
+						if sels[g].matched != whole[g].matched || !sameBits(sels[g].sel.Sum, whole[g].sel.Sum) ||
+							!sameBits(sels[g].sel.SumSq, whole[g].sel.SumSq) || !sameBits(sels[g].sel.N, whole[g].sel.N) {
+							t.Fatalf("enc=%s agg=%s from=%d group %d: extended %+v, whole %+v", enc, aggName, from, g, sels[g], whole[g])
 						}
 					}
-					old, err := NewScorer(&prefix)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, p := range preds {
-						sels := old.Select(p, nil)
-						before := full.Calls()
-						tested := full.Extend(p, from, sels)
-						if got := full.Calls() - before; got != int64(len(groups)) {
-							t.Fatalf("Extend counted %d calls, want one per group (%d)", got, len(groups))
-						}
-						wantTested := 0
-						for _, g := range groups {
-							wantTested += g.Rows.CountRange(from, n)
-						}
-						if tested != wantTested {
-							t.Fatalf("Extend from %d tested %d rows, want %d", from, tested, wantTested)
-						}
-						whole := full.Select(p, nil)
-						for g := range whole {
-							if sels[g].matched != whole[g].matched || !sameBits(sels[g].sel.Sum, whole[g].sel.Sum) ||
-								!sameBits(sels[g].sel.SumSq, whole[g].sel.SumSq) || !sameBits(sels[g].sel.N, whole[g].sel.N) {
-								t.Fatalf("enc=%s agg=%s from=%d group %d: extended %+v, whole %+v", enc, aggName, from, g, sels[g], whole[g])
-							}
-						}
-						gotOut, gotHold := full.Score(sels)
-						wantOut, wantHold := full.Parts(p)
-						if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
-							t.Fatalf("enc=%s agg=%s from=%d: Score = (%v, %v), Parts (%v, %v)", enc, aggName, from, gotOut, gotHold, wantOut, wantHold)
-						}
+					gotOut, gotHold := full.Score(sels)
+					wantOut, wantHold := full.Parts(p)
+					if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
+						t.Fatalf("enc=%s agg=%s from=%d: Score = (%v, %v), Parts (%v, %v)", enc, aggName, from, gotOut, gotHold, wantOut, wantHold)
 					}
 				}
 			}
@@ -689,32 +633,29 @@ func TestTailFoldZeroAlloc(t *testing.T) {
 		predicate.NewSetClause(0, "d", []int32{0, 2}),
 		predicate.NewRangeClause(1, "x", 10, 90, false),
 	)
-	target := 1.0
 	for _, rows := range []*relation.RowSet{relation.FullRowSet(n), scattered, relation.RowSetOf(n, 5, 900, 901, 8000)} {
-		for _, perturb := range []*float64{nil, &target} {
-			task := &Task{
-				Table: tbl, Agg: aggregate.StdDev{}, AggCol: 3,
-				Outliers: []Group{{Key: "o", Rows: rows, Direction: TooHigh}},
-				HoldOuts: []Group{{Key: "h", Rows: rows}},
-				Lambda:   0.5, C: 0.2, Perturb: perturb,
-			}
-			s, err := NewScorer(task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sels := s.Select(p, nil)
-			var sink float64
-			if a := testing.AllocsPerRun(100, func() { o, h := s.Parts(p); sink += o + h }); a != 0 {
-				t.Errorf("%s group, perturb=%v: Parts allocates %v times per call", rows.Encoding(), perturb != nil, a)
-			}
-			if a := testing.AllocsPerRun(100, func() {
-				s.Extend(p, n-200, sels)
-				o, h := s.Score(sels)
-				sink += o + h
-			}); a != 0 {
-				t.Errorf("%s group, perturb=%v: Extend and Score allocate %v times per call", rows.Encoding(), perturb != nil, a)
-			}
-			_ = sink
+		task := &Task{
+			Table: tbl, Agg: aggregate.StdDev{}, AggCol: 3,
+			Outliers: []Group{{Key: "o", Rows: rows, Direction: TooHigh}},
+			HoldOuts: []Group{{Key: "h", Rows: rows}},
+			Lambda:   0.5, C: 0.2,
 		}
+		s, err := NewScorer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sels := s.Select(p, nil)
+		var sink float64
+		if a := testing.AllocsPerRun(100, func() { o, h := s.Parts(p); sink += o + h }); a != 0 {
+			t.Errorf("%s group: Parts allocates %v times per call", rows.Encoding(), a)
+		}
+		if a := testing.AllocsPerRun(100, func() {
+			s.Extend(p, n-200, sels)
+			o, h := s.Score(sels)
+			sink += o + h
+		}); a != 0 {
+			t.Errorf("%s group: Extend and Score allocate %v times per call", rows.Encoding(), a)
+		}
+		_ = sink
 	}
 }

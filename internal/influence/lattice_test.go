@@ -74,8 +74,7 @@ func latticeBoxes(rng *rand.Rand) []predicate.Predicate {
 // per group per fold, and Parts — folded, or from the selection memo — is
 // PartsMatched, over random boxes (inclusive and exclusive tops, ±Inf and
 // NaN bounds and values, discrete clauses, empty and full selections), the
-// three RowSet encodings, the five removable aggregates and perturbation on
-// and off.
+// three RowSet encodings and the five removable aggregates.
 func TestLatticeMatchesSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tbl := kernelTable(rng, true)
@@ -88,7 +87,6 @@ func TestLatticeMatchesSelect(t *testing.T) {
 		groupShape(rng, 5000, 5600, 60),
 	}
 	preds := latticeBoxes(rng)
-	target := 5.0
 	compared := 0
 	for _, enc := range []string{"dense", "runs", "sparse"} {
 		var groups []Group
@@ -101,39 +99,37 @@ func TestLatticeMatchesSelect(t *testing.T) {
 			if aggName == "count" {
 				aggCol = -1
 			}
-			for _, perturb := range []*float64{nil, &target} {
-				task := &Task{Table: tbl, Agg: agg, AggCol: aggCol, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.6, C: 0.4, Perturb: perturb}
-				s, err := NewScorer(task)
-				if err != nil {
-					t.Fatal(err)
+			task := &Task{Table: tbl, Agg: agg, AggCol: aggCol, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.6, C: 0.4}
+			s, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo, err := NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo.MemoizeSelections(space)
+			lat, memoLat := s.NewLattice(space), memo.NewLattice(space)
+			for _, p := range preds {
+				b := boxOf(t, space, p)
+				before := s.Calls()
+				got := lat.fold(b, nil)
+				if d := s.Calls() - before; d != int64(len(groups)) {
+					t.Fatalf("a fold advanced Calls() by %d, want one per group (%d)", d, len(groups))
 				}
-				memo, err := NewScorer(task)
-				if err != nil {
-					t.Fatal(err)
+				want := s.Select(p, nil)
+				for g := range want {
+					if got[g].matched != want[g].matched || !sameBits(got[g].sel.Sum, want[g].sel.Sum) ||
+						!sameBits(got[g].sel.SumSq, want[g].sel.SumSq) || !sameBits(got[g].sel.N, want[g].sel.N) {
+						t.Fatalf("enc=%s agg=%s %v group %d: lattice %+v, Select %+v", enc, aggName, p, g, got[g], want[g])
+					}
+					compared++
 				}
-				memo.MemoizeSelections(space)
-				lat, memoLat := s.NewLattice(space), memo.NewLattice(space)
-				for _, p := range preds {
-					b := boxOf(t, space, p)
-					before := s.Calls()
-					got := lat.fold(b, nil)
-					if d := s.Calls() - before; d != int64(len(groups)) {
-						t.Fatalf("a fold advanced Calls() by %d, want one per group (%d)", d, len(groups))
-					}
-					want := s.Select(p, nil)
-					for g := range want {
-						if got[g].matched != want[g].matched || !sameBits(got[g].sel.Sum, want[g].sel.Sum) ||
-							!sameBits(got[g].sel.SumSq, want[g].sel.SumSq) || !sameBits(got[g].sel.N, want[g].sel.N) {
-							t.Fatalf("enc=%s agg=%s perturb=%v %v group %d: lattice %+v, Select %+v", enc, aggName, perturb != nil, p, g, got[g], want[g])
-						}
-						compared++
-					}
-					wantOut, wantHold, wantMatched := s.PartsMatched(p)
-					for _, l := range []*Lattice{lat, memoLat, memoLat} {
-						out, hold, matched := l.Parts(b, true, p)
-						if !sameBits(out, wantOut) || !sameBits(hold, wantHold) || matched != wantMatched {
-							t.Fatalf("enc=%s agg=%s %v: Parts = (%v, %v, %d), PartsMatched (%v, %v, %d)", enc, aggName, p, out, hold, matched, wantOut, wantHold, wantMatched)
-						}
+				wantOut, wantHold, wantMatched := s.PartsMatched(p)
+				for _, l := range []*Lattice{lat, memoLat, memoLat} {
+					out, hold, matched := l.Parts(b, true, p)
+					if !sameBits(out, wantOut) || !sameBits(hold, wantHold) || matched != wantMatched {
+						t.Fatalf("enc=%s agg=%s %v: Parts = (%v, %v, %d), PartsMatched (%v, %v, %d)", enc, aggName, p, out, hold, matched, wantOut, wantHold, wantMatched)
 					}
 				}
 			}

@@ -55,8 +55,8 @@ func voltageSpace(t testing.TB, tbl *relation.Table) *predicate.Space {
 // once is re-scored at every later c without testing a row — Calls()
 // advances by 0 — and with the bits a freshly built scorer at that c gets,
 // through a Lattice's Parts (and Influence, which the selection memo does
-// not serve, keeps its bits), over the three RowSet encodings, the
-// removable aggregates and perturbation on and off.
+// not serve, keeps its bits), over the three RowSet encodings and the
+// removable aggregates.
 func TestSelectionMemoSurvivesSetC(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tbl := kernelTable(rng, false)
@@ -68,7 +68,6 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 	}
 	preds := kernelPredicates(rng, tbl)
 	space := kernelSpace(t, tbl)
-	target := 5.0
 	cs := []float64{0.5, 0, 1, 0.25, 0.5, 2}
 	for _, enc := range []string{"dense", "runs", "sparse"} {
 		var groups []Group
@@ -77,40 +76,38 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 		}
 		for _, aggName := range []string{"sum", "count", "avg", "variance", "stddev"} {
 			agg, _ := aggregate.ByName(aggName)
-			for _, perturb := range []*float64{nil, &target} {
-				task := func(c float64) *Task {
-					return &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.6, C: c, Perturb: perturb}
+			task := func(c float64) *Task {
+				return &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.6, C: c}
+			}
+			memo, err := NewScorer(task(cs[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo.MemoizeSelections(space)
+			for _, p := range preds {
+				boxParts(t, memo.NewLattice(space), p)
+			}
+			for _, c := range cs {
+				if err := memo.SetC(c); err != nil {
+					t.Fatal(err)
 				}
-				memo, err := NewScorer(task(cs[0]))
+				fresh, err := NewScorer(task(c))
 				if err != nil {
 					t.Fatal(err)
 				}
-				memo.MemoizeSelections(space)
+				lat := memo.NewLattice(space)
 				for _, p := range preds {
-					boxParts(t, memo.NewLattice(space), p)
-				}
-				for _, c := range cs {
-					if err := memo.SetC(c); err != nil {
-						t.Fatal(err)
+					before := memo.Calls()
+					gotOut, gotHold := boxParts(t, lat, p)
+					if d := memo.Calls() - before; d != 0 {
+						t.Fatalf("enc=%s agg=%s c=%v: a memoized box advanced Calls() by %d", enc, aggName, c, d)
 					}
-					fresh, err := NewScorer(task(c))
-					if err != nil {
-						t.Fatal(err)
+					wantOut, wantHold := fresh.Parts(p)
+					if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
+						t.Fatalf("enc=%s agg=%s c=%v %s: memo Parts = (%v, %v), fresh (%v, %v)", enc, aggName, c, p.Key(), gotOut, gotHold, wantOut, wantHold)
 					}
-					lat := memo.NewLattice(space)
-					for _, p := range preds {
-						before := memo.Calls()
-						gotOut, gotHold := boxParts(t, lat, p)
-						if d := memo.Calls() - before; d != 0 {
-							t.Fatalf("enc=%s agg=%s c=%v: a memoized box advanced Calls() by %d", enc, aggName, c, d)
-						}
-						wantOut, wantHold := fresh.Parts(p)
-						if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
-							t.Fatalf("enc=%s agg=%s c=%v %s: memo Parts = (%v, %v), fresh (%v, %v)", enc, aggName, c, p.Key(), gotOut, gotHold, wantOut, wantHold)
-						}
-						if got, want := memo.Influence(p), fresh.Influence(p); !sameBits(got, want) {
-							t.Fatalf("enc=%s agg=%s c=%v %s: memo Influence = %v, fresh %v", enc, aggName, c, p.Key(), got, want)
-						}
+					if got, want := memo.Influence(p), fresh.Influence(p); !sameBits(got, want) {
+						t.Fatalf("enc=%s agg=%s c=%v %s: memo Influence = %v, fresh %v", enc, aggName, c, p.Key(), got, want)
 					}
 				}
 			}

@@ -38,7 +38,7 @@ func referenceRun(t *testing.T, scorer *influence.Scorer, space *predicate.Space
 // interleave row by row, and (optionally) count(*) as the aggregate column.
 // It holds no NaN: a NaN score has no rank, so with one in play the top-k
 // depends on the order batches arrive in, with or without the clause table.
-func mixedFixture(seed int64, agg aggregate.Func, aggCol bool, perturb *float64) (*influence.Task, *predicate.Space) {
+func mixedFixture(seed int64, agg aggregate.Func, aggCol bool) (*influence.Task, *predicate.Space) {
 	rng := rand.New(rand.NewSource(seed))
 	schema := relation.MustSchema(
 		relation.Column{Name: "d", Kind: relation.Discrete},
@@ -77,7 +77,7 @@ func mixedFixture(seed int64, agg aggregate.Func, aggCol bool, perturb *float64)
 			{Key: "1", Rows: groups[1], Direction: influence.TooLow},
 		},
 		HoldOuts: []influence.Group{{Key: "2", Rows: groups[2]}, {Key: "3", Rows: groups[3]}},
-		Lambda:   0.5, C: 0.2, Perturb: perturb,
+		Lambda:   0.5, C: 0.2,
 	}
 	if aggCol {
 		task.AggCol = 3
@@ -161,7 +161,6 @@ func allTied(top []partition.Candidate) bool {
 // score negative), put thousands of exact ties at the floor (only the
 // enumeration order decides), take λ to 0 and 1, and score count(*).
 func TestNaiveClauseSelectionEquivalence(t *testing.T) {
-	target := 12.0
 	type fixture struct {
 		name   string
 		build  func() (*influence.Task, *predicate.Space)
@@ -185,21 +184,19 @@ func TestNaiveClauseSelectionEquivalence(t *testing.T) {
 		}, Params{}, false, nil},
 	}
 	for _, agg := range []aggregate.Func{aggregate.Sum{}, aggregate.StdDev{}, aggregate.Median{}} {
-		for _, perturb := range []*float64{nil, &target} {
-			agg, perturb := agg, perturb
-			fixtures = append(fixtures, fixture{
-				fmt.Sprintf("mixed-%s-perturb=%v", agg.Name(), perturb != nil),
-				func() (*influence.Task, *predicate.Space) { return mixedFixture(11, agg, true, perturb) },
-				Params{Bins: 4, MaxDiscreteSubset: 2, TopK: 12}, true, nil,
-			})
-		}
+		agg := agg
+		fixtures = append(fixtures, fixture{
+			"mixed-" + agg.Name(),
+			func() (*influence.Task, *predicate.Space) { return mixedFixture(11, agg, true) },
+			Params{Bins: 4, MaxDiscreteSubset: 2, TopK: 12}, true, nil,
+		})
 	}
 	for _, lambda := range []float64{0, 1} {
 		lambda := lambda
 		fixtures = append(fixtures, fixture{
 			fmt.Sprintf("mixed-sum-lambda=%v", lambda),
 			func() (*influence.Task, *predicate.Space) {
-				task, space := mixedFixture(13, aggregate.Sum{}, true, nil)
+				task, space := mixedFixture(13, aggregate.Sum{}, true)
 				task.Lambda = lambda
 				return task, space
 			},
@@ -208,10 +205,10 @@ func TestNaiveClauseSelectionEquivalence(t *testing.T) {
 	}
 	fixtures = append(fixtures,
 		fixture{"mixed-count-star",
-			func() (*influence.Task, *predicate.Space) { return mixedFixture(5, aggregate.Count{}, false, nil) },
+			func() (*influence.Task, *predicate.Space) { return mixedFixture(5, aggregate.Count{}, false) },
 			Params{Bins: 3, MaxClauses: 2}, false, nil},
 		fixture{"mixed-count-star-wide",
-			func() (*influence.Task, *predicate.Space) { return mixedFixture(5, aggregate.Count{}, false, nil) },
+			func() (*influence.Task, *predicate.Space) { return mixedFixture(5, aggregate.Count{}, false) },
 			Params{Bins: 4, MaxDiscreteSubset: 2, TopK: 12}, true, nil},
 		// Every conjunction removes positive values from both too-low
 		// outliers: every score, and so the floor, is negative.

@@ -130,12 +130,11 @@ func Plan(t *relation.Table, anchor *relation.RowSet, k int) []*relation.View {
 // false: it cannot generate candidates and should be skipped.
 func localTask(full *influence.Task, v *relation.View) (t *influence.Task, outMap, holdMap []int, ok bool) {
 	local := &influence.Task{
-		Table:   v,
-		Agg:     full.Agg,
-		AggCol:  full.AggCol,
-		Lambda:  full.Lambda,
-		C:       full.C,
-		Perturb: full.Perturb,
+		Table:  v,
+		Agg:    full.Agg,
+		AggCol: full.AggCol,
+		Lambda: full.Lambda,
+		C:      full.C,
 	}
 	for gi, g := range full.Outliers {
 		rows := v.LocalRows(g.Rows)

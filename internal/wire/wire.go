@@ -26,6 +26,10 @@
 //     either: Task no longer carries the anytime knobs (epsilon,
 //     confidence), and a worker ignores them in an older coordinator's
 //     task, answering exactly, which satisfies any error bound.
+//   - A field removal that would change an answer DOES bump Version.
+//     Version 2 dropped the value-perturbation target ("perturb"): a
+//     version-2 worker would ignore it in a version-1 task and score by
+//     tuple deletion, so it refuses version-1 tasks instead.
 package wire
 
 import (
@@ -40,7 +44,7 @@ import (
 
 // Version is the shard-task envelope version. Bump on any incompatible
 // change to Task or Result semantics.
-const Version = 1
+const Version = 2
 
 // Task is one shard's search, fully self-contained: a worker that holds
 // the same table needs nothing but this to reproduce the coordinator's
@@ -75,9 +79,8 @@ type Task struct {
 	// canonical order.
 	Attrs []string `json:"attrs"`
 	// Influence knobs (see influence.Task).
-	Lambda  float64  `json:"lambda"`
-	C       float64  `json:"c"`
-	Perturb *float64 `json:"perturb,omitempty"`
+	Lambda float64 `json:"lambda"`
+	C      float64 `json:"c"`
 	// Workers caps the worker-side search parallelism for this shard.
 	Workers int `json:"workers,omitempty"`
 	// Domains pins the coordinator's global continuous extents so every

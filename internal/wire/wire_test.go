@@ -176,6 +176,7 @@ func TestTaskValidate(t *testing.T) {
 		mutate func(*Task)
 	}{
 		{"future version", func(t *Task) { t.Version = Version + 1 }},
+		{"version 1, which may carry a perturb target", func(t *Task) { t.Version = 1 }},
 		{"no table", func(t *Task) { t.Table = "" }},
 		{"no sql", func(t *Task) { t.SQL = "" }},
 		{"negative window", func(t *Task) { t.WindowLo = -1 }},

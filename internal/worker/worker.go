@@ -70,7 +70,6 @@ func Run(ctx context.Context, tbl *relation.Table, t *wire.Task, maxWorkers int)
 		HoldOuts: holdouts,
 		Lambda:   t.Lambda,
 		C:        t.C,
-		Perturb:  t.Perturb,
 	}
 	scorer, err := influence.NewScorer(task)
 	if err != nil {

@@ -70,8 +70,8 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	}
 }
 
-// TestNonFiniteKnobsRejected: NaN and ±Inf for λ, c and Perturb are refused with an error at every entry point instead of silently
-// producing an all-NaN ranking (NaN fails "x < 0 || x > 1") or, for Perturb, collapsing every score.
+// TestNonFiniteKnobsRejected: NaN and ±Inf for λ and c are refused with an error at every entry point instead of silently
+// producing an all-NaN ranking (NaN fails "x < 0 || x > 1").
 func TestNonFiniteKnobsRejected(t *testing.T) {
 	base := Request{
 		Table:            sensorsTable(t),
@@ -89,9 +89,6 @@ func TestNonFiniteKnobsRejected(t *testing.T) {
 		{"c NaN", func(r *Request) { r.C = nan }},
 		{"c +Inf", func(r *Request) { r.C = inf }},
 		{"c -Inf", func(r *Request) { r.C = -inf }},
-		{"perturb NaN", func(r *Request) { r.Perturb = &nan }},
-		{"perturb +Inf", func(r *Request) { r.Perturb = &inf }},
-		{"perturb -Inf", func(r *Request) { v := -inf; r.Perturb = &v }},
 	}
 	for _, tc := range cases {
 		req := base

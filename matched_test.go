@@ -13,8 +13,8 @@ import (
 // re-score sums from the outlier groups' selections, equals |p(g_O)| as
 // MatchedRows evaluates it, for every explanation on every path that
 // ranks: NAIVE on a black-box aggregate, DT one-shot and over a Session's
-// c sweep with and without the selection memo, MC, a warm refresh, a
-// sharded run and perturbation mode.
+// c sweep with and without the selection memo, MC, a warm refresh and a
+// sharded run.
 func TestMatchedCountsMatchRows(t *testing.T) {
 	check := func(t *testing.T, label string, res *Result) {
 		t.Helper()
@@ -110,17 +110,5 @@ func TestMatchedCountsMatchRows(t *testing.T) {
 			}
 			check(t, "sharded "+tc.algo.String(), res)
 		}
-	})
-	t.Run("perturb", func(t *testing.T) {
-		target := 20.0
-		res := explain(t, &Request{
-			Table:            sensorsTable(t),
-			SQL:              "SELECT avg(temp), time FROM sensors GROUP BY time",
-			Outliers:         []string{"12PM", "1PM"},
-			AllOthersHoldOut: true,
-			C:                1,
-			Perturb:          &target,
-		})
-		check(t, "perturb", res)
 	})
 }

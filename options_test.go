@@ -19,29 +19,27 @@ import (
 // TestOptionSurface until it is listed here with its caller.
 var optionSurface = map[string][]string{
 	"scorpion.Request": {
-		"Table",                // cmd/scorpion, internal/server, internal/experiments
-		"SQL",                  // cmd/scorpion, internal/server, internal/experiments
-		"Outliers",             // cmd/scorpion, internal/server, internal/experiments
-		"HoldOuts",             // cmd/scorpion, internal/server, internal/experiments
-		"AllOthersHoldOut",     // cmd/scorpion, internal/server, examples
-		"Direction",            // cmd/scorpion, internal/server, internal/experiments
-		"Directions",           // library API only; TestExplainPerKeyDirections
-		"Attributes",           // cmd/scorpion, internal/server, internal/experiments
-		"AutoSelectAttributes", // library API only; TestAutoSelectAttributes
-		"Lambda",               // SetLambda: cmd/scorpion, internal/server, internal/experiments
-		"C",                    // SetC: cmd/scorpion, internal/server, examples/knob, benchmark
-		"Perturb",              // library API only; TestPerturbationModeThroughAPI
-		"Algorithm",            // cmd/scorpion, internal/server, internal/experiments
-		"Workers",              // cmd/scorpion, internal/server
-		"Shards",               // cmd/scorpion, internal/server, internal/experiments
-		"ShardDispatch",        // internal/server (the shard worker fleet)
-		"TopK",                 // cmd/scorpion, internal/server, examples
-		"OnProgress",           // internal/server (async job polls)
-		"ProgressInterval",     // internal/server (async job polls)
-		"NaiveParams",          // internal/experiments
-		"DTParams",             // internal/experiments
-		"MCParams",             // internal/experiments
-		"MergeParams",          // internal/experiments
+		"Table",            // cmd/scorpion, internal/server, internal/experiments
+		"SQL",              // cmd/scorpion, internal/server, internal/experiments
+		"Outliers",         // cmd/scorpion, internal/server, internal/experiments
+		"HoldOuts",         // cmd/scorpion, internal/server, internal/experiments
+		"AllOthersHoldOut", // cmd/scorpion, internal/server, examples
+		"Direction",        // cmd/scorpion, internal/server, internal/experiments
+		"Directions",       // library API only; TestExplainPerKeyDirections
+		"Attributes",       // cmd/scorpion, internal/server, internal/experiments
+		"Lambda",           // SetLambda: cmd/scorpion, internal/server, internal/experiments
+		"C",                // SetC: cmd/scorpion, internal/server, examples/knob, benchmark
+		"Algorithm",        // cmd/scorpion, internal/server, internal/experiments
+		"Workers",          // cmd/scorpion, internal/server
+		"Shards",           // cmd/scorpion, internal/server, internal/experiments
+		"ShardDispatch",    // internal/server (the shard worker fleet)
+		"TopK",             // cmd/scorpion, internal/server, examples
+		"OnProgress",       // internal/server (async job polls)
+		"ProgressInterval", // internal/server (async job polls)
+		"NaiveParams",      // internal/experiments
+		"DTParams",         // internal/experiments
+		"MCParams",         // internal/experiments
+		"MergeParams",      // internal/experiments
 	},
 	"naive.Params": {
 		"Bins",              // explain.go (Plan's grid), internal/worker, internal/experiments
@@ -76,7 +74,7 @@ var optionSurface = map[string][]string{
 }
 
 // TestOptionSurface pins the option surface: the exported fields of
-// Request and the naive, dt, mc, merge and shard Params, 43 in all.
+// Request and the naive, dt, mc, merge and shard Params, 41 in all.
 func TestOptionSurface(t *testing.T) {
 	structs := map[string]reflect.Type{
 		"scorpion.Request": reflect.TypeFor[Request](),
@@ -102,7 +100,7 @@ func TestOptionSurface(t *testing.T) {
 	if len(optionSurface) != len(structs) {
 		t.Errorf("optionSurface lists %d structs, the test reflects over %d", len(optionSurface), len(structs))
 	}
-	if total != 43 {
-		t.Errorf("option surface has %d fields, want 43", total)
+	if total != 41 {
+		t.Errorf("option surface has %d fields, want 41", total)
 	}
 }

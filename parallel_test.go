@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,10 +101,25 @@ func TestWorkersDeterministicAcrossAlgorithms(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits, up to a deadline, for the goroutine count to
+// return to baseline: a cancelled search must not leave a worker behind.
+func settleGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the search, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestExplainContextPreCancelled checks an already-expired context returns
-// promptly with context.DeadlineExceeded surfaced.
+// promptly with context.DeadlineExceeded surfaced, leaving no goroutine
+// behind.
 func TestExplainContextPreCancelled(t *testing.T) {
 	req := synthRequest(t, "avg", 100)
+	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
@@ -114,15 +130,18 @@ func TestExplainContextPreCancelled(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("pre-cancelled ExplainContext took %s", elapsed)
 	}
+	settleGoroutines(t, baseline)
 }
 
 // TestExplainContextShortDeadline checks a deadline that expires mid-search
 // interrupts a NAIVE run promptly, surfaces context.DeadlineExceeded, and
-// still returns the best-so-far partial result with Stats annotated.
+// still returns the best-so-far partial result with Stats annotated; its
+// two workers exit with it.
 func TestExplainContextShortDeadline(t *testing.T) {
 	req := synthRequest(t, "median", 600) // black-box NAIVE: slow exhaustive search
 	req.Algorithm = Naive
 	req.Workers = 2
+	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -143,13 +162,16 @@ func TestExplainContextShortDeadline(t *testing.T) {
 	if elapsed > 15*time.Second {
 		t.Fatalf("interrupted search took %s, want prompt return", elapsed)
 	}
+	settleGoroutines(t, baseline)
 }
 
 // TestExplainContextCancelMidSearch checks explicit cancellation (the
-// client-disconnect path) is surfaced as context.Canceled with partials.
+// client-disconnect path) is surfaced as context.Canceled with partials,
+// and leaves no goroutine behind.
 func TestExplainContextCancelMidSearch(t *testing.T) {
 	req := synthRequest(t, "median", 600)
 	req.Algorithm = Naive
+	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -162,6 +184,7 @@ func TestExplainContextCancelMidSearch(t *testing.T) {
 	if res == nil || !res.Stats.Interrupted {
 		t.Fatal("cancelled search should return an interrupted partial result")
 	}
+	settleGoroutines(t, baseline)
 }
 
 // TestExplainContextCompletesUncancelled checks ExplainContext with a

@@ -69,7 +69,7 @@ type Plan struct {
 
 // Plan validates r and resolves its defaults. It fails, naming the knob,
 // on a request no search could answer: no table, SQL or outliers, shards
-// below 0, λ outside [0, 1], c below 0, λ, c or Perturb non-finite, or an
+// below 0, λ outside [0, 1], c below 0, λ or c non-finite, or an
 // outlier or hold-out key listed twice.
 func (r *Request) Plan() (*Plan, error) {
 	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
@@ -96,8 +96,6 @@ func (r *Request) Plan() (*Plan, error) {
 		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
 	case !(p.c >= 0) || math.IsInf(p.c, 1):
 		return nil, fmt.Errorf("scorpion: c %v must be finite and >= 0", p.c)
-	case r.Perturb != nil && (math.IsNaN(*r.Perturb) || math.IsInf(*r.Perturb, 0)):
-		return nil, fmt.Errorf("scorpion: perturb %v must be finite", *r.Perturb)
 	}
 	if p.topK <= 0 {
 		p.topK = defaultTopK
@@ -235,8 +233,8 @@ func (p *Plan) encode(b []byte) []byte {
 	for _, key := range p.holdOuts {
 		b = appendString(b, key)
 	}
-	// Explicit hold-outs win over AllOthersHoldOut, and Attributes over
-	// AutoSelectAttributes: the losing knob is inert.
+	// Explicit hold-outs win over AllOthersHoldOut: the losing knob is
+	// inert.
 	allOthers := byte(0)
 	if len(r.HoldOuts) == 0 && r.AllOthersHoldOut {
 		allOthers = 1
@@ -246,17 +244,7 @@ func (p *Plan) encode(b []byte) []byte {
 	for _, a := range r.Attributes {
 		b = appendString(b, a)
 	}
-	autoSelect := 0
-	if len(r.Attributes) == 0 {
-		autoSelect = r.AutoSelectAttributes
-	}
-	b = binary.AppendVarint(b, int64(autoSelect))
 	b = appendFloat(b, p.lambda)
-	if r.Perturb != nil {
-		b = appendFloat(append(b, 1), *r.Perturb)
-	} else {
-		b = append(b, 0)
-	}
 	b = binary.AppendVarint(b, int64(r.Algorithm))
 	b = binary.AppendVarint(b, int64(p.topK))
 	return binary.AppendVarint(b, int64(r.Shards))

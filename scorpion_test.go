@@ -1,7 +1,6 @@
 package scorpion
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -294,77 +293,5 @@ func TestAlgorithmString(t *testing.T) {
 		if algo.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(algo), algo.String(), want)
 		}
-	}
-}
-
-func TestAutoSelectAttributes(t *testing.T) {
-	// Add a junk attribute to the sensors table; auto-selection must keep
-	// the informative ones and still find the culprit.
-	schema, err := NewSchema(
-		Column{Name: "time", Kind: Discrete},
-		Column{Name: "sensorid", Kind: Discrete},
-		Column{Name: "voltage", Kind: Continuous},
-		Column{Name: "junk", Kind: Continuous},
-		Column{Name: "temp", Kind: Continuous},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder(schema)
-	times := []string{"11AM", "12PM", "1PM"}
-	for ti, tm := range times {
-		for s := 1; s <= 3; s++ {
-			temp, volt := 35.0, 2.7
-			if s == 3 && ti > 0 {
-				temp, volt = 90+float64(ti)*10, 2.3
-			}
-			b.MustAppend(Row{S(tm), S(fmt.Sprintf("%d", s)),
-				F(volt), F(float64((ti*3 + s) % 2)), F(temp)})
-		}
-	}
-	res, err := Explain(&Request{
-		Table:                b.Build(),
-		SQL:                  "SELECT avg(temp), time FROM sensors GROUP BY time",
-		Outliers:             []string{"12PM", "1PM"},
-		AllOthersHoldOut:     true,
-		Direction:            TooHigh,
-		C:                    1,
-		AutoSelectAttributes: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := res.Explanations[0]
-	if strings.Contains(top.Where, "junk") {
-		t.Errorf("auto-selection kept the junk attribute: %q", top.Where)
-	}
-	if !strings.Contains(top.Where, "sensorid in ('3')") &&
-		!strings.Contains(top.Where, "voltage") {
-		t.Errorf("explanation %q misses the culprit", top.Where)
-	}
-}
-
-func TestPerturbationModeThroughAPI(t *testing.T) {
-	target := 20.0
-	res, err := Explain(&Request{
-		Table:            sensorsTable(t),
-		SQL:              "SELECT avg(temp), time FROM sensors GROUP BY time",
-		Outliers:         []string{"12PM", "1PM"},
-		AllOthersHoldOut: true,
-		Direction:        TooHigh,
-		C:                1,
-		Perturb:          &target,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := res.Explanations[0]
-	if !strings.Contains(top.Where, "sensorid in ('3')") &&
-		!strings.Contains(top.Where, "voltage") {
-		t.Errorf("perturbation-mode explanation = %q", top.Where)
-	}
-	// Matched rows (provenance reduction) must expose T6 and T9.
-	if matched := res.MatchedRows(0); !matched.Contains(5) || !matched.Contains(8) {
-		t.Errorf("Matched rows = %v, want {5, 8}", matched)
 	}
 }

@@ -229,10 +229,10 @@ func refreshMatchesFullRescan(t *testing.T, sess *Session, r *Request, gen int64
 // TestSessionTailRefreshMatchesFullRescan: a warm refresh tests only the
 // rows its pool's selections have not absorbed, and still answers what a
 // full re-scan of every group answers, bit for bit — over K append batches,
-// NAIVE, MC and (through NewRefresher) DT, perturbation on and off, sum,
-// count(*) and avg, explicit and all-others hold-outs.
+// NAIVE, MC and (through NewRefresher) DT, sum, count(*) and avg, the
+// default c and c = 0 (influence unscaled by cardinality), explicit and
+// all-others hold-outs.
 func TestSessionTailRefreshMatchesFullRescan(t *testing.T) {
-	target := 20.0
 	for _, k := range []int{1, 2, 7} {
 		base, batches, outliers, others, dims := tailFixture(t, k)
 		for _, algo := range []Algorithm{Naive, MC, DT} {
@@ -240,15 +240,16 @@ func TestSessionTailRefreshMatchesFullRescan(t *testing.T) {
 				if algo == MC && agg == "avg(v)" {
 					continue // MC needs an anti-monotonic aggregate
 				}
-				for _, perturb := range []*float64{nil, &target} {
+				for _, c := range []float64{DefaultC, 0} {
 					for _, allOthers := range []bool{true, false} {
-						name := fmt.Sprintf("K=%d/%s/%s/perturb=%v/all-others=%v", k, algo, agg, perturb != nil, allOthers)
+						name := fmt.Sprintf("K=%d/%s/%s/c=%v/all-others=%v", k, algo, agg, c, allOthers)
 						t.Run(name, func(t *testing.T) {
 							req := &Request{
 								Table: base, SQL: "SELECT " + agg + ", g FROM synth GROUP BY g",
-								Outliers: outliers, Attributes: dims, Algorithm: algo, Perturb: perturb,
+								Outliers: outliers, Attributes: dims, Algorithm: algo,
 								NaiveParams: &naive.Params{Bins: 5},
 							}
+							req.SetC(c)
 							if allOthers {
 								req.AllOthersHoldOut = true
 							} else {

@@ -16,7 +16,6 @@ import (
 	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/partition/dt"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
@@ -32,12 +31,13 @@ import (
 func BenchmarkExplainParallel(b *testing.B) {
 	cases := []struct {
 		name string
-		algo scorpionAlgo
+		algo Algorithm
+		bins int
 		agg  string
 	}{
-		{"naive", scorpionAlgo{Naive, &naive.Params{Bins: 8}}, "median"},
-		{"dt", scorpionAlgo{DT, nil}, "avg"},
-		{"mc", scorpionAlgo{MC, nil}, "sum"},
+		{"naive", Naive, 8, "median"},
+		{"dt", DT, 0, "avg"},
+		{"mc", MC, 0, "sum"},
 	}
 	ds := synth.Generate(synth.Config{
 		Dims: 2, TuplesPerGroup: 600, Groups: 6, OutlierGroups: 3, Mu: 80, Seed: 13,
@@ -52,8 +52,8 @@ func BenchmarkExplainParallel(b *testing.B) {
 					AllOthersHoldOut: true,
 					Direction:        TooHigh,
 					Attributes:       ds.DimNames(),
-					Algorithm:        tc.algo.algo,
-					NaiveParams:      tc.algo.naiveParams,
+					Algorithm:        tc.algo,
+					Bins:             tc.bins,
 					Workers:          workers,
 				}
 				b.ResetTimer()
@@ -71,12 +71,6 @@ func BenchmarkExplainParallel(b *testing.B) {
 			})
 		}
 	}
-}
-
-// scorpionAlgo bundles an algorithm choice with its NAIVE tuning.
-type scorpionAlgo struct {
-	algo        Algorithm
-	naiveParams *naive.Params
 }
 
 // BenchmarkExplainSharded measures sharding ONE NAIVE Explain across
@@ -105,7 +99,7 @@ func BenchmarkExplainSharded(b *testing.B) {
 			Direction:        TooHigh,
 			Attributes:       ds.DimNames(),
 			Algorithm:        Naive,
-			NaiveParams:      &naive.Params{Bins: 10},
+			Bins:             10,
 			Workers:          1,
 			Shards:           shards,
 		}

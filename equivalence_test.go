@@ -12,7 +12,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
@@ -45,14 +44,14 @@ func TestAppendIngestionEquivalentToOneShot(t *testing.T) {
 	oneShot := ds.Table
 
 	algos := []struct {
-		name        string
-		algo        Algorithm
-		agg         string
-		naiveParams *naive.Params
+		name string
+		algo Algorithm
+		agg  string
+		bins int
 	}{
-		{"naive", Naive, "sum", &naive.Params{Bins: 8}},
-		{"mc", MC, "sum", nil},
-		{"dt", DT, "avg", nil},
+		{"naive", Naive, "sum", 8},
+		{"mc", MC, "sum", 0},
+		{"dt", DT, "avg", 0},
 	}
 	request := func(tbl *Table, a int, shards int) *Request {
 		return &Request{
@@ -63,7 +62,7 @@ func TestAppendIngestionEquivalentToOneShot(t *testing.T) {
 			Direction:        TooHigh,
 			Attributes:       ds.DimNames(),
 			Algorithm:        algos[a].algo,
-			NaiveParams:      algos[a].naiveParams,
+			Bins:             algos[a].bins,
 			Shards:           shards,
 		}
 	}

@@ -114,14 +114,17 @@ type Request struct {
 	Shards int
 	// ShardDispatch, when non-nil, offers each shard search of a sharded
 	// run to a remote worker fleet (see internal/dispatch) before running
-	// it locally. Only grid-based algorithms (NAIVE, MC) with default
-	// tuning — Bins and TopK aside — dispatch; everything else, and every
-	// shard whose dispatch fails, runs locally. Because the coordinator's
-	// post-processing and combiner are identical for both paths, remote
-	// and local runs return identical results.
+	// it locally. Only the grid algorithms (NAIVE, MC) dispatch; DT, and
+	// every shard whose dispatch fails, runs locally. Because the
+	// coordinator's post-processing and combiner are identical for both
+	// paths, remote and local runs return identical results.
 	ShardDispatch ShardDispatcher
 	// TopK bounds the returned explanations (default 5).
 	TopK int
+	// Bins is the number of equi-width ranges per continuous attribute in
+	// the clause grid NAIVE and MC search; 0 means the paper's 15. DT
+	// splits on the data and has no grid.
+	Bins int
 
 	// OnProgress, when non-nil, is invoked periodically while the search
 	// runs with a best-so-far snapshot: elapsed time, scorer calls, and the
@@ -131,13 +134,6 @@ type Request struct {
 	OnProgress func(Progress)
 	// ProgressInterval is the OnProgress sampling period; 0 means 200ms.
 	ProgressInterval time.Duration
-
-	// NaiveParams, DTParams, MCParams and MergeParams override algorithm
-	// tuning knobs when non-nil.
-	NaiveParams *naive.Params
-	DTParams    *dt.Params
-	MCParams    *mc.Params
-	MergeParams *merge.Params
 }
 
 // SetLambda sets the λ trade-off, honoring explicit zeros: unlike a plain
@@ -412,10 +408,8 @@ func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space,
 		// searchers' grid; DT has no grid, so its lattice stays
 		// candidate-derived.
 		params := shard.Params{GridBins: p.Bins(algo)}
-		if p.req.MergeParams != nil {
-			params.Merge = *p.req.MergeParams
-		}
-		if p.req.ShardDispatch != nil && p.remote(algo) {
+		// A worker reproduces a grid search from Bins and ShardTopK alone.
+		if p.req.ShardDispatch != nil && p.Bins(algo) > 0 {
 			params.Remote = p.req.ShardDispatch.Remote(p, algo)
 		}
 		if coord := shard.NewCoordinator(scorer, space, factory, p.shards, params); coord.NumShards() > 1 {
@@ -424,7 +418,9 @@ func buildTopSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space,
 		// The planner collapsed to one slice (tiny table or concentrated
 		// outliers): run unsharded.
 	}
-	s, err := buildSearcher(p, scorer, space, algo, nil, 0)
+	// Unsharded NAIVE keeps at least the Plan's top-k, never fewer than
+	// its own default.
+	s, err := buildSearcher(p, scorer, space, algo, nil, max(p.topK, naive.DefaultTopK))
 	return s, nil, err
 }
 
@@ -550,50 +546,16 @@ func chooseAlgorithm(req *Request, scorer *influence.Scorer) (Algorithm, error) 
 // budget, so all three strategies share one execution spine. domains, when
 // non-nil, pins the continuous clause-grid extents (a shard-local searcher
 // receives the global outlier extents so every shard enumerates the grid
-// the unsharded search would), and a positive topK overrides NAIVE's
-// candidate retention (a shard's ShardTopK).
+// the unsharded search would), and topK is how many candidates NAIVE
+// retains.
 func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, algo Algorithm, domains map[int]predicate.Domain, topK int) (partition.Searcher, error) {
-	req := &p.req
 	switch algo {
 	case Naive:
-		params := naive.Params{}
-		if req.NaiveParams != nil {
-			params = *req.NaiveParams
-		}
-		params.Bins = p.naiveBins
-		if topK > 0 {
-			params.TopK = topK
-		}
-		if domains != nil {
-			params.Domains = domains
-		}
-		return naive.NewSearcher(scorer, space, params), nil
-
+		return naive.NewSearcher(scorer, space, naive.Params{Bins: p.bins, TopK: topK, Domains: domains}), nil
 	case DT:
-		params := dt.Params{}
-		if req.DTParams != nil {
-			params = *req.DTParams
-		}
-		mergeParams := merge.Params{TopQuartileOnly: true}
-		if req.MergeParams != nil {
-			mergeParams = *req.MergeParams
-		}
-		return &dtSearcher{scorer: scorer, space: space, params: params, mergeParams: mergeParams}, nil
-
+		return &dtSearcher{scorer: scorer, space: space}, nil
 	case MC:
-		params := mc.Params{}
-		if req.MCParams != nil {
-			params = *req.MCParams
-		}
-		params.Bins = p.mcBins
-		if req.MergeParams != nil {
-			params.Merge = *req.MergeParams
-		}
-		if domains != nil {
-			params.Domains = domains
-		}
-		return mc.NewSearcher(scorer, space, params), nil
-
+		return mc.NewSearcher(scorer, space, mc.Params{Bins: p.bins, Domains: domains}), nil
 	default:
 		return nil, fmt.Errorf("scorpion: unknown algorithm %v", algo)
 	}
@@ -608,13 +570,11 @@ func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, al
 // re-score all score boxes through one Lattice, lat, which the spine drops
 // once the re-score is done.
 type dtSearcher struct {
-	scorer      *influence.Scorer
-	space       *predicate.Space
-	params      dt.Params
-	mergeParams merge.Params
-	part        *dt.Partitioning
-	seeds       []partition.Candidate
-	lat         *influence.Lattice
+	scorer *influence.Scorer
+	space  *predicate.Space
+	part   *dt.Partitioning
+	seeds  []partition.Candidate
+	lat    *influence.Lattice
 }
 
 func (s *dtSearcher) Name() string { return "dt" }
@@ -623,7 +583,7 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	pt := s.part
 	if pt == nil {
 		var err error
-		if pt, err = dt.PartitionPool(pool, s.scorer, s.space, s.params); err != nil {
+		if pt, err = dt.PartitionPool(pool, s.scorer, s.space, dt.Params{}); err != nil {
 			return nil, err
 		}
 		if !pt.Interrupted {
@@ -636,7 +596,7 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	span.End()
 	// The scored leaves are a valid partial answer while the merge runs.
 	pool.PublishBest(cands)
-	merged := merge.New(s.scorer, s.space, s.mergeParams).WithPool(pool).WithLattice(s.lat).WithAlgo("dt").MergeSeeded(cands, s.seeds)
+	merged := merge.New(s.scorer, s.space, merge.Params{TopQuartileOnly: true}).WithPool(pool).WithLattice(s.lat).WithAlgo("dt").MergeSeeded(cands, s.seeds)
 	pool.PublishBest(merged)
 	return &partition.Outcome{
 		Candidates:  merged,

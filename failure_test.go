@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/catalog"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 )
 
 func TestExplainMalformedCSVKinds(t *testing.T) {
@@ -370,10 +369,9 @@ func TestNaNRankingDeterministicAcrossWorkers(t *testing.T) {
 				AllOthersHoldOut: true,
 				Algorithm:        algo,
 				Shards:           1,
-				TopK:             200,
-				// Keep every NAIVE candidate, so the NaN ones reach the
-				// final ranking instead of being cut by the search's top-k.
-				NaiveParams: &naive.Params{TopK: 200},
+				// NAIVE retains the request's top-k, so every candidate,
+				// NaN ones included, reaches the final ranking.
+				TopK: 200,
 			}
 			serial, err := Explain(req)
 			if err != nil {

@@ -13,7 +13,6 @@ import (
 	scorpion "github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/partition"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/shard"
@@ -64,7 +63,7 @@ func testPlan(t *testing.T) *scorpion.Plan {
 	t.Helper()
 	p, err := (&scorpion.Request{
 		Table: testTable(t), SQL: "SELECT sum(v), g FROM t GROUP BY g", Outliers: []string{"out"},
-		NaiveParams: &naive.Params{Bins: 6, TopK: 4},
+		Bins: 6,
 	}).Plan()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func okWorker(t *testing.T, hits *atomic.Int64) *httptest.Server {
 			t.Errorf("worker: invalid task: %v", err)
 		}
 		if task.Table != "readings" || task.WindowLo != 10 || task.WindowHi != 30 ||
-			task.Algorithm != "naive" || task.Bins != 6 || task.TopK != 4 {
+			task.Algorithm != "naive" || task.Bins != 6 || task.TopK != shard.DefaultTopPerShard {
 			t.Errorf("worker: wrong task envelope: %+v", task)
 		}
 		json.NewEncoder(w).Encode(wire.EncodeOutcome(cannedOutcome(t)))

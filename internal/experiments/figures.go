@@ -111,8 +111,9 @@ func Figure11(s Scale, w io.Writer) ([]Figure11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := naive.RunContext(context.Background(), scorer, space,
-			naive.Params{Bins: s.Bins, Deadline: s.NaiveDeadline}, 1)
+		ctx, cancel := s.naiveContext()
+		res, err := naive.RunContext(ctx, scorer, space, naive.Params{Bins: s.Bins}, 1)
+		cancel()
 		if err != nil {
 			return nil, err
 		}
@@ -302,7 +303,7 @@ func Figure16(s Scale, w io.Writer) ([]Figure16Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				fresh, err := explain(req)
+				fresh, err := explain(context.Background(), req)
 				if err != nil {
 					return nil, err
 				}

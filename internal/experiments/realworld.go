@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -8,9 +9,6 @@ import (
 	"github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/datasets"
 	"github.com/scorpiondb/scorpion/internal/eval"
-	"github.com/scorpiondb/scorpion/internal/merge"
-	"github.com/scorpiondb/scorpion/internal/partition/dt"
-	"github.com/scorpiondb/scorpion/internal/partition/mc"
 	"github.com/scorpiondb/scorpion/internal/relation"
 )
 
@@ -102,7 +100,6 @@ func ExpenseWorkload(scale ExpenseScale, w io.Writer) ([]RealWorldRow, error) {
 			"payee_tp", "memo"},
 		Algorithm: scorpion.MC,
 		Shards:    1,
-		MCParams:  &mc.Params{MaxDiscreteValues: 60},
 	}
 	rows, err := realWorldSweep("EXPENSE", req, []float64{1, 0.5, 0.2, 0.1, 0.05}, ds.TruthRows)
 	if err != nil {
@@ -121,7 +118,7 @@ func realWorldSweep(workload string, req *scorpion.Request, cs []float64, truth 
 	var rows []RealWorldRow
 	for _, c := range cs {
 		req.SetC(c)
-		res, err := explain(req)
+		res, err := explain(context.Background(), req)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s at c=%v: %w", workload, c, err)
 		}
@@ -152,20 +149,18 @@ func writeRealWorld(w io.Writer, rows []RealWorldRow) {
 func RunningExample(w io.Writer) (string, error) {
 	tbl := runningExampleTable()
 	req := &scorpion.Request{
-		Table:       tbl,
-		SQL:         "SELECT avg(temp), time FROM sensors GROUP BY time",
-		Outliers:    []string{"12PM", "1PM"},
-		HoldOuts:    []string{"11AM"},
-		Direction:   scorpion.TooHigh,
-		Attributes:  []string{"sensorid", "voltage", "humidity"},
-		Algorithm:   scorpion.DT,
-		Shards:      1,
-		DTParams:    &dt.Params{DisableSampling: true},
-		MergeParams: &merge.Params{},
+		Table:      tbl,
+		SQL:        "SELECT avg(temp), time FROM sensors GROUP BY time",
+		Outliers:   []string{"12PM", "1PM"},
+		HoldOuts:   []string{"11AM"},
+		Direction:  scorpion.TooHigh,
+		Attributes: []string{"sensorid", "voltage", "humidity"},
+		Algorithm:  scorpion.DT,
+		Shards:     1,
 	}
 	req.SetLambda(0.5)
 	req.SetC(1)
-	res, err := explain(req)
+	res, err := explain(context.Background(), req)
 	if err != nil {
 		return "", err
 	}

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/eval"
-	"github.com/scorpiondb/scorpion/internal/partition/mc"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
@@ -20,9 +19,10 @@ type Scale struct {
 	TuplesPerGroup int
 	// Groups and OutlierGroups shape SYNTH (paper: 10 and 5).
 	Groups, OutlierGroups int
-	// Bins for NAIVE/MC unit granularity (paper: 15).
+	// Bins for NAIVE/MC unit granularity (paper: 15): the request's Bins.
 	Bins int
-	// NaiveDeadline bounds each NAIVE run (paper: 40 min).
+	// NaiveDeadline bounds each NAIVE run (paper: 40 min) as the deadline
+	// of its context.
 	NaiveDeadline time.Duration
 	// Algorithms optionally restricts the grid experiments (Figures 12-14)
 	// to a subset of {"naive", "dt", "mc"}; nil means all three.
@@ -91,6 +91,9 @@ type AlgoOutcome struct {
 	Score     float64
 	// Elapsed is the run's Stats.Duration: plan, search and rank.
 	Elapsed time.Duration
+	// Interrupted is the run's Stats.Interrupted: NAIVE reached
+	// NaiveDeadline, and Best is the best predicate found by then.
+	Interrupted bool
 	// InnerAcc and OuterAcc compare against the two ground-truth cubes.
 	InnerAcc, OuterAcc eval.Accuracy
 	// ScorerCalls counts influence evaluations.
@@ -113,9 +116,14 @@ func (s Scale) RunAlgorithm(algo string, ds *synth.Dataset, c float64) (AlgoOutc
 		return AlgoOutcome{}, fmt.Errorf("eval: unknown algorithm %q", algo)
 	}
 	req := synthRequest(ds, "sum", a, c)
-	req.NaiveParams = &naive.Params{Bins: s.Bins, Deadline: s.NaiveDeadline}
-	req.MCParams = &mc.Params{Bins: s.Bins}
-	res, err := explain(req)
+	req.Bins = s.Bins
+	ctx := context.Background()
+	if a == scorpion.Naive {
+		var cancel context.CancelFunc
+		ctx, cancel = s.naiveContext()
+		defer cancel()
+	}
+	res, err := explain(ctx, req)
 	if err != nil {
 		return AlgoOutcome{Algorithm: algo}, err
 	}
@@ -126,10 +134,17 @@ func (s Scale) RunAlgorithm(algo string, ds *synth.Dataset, c float64) (AlgoOutc
 		Best:        best.Predicate,
 		Score:       best.Influence,
 		Elapsed:     res.Stats.Duration,
+		Interrupted: res.Stats.Interrupted,
 		InnerAcc:    eval.Score(best.Predicate, ds.Table, gO, ds.InnerRows),
 		OuterAcc:    eval.Score(best.Predicate, ds.Table, gO, ds.OuterRows),
 		ScorerCalls: res.Stats.ScorerCalls,
 	}, nil
+}
+
+// naiveContext is the context one NAIVE run searches under: it expires
+// after NaiveDeadline.
+func (s Scale) naiveContext() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), s.NaiveDeadline)
 }
 
 // synthRequest is the SYNTH query SELECT agg(v), g GROUP BY g as one
@@ -152,10 +167,12 @@ func synthRequest(ds *synth.Dataset, agg string, algo scorpion.Algorithm, c floa
 	return req
 }
 
-// explain runs req through the library and fails when it found nothing.
-func explain(req *scorpion.Request) (*scorpion.Result, error) {
-	res, err := scorpion.ExplainContext(context.Background(), req)
-	if err != nil {
+// explain runs req through the library under ctx and fails when it found
+// nothing. A search stopped by ctx's deadline is no failure: its partial
+// result, marked Stats.Interrupted, stands.
+func explain(ctx context.Context, req *scorpion.Request) (*scorpion.Result, error) {
+	res, err := scorpion.ExplainContext(ctx, req)
+	if err != nil && (res == nil || !errors.Is(err, context.DeadlineExceeded)) {
 		return nil, err
 	}
 	if len(res.Explanations) == 0 {

@@ -118,6 +118,24 @@ func TestSmokeFigure13And14(t *testing.T) {
 	}
 }
 
+// TestSmokeNaiveDeadline: a NAIVE cell its deadline stops
+// keeps the best predicate found by then, flagged Interrupted, instead of
+// failing. Quick 4-D NAIVE runs for seconds, far past the deadline.
+func TestSmokeNaiveDeadline(t *testing.T) {
+	s := QuickScale()
+	s.NaiveDeadline = 300 * time.Millisecond
+	out, err := s.RunAlgorithm("naive", s.synthDataset(4, mu("Hard")), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Interrupted {
+		t.Fatalf("NAIVE finished 4-D inside %v; the cell needs a longer search", s.NaiveDeadline)
+	}
+	if out.Best.NumClauses() == 0 || !(out.Score > 0) {
+		t.Errorf("interrupted NAIVE kept %q at influence %v, want its best-so-far", out.Best.Key(), out.Score)
+	}
+}
+
 func TestSmokeFigure15(t *testing.T) {
 	s := tinyScale()
 	rows, err := Figure15(s, nil)

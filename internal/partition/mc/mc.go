@@ -37,14 +37,9 @@ type Params struct {
 	// Bins is the number of equi-width units per continuous attribute
 	// (paper: 15).
 	Bins int
-	// MaxDiscreteValues caps the units of a discrete attribute to the
-	// values with the highest single-tuple influence; 0 = no cap.
-	MaxDiscreteValues int
 	// MaxUnits caps the candidate population per generation (safety valve
 	// against joins exploding on dense data); 0 = 4096.
 	MaxUnits int
-	// Merge configures the embedded Merger.
-	Merge merge.Params
 	// Domains optionally overrides the continuous unit-grid extents per
 	// column index (see naive.Params.Domains): a sharded search passes the
 	// global outlier extents so every shard builds an identical unit grid.
@@ -208,41 +203,11 @@ func (m *runner) initContinuousUnits(col int) {
 
 func (m *runner) initDiscreteUnits(col int) {
 	t := m.task.Table
-	codes := t.DistinctCodes(col, m.gO)
 	name := m.space.Name(col)
-	if cap := m.params.MaxDiscreteValues; cap > 0 && len(codes) > cap {
-		codes = m.topCodesByInfluence(col, codes, cap)
-	}
-	for _, c := range codes {
+	for _, c := range t.DistinctCodes(col, m.gO) {
 		p := predicate.MustNew(predicate.NewSetClause(col, name, []int32{c}))
 		m.addUnit(p)
 	}
-}
-
-// topCodesByInfluence keeps the cap codes whose best tuple influence is
-// highest — the only codes whose units could survive pruning.
-func (m *runner) topCodesByInfluence(col int, codes []int32, cap int) []int32 {
-	colCodes := m.task.Table.Codes(col)
-	best := make(map[int32]float64, len(codes))
-	for _, c := range codes {
-		best[c] = math.Inf(-1)
-	}
-	m.gO.ForEach(func(r int) {
-		c := colCodes[r]
-		if v := m.tupleInf[r]; v > best[c] {
-			best[c] = v
-		}
-	})
-	kept := append([]int32(nil), codes...)
-	// Partial selection: simple sort is fine at these cardinalities.
-	for i := 0; i < len(kept); i++ {
-		for j := i + 1; j < len(kept); j++ {
-			if best[kept[j]] > best[kept[i]] {
-				kept[i], kept[j] = kept[j], kept[i]
-			}
-		}
-	}
-	return kept[:cap]
 }
 
 func (m *runner) addUnit(p predicate.Predicate) {
@@ -275,7 +240,7 @@ func (m *runner) run() (*Result, error) {
 	}
 	maxIter := len(m.space.Columns())
 
-	merger := merge.New(m.scorer, m.space, m.params.Merge).WithPool(m.pool).WithAlgo("mc")
+	merger := merge.New(m.scorer, m.space, merge.Params{}).WithPool(m.pool).WithAlgo("mc")
 	global := partition.Candidate{Score: math.Inf(-1)}
 	haveGlobal := false
 	prevBest := math.Inf(-1) // the pseudocode's `best`: Null initially

@@ -205,14 +205,6 @@ func TestMCDiscreteAttributes(t *testing.T) {
 	}
 }
 
-func TestMCMaxDiscreteValuesCap(t *testing.T) {
-	scorer, space, _ := setup(t, 2, 120, 80, 0.1)
-	_, err := RunContext(context.Background(), scorer, space, Params{MaxDiscreteValues: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMCPruningKeepsOptimalReachable(t *testing.T) {
 	// With pruning, MC must still match a prune-free run's best score on a
 	// small instance.

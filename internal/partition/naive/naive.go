@@ -1,7 +1,7 @@
 // Package naive implements Scorpion's exhaustive NAIVE partitioner (§4.2),
 // with the §8.2 modifications: predicates are enumerated in increasing
 // complexity (max discrete-clause size, then number of clauses), the search
-// respects a wall-clock deadline, and the best predicate found so far is
+// stops when its context does, and the best predicate found so far is
 // recorded over time so convergence curves (Figure 11) can be reproduced.
 //
 // NAIVE makes no assumptions about the aggregate, so it is the fallback for
@@ -42,9 +42,8 @@ type Params struct {
 	MaxClauses int
 	// MaxDiscreteSubset caps discrete clause sizes; 0 = attribute cardinality.
 	MaxDiscreteSubset int
-	// Deadline bounds the wall-clock search time; 0 = unbounded.
-	Deadline time.Duration
-	// TopK is how many of the best candidates to retain (default 10).
+	// TopK is how many of the best candidates to retain (default
+	// DefaultTopK).
 	TopK int
 	// Domains optionally overrides the continuous-range grid extents per
 	// column index. A sharded search passes the GLOBAL outlier extents so
@@ -61,13 +60,17 @@ type Params struct {
 	Estimator *estimate.Estimator
 }
 
+// DefaultTopK is how many candidates a search retains when Params.TopK is
+// unset.
+const DefaultTopK = 10
+
 // withDefaults fills zero fields with paper defaults.
 func (p Params) withDefaults() Params {
 	if p.Bins <= 0 {
 		p.Bins = 15
 	}
 	if p.TopK <= 0 {
-		p.TopK = 10
+		p.TopK = DefaultTopK
 	}
 	return p
 }
@@ -100,8 +103,6 @@ type Result struct {
 	// Gated counts the predicates the exact path gated on their outlier
 	// bound; SkippedHoldOuts the hold-out group scans it skipped.
 	Gated, SkippedHoldOuts int64
-	// TimedOut reports whether the Deadline cut the search short.
-	TimedOut bool
 	// Interrupted reports whether context cancellation cut the search
 	// short; TopK then holds the best predicates found so far.
 	Interrupted bool
@@ -137,7 +138,6 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 	}
 
 	res.Enumerated = e.produced
-	res.TimedOut = e.timedOut
 	res.Interrupted = e.interrupted
 	if best, ok := partition.Top(res.TopK); ok {
 		res.Best = best
@@ -322,8 +322,8 @@ func (t *clauseTable) fill(c conj, b *conjBatch, lo, hi int) {
 	})
 }
 
-// checkInterval is how many emitted predicates pass between deadline and
-// cancellation checks.
+// checkInterval is how many emitted predicates pass between cancellation
+// checks.
 const checkInterval = 64
 
 // conj is one enumerated conjunction by reference into the clause
@@ -353,7 +353,6 @@ type enumerator struct {
 	sets        []attrClauses
 	pool        *partition.Pool
 	done        bool
-	timedOut    bool
 	interrupted bool
 	produced    int64
 	sink        func(c conj, seq int64)
@@ -441,7 +440,7 @@ func (e *enumerator) enumerateSubsets(set *attrClauses, size, minSize, from int,
 // emit hands a fully-assembled conjunction to the sink, de-duplicating
 // across complexity passes: a conjunction is emitted only in the pass equal
 // to its largest discrete clause (or pass 1 when it has none). Every
-// checkInterval emissions it polls the deadline and the pool's context.
+// checkInterval emissions it polls the pool's context.
 func (e *enumerator) emit(c conj, size int) {
 	complexity := 1
 	c.terms(func(attr int, atoms []int32) {
@@ -457,15 +456,9 @@ func (e *enumerator) emit(c conj, size int) {
 	e.produced++
 	e.sink(c, seq)
 
-	if e.produced%checkInterval == 0 {
-		if e.params.Deadline > 0 && time.Since(e.start) > e.params.Deadline {
-			e.timedOut = true
-			e.done = true
-		}
-		if e.pool.Cancelled() {
-			e.interrupted = true
-			e.done = true
-		}
+	if e.produced%checkInterval == 0 && e.pool.Cancelled() {
+		e.interrupted = true
+		e.done = true
 	}
 }
 
@@ -547,12 +540,18 @@ func runExact(e *enumerator, res *Result, pool *partition.Pool, tbl *clauseTable
 	var inflight []*conjBatch // oldest first; a folded batch is refilled
 	// foldOldest folds the oldest batch in flight once it is scored and
 	// returns it for reuse; nil if cancellation came first (and dropped it).
+	// A batch already scored is folded even once cancelled, so a search its
+	// context's deadline stops keeps every predicate it scored.
 	foldOldest := func() *conjBatch {
 		b := inflight[0]
 		select {
 		case <-b.ready:
-		case <-pool.Context().Done():
-			return nil
+		default:
+			select {
+			case <-b.ready:
+			case <-pool.Context().Done():
+				return nil
+			}
 		}
 		changed := false
 		for _, h := range b.hits {

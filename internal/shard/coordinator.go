@@ -76,8 +76,6 @@ type Params struct {
 	// happens to carry. 0 leaves the lattice candidate-derived only (the
 	// DT path, whose split points are not on a grid).
 	GridBins int
-	// Merge tunes the global merge pass.
-	Merge merge.Params
 	// Remote, when non-nil, is offered every shard search before the local
 	// path runs it: a dispatcher that ships the shard to a worker fleet.
 	// The coordinator's post-processing (DefaultTopPerShard cut, global id
@@ -86,15 +84,10 @@ type Params struct {
 	Remote RemoteSearcher
 }
 
-func (p Params) withDefaults() Params {
-	if p.Merge.MaxRounds <= 0 {
-		// Unsharded NAIVE/MC never grow a candidate more than a few steps
-		// past a shard boundary; unbounded rounds would let the combine
-		// stage outspend the searches it combines.
-		p.Merge.MaxRounds = 16
-	}
-	return p
-}
+// combineMerge tunes the global merge pass. Unsharded NAIVE/MC never grow
+// a candidate more than a few steps past a shard boundary; unbounded rounds
+// would let the combine stage outspend the searches it combines.
+var combineMerge = merge.Params{MaxRounds: 16}
 
 // Coordinator fans one search across horizontal table shards behind the
 // partition.Searcher interface, so ExplainContext drives a sharded search
@@ -135,7 +128,7 @@ func NewCoordinator(scorer *influence.Scorer, space *predicate.Space, factory Fa
 		scorer:  scorer,
 		space:   space,
 		factory: factory,
-		params:  params.withDefaults(),
+		params:  params,
 		views:   views,
 		domains: domains,
 	}
@@ -418,7 +411,7 @@ func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) [
 	if len(all) > mergeTop {
 		head, tail = all[:mergeTop], all[mergeTop:]
 	}
-	merged := merge.New(c.scorer, c.space, c.params.Merge).WithPool(pool).WithAlgo("shard").Merge(head)
+	merged := merge.New(c.scorer, c.space, combineMerge).WithPool(pool).WithAlgo("shard").Merge(head)
 	out := partition.Dedupe(append(merged, tail...))
 	partition.SortByScore(out)
 	rspan := span.Child("refine")

@@ -6,6 +6,7 @@ package scorpion
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/influence"
@@ -68,10 +69,26 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 	if p := mustPlan(t, &direct); p.lambda != 0.3 || p.c != 0.7 {
 		t.Errorf("non-zero field writes resolved to λ=%v c=%v", p.lambda, p.c)
 	}
+
+	// Bins 0 is the paper's 15: the explicit default shares the unset
+	// grid's key, another grid does not.
+	key := func(bins int) string {
+		r := base
+		r.Bins = bins
+		return mustPlan(t, &r).Key("t")
+	}
+	if key(0) != key(15) {
+		t.Error("Bins 0 and 15 resolve to different keys")
+	}
+	if key(10) == key(0) {
+		t.Error("Bins 10 shares the default grid's key")
+	}
 }
 
-// TestNonFiniteKnobsRejected: NaN and ±Inf for λ and c are refused with an error at every entry point instead of silently
-// producing an all-NaN ranking (NaN fails "x < 0 || x > 1").
+// TestNonFiniteKnobsRejected: NaN and ±Inf for λ and c are refused with an
+// error naming the knob at every entry point instead of silently producing
+// an all-NaN ranking (NaN fails "x < 0 || x > 1"), and so is a negative
+// grid.
 func TestNonFiniteKnobsRejected(t *testing.T) {
 	base := Request{
 		Table:            sensorsTable(t),
@@ -81,20 +98,25 @@ func TestNonFiniteKnobsRejected(t *testing.T) {
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
-		name string
-		set  func(*Request)
+		name, knob string
+		set        func(*Request)
 	}{
-		{"lambda NaN", func(r *Request) { r.Lambda = nan }},
-		{"lambda +Inf", func(r *Request) { r.Lambda = inf }},
-		{"c NaN", func(r *Request) { r.C = nan }},
-		{"c +Inf", func(r *Request) { r.C = inf }},
-		{"c -Inf", func(r *Request) { r.C = -inf }},
+		{"lambda NaN", "lambda", func(r *Request) { r.Lambda = nan }},
+		{"lambda +Inf", "lambda", func(r *Request) { r.Lambda = inf }},
+		{"c NaN", "c", func(r *Request) { r.C = nan }},
+		{"c +Inf", "c", func(r *Request) { r.C = inf }},
+		{"c -Inf", "c", func(r *Request) { r.C = -inf }},
+		{"bins -1", "bins", func(r *Request) { r.Bins = -1 }},
 	}
 	for _, tc := range cases {
 		req := base
 		tc.set(&req)
-		if res, err := Explain(&req); err == nil {
+		res, err := Explain(&req)
+		switch {
+		case err == nil:
 			t.Errorf("%s: accepted, top influence %v", tc.name, res.Explanations[0].Influence)
+		case !strings.HasPrefix(err.Error(), "scorpion: "+tc.knob+" "):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.knob)
 		}
 	}
 	if _, err := Explain(&base); err != nil {

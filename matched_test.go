@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
@@ -39,7 +38,7 @@ func TestMatchedCountsMatchRows(t *testing.T) {
 	t.Run("naive-median", func(t *testing.T) {
 		req := synthRequest(t, "median", 150)
 		req.Algorithm = Naive
-		req.NaiveParams = &naive.Params{Bins: 6}
+		req.Bins = 6
 		check(t, "naive", explain(t, req))
 	})
 	t.Run("dt", func(t *testing.T) {

@@ -34,32 +34,26 @@ var optionSurface = map[string][]string{
 		"Shards",           // cmd/scorpion, internal/server, internal/experiments
 		"ShardDispatch",    // internal/server (the shard worker fleet)
 		"TopK",             // cmd/scorpion, internal/server, examples
+		"Bins",             // internal/experiments
 		"OnProgress",       // internal/server (async job polls)
 		"ProgressInterval", // internal/server (async job polls)
-		"NaiveParams",      // internal/experiments
-		"DTParams",         // internal/experiments
-		"MCParams",         // internal/experiments
-		"MergeParams",      // internal/experiments
 	},
 	"naive.Params": {
-		"Bins",              // explain.go (Plan's grid), internal/worker, internal/experiments
+		"Bins",              // explain.go (Plan's grid), internal/worker, internal/experiments (Figure 11)
 		"MaxClauses",        // tests only: TestNaiveMaxClauses, TestNaiveClauseSelectionEquivalence
 		"MaxDiscreteSubset", // tests only: TestNaiveClauseSelectionEquivalence
-		"Deadline",          // internal/experiments
-		"TopK",              // explain.go (shard depth), internal/worker
+		"TopK",              // explain.go (the Plan's top-k, shard depth), internal/worker
 		"Domains",           // explain.go (sharded grids), internal/worker
 		"Estimator",         // benchmark/ladder.go
 	},
 	"dt.Params": {
-		"DisableSampling", // internal/experiments
+		"DisableSampling", // tests only: TestLeafCardinalitiesAreExact, TestPartitioningReusableAcrossC
 		"SampleSeed",      // tests only: TestParallelPartitioningIdenticalToSerial, TestDTWithSamplingStillWorks
 	},
 	"mc.Params": {
-		"Bins",              // explain.go (Plan's grid), internal/worker, internal/experiments
-		"MaxDiscreteValues", // internal/experiments
-		"MaxUnits",          // tests only: TestMCPruningKeepsOptimalReachable
-		"Merge",             // explain.go (Request.MergeParams)
-		"Domains",           // explain.go (sharded grids), internal/worker, benchmark/ladder.go
+		"Bins",     // explain.go (Plan's grid), internal/worker
+		"MaxUnits", // tests only: TestMCPruningKeepsOptimalReachable
+		"Domains",  // explain.go (sharded grids), internal/worker, benchmark/ladder.go
 	},
 	"merge.Params": {
 		"TopQuartileOnly",  // explain.go (DT), benchmark/ladder.go
@@ -68,13 +62,12 @@ var optionSurface = map[string][]string{
 	},
 	"shard.Params": {
 		"GridBins", // explain.go, benchmark/ladder.go
-		"Merge",    // explain.go (Request.MergeParams)
 		"Remote",   // explain.go (Request.ShardDispatch)
 	},
 }
 
 // TestOptionSurface pins the option surface: the exported fields of
-// Request and the naive, dt, mc, merge and shard Params, 41 in all.
+// Request and the naive, dt, mc, merge and shard Params, 34 in all.
 func TestOptionSurface(t *testing.T) {
 	structs := map[string]reflect.Type{
 		"scorpion.Request": reflect.TypeFor[Request](),
@@ -100,7 +93,7 @@ func TestOptionSurface(t *testing.T) {
 	if len(optionSurface) != len(structs) {
 		t.Errorf("optionSurface lists %d structs, the test reflects over %d", len(optionSurface), len(structs))
 	}
-	if total != 41 {
-		t.Errorf("option surface has %d fields, want 41", total)
+	if total != 34 {
+		t.Errorf("option surface has %d fields, want 34", total)
 	}
 }

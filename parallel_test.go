@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
@@ -81,7 +80,7 @@ func TestWorkersDeterministicAcrossAlgorithms(t *testing.T) {
 			req := synthRequest(t, tc.agg, 150)
 			req.Algorithm = tc.algo
 			if tc.algo == Naive {
-				req.NaiveParams = &naive.Params{Bins: 6}
+				req.Bins = 6
 			}
 			serial, err := Explain(req)
 			if err != nil {

@@ -6,14 +6,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"time"
 
-	"github.com/scorpiondb/scorpion/internal/merge"
-	"github.com/scorpiondb/scorpion/internal/partition/mc"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/shard"
 )
 
@@ -26,8 +22,8 @@ const DefaultLambda = 0.5
 // defaultTopK is how many explanations a request returns when TopK is unset.
 const defaultTopK = 5
 
-// defaultGridBins is the continuous grid NAIVE and MC search when their
-// Params leave Bins unset (the paper's 15).
+// defaultGridBins is the continuous grid NAIVE and MC search when the
+// request leaves Bins unset (the paper's 15).
 const defaultGridBins = 15
 
 // autoShardRows is the row volume one shard should cover when Shards is
@@ -56,25 +52,19 @@ type Plan struct {
 	lambda, c float64
 	topK      int
 	// shards is the slice count (1 = unsharded); workers reads 0 as serial.
-	shards, workers int
-	interval        time.Duration
-	// naiveBins and mcBins are the grids NAIVE and MC search; shardTopK is
-	// how many candidates a NAIVE shard hands the combiner.
-	naiveBins, mcBins, shardTopK int
-	outliers, holdOuts           []string // sorted, as the key encodes them
-	// cacheable is false under a *Params override, whose Estimator and
-	// Domains cannot be encoded.
-	cacheable bool
+	shards, workers    int
+	interval           time.Duration
+	bins               int      // the grid NAIVE and MC search
+	outliers, holdOuts []string // sorted, as the key encodes them
 }
 
 // Plan validates r and resolves its defaults. It fails, naming the knob,
 // on a request no search could answer: no table, SQL or outliers, shards
-// below 0, λ outside [0, 1], c below 0, λ or c non-finite, or an
+// or bins below 0, λ outside [0, 1], c below 0, λ or c non-finite, or an
 // outlier or hold-out key listed twice.
 func (r *Request) Plan() (*Plan, error) {
 	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
-		interval: r.ProgressInterval, naiveBins: defaultGridBins, mcBins: defaultGridBins,
-		shardTopK: shard.DefaultTopPerShard}
+		interval: r.ProgressInterval, bins: r.Bins}
 	if r.Lambda != 0 || r.lambdaSet {
 		p.lambda = r.Lambda
 	}
@@ -92,6 +82,8 @@ func (r *Request) Plan() (*Plan, error) {
 		return nil, fmt.Errorf("scorpion: request flags no outlier results")
 	case r.Shards < 0:
 		return nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", r.Shards)
+	case r.Bins < 0:
+		return nil, fmt.Errorf("scorpion: bins %d must be >= 0 (0 = %d)", r.Bins, defaultGridBins)
 	case !(p.lambda >= 0 && p.lambda <= 1):
 		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
 	case !(p.c >= 0) || math.IsInf(p.c, 1):
@@ -106,16 +98,8 @@ func (r *Request) Plan() (*Plan, error) {
 	if p.interval <= 0 {
 		p.interval = 200 * time.Millisecond
 	}
-	if r.NaiveParams != nil {
-		if r.NaiveParams.Bins > 0 {
-			p.naiveBins = r.NaiveParams.Bins
-		}
-		if r.NaiveParams.TopK != 0 {
-			p.shardTopK = r.NaiveParams.TopK
-		}
-	}
-	if r.MCParams != nil && r.MCParams.Bins > 0 {
-		p.mcBins = r.MCParams.Bins
+	if p.bins == 0 {
+		p.bins = defaultGridBins
 	}
 	// Auto shards pick one slice per autoShardRows rows, up to the worker
 	// budget (at least maxAutoSerialShards); every count is clamped.
@@ -136,7 +120,6 @@ func (r *Request) Plan() (*Plan, error) {
 			}
 		}
 	}
-	p.cacheable = r.NaiveParams == nil && r.DTParams == nil && r.MCParams == nil && r.MergeParams == nil
 	return p, nil
 }
 
@@ -166,11 +149,8 @@ func (p *Plan) SQL() string { return p.req.SQL }
 // Bins is the continuous grid a search resolved to algo runs over: NAIVE's
 // and MC's clause grid, 0 for DT, which has none.
 func (p *Plan) Bins(algo Algorithm) int {
-	switch algo {
-	case Naive:
-		return p.naiveBins
-	case MC:
-		return p.mcBins
+	if algo == Naive || algo == MC {
+		return p.bins
 	}
 	return 0
 }
@@ -180,37 +160,20 @@ func (p *Plan) Bins(algo Algorithm) int {
 // rankings are window estimates; 0 (the searcher's own cut) otherwise.
 func (p *Plan) ShardTopK(algo Algorithm) int {
 	if algo == Naive {
-		return p.shardTopK
+		return shard.DefaultTopPerShard
 	}
 	return 0
 }
 
-// remote reports whether a shard search resolved to algo can be reproduced
-// by a worker from Bins and ShardTopK alone: a grid algorithm with no
-// tuning override beyond those.
-func (p *Plan) remote(algo Algorithm) bool {
-	n, m, mp := p.req.NaiveParams, p.req.MCParams, p.req.MergeParams
-	switch algo {
-	case Naive:
-		return n == nil || reflect.DeepEqual(*n, naive.Params{Bins: n.Bins, TopK: n.TopK})
-	case MC:
-		return (mp == nil || *mp == merge.Params{}) && (m == nil || reflect.DeepEqual(*m, mc.Params{Bins: m.Bins}))
-	}
-	return false
-}
-
 // Key is "<prefix>|<hash>" over the canonical encoding of every resolved
-// input that can change the answer, or "" when the Plan is uncacheable: an
-// explicit default shares the unset knob's key, an explicit zero does not.
+// input that can change the answer: an explicit default shares the unset
+// knob's key, an explicit zero does not.
 func (p *Plan) Key(prefix string) string { return p.key(prefix, true) }
 
 // SessionKey is Key without c: the requests one Session serves.
 func (p *Plan) SessionKey(prefix string) string { return p.key(prefix, false) }
 
 func (p *Plan) key(prefix string, withC bool) string {
-	if !p.cacheable {
-		return ""
-	}
 	var buf [512]byte
 	b := p.encode(buf[:0])
 	if withC {
@@ -247,6 +210,7 @@ func (p *Plan) encode(b []byte) []byte {
 	b = appendFloat(b, p.lambda)
 	b = binary.AppendVarint(b, int64(r.Algorithm))
 	b = binary.AppendVarint(b, int64(p.topK))
+	b = binary.AppendVarint(b, int64(p.bins))
 	return binary.AppendVarint(b, int64(r.Shards))
 }
 

@@ -15,8 +15,8 @@ func (stubDispatcher) Remote(*Plan, Algorithm) shard.RemoteSearcher { return nil
 
 // TestPlanCoversRequest pins the answer-changing surface of a Request to
 // its Plan: every exported field, set to a non-default value, must change
-// Plan.Key, make the Plan uncacheable, or sit on the answer-neutral list
-// below. A new Request field fails here until someone classifies it.
+// Plan.Key or sit on the answer-neutral list below. A new Request field
+// fails here until someone classifies it.
 func TestPlanCoversRequest(t *testing.T) {
 	neutral := map[string]string{
 		"Table":            "keys carry the table's generation instead",
@@ -55,8 +55,6 @@ func TestPlanCoversRequest(t *testing.T) {
 			return reflect.ValueOf(3).Convert(f.Type)
 		case reflect.Float64:
 			return reflect.ValueOf(0.7).Convert(f.Type)
-		case reflect.Pointer:
-			return reflect.New(f.Type.Elem())
 		}
 		t.Fatalf("Request.%s (%s): no non-default value; classify the new field here", f.Name, f.Type)
 		return reflect.Value{}
@@ -64,9 +62,6 @@ func TestPlanCoversRequest(t *testing.T) {
 
 	basePlan := mustPlan(t, &base)
 	baseKey, baseSession := basePlan.Key("t"), basePlan.SessionKey("t")
-	if baseKey == "" {
-		t.Fatal("the base request is uncacheable")
-	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -85,11 +80,33 @@ func TestPlanCoversRequest(t *testing.T) {
 		switch {
 		case isNeutral && key != baseKey:
 			t.Errorf("Request.%s is listed answer-neutral but changes Plan.Key", f.Name)
-		case isNeutral, key == "":
+		case isNeutral:
 		case key == baseKey:
-			t.Errorf("Request.%s leaves Plan.Key unchanged: encode it, make it uncacheable, or list it as answer-neutral", f.Name)
+			t.Errorf("Request.%s leaves Plan.Key unchanged: encode it or list it as answer-neutral", f.Name)
 		case (p.SessionKey("t") == baseSession) != (f.Name == "C"):
 			t.Errorf("Request.%s: only C may share the session key of a different result key", f.Name)
+		}
+	}
+}
+
+// TestTopKReachesEveryAlgorithm: a top-k above NAIVE's default retention
+// of 10 reaches every algorithm, NAIVE included, which keeps the request's
+// top-k candidates rather than its own 10.
+func TestTopKReachesEveryAlgorithm(t *testing.T) {
+	const topK = 20
+	for _, algo := range []Algorithm{Naive, DT, MC} {
+		req := synthRequest(t, "sum", 150)
+		req.Algorithm, req.TopK, req.Shards = algo, topK, 1
+		res, err := Explain(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := len(res.Explanations)
+		if want := min(topK, res.Stats.Candidates); got != want {
+			t.Errorf("%v: %d explanations of %d candidates, want %d", algo, got, res.Stats.Candidates, want)
+		}
+		if algo == Naive && got != topK {
+			t.Errorf("NAIVE returned %d explanations, want %d", got, topK)
 		}
 	}
 }

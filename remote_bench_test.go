@@ -6,7 +6,6 @@ import (
 
 	scorpion "github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/dispatch"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
 
@@ -31,7 +30,7 @@ func BenchmarkExplainRemote(b *testing.B) {
 			Direction:        scorpion.TooHigh,
 			Attributes:       ds.DimNames(),
 			Algorithm:        scorpion.Naive,
-			NaiveParams:      &naive.Params{Bins: 10},
+			Bins:             10,
 			Workers:          1,
 			Shards:           shards,
 		}

@@ -19,7 +19,6 @@ import (
 
 	scorpion "github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/dispatch"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/synth"
 	"github.com/scorpiondb/scorpion/internal/wire"
@@ -59,7 +58,7 @@ func newTestWorker(tb testing.TB, tables map[string]*scorpion.Table) *httptest.S
 // remoteRequest mirrors sharded_test.go's fixture request (PR 4), with the
 // dispatcher left for the caller to attach.
 func remoteRequest(ds *synth.Dataset, agg string, algo scorpion.Algorithm, shards int) *scorpion.Request {
-	return &scorpion.Request{
+	req := &scorpion.Request{
 		Table:            ds.Table,
 		SQL:              fmt.Sprintf("SELECT %s(v), g FROM synth GROUP BY g", agg),
 		Outliers:         ds.OutlierKeys,
@@ -67,9 +66,12 @@ func remoteRequest(ds *synth.Dataset, agg string, algo scorpion.Algorithm, shard
 		Direction:        scorpion.TooHigh,
 		Attributes:       ds.DimNames(),
 		Algorithm:        algo,
-		NaiveParams:      &naive.Params{Bins: 6},
 		Shards:           shards,
 	}
+	if algo == scorpion.Naive {
+		req.Bins = 6
+	}
+	return req
 }
 
 // assertSameAnswer requires the remote-sharded result to be

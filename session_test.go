@@ -11,7 +11,6 @@ import (
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/partition"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/query"
 	"github.com/scorpiondb/scorpion/internal/synth"
@@ -36,7 +35,7 @@ func TestSessionColdMatchesOneShot(t *testing.T) {
 			req.Algorithm = tc.algo
 			req.SetC(0.3)
 			if tc.algo == Naive {
-				req.NaiveParams = &naive.Params{Bins: 6}
+				req.Bins = 6
 			}
 			one, err := ExplainContext(context.Background(), req)
 			if err != nil {
@@ -247,7 +246,9 @@ func TestSessionTailRefreshMatchesFullRescan(t *testing.T) {
 							req := &Request{
 								Table: base, SQL: "SELECT " + agg + ", g FROM synth GROUP BY g",
 								Outliers: outliers, Attributes: dims, Algorithm: algo,
-								NaiveParams: &naive.Params{Bins: 5},
+							}
+							if algo == Naive {
+								req.Bins = 5
 							}
 							req.SetC(c)
 							if allOthers {
@@ -288,7 +289,7 @@ func TestSessionTailRefreshPerPoolAbsorbed(t *testing.T) {
 	base, batches, outliers, _, dims := tailFixture(t, 3)
 	req := &Request{
 		Table: base, SQL: "SELECT sum(v), g FROM synth GROUP BY g", Outliers: outliers,
-		AllOthersHoldOut: true, Attributes: dims, Algorithm: Naive, NaiveParams: &naive.Params{Bins: 5},
+		AllOthersHoldOut: true, Attributes: dims, Algorithm: Naive, Bins: 5,
 	}
 	at := func(tbl *Table, c float64) *Request {
 		r := *req

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/scorpiondb/scorpion/internal/eval"
-	"github.com/scorpiondb/scorpion/internal/partition/naive"
 	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/synth"
 )
@@ -36,7 +35,7 @@ func outlierRows(t *testing.T, ds *synth.Dataset) *relation.RowSet {
 // shardedRequest builds the standard synthetic request used by the
 // sharded-vs-unsharded fixtures.
 func shardedRequest(ds *synth.Dataset, agg string, algo Algorithm, shards int) *Request {
-	return &Request{
+	req := &Request{
 		Table:            ds.Table,
 		SQL:              fmt.Sprintf("SELECT %s(v), g FROM synth GROUP BY g", agg),
 		Outliers:         ds.OutlierKeys,
@@ -44,9 +43,12 @@ func shardedRequest(ds *synth.Dataset, agg string, algo Algorithm, shards int) *
 		Direction:        TooHigh,
 		Attributes:       ds.DimNames(),
 		Algorithm:        algo,
-		NaiveParams:      &naive.Params{Bins: 6},
 		Shards:           shards,
 	}
+	if algo == Naive {
+		req.Bins = 6
+	}
+	return req
 }
 
 // TestShardedMatchesUnshardedTopPredicate: Explain with Shards: k returns

@@ -177,7 +177,7 @@ func BenchmarkScorerBlackBox(b *testing.B) {
 func BenchmarkDTWithSampling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		scorer, space, _ := benchSetup(b, "avg", 0.2)
-		pt, err := dt.PartitionContext(context.Background(), scorer, space, dt.Params{SampleSeed: int64(i + 1)}, 1)
+		pt, err := dt.Partition(context.Background(), scorer, space, dt.Params{SampleSeed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkDTWithSampling(b *testing.B) {
 func BenchmarkDTNoSampling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		scorer, space, _ := benchSetup(b, "avg", 0.2)
-		pt, err := dt.PartitionContext(context.Background(), scorer, space, dt.Params{DisableSampling: true}, 1)
+		pt, err := dt.Partition(context.Background(), scorer, space, dt.Params{DisableSampling: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func BenchmarkDTNoSampling(b *testing.B) {
 // every merge scored exactly, through a fresh lattice per merge.
 func BenchmarkMergerExact(b *testing.B) {
 	scorer, space, _ := benchSetup(b, "avg", 0.2)
-	pt, err := dt.PartitionContext(context.Background(), scorer, space, dt.Params{DisableSampling: true}, 1)
+	pt, err := dt.Partition(context.Background(), scorer, space, dt.Params{DisableSampling: true})
 	if err != nil {
 		b.Fatal(err)
 	}

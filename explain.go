@@ -90,12 +90,16 @@ type Request struct {
 	cSet      bool
 	// Algorithm forces a specific search strategy.
 	Algorithm Algorithm
-	// Workers sets the worker-pool size shared by every search algorithm
-	// (the parallelization §8.3.2 leaves to future work): NAIVE fans out
-	// predicate scoring, DT fans out tree-node expansion, and MC fans out
-	// frontier scoring and merge expansion. 0 or 1 runs serially; a
-	// negative value uses GOMAXPROCS. Parallel runs return the same
-	// explanations as serial runs.
+	// Workers sets the worker-pool size of the grid searches (the
+	// parallelization §8.3.2 leaves to future work): NAIVE fans out
+	// predicate scoring, and MC fans out frontier scoring and merge
+	// expansion. DT, whose §6.1 tree is sequential, runs its build, piece
+	// scoring and merge on one goroutine, so Plan resolves an unsharded DT
+	// request to one worker, the grant a server admits it with; an Auto
+	// request keeps its ask, as its algorithm is chosen after admission.
+	// Shards fan out over the budget whatever the algorithm. 0 or 1 runs
+	// serially; a negative value uses GOMAXPROCS. Parallel runs return the
+	// same explanations as serial runs.
 	Workers int
 	// Shards fans the search across horizontal slices of the table: the
 	// table is cut into (at most) Shards contiguous zero-copy views,
@@ -270,9 +274,10 @@ func Explain(req *Request) (*Result, error) {
 // and errors.Is(err, context.Canceled) work. Callers that can use partial
 // answers should check the Result before discarding it on error.
 //
-// Request.Workers sizes the worker pool shared by all three algorithms;
-// parallel searches return the same explanations as serial ones. It is a
-// one-shot run of the Session spine that retains nothing.
+// Request.Workers sizes the worker pool NAIVE and MC fan out over (DT runs
+// on one goroutine); parallel searches return the same explanations as
+// serial ones. It is a one-shot run of the Session spine that retains
+// nothing.
 func ExplainContext(ctx context.Context, req *Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -566,9 +571,11 @@ func buildSearcher(p *Plan, scorer *influence.Scorer, space *predicate.Space, al
 // than in the dt package) so dt stays independent of the merger, mirroring
 // the paper's partitioner/merger split. A Session's DT path hands it the
 // cached partitioning and merge seeds, and reads back a freshly built
-// complete partitioning from part. The run's pieces, merges and exact
-// re-score all score boxes through one Lattice, lat, which the spine drops
-// once the re-score is done.
+// complete partitioning from part. The whole search runs on the goroutine
+// that calls Search: the pool carries only its context and best-so-far
+// board. The run's pieces, merges and exact re-score all score boxes
+// through one Lattice, lat, which has that one user and which the spine
+// drops once the re-score is done.
 type dtSearcher struct {
 	scorer *influence.Scorer
 	space  *predicate.Space
@@ -580,10 +587,11 @@ type dtSearcher struct {
 func (s *dtSearcher) Name() string { return "dt" }
 
 func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
+	ctx := pool.Context()
 	pt := s.part
 	if pt == nil {
 		var err error
-		if pt, err = dt.PartitionPool(pool, s.scorer, s.space, dt.Params{}); err != nil {
+		if pt, err = dt.Partition(ctx, s.scorer, s.space, dt.Params{}); err != nil {
 			return nil, err
 		}
 		if !pt.Interrupted {
@@ -591,12 +599,12 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 		}
 	}
 	s.lat = s.scorer.NewLattice(s.space)
-	span := obs.SpanFrom(pool.Context()).Child("candidates")
-	cands := pt.CandidatesPool(s.scorer, s.lat, pool)
+	span := obs.SpanFrom(ctx).Child("candidates")
+	cands := pt.Score(ctx, s.scorer, s.lat)
 	span.End()
 	// The scored leaves are a valid partial answer while the merge runs.
 	pool.PublishBest(cands)
-	merged := merge.New(s.scorer, s.space, merge.Params{TopQuartileOnly: true}).WithPool(pool).WithLattice(s.lat).WithAlgo("dt").MergeSeeded(cands, s.seeds)
+	merged := merge.New(s.scorer, s.space, merge.Params{TopQuartileOnly: true}).WithPool(partition.NewPool(ctx, 1)).WithLattice(s.lat).WithAlgo("dt").MergeSeeded(cands, s.seeds)
 	pool.PublishBest(merged)
 	return &partition.Outcome{
 		Candidates:  merged,

@@ -3,8 +3,6 @@ package influence
 import (
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
@@ -24,20 +22,18 @@ import (
 // then the Layout, and each half-space when a box first needs it. A box
 // folded here goes into the scorer's selection memo when the memo keeps
 // this space's boxes. The Lattice belongs to the search that started it and
-// is dropped with it; the search's workers share it.
+// is dropped with it; it has that one user and is not safe for concurrent
+// use.
 type Lattice struct {
 	s     *Scorer
 	space *predicate.Space
 	memo  bool // the scorer's selection memo keeps this space's boxes
 
-	once sync.Once
-	l    *Layout
-	off  []int // group g's words are [off[g], off[g+1]) of every bitset
-
-	mu   sync.RWMutex
+	l    *Layout // nil until the first fold
+	off  []int   // group g's words are [off[g], off[g+1]) of every bitset
 	half map[halfSpace][]uint64
 
-	masks, misses atomic.Int64
+	masks, misses int64
 }
 
 // halfSpace names one bitset: a bound of a continuous column (op geLo,
@@ -66,7 +62,7 @@ func (l *Lattice) Space() *predicate.Space { return l.space }
 
 // Stats reports the half-space bitsets built so far and the boxes folded:
 // those the selection memo did not hold.
-func (l *Lattice) Stats() (masks, misses int64) { return l.masks.Load(), l.misses.Load() }
+func (l *Lattice) Stats() (masks, misses int64) { return l.masks, l.misses }
 
 // Parts is Scorer.PartsMatched of the predicate b holds. When no Box holds
 // the predicate (boxed false) it is PartsMatched(p): p is folded row by row
@@ -95,7 +91,9 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 // fold appends b's selection of every group to dst, outliers then
 // hold-outs, and counts one call per group.
 func (l *Lattice) fold(b predicate.Box, dst []Selection) []Selection {
-	l.once.Do(l.build)
+	if l.l == nil {
+		l.build()
+	}
 	var cs [predicate.MaxBoxDims]predicate.BoxClause
 	var hs [2 * predicate.MaxBoxDims][]uint64
 	k := 0
@@ -128,7 +126,7 @@ func (l *Lattice) fold(b predicate.Box, dst []Selection) []Selection {
 		dst = append(dst, x.Selection)
 	}
 	l.l.Count(len(l.l.groups))
-	l.misses.Add(1)
+	l.misses++
 	return dst
 }
 
@@ -142,13 +140,9 @@ func (l *Lattice) build() {
 	l.half = make(map[halfSpace][]uint64)
 }
 
-// mask returns h's bitset over every group, building it on first use; of
-// workers that race to build one, the first to store it wins.
+// mask returns h's bitset over every group, building it on first use.
 func (l *Lattice) mask(h halfSpace) []uint64 {
-	l.mu.RLock()
-	m, ok := l.half[h]
-	l.mu.RUnlock()
-	if ok {
+	if m, ok := l.half[h]; ok {
 		return m
 	}
 	// One bound of a range clause: the other is the unbounded side, which
@@ -165,17 +159,11 @@ func (l *Lattice) mask(h halfSpace) []uint64 {
 			c.Values = append(c.Values, int32(bits.TrailingZeros64(codes)))
 		}
 	}
-	m = make([]uint64, l.off[len(l.off)-1])
+	m := make([]uint64, l.off[len(l.off)-1])
 	for g := range l.l.groups {
 		l.l.ClauseMask(g, &c, m[l.off[g]:l.off[g+1]])
 	}
-	l.mu.Lock()
-	if old, ok := l.half[h]; ok {
-		m = old
-	} else {
-		l.half[h] = m
-		l.masks.Add(1)
-	}
-	l.mu.Unlock()
+	l.half[h] = m
+	l.masks++
 	return m
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -238,69 +237,5 @@ func TestLatticeKeepsWhatNoLookupFinds(t *testing.T) {
 	}
 	if _, misses := lat.Stats(); misses != 2 {
 		t.Fatalf("the lattice folded %d boxes, want the NaN box twice", misses)
-	}
-}
-
-// TestLatticeConcurrentFolds: workers sharing one lattice fold the same
-// selections a lone fold does, and a half-space that several of them race
-// to build is stored and counted once.
-func TestLatticeConcurrentFolds(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	tbl := kernelTable(rng, true)
-	space := kernelSpace(t, tbl)
-	n := tbl.NumRows()
-	task := &Task{Table: tbl, Agg: aggregate.Variance{}, AggCol: 3, Lambda: 0.6, C: 0.4,
-		Outliers: []Group{
-			{Key: "o0", Rows: encode(t, n, groupShape(rng, 0, 8192, 60), "dense"), Direction: TooHigh},
-			{Key: "o1", Rows: encode(t, n, groupShape(rng, 1000, 1200, 45), "sparse"), Direction: TooLow},
-		},
-		HoldOuts: []Group{{Key: "h", Rows: encode(t, n, groupShape(rng, 5000, 5600, 60), "runs")}},
-	}
-	s, err := NewScorer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := latticeBoxes(rng)
-	serial := s.NewLattice(space)
-	want := make([][]Selection, len(preds))
-	boxes := make([]predicate.Box, len(preds))
-	for i, p := range preds {
-		boxes[i] = boxOf(t, space, p)
-		want[i] = serial.fold(boxes[i], nil)
-	}
-	shared := s.NewLattice(space)
-	const workers = 4
-	got := make([][][]Selection, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range preds {
-				j := (i + w*len(preds)/workers) % len(preds)
-				if got[w] == nil {
-					got[w] = make([][]Selection, len(preds))
-				}
-				got[w][j] = shared.fold(boxes[j], nil)
-			}
-		}()
-	}
-	wg.Wait()
-	for w := range got {
-		for i, p := range preds {
-			for g := range want[i] {
-				a, b := got[w][i][g], want[i][g]
-				if a.matched != b.matched || !sameBits(a.sel.Sum, b.sel.Sum) || !sameBits(a.sel.SumSq, b.sel.SumSq) || !sameBits(a.sel.N, b.sel.N) {
-					t.Fatalf("worker %d %v group %d: shared fold %+v, lone fold %+v", w, p, g, a, b)
-				}
-			}
-		}
-	}
-	wantMasks, _ := serial.Stats()
-	if masks, misses := shared.Stats(); masks != wantMasks || misses != int64(workers*len(preds)) {
-		t.Fatalf("shared lattice Stats = (%d masks, %d misses), want (%d, %d)", masks, misses, wantMasks, workers*len(preds))
-	}
-	if len(shared.half) != int(wantMasks) {
-		t.Fatalf("shared lattice stores %d half-spaces, counted %d", len(shared.half), wantMasks)
 	}
 }

@@ -116,8 +116,8 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 }
 
 // TestSelectionMemoCap: past maxMemoSelections boxes the memo stores no
-// more, however many workers fill it, and a box it could not keep still
-// scores right.
+// more, however many workers fill it (each through a lattice of its own: a
+// lattice has one user), and a box it could not keep still scores right.
 func TestSelectionMemoCap(t *testing.T) {
 	task := paperTask(t)
 	s, err := NewScorer(task)
@@ -142,6 +142,7 @@ func TestSelectionMemoCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			lat := s.NewLattice(space)
 			for i := w; i < boxes; i += 4 {
 				boxParts(t, lat, box(i))
 			}

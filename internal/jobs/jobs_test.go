@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,7 @@ func TestQueueFull(t *testing.T) {
 
 // TestCancelQueuedAndRunning covers both cancel paths.
 func TestCancelQueuedAndRunning(t *testing.T) {
+	baseline := runtime.NumGoroutine()
 	s := New(Options{Budget: 1, QueueCap: 8})
 	defer s.Close()
 	release := make(chan struct{})
@@ -211,6 +213,13 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if got := s.InUse(); got != 0 {
 		t.Errorf("InUse = %d after cancels", got)
+	}
+	// Neither cancelled job may leave its run goroutine behind.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancels, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

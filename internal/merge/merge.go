@@ -78,8 +78,8 @@ func (m *Merger) WithPool(pool *partition.Pool) *Merger {
 
 // WithLattice scores the merge's boxes through lat, a lattice over the
 // Merger's space: by Box, from the scorer's selection memo or the lattice's
-// bitsets, without a Predicate or its key. Returns the receiver for
-// chaining.
+// bitsets, without a Predicate or its key. A lattice has one user, so the
+// Merger's pool must have one worker. Returns the receiver for chaining.
 func (m *Merger) WithLattice(lat *influence.Lattice) *Merger {
 	m.lat = lat
 	return m

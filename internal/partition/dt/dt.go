@@ -12,12 +12,12 @@
 // denominator of 1^c), so a Partitioning can be cached and re-scored for
 // different c values (§8.3.3).
 //
-// The build is cancellable and parallel: PartitionContext threads a
-// context.Context into the tree expansion (cancellation emits the
-// unfinished frontier as coarse leaves, so the partial partitioning still
-// tiles the space) and fans node expansion out over a partition.Pool.
-// Because every node's sampling randomness is derived from its position in
-// the tree, the partitioning is identical for any worker count.
+// The build is cancellable and runs on the calling goroutine, as §6.1's
+// tree is sequential: Partition threads a context.Context into the tree
+// expansion, and cancellation emits the unfinished frontier as coarse
+// leaves, so the partial partitioning still tiles the space. Every node's
+// sampling randomness is derived from its position in the tree, so the
+// partitioning does not depend on the order nodes are expanded in.
 package dt
 
 import (
@@ -116,20 +116,11 @@ type combinedPiece struct {
 	piece partition.Piece
 }
 
-// PartitionContext builds the outlier and hold-out trees and combines
-// them, under cancellation and a worker budget: node expansion fans out
-// over a shared pool and the build stops early (keeping the frontier as
-// coarse leaves) once ctx is cancelled. workers <= 0 uses GOMAXPROCS. The
-// result does not depend on the task's C and can be cached across c
-// sweeps.
-func PartitionContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Partitioning, error) {
-	return PartitionPool(partition.NewPool(ctx, workers), scorer, space, params)
-}
-
-// PartitionPool is the build core shared by every entry point: it expands
-// the trees over an existing pool, so callers composing DT with further
-// stages (scoring, merging) can share one pool across the whole search.
-func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Space, params Params) (*Partitioning, error) {
+// Partition builds the outlier and hold-out trees and combines them. The
+// build stops early once ctx is cancelled, keeping the frontier as coarse
+// leaves. The result does not depend on the task's C and can be cached
+// across c sweeps.
+func Partition(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params) (*Partitioning, error) {
 	params = params.withDefaults()
 	task := scorer.Task()
 	if !task.Agg.Independent() {
@@ -137,7 +128,7 @@ func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predic
 	}
 
 	outTree := newTree(scorer, space, params, task.Outliers, scorer.TupleOutlierInfluence)
-	outLeaves := outTree.build(pool)
+	outLeaves := outTree.build(ctx)
 	interrupted := outTree.interrupted
 
 	var holdLeaves []Leaf
@@ -147,7 +138,7 @@ func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predic
 		holdParams := params
 		holdParams.SampleSeed ^= 0x5bd1e995
 		holdTree := newTree(scorer, space, holdParams, task.HoldOuts, scorer.TupleHoldOutInfluence)
-		holdLeaves = holdTree.build(pool)
+		holdLeaves = holdTree.build(ctx)
 		interrupted = interrupted || holdTree.interrupted
 	}
 
@@ -159,29 +150,30 @@ func PartitionPool(pool *partition.Pool, scorer *influence.Scorer, space *predic
 	return pt, nil
 }
 
-// Candidates scores the combined partitioning with the given scorer,
-// producing Merger-ready candidates.
-func (pt *Partitioning) Candidates(scorer *influence.Scorer) []partition.Candidate {
-	return pt.CandidatesPool(scorer, scorer.NewLattice(pt.space), partition.NewPool(context.Background(), 1))
+// PartitionContext is Partition; workers is ignored.
+//
+// Deprecated: the serving benchmark's ladder still calls it; use Partition.
+func PartitionContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Partitioning, error) {
+	return Partition(ctx, scorer, space, params)
 }
 
-// CandidatesPool is Candidates with piece scoring fanned out over the pool
-// and done through lat, a lattice of scorer over the partitioning's space:
-// a piece is scored by its Box, from the scorer's selection memo or folded
-// from the lattice's bitsets. Each piece writes its own slot, so the
-// result (after the stable sort) is identical for any worker count. On
-// cancellation, pieces that were never scored are dropped — the returned
-// list is the scored best-so-far subset, never zero-value
-// (match-everything, score-0) placeholders.
-func (pt *Partitioning) CandidatesPool(scorer *influence.Scorer, lat *influence.Lattice, pool *partition.Pool) []partition.Candidate {
+// Score scores the combined partitioning through lat, a lattice of scorer
+// over the partitioning's space, producing Merger-ready candidates: a
+// piece is scored by its Box, from the scorer's selection memo or folded
+// from the lattice's bitsets. Once ctx is cancelled the remaining pieces
+// are dropped — the returned list is the scored best-so-far subset, never
+// zero-value (match-everything, score-0) placeholders.
+func (pt *Partitioning) Score(ctx context.Context, scorer *influence.Scorer, lat *influence.Lattice) []partition.Candidate {
 	task := scorer.Task()
-	out := make([]partition.Candidate, len(pt.Combined))
-	scored := make([]bool, len(pt.Combined))
-	err := pool.ForEach(len(pt.Combined), func(i int) {
+	out := make([]partition.Candidate, 0, len(pt.Combined))
+	for i := range pt.Combined {
+		if ctx.Err() != nil {
+			break
+		}
 		piece := &pt.Combined[i]
 		leaf := pt.OutlierLeaves[piece.source]
 		outMean, holdPen, _ := lat.Parts(piece.piece.Box, piece.piece.Boxed, piece.pred)
-		c := partition.Candidate{
+		out = append(out, partition.Candidate{
 			Pred:              piece.pred,
 			Score:             task.Lambda*outMean - (1-task.Lambda)*holdPen,
 			HoldPenalty:       holdPen,
@@ -189,21 +181,15 @@ func (pt *Partitioning) CandidatesPool(scorer *influence.Scorer, lat *influence.
 			CachedRows:        leaf.CachedRows,
 			MeanInfluences:    leaf.Means,
 			Piece:             &piece.piece,
-		}
-		out[i] = c
-		scored[i] = true
-	})
-	if err != nil {
-		kept := out[:0]
-		for i, c := range out {
-			if scored[i] {
-				kept = append(kept, c)
-			}
-		}
-		out = kept
+		})
 	}
 	partition.SortByScore(out)
 	return out
+}
+
+// Candidates is Score through a lattice of its own, uncancellable.
+func (pt *Partitioning) Candidates(scorer *influence.Scorer) []partition.Candidate {
+	return pt.Score(context.Background(), scorer, scorer.NewLattice(pt.space))
 }
 
 // threshold computes the Figure 4 error threshold for a partition whose

@@ -63,7 +63,7 @@ func TestThresholdCurve(t *testing.T) {
 
 func TestPartitionLeavesTileOutlierGroups(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 200, 80, 0.1)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPartitionLeavesTileOutlierGroups(t *testing.T) {
 
 func TestCombinedPiecesTileOutlierGroups(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 200, 80, 0.1)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCombinedPiecesTileOutlierGroups(t *testing.T) {
 
 func TestLeafCardinalitiesAreExact(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 150, 80, 0.1)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestLeafCardinalitiesAreExact(t *testing.T) {
 
 func TestDTFindsPlantedCube(t *testing.T) {
 	scorer, space, ds := setup(t, 2, 300, 80, 0.1)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDTFindsPlantedCube(t *testing.T) {
 
 func TestDTWithSamplingStillWorks(t *testing.T) {
 	scorer, space, ds := setup(t, 2, 400, 80, 0.1)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{SampleSeed: 3}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{SampleSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDTWithSamplingStillWorks(t *testing.T) {
 
 func TestPartitioningReusableAcrossC(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 150, 80, 0.5)
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestDTRejectsNonIndependentAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PartitionContext(context.Background(), s2, space, Params{}, 1); err == nil {
+	if _, err := Partition(context.Background(), s2, space, Params{}); err == nil {
 		t.Fatal("expected error for non-independent aggregate")
 	}
 }
@@ -259,7 +259,7 @@ func TestDiscreteSplitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := PartitionContext(context.Background(), scorer, space, Params{DisableSampling: true}, 1)
+	pt, err := Partition(context.Background(), scorer, space, Params{DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 package dt
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/obs"
-	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
 	"github.com/scorpiondb/scorpion/internal/sample"
@@ -18,12 +17,11 @@ import (
 // (§6.1.1–6.1.3). Split decisions minimize the maximum per-group weighted
 // child standard deviation of tuple influence.
 //
-// The build is a breadth-first frontier expansion: each level's nodes are
-// independent, so a partition.Pool fans them out over workers. Determinism
-// across worker counts comes from two rules: every node draws its sampling
-// randomness from an RNG seeded by (SampleSeed, node id) — the heap-style
-// path id root=1, children 2i/2i+1 — and leaves are collected on the
-// coordinating goroutine in frontier order, never in completion order.
+// The build is a breadth-first frontier expansion on the calling
+// goroutine; leaves are emitted in frontier order. Every node draws its
+// sampling randomness from an RNG seeded by (SampleSeed, node id) — the
+// heap-style path id root=1, children 2i/2i+1 — so a node's sample does not
+// depend on which nodes were expanded before it.
 type tree struct {
 	scorer *influence.Scorer
 	space  *predicate.Space
@@ -31,9 +29,8 @@ type tree struct {
 	groups []influence.Group
 	// tupleInf returns the influence of a row within group gi.
 	tupleInf func(gi, row int) float64
-	// infCache memoizes tuple influences per group (row → influence); it is
-	// synchronized because concurrent node expansions share rows.
-	infCache []groupInfCache
+	// infCache memoizes tuple influences per group (row → influence).
+	infCache []map[int]float64
 	// Tree-global influence bounds, fixed from the root samples.
 	infL, infU float64
 	// minSize is the effective minimum sampled-tuple count per node:
@@ -43,12 +40,6 @@ type tree struct {
 	// interrupted records a context cancellation during the build; the
 	// emitted leaves then include unfinished nodes as coarse partitions.
 	interrupted bool
-}
-
-// groupInfCache is one group's synchronized row→influence memo table.
-type groupInfCache struct {
-	mu sync.RWMutex
-	m  map[int]float64
 }
 
 // nodeGroup is one group's data within a tree node.
@@ -77,10 +68,10 @@ func newTree(scorer *influence.Scorer, space *predicate.Space, params Params,
 		params:   params,
 		groups:   groups,
 		tupleInf: tupleInf,
-		infCache: make([]groupInfCache, len(groups)),
+		infCache: make([]map[int]float64, len(groups)),
 	}
 	for i := range t.infCache {
-		t.infCache[i].m = make(map[int]float64)
+		t.infCache[i] = make(map[int]float64)
 	}
 	return t
 }
@@ -99,58 +90,40 @@ func (t *tree) rngFor(id uint64) *rand.Rand {
 }
 
 func (t *tree) influenceOf(gi, row int) float64 {
-	c := &t.infCache[gi]
-	c.mu.RLock()
-	v, ok := c.m[row]
-	c.mu.RUnlock()
-	if ok {
-		return v
+	v, ok := t.infCache[gi][row]
+	if !ok {
+		v = t.tupleInf(gi, row)
+		t.infCache[gi][row] = v
 	}
-	v = t.tupleInf(gi, row)
-	c.mu.Lock()
-	c.m[row] = v
-	c.mu.Unlock()
 	return v
 }
 
-// build runs the frontier partitioner over the pool and returns the leaves.
-func (t *tree) build(pool *partition.Pool) []Leaf {
-	parent := obs.SpanFrom(pool.Context())
-	root := t.makeRoot(pool)
-	frontier := []node{root}
+// build runs the frontier partitioner and returns the leaves. Once ctx is
+// cancelled, the nodes not yet expanded are kept as coarse leaves so the
+// partitioning still tiles the space.
+func (t *tree) build(ctx context.Context) []Leaf {
+	parent := obs.SpanFrom(ctx)
+	frontier := []node{t.makeRoot(ctx)}
 	for level := 0; len(frontier) > 0; level++ {
 		span := parent.Child("dt.level")
 		span.SetAttr("level", level)
 		span.SetAttr("nodes", len(frontier))
-		type expansion struct {
-			processed bool
-			split     bool
-			children  [2]node
-		}
-		results := make([]expansion, len(frontier))
-		_ = pool.ForEach(len(frontier), func(i int) {
-			children, split := t.process(&frontier[i])
-			results[i] = expansion{processed: true, split: split, children: children}
-		})
-		// Collect on the coordinating goroutine, in frontier order, so the
-		// leaf list is identical for any worker count.
 		var next []node
-		for i, r := range results {
-			switch {
-			case !r.processed:
-				// Cancelled before this node ran: keep it as a coarse leaf
-				// so the partitioning still tiles the space.
+		for i := range frontier {
+			if ctx.Err() != nil {
 				t.emitLeaf(frontier[i])
-			case r.split:
-				next = append(next, r.children[0], r.children[1])
-			default:
+				continue
+			}
+			if children, split := t.process(&frontier[i]); split {
+				next = append(next, children[0], children[1])
+			} else {
 				t.emitLeaf(frontier[i])
 			}
 		}
 		frontier = next
 		span.SetAttr("split", len(next)/2)
 		span.End()
-		if pool.Cancelled() {
+		if ctx.Err() != nil {
 			t.interrupted = true
 			for i := range frontier {
 				t.emitLeaf(frontier[i])
@@ -162,10 +135,8 @@ func (t *tree) build(pool *partition.Pool) []Leaf {
 }
 
 // makeRoot draws the §6.1.2 initial sample and fixes the tree-global
-// influence bounds. Root influence computations fan out over the pool (they
-// dominate the cost of sampling-disabled builds); the reduction to bounds
-// stays on the coordinating goroutine.
-func (t *tree) makeRoot(pool *partition.Pool) node {
+// influence bounds.
+func (t *tree) makeRoot(ctx context.Context) node {
 	root := node{id: 1, pred: predicate.True(), depth: 0}
 	total := 0
 	for _, g := range t.groups {
@@ -186,49 +157,19 @@ func (t *tree) makeRoot(pool *partition.Pool) node {
 	// Guarantee a minimally useful root sample.
 	t.ensureMinSample(&root, rng)
 
-	// Influence of every sampled root row, computed across the pool.
-	type ref struct{ gi, idx int }
-	var refs []ref
 	for gi := range root.groups {
 		ng := &root.groups[gi]
 		ng.infs = make([]float64, len(ng.sampled))
-		for i := range ng.sampled {
-			refs = append(refs, ref{gi, i})
-		}
-	}
-	computed := make([]bool, len(refs))
-	if err := pool.ForEach(len(refs), func(i int) {
-		r := refs[i]
-		ng := &root.groups[r.gi]
-		ng.infs[r.idx] = t.influenceOf(r.gi, ng.sampled[r.idx])
-		computed[i] = true
-	}); err != nil {
-		// Cancelled mid-computation: drop the uncomputed sample slots so the
-		// tree bounds and leaf statistics never mix in placeholder zeros.
-		t.interrupted = true
-		drop := make([]map[int]bool, len(root.groups))
-		for i, r := range refs {
-			if !computed[i] {
-				if drop[r.gi] == nil {
-					drop[r.gi] = make(map[int]bool)
-				}
-				drop[r.gi][r.idx] = true
+		for i, r := range ng.sampled {
+			if ctx.Err() != nil {
+				// Cancelled: cut the sample to the rows computed, so the
+				// tree bounds and leaf statistics never mix in
+				// placeholder zeros.
+				t.interrupted = true
+				ng.sampled, ng.infs = ng.sampled[:i], ng.infs[:i]
+				break
 			}
-		}
-		for gi := range root.groups {
-			if drop[gi] == nil {
-				continue
-			}
-			ng := &root.groups[gi]
-			sampled := ng.sampled[:0]
-			infs := ng.infs[:0]
-			for i := range ng.sampled {
-				if !drop[gi][i] {
-					sampled = append(sampled, ng.sampled[i])
-					infs = append(infs, ng.infs[i])
-				}
-			}
-			ng.sampled, ng.infs = sampled, infs
+			ng.infs[i] = t.influenceOf(gi, r)
 		}
 	}
 
@@ -315,8 +256,7 @@ func (t *tree) nodeStats(n *node) (pooledCount int, pooledMax float64, maxStd fl
 }
 
 // process decides one node's fate: either it splits (returning the two
-// children) or it is a leaf. Pure with respect to the node, so frontier
-// nodes can be processed concurrently.
+// children) or it is a leaf.
 func (t *tree) process(n *node) (children [2]node, split bool) {
 	count, infMax, maxStd := t.nodeStats(n)
 	thr := threshold(infMax, t.infL, t.infU, tauMin, tauMax, inflectionP)
@@ -650,8 +590,7 @@ func replaceClause(p predicate.Predicate, cl predicate.Clause) predicate.Predica
 	return predicate.MustNew(clauses...)
 }
 
-// emitLeaf converts a node into a Leaf with its per-group statistics. Only the
-// coordinating goroutine emits, so no synchronization is needed.
+// emitLeaf converts a node into a Leaf with its per-group statistics.
 func (t *tree) emitLeaf(n node) {
 	leaf := Leaf{
 		Pred:       n.pred,

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -44,6 +45,7 @@ func TestParallelCandidatesIdenticalToSerial(t *testing.T) {
 func TestRunContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		scorer, space, _ := setup(t, 3, 300, 80, 0.1)
+		baseline := runtime.NumGoroutine()
 		// Cancel before the run starts: a deadline mid-run is a race against
 		// how fast the search happens to be, and the compressed-provenance
 		// encodings made small searches finish inside any sane timeout.
@@ -59,6 +61,13 @@ func TestRunContextCancellation(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Fatalf("workers=%d: cancellation took %s", workers, elapsed)
+		}
+		// A cancelled run must not leave a worker behind.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines after the run, baseline %d", workers, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 }

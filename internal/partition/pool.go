@@ -7,11 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the shared worker-pool runner behind every partitioner's parallel
+// Pool is the shared worker-pool runner behind the searches' parallel
 // sections. It bundles the search context (for cancellation) with the worker
-// budget, so NAIVE's predicate streaming, DT's node expansion and MC's
-// frontier/merge scoring all draw from one fan-out facility instead of
-// rolling their own goroutine plumbing.
+// budget, so NAIVE's predicate streaming and MC's frontier/merge scoring
+// draw from one fan-out facility instead of rolling their own goroutine
+// plumbing. DT, which runs on one goroutine, uses a pool only for its
+// context and best-so-far board.
 //
 // A Pool does not own long-lived goroutines: each ForEach or Stream call
 // spins up at most Workers goroutines for its own duration. A Pool is safe

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,6 +172,41 @@ func TestExplainWorkersValidation(t *testing.T) {
 	rec := postJSON(t, srv, "/explain", base)
 	if rec.Code != http.StatusOK {
 		t.Errorf("workers=-1 status = %d (%s)", rec.Code, rec.Body)
+	}
+}
+
+// TestDTJobGrantedOneWorker: an unsharded DT job runs on one goroutine,
+// so admission grants it one worker whatever it asks, and its job view
+// says so; MC, and Auto (whose algorithm is chosen when the job runs),
+// keep their ask.
+func TestDTJobGrantedOneWorker(t *testing.T) {
+	srv := multiTableServer(t, jobs.Options{Budget: 2})
+	ask := min(2, runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		algo, agg string
+		want      int
+	}{{"dt", "avg", 1}, {"mc", "sum", ask}, {"auto", "avg", ask}} {
+		rec := postJSON(t, srv, "/jobs", map[string]any{
+			"table":              "sensors",
+			"sql":                "SELECT " + tc.agg + "(temp), time FROM sensors GROUP BY time",
+			"outliers":           []string{"12PM", "1PM"},
+			"all_others_holdout": true,
+			"algorithm":          tc.algo,
+			"workers":            2,
+		})
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d (%s)", tc.algo, rec.Code, rec.Body)
+		}
+		var accepted struct {
+			JobID string `json:"job_id"`
+		}
+		decodeJSON(t, rec, &accepted)
+		view := pollJob(t, srv, accepted.JobID, 30*time.Second, func(v map[string]any) bool {
+			return v["status"] == "done"
+		})
+		if got := view["workers"]; got != float64(tc.want) {
+			t.Errorf("%s asking 2 workers: job view workers = %v, want %d", tc.algo, got, tc.want)
+		}
 	}
 }
 

@@ -414,7 +414,9 @@ type ExplainRequest struct {
 	TopK             int      `json:"top_k,omitempty"`
 	// Workers requests a search worker grant: 0 = server default, -1 =
 	// GOMAXPROCS; other negative values are rejected. The scheduler clamps
-	// the grant against its global budget.
+	// the grant against its global budget. An unsharded "dt" request runs
+	// on one goroutine and is granted one worker; "auto" keeps its ask, as
+	// its algorithm is chosen when the job runs.
 	Workers int `json:"workers,omitempty"`
 	// Shards fans the search across horizontal slices of the table
 	// (scorpion.Request.Shards): 0 = auto from the table size and worker
@@ -507,6 +509,7 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 		AllOthersHoldOut: req.AllOthersHoldOut,
 		Attributes:       req.Attributes,
 		TopK:             req.TopK,
+		Workers:          workers,
 		Shards:           req.Shards,
 	}
 	switch req.Direction {
@@ -571,7 +574,7 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 	task := jobs.Task{
 		Kind:      "explain",
 		Table:     entry.Name,
-		Workers:   workers,
+		Workers:   plan.Workers(),
 		Timeout:   s.ExplainTimeout,
 		RequestID: reqID,
 		Run: func(ctx context.Context, granted int, report func(any)) (any, error) {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +111,49 @@ func settleGoroutines(t *testing.T, baseline int) {
 			t.Fatalf("%d goroutines after the search, baseline %d", runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// goroutineWatch is a context that records the most goroutines alive at
+// any of its polls: a search that fans out polls it from its workers.
+type goroutineWatch struct {
+	context.Context
+	most atomic.Int64
+}
+
+func (w *goroutineWatch) Done() <-chan struct{} {
+	for n := int64(runtime.NumGoroutine()); ; {
+		if old := w.most.Load(); n <= old || w.most.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	return w.Context.Done()
+}
+
+func (w *goroutineWatch) Err() error {
+	w.Done()
+	return w.Context.Err()
+}
+
+// TestDTStartsNoGoroutine: a DT search asked for 8 workers, as DT or
+// through Auto (which keeps the ask), runs on the calling goroutine — no
+// poll of its context sees a goroutine beyond the test's own.
+func TestDTStartsNoGoroutine(t *testing.T) {
+	for _, algo := range []Algorithm{DT, Auto} {
+		req := synthRequest(t, "avg", 200)
+		req.Algorithm, req.Workers = algo, 8
+		baseline := runtime.NumGoroutine()
+		w := &goroutineWatch{Context: context.Background()}
+		res, err := ExplainContext(w, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Algorithm != DT {
+			t.Fatalf("%v ran %v, want DT", algo, res.Stats.Algorithm)
+		}
+		if most := w.most.Load(); most == 0 || most > int64(baseline) {
+			t.Errorf("%v: %d goroutines at a poll of the search's context, baseline %d (0: never polled)", algo, most, baseline)
+		}
 	}
 }
 

@@ -111,6 +111,11 @@ func (r *Request) Plan() (*Plan, error) {
 		p.shards = min(r.Table.NumRows()/autoShardRows, max(workers, maxAutoSerialShards))
 	}
 	p.shards = max(1, min(p.shards, maxShards))
+	// Unsharded DT runs on one goroutine, so it holds one worker. This
+	// comes after the shard count, which the ask still picks.
+	if p.dtPath(r.Algorithm) {
+		p.workers = 1
+	}
 	p.outliers, p.holdOuts = sortedKeys(r.Outliers), sortedKeys(r.HoldOuts)
 	// A repeated label would weigh its group twice; sorted, it is adjacent.
 	for i, keys := range [][]string{p.outliers, p.holdOuts} {
@@ -142,6 +147,11 @@ func (p *Plan) dtPath(algo Algorithm) bool { return algo == DT && p.shards <= 1 
 func (p *Plan) MayReusePartition() bool {
 	return (p.req.Algorithm == Auto || p.req.Algorithm == DT) && p.dtPath(DT)
 }
+
+// Workers is the worker budget the search runs on: the request's ask
+// (negative for GOMAXPROCS), or 1 when the ask is unset or the request is
+// for unsharded DT.
+func (p *Plan) Workers() int { return p.workers }
 
 // SQL is the request's aggregate query.
 func (p *Plan) SQL() string { return p.req.SQL }

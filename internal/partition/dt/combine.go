@@ -14,25 +14,21 @@ import (
 func (pt *Partitioning) combine(space *predicate.Space) {
 	influential := influentialHoldOuts(pt.HoldOutLeaves, holdOutFrac)
 	pt.Combined = pt.Combined[:0]
-	for li, leaf := range pt.OutlierLeaves {
+	for _, leaf := range pt.OutlierLeaves {
 		pending := []predicate.Predicate{leaf.Pred}
 		for _, h := range influential {
 			var next []predicate.Predicate
 			for _, piece := range pending {
 				inside, ok, outside := splitByBox(piece, h.Pred, space)
 				if ok {
-					pt.Combined = append(pt.Combined, combinedPiece{
-						pred:              inside,
-						source:            li,
-						influencesHoldOut: true,
-					})
+					pt.Combined = append(pt.Combined, combinedPiece{pred: inside, influencesHoldOut: true})
 				}
 				next = append(next, outside...)
 			}
 			pending = next
 		}
 		for _, piece := range pending {
-			pt.Combined = append(pt.Combined, combinedPiece{pred: piece, source: li})
+			pt.Combined = append(pt.Combined, combinedPiece{pred: piece})
 		}
 	}
 }

@@ -72,22 +72,14 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Leaf is one partition of an input-group tree with its per-group
-// statistics.
+// Leaf is one partition of an input-group tree with the pooled mean
+// influence of its sampled tuples, which the §6.1.4 combine step reads to
+// classify hold-out partitions.
 type Leaf struct {
 	// Pred is the partition's bounding predicate.
 	Pred predicate.Predicate
-	// Cards holds the exact per-group cardinality |Pred(g)|.
-	Cards []float64
-	// Means holds the per-group mean sampled tuple influence.
-	Means []float64
-	// CachedRows holds, per group, the sampled row whose influence is
-	// closest to the group mean (-1 when the group is empty here).
-	CachedRows []int
 	// MeanInfluence is the pooled mean influence across groups.
 	MeanInfluence float64
-	// SampledCount is the pooled number of sampled tuples.
-	SampledCount int
 }
 
 // Partitioning is the c-agnostic output of the DT trees: reusable across
@@ -109,7 +101,6 @@ type Partitioning struct {
 
 type combinedPiece struct {
 	pred              predicate.Predicate
-	source            int // index into OutlierLeaves
 	influencesHoldOut bool
 	// piece is its Box for the Merger and the Lattice, built once with the
 	// partitioning.
@@ -171,15 +162,12 @@ func (pt *Partitioning) Score(ctx context.Context, scorer *influence.Scorer, lat
 			break
 		}
 		piece := &pt.Combined[i]
-		leaf := pt.OutlierLeaves[piece.source]
 		outMean, holdPen, _ := lat.Parts(piece.piece.Box, piece.piece.Boxed, piece.pred)
 		out = append(out, partition.Candidate{
 			Pred:              piece.pred,
 			Score:             task.Lambda*outMean - (1-task.Lambda)*holdPen,
 			HoldPenalty:       holdPen,
 			InfluencesHoldOut: piece.influencesHoldOut,
-			CachedRows:        leaf.CachedRows,
-			MeanInfluences:    leaf.Means,
 			Piece:             &piece.piece,
 		})
 	}

@@ -106,21 +106,43 @@ func TestCombinedPiecesTileOutlierGroups(t *testing.T) {
 	})
 }
 
-func TestLeafCardinalitiesAreExact(t *testing.T) {
+// With sampling off, each leaf's MeanInfluence is the exact pooled mean of
+// its rows' influences: summed per group in row order, then pooled.
+func TestLeafMeanInfluenceIsExact(t *testing.T) {
 	scorer, space, _ := setup(t, 2, 150, 80, 0.1)
 	pt, err := Partition(context.Background(), scorer, space, Params{DisableSampling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	task := scorer.Task()
-	for _, leaf := range pt.OutlierLeaves {
-		for gi, g := range task.Outliers {
-			want := leaf.Pred.Count(task.Table.Data(), g.Rows)
-			if int(leaf.Cards[gi]) != want {
-				t.Fatalf("leaf %v card[%d] = %v, want %d", leaf.Pred, gi, leaf.Cards[gi], want)
+	check := func(name string, leaves []Leaf, groups []influence.Group, inf func(gi, row int) float64) {
+		if len(leaves) == 0 {
+			t.Fatalf("no %s leaves", name)
+		}
+		for _, leaf := range leaves {
+			var pooled float64
+			count := 0
+			for gi, g := range groups {
+				var sum float64
+				g.Rows.ForEach(func(r int) {
+					if leaf.Pred.Match(task.Table.Data(), r) {
+						sum += inf(gi, r)
+						count++
+					}
+				})
+				pooled += sum
+			}
+			want := 0.0
+			if count > 0 {
+				want = pooled / float64(count)
+			}
+			if math.Float64bits(leaf.MeanInfluence) != math.Float64bits(want) {
+				t.Fatalf("%s leaf %v MeanInfluence = %v, want %v", name, leaf.Pred, leaf.MeanInfluence, want)
 			}
 		}
 	}
+	check("outlier", pt.OutlierLeaves, task.Outliers, scorer.TupleOutlierInfluence)
+	check("hold-out", pt.HoldOutLeaves, task.HoldOuts, scorer.TupleHoldOutInfluence)
 }
 
 func TestDTFindsPlantedCube(t *testing.T) {

@@ -590,42 +590,27 @@ func replaceClause(p predicate.Predicate, cl predicate.Clause) predicate.Predica
 	return predicate.MustNew(clauses...)
 }
 
-// emitLeaf converts a node into a Leaf with its per-group statistics.
+// emitLeaf converts a node into a Leaf with its pooled mean influence.
+// Each group's influences are summed on their own and the group sums then
+// added: one running sum over every row would round differently.
 func (t *tree) emitLeaf(n node) {
-	leaf := Leaf{
-		Pred:       n.pred,
-		Cards:      make([]float64, len(n.groups)),
-		Means:      make([]float64, len(n.groups)),
-		CachedRows: make([]int, len(n.groups)),
-	}
+	leaf := Leaf{Pred: n.pred}
 	var pooledSum float64
 	pooledCount := 0
 	for gi := range n.groups {
-		g := &n.groups[gi]
-		leaf.Cards[gi] = float64(len(g.full))
-		leaf.CachedRows[gi] = -1
-		if len(g.sampled) == 0 {
+		infs := n.groups[gi].infs
+		if len(infs) == 0 {
 			continue
 		}
 		var sum float64
-		for _, v := range g.infs {
+		for _, v := range infs {
 			sum += v
 		}
-		mean := sum / float64(len(g.infs))
-		leaf.Means[gi] = mean
 		pooledSum += sum
-		pooledCount += len(g.infs)
-		bestDist := math.Inf(1)
-		for i, v := range g.infs {
-			if d := math.Abs(v - mean); d < bestDist {
-				bestDist = d
-				leaf.CachedRows[gi] = g.sampled[i]
-			}
-		}
+		pooledCount += len(infs)
 	}
 	if pooledCount > 0 {
 		leaf.MeanInfluence = pooledSum / float64(pooledCount)
 	}
-	leaf.SampledCount = pooledCount
 	t.leaves = append(t.leaves, leaf)
 }

@@ -11,21 +11,12 @@ import (
 )
 
 // Candidate is a predicate produced by a partitioner, tagged with its
-// influence and, for DT partitions, the partition's statistics.
+// influence, its hold-out penalty and, for DT partitions, its piece.
 type Candidate struct {
 	// Pred is the candidate explanation predicate.
 	Pred predicate.Predicate
 	// Score is the (estimated) influence inf(O, H, p, V).
 	Score float64
-	// GroupCards estimates |p(g_o)| per outlier group. No search sets it;
-	// only the shard wire format carries it.
-	GroupCards []float64
-	// CachedRows holds, per outlier group, the row whose influence is
-	// closest to the partition's mean influence in that group, or -1.
-	// (DT only; nil otherwise.)
-	CachedRows []int
-	// MeanInfluences holds the per-group mean tuple influence (DT only).
-	MeanInfluences []float64
 	// HoldPenalty is max_h |inf(h, p)| at scoring time.
 	HoldPenalty float64
 	// InfluencesHoldOut marks partitions that overlap an influential

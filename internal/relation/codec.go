@@ -71,11 +71,6 @@ func (s *RowSet) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *RowSet) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(nil), nil
-}
-
 // DecodeRowSet decodes one RowSet from the front of data, returning the
 // set, the number of bytes consumed, and an error if the payload is
 // truncated, malformed, or from an unknown codec version. The returned

@@ -30,9 +30,10 @@ import (
 // for the compact encodings, so id translation between a table and its
 // Views never copies bitmap words unless the set really is dense.
 //
-// All read-only methods (Contains, Count, CountRange, ForEach, ForEachRun,
-// Rows, SubsetOf, Equal, Slice, Embed, Min, Max) never re-encode the receiver and
-// are safe for concurrent readers; mutating methods are not.
+// All read-only methods (Contains, Count, ForEach, ForEachRun, Rows,
+// SubsetOf, Equal, Intersect, Slice, Embed, Min, Max) never re-encode the
+// receiver and are safe for concurrent readers; the mutating methods (Add,
+// AddRange, And, Or) are not.
 type RowSet struct {
 	n     int
 	enc   uint8
@@ -96,9 +97,8 @@ func NewRowSet(n int) *RowSet {
 }
 
 // NewDenseRowSet returns an empty set pinned to the dense bitmap encoding.
-// Add and Remove keep it dense (set-algebra methods may still re-encode the
-// result); it exists so benchmarks can measure the fixed-bitmap baseline
-// the adaptive encodings replaced.
+// Every mutating method keeps it dense; it exists so benchmarks can
+// measure the fixed-bitmap baseline the adaptive encodings replaced.
 func NewDenseRowSet(n int) *RowSet {
 	if n < 0 {
 		panic("relation: negative RowSet universe")
@@ -348,45 +348,6 @@ func (s *RowSet) addRangeRuns(lo, hi int32) {
 	}
 	s.runs[i] = span{lo, hi}
 	s.runs = append(s.runs[:i+1], s.runs[j:]...)
-}
-
-// Remove deletes row i if present.
-func (s *RowSet) Remove(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	switch s.enc {
-	case encDense:
-		s.words[i>>6] &^= 1 << uint(i&63)
-	case encSparse:
-		r := int32(i)
-		j := sort.Search(len(s.elems), func(k int) bool { return s.elems[k] >= r })
-		if j < len(s.elems) && s.elems[j] == r {
-			s.elems = append(s.elems[:j], s.elems[j+1:]...)
-		}
-	case encRuns:
-		r := int32(i)
-		j := sort.Search(len(s.runs), func(k int) bool { return s.runs[k].hi > r })
-		if j == len(s.runs) || r < s.runs[j].lo {
-			return
-		}
-		run := s.runs[j]
-		switch {
-		case run.lo == r && run.hi == r+1:
-			s.runs = append(s.runs[:j], s.runs[j+1:]...)
-		case run.lo == r:
-			s.runs[j].lo++
-		case run.hi == r+1:
-			s.runs[j].hi--
-		default:
-			// Split the run in two.
-			s.runs = append(s.runs, span{})
-			copy(s.runs[j+1:], s.runs[j:])
-			s.runs[j] = span{run.lo, r}
-			s.runs[j+1] = span{r + 1, run.hi}
-			s.adapt()
-		}
-	}
 }
 
 // Contains reports whether row i is in the set.
@@ -820,87 +781,8 @@ func (s *RowSet) Or(o *RowSet) *RowSet {
 	return s
 }
 
-// AndNot removes o's rows from s in place and returns s. The result may be
-// re-encoded.
-func (s *RowSet) AndNot(o *RowSet) *RowSet {
-	s.checkUniverse(o)
-	if s.enc == encDense && o.enc == encDense {
-		for i := range s.words {
-			s.words[i] &^= o.words[i]
-		}
-		return s
-	}
-	if s.enc == encDense {
-		// Stays dense: clear o's runs from the bitmap.
-		it := o.iter()
-		for {
-			lo, hi, ok := it.next()
-			if !ok {
-				break
-			}
-			clearWordRange(s.words, lo, hi)
-		}
-		return s
-	}
-	b := newSetBuilder(s.n)
-	ia, ib := s.iter(), o.iter()
-	alo, ahi, aok := ia.next()
-	blo, bhi, bok := ib.next()
-	for aok {
-		for bok && bhi <= alo {
-			blo, bhi, bok = ib.next()
-		}
-		if !bok || blo >= ahi {
-			b.add(alo, ahi)
-			alo, ahi, aok = ia.next()
-			continue
-		}
-		if blo > alo {
-			b.add(alo, blo)
-		}
-		if bhi >= ahi {
-			alo, ahi, aok = ia.next()
-		} else {
-			alo = bhi
-		}
-	}
-	b.store(s)
-	return s
-}
-
-// Complement flips membership of every row in the universe, in place.
-func (s *RowSet) Complement() *RowSet {
-	if s.enc == encDense {
-		for i := range s.words {
-			s.words[i] = ^s.words[i]
-		}
-		s.trim()
-		return s
-	}
-	b := newSetBuilder(s.n)
-	prev := 0
-	it := s.iter()
-	for {
-		lo, hi, ok := it.next()
-		if !ok {
-			break
-		}
-		b.add(prev, lo)
-		prev = hi
-	}
-	b.add(prev, s.n)
-	b.store(s)
-	return s
-}
-
 // Intersect returns a new set with the rows common to s and o.
 func (s *RowSet) Intersect(o *RowSet) *RowSet { return s.Clone().And(o) }
-
-// Union returns a new set with the rows in either s or o.
-func (s *RowSet) Union(o *RowSet) *RowSet { return s.Clone().Or(o) }
-
-// Difference returns a new set with s's rows not in o.
-func (s *RowSet) Difference(o *RowSet) *RowSet { return s.Clone().AndNot(o) }
 
 // Equal reports whether s and o contain the same rows of the same universe,
 // regardless of encoding.
@@ -1095,55 +977,6 @@ func (s *RowSet) Embed(off, universe int) *RowSet {
 		out.enc, out.elems = encSparse, elems
 	}
 	return out
-}
-
-// CountRange returns the number of members in [lo, hi) without building a
-// new set. Bounds are clamped to the universe. O(log #runs) for the compact
-// encodings.
-func (s *RowSet) CountRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if hi <= lo {
-		return 0
-	}
-	switch s.enc {
-	case encDense:
-		c := 0
-		wLo, wHi := lo>>6, (hi-1)>>6
-		for wi := wLo; wi <= wHi; wi++ {
-			w := s.words[wi]
-			if wi == wLo {
-				w &= ^uint64(0) << uint(lo&63)
-			}
-			if wi == wHi && hi&63 != 0 {
-				w &= (uint64(1) << uint(hi&63)) - 1
-			}
-			c += bits.OnesCount64(w)
-		}
-		return c
-	case encSparse:
-		i := sort.Search(len(s.elems), func(k int) bool { return int(s.elems[k]) >= lo })
-		j := sort.Search(len(s.elems), func(k int) bool { return int(s.elems[k]) >= hi })
-		return j - i
-	default:
-		c := 0
-		i := sort.Search(len(s.runs), func(k int) bool { return int(s.runs[k].hi) > lo })
-		for ; i < len(s.runs) && int(s.runs[i].lo) < hi; i++ {
-			l, h := int(s.runs[i].lo), int(s.runs[i].hi)
-			if l < lo {
-				l = lo
-			}
-			if h > hi {
-				h = hi
-			}
-			c += h - l
-		}
-		return c
-	}
 }
 
 // ForEach calls fn for every row in ascending order.

@@ -93,7 +93,6 @@ func TestEncodingSelection(t *testing.T) {
 	// NewDenseRowSet stays dense under point mutation.
 	d := NewDenseRowSet(1000)
 	d.Add(3)
-	d.Remove(3)
 	if d.Encoding() != "dense" {
 		t.Fatalf("pinned dense: %s", d.Encoding())
 	}
@@ -106,13 +105,8 @@ func TestEncodingOutOfOrderAdds(t *testing.T) {
 	model := make(map[int]bool)
 	for i := 0; i < 3000; i++ {
 		r := rng.Intn(n)
-		if rng.Intn(4) == 0 {
-			s.Remove(r)
-			delete(model, r)
-		} else {
-			s.Add(r)
-			model[r] = true
-		}
+		s.Add(r)
+		model[r] = true
 		if err := s.check(); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -137,7 +131,6 @@ func TestCrossEncodingBinaryOps(t *testing.T) {
 	}{
 		{"And", func(a, b *RowSet) *RowSet { return a.And(b) }},
 		{"Or", func(a, b *RowSet) *RowSet { return a.Or(b) }},
-		{"AndNot", func(a, b *RowSet) *RowSet { return a.AndNot(b) }},
 	}
 	for trial := 0; trial < 60; trial++ {
 		n := rng.Intn(700)
@@ -162,16 +155,8 @@ func TestCrossEncodingBinaryOps(t *testing.T) {
 				}
 			}
 		}
-		// Complement, SubsetOf, Min/Max across encodings.
-		ref := x.Clone()
-		ref.toDense()
-		ref.Complement()
+		// SubsetOf, Min/Max across encodings.
 		for _, xa := range encVariants(x) {
-			c := xa.Clone().Complement()
-			mustCheck(t, c)
-			if !c.Equal(ref) {
-				t.Fatalf("trial %d Complement mismatch", trial)
-			}
 			for _, yb := range encVariants(y) {
 				want := true
 				x.ForEach(func(r int) {
@@ -211,11 +196,6 @@ func TestBinaryOpsSelfAlias(t *testing.T) {
 			and.And(and)
 			if !and.Equal(x) {
 				t.Fatalf("s.And(s) != s")
-			}
-			not := v.Clone()
-			not.AndNot(not)
-			if !not.IsEmpty() {
-				t.Fatalf("s.AndNot(s) not empty")
 			}
 		}
 	}
@@ -266,15 +246,15 @@ func TestSliceEmbedRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: CountRange equals the brute-force membership count on every
-// encoding, including clamped out-of-range bounds.
-func TestCountRangeProperty(t *testing.T) {
+// Property: Slice(lo, hi).Count() equals the brute-force count of members
+// in [lo, hi) on every encoding — the window count the shard tests take.
+func TestSliceCountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(600)
 		x := randomSet(rng, n)
-		lo := rng.Intn(n+20) - 10
-		hi := lo + rng.Intn(n+20)
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
 		want := 0
 		x.ForEach(func(r int) {
 			if r >= lo && r < hi {
@@ -282,7 +262,7 @@ func TestCountRangeProperty(t *testing.T) {
 			}
 		})
 		for _, v := range encVariants(x) {
-			if v.CountRange(lo, hi) != want {
+			if v.Slice(lo, hi).Count() != want {
 				return false
 			}
 		}
@@ -344,7 +324,6 @@ func TestConcurrentReaders(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
 					_ = s.Count()
-					_ = s.CountRange(100, 1500)
 					_ = s.Contains(i * 37 % 2000)
 					_ = s.Min()
 					_ = s.Max()
@@ -367,9 +346,9 @@ func TestCloneIsDeepAcrossEncodings(t *testing.T) {
 	for _, v := range encVariants(x) {
 		before := v.Rows()
 		c := v.Clone()
-		c.Complement()
-		c.Add(0)
-		c.Remove(1)
+		c.AddRange(0, 200)
+		c.Add(399)
+		c.And(RowSetOf(400, 1, 399))
 		got := v.Rows()
 		if len(got) != len(before) {
 			t.Fatalf("clone mutation leaked: %d vs %d rows", len(got), len(before))

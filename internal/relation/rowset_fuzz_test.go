@@ -6,8 +6,7 @@ package relation
 // the working set — one forced into each encoding before every step — and
 // asserts after every operation that all three agree with a map-based
 // reference model on membership, cardinality, iteration order, and the
-// pure query kernels (CountRange, Slice/Embed round-trip, SubsetOf, Equal,
-// Min/Max). Any divergence between encodings, structural-invariant
+// pure query kernels (Slice/Embed round-trip, SubsetOf, Equal, Min/Max). Any divergence between encodings, structural-invariant
 // violation, or panic is a finding.
 //
 // Run it locally with:
@@ -22,12 +21,9 @@ import (
 // two operand bytes (row/range positions scaled into the universe).
 const (
 	fuzzOpAdd = iota
-	fuzzOpRemove
 	fuzzOpAddRange
 	fuzzOpAnd
 	fuzzOpOr
-	fuzzOpAndNot
-	fuzzOpComplement
 	fuzzOpCount // number of opcodes
 )
 
@@ -52,13 +48,13 @@ func (m *fuzzModel) rows() []int {
 func FuzzRowSet(f *testing.F) {
 	// Seeds: one per opcode at small universes, plus mixed sequences that
 	// force encoding transitions (sparse→runs→dense and back).
-	f.Add([]byte{7, fuzzOpAdd, 1, 0, fuzzOpAdd, 3, 0, fuzzOpRemove, 1, 0})
-	f.Add([]byte{100, fuzzOpAddRange, 10, 90, fuzzOpComplement, 0, 0, fuzzOpAddRange, 0, 255})
+	f.Add([]byte{7, fuzzOpAdd, 1, 0, fuzzOpAdd, 3, 0, fuzzOpAddRange, 1, 5})
+	f.Add([]byte{100, fuzzOpAddRange, 10, 90, fuzzOpAnd, 0, 0, fuzzOpAddRange, 0, 255})
 	f.Add([]byte{200, fuzzOpAddRange, 0, 40, fuzzOpAnd, 20, 60, fuzzOpOr, 50, 55})
-	f.Add([]byte{64, fuzzOpAdd, 0, 0, fuzzOpAdd, 63, 0, fuzzOpAndNot, 0, 32, fuzzOpComplement, 0, 0})
+	f.Add([]byte{64, fuzzOpAdd, 0, 0, fuzzOpAdd, 63, 0, fuzzOpAnd, 0, 32, fuzzOpOr, 0, 0})
 	f.Add([]byte{255, fuzzOpOr, 1, 3, fuzzOpOr, 5, 7, fuzzOpOr, 9, 11, fuzzOpAnd, 2, 200})
 	f.Add([]byte{0})
-	f.Add([]byte{1, fuzzOpComplement, 0, 0})
+	f.Add([]byte{0, fuzzOpAdd, 0, 0, fuzzOpOr, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -75,9 +71,10 @@ func FuzzRowSet(f *testing.F) {
 		for len(data) >= 3 {
 			op, a, b := int(data[0])%fuzzOpCount, int(data[1]), int(data[2])
 			data = data[3:]
-			if n == 0 {
-				// Only Complement is meaningful on an empty universe.
-				op = fuzzOpComplement
+			if n == 0 && op == fuzzOpAdd {
+				// An empty universe has no row to add; the other ops are
+				// defined on it.
+				op = fuzzOpAddRange
 			}
 			ra, rb := 0, 0
 			if n > 0 {
@@ -101,25 +98,17 @@ func FuzzRowSet(f *testing.F) {
 				switch op {
 				case fuzzOpAdd:
 					s.Add(ra)
-				case fuzzOpRemove:
-					s.Remove(ra)
 				case fuzzOpAddRange:
 					s.AddRange(lo, hi)
 				case fuzzOpAnd:
 					s.And(operand())
 				case fuzzOpOr:
 					s.Or(operand())
-				case fuzzOpAndNot:
-					s.AndNot(operand())
-				case fuzzOpComplement:
-					s.Complement()
 				}
 			}
 			switch op {
 			case fuzzOpAdd:
 				model.add(ra)
-			case fuzzOpRemove:
-				model.remove(ra)
 			case fuzzOpAddRange:
 				for r := lo; r < hi; r++ {
 					model.add(r)
@@ -133,12 +122,6 @@ func FuzzRowSet(f *testing.F) {
 				}
 			case fuzzOpOr:
 				operand().ForEach(func(r int) { model.add(r) })
-			case fuzzOpAndNot:
-				operand().ForEach(func(r int) { model.remove(r) })
-			case fuzzOpComplement:
-				for r := 0; r < n; r++ {
-					model.in[r] = !model.in[r]
-				}
 			}
 			// Apply the op to the adaptive set and to each forced encoding
 			// in lockstep; all four must agree with the model.
@@ -174,9 +157,6 @@ func FuzzRowSet(f *testing.F) {
 					if model.in[r] {
 						wantRange++
 					}
-				}
-				if s.CountRange(lo, hi) != wantRange {
-					t.Fatalf("variant %d (%s): CountRange(%d,%d) = %d, want %d", vi, s.Encoding(), lo, hi, s.CountRange(lo, hi), wantRange)
 				}
 				if n > 0 {
 					back := s.Slice(lo, hi).Embed(lo, n)

@@ -25,12 +25,7 @@ func TestRowSetBasics(t *testing.T) {
 	if s.Contains(1) || s.Contains(-1) || s.Contains(130) {
 		t.Error("Contains reports rows never added")
 	}
-	s.Remove(64)
-	if s.Contains(64) || s.Count() != 2 {
-		t.Error("Remove failed")
-	}
-	s.Remove(-5) // out of range: no-op
-	if got := s.Rows(); len(got) != 2 || got[0] != 0 || got[1] != 129 {
+	if got := s.Rows(); len(got) != 3 || got[0] != 0 || got[1] != 64 || got[2] != 129 {
 		t.Errorf("Rows() = %v", got)
 	}
 }
@@ -44,18 +39,14 @@ func TestRowSetAddPanicsOutOfRange(t *testing.T) {
 	NewRowSet(10).Add(10)
 }
 
-func TestFullRowSetAndComplement(t *testing.T) {
+func TestFullRowSet(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 200} {
 		full := FullRowSet(n)
 		if full.Count() != n {
 			t.Fatalf("FullRowSet(%d).Count = %d", n, full.Count())
 		}
-		empty := full.Clone().Complement()
-		if !empty.IsEmpty() {
-			t.Fatalf("complement of full(%d) not empty", n)
-		}
-		if !empty.Complement().Equal(full) {
-			t.Fatalf("double complement != full at n=%d", n)
+		if n > 0 && (full.Min() != 0 || full.Max() != n-1) {
+			t.Fatalf("FullRowSet(%d) spans [%d,%d]", n, full.Min(), full.Max())
 		}
 	}
 }
@@ -66,11 +57,8 @@ func TestRowSetAlgebra(t *testing.T) {
 	if got := a.Intersect(b).Rows(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Union(b).Count(); got != 7 {
-		t.Errorf("Union count = %d, want 7", got)
-	}
-	if got := a.Difference(b).Rows(); len(got) != 3 {
-		t.Errorf("Difference = %v", got)
+	if got := a.Clone().Or(b).Count(); got != 7 {
+		t.Errorf("Or count = %d, want 7", got)
 	}
 	if !RowSetOf(100, 2, 3).SubsetOf(a) {
 		t.Error("SubsetOf false for genuine subset")
@@ -109,24 +97,6 @@ func randomRowSet(rng *rand.Rand, n int, p float64) *RowSet {
 	return s
 }
 
-// Property: De Morgan — complement(a ∪ b) == complement(a) ∩ complement(b).
-func TestRowSetDeMorganProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(300)
-		a := randomRowSet(r, n, 0.3)
-		b := randomRowSet(r, n, 0.3)
-		lhs := a.Union(b).Complement()
-		rhs := a.Clone().Complement().Intersect(b.Clone().Complement())
-		return lhs.Equal(rhs)
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: |a| + |b| == |a ∪ b| + |a ∩ b| (inclusion-exclusion).
 func TestRowSetInclusionExclusionProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -134,22 +104,60 @@ func TestRowSetInclusionExclusionProperty(t *testing.T) {
 		n := 1 + r.Intn(300)
 		a := randomRowSet(r, n, 0.4)
 		b := randomRowSet(r, n, 0.4)
-		return a.Count()+b.Count() == a.Union(b).Count()+a.Intersect(b).Count()
+		return a.Count()+b.Count() == a.Clone().Or(b).Count()+a.Intersect(b).Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: difference then union with the intersection restores a.
-func TestRowSetDifferenceProperty(t *testing.T) {
+// Property: And distributes over Or and Or over And, whatever encoding
+// each operand is in.
+func TestRowSetDistributiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(300)
-		a := randomRowSet(r, n, 0.5)
-		b := randomRowSet(r, n, 0.5)
-		restored := a.Difference(b).Union(a.Intersect(b))
-		return restored.Equal(a)
+		n := r.Intn(400)
+		a, b, c := randomSet(r, n), randomSet(r, n), randomSet(r, n)
+		for _, av := range encVariants(a) {
+			for _, bv := range encVariants(b) {
+				// a ∩ (b ∪ c) == (a ∩ b) ∪ (a ∩ c)
+				lhs := av.Intersect(bv.Clone().Or(c))
+				rhs := av.Intersect(bv).Or(av.Intersect(c))
+				if !lhs.Equal(rhs) {
+					return false
+				}
+				// a ∪ (b ∩ c) == (a ∪ b) ∩ (a ∪ c)
+				lhs = av.Clone().Or(bv.Intersect(c))
+				rhs = av.Clone().Or(bv).And(av.Clone().Or(c))
+				if !lhs.Equal(rhs) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: absorption — a ∪ (a ∩ b) == a and a ∩ (a ∪ b) == a.
+func TestRowSetAbsorptionProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(400)
+		a, b := randomSet(r, n), randomSet(r, n)
+		for _, av := range encVariants(a) {
+			for _, bv := range encVariants(b) {
+				if !av.Clone().Or(av.Intersect(bv)).Equal(a) {
+					return false
+				}
+				if !av.Intersect(bv.Clone().Or(av)).Equal(a) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

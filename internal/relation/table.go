@@ -148,16 +148,6 @@ func (t *Table) Row(row int) Row {
 	return out
 }
 
-// Gather materializes a new table containing only the given rows, in set
-// order. Dictionaries are rebuilt so codes stay dense.
-func (t *Table) Gather(rows *RowSet) *Table {
-	b := NewBuilder(t.schema)
-	rows.ForEach(func(r int) {
-		b.MustAppend(t.Row(r))
-	})
-	return b.Build()
-}
-
 // ColumnStats holds summary statistics of a continuous column over a row set.
 type ColumnStats struct {
 	Min, Max float64

@@ -99,23 +99,6 @@ func TestTableKindPanics(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	tbl := sensorsTable(t)
-	sub := tbl.Gather(RowSetOf(tbl.NumRows(), 5, 8))
-	if sub.NumRows() != 2 {
-		t.Fatalf("Gather rows = %d, want 2", sub.NumRows())
-	}
-	tempCol := sub.Schema().MustIndex("temp")
-	if sub.Float(tempCol, 0) != 100 || sub.Float(tempCol, 1) != 80 {
-		t.Errorf("gathered temps = %v,%v", sub.Float(tempCol, 0), sub.Float(tempCol, 1))
-	}
-	// Gathered dictionary must be dense: only the values present.
-	timeCol := sub.Schema().MustIndex("time")
-	if sub.Dict(timeCol).Len() != 2 {
-		t.Errorf("gathered time dict len = %d, want 2", sub.Dict(timeCol).Len())
-	}
-}
-
 func TestFloatStats(t *testing.T) {
 	tbl := sensorsTable(t)
 	tempCol := tbl.Schema().MustIndex("temp")

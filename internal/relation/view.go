@@ -60,9 +60,9 @@ func (t *Table) Off() int { return 0 }
 // data is copied — so slicing a huge table into shards is O(columns), not
 // O(rows).
 //
-// A View is itself a Relation with local row ids [0, Len()); ToGlobal,
-// ToLocal, LocalRows and GlobalRows translate between the window and the
-// base table's id space.
+// A View is itself a Relation with local row ids [0, Len()); LocalRows
+// and GlobalRows translate provenance sets between the window and the
+// base table's id space, and Off gives the window's offset.
 type View struct {
 	win  *Table // the windowed sub-table: subslices of base, shared dicts
 	base *Table
@@ -170,19 +170,6 @@ func (v *View) Base() *Table { return v.base }
 
 // Off returns the global row id of the window's first row.
 func (v *View) Off() int { return v.off }
-
-// ToGlobal maps a local row id to the base table's id space.
-func (v *View) ToGlobal(local int) int { return v.off + local }
-
-// ToLocal maps a global row id into the window, reporting whether it is
-// inside.
-func (v *View) ToLocal(global int) (int, bool) {
-	l := global - v.off
-	if l < 0 || l >= v.win.n {
-		return 0, false
-	}
-	return l, true
-}
 
 // LocalRows projects a base-table RowSet onto the window: the returned set
 // has universe Len() and contains, shifted by -Off, exactly the members

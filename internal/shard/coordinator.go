@@ -160,6 +160,7 @@ type shardResult struct {
 	cands       []partition.Candidate
 	work        int64
 	interrupted bool
+	searched    bool
 	err         error
 }
 
@@ -234,7 +235,7 @@ func (c *Coordinator) Search(pool *partition.Pool) (*partition.Outcome, error) {
 		all = append(all, r.cands...)
 		work += r.work
 		interrupted = interrupted || r.interrupted
-		if r.cands != nil || r.work > 0 {
+		if r.searched {
 			searched++
 		}
 	}
@@ -261,7 +262,7 @@ func (c *Coordinator) Search(pool *partition.Pool) (*partition.Outcome, error) {
 // view i and runs it with the given worker share.
 func (c *Coordinator) searchShard(i int, pool *partition.Pool, workers int) shardResult {
 	v := c.views[i]
-	task, outMap, _, ok := localTask(c.scorer.Task(), v)
+	task, ok := localTask(c.scorer.Task(), v)
 	if !ok {
 		return shardResult{} // no outlier rows in this window: nothing to search
 	}
@@ -279,7 +280,7 @@ func (c *Coordinator) searchShard(i int, pool *partition.Pool, workers int) shar
 			if board := pool.Board(); board != nil {
 				board.Child(ShardTag(i)).Publish(outcome.Candidates)
 			}
-			return c.finishShard(v, outMap, outcome)
+			return finishShard(outcome)
 		}
 		// Dispatch declined or failed: fall through to the local search.
 	}
@@ -311,64 +312,25 @@ func (c *Coordinator) searchShard(i int, pool *partition.Pool, workers int) shar
 	span.SetAttr("work", outcome.Work)
 	span.SetAttr("candidates", len(outcome.Candidates))
 	span.End()
-	return c.finishShard(v, outMap, outcome)
+	return finishShard(outcome)
 }
 
 // finishShard applies the coordinator-side post-processing every shard
-// outcome gets, local or remote: the DefaultTopPerShard cut and the map
-// back to global row ids.
-func (c *Coordinator) finishShard(v *relation.View, outMap []int, outcome *partition.Outcome) shardResult {
+// outcome gets, local or remote: the DefaultTopPerShard cut. The
+// predicates transfer verbatim — views share the base dictionaries, so
+// discrete codes mean the same thing, and continuous clauses carry raw
+// values — and the combiner re-scores them on the full table.
+func finishShard(outcome *partition.Outcome) shardResult {
 	cands := outcome.Candidates
 	if len(cands) > DefaultTopPerShard {
 		cands = cands[:DefaultTopPerShard]
 	}
-	mapped := make([]partition.Candidate, len(cands))
-	for j, cand := range cands {
-		mapped[j] = mapBack(v, cand, outMap, len(c.scorer.Task().Outliers))
-	}
 	return shardResult{
-		cands:       mapped,
+		cands:       cands,
 		work:        outcome.Work,
 		interrupted: outcome.Interrupted,
+		searched:    true,
 	}
-}
-
-// mapBack rewrites a shard-local candidate in the base table's terms. The
-// predicate itself transfers verbatim — views share the base dictionaries,
-// so discrete codes mean the same thing, and continuous clauses carry raw
-// values — while cached row ids shift by the view's offset and per-group
-// stats re-index onto the full task's outlier arity. GroupCards and
-// MeanInfluences stay window-local measurements; the combiner re-scores
-// exactly, so they are provenance, not inputs.
-func mapBack(v *relation.View, c partition.Candidate, outMap []int, nOut int) partition.Candidate {
-	out := c
-	if c.GroupCards != nil && len(c.GroupCards) == len(outMap) {
-		cards := make([]float64, nOut)
-		for j, gi := range outMap {
-			cards[gi] = c.GroupCards[j]
-		}
-		out.GroupCards = cards
-	}
-	if c.CachedRows != nil && len(c.CachedRows) == len(outMap) {
-		rows := make([]int, nOut)
-		for gi := range rows {
-			rows[gi] = -1
-		}
-		for j, gi := range outMap {
-			if r := c.CachedRows[j]; r >= 0 {
-				rows[gi] = v.ToGlobal(r)
-			}
-		}
-		out.CachedRows = rows
-	}
-	if c.MeanInfluences != nil && len(c.MeanInfluences) == len(outMap) {
-		means := make([]float64, nOut)
-		for j, gi := range outMap {
-			means[gi] = c.MeanInfluences[j]
-		}
-		out.MeanInfluences = means
-	}
-	return out
 }
 
 // combine dedupes the shards' candidates by predicate clause set, re-scores

@@ -124,11 +124,9 @@ func Plan(t *relation.Table, anchor *relation.RowSet, k int) []*relation.View {
 // localTask projects a full-table influence task onto one view: group
 // provenance RowSets are sliced to the window and shifted to local ids,
 // and groups with no rows inside the window are dropped — a shard only
-// scores what it can see. The returned index maps recover each local
-// group's position in the full task (outMap for outliers, holdMap for
-// hold-outs). A shard whose window contains no outlier rows returns ok =
-// false: it cannot generate candidates and should be skipped.
-func localTask(full *influence.Task, v *relation.View) (t *influence.Task, outMap, holdMap []int, ok bool) {
+// scores what it can see. A shard whose window contains no outlier rows
+// returns ok = false: it cannot generate candidates and should be skipped.
+func localTask(full *influence.Task, v *relation.View) (*influence.Task, bool) {
 	local := &influence.Task{
 		Table:  v,
 		Agg:    full.Agg,
@@ -136,26 +134,24 @@ func localTask(full *influence.Task, v *relation.View) (t *influence.Task, outMa
 		Lambda: full.Lambda,
 		C:      full.C,
 	}
-	for gi, g := range full.Outliers {
+	for _, g := range full.Outliers {
 		rows := v.LocalRows(g.Rows)
 		if rows.IsEmpty() {
 			continue
 		}
 		local.Outliers = append(local.Outliers, influence.Group{Key: g.Key, Rows: rows, Direction: g.Direction})
-		outMap = append(outMap, gi)
 	}
 	if len(local.Outliers) == 0 {
-		return nil, nil, nil, false
+		return nil, false
 	}
-	for gi, g := range full.HoldOuts {
+	for _, g := range full.HoldOuts {
 		rows := v.LocalRows(g.Rows)
 		if rows.IsEmpty() {
 			continue
 		}
 		local.HoldOuts = append(local.HoldOuts, influence.Group{Key: g.Key, Rows: rows})
-		holdMap = append(holdMap, gi)
 	}
-	return local, outMap, holdMap, true
+	return local, true
 }
 
 // OutlierUnion forwards to task.OutlierUnion for the benchmark ladder, its

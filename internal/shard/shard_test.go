@@ -53,7 +53,7 @@ func TestPlanGroupAware(t *testing.T) {
 	// into near-equal anchor shares, and the anchor-free tail is its own
 	// slice (its local search is skipped; the exact re-score covers it).
 	for i, want := range []int{33, 33, 34} {
-		got := anchor.CountRange(views[i].Off(), views[i].Off()+views[i].Len())
+		got := anchor.Slice(views[i].Off(), views[i].Off()+views[i].Len()).Count()
 		if got != want {
 			t.Errorf("shard %d: %d anchor rows, want %d", i, got, want)
 		}
@@ -78,7 +78,7 @@ func TestPlanGroupAware(t *testing.T) {
 		t.Errorf("tail slice [%d,+%d)", last.Off(), last.Len())
 	}
 	for _, v := range views[1:3] {
-		if got := mid.CountRange(v.Off(), v.Off()+v.Len()); got != 50 {
+		if got := mid.Slice(v.Off(), v.Off()+v.Len()).Count(); got != 50 {
 			t.Errorf("middle searched slice [%d,+%d) holds %d anchors, want 50", v.Off(), v.Len(), got)
 		}
 	}
@@ -107,7 +107,7 @@ func TestPlanFallbacks(t *testing.T) {
 	}
 	searched := 0
 	for _, v := range views {
-		if anchor.CountRange(v.Off(), v.Off()+v.Len()) > 0 {
+		if anchor.Slice(v.Off(), v.Off()+v.Len()).Count() > 0 {
 			searched++
 		}
 	}
@@ -141,7 +141,7 @@ func TestLocalTask(t *testing.T) {
 		},
 	}
 	v := tbl.Window(0, 50)
-	local, outMap, holdMap, ok := localTask(full, v)
+	local, ok := localTask(full, v)
 	if !ok {
 		t.Fatal("window with outlier rows reported not ok")
 	}
@@ -151,17 +151,14 @@ func TestLocalTask(t *testing.T) {
 	if !local.Outliers[0].Rows.Contains(5) || local.Outliers[0].Rows.Count() != 1 {
 		t.Fatalf("local outlier rows = %v", local.Outliers[0].Rows)
 	}
-	if len(outMap) != 1 || outMap[0] != 0 {
-		t.Fatalf("outMap = %v", outMap)
-	}
-	if len(local.HoldOuts) != 1 || local.HoldOuts[0].Key != "h0" || len(holdMap) != 1 || holdMap[0] != 0 {
-		t.Fatalf("local holdouts = %+v map %v", local.HoldOuts, holdMap)
+	if len(local.HoldOuts) != 1 || local.HoldOuts[0].Key != "h0" {
+		t.Fatalf("local holdouts = %+v", local.HoldOuts)
 	}
 	if local.Table.NumRows() != 50 {
 		t.Fatalf("local universe = %d", local.Table.NumRows())
 	}
 	// A window without outlier rows is skipped.
-	if _, _, _, ok := localTask(full, tbl.Window(6, 79)); ok {
+	if _, ok := localTask(full, tbl.Window(6, 79)); ok {
 		t.Fatal("outlier-free window reported ok")
 	}
 }

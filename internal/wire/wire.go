@@ -25,7 +25,11 @@
 //   - A field removal that leaves every answer exact does NOT bump Version
 //     either: Task no longer carries the anytime knobs (epsilon,
 //     confidence), and a worker ignores them in an older coordinator's
-//     task, answering exactly, which satisfies any error bound.
+//     task, answering exactly, which satisfies any error bound. Likewise
+//     Candidate no longer carries the per-group statistics of §6.3's
+//     estimated merge (group_cards, cached_rows, mean_influences): the
+//     combiner re-scores every candidate exactly and never read them, so
+//     a coordinator ignores them in an older worker's result.
 //   - A field removal that would change an answer DOES bump Version.
 //     Version 2 dropped the value-perturbation target ("perturb"): a
 //     version-2 worker would ignore it in a version-1 task and score by
@@ -125,13 +129,10 @@ type Candidate struct {
 	Clauses []Clause `json:"clauses"`
 	// Key is the producer's predicate.Key(); the decoder recomputes it
 	// from Clauses and rejects the candidate on mismatch.
-	Key               string    `json:"key"`
-	Score             float64   `json:"score"`
-	GroupCards        []float64 `json:"group_cards,omitempty"`
-	CachedRows        []int     `json:"cached_rows,omitempty"`
-	MeanInfluences    []float64 `json:"mean_influences,omitempty"`
-	HoldPenalty       float64   `json:"hold_penalty"`
-	InfluencesHoldOut bool      `json:"influences_holdout,omitempty"`
+	Key               string  `json:"key"`
+	Score             float64 `json:"score"`
+	HoldPenalty       float64 `json:"hold_penalty"`
+	InfluencesHoldOut bool    `json:"influences_holdout,omitempty"`
 }
 
 // Clause is one predicate clause. Kind is "continuous" or "discrete".
@@ -219,9 +220,6 @@ func EncodeCandidates(cands []partition.Candidate) []Candidate {
 			Clauses:           wc,
 			Key:               c.Pred.Key(),
 			Score:             c.Score,
-			GroupCards:        c.GroupCards,
-			CachedRows:        c.CachedRows,
-			MeanInfluences:    c.MeanInfluences,
 			HoldPenalty:       c.HoldPenalty,
 			InfluencesHoldOut: c.InfluencesHoldOut,
 		}
@@ -259,9 +257,6 @@ func DecodeCandidates(cands []Candidate) ([]partition.Candidate, error) {
 		out[i] = partition.Candidate{
 			Pred:              pred,
 			Score:             c.Score,
-			GroupCards:        c.GroupCards,
-			CachedRows:        c.CachedRows,
-			MeanInfluences:    c.MeanInfluences,
 			HoldPenalty:       c.HoldPenalty,
 			InfluencesHoldOut: c.InfluencesHoldOut,
 		}

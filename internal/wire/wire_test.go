@@ -100,8 +100,8 @@ func testCandidates(t *testing.T) []partition.Candidate {
 		t.Fatal(err)
 	}
 	return []partition.Candidate{
-		{Pred: p1, Score: 1.5, GroupCards: []float64{3, 0}, HoldPenalty: 0.25, InfluencesHoldOut: true},
-		{Pred: p2, Score: -2, CachedRows: []int{7, 9}, MeanInfluences: []float64{0.5}},
+		{Pred: p1, Score: 1.5, HoldPenalty: 0.25, InfluencesHoldOut: true},
+		{Pred: p2, Score: -2},
 	}
 }
 
@@ -136,6 +136,56 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		}
 		if g.Score != w.Score || g.HoldPenalty != w.HoldPenalty || g.InfluencesHoldOut != w.InfluencesHoldOut {
 			t.Fatalf("candidate %d drifted: %+v vs %+v", i, g, w)
+		}
+	}
+}
+
+// TestDecodeOutcomeIgnoresRetiredStats: a version-2 worker that still
+// sends the per-group statistics Candidate used to carry (group_cards,
+// cached_rows, mean_influences) yields the same predicates, scores and
+// penalties as one that does not — the removal keeps Version at 2.
+func TestDecodeOutcomeIgnoresRetiredStats(t *testing.T) {
+	data, err := json.Marshal(EncodeOutcome(&partition.Outcome{Candidates: testCandidates(t), Work: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	if old["version"] != float64(2) {
+		t.Fatalf("envelope version %v, want 2", old["version"])
+	}
+	for _, c := range old["candidates"].([]any) {
+		c := c.(map[string]any)
+		c["group_cards"] = []float64{3, 0}
+		c["cached_rows"] = []int{7, -1}
+		c["mean_influences"] = []float64{0.5, 0}
+	}
+	oldData, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(data []byte) *partition.Outcome {
+		t.Helper()
+		var r Result
+		if err := json.Unmarshal(data, &r); err != nil {
+			t.Fatal(err)
+		}
+		o, err := DecodeOutcome(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	want, got := decode(data), decode(oldData)
+	if got.Work != want.Work || len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("old-peer outcome %+v, want %+v", got, want)
+	}
+	for i, g := range got.Candidates {
+		w := want.Candidates[i]
+		if g.Pred.Key() != w.Pred.Key() || g.Score != w.Score || g.HoldPenalty != w.HoldPenalty || g.InfluencesHoldOut != w.InfluencesHoldOut {
+			t.Fatalf("candidate %d: old peer %+v, want %+v", i, g, w)
 		}
 	}
 }

@@ -47,8 +47,8 @@ var optionSurface = map[string][]string{
 		"Estimator",         // benchmark/ladder.go
 	},
 	"dt.Params": {
-		"DisableSampling", // tests only: TestLeafCardinalitiesAreExact, TestPartitioningReusableAcrossC
-		"SampleSeed",      // tests only: TestParallelPartitioningIdenticalToSerial, TestDTWithSamplingStillWorks
+		"DisableSampling", // tests only: TestPartitionLeavesTileOutlierGroups, TestPartitioningReusableAcrossC
+		"SampleSeed",      // tests only: TestDTWithSamplingStillWorks
 	},
 	"mc.Params": {
 		"Bins",     // explain.go (Plan's grid), internal/worker

@@ -126,8 +126,8 @@ type Request struct {
 	// TopK bounds the returned explanations (default 5).
 	TopK int
 	// Bins is the number of equi-width ranges per continuous attribute in
-	// the clause grid NAIVE and MC search; 0 means the paper's 15. DT
-	// splits on the data and has no grid.
+	// the clause grid NAIVE and MC search; 0 means the paper's 15, and at
+	// most 1,024 are accepted. DT splits on the data and has no grid.
 	Bins int
 
 	// OnProgress, when non-nil, is invoked periodically while the search

@@ -1,7 +1,10 @@
 package influence
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/predicate"
@@ -30,6 +33,8 @@ type Layout struct {
 	// (math.Pow was 40 % of a NAIVE search), and a looked-up power has the
 	// bits of a computed one. Selections past the table compute theirs.
 	pow []float64
+	// subsets reports whether SubsetBound bounds anything (see there).
+	subsets bool
 }
 
 // maxPowTable bounds the power table (32 KiB) whatever the group sizes.
@@ -43,6 +48,13 @@ type layoutGroup struct {
 	state aggregate.State
 	// dir is the outlier's error vector; hold-outs, which have none, carry 0.
 	dir float64
+	// For SubsetBound, on an outlier group: one is the per-row term of
+	// dir·Δ (dir for COUNT and count(*), 0 when the terms are dir·vals),
+	// desc the positions by descending term (nil when every term is one),
+	// and slack the group's rounding margin.
+	one   float64
+	desc  []int32
+	slack float64
 }
 
 // NewLayout lays the scorer's groups out by position.
@@ -56,6 +68,7 @@ func (s *Scorer) NewLayout() *Layout {
 	for n := range l.pow {
 		l.pow[n] = math.Pow(float64(n), s.task.C)
 	}
+	l.subsets = l.prepareSubsets()
 	return l
 }
 
@@ -162,6 +175,119 @@ func (l *Layout) HoldOut(bound, floor float64, masks [][]uint64) (score float64,
 		}
 		folded++
 	}
+}
+
+// SubsetBound returns an upper bound on Bound(sub) over every sub of masks
+// — every choice of sub[g] ⊆ masks[g] for each outlier group, the empty
+// ones included — so a search that has assembled a prefix conjunction's
+// outlier bitsets can skip every conjunction that extends the prefix when
+// this is below its floor. Only the outlier masks are read. Where no bound
+// exists it returns +Inf: for an aggregate other than SUM and COUNT, and
+// for SUM over a non-finite value or sums that could overflow.
+//
+// For SUM and COUNT, dir·Δ of a removed row set S is the sum over S of a
+// per-row term (dir·v, or dir for COUNT), so no S of m rows exceeds the sum
+// T_m of the m largest terms under the mask. The per-group bound is
+// max(0, max over m of scale(T_m + slack, m)), combined over groups exactly
+// as Bound combines them. slack covers the rounding of T_m's sum and of
+// finish's orig − (Sum − selSum) (see prepareSubsets), so T_m + slack ≥
+// the dir·Δ Bound folds; IEEE division by the same power, addition, /nOut
+// and λ· are monotone, which carries the inequality to Bound's bits. The
+// 0 covers the empty selection and a Δ that finite maps to 0.
+func (l *Layout) SubsetBound(masks [][]uint64) float64 {
+	if !l.subsets {
+		return math.Inf(1)
+	}
+	sum := 0.0
+	for g := range l.Outliers() {
+		sum += l.groupSubsetBound(g, masks[g])
+	}
+	return l.s.task.Lambda * (sum / float64(l.Outliers()))
+}
+
+// SubsetBounded reports whether SubsetBound can return less than +Inf.
+func (l *Layout) SubsetBounded() bool { return l.subsets }
+
+// groupSubsetBound is SubsetBound's bound for outlier group gi: it takes
+// the terms under the mask in descending order, so their running sum after
+// m of them is T_m.
+func (l *Layout) groupSubsetBound(gi int, mask []uint64) float64 {
+	g := &l.groups[gi]
+	left := 0
+	for _, w := range mask {
+		left += bits.OnesCount64(w)
+	}
+	best, top := 0.0, 0.0
+	for i, m := 0, 0; m < left; i++ {
+		t := g.one
+		if g.desc != nil {
+			p := g.desc[i]
+			if mask[p>>6]&(1<<(p&63)) == 0 {
+				continue
+			}
+			t = g.dir * g.vals[p]
+		}
+		m++
+		top += t
+		x := top + g.slack
+		if x <= 0 && t <= 0 {
+			break // no later term is larger, so no later x is positive
+		}
+		if b := l.scale(x, m); b > best {
+			best = b
+		}
+	}
+	return best
+}
+
+// prepareSubsets readies SubsetBound: each outlier group's term order and
+// slack. It reports false, and SubsetBound bounds nothing, for an aggregate
+// other than SUM and COUNT, and for SUM when a value is not finite or the
+// outlier groups' sums of |v| could overflow. COUNT's values never enter its
+// Δ, so COUNT is always bounded.
+//
+// The slack is a proven bound on rounding. Let u = 2⁻⁵³ and A = Σ|v| over
+// the group's n rows (A = n for COUNT). Summing k ≤ n of the values in any
+// order errs by at most γ·A, γ = (n−1)u/(1−(n−1)u). finish computes
+// Δ = orig − (Sum − selSum): orig = Sum and selSum each err by γ·A, and the
+// two subtractions by u·2(1+γ)A and u·(1+γ)(1+2u)A; T_m errs by γ·A. With
+// n·u < 1/100 that totals under 2.1·(n+1)·u·A, and slack = 4·(n+2)·u·A,
+// computed from a sum of |v| that is itself within γ·A, covers it. (COUNT's
+// Δ and T_m are exact integers.) Σ 4A over the outlier groups is finite,
+// so no sum SubsetBound or Bound forms can overflow.
+func (l *Layout) prepareSubsets() bool {
+	_, count := l.s.task.Agg.(aggregate.Count)
+	if _, sum := l.s.task.Agg.(aggregate.Sum); !sum && !count {
+		return false
+	}
+	total := 0.0
+	for gi := range l.Outliers() {
+		g := &l.groups[gi]
+		abs := float64(g.n)
+		if count || g.vals == nil {
+			g.one = g.dir
+		} else {
+			abs = 0
+			for _, v := range g.vals {
+				abs += math.Abs(v)
+			}
+		}
+		g.slack = float64(4*(g.n+2)) * 0x1p-53 * abs
+		total += 4 * abs
+	}
+	if math.IsNaN(total) || math.IsInf(total, 0) {
+		return false
+	}
+	for gi := range l.Outliers() {
+		if g := &l.groups[gi]; g.one == 0 {
+			g.desc = make([]int32, g.n)
+			for i := range g.desc {
+				g.desc[i] = int32(i)
+			}
+			slices.SortFunc(g.desc, func(a, b int32) int { return cmp.Compare(g.dir*g.vals[b], g.dir*g.vals[a]) })
+		}
+	}
+	return true
 }
 
 // delta is Scorer.delta over a position mask instead of a predicate.

@@ -16,6 +16,13 @@
 // order is (score descending, sequence ascending), and the exact path scores
 // batches against floors that follow from the enumeration alone, so its
 // output, scorer calls and trace are the same for every worker count.
+//
+// The exact path prunes without changing an answer. A conjunction whose
+// outlier groups alone score below the floor is dropped before its hold-outs
+// are folded (the frontier gate). For SUM and COUNT, a prefix whose
+// best-subset bound (influence.Layout.SubsetBound) is below the floor has
+// its whole subtree skipped, unenumerated (the subtree gate): every
+// conjunction that extends it would have been dropped. DESIGN.md proves both.
 package naive
 
 import (
@@ -92,7 +99,8 @@ type Result struct {
 	// order, with the wall-clock offset of its fold: only Elapsed varies
 	// with the worker count. The anytime path records none.
 	Trace []TracePoint
-	// Enumerated counts enumerated predicates.
+	// Enumerated counts the enumerated predicates, all of which were
+	// scored: the ones in subtrees the exact path skipped are not among them.
 	Enumerated int64
 	// Pruned counts predicates the anytime path discarded on an interval
 	// upper bound; Escalated counts those that reached the exact scorer.
@@ -101,8 +109,10 @@ type Result struct {
 	Pruned    int64
 	Escalated int64
 	// Gated counts the predicates the exact path gated on their outlier
-	// bound; SkippedHoldOuts the hold-out group scans it skipped.
-	Gated, SkippedHoldOuts int64
+	// bound; SkippedHoldOuts the hold-out group scans it skipped;
+	// SkippedSubtrees the prefixes whose every extension it skipped
+	// unenumerated on their best-subset bound.
+	Gated, SkippedHoldOuts, SkippedSubtrees int64
 	// Interrupted reports whether context cancellation cut the search
 	// short; TopK then holds the best predicates found so far.
 	Interrupted bool
@@ -177,8 +187,12 @@ type attrClauses struct {
 	col      int
 	name     string
 	discrete bool
-	// ranges holds all consecutive-bin range clauses (continuous attrs).
+	// ranges holds all consecutive-bin range clauses (continuous attrs),
+	// as binRanges orders them.
 	ranges []predicate.Clause
+	// bins, when not 0, is the number of single bins the ranges tile: the
+	// range of bins i…j selects exactly the rows of bins i, …, j.
+	bins int
 	// codes holds the distinct codes present in g_O (discrete attrs).
 	codes []int32
 }
@@ -199,7 +213,7 @@ func buildClauseSets(space *predicate.Space, t *relation.Table, rows *relation.R
 				st.Min, st.Max = dom.Lo, dom.Hi
 			}
 			ac := attrClauses{col: col, name: name}
-			ac.ranges = binRanges(col, name, st.Min, st.Max, params.Bins)
+			ac.ranges, ac.bins = binRanges(col, name, st.Min, st.Max, params.Bins)
 			sets = append(sets, ac)
 			continue
 		}
@@ -219,14 +233,20 @@ func buildClauseSets(space *predicate.Space, t *relation.Table, rows *relation.R
 }
 
 // binRanges enumerates every run of consecutive equi-width bins over
-// [lo, hi]: bins·(bins+1)/2 clauses. The run that reaches the final bin is
-// upper-inclusive so the domain maximum stays coverable.
-func binRanges(col int, name string, lo, hi float64, bins int) []predicate.Clause {
+// [lo, hi]: bins·(bins+1)/2 clauses, the runs from bin 0 first, each
+// start's runs by increasing end. The run that reaches the final bin is
+// upper-inclusive so the domain maximum stays coverable. It also returns
+// how many single bins the runs tile (see attrClauses.bins): every edge is
+// lo + k·width, so bins i…j share their inner edges and span the run's
+// [lo + i·width, lo + (j+1)·width), and both forms of a run that reaches
+// the final bin include its upper edge. An infinite width makes the first
+// edge NaN (0·Inf), and then the runs do not tile.
+func binRanges(col int, name string, lo, hi float64, bins int) ([]predicate.Clause, int) {
 	if hi <= lo {
-		return []predicate.Clause{predicate.NewRangeClause(col, name, lo, hi, true)}
+		return []predicate.Clause{predicate.NewRangeClause(col, name, lo, hi, true)}, 1
 	}
 	width := (hi - lo) / float64(bins)
-	var out []predicate.Clause
+	out := make([]predicate.Clause, 0, bins*(bins+1)/2)
 	for i := 0; i < bins; i++ {
 		for j := i; j < bins; j++ {
 			clo := lo + float64(i)*width
@@ -234,7 +254,10 @@ func binRanges(col int, name string, lo, hi float64, bins int) []predicate.Claus
 			out = append(out, predicate.NewRangeClause(col, name, clo, chi, j == bins-1))
 		}
 	}
-	return out
+	if math.IsInf(width, 0) {
+		return out, 0
+	}
+	return out, bins
 }
 
 // clauseTable holds, for the life of one exact search, the rows every clause
@@ -276,8 +299,27 @@ func newClauseTable(scorer *influence.Scorer, sets []attrClauses) *clauseTable {
 		t.atoms[a] = make([][]uint64, layout.Groups())
 		for g, w := range t.words {
 			masks := make([]uint64, len(clauses)*w)
-			for k := range clauses {
-				layout.ClauseMask(g, &clauses[k], masks[k*w:(k+1)*w])
+			atom := func(k int) []uint64 { return masks[k*w : (k+1)*w] }
+			if set.bins == 0 {
+				for k := range clauses {
+					layout.ClauseMask(g, &clauses[k], atom(k))
+				}
+			} else {
+				// Scan the rows once per bin; every longer run is the run
+				// one bin shorter OR its last bin.
+				b := set.bins
+				start := func(i int) int { return i*b - i*(i-1)/2 } // run (i, i)
+				for i := 0; i < b; i++ {
+					layout.ClauseMask(g, &clauses[start(i)], atom(start(i)))
+				}
+				for i := 0; i < b; i++ {
+					for j := i + 1; j < b; j++ {
+						k, bin := start(i)+j-i, atom(start(j))
+						for x, m := range atom(k - 1) {
+							masks[k*w+x] = m | bin[x]
+						}
+					}
+				}
 			}
 			t.atoms[a][g] = masks
 		}
@@ -285,8 +327,19 @@ func newClauseTable(scorer *influence.Scorer, sets []attrClauses) *clauseTable {
 	return t
 }
 
+// scratch is where fill assembles a conjunction's bitsets: AND and OR
+// buffers laid out as the table's offs, and one bitset per group in masks.
+type scratch struct {
+	and, or []uint64
+	masks   [][]uint64
+}
+
+func (t *clauseTable) newScratch() scratch {
+	return scratch{and: make([]uint64, t.total), or: make([]uint64, t.total), masks: make([][]uint64, len(t.words))}
+}
+
 // fill assembles the conjunction's bitsets of groups [lo, hi) in b.masks.
-func (t *clauseTable) fill(c conj, b *conjBatch, lo, hi int) {
+func (t *clauseTable) fill(c conj, b *scratch, lo, hi int) {
 	single := len(c) == 2+int(c[1])
 	first := true
 	c.terms(func(attr int, atoms []int32) {
@@ -356,6 +409,11 @@ type enumerator struct {
 	interrupted bool
 	produced    int64
 	sink        func(c conj, seq int64)
+	// skip, when set, is asked before the enumeration descends into a
+	// prefix that still has attributes to add; true skips every
+	// conjunction that extends it. skipped counts the subtrees skipped.
+	skip    func(prefix conj) bool
+	skipped int64
 }
 
 // predicate builds the predicate a conjunction stands for.
@@ -399,6 +457,11 @@ func (e *enumerator) enumerate(from, nAttrs, size int, chosen conj) {
 		e.emit(chosen, size)
 		return
 	}
+	if len(chosen) > 0 && e.skip != nil && e.skip(chosen) {
+		e.skipped++
+		e.poll(e.skipped)
+		return
+	}
 	for i := from; i+nAttrs <= len(e.sets); i++ {
 		set := &e.sets[i]
 		if set.discrete {
@@ -440,7 +503,8 @@ func (e *enumerator) enumerateSubsets(set *attrClauses, size, minSize, from int,
 // emit hands a fully-assembled conjunction to the sink, de-duplicating
 // across complexity passes: a conjunction is emitted only in the pass equal
 // to its largest discrete clause (or pass 1 when it has none). Every
-// checkInterval emissions it polls the pool's context.
+// checkInterval emissions it polls the pool's context, as enumerate does
+// every checkInterval skipped subtrees.
 func (e *enumerator) emit(c conj, size int) {
 	complexity := 1
 	c.terms(func(attr int, atoms []int32) {
@@ -455,8 +519,13 @@ func (e *enumerator) emit(c conj, size int) {
 	seq := e.produced
 	e.produced++
 	e.sink(c, seq)
+	e.poll(e.produced)
+}
 
-	if e.produced%checkInterval == 0 && e.pool.Cancelled() {
+// poll stops the enumeration once the pool's context is done, looking
+// every checkInterval counts of n.
+func (e *enumerator) poll(n int64) {
+	if n%checkInterval == 0 && e.pool.Cancelled() {
 		e.interrupted = true
 		e.done = true
 	}
@@ -465,22 +534,20 @@ func (e *enumerator) emit(c conj, size int) {
 // conjBatch is a run of consecutively enumerated conjunctions, copied out
 // of the enumerator's buffer back to back: conjunction i is
 // terms[ends[i-1]:ends[i]] and has sequence number first+i. A worker scores
-// it against floor into hits, assembling bitsets in and, or and masks (one
-// per group, laid out as the table's offs), then signals ready.
+// it against floor into hits, assembling bitsets in its scratch, then
+// signals ready.
 type conjBatch struct {
+	scratch
 	first        int64
 	terms, ends  []int32
 	floor        float64
-	and, or      []uint64
-	masks        [][]uint64
 	hits         []ranked[int32]
 	folds, gated int
 	ready        chan struct{}
 }
 
 func (t *clauseTable) newBatch() *conjBatch {
-	and, or := make([]uint64, t.total), make([]uint64, t.total)
-	return &conjBatch{and: and, or: or, masks: make([][]uint64, len(t.words)), ready: make(chan struct{}, 1)}
+	return &conjBatch{scratch: t.newScratch(), ready: make(chan struct{}, 1)}
 }
 
 func (b *conjBatch) len() int { return len(b.ends) }
@@ -507,13 +574,13 @@ func (b *conjBatch) at(i int) conj {
 func (b *conjBatch) score(t *clauseTable) {
 	nOut, n := t.layout.Outliers(), len(t.words)
 	for i := range b.len() {
-		t.fill(b.at(i), b, 0, nOut)
+		t.fill(b.at(i), &b.scratch, 0, nOut)
 		bound := t.layout.Bound(b.masks)
 		if b.folds += nOut; bound < b.floor {
 			b.gated++
 			continue
 		}
-		t.fill(b.at(i), b, nOut, n)
+		t.fill(b.at(i), &b.scratch, nOut, n)
 		score, folded, ok := t.layout.HoldOut(bound, b.floor, b.masks)
 		if b.folds += folded; ok {
 			b.hits = append(b.hits, ranked[int32]{score, b.first + int64(i), int32(i)})
@@ -601,6 +668,20 @@ func runExact(e *enumerator, res *Result, pool *partition.Pool, tbl *clauseTable
 			flush()
 		}
 	}
+	// The subtree gate: every batch from here on is scored against a floor
+	// no lower than the last flushed batch's, which is the keeper's floor
+	// until the next flush; −Inf and NaN floors gate nothing.
+	if tbl.layout.SubsetBounded() {
+		pre, nOut := tbl.newScratch(), tbl.layout.Outliers()
+		e.skip = func(prefix conj) bool {
+			floor := keeper.floor()
+			if !(floor > math.Inf(-1)) {
+				return false
+			}
+			tbl.fill(prefix, &pre, 0, nOut)
+			return tbl.layout.SubsetBound(pre.masks) < floor
+		}
+	}
 	e.run(maxCard, maxClauses)
 	if cur.len() > 0 && !e.interrupted {
 		flush()
@@ -612,10 +693,14 @@ func runExact(e *enumerator, res *Result, pool *partition.Pool, tbl *clauseTable
 		e.interrupted = true
 	}
 	res.TopK = candidates(&keeper)
-	obs.SpanFrom(pool.Context()).SetAttr("gated", res.Gated)
-	obs.SpanFrom(pool.Context()).SetAttr("holdouts_skipped", res.SkippedHoldOuts)
-	obs.RegistryFrom(pool.Context()).Counter("scorpion_naive_gated_total").Add(float64(res.Gated))
-	obs.RegistryFrom(pool.Context()).Counter("scorpion_naive_holdouts_skipped_total").Add(float64(res.SkippedHoldOuts))
+	res.SkippedSubtrees = e.skipped
+	span, reg := obs.SpanFrom(pool.Context()), obs.RegistryFrom(pool.Context())
+	span.SetAttr("gated", res.Gated)
+	span.SetAttr("holdouts_skipped", res.SkippedHoldOuts)
+	span.SetAttr("subtrees_skipped", res.SkippedSubtrees)
+	reg.Counter("scorpion_naive_gated_total").Add(float64(res.Gated))
+	reg.Counter("scorpion_naive_holdouts_skipped_total").Add(float64(res.SkippedHoldOuts))
+	reg.Counter("scorpion_naive_subtrees_skipped_total").Add(float64(res.SkippedSubtrees))
 }
 
 // ranked is one scored entry of a top-k list. seq is its enumeration

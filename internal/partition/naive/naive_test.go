@@ -206,13 +206,14 @@ func TestTopKNaNOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestExactGateObservability: the exact path reports what the gate saved
-// on the search span of its context (gated, holdouts_skipped) and on the
-// registry's scorpion_naive_{gated,holdouts_skipped}_total counters, equal
-// to the Result's counts and adding up across runs.
+// TestExactGateObservability: the exact path reports what its gates saved
+// on the search span of its context (gated, holdouts_skipped,
+// subtrees_skipped) and on the registry's
+// scorpion_naive_{gated,holdouts_skipped,subtrees_skipped}_total counters,
+// equal to the Result's counts and adding up across runs.
 func TestExactGateObservability(t *testing.T) {
 	reg := obs.NewRegistry()
-	var gated, skipped int64
+	var gated, skipped, subtrees int64
 	for run := 0; run < 2; run++ {
 		span := obs.NewSpan("search")
 		ctx := obs.ContextWithRegistry(obs.ContextWithSpan(context.Background(), span), reg)
@@ -221,20 +222,24 @@ func TestExactGateObservability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Gated == 0 || res.SkippedHoldOuts < res.Gated {
-			t.Fatalf("gated %d, skipped hold-out scans %d", res.Gated, res.SkippedHoldOuts)
+		if res.Gated == 0 || res.SkippedHoldOuts < res.Gated || res.SkippedSubtrees == 0 {
+			t.Fatalf("gated %d, skipped hold-out scans %d, skipped subtrees %d", res.Gated, res.SkippedHoldOuts, res.SkippedSubtrees)
 		}
-		gated, skipped = gated+res.Gated, skipped+res.SkippedHoldOuts
+		gated, skipped, subtrees = gated+res.Gated, skipped+res.SkippedHoldOuts, subtrees+res.SkippedSubtrees
 		span.End()
 		attrs := span.Snapshot().Attrs
-		if attrs["gated"] != res.Gated || attrs["holdouts_skipped"] != res.SkippedHoldOuts {
-			t.Fatalf("span attrs %v, want gated %d, holdouts_skipped %d", attrs, res.Gated, res.SkippedHoldOuts)
+		if attrs["gated"] != res.Gated || attrs["holdouts_skipped"] != res.SkippedHoldOuts || attrs["subtrees_skipped"] != res.SkippedSubtrees {
+			t.Fatalf("span attrs %v, want gated %d, holdouts_skipped %d, subtrees_skipped %d",
+				attrs, res.Gated, res.SkippedHoldOuts, res.SkippedSubtrees)
 		}
 	}
-	if got := reg.Counter("scorpion_naive_gated_total").Value(); got != float64(gated) {
-		t.Errorf("scorpion_naive_gated_total = %v, want %d", got, gated)
-	}
-	if got := reg.Counter("scorpion_naive_holdouts_skipped_total").Value(); got != float64(skipped) {
-		t.Errorf("scorpion_naive_holdouts_skipped_total = %v, want %d", got, skipped)
+	for name, want := range map[string]int64{
+		"scorpion_naive_gated_total":            gated,
+		"scorpion_naive_holdouts_skipped_total": skipped,
+		"scorpion_naive_subtrees_skipped_total": subtrees,
+	} {
+		if got := reg.Counter(name).Value(); got != float64(want) {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
 	}
 }

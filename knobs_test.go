@@ -87,8 +87,8 @@ func TestExplicitZeroKnobsReachScorer(t *testing.T) {
 
 // TestNonFiniteKnobsRejected: NaN and ±Inf for λ and c are refused with an
 // error naming the knob at every entry point instead of silently producing
-// an all-NaN ranking (NaN fails "x < 0 || x > 1"), and so is a negative
-// grid.
+// an all-NaN ranking (NaN fails "x < 0 || x > 1"), and so are a negative
+// grid and one above the cap.
 func TestNonFiniteKnobsRejected(t *testing.T) {
 	base := Request{
 		Table:            sensorsTable(t),
@@ -107,6 +107,7 @@ func TestNonFiniteKnobsRejected(t *testing.T) {
 		{"c +Inf", "c", func(r *Request) { r.C = inf }},
 		{"c -Inf", "c", func(r *Request) { r.C = -inf }},
 		{"bins -1", "bins", func(r *Request) { r.Bins = -1 }},
+		{"bins 100000", "bins", func(r *Request) { r.Bins = 100_000 }},
 	}
 	for _, tc := range cases {
 		req := base
@@ -130,6 +131,27 @@ func TestNonFiniteKnobsRejected(t *testing.T) {
 		if _, err := e.ExplainC(c); err == nil {
 			t.Errorf("ExplainC(%v) accepted", c)
 		}
+	}
+}
+
+// TestBinsCappedAtPlan: a grid above 1,024 bins is refused by Plan, naming
+// bins, before any search lays out a clause; the cap itself plans.
+func TestBinsCappedAtPlan(t *testing.T) {
+	base := Request{
+		Table:            sensorsTable(t),
+		SQL:              "SELECT avg(temp), time FROM sensors GROUP BY time",
+		Outliers:         []string{"12PM", "1PM"},
+		AllOthersHoldOut: true,
+		Algorithm:        Naive,
+	}
+	req := base
+	req.Bins = 100_000
+	if p, err := req.Plan(); err == nil || !strings.HasPrefix(err.Error(), "scorpion: bins 100000 ") {
+		t.Fatalf("Plan(Bins: 100000) = %v, %v; want an error naming bins", p, err)
+	}
+	req.Bins = maxGridBins
+	if p := mustPlan(t, &req); p.Bins(Naive) != maxGridBins {
+		t.Fatalf("Plan(Bins: %d) resolved to %d", maxGridBins, p.Bins(Naive))
 	}
 }
 

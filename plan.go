@@ -26,6 +26,12 @@ const defaultTopK = 5
 // request leaves Bins unset (the paper's 15).
 const defaultGridBins = 15
 
+// maxGridBins caps Bins. A grid of b bins enumerates b·(b+1)/2 ranges per
+// continuous attribute, and NAIVE lays out a bitset per range per group
+// before it scores anything, so an unchecked Bins is a request for memory
+// no search could use: 1,024 bins are 524,800 ranges.
+const maxGridBins = 1024
+
 // autoShardRows is the row volume one shard should cover when Shards is
 // auto (0): tables under 2× this never auto-shard.
 const autoShardRows = 1 << 17
@@ -60,8 +66,8 @@ type Plan struct {
 
 // Plan validates r and resolves its defaults. It fails, naming the knob,
 // on a request no search could answer: no table, SQL or outliers, shards
-// or bins below 0, λ outside [0, 1], c below 0, λ or c non-finite, or an
-// outlier or hold-out key listed twice.
+// or bins below 0, bins above 1,024, λ outside [0, 1], c below 0, λ or c
+// non-finite, or an outlier or hold-out key listed twice.
 func (r *Request) Plan() (*Plan, error) {
 	p := &Plan{req: *r, lambda: DefaultLambda, c: DefaultC, topK: r.TopK, workers: r.Workers,
 		interval: r.ProgressInterval, bins: r.Bins}
@@ -84,6 +90,8 @@ func (r *Request) Plan() (*Plan, error) {
 		return nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", r.Shards)
 	case r.Bins < 0:
 		return nil, fmt.Errorf("scorpion: bins %d must be >= 0 (0 = %d)", r.Bins, defaultGridBins)
+	case r.Bins > maxGridBins:
+		return nil, fmt.Errorf("scorpion: bins %d must be <= %d", r.Bins, maxGridBins)
 	case !(p.lambda >= 0 && p.lambda <= 1):
 		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
 	case !(p.c >= 0) || math.IsInf(p.c, 1):

@@ -66,9 +66,9 @@ func TestExplainSpanTree(t *testing.T) {
 		root.WriteTree(&buf)
 		t.Fatalf("search span missing shard.search/combine children; trace:\n%s", buf.String())
 	}
-	// NAIVE's frontier-gate counters land on the span of the search that
-	// ran them: THAT shard's, not search's.
-	for _, attr := range []string{"gated", "holdouts_skipped"} {
+	// NAIVE's frontier- and subtree-gate counters land on the span of the
+	// search that ran them: THAT shard's, not search's.
+	for _, attr := range []string{"gated", "holdouts_skipped", "subtrees_skipped"} {
 		if shard.Attrs[attr] == nil {
 			t.Errorf("shard.search attrs = %v, want %s", shard.Attrs, attr)
 		}

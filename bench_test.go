@@ -74,8 +74,8 @@ func BenchmarkExplainParallel(b *testing.B) {
 }
 
 // BenchmarkExplainSharded measures sharding ONE NAIVE Explain across
-// horizontal table slices at an EQUAL worker budget (Workers=1 for both
-// sides, so the comparison is algorithmic, not core-count). The dataset is
+// horizontal table slices at an EQUAL worker budget (Workers 1, then 2, for
+// both sides, so each comparison is algorithmic, not core-count). The dataset is
 // the realistic sharding shape: a large group-contiguous table (rows
 // ordered by the GROUP BY key, as time-series data is) with many hold-out
 // groups and few flagged outlier groups. The sharded path wins because the
@@ -90,7 +90,7 @@ func BenchmarkExplainSharded(b *testing.B) {
 	ds := synth.Generate(synth.Config{
 		Dims: 2, TuplesPerGroup: 2000, Groups: 60, OutlierGroups: 4, Mu: 80, Seed: 21,
 	})
-	request := func(shards int) *Request {
+	request := func(shards, workers int) *Request {
 		return &Request{
 			Table:            ds.Table,
 			SQL:              "SELECT sum(v), g FROM synth GROUP BY g",
@@ -100,32 +100,34 @@ func BenchmarkExplainSharded(b *testing.B) {
 			Attributes:       ds.DimNames(),
 			Algorithm:        Naive,
 			Bins:             10,
-			Workers:          1,
+			Workers:          workers,
 			Shards:           shards,
 		}
 	}
 	// The correctness side of the acceptance criterion, checked once per
 	// bench run: same top predicate, sharded or not.
-	baseline, err := Explain(request(1))
+	baseline, err := Explain(request(1, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, shards := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var res *Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				if res, err = Explain(request(shards)); err != nil {
-					b.Fatal(err)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
+				var res *Result
+				for i := 0; i < b.N; i++ {
+					var err error
+					if res, err = Explain(request(shards, workers)); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			if len(res.Explanations) == 0 ||
-				!res.Explanations[0].Predicate.Equal(baseline.Explanations[0].Predicate) {
-				b.Fatalf("shards=%d top predicate diverged from unsharded", shards)
-			}
-			b.ReportMetric(float64(res.Stats.Shards), "shards")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
+				if len(res.Explanations) == 0 ||
+					!res.Explanations[0].Predicate.Equal(baseline.Explanations[0].Predicate) {
+					b.Fatalf("shards=%d top predicate diverged from unsharded", shards)
+				}
+				b.ReportMetric(float64(res.Stats.Shards), "shards")
+				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+			})
+		}
 	}
 }
 

@@ -586,6 +586,22 @@ type dtSearcher struct {
 
 func (s *dtSearcher) Name() string { return "dt" }
 
+// TakeLattice hands the run's lattice to the exact re-score and lets go of
+// it.
+func (s *dtSearcher) TakeLattice() *influence.Lattice {
+	lat := s.lat
+	s.lat = nil
+	return lat
+}
+
+// latticeSearcher is a searcher whose boxes were scored through one
+// Lattice over the request's space — DT's, and the shard coordinator's
+// combine — which the rank step's exact re-score takes over, since a
+// lattice has one user.
+type latticeSearcher interface {
+	TakeLattice() *influence.Lattice
+}
+
 func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	ctx := pool.Context()
 	pt := s.part
@@ -622,7 +638,7 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 // slice as the run's candidate pool. With keep set (an incremental scorer)
 // it also returns each candidate's per-group selections, sels[i] belonging
 // to the returned cands[i], for a warm refresh to extend; otherwise sels is
-// nil, and a DT run's lattice, when given, scores each candidate by its
+// nil, and the search's lattice, when given, scores each candidate by its
 // Box.
 func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []partition.Candidate, keep bool) ([]partition.Candidate, [][]influence.Selection) {
 	r := ranked{cands: partition.Dedupe(cands)}

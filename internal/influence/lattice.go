@@ -32,6 +32,8 @@ type Lattice struct {
 	l    *Layout // nil until the first fold
 	off  []int   // group g's words are [off[g], off[g+1]) of every bitset
 	half map[halfSpace][]uint64
+	// sels is the scratch a fold the memo does not keep folds into.
+	sels []Selection
 
 	masks, misses int64
 }
@@ -84,8 +86,8 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 		}
 		return l.s.ScoreMatched(sels)
 	}
-	var buf [16]Selection
-	return l.s.ScoreMatched(l.fold(b, buf[:0]))
+	l.sels = l.fold(b, l.sels[:0])
+	return l.s.ScoreMatched(l.sels)
 }
 
 // fold appends b's selection of every group to dst, outliers then

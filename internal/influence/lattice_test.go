@@ -239,3 +239,170 @@ func TestLatticeKeepsWhatNoLookupFinds(t *testing.T) {
 		t.Fatalf("the lattice folded %d boxes, want the NaN box twice", misses)
 	}
 }
+
+// TestLatticeFoldZeroAlloc: once a box's half-spaces are built, folding it
+// again through a Lattice whose scorer keeps no selection memo allocates
+// nothing, at 30 groups too, past any fixed-size stack buffer.
+func TestLatticeFoldZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tbl := kernelTable(rng, false)
+	space := kernelSpace(t, tbl)
+	var groups []Group
+	for g := 0; g < 30; g++ {
+		rows := relation.NewRowSet(tbl.NumRows())
+		rows.AddRange(g*250, g*250+120)
+		groups = append(groups, Group{Key: fmt.Sprint(g), Rows: rows, Direction: TooHigh})
+	}
+	boxes := []predicate.Predicate{
+		predicate.MustNew(predicate.NewSetClause(0, "d", []int32{0, 2}), predicate.NewRangeClause(1, "x", 10, 90, false)),
+		predicate.MustNew(predicate.NewRangeClause(2, "y", 2, 7, true)),
+	}
+	for _, aggName := range []string{"sum", "count", "stddev"} {
+		agg, _ := aggregate.ByName(aggName)
+		aggCol := 3
+		if aggName == "count" {
+			aggCol = -1
+		}
+		s, err := NewScorer(&Task{Table: tbl, Agg: agg, AggCol: aggCol, Outliers: groups[:5], HoldOuts: groups[5:], Lambda: 0.5, C: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := s.NewLattice(space)
+		for _, p := range boxes {
+			boxParts(t, lat, p) // builds the half-spaces
+		}
+		var sink float64
+		for _, p := range boxes {
+			b := boxOf(t, space, p)
+			if n := testing.AllocsPerRun(100, func() {
+				out, hold, _ := lat.Parts(b, true, p)
+				sink += out + hold
+			}); n != 0 {
+				t.Errorf("%s: a 30-group lattice fold of %v allocates %v times", aggName, p, n)
+			}
+		}
+		_ = sink
+	}
+}
+
+// TestLayoutContiguousMatchesInterleaved: a table whose groups are each one
+// run of rows, whose layouts read the aggregate column in place, and a
+// table with the same groups' rows dealt out row by row, whose layouts copy
+// them, give every box the same Lattice parts and Layout.Influence, bit for
+// bit: within a group the rows keep their order, so every fold adds the
+// same values in the same order.
+func TestLayoutContiguousMatchesInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	nasty := kernelTable(rng, true)
+	sizes := []int{150, 70, 1, 130}
+	var rows [][]relation.Row
+	at := 0
+	for _, n := range sizes {
+		var g []relation.Row
+		for i := 0; i < n; i++ {
+			g = append(g, nasty.Row(at))
+			at++
+		}
+		rows = append(rows, g)
+	}
+	build := func(interleave bool) (*relation.Table, []*relation.RowSet) {
+		b := relation.NewBuilder(nasty.Schema())
+		// The codes' first appearances, in one order in both tables, fix
+		// the dictionaries.
+		for c := 0; c < 4; c++ {
+			b.MustAppend(relation.Row{relation.S(fmt.Sprintf("c%d", c)), relation.F(0), relation.F(0), relation.F(0)})
+		}
+		var members [][]int
+		next := 4
+		add := func(g, i int) {
+			b.MustAppend(rows[g][i])
+			for len(members) <= g {
+				members = append(members, nil)
+			}
+			members[g] = append(members[g], next)
+			next++
+		}
+		if interleave {
+			for i := 0; i < sizes[0]; i++ {
+				for g := range rows {
+					if i < len(rows[g]) {
+						add(g, i)
+					}
+				}
+			}
+		} else {
+			for g := range rows {
+				for i := range rows[g] {
+					add(g, i)
+				}
+			}
+		}
+		tbl := b.Build()
+		var sets []*relation.RowSet
+		for _, m := range members {
+			sets = append(sets, relation.RowSetOf(tbl.NumRows(), m...))
+		}
+		return tbl, sets
+	}
+	type side struct {
+		s   *Scorer
+		lat *Lattice
+		l   *Layout
+	}
+	preds := latticeBoxes(rng)
+	for _, aggName := range []string{"sum", "count", "avg", "stddev", "median"} {
+		agg, _ := aggregate.ByName(aggName)
+		aggCol := 3
+		if aggName == "count" {
+			aggCol = -1
+		}
+		var sides [2]side
+		for k, interleave := range []bool{false, true} {
+			tbl, sets := build(interleave)
+			var groups []Group
+			for g, rs := range sets {
+				if !interleave && rs.Max()-rs.Min()+1 != rs.Count() {
+					t.Fatalf("group %d of the contiguous table is not one run", g)
+				}
+				groups = append(groups, Group{Key: fmt.Sprint(g), Rows: rs, Direction: TooHigh - 2*Direction(g%2)})
+			}
+			s, err := NewScorer(&Task{Table: tbl, Agg: agg, AggCol: aggCol, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.6, C: 0.4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sides[k] = side{s: s, lat: s.NewLattice(kernelSpace(t, tbl)), l: s.NewLayout()}
+		}
+		for _, p := range preds {
+			var outs, holds, infs [2]float64
+			var matched [2]int
+			for k := range sides {
+				sd := &sides[k]
+				outs[k], holds[k], matched[k] = sd.lat.Parts(boxOf(t, sd.lat.Space(), p), true, p)
+				masks := make([][]uint64, sd.l.Groups())
+				for g := range masks {
+					masks[g] = make([]uint64, sd.l.Words(g))
+					for i := range masks[g] {
+						masks[g][i] = ^uint64(0) >> max(0, 64*(i+1)-sizes[g])
+					}
+					one := make([]uint64, sd.l.Words(g))
+					for ci := range p.Clauses() {
+						sd.l.ClauseMask(g, &p.Clauses()[ci], one)
+						for i := range one {
+							masks[g][i] &= one[i]
+						}
+					}
+				}
+				infs[k] = sd.l.Influence(masks)
+			}
+			if !sameBits(outs[0], outs[1]) || !sameBits(holds[0], holds[1]) || matched[0] != matched[1] {
+				t.Fatalf("%s %v: contiguous lattice parts %v/%v/%d, interleaved %v/%v/%d", aggName, p, outs[0], holds[0], matched[0], outs[1], holds[1], matched[1])
+			}
+			if !sameBits(infs[0], infs[1]) {
+				t.Fatalf("%s %v: contiguous layout influence %v, interleaved %v", aggName, p, infs[0], infs[1])
+			}
+			if want := sides[0].s.Influence(p); !sameBits(infs[0], want) {
+				t.Fatalf("%s %v: layout influence %v, scorer %v", aggName, p, infs[0], want)
+			}
+		}
+	}
+}

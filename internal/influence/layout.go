@@ -79,7 +79,14 @@ func (s *Scorer) layout() *Layout {
 	add := func(groups []Group, orig []float64, states []aggregate.State, outlier bool) {
 		for i, g := range groups {
 			lg := layoutGroup{rows: g.Rows, n: g.Rows.Count(), orig: orig[i], state: states[i]}
-			if s.aggVals != nil {
+			switch {
+			case s.aggVals == nil:
+			case lg.n > 0 && g.Rows.Max()-g.Rows.Min()+1 == lg.n:
+				// One run of rows: its values are a window of the column,
+				// which the layout only reads and an append leaves as it is.
+				lo := g.Rows.Min()
+				lg.vals = s.aggVals[lo : lo+lg.n : lo+lg.n]
+			default:
 				lg.vals = s.groupValues(g.Rows)
 			}
 			if outlier {

@@ -11,8 +11,8 @@
 //
 // Expansion works on predicate.Box values, merged, compared and memoized as
 // comparable values, and builds a Predicate only for the boxes it keeps. A
-// Merger with a Lattice (DT's) scores boxes through it; one without scores
-// a Predicate through Scorer.Influence. A predicate a Box cannot hold takes
+// Merger with a Lattice (DT's, the shard combine's) scores boxes through
+// it; one without (MC's) scores a Predicate through Scorer.Influence. A predicate a Box cannot hold takes
 // the Predicate path and is counted as a box fallback.
 package merge
 
@@ -373,7 +373,7 @@ func (r *run) scoreMemo(s *shape) float64 {
 
 // score is the influence of a box: through the lattice when the Merger has
 // one (a shape no Box holds is folded from its predicate), else through
-// Scorer.Influence, whose score memo MC and the shard combine share.
+// Scorer.Influence, whose score memo MC's units share.
 func (r *run) score(s *shape) float64 {
 	if r.lat == nil {
 		return r.scorer.Influence(r.predOf(s))

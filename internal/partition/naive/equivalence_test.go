@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -282,11 +283,10 @@ func TestNaiveClauseSelectionEquivalence(t *testing.T) {
 	}
 	for _, agg := range []aggregate.Func{aggregate.Sum{}, aggregate.StdDev{}, aggregate.Median{}} {
 		agg := agg
+		// SUM's prefixes' best subsets stay above the floor: the subtrees
+		// the gate could skip are the size-2 pass's prefixes with no
+		// discrete attribute left, which that pass no longer enters.
 		subtrees := skipsNone
-		if agg.Name() == "sum" {
-			// Its prefixes' best subsets stay above the floor.
-			subtrees = skipsAny
-		}
 		fixtures = append(fixtures, fixture{
 			"mixed-" + agg.Name(),
 			func() (*influence.Task, *predicate.Space) { return mixedFixture(11, agg, true) },
@@ -427,4 +427,42 @@ func TestNaiveClauseSelectionEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDiscretePassPrune: a discrete-subset pass that stops descending into
+// prefixes with no discrete attribute left hands the sink the same
+// conjunctions with the same sequence numbers as one that walks every
+// prefix, and asks the subtree gate about fewer prefixes.
+func TestDiscretePassPrune(t *testing.T) {
+	task, space := mixedFixture(11, aggregate.Sum{}, true)
+	scorer, err := influence.NewScorer(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := Params{Bins: 4, MaxDiscreteSubset: 2}.withDefaults()
+	walk := func(prune bool) (emitted []string, asked int) {
+		e, maxCard, maxClauses, err := newEnumerator(partition.NewPool(context.Background(), 1), scorer, space, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.lastDiscrete < 0 || e.lastDiscrete == len(e.sets)-1 || maxCard < 2 {
+			t.Fatalf("fixture: last discrete attribute %d of %d, %d passes", e.lastDiscrete, len(e.sets), maxCard)
+		}
+		if !prune {
+			e.lastDiscrete = len(e.sets) // a discrete attribute is always left
+		}
+		e.skip = func(conj) bool { asked++; return false }
+		e.sink = func(c conj, seq int64) { emitted = append(emitted, fmt.Sprint(seq, c)) }
+		e.run(maxCard, maxClauses)
+		return emitted, asked
+	}
+	got, gotAsked := walk(true)
+	want, wantAsked := walk(false)
+	if !slices.Equal(got, want) {
+		t.Fatalf("pruned passes emitted %d conjunctions, the full walk %d, or in another order", len(got), len(want))
+	}
+	if gotAsked >= wantAsked {
+		t.Errorf("pruned passes asked the gate about %d prefixes, the full walk %d", gotAsked, wantAsked)
+	}
+	t.Logf("%d conjunctions; gate asked %d times, %d without the prune", len(got), gotAsked, wantAsked)
 }

@@ -174,10 +174,16 @@ func newEnumerator(pool *partition.Pool, scorer *influence.Scorer, space *predic
 		maxClauses = params.MaxClauses
 	}
 	e = &enumerator{
-		params: params,
-		start:  time.Now(),
-		sets:   clauseSets,
-		pool:   pool,
+		params:       params,
+		start:        time.Now(),
+		sets:         clauseSets,
+		pool:         pool,
+		lastDiscrete: -1,
+	}
+	for i := range clauseSets {
+		if clauseSets[i].discrete {
+			e.lastDiscrete = i
+		}
 	}
 	return e, maxCard, maxClauses, nil
 }
@@ -414,6 +420,9 @@ type enumerator struct {
 	// conjunction that extends it. skipped counts the subtrees skipped.
 	skip    func(prefix conj) bool
 	skipped int64
+	// lastDiscrete is the index of the last discrete attribute in sets,
+	// -1 when there is none.
+	lastDiscrete int
 }
 
 // predicate builds the predicate a conjunction stands for.
@@ -455,6 +464,11 @@ func (e *enumerator) enumerate(from, nAttrs, size int, chosen conj) {
 	}
 	if nAttrs == 0 {
 		e.emit(chosen, size)
+		return
+	}
+	if size > 1 && from > e.lastDiscrete && e.complexity(chosen) < size {
+		// No discrete attribute is left to pick, so every extension keeps
+		// the prefix's complexity and belongs to an earlier pass.
 		return
 	}
 	if len(chosen) > 0 && e.skip != nil && e.skip(chosen) {
@@ -506,13 +520,7 @@ func (e *enumerator) enumerateSubsets(set *attrClauses, size, minSize, from int,
 // checkInterval emissions it polls the pool's context, as enumerate does
 // every checkInterval skipped subtrees.
 func (e *enumerator) emit(c conj, size int) {
-	complexity := 1
-	c.terms(func(attr int, atoms []int32) {
-		if e.sets[attr].discrete && len(atoms) > complexity {
-			complexity = len(atoms)
-		}
-	})
-	if complexity != size {
+	if e.complexity(c) != size {
 		return
 	}
 
@@ -520,6 +528,18 @@ func (e *enumerator) emit(c conj, size int) {
 	e.produced++
 	e.sink(c, seq)
 	e.poll(e.produced)
+}
+
+// complexity is the pass a conjunction belongs to: the size of its largest
+// discrete clause, or 1 when it has none.
+func (e *enumerator) complexity(c conj) int {
+	complexity := 1
+	c.terms(func(attr int, atoms []int32) {
+		if e.sets[attr].discrete && len(atoms) > complexity {
+			complexity = len(atoms)
+		}
+	})
+	return complexity
 }
 
 // poll stops the enumeration once the pool's context is done, looking

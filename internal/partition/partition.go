@@ -10,6 +10,13 @@ import (
 	"github.com/scorpiondb/scorpion/internal/predicate"
 )
 
+// MaxGridBins caps the continuous bins of a grid search (NAIVE's and MC's
+// Bins), wherever the request comes from. A grid of b bins enumerates
+// b·(b+1)/2 ranges per continuous attribute, and NAIVE lays out a bitset
+// per range per group before it scores anything, so an unchecked Bins is a
+// request for memory no search could use: 1,024 bins are 524,800 ranges.
+const MaxGridBins = 1024
+
 // Candidate is a predicate produced by a partitioner, tagged with its
 // influence, its hold-out penalty and, for DT partitions, its piece.
 type Candidate struct {

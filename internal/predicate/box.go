@@ -140,6 +140,18 @@ func (s *Space) Clauses(b Box, dst *[MaxBoxDims]BoxClause) int {
 	return n
 }
 
+// WithRange returns b with its i-th clause, which must be continuous, set
+// to the range [lo, hi], or [lo, hi) when hiInc is false: Space.Box of the
+// predicate with that clause's bounds replaced.
+func (b Box) WithRange(i int, lo, hi float64, hiInc bool) Box {
+	b.dims[i].lo, b.dims[i].hi = lo, hi
+	b.inc &^= 1 << uint(i)
+	if hiInc {
+		b.inc |= 1 << uint(i)
+	}
+	return b
+}
+
 // Hash spreads boxes over a sharded table: boxes that are == hash alike
 // (adding +0 folds a −0 bound into +0, which == does not tell apart).
 func (b Box) Hash() uint64 {

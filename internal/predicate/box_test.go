@@ -137,6 +137,18 @@ func checkBoxes(t *testing.T, s *Space, p, q Predicate) {
 			if math.Float64bits(bc.Lo) != math.Float64bits(c.Lo) || math.Float64bits(bc.Hi) != math.Float64bits(c.Hi) || bc.HiInc != c.HiInc {
 				t.Fatalf("Clauses(%v)[%d] = %+v", p, i, bc)
 			}
+			// WithRange is the box of p with this clause's bounds replaced.
+			next := slices.Clone(p.Clauses())
+			next[i].Lo, next[i].HiInc = c.Lo-1, !c.HiInc
+			if qc, ok := q.ClauseOn(c.Col); ok && qc.Kind == relation.Continuous {
+				next[i].Lo, next[i].Hi = qc.Lo, qc.Hi
+			}
+			want := MustNew(next...)
+			got := pb.WithRange(i, next[i].Lo, next[i].Hi, next[i].HiInc)
+			// A NaN bound is never == itself, as in the round trip above.
+			if wb, _ := s.Box(want); (got == wb) != want.Equal(want) || s.Predicate(got).Key() != want.Key() {
+				t.Fatalf("WithRange(%d) of %v gave %v, want %v", i, p, s.Predicate(got), want)
+			}
 			continue
 		}
 		for k := 0; k < 64; k++ {

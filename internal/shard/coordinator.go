@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -106,6 +107,10 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	locals []*influence.Scorer // live shard scorers, for Calls()
+
+	// lat scores every box of the combine, from its start until the
+	// caller's exact re-score takes it.
+	lat *influence.Lattice
 }
 
 // NewCoordinator plans a sharded search over the full-table scorer's task:
@@ -334,10 +339,12 @@ func finishShard(outcome *partition.Outcome) shardResult {
 }
 
 // combine dedupes the shards' candidates by predicate clause set, re-scores
-// the survivors exactly on the full table (in parallel over the pool), and
-// grows the strongest through a global merge pass so adjacent boxes found
-// by different shards coalesce into the predicate an unsharded search
-// would have scored whole.
+// the survivors exactly on the full table, and grows the strongest through
+// a global merge pass so adjacent boxes found by different shards coalesce
+// into the predicate an unsharded search would have scored whole. Every
+// exact score from here on, the rank step's included, folds half-space
+// bitsets of one Lattice over the full-table space, which has this one
+// goroutine as its user.
 func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) []partition.Candidate {
 	if len(all) == 0 {
 		return nil
@@ -350,19 +357,18 @@ func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) [
 	partition.SortByScore(all)
 	all = partition.Dedupe(all)
 
-	lambda := c.scorer.Task().Lambda
-	_ = pool.ForEach(len(all), func(i int) {
-		outMean, holdPen := c.scorer.Parts(all[i].Pred)
-		all[i].Score = lambda*outMean - (1-lambda)*holdPen
-		all[i].HoldPenalty = holdPen
-		all[i].InfluencesHoldOut = holdPen > 0
-	})
+	c.lat = c.scorer.NewLattice(c.space)
+	defer func() {
+		masks, misses := c.lat.Stats()
+		span.SetAttr("lattice_masks", int(masks))
+		span.SetAttr("lattice_misses", int(misses))
+	}()
+	for i := range all {
+		c.scoreExact(&all[i])
+	}
 	if pool.Cancelled() {
-		// Partially re-scored: the list mixes inflated shard estimates
-		// with exact scores, so neither rank nor publish it — the board
-		// keeps its last consistent best, and the caller's final exact
-		// re-score (rescoreExact on the partial Outcome) produces the
-		// trustworthy ranking.
+		// Neither merge nor refine: the caller's final exact re-score
+		// (rescoreExact on the partial Outcome) ranks the list.
 		return all
 	}
 	partition.SortByScore(all)
@@ -373,16 +379,40 @@ func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) [
 	if len(all) > mergeTop {
 		head, tail = all[:mergeTop], all[mergeTop:]
 	}
-	merged := merge.New(c.scorer, c.space, combineMerge).WithPool(pool).WithAlgo("shard").Merge(head)
+	merged := merge.New(c.scorer, c.space, combineMerge).WithPool(partition.NewPool(pool.Context(), 1)).WithLattice(c.lat).WithAlgo("shard").Merge(head)
 	out := partition.Dedupe(append(merged, tail...))
 	partition.SortByScore(out)
 	rspan := span.Child("refine")
 	rspan.SetAttr("in", len(out))
-	out = c.refine(pool, out)
+	out = c.refine(pool, rspan, out)
 	rspan.End()
 	span.SetAttr("out", len(out))
 	pool.PublishBest(out)
 	return out
+}
+
+// TakeLattice hands the lattice the combine scored through to the caller's
+// exact re-score, and lets go of it: nil when no combine ran.
+func (c *Coordinator) TakeLattice() *influence.Lattice {
+	lat := c.lat
+	c.lat = nil
+	return lat
+}
+
+// scoreExact gives a candidate its exact full-table score through the
+// lattice.
+func (c *Coordinator) scoreExact(cand *partition.Candidate) {
+	b, boxed := c.space.Box(cand.Pred)
+	cand.Score, cand.HoldPenalty = c.exact(b, boxed, cand.Pred)
+	cand.InfluencesHoldOut = cand.HoldPenalty > 0
+}
+
+// exact is the full-table objective of the predicate b holds (p, when no
+// Box does), folded through the lattice, and its hold-out penalty.
+func (c *Coordinator) exact(b predicate.Box, boxed bool, p predicate.Predicate) (score, holdPen float64) {
+	outMean, holdPen, _ := c.lat.Parts(b, boxed, p)
+	lambda := c.scorer.Task().Lambda
+	return lambda*outMean - (1-lambda)*holdPen, holdPen
 }
 
 // refineTop is how many leading candidates the combiner refines.
@@ -431,9 +461,9 @@ func thinHis(s []hiBound, max int) []hiBound {
 // shard enumerates the same global grid, the pool's clause boundaries ARE
 // that grid — stepping a candidate's bounds to neighboring observed
 // boundaries and keeping exact improvements recovers the unsharded
-// winner without re-enumerating anything. Scores stay exact throughout
-// (the full scorer memoizes, so revisited predicates are free).
-func (c *Coordinator) refine(pool *partition.Pool, cands []partition.Candidate) []partition.Candidate {
+// winner without re-enumerating anything. The climb's steps, scored moves
+// and candidates no Box holds land on span.
+func (c *Coordinator) refine(pool *partition.Pool, span *obs.Span, cands []partition.Candidate) []partition.Candidate {
 	if len(cands) < 2 {
 		return cands
 	}
@@ -442,8 +472,7 @@ func (c *Coordinator) refine(pool *partition.Pool, cands []partition.Candidate) 
 	// every candidate shares ~Bins boundary values, but DT split points
 	// are all distinct, and an unbounded lattice would turn the climb into
 	// the very full-table scan sharding avoids.
-	los := make(map[int][]float64)
-	his := make(map[int][]hiBound)
+	r := climber{Coordinator: c, los: make(map[int][]float64), his: make(map[int][]hiBound)}
 	latticeFrom := cands
 	if len(latticeFrom) > mergeTop {
 		latticeFrom = latticeFrom[:mergeTop]
@@ -453,8 +482,8 @@ func (c *Coordinator) refine(pool *partition.Pool, cands []partition.Candidate) 
 			if cl.Kind != relation.Continuous {
 				continue
 			}
-			los[cl.Col] = insertSorted(los[cl.Col], cl.Lo)
-			his[cl.Col] = insertHi(his[cl.Col], hiBound{cl.Hi, cl.HiInc})
+			r.los[cl.Col] = insertSorted(r.los[cl.Col], cl.Lo)
+			r.his[cl.Col] = insertHi(r.his[cl.Col], hiBound{cl.Hi, cl.HiInc})
 		}
 	}
 	// Seed the lattice with the shard searchers' own grid over the global
@@ -462,28 +491,24 @@ func (c *Coordinator) refine(pool *partition.Pool, cands []partition.Candidate) 
 	// over only the bounds they merged TO, so without this a climb could
 	// never reach an interior bin edge no candidate happens to carry.
 	for col, d := range c.domains {
-		los[col] = insertSorted(los[col], d.Lo)
-		his[col] = insertHi(his[col], hiBound{d.Hi, true})
+		r.los[col] = insertSorted(r.los[col], d.Lo)
+		r.his[col] = insertHi(r.his[col], hiBound{d.Hi, true})
 		if bins := c.params.GridBins; bins > 1 && d.Hi > d.Lo {
 			width := (d.Hi - d.Lo) / float64(bins)
 			for i := 1; i < bins; i++ {
 				edge := d.Lo + float64(i)*width
-				los[col] = insertSorted(los[col], edge)
-				his[col] = insertHi(his[col], hiBound{edge, false})
+				r.los[col] = insertSorted(r.los[col], edge)
+				r.his[col] = insertHi(r.his[col], hiBound{edge, false})
 			}
 		}
 	}
 	// Thin over-dense lattices (the DT path's distinct split points) to a
 	// bounded number of evenly spaced values; the extremes always stay.
-	for col := range los {
-		los[col] = thinFloats(los[col], maxLatticePerCol)
+	for col := range r.los {
+		r.los[col] = thinFloats(r.los[col], maxLatticePerCol)
 	}
-	for col := range his {
-		his[col] = thinHis(his[col], maxLatticePerCol)
-	}
-	lambda := c.scorer.Task().Lambda
-	exact := func(p predicate.Predicate) float64 {
-		return c.scorer.Influence(p)
+	for col := range r.his {
+		r.his[col] = thinHis(r.his[col], maxLatticePerCol)
 	}
 	top := refineTop
 	if top > len(cands) {
@@ -491,33 +516,13 @@ func (c *Coordinator) refine(pool *partition.Pool, cands []partition.Candidate) 
 	}
 	var refined []partition.Candidate
 	for i := 0; i < top && !pool.Cancelled(); i++ {
-		cur := cands[i]
-		curScore := cur.Score
-		for step := 0; step < refineMaxSteps; step++ {
-			best := curScore
-			var bestPred predicate.Predicate
-			improved := false
-			for _, next := range boundaryMoves(cur.Pred, los, his) {
-				if s := exact(next); s > best {
-					best, bestPred, improved = s, next, true
-				}
-			}
-			if !improved {
-				break
-			}
-			cur = partition.Candidate{Pred: bestPred, Score: best}
-			curScore = best
-		}
-		if curScore > cands[i].Score {
-			outMean, holdPen := c.scorer.Parts(cur.Pred)
-			refined = append(refined, partition.Candidate{
-				Pred:              cur.Pred,
-				Score:             lambda*outMean - (1-lambda)*holdPen,
-				HoldPenalty:       holdPen,
-				InfluencesHoldOut: holdPen > 0,
-			})
+		if cand, ok := r.climb(cands[i]); ok {
+			refined = append(refined, cand)
 		}
 	}
+	span.SetAttr("steps", r.steps)
+	span.SetAttr("moves", r.moves)
+	span.SetAttr("box_fallbacks", r.fallbacks)
 	if len(refined) == 0 {
 		return cands
 	}
@@ -532,48 +537,127 @@ type hiBound struct {
 	inc bool
 }
 
-// boundaryMoves yields every single-bound variant of p on the observed
-// lattice: each continuous clause's Lo replaced by each other observed Lo,
-// and its Hi by each other observed bound. Trying the whole lattice (not
-// just adjacent steps) lets the climb jump across score valleys — a
-// single-bin step off a too-wide box often dips before the λ-optimal edge;
-// the exact scorer's memo cache makes revisits free.
-func boundaryMoves(p predicate.Predicate, los map[int][]float64, his map[int][]hiBound) []predicate.Predicate {
-	var out []predicate.Predicate
-	clauses := p.Clauses()
-	for ci, cl := range clauses {
-		if cl.Kind != relation.Continuous {
-			continue
-		}
-		emit := func(nc predicate.Clause) {
-			if nc.Lo > nc.Hi || (nc.Lo == nc.Hi && !nc.HiInc) {
+// climber is refine's hill-climb over the observed bound lattice: los and
+// his per continuous column, and the work counts its span reports.
+type climber struct {
+	*Coordinator
+	los                     map[int][]float64
+	his                     map[int][]hiBound
+	steps, moves, fallbacks int
+	clauses                 []predicate.BoxClause // bounds' scratch
+}
+
+// shape is a climb's current box: its Box, or the predicate of a candidate
+// no Box can hold (more than MaxBoxDims clauses, a code past 63).
+type shape struct {
+	box   predicate.Box
+	boxed bool
+	pred  predicate.Predicate
+}
+
+// bound names one bound a move replaces: clause i's lo, or its hi.
+type bound struct {
+	clause int
+	hi     bool
+}
+
+// climb takes single-bound moves on the lattice while one improves the
+// exact score: each step scores every move — each continuous clause's lo
+// replaced by each other observed lo, and its hi by each other observed hi
+// bound — and takes the best, the first on ties, when it is strictly above
+// the current score. Trying the whole lattice, not just adjacent steps,
+// lets the climb cross score valleys: a single-bin step off a too-wide box
+// often dips before the λ-optimal edge.
+//
+// A step skips the moves of the bound the previous step moved. Each is the
+// previous box with that bound moved elsewhere, a move the previous step
+// scored and did not take (or the previous box itself, which scored lower):
+// none scores above the current score, so none could be taken. Only the box
+// the climb ends on becomes a predicate. ok reports whether the climb
+// improved on cand.
+func (r *climber) climb(cand partition.Candidate) (out partition.Candidate, ok bool) {
+	cur := shape{pred: cand.Pred}
+	if cur.box, cur.boxed = r.space.Box(cand.Pred); !cur.boxed {
+		r.fallbacks++
+	}
+	curScore := cand.Score
+	var holdPen float64
+	moved := bound{clause: -1}
+	for step := 0; step < refineMaxSteps; step++ {
+		r.steps++
+		best, bestMove := curScore, bound{clause: -1}
+		var bestShape shape
+		var bestHold float64
+		try := func(b bound, lo, hi float64, inc bool) {
+			if lo > hi || (lo == hi && !inc) {
 				return
 			}
-			next := make([]predicate.Clause, len(clauses))
-			copy(next, clauses)
-			next[ci] = nc
-			if np, err := predicate.New(next...); err == nil {
-				out = append(out, np)
+			next := r.with(&cur, b.clause, lo, hi, inc)
+			r.moves++
+			if s, hold := r.exact(next.box, next.boxed, next.pred); s > best {
+				best, bestMove, bestShape, bestHold = s, b, next, hold
 			}
 		}
-		for _, lo := range los[cl.Col] {
-			if lo == cl.Lo {
+		for ci, cl := range r.bounds(&cur) {
+			if !cl.Continuous {
 				continue
 			}
-			nc := cl
-			nc.Lo = lo
-			emit(nc)
-		}
-		for _, h := range his[cl.Col] {
-			if h.v == cl.Hi && h.inc == cl.HiInc {
-				continue
+			if b := (bound{ci, false}); b != moved {
+				for _, lo := range r.los[cl.Col] {
+					if lo != cl.Lo {
+						try(b, lo, cl.Hi, cl.HiInc)
+					}
+				}
 			}
-			nc := cl
-			nc.Hi, nc.HiInc = h.v, h.inc
-			emit(nc)
+			if b := (bound{ci, true}); b != moved {
+				for _, h := range r.his[cl.Col] {
+					if h.v != cl.Hi || h.inc != cl.HiInc {
+						try(b, cl.Lo, h.v, h.inc)
+					}
+				}
+			}
 		}
+		if bestMove.clause < 0 {
+			break
+		}
+		cur, curScore, holdPen, moved = bestShape, best, bestHold, bestMove
 	}
-	return out
+	if !(curScore > cand.Score) { // a NaN-scored candidate never improves
+		return cand, false
+	}
+	if cur.boxed {
+		cur.pred = r.space.Predicate(cur.box)
+	}
+	return partition.Candidate{
+		Pred:              cur.pred,
+		Score:             curScore,
+		HoldPenalty:       holdPen,
+		InfluencesHoldOut: holdPen > 0,
+	}, true
+}
+
+// bounds reads s's clauses back, in column order.
+func (r *climber) bounds(s *shape) []predicate.BoxClause {
+	r.clauses = r.clauses[:0]
+	if s.boxed {
+		var cs [predicate.MaxBoxDims]predicate.BoxClause
+		r.clauses = append(r.clauses, cs[:r.space.Clauses(s.box, &cs)]...)
+		return r.clauses
+	}
+	for _, c := range s.pred.Clauses() {
+		r.clauses = append(r.clauses, predicate.BoxClause{Col: c.Col, Continuous: c.Kind == relation.Continuous, Lo: c.Lo, Hi: c.Hi, HiInc: c.HiInc})
+	}
+	return r.clauses
+}
+
+// with returns s with clause i's range replaced.
+func (r *climber) with(s *shape, i int, lo, hi float64, inc bool) shape {
+	if s.boxed {
+		return shape{box: s.box.WithRange(i, lo, hi, inc), boxed: true}
+	}
+	next := slices.Clone(s.pred.Clauses())
+	next[i].Lo, next[i].Hi, next[i].HiInc = lo, hi, inc
+	return shape{pred: predicate.MustNew(next...)}
 }
 
 // insertSorted inserts v into a sorted slice without duplicates.

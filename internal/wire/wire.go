@@ -310,6 +310,9 @@ func (t *Task) Validate() error {
 	default:
 		return fmt.Errorf("wire: unsupported algorithm %q", t.Algorithm)
 	}
+	if t.Bins < 0 || t.Bins > partition.MaxGridBins {
+		return fmt.Errorf("wire: bins %d outside [0, %d]", t.Bins, partition.MaxGridBins)
+	}
 	if len(t.Outliers) == 0 {
 		return fmt.Errorf("wire: task has no outlier groups")
 	}

@@ -234,9 +234,15 @@ func TestTaskValidate(t *testing.T) {
 		{"dt never serializes", func(t *Task) { t.Algorithm = "dt" }},
 		{"no outliers", func(t *Task) { t.Outliers = nil }},
 		{"no attrs", func(t *Task) { t.Attrs = nil }},
+		{"negative bins", func(t *Task) { t.Bins = -1 }},
+		{"bins past the grid cap", func(t *Task) { t.Bins = partition.MaxGridBins + 1 }},
 	}
-	if err := validTask().Validate(); err != nil {
-		t.Fatalf("valid task rejected: %v", err)
+	for _, bins := range []int{0, partition.MaxGridBins} {
+		task := validTask()
+		task.Bins = bins
+		if err := task.Validate(); err != nil {
+			t.Fatalf("valid task with bins %d rejected: %v", bins, err)
+		}
 	}
 	for _, tc := range cases {
 		task := validTask()

@@ -149,9 +149,9 @@ func TestBinsCappedAtPlan(t *testing.T) {
 	if p, err := req.Plan(); err == nil || !strings.HasPrefix(err.Error(), "scorpion: bins 100000 ") {
 		t.Fatalf("Plan(Bins: 100000) = %v, %v; want an error naming bins", p, err)
 	}
-	req.Bins = maxGridBins
-	if p := mustPlan(t, &req); p.Bins(Naive) != maxGridBins {
-		t.Fatalf("Plan(Bins: %d) resolved to %d", maxGridBins, p.Bins(Naive))
+	req.Bins = partition.MaxGridBins
+	if p := mustPlan(t, &req); p.Bins(Naive) != partition.MaxGridBins {
+		t.Fatalf("Plan(Bins: %d) resolved to %d", partition.MaxGridBins, p.Bins(Naive))
 	}
 }
 

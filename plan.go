@@ -10,6 +10,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/shard"
 )
 
@@ -26,12 +27,6 @@ const defaultTopK = 5
 // request leaves Bins unset (the paper's 15).
 const defaultGridBins = 15
 
-// maxGridBins caps Bins. A grid of b bins enumerates b·(b+1)/2 ranges per
-// continuous attribute, and NAIVE lays out a bitset per range per group
-// before it scores anything, so an unchecked Bins is a request for memory
-// no search could use: 1,024 bins are 524,800 ranges.
-const maxGridBins = 1024
-
 // autoShardRows is the row volume one shard should cover when Shards is
 // auto (0): tables under 2× this never auto-shard.
 const autoShardRows = 1 << 17
@@ -41,10 +36,11 @@ const autoShardRows = 1 << 17
 const maxShards = 64
 
 // maxAutoSerialShards bounds auto-sharding below the worker budget. The
-// sharding win is algorithmic (skipped hold-out-only slices, window-local
-// scans — see BENCH_shard.json, recorded at Workers=1), so a serial
-// request on a huge table still benefits from a handful of slices; more
-// than the budget only helps up to this point.
+// sharding win is meant to be algorithmic (skipped hold-out-only slices,
+// window-local scans), so a serial request on a huge table would still
+// benefit from a handful of slices; more than the budget only helps up to
+// this point. BENCH_shard.json, at Workers 1 and 2, no longer shows that
+// win on its 120,000-row table (ROADMAP P3).
 const maxAutoSerialShards = 8
 
 // Plan is a Request resolved once: every knob validated and every default
@@ -90,8 +86,8 @@ func (r *Request) Plan() (*Plan, error) {
 		return nil, fmt.Errorf("scorpion: shards %d must be >= 0 (0 = auto)", r.Shards)
 	case r.Bins < 0:
 		return nil, fmt.Errorf("scorpion: bins %d must be >= 0 (0 = %d)", r.Bins, defaultGridBins)
-	case r.Bins > maxGridBins:
-		return nil, fmt.Errorf("scorpion: bins %d must be <= %d", r.Bins, maxGridBins)
+	case r.Bins > partition.MaxGridBins:
+		return nil, fmt.Errorf("scorpion: bins %d must be <= %d", r.Bins, partition.MaxGridBins)
 	case !(p.lambda >= 0 && p.lambda <= 1):
 		return nil, fmt.Errorf("scorpion: lambda %v must lie in [0, 1]", p.lambda)
 	case !(p.c >= 0) || math.IsInf(p.c, 1):

@@ -339,12 +339,13 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 	rankCtx, rankSpan := obs.StartSpan(ctx, "rank")
 	// One exact re-scoring pass feeds both the response and the pool
 	// (present never mutates the slice, so they can share it). A pool that
-	// may refresh keeps its selections; keep builds its tracker. A DT run
-	// re-scores through its lattice, and drops the lattice with it.
+	// may refresh keeps its selections; keep builds its tracker. A DT run or a
+	// shard combine re-scores through its lattice, and drops the lattice
+	// with it.
 	refreshable := s != nil && !session && !outcome.Interrupted && pr.scorer.Incremental()
 	var lat *influence.Lattice
-	if ds, ok := searcher.(*dtSearcher); ok {
-		lat, ds.lat = ds.lat, nil
+	if ls, ok := searcher.(latticeSearcher); ok {
+		lat = ls.TakeLattice()
 	}
 	_, rescore := obs.StartSpan(rankCtx, "rescore")
 	scored, sels := rescoreExact(pr.scorer, lat, outcome.Candidates, refreshable)

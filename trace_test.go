@@ -76,11 +76,23 @@ func TestExplainSpanTree(t *testing.T) {
 			t.Errorf("search span carries the shard's %s attr", attr)
 		}
 	}
-	// Refine is a combine sub-phase.
-	if combine.Find("refine") == nil {
+	// Refine is a combine sub-phase. The combine reports the lattice its
+	// scores folded, refine its climb.
+	refine := combine.Find("refine")
+	if refine == nil {
 		var buf bytes.Buffer
 		root.WriteTree(&buf)
 		t.Fatalf("combine has no refine child; trace:\n%s", buf.String())
+	}
+	for _, attr := range []string{"lattice_masks", "lattice_misses"} {
+		if n, ok := combine.Attrs[attr].(int); !ok || n == 0 {
+			t.Errorf("combine attrs = %v, want an int %s > 0", combine.Attrs, attr)
+		}
+	}
+	for _, attr := range []string{"steps", "moves", "box_fallbacks"} {
+		if _, ok := refine.Attrs[attr].(int); !ok {
+			t.Errorf("refine attrs = %v, want an int %s", refine.Attrs, attr)
+		}
 	}
 	if shard.Attrs["shard"] == nil || shard.Attrs["rows"] == nil {
 		t.Errorf("shard.search attrs = %v, want shard and rows", shard.Attrs)

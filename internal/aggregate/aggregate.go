@@ -38,7 +38,9 @@ type Func interface {
 
 // State is the fixed-size summary of a value multiset that every
 // incrementally removable aggregate shares: the sum, the sum of squares and
-// the count cover SUM, COUNT, AVG, VARIANCE and STDDEV. It is a plain value —
+// the count cover SUM, COUNT, AVG, VARIANCE and STDDEV. Only VARIANCE and
+// STDDEV read SumSq, so a state summarizing a selection for the others may
+// leave it 0 (the influence package's folds do). It is a plain value —
 // copied, not cloned, and never nil; the zero State summarizes the empty set.
 // N is a float so that the Merger can scale a state by a fractional
 // (estimated) tuple count.
@@ -47,8 +49,10 @@ type State struct {
 }
 
 // Add folds one value into the state. Folding a group's values in ascending
-// row order from the zero State is how every state in the system is built,
-// so two computations over the same rows agree to the last bit.
+// row order from the zero State is how every group state in the system is
+// built, so two computations over the same rows agree to the last bit; a
+// fold that skips SumSq adds Sum in that same order and so agrees on Sum
+// and N.
 func (s *State) Add(v float64) {
 	s.Sum += v
 	s.SumSq += v * v

@@ -172,6 +172,10 @@ type Scorer struct {
 	// sizes is |g| per group, outliers then hold-outs: what Score needs of a
 	// group it does not walk.
 	sizes []int
+	// mode is what every fold gathers of a selection: the values left
+	// behind for a black-box aggregate, and for a removable one the sums,
+	// with squares only when the aggregate reads them.
+	mode foldMode
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
 	cache memo[string, float64]
@@ -317,7 +321,7 @@ func NewScorer(task *Task) (*Scorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rem, _ = task.Agg.(aggregate.Removable)
+	s.setRemovable()
 	init := func(groups []Group) ([]float64, []aggregate.State) {
 		orig := make([]float64, len(groups))
 		states := make([]aggregate.State, len(groups))
@@ -360,7 +364,7 @@ func NewScorerSeeded(task *Task, outStates, holdStates []aggregate.State) (*Scor
 		return nil, fmt.Errorf("influence: seeded states mismatch groups: %d/%d outliers, %d/%d hold-outs",
 			len(outStates), len(task.Outliers), len(holdStates), len(task.HoldOuts))
 	}
-	s.rem = rem
+	s.setRemovable()
 	adopt := func(states []aggregate.State) ([]float64, []aggregate.State) {
 		orig := make([]float64, len(states))
 		for i, st := range states {
@@ -372,6 +376,21 @@ func NewScorerSeeded(task *Task, outStates, holdStates []aggregate.State) (*Scor
 	s.holdOrig, s.holdState = adopt(holdStates)
 	s.sizeGroups()
 	return s, nil
+}
+
+// setRemovable chooses the incremental path when the task's aggregate is
+// removable, and the fold mode: of the built-ins only VARIANCE and STDDEV
+// read State.SumSq, and an aggregate this does not know keeps it.
+func (s *Scorer) setRemovable() {
+	s.rem, _ = s.task.Agg.(aggregate.Removable)
+	switch s.rem.(type) {
+	case nil:
+		s.mode = foldRest
+	case aggregate.Sum, aggregate.Count, aggregate.Avg:
+		s.mode = foldSums
+	default:
+		s.mode = foldMoments
+	}
 }
 
 // sizeGroups records |g| for every group, outliers then hold-outs.
@@ -512,7 +531,9 @@ func (s *Scorer) value(r int) float64 {
 
 // Selection is what the incremental path gathers about p(g) for one group
 // before finish turns it into Δagg: the number of matched tuples and
-// state(p(g)), folded in ascending row order. It is a 32-byte value. For an
+// state(p(g)), folded in ascending row order. Its SumSq is folded only for
+// an aggregate that reads it (see foldMode), and stays 0 otherwise, on
+// every path alike. It is a 32-byte value. For an
 // append-only group it stays valid as the group grows: folding the new rows'
 // matches onto it gives the bits a fold of the whole group gives, because
 // every old row precedes every new one (see Select, Extend and Score).
@@ -533,21 +554,49 @@ type selection struct {
 	rest []float64
 }
 
+// foldMode is what a fold gathers of a group's selection.
+type foldMode uint8
+
+const (
+	// foldRest keeps the values of g − p(g), for a black-box aggregate.
+	foldRest foldMode = iota
+	// foldSums folds state(p(g))'s Sum and N, for SUM, COUNT and AVG.
+	foldSums
+	// foldMoments folds all of state(p(g)), SumSq too, for the aggregates
+	// that read it (VARIANCE, STDDEV).
+	foldMoments
+)
+
 // take folds one window of a value column into the selection: vals[base+i]
 // is matched when bit i of m is set, and the window is n <= 64 values wide.
 // A nil vals is count(*)'s column of ones. Windows must arrive in ascending
 // order: the fold order is the summation order, and every path that scores
-// the same rows must add them up the same way.
-func (x *selection) take(vals []float64, base, n int, m uint64, incremental bool) {
+// the same rows must add them up the same way. Sum is added value by value
+// in that order whatever the mode, and N counts exactly, so a selection
+// folded without squares has the Sum and N of one folded with them.
+func (x *selection) take(vals []float64, base, n int, m uint64, mode foldMode) {
 	k := bits.OnesCount64(m)
 	x.matched += k
-	if incremental {
-		if vals == nil {
-			// Ones sum to their count exactly, in any order.
-			c := float64(k)
-			x.sel.Sum, x.sel.SumSq, x.sel.N = x.sel.Sum+c, x.sel.SumSq+c, x.sel.N+c
-			return
+	switch {
+	case mode == foldRest:
+	case vals == nil:
+		// Ones sum to their count exactly, in any order.
+		c := float64(k)
+		x.sel.Sum, x.sel.N = x.sel.Sum+c, x.sel.N+c
+		if mode == foldMoments {
+			x.sel.SumSq += c
 		}
+		return
+	case mode == foldSums:
+		// A local sum stays in a register; x.sel.Sum would be stored and
+		// reloaded for every value.
+		sum := x.sel.Sum
+		for ; m != 0; m &= m - 1 {
+			sum += vals[base+bits.TrailingZeros64(m)]
+		}
+		x.sel.Sum, x.sel.N = sum, x.sel.N+float64(k)
+		return
+	default:
 		for ; m != 0; m &= m - 1 {
 			x.sel.Add(vals[base+bits.TrailingZeros64(m)])
 		}
@@ -604,8 +653,7 @@ func finite(d float64) float64 {
 // allocated; the black-box path needs from = 0.
 func (s *Scorer) fold(g Group, p predicate.Predicate, from int, x *selection) int {
 	s.calls.Add(1)
-	incremental := s.rem != nil
-	if !incremental {
+	if s.mode == foldRest {
 		x.rest = make([]float64, 0, g.Rows.Count())
 	}
 	tested := 0
@@ -613,7 +661,7 @@ func (s *Scorer) fold(g Group, p predicate.Predicate, from int, x *selection) in
 		tested += hi - lo
 		for ; lo < hi; lo += 64 {
 			n := min(64, hi-lo)
-			x.take(s.aggVals, lo, n, p.MatchMask(s.tab, lo, n), incremental)
+			x.take(s.aggVals, lo, n, p.MatchMask(s.tab, lo, n), s.mode)
 		}
 	})
 	return tested
@@ -762,16 +810,28 @@ func (s *Scorer) objective(gather func(g Group, gi int) (selection, int)) (outMe
 	for i, g := range s.task.Outliers {
 		x, total := gather(g, i)
 		matched += x.matched
-		outMean += s.scale(s.finish(s.outOrig[i], s.outState[i], &x, total), x.matched) * float64(g.Direction)
+		outMean += s.outlierTerm(i, &x, total)
 	}
 	outMean /= float64(nOut)
 	for i, g := range s.task.HoldOuts {
 		x, total := gather(g, nOut+i)
-		if h := math.Abs(s.scale(s.finish(s.holdOrig[i], s.holdState[i], &x, total), x.matched)); h > holdPenalty {
+		if h := s.holdOutTerm(i, &x, total); h > holdPenalty {
 			holdPenalty = h
 		}
 	}
 	return outMean, holdPenalty, matched
+}
+
+// outlierTerm is inf(o_i, p, v_i) from outlier i's selection x of its total
+// tuples: objective's summand.
+func (s *Scorer) outlierTerm(i int, x *selection, total int) float64 {
+	return s.scale(s.finish(s.outOrig[i], s.outState[i], x, total), x.matched) * float64(s.task.Outliers[i].Direction)
+}
+
+// holdOutTerm is |inf(h_i, p)| from hold-out i's selection x of its total
+// tuples: the penalty objective takes the largest of.
+func (s *Scorer) holdOutTerm(i int, x *selection, total int) float64 {
+	return math.Abs(s.scale(s.finish(s.holdOrig[i], s.holdState[i], x, total), x.matched))
 }
 
 // group returns group gi, counting the outliers first and then the

@@ -12,11 +12,12 @@ import (
 // pieces, merge attempts and re-score — from half-space bitsets instead of
 // row tests. Per continuous column and bound it keeps one bitset over each
 // group's Layout positions for v ≥ lo, v < hi or v ≤ hi, and per discrete
-// column and code set one from Layout.ClauseMask. A box's matches in a
+// column and code set one from the clause's MatchMask. A box's matches in a
 // group are the AND of its clauses' bitsets, folded from the lowest bit up:
 // Layout's order, which is ascending row order, so a box's selections are
 // Scorer.Select's, bit for bit. A NaN fails every comparison in a bitset as
-// it does in a row test, and ±Inf compare as they do there.
+// it does in a row test, and ±Inf compare as they do there. Above scores a
+// box against a floor and stops folding once the box cannot pass it.
 //
 // Nothing is built before the first box the selection memo does not hold:
 // then the Layout, and each half-space when a box first needs it. A box
@@ -35,7 +36,8 @@ type Lattice struct {
 	// sels is the scratch a fold the memo does not keep folds into.
 	sels []Selection
 
-	masks, misses int64
+	masks, misses       int64
+	declined, holdStops int64
 }
 
 // halfSpace names one bitset: a bound of a continuous column (op geLo,
@@ -63,8 +65,12 @@ func (s *Scorer) NewLattice(space *predicate.Space) *Lattice {
 func (l *Lattice) Space() *predicate.Space { return l.space }
 
 // Stats reports the half-space bitsets built so far and the boxes folded:
-// those the selection memo did not hold.
+// those the selection memo did not hold, Above's partial folds included.
 func (l *Lattice) Stats() (masks, misses int64) { return l.masks, l.misses }
+
+// Declines reports the boxes Above found not above their floor: on the
+// outlier groups alone, and after folding some of the hold-outs.
+func (l *Lattice) Declines() (outliers, holdOuts int64) { return l.declined, l.holdStops }
 
 // Parts is Scorer.PartsMatched of the predicate b holds. When no Box holds
 // the predicate (boxed false) it is PartsMatched(p): p is folded row by row
@@ -90,18 +96,83 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 	return l.s.ScoreMatched(l.sels)
 }
 
+// Above is the objective λ·outMean − (1−λ)·holdPenalty of Parts' two
+// components, and the hold-out penalty, when that objective is above floor;
+// ok is false when it is not, and score and holdPen are then partial. It
+// folds the outlier groups first and declines, folding no hold-out, when
+// λ·outMean is not above floor: the penalty is never negative and IEEE
+// subtraction of a non-negative value is monotone, so λ·outMean bounds the
+// objective. It then folds the hold-outs in order and declines once
+// λ·outMean − (1−λ)·(the penalty so far) is not above floor. When ok, score
+// and holdPen have the bits Parts gives; a NaN objective is never above any
+// floor, nor is any objective above a NaN floor. It counts one call per
+// group folded. A box the selection memo keeps, a predicate no Box holds
+// (boxed false) and a black-box aggregate are scored whole through Parts and
+// then compared.
+func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score, holdPen float64, ok bool) {
+	s := l.s
+	lambda := s.task.Lambda
+	if !boxed || s.rem == nil || l.memo {
+		outMean, hold, _ := l.Parts(b, boxed, p)
+		score = lambda*outMean - (1-lambda)*hold
+		return score, hold, score > floor
+	}
+	var buf [2 * predicate.MaxBoxDims][]uint64
+	hs := l.halves(b, &buf)
+	nOut := len(s.task.Outliers)
+	outMean := 0.0
+	for g := range nOut {
+		x := l.group(g, hs)
+		outMean += s.outlierTerm(g, &x, s.sizes[g])
+	}
+	outMean /= float64(nOut)
+	g := nOut
+	for ; ; g++ {
+		if score = lambda*outMean - (1-lambda)*holdPen; !(score > floor) || g == len(s.sizes) {
+			break
+		}
+		x := l.group(g, hs)
+		if h := s.holdOutTerm(g-nOut, &x, s.sizes[g]); h > holdPen {
+			holdPen = h
+		}
+	}
+	l.l.Count(g)
+	l.misses++
+	ok = score > floor
+	switch {
+	case ok:
+	case g == nOut:
+		l.declined++
+	default:
+		l.holdStops++
+	}
+	return score, holdPen, ok
+}
+
 // fold appends b's selection of every group to dst, outliers then
 // hold-outs, and counts one call per group.
 func (l *Lattice) fold(b predicate.Box, dst []Selection) []Selection {
+	var buf [2 * predicate.MaxBoxDims][]uint64
+	hs := l.halves(b, &buf)
+	for g := range l.l.groups {
+		dst = append(dst, l.group(g, hs).Selection)
+	}
+	l.l.Count(len(l.l.groups))
+	l.misses++
+	return dst
+}
+
+// halves returns the half-space bitsets whose AND is b, in buf, building
+// the layout on the lattice's first fold.
+func (l *Lattice) halves(b predicate.Box, buf *[2 * predicate.MaxBoxDims][]uint64) [][]uint64 {
 	if l.l == nil {
 		l.build()
 	}
 	var cs [predicate.MaxBoxDims]predicate.BoxClause
-	var hs [2 * predicate.MaxBoxDims][]uint64
 	k := 0
 	for _, c := range cs[:l.space.Clauses(b, &cs)] {
 		if !c.Continuous {
-			hs[k] = l.mask(halfSpace{c.Col, inCodes, c.Codes})
+			buf[k] = l.mask(halfSpace{c.Col, inCodes, c.Codes})
 			k++
 			continue
 		}
@@ -109,27 +180,27 @@ func (l *Lattice) fold(b predicate.Box, dst []Selection) []Selection {
 		if c.HiInc {
 			hi.op = leHi
 		}
-		hs[k], hs[k+1] = l.mask(halfSpace{c.Col, geLo, math.Float64bits(c.Lo)}), l.mask(hi)
+		buf[k], buf[k+1] = l.mask(halfSpace{c.Col, geLo, math.Float64bits(c.Lo)}), l.mask(hi)
 		k += 2
 	}
-	for g := range l.l.groups {
-		lg := &l.l.groups[g]
-		var x selection
-		for w, at := 0, l.off[g]; w<<6 < lg.n; w, at = w+1, at+1 {
-			n := min(64, lg.n-w<<6)
-			m := ^uint64(0) >> uint(64-n)
-			for _, h := range hs[:k] {
-				m &= h[at]
-			}
-			if m != 0 {
-				x.take(lg.vals, w<<6, n, m, true)
-			}
+	return buf[:k]
+}
+
+// group folds group g's selection of the box whose half-spaces are hs.
+func (l *Lattice) group(g int, hs [][]uint64) selection {
+	lg := &l.l.groups[g]
+	var x selection
+	for w, at := 0, l.off[g]; w<<6 < lg.n; w, at = w+1, at+1 {
+		n := min(64, lg.n-w<<6)
+		m := ^uint64(0) >> uint(64-n)
+		for _, h := range hs {
+			m &= h[at]
 		}
-		dst = append(dst, x.Selection)
+		if m != 0 {
+			x.take(lg.vals, w<<6, n, m, l.s.mode)
+		}
 	}
-	l.l.Count(len(l.l.groups))
-	l.misses++
-	return dst
+	return x
 }
 
 // build lays the groups out, on the first fold.
@@ -143,29 +214,63 @@ func (l *Lattice) build() {
 }
 
 // mask returns h's bitset over every group, building it on first use.
+// A bound of a continuous column costs one comparison per row; a code set
+// is a discrete clause's MatchMask.
 func (l *Lattice) mask(h halfSpace) []uint64 {
 	if m, ok := l.half[h]; ok {
 		return m
 	}
-	// One bound of a range clause: the other is the unbounded side, which
-	// every value but a NaN satisfies, as a NaN fails the bound anyway.
-	c := predicate.Clause{Col: h.col, Kind: relation.Continuous, Lo: math.Inf(-1), Hi: math.Inf(1), HiInc: true}
-	switch h.op {
-	case geLo:
-		c.Lo = math.Float64frombits(h.v)
-	case ltHi, leHi:
-		c.Hi, c.HiInc = math.Float64frombits(h.v), h.op == leHi
-	default:
-		c.Kind = relation.Discrete
+	var match func(lo, n int) uint64
+	if h.op == inCodes {
+		c := predicate.Clause{Col: h.col, Kind: relation.Discrete}
 		for codes := h.v; codes != 0; codes &= codes - 1 {
 			c.Values = append(c.Values, int32(bits.TrailingZeros64(codes)))
 		}
+		match = func(lo, n int) uint64 { return c.MatchMask(l.s.tab, lo, n) }
+	} else {
+		col, bound := l.s.tab.Floats(h.col), math.Float64frombits(h.v)
+		match = func(lo, n int) uint64 { return halfMask(col[lo:lo+n], h.op, bound) }
 	}
 	m := make([]uint64, l.off[len(l.off)-1])
 	for g := range l.l.groups {
-		l.l.ClauseMask(g, &c, m[l.off[g]:l.off[g+1]])
+		l.l.positionMask(g, m[l.off[g]:l.off[g+1]], match)
 	}
 	l.half[h] = m
 	l.masks++
+	return m
+}
+
+// halfMask is bit i set when vals[i] lies in the half-space op of bound:
+// v ≥ bound, v < bound or v ≤ bound. A NaN fails each, as it fails a row
+// test, and ±Inf compare as they do there. vals holds at most 64 values;
+// the & 63 tells the compiler so, and it drops the shift's range check.
+func halfMask(vals []float64, op uint8, bound float64) uint64 {
+	var m uint64
+	switch op {
+	case geLo:
+		for i, v := range vals {
+			var a uint64
+			if v >= bound {
+				a = 1
+			}
+			m |= a << (uint(i) & 63)
+		}
+	case ltHi:
+		for i, v := range vals {
+			var a uint64
+			if v < bound {
+				a = 1
+			}
+			m |= a << (uint(i) & 63)
+		}
+	default:
+		for i, v := range vals {
+			var a uint64
+			if v <= bound {
+				a = 1
+			}
+			m |= a << (uint(i) & 63)
+		}
+	}
 	return m
 }

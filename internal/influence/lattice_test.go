@@ -242,7 +242,8 @@ func TestLatticeKeepsWhatNoLookupFinds(t *testing.T) {
 
 // TestLatticeFoldZeroAlloc: once a box's half-spaces are built, folding it
 // again through a Lattice whose scorer keeps no selection memo allocates
-// nothing, at 30 groups too, past any fixed-size stack buffer.
+// nothing, at 30 groups too, past any fixed-size stack buffer — nor does
+// scoring it against a floor with Above, whole or declined.
 func TestLatticeFoldZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tbl := kernelTable(rng, false)
@@ -279,6 +280,14 @@ func TestLatticeFoldZeroAlloc(t *testing.T) {
 				sink += out + hold
 			}); n != 0 {
 				t.Errorf("%s: a 30-group lattice fold of %v allocates %v times", aggName, p, n)
+			}
+			for _, floor := range []float64{math.Inf(-1), 0, math.Inf(1)} {
+				if n := testing.AllocsPerRun(100, func() {
+					score, hold, _ := lat.Above(b, true, p, floor)
+					sink += score + hold
+				}); n != 0 {
+					t.Errorf("%s: a 30-group Above of %v at floor %v allocates %v times", aggName, p, floor, n)
+				}
 			}
 		}
 		_ = sink
@@ -402,6 +411,165 @@ func TestLayoutContiguousMatchesInterleaved(t *testing.T) {
 			}
 			if want := sides[0].s.Influence(p); !sameBits(infs[0], want) {
 				t.Fatalf("%s %v: layout influence %v, scorer %v", aggName, p, infs[0], want)
+			}
+		}
+	}
+}
+
+// TestLatticeAboveMatchesParts: Above reports ok exactly when Parts'
+// objective λ·outMean − (1−λ)·holdPenalty is above the floor, and then
+// returns its bits and Parts' penalty, for floors at ±Inf, NaN, the exact
+// score and its neighbours, over random boxes, λ and c at 0, ½ and 1, the
+// five removable aggregates, NaN and ±Inf values, and the paths that score
+// whole (the selection memo, a predicate handed over unboxed). A box Above
+// declines counts no more calls than a whole fold.
+func TestLatticeAboveMatchesParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tbl := kernelTable(rng, true)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	var groups []Group
+	for i, rows := range [][]int{
+		groupShape(rng, 0, 2000, 60),
+		groupShape(rng, 2000, 2600, 45),
+		groupShape(rng, 3000, 3100, 1),
+		groupShape(rng, 4000, 4600, 60),
+		groupShape(rng, 5000, 8192, 60),
+	} {
+		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: encode(t, n, rows, "runs"), Direction: TooHigh - 2*Direction(i%2)})
+	}
+	preds := latticeBoxes(rng)
+	compared, declined := 0, 0
+	for _, aggName := range []string{"sum", "count", "avg", "variance", "stddev"} {
+		agg, _ := aggregate.ByName(aggName)
+		aggCol := 3
+		if aggName == "count" {
+			aggCol = -1
+		}
+		for _, lambda := range []float64{0, 0.5, 1} {
+			for _, c := range []float64{0, 0.5, 1} {
+				task := &Task{Table: tbl, Agg: agg, AggCol: aggCol, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: lambda, C: c}
+				s, err := NewScorer(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				memo, err := NewScorer(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				memo.MemoizeSelections(space)
+				lat, memoLat := s.NewLattice(space), memo.NewLattice(space)
+				for _, p := range preds {
+					b := boxOf(t, space, p)
+					out, hold, _ := s.PartsMatched(p)
+					want := lambda*out - (1-lambda)*hold
+					for _, floor := range []float64{math.Inf(-1), math.Inf(1), math.NaN(), want,
+						math.Nextafter(want, math.Inf(-1)), math.Nextafter(want, math.Inf(1))} {
+						for _, side := range []struct {
+							lat   *Lattice
+							boxed bool
+						}{{lat, true}, {lat, false}, {memoLat, true}} {
+							before := side.lat.s.Calls()
+							score, holdPen, ok := side.lat.Above(b, side.boxed, p, floor)
+							if calls := side.lat.s.Calls() - before; calls > int64(len(groups)) {
+								t.Fatalf("Above counted %d calls, a whole fold counts %d", calls, len(groups))
+							}
+							if ok != (want > floor) {
+								t.Fatalf("%s λ=%v c=%v boxed=%v %v floor %v: ok %v, objective %v", aggName, lambda, c, side.boxed, p, floor, ok, want)
+							}
+							if !ok {
+								declined++
+								continue
+							}
+							if !sameBits(score, want) || !sameBits(holdPen, hold) {
+								t.Fatalf("%s λ=%v c=%v boxed=%v %v floor %v: Above (%v, %v), Parts (%v, %v)", aggName, lambda, c, side.boxed, p, floor, score, holdPen, want, hold)
+							}
+							compared++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d scores compared, %d declined", compared, declined)
+}
+
+// TestSquaresOnlyWhenRead: VARIANCE and STDDEV selections carry the SumSq
+// State.Add folds over the matched rows, bit for bit; SUM, COUNT and AVG
+// selections fold no squares, and their scores — through Parts, a Lattice
+// and a Layout — are the bits of selections that do.
+func TestSquaresOnlyWhenRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	tbl := kernelTable(rng, true)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	var groups []Group
+	for i, rows := range [][]int{
+		groupShape(rng, 0, 3000, 60),
+		groupShape(rng, 3000, 5000, 60),
+		groupShape(rng, 5000, 8192, 60),
+	} {
+		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: encode(t, n, rows, "dense"), Direction: TooHigh})
+	}
+	preds := latticeBoxes(rng)
+	for _, aggName := range []string{"sum", "count", "avg", "variance", "stddev"} {
+		agg, _ := aggregate.ByName(aggName)
+		aggCol := 3
+		if aggName == "count" {
+			aggCol = -1
+		}
+		reads := aggName == "variance" || aggName == "stddev"
+		task := &Task{Table: tbl, Agg: agg, AggCol: aggCol, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.7, C: 0.5}
+		s, err := NewScorer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat, layout := s.NewLattice(space), s.NewLayout()
+		for _, p := range preds {
+			// The reference fold keeps squares whatever the aggregate.
+			full := make([]Selection, len(groups))
+			for g, grp := range groups {
+				grp.Rows.ForEach(func(r int) {
+					if p.MatchMask(tbl, r, 1) != 0 {
+						full[g].matched++
+						full[g].sel.Add(task.Value(r))
+					}
+				})
+			}
+			sels := s.Select(p, nil)
+			for g := range sels {
+				wantSq := full[g].sel.SumSq
+				if !reads {
+					wantSq = 0
+				}
+				if sels[g].matched != full[g].matched || !sameBits(sels[g].sel.Sum, full[g].sel.Sum) ||
+					!sameBits(sels[g].sel.N, full[g].sel.N) || !sameBits(sels[g].sel.SumSq, wantSq) {
+					t.Fatalf("%s %v group %d: Select %+v, State.Add fold %+v", aggName, p, g, sels[g], full[g])
+				}
+			}
+			wantOut, wantHold := s.Score(full)
+			if out, hold := s.Parts(p); !sameBits(out, wantOut) || !sameBits(hold, wantHold) {
+				t.Fatalf("%s %v: Parts (%v, %v), with squares (%v, %v)", aggName, p, out, hold, wantOut, wantHold)
+			}
+			if out, hold, _ := lat.Parts(boxOf(t, space, p), true, p); !sameBits(out, wantOut) || !sameBits(hold, wantHold) {
+				t.Fatalf("%s %v: lattice (%v, %v), with squares (%v, %v)", aggName, p, out, hold, wantOut, wantHold)
+			}
+			masks := make([][]uint64, layout.Groups())
+			for g := range masks {
+				masks[g] = make([]uint64, layout.Words(g))
+				for i := range masks[g] {
+					masks[g][i] = ^uint64(0) >> max(0, 64*(i+1)-groups[g].Rows.Count())
+				}
+				one := make([]uint64, layout.Words(g))
+				for ci := range p.Clauses() {
+					layout.ClauseMask(g, &p.Clauses()[ci], one)
+					for i := range one {
+						masks[g][i] &= one[i]
+					}
+				}
+			}
+			if got, want := layout.Influence(masks), task.Lambda*wantOut-(1-task.Lambda)*wantHold; !sameBits(got, want) {
+				t.Fatalf("%s %v: layout influence %v, with squares %v", aggName, p, got, want)
 			}
 		}
 	}

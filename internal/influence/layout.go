@@ -124,6 +124,13 @@ func (l *Layout) Words(g int) int { return (l.groups[g].n + 63) / 64 }
 // ClauseMask evaluates the clause over group g's rows into dst, a position
 // bitset of Words(g) words.
 func (l *Layout) ClauseMask(g int, c *predicate.Clause, dst []uint64) {
+	l.positionMask(g, dst, func(lo, n int) uint64 { return c.MatchMask(l.s.tab, lo, n) })
+}
+
+// positionMask fills dst, a position bitset of group g, from match: bit i
+// of match(lo, n) tells whether row lo+i matches, for each window of n ≤ 64
+// rows of one of the group's runs, in ascending row order.
+func (l *Layout) positionMask(g int, dst []uint64, match func(lo, n int) uint64) {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -131,7 +138,7 @@ func (l *Layout) ClauseMask(g int, c *predicate.Clause, dst []uint64) {
 	l.groups[g].rows.ForEachRun(func(lo, hi int) {
 		for ; lo < hi; lo += 64 {
 			n := min(64, hi-lo)
-			m := c.MatchMask(l.s.tab, lo, n)
+			m := match(lo, n)
 			w, off := pos>>6, uint(pos&63)
 			dst[w] |= m << off
 			if int(off)+n > 64 {
@@ -301,13 +308,13 @@ func (l *Layout) prepareSubsets() bool {
 func (l *Layout) delta(gi int, mask []uint64) (float64, int) {
 	g := &l.groups[gi]
 	var x selection
-	incremental := l.s.rem != nil
-	if !incremental {
+	mode := l.s.mode
+	if mode == foldRest {
 		x.rest = make([]float64, 0, g.n)
 	}
 	for w, m := range mask {
-		if m != 0 || !incremental {
-			x.take(g.vals, w<<6, min(64, g.n-w<<6), m, incremental)
+		if m != 0 || mode == foldRest {
+			x.take(g.vals, w<<6, min(64, g.n-w<<6), m, mode)
 		}
 	}
 	return l.s.finish(g.orig, g.state, &x, g.n), x.matched

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/partition"
 )
 
@@ -51,11 +52,14 @@ func TestParallelTopKIdenticalToSerial(t *testing.T) {
 }
 
 // TestRunContextCancellation checks a cancelled context stops the search
-// promptly with the best-so-far results flagged interrupted.
+// promptly with the best-so-far results flagged interrupted. The context
+// is cancelled once the search has scored a batch's worth of predicates, a
+// small share of the whole grid, which it cannot finish without passing:
+// the cancel lands mid-search however fast the search runs.
 func TestRunContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		scorer, space, _ := smallSetup(t, 0.1)
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		ctx, cancel := cancelAfterCalls(scorer, batchSize)
 		start := time.Now()
 		res, err := RunContext(ctx, scorer, space, Params{Bins: 15}, workers)
 		cancel()
@@ -69,6 +73,28 @@ func TestRunContextCancellation(t *testing.T) {
 			t.Fatalf("workers=%d: cancellation took %s", workers, elapsed)
 		}
 	}
+}
+
+// callsContext is a context its own Done cancels once the scorer has made
+// calls calls, so the search's own cancellation checks observe the cancel:
+// no goroutine has to be scheduled in time to deliver it.
+type callsContext struct {
+	context.Context
+	cancel context.CancelFunc
+	scorer *influence.Scorer
+	calls  int64
+}
+
+func cancelAfterCalls(scorer *influence.Scorer, calls int64) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &callsContext{Context: ctx, cancel: cancel, scorer: scorer, calls: calls}, cancel
+}
+
+func (c *callsContext) Done() <-chan struct{} {
+	if c.scorer.Calls() >= c.calls {
+		c.cancel()
+	}
+	return c.Context.Done()
 }
 
 // TestRunContextCancelMidSearch cancels a long search once it has scored

@@ -6,7 +6,10 @@
 package query
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -180,52 +183,70 @@ func (q *AggregateQuery) AggValues(rows *relation.RowSet) []float64 {
 // provenance. Rows are ordered by their key values (numeric-aware per
 // component). Row ids (and the provenance RowSets) are local to the
 // query's relation.
+//
+// A row finds its group by its raw group-by cells: a discrete cell's code,
+// a continuous cell's Float64bits with every NaN made one. Those map one to
+// one onto the rendered keys (a dictionary code onto its string, a float's
+// bits onto its shortest 'g' form, −0 apart from +0, every NaN onto
+// "NaN"), so the groups are the rendered keys' groups, and GroupKey renders
+// each key once, for the row that opens its group.
 func (q *AggregateQuery) Run() (*Result, error) {
 	t := q.Table.Data()
 	n := t.NumRows()
+	floats := make([][]float64, len(q.GroupBy))
+	codes := make([][]int32, len(q.GroupBy))
+	for i, col := range q.GroupBy {
+		if t.Schema().Column(col).Kind == relation.Continuous {
+			floats[i] = t.Floats(col)
+		} else {
+			codes[i] = t.Codes(col)
+		}
+	}
 	// Group provenance is built by one ascending row scan, so each set sees
 	// in-order appends: on tables clustered by the group-by key (the common
 	// time-series layout) the RowSets settle into the run encoding — a few
 	// spans per group instead of an n-bit bitmap per group.
-	groups := make(map[string]*relation.RowSet)
-	keyVals := make(map[string][]relation.Value)
-
-	vals := make([]relation.Value, len(q.GroupBy))
+	var rows []ResultRow
+	index := make(map[string]int) // raw cells → rows position
+	// prev holds the last row's cells, whose group is g: on a clustered
+	// table most rows are in their predecessor's group and skip the map.
+	cells, prev := make([]byte, 0, 8*len(q.GroupBy)), make([]byte, 0, 8*len(q.GroupBy))
+	g := -1
 	for r := 0; r < n; r++ {
 		if q.Where != nil && !q.Where(r) {
 			continue
 		}
-		for i, col := range q.GroupBy {
-			vals[i] = t.Value(col, r)
+		cells = cells[:0]
+		for i := range q.GroupBy {
+			if floats[i] == nil {
+				cells = binary.LittleEndian.AppendUint32(cells, uint32(codes[i][r]))
+				continue
+			}
+			v := floats[i][r]
+			if v != v {
+				v = math.NaN()
+			}
+			cells = binary.LittleEndian.AppendUint64(cells, math.Float64bits(v))
 		}
-		key := GroupKey(vals)
-		set, ok := groups[key]
-		if !ok {
-			set = relation.NewRowSet(n)
-			groups[key] = set
-			kv := make([]relation.Value, len(vals))
-			copy(kv, vals)
-			keyVals[key] = kv
+		if g < 0 || !bytes.Equal(cells, prev) {
+			var ok bool
+			if g, ok = index[string(cells)]; !ok {
+				g = len(rows)
+				index[string(cells)] = g
+				vals := make([]relation.Value, len(q.GroupBy))
+				for i, col := range q.GroupBy {
+					vals[i] = t.Value(col, r)
+				}
+				rows = append(rows, ResultRow{Key: GroupKey(vals), KeyValues: vals, Group: relation.NewRowSet(n)})
+			}
+			cells, prev = prev, cells
 		}
-		set.Add(r)
+		rows[g].Group.Add(r)
 	}
-
-	res := &Result{Query: q, byKey: make(map[string]int, len(groups))}
-	for key, set := range groups {
-		res.Rows = append(res.Rows, ResultRow{
-			Key:       key,
-			KeyValues: keyVals[key],
-			Value:     q.Agg.Compute(q.AggValues(set)),
-			Group:     set,
-		})
+	for i := range rows {
+		rows[i].Value = q.Agg.Compute(q.AggValues(rows[i].Group))
 	}
-	sort.Slice(res.Rows, func(i, j int) bool {
-		return lessKeyValues(res.Rows[i].KeyValues, res.Rows[j].KeyValues)
-	})
-	for i, row := range res.Rows {
-		res.byKey[row.Key] = i
-	}
-	return res, nil
+	return NewResult(q, rows), nil
 }
 
 // NewResult assembles a Result from externally maintained rows — the

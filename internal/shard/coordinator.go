@@ -461,8 +461,9 @@ func thinHis(s []hiBound, max int) []hiBound {
 // shard enumerates the same global grid, the pool's clause boundaries ARE
 // that grid — stepping a candidate's bounds to neighboring observed
 // boundaries and keeping exact improvements recovers the unsharded
-// winner without re-enumerating anything. The climb's steps, scored moves
-// and candidates no Box holds land on span.
+// winner without re-enumerating anything. The climb's steps, scored moves,
+// moves declined on their outlier groups (declined) or part way through the
+// hold-outs (holdout_stops), and candidates no Box holds land on span.
 func (c *Coordinator) refine(pool *partition.Pool, span *obs.Span, cands []partition.Candidate) []partition.Candidate {
 	if len(cands) < 2 {
 		return cands
@@ -520,8 +521,12 @@ func (c *Coordinator) refine(pool *partition.Pool, span *obs.Span, cands []parti
 			refined = append(refined, cand)
 		}
 	}
+	// The climb is the lattice's only caller of Above.
+	declined, stops := c.lat.Declines()
 	span.SetAttr("steps", r.steps)
 	span.SetAttr("moves", r.moves)
+	span.SetAttr("declined", int(declined))
+	span.SetAttr("holdout_stops", int(stops))
 	span.SetAttr("box_fallbacks", r.fallbacks)
 	if len(refined) == 0 {
 		return cands
@@ -565,7 +570,10 @@ type bound struct {
 // exact score: each step scores every move — each continuous clause's lo
 // replaced by each other observed lo, and its hi by each other observed hi
 // bound — and takes the best, the first on ties, when it is strictly above
-// the current score. Trying the whole lattice, not just adjacent steps,
+// the current score. A move is scored against the step's best so far
+// (Lattice.Above): one that cannot beat it stops on its outlier groups, or
+// part way through the hold-outs, and one that does has its exact score, so
+// the climb takes the moves a whole fold of every move would. Trying the whole lattice, not just adjacent steps,
 // lets the climb cross score valleys: a single-bin step off a too-wide box
 // often dips before the λ-optimal edge.
 //
@@ -594,7 +602,7 @@ func (r *climber) climb(cand partition.Candidate) (out partition.Candidate, ok b
 			}
 			next := r.with(&cur, b.clause, lo, hi, inc)
 			r.moves++
-			if s, hold := r.exact(next.box, next.boxed, next.pred); s > best {
+			if s, hold, ok := r.lat.Above(next.box, next.boxed, next.pred, best); ok {
 				best, bestMove, bestShape, bestHold = s, b, next, hold
 			}
 		}

@@ -89,7 +89,7 @@ func TestExplainSpanTree(t *testing.T) {
 			t.Errorf("combine attrs = %v, want an int %s > 0", combine.Attrs, attr)
 		}
 	}
-	for _, attr := range []string{"steps", "moves", "box_fallbacks"} {
+	for _, attr := range []string{"steps", "moves", "declined", "holdout_stops", "box_fallbacks"} {
 		if _, ok := refine.Attrs[attr].(int); !ok {
 			t.Errorf("refine attrs = %v, want an int %s", refine.Attrs, attr)
 		}

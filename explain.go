@@ -90,16 +90,15 @@ type Request struct {
 	cSet      bool
 	// Algorithm forces a specific search strategy.
 	Algorithm Algorithm
-	// Workers sets the worker-pool size of the grid searches (the
-	// parallelization §8.3.2 leaves to future work): NAIVE fans out
-	// predicate scoring, and MC fans out frontier scoring and merge
-	// expansion. DT, whose §6.1 tree is sequential, runs its build, piece
-	// scoring and merge on one goroutine, so Plan resolves an unsharded DT
-	// request to one worker, the grant a server admits it with; an Auto
-	// request keeps its ask, as its algorithm is chosen after admission.
-	// Shards fan out over the budget whatever the algorithm. 0 or 1 runs
-	// serially; a negative value uses GOMAXPROCS. Parallel runs return the
-	// same explanations as serial runs.
+	// Workers sets the worker-pool size of NAIVE's grid search (the
+	// parallelization §8.3.2 leaves to future work), which fans out
+	// predicate scoring. DT and MC score every box through one lattice on
+	// one goroutine, so Plan resolves an unsharded DT or MC request to one
+	// worker, the grant a server admits it with; an Auto request keeps its
+	// ask, as its algorithm is chosen after admission. Shards fan out over
+	// the budget whatever the algorithm. 0 or 1 runs serially; a negative
+	// value uses GOMAXPROCS. Parallel runs return the same explanations as
+	// serial runs.
 	Workers int
 	// Shards fans the search across horizontal slices of the table: the
 	// table is cut into (at most) Shards contiguous zero-copy views,
@@ -274,7 +273,7 @@ func Explain(req *Request) (*Result, error) {
 // and errors.Is(err, context.Canceled) work. Callers that can use partial
 // answers should check the Result before discarding it on error.
 //
-// Request.Workers sizes the worker pool NAIVE and MC fan out over (DT runs
+// Request.Workers sizes the worker pool NAIVE fans out over (DT and MC run
 // on one goroutine); parallel searches return the same explanations as
 // serial ones. It is a one-shot run of the Session spine that retains
 // nothing.
@@ -289,8 +288,8 @@ func ExplainContext(ctx context.Context, req *Request) (*Result, error) {
 	return (*Session)(nil).run(ctx, p, 0)
 }
 
-// memoDelta returns a func reporting the scorer's memo hits and misses
-// since the call: the one run's share of a scorer a session keeps across
+// memoDelta returns a func reporting the scorer's selection-memo hits and
+// misses since the call: the one run's share of a scorer a session keeps across
 // runs.
 func memoDelta(scorer *influence.Scorer) func() (hits, misses int64) {
 	hits0, misses0 := scorer.MemoStats()

@@ -54,7 +54,7 @@ const defaultMinRows = 64
 // defaultFractions is the refinement ladder: the per-group sample fraction
 // at each level. The last level is deliberately well below 1 — a candidate
 // still ambiguous after the ladder escalates to the exact scorer, which
-// memoizes, so finishing the scan there is never wasted.
+// scans the whole groups anyway.
 var defaultFractions = []float64{0.05, 0.25}
 
 // Interval is a confidence interval over an influence value.
@@ -691,8 +691,8 @@ func (e *Estimator) Influence(p predicate.Predicate, level int) Interval {
 // exact scorer, as does one still ambiguous after the last level.
 //
 // The second return is true when the candidate was pruned (the first is
-// then its final upper bound); otherwise the first return is the exact,
-// memoized influence and the candidate counts as escalated. A threshold of
+// then its final upper bound); otherwise the first return is the exact
+// influence and the candidate counts as escalated. A threshold of
 // -Inf (frontier not yet full) always escalates.
 func (e *Estimator) Score(p predicate.Predicate, threshold float64) (float64, bool) {
 	if !math.IsInf(threshold, -1) {

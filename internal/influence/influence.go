@@ -23,11 +23,9 @@ package influence
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -138,24 +136,23 @@ func (t *Task) Value(r int) float64 {
 }
 
 // Scorer evaluates predicate influence. It caches per-group aggregate state
-// (for incrementally removable aggregates) and memoizes the scores of
-// predicates asked for through Influence — the callers that revisit
-// predicates (merge expansions, refinement re-scores). Searches that score
-// each predicate exactly once (NAIVE's grid, through a Layout) and the
-// component calls (Parts, OutlierInfluence, ...) bypass the memo.
+// (for incrementally removable aggregates); it memoizes no score. A search
+// that revisits boxes scores them through a Lattice, and one that scores
+// each predicate once (NAIVE's grid) through a Layout.
 //
 // A scorer that outlives one c value (a Session's DT path) can also keep a
 // selection memo (MemoizeSelections): the per-group selections of every box
 // of one space its Lattices folded, which do not depend on c, so a later run
 // at another c re-scores a known box without testing a row.
 //
-// A Scorer is safe for concurrent use: the per-group states are immutable
-// after construction, both memos are sharded and synchronized, and the
-// Calls counter is atomic — so every worker of a parallel search can share
-// one Scorer (and its memos) instead of rebuilding per-group state per
-// goroutine. Scoring keeps nothing on the Scorer but the memos and the
-// counter: every selection state lives on the caller's stack, and anything
-// larger (a Layout) belongs to the search that built it.
+// The per-group states are immutable after construction, and the Calls
+// counter and the n^c table are atomic, so the workers of a parallel search
+// (NAIVE's) can share one Scorer instead of rebuilding per-group state per
+// goroutine. The selection memo is not synchronized: a scorer that keeps one
+// has one user at a time (a Session serializes its runs). Scoring keeps
+// nothing on the Scorer but that memo and the counter: every selection state
+// lives on the caller's stack, and anything larger (a Layout, a Lattice)
+// belongs to the search that built it.
 type Scorer struct {
 	task *Task
 	rem  aggregate.Removable // nil → black-box path
@@ -178,11 +175,8 @@ type Scorer struct {
 	mode foldMode
 
 	calls atomic.Int64 // number of (group × predicate) delta evaluations
-	cache memo[string, float64]
-	// sels is the selection memo: a Box of selsSpace → Select's selections
-	// of the predicate it holds. nil unless MemoizeSelections turned it on.
-	sels      *memo[predicate.Box, []Selection]
-	selsSpace *predicate.Space
+	// sels is the selection memo; nil unless MemoizeSelections turned it on.
+	sels *selectionMemo
 	// pow[n] holds the Float64bits of n^c for the current c, 0 until scale
 	// first needs it; SetC sizes and clears it (nil before the first
 	// SetC). A c sweep's warm run scores memoized selections, and math.Pow
@@ -191,126 +185,34 @@ type Scorer struct {
 	pow []atomic.Uint64
 }
 
-// cacheShards is the number of memo stripes. Keys hash across shards, so
-// concurrent workers scoring distinct predicates rarely contend on the same
-// lock.
-const cacheShards = 64
-
 // maxMemoSelections caps the selection memo's entries: past it a box is
 // folded without being stored. A DT session's generation meets a few
 // hundred distinct boxes; the cap only bounds a pathological sweep.
 const maxMemoSelections = 4096
 
-// memo is a sharded, synchronized memo table. Hit/miss counters are
-// striped per shard (the shard struct is already a contention domain), so
-// the memo hit rate is observable without adding a shared cache-line to the
-// scoring hot path.
-type memo[K comparable, V any] struct {
-	hash func(K) uint64
-	// limit is the most entries put stores, 0 for no limit; entries counts
-	// a limited memo's stored entries across shards.
-	limit   int64
-	entries atomic.Int64
-	shards  [cacheShards]memoShard[K, V]
+// selectionMemo maps a Box of space to the selections Select folds for the
+// predicate it holds, for at most maxMemoSelections boxes, and counts its
+// lookups.
+type selectionMemo struct {
+	space        *predicate.Space
+	m            map[predicate.Box][]Selection
+	hits, misses int64
 }
 
-type memoShard[K comparable, V any] struct {
-	mu     sync.RWMutex
-	m      map[K]V
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-func (c *memo[K, V]) init(hash func(K) uint64, limit int64) {
-	c.hash = hash
-	c.limit = limit
-	for i := range c.shards {
-		c.shards[i].m = make(map[K]V)
-	}
-}
-
-func (c *memo[K, V]) shard(key K) *memoShard[K, V] {
-	return &c.shards[c.hash(key)%cacheShards]
-}
-
-func (c *memo[K, V]) get(key K) (V, bool) {
-	sh := c.shard(key)
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
+func (c *selectionMemo) get(b predicate.Box) ([]Selection, bool) {
+	sels, ok := c.m[b]
 	if ok {
-		sh.hits.Add(1)
+		c.hits++
 	} else {
-		sh.misses.Add(1)
+		c.misses++
 	}
-	return v, ok
+	return sels, ok
 }
 
-func (c *memo[K, V]) stats() (hits, misses int64) {
-	for i := range c.shards {
-		hits += c.shards[i].hits.Load()
-		misses += c.shards[i].misses.Load()
-	}
-	return hits, misses
-}
-
-// size reports the number of memoized entries and an estimate of their
-// heap footprint: per-entry map overhead plus keyBytes of each key. A
-// value's own heap (a slice's backing array) is the caller's to add.
-func (c *memo[K, V]) size(keyBytes func(K) int64) (entries int, bytes int64) {
-	// Rough per-entry cost of a map bucket slot: a word-sized value +
-	// amortized bucket/overflow overhead.
-	const entryOverhead = 32
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k := range sh.m {
-			entries++
-			bytes += keyBytes(k) + entryOverhead
-		}
-		sh.mu.RUnlock()
-	}
-	return entries, bytes
-}
-
-// put stores v under key unless that would take a limited memo past its
-// limit. The entry is reserved before it is stored, so concurrent puts on
-// different shards never overshoot; an unlimited memo counts nothing, so
-// its puts share no cache line across shards.
-func (c *memo[K, V]) put(key K, v V) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if c.limit == 0 || c.reserve(sh.m, key) {
-		sh.m[key] = v
-	}
-	sh.mu.Unlock()
-}
-
-// reserve counts key as a new entry of a limited memo, or reports false,
-// counting nothing, when that would pass the limit. A key already stored
-// needs no reservation. The caller holds the key's shard lock.
-func (c *memo[K, V]) reserve(m map[K]V, key K) bool {
-	if _, ok := m[key]; ok {
-		return true
-	}
-	if c.entries.Add(1) > c.limit {
-		c.entries.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (c *memo[K, V]) reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if len(sh.m) > 0 { // a DT session's score memo stays empty: keep its maps
-			if c.limit > 0 {
-				c.entries.Add(-int64(len(sh.m)))
-			}
-			sh.m = make(map[K]V)
-		}
-		sh.mu.Unlock()
+// put stores sels under b unless the memo is full.
+func (c *selectionMemo) put(b predicate.Box, sels []Selection) {
+	if len(c.m) < maxMemoSelections {
+		c.m[b] = sels
 	}
 }
 
@@ -412,8 +314,6 @@ func newScorer(task *Task) (*Scorer, error) {
 	if task.AggCol >= 0 {
 		s.aggVals = s.tab.Floats(task.AggCol)
 	}
-	seed := maphash.MakeSeed()
-	s.cache.init(func(k string) uint64 { return maphash.String(seed, k) }, 0)
 	return s, nil
 }
 
@@ -466,33 +366,29 @@ func (s *Scorer) Incremental() bool { return s.rem != nil }
 // §8.3.3 partition reuse (a reused partitioning skips all re-labeling).
 func (s *Scorer) Calls() int64 { return s.calls.Load() }
 
-// MemoStats reports memo hits and misses across all shards of the score
-// memo and, when kept, the selection memo. The hit rate (hits /
-// (hits+misses)) is the serving-layer signal for how much revisiting
-// (merge expansions, refinement re-scores, a c sweep's re-scores) a search
-// did.
+// MemoStats reports the selection memo's hits and misses (0, 0 when the
+// scorer keeps none). The hit rate (hits / (hits+misses)) is the
+// serving-layer signal for how many of a c sweep's re-scores tested no row.
 func (s *Scorer) MemoStats() (hits, misses int64) {
-	hits, misses = s.cache.stats()
-	if s.sels != nil {
-		h, m := s.sels.stats()
-		hits, misses = hits+h, misses+m
+	if s.sels == nil {
+		return 0, 0
 	}
-	return hits, misses
+	return s.sels.hits, s.sels.misses
 }
 
-// MemoSize reports the number of memoized predicate scores and selection
-// lists and an estimate of their heap footprint in bytes. The BENCH_memory
-// lane tracks it next to provenance bytes/row; it walks every shard under
-// its read lock, so it is a diagnostics call, not a hot-path one.
+// MemoSize reports the number of memoized selection lists and an estimate of
+// their heap footprint in bytes: per entry its Box, a map slot's overhead and
+// one Selection per group. The BENCH_memory lane tracks it next to
+// provenance bytes/row.
 func (s *Scorer) MemoSize() (entries int, bytes int64) {
-	entries, bytes = s.cache.size(func(k string) int64 { return int64(len(k)) + 16 })
-	if s.sels != nil {
-		n, b := s.sels.size(func(predicate.Box) int64 { return int64(unsafe.Sizeof(predicate.Box{})) })
-		// Each entry's selections: one 32-byte Selection per group.
-		perEntry := int64(len(s.sizes)) * int64(unsafe.Sizeof(Selection{}))
-		entries, bytes = entries+n, bytes+b+int64(n)*perEntry
+	if s.sels == nil {
+		return 0, 0
 	}
-	return entries, bytes
+	// Rough per-entry cost of a map slot: a word-sized value + amortized
+	// bucket/overflow overhead.
+	const entryOverhead = 32
+	perEntry := int64(unsafe.Sizeof(predicate.Box{})) + entryOverhead + int64(len(s.sizes))*int64(unsafe.Sizeof(Selection{}))
+	return len(s.sels.m), int64(len(s.sels.m)) * perEntry
 }
 
 // MemoizeSelections turns on the selection memo for the boxes of space:
@@ -508,9 +404,7 @@ func (s *Scorer) MemoizeSelections(space *predicate.Space) {
 	if s.rem == nil || s.sels != nil {
 		return
 	}
-	s.sels = new(memo[predicate.Box, []Selection])
-	s.sels.init(predicate.Box.Hash, maxMemoSelections)
-	s.selsSpace = space
+	s.sels = &selectionMemo{space: space, m: make(map[predicate.Box][]Selection)}
 }
 
 // OutlierResult returns the cached original aggregate value of outlier i.
@@ -706,31 +600,10 @@ func (s *Scorer) HoldOutInfluence(i int, p predicate.Predicate) float64 {
 	return s.scale(d, n)
 }
 
-// InfluenceOutliersOnly computes inf(O, ∅, p, V) — the hold-out-free
-// influence used by MC's conservative pruning (§6.2) — without the λ weight.
-func (s *Scorer) InfluenceOutliersOnly(p predicate.Predicate) float64 {
-	sum := 0.0
-	for i := range s.task.Outliers {
-		sum += s.OutlierInfluence(i, p)
-	}
-	return sum / float64(len(s.task.Outliers))
-}
-
-// Influence computes the full objective inf(O, H, p, V). Scores are memoized
-// by the predicate's canonical key. Concurrent callers scoring the same
-// predicate may both compute it (the computation is pure), but only one
-// value is retained.
+// Influence computes the full objective inf(O, H, p, V): λ times Parts'
+// mean outlier influence minus (1−λ) times its hold-out penalty. It folds p
+// over every group on each call.
 func (s *Scorer) Influence(p predicate.Predicate) float64 {
-	key := p.Key()
-	if v, ok := s.cache.get(key); ok {
-		return v
-	}
-	v := s.influenceUncached(p)
-	s.cache.put(key, v)
-	return v
-}
-
-func (s *Scorer) influenceUncached(p predicate.Predicate) float64 {
 	outPart, worstHold := s.Parts(p)
 	return s.task.Lambda*outPart - (1-s.task.Lambda)*worstHold
 }
@@ -881,26 +754,20 @@ func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r 
 	return finite(orig - s.task.Agg.Compute(rest))
 }
 
-// ResetCache clears the memoized predicate scores (used when the task's C
-// changes between runs while keeping cached group states). The selection
-// memo, which does not depend on C, is kept.
-func (s *Scorer) ResetCache() { s.cache.reset() }
-
-// SetC updates the task's c knob in place, clears the memoized predicate
-// scores and the n^c table scale fills; the cached per-group
-// aggregate states and the selection memo — which do not depend on c — are
-// kept, so a c sweep pays only re-scoring, never state rebuilding nor, for
-// a box the memo holds, row testing. Not safe to call concurrently with
-// scoring: callers (a Session's c sweeps) serialize runs.
+// SetC updates the task's c knob in place and clears the n^c table scale
+// fills; the cached per-group aggregate states and the selection memo —
+// which do not depend on c — are kept, so a c sweep pays only re-scoring,
+// never state rebuilding nor, for a box the memo holds, row testing. Not
+// safe to call concurrently with scoring: callers (a Session's c sweeps)
+// serialize runs.
 func (s *Scorer) SetC(c float64) error {
 	if err := validC(c); err != nil {
 		return err
 	}
 	if s.task.C == c {
-		return nil // same knob: the memoized scores stay valid
+		return nil // same knob: the n^c table stays valid
 	}
 	s.task.C = c
-	s.cache.reset()
 	if s.pow == nil {
 		s.pow = make([]atomic.Uint64, min(slices.Max(s.sizes), maxPowTable)+1)
 	}

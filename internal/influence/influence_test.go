@@ -79,6 +79,12 @@ func paperTask(t testing.TB) *Task {
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// outlierMean is inf(O, ∅, p, V): Parts' mean outlier influence.
+func outlierMean(s *Scorer, p predicate.Predicate) float64 {
+	outMean, _ := s.Parts(p)
+	return outMean
+}
+
 func TestTupleInfluencesMatchPaper(t *testing.T) {
 	task := paperTask(t)
 	s, err := NewScorer(task)
@@ -170,7 +176,7 @@ func TestHoldOutPenalty(t *testing.T) {
 		t.Errorf("Influence = %v, want %v", got, want)
 	}
 	// The hold-out-free score must exceed the penalized score.
-	if s.InfluenceOutliersOnly(p) <= s.Influence(p) {
+	if outlierMean(s, p) <= s.Influence(p) {
 		t.Error("outliers-only influence should exceed penalized influence")
 	}
 }
@@ -186,7 +192,7 @@ func TestLambdaExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := s.Influence(p), s.InfluenceOutliersOnly(p); !almostEqual(got, want) {
+	if got, want := s.Influence(p), outlierMean(s, p); !almostEqual(got, want) {
 		t.Errorf("λ=1: Influence = %v, want %v", got, want)
 	}
 
@@ -393,27 +399,21 @@ func TestNonFiniteKnobsRejected(t *testing.T) {
 	}
 }
 
-func TestScorerCallCountingAndCache(t *testing.T) {
+// TestScorerCallCounting: Influence memoizes nothing, so every call folds
+// the predicate again and advances Calls by one per group.
+func TestScorerCallCounting(t *testing.T) {
 	task := paperTask(t)
 	s, err := NewScorer(task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := voltagePredicate(task.Table.Data())
-	before := s.Calls()
-	s.Influence(p)
-	mid := s.Calls()
-	if mid == before {
-		t.Fatal("first Influence did no work")
-	}
-	s.Influence(p) // memoized
-	if s.Calls() != mid {
-		t.Error("memoized Influence re-evaluated deltas")
-	}
-	s.ResetCache()
-	s.Influence(p)
-	if s.Calls() == mid {
-		t.Error("ResetCache did not clear memoization")
+	groups := int64(len(task.Outliers) + len(task.HoldOuts))
+	for i := int64(1); i <= 2; i++ {
+		s.Influence(p)
+		if got := s.Calls(); got != i*groups {
+			t.Fatalf("after %d Influence calls Calls() = %d, want %d", i, got, i*groups)
+		}
 	}
 }
 
@@ -586,7 +586,6 @@ func TestScorerConcurrentUse(t *testing.T) {
 						errs <- p.Key()
 						return
 					}
-					_ = scorer.InfluenceOutliersOnly(p)
 					_, _ = scorer.Parts(p)
 				}
 			}
@@ -600,41 +599,6 @@ func TestScorerConcurrentUse(t *testing.T) {
 	if scorer.Calls() == 0 {
 		t.Error("Calls() = 0 after concurrent scoring")
 	}
-}
-
-// TestScorerResetCacheConcurrent checks ResetCache racing Influence keeps
-// values correct (cached entries may vanish, never corrupt).
-func TestScorerResetCacheConcurrent(t *testing.T) {
-	task := paperTask(t)
-	scorer, err := NewScorer(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := task.Table
-	vCol := tbl.Schema().MustIndex("voltage")
-	p := predicate.MustNew(predicate.NewRangeClause(vCol, "voltage", 2.2, 2.5, true))
-	want := scorer.Influence(p)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if got := scorer.Influence(p); got != want {
-					t.Errorf("Influence = %v, want %v", got, want)
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			scorer.ResetCache()
-		}
-	}()
-	wg.Wait()
 }
 
 func TestSeededScorerMatchesPlainScorer(t *testing.T) {

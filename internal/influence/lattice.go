@@ -9,8 +9,8 @@ import (
 )
 
 // Lattice scores the boxes of one search over one space — a DT run's
-// pieces, merge attempts and re-score — from half-space bitsets instead of
-// row tests. Per continuous column and bound it keeps one bitset over each
+// pieces, an MC run's units, their merge attempts, the shard combine's
+// re-score and climb — from half-space bitsets instead of row tests. Per continuous column and bound it keeps one bitset over each
 // group's Layout positions for v ≥ lo, v < hi or v ≤ hi, and per discrete
 // column and code set one from the clause's MatchMask. A box's matches in a
 // group are the AND of its clauses' bitsets, folded from the lowest bit up:
@@ -58,7 +58,7 @@ const (
 
 // NewLattice starts the lattice of one search whose boxes are of space.
 func (s *Scorer) NewLattice(space *predicate.Space) *Lattice {
-	return &Lattice{s: s, space: space, memo: s.sels != nil && s.selsSpace == space}
+	return &Lattice{s: s, space: space, memo: s.sels != nil && s.sels.space == space}
 }
 
 // Space returns the space the lattice's boxes are of.

@@ -150,9 +150,8 @@ func (l *Layout) positionMask(g int, dst []uint64, match func(lo, n int) uint64)
 }
 
 // Influence computes the full objective inf(O, H, p, V) of the predicate
-// whose matches in group g are masks[g], exactly as Scorer.Influence would,
-// without the memo: a grid search scores each predicate once. The Calls
-// counter advances by one per group, in one step.
+// whose matches in group g are masks[g], exactly as Scorer.Influence would.
+// The Calls counter advances by one per group, in one step.
 func (l *Layout) Influence(masks [][]uint64) float64 {
 	l.Count(len(l.groups))
 	score, _, _ := l.HoldOut(l.Bound(masks), math.Inf(-1), masks)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -116,8 +114,8 @@ func TestSelectionMemoSurvivesSetC(t *testing.T) {
 }
 
 // TestSelectionMemoCap: past maxMemoSelections boxes the memo stores no
-// more, however many workers fill it (each through a lattice of its own: a
-// lattice has one user), and a box it could not keep still scores right.
+// more, whichever lattices fill it, and a box it could not keep still
+// scores right.
 func TestSelectionMemoCap(t *testing.T) {
 	task := paperTask(t)
 	s, err := NewScorer(task)
@@ -137,19 +135,13 @@ func TestSelectionMemoCap(t *testing.T) {
 		return predicate.MustNew(predicate.NewRangeClause(col, "voltage", lo, lo+0.5, false))
 	}
 	const boxes = maxMemoSelections + 500
-	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lat := s.NewLattice(space)
-			for i := w; i < boxes; i += 4 {
-				boxParts(t, lat, box(i))
-			}
-		}()
+		lat := s.NewLattice(space)
+		for i := w; i < boxes; i += 4 {
+			boxParts(t, lat, box(i))
+		}
 	}
-	wg.Wait()
-	if got := s.sels.entries.Load(); got != maxMemoSelections {
+	if got := len(s.sels.m); got != maxMemoSelections {
 		t.Fatalf("selection memo holds %d entries, want the cap %d", got, maxMemoSelections)
 	}
 	if entries, _ := s.MemoSize(); entries != maxMemoSelections {
@@ -162,15 +154,15 @@ func TestSelectionMemoCap(t *testing.T) {
 			t.Fatalf("box %d at the cap: (%v, %v), want (%v, %v)", i, gotOut, gotHold, wantOut, wantHold)
 		}
 	}
-	if got := s.sels.entries.Load(); got != maxMemoSelections {
+	if got := len(s.sels.m); got != maxMemoSelections {
 		t.Fatalf("selection memo grew past the cap to %d entries", got)
 	}
 }
 
 // TestSelectionMemoStats: MemoStats and MemoSize count the selection memo
 // — a miss and an entry for a box's first fold, a hit for each re-score
-// after SetC — and a scorer without the memo keeps none: after SetC its
-// Influence folds again, as ResetCache's does.
+// after SetC — and a scorer without the memo keeps none: it counts and
+// holds nothing, and its lattices fold the box again after SetC.
 func TestSelectionMemoStats(t *testing.T) {
 	tbl := sensorsTable(t)
 	p := voltagePredicate(tbl)
@@ -202,17 +194,20 @@ func TestSelectionMemoStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.Influence(p)
+	boxParts(t, plain.NewLattice(space), p)
 	if err := plain.SetC(0.5); err != nil {
 		t.Fatal(err)
 	}
 	before := plain.Calls()
-	plain.Influence(p)
+	boxParts(t, plain.NewLattice(space), p)
 	if plain.Calls() == before {
 		t.Fatal("a scorer without the selection memo re-scored after SetC without folding")
 	}
-	if entries, _ := plain.MemoSize(); entries != 1 {
-		t.Fatalf("a scorer without the selection memo holds %d memo entries, want the one score", entries)
+	if entries, bytes := plain.MemoSize(); entries != 0 || bytes != 0 {
+		t.Fatalf("a scorer without the selection memo holds %d memo entries (%d bytes), want none", entries, bytes)
+	}
+	if hits, misses := plain.MemoStats(); hits != 0 || misses != 0 {
+		t.Fatalf("a scorer without the selection memo counts %d hits, %d misses; want none", hits, misses)
 	}
 }
 
@@ -237,9 +232,8 @@ func TestSelectionMemoBlackBox(t *testing.T) {
 	}
 }
 
-// TestSelectionMemoHitZeroAlloc: re-scoring a memoized box after SetC —
-// through a Lattice's Parts, and through Influence once its score is
-// memoized again — allocates nothing.
+// TestSelectionMemoHitZeroAlloc: re-scoring a memoized box after SetC
+// through a Lattice's Parts allocates nothing.
 func TestSelectionMemoHitZeroAlloc(t *testing.T) {
 	tbl := sensorsTable(t)
 	p := voltagePredicate(tbl)
@@ -258,10 +252,6 @@ func TestSelectionMemoHitZeroAlloc(t *testing.T) {
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() { out, hold, _ := lat.Parts(b, true, p); sink += out + hold }); n != 0 {
 		t.Errorf("Parts on a memoized box allocates %v times per call", n)
-	}
-	s.Influence(p)
-	if n := testing.AllocsPerRun(100, func() { sink += s.Influence(p) }); n != 0 {
-		t.Errorf("Influence on a memoized box allocates %v times per call", n)
 	}
 	_ = sink
 }
@@ -338,36 +328,4 @@ func TestScalePowTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(0)
-}
-
-// TestMemoReset: reset empties a memo, gives a limited memo its whole
-// limit back, and keeps the maps of shards that were already empty.
-func TestMemoReset(t *testing.T) {
-	var m memo[int, int]
-	m.init(func(k int) uint64 { return uint64(k) }, 10)
-	for k := 0; k < 20; k++ {
-		m.put(k, k)
-	}
-	if got := m.entries.Load(); got != 10 {
-		t.Fatalf("a memo limited to 10 holds %d entries", got)
-	}
-	empty := reflect.ValueOf(m.shards[cacheShards-1].m).UnsafePointer()
-	m.reset()
-	if got := m.entries.Load(); got != 0 {
-		t.Fatalf("after reset the memo counts %d entries", got)
-	}
-	for k := 0; k < 20; k++ {
-		if _, ok := m.get(k); ok {
-			t.Fatalf("key %d survived reset", k)
-		}
-	}
-	if got := reflect.ValueOf(m.shards[cacheShards-1].m).UnsafePointer(); got != empty {
-		t.Fatal("reset re-made an empty shard's map")
-	}
-	for k := 100; k < 120; k++ {
-		m.put(k, k)
-	}
-	if got, _ := m.size(func(int) int64 { return 8 }); got != 10 {
-		t.Fatalf("after reset the memo stored %d entries, want its limit of 10", got)
-	}
 }

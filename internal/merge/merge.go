@@ -10,10 +10,11 @@
 // caching experiment) via MergeSeeded.
 //
 // Expansion works on predicate.Box values, merged, compared and memoized as
-// comparable values, and builds a Predicate only for the boxes it keeps. A
-// Merger with a Lattice (DT's, the shard combine's) scores boxes through
-// it; one without (MC's) scores a Predicate through Scorer.Influence. A predicate a Box cannot hold takes
-// the Predicate path and is counted as a box fallback.
+// comparable values, and builds a Predicate only for the boxes it keeps.
+// Every box is scored through one influence.Lattice on the calling
+// goroutine: the search's own (DT's, MC's, the shard combine's), or one the
+// merge starts. A predicate a Box cannot hold takes the Predicate path, is
+// folded row by row and is counted as a box fallback.
 package merge
 
 import (
@@ -48,14 +49,14 @@ type Merger struct {
 	space  *predicate.Space
 	params Params
 	pool   *partition.Pool
-	// lat, when set, scores boxes: a DT run's lattice over space.
+	// lat, when set, scores boxes: the search's lattice over space.
 	lat *influence.Lattice
 	// algo labels the merge's counters.
 	algo string
 }
 
-// New builds a Merger over the given scorer and search space. It runs
-// serially and uncancellably unless WithPool is called.
+// New builds a Merger over the given scorer and search space. It is
+// uncancellable unless WithPool is called.
 func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merger {
 	return &Merger{
 		scorer: scorer,
@@ -65,10 +66,11 @@ func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merge
 	}
 }
 
-// WithPool attaches a worker pool: merge-candidate scoring fans out over
-// its workers, and expansion stops early (keeping results so far) once the
-// pool's context is cancelled. The merged output is identical for any
-// worker count. Returns the receiver for chaining.
+// WithPool attaches the search's pool: expansion stops early (keeping
+// results so far) once the pool's context is cancelled, and the merge's
+// span and counters land in that context. The merge runs on the calling
+// goroutine whatever the pool's worker count. Returns the receiver for
+// chaining.
 func (m *Merger) WithPool(pool *partition.Pool) *Merger {
 	if pool != nil {
 		m.pool = pool
@@ -76,10 +78,10 @@ func (m *Merger) WithPool(pool *partition.Pool) *Merger {
 	return m
 }
 
-// WithLattice scores the merge's boxes through lat, a lattice over the
-// Merger's space: by Box, from the scorer's selection memo or the lattice's
-// bitsets, without a Predicate or its key. A lattice has one user, so the
-// Merger's pool must have one worker. Returns the receiver for chaining.
+// WithLattice scores the merge's boxes through lat, the search's lattice
+// over the Merger's space, instead of one the merge starts: by Box, from
+// the scorer's selection memo or the lattice's bitsets, without a Predicate
+// or its key. Returns the receiver for chaining.
 func (m *Merger) WithLattice(lat *influence.Lattice) *Merger {
 	m.lat = lat
 	return m
@@ -107,7 +109,7 @@ func (m *Merger) Merge(cands []partition.Candidate) []partition.Candidate {
 // cheap.
 //
 // The call is one "merge" span under the pool's, with its work as attrs
-// (with a lattice, also the half-space bitsets it built and the boxes the
+// (also the half-space bitsets the lattice built and the boxes the
 // selection memo did not hold); its counters land in the pool's registry.
 func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Candidate) []partition.Candidate {
 	if len(cands) == 0 && len(seeds) == 0 {
@@ -115,14 +117,15 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 	}
 	ctx := m.pool.Context()
 	_, span := obs.StartSpan(ctx, "merge")
-	var masks, misses int64
-	if m.lat != nil {
-		masks, misses = m.lat.Stats()
+	lat := m.lat
+	if lat == nil {
+		lat = m.scorer.NewLattice(m.space)
 	}
+	masks, misses := lat.Stats()
 	pool := make([]partition.Candidate, len(cands))
 	copy(pool, cands)
 	partition.SortByScore(pool)
-	r := m.newRun(pool)
+	r := m.newRun(pool, lat)
 
 	expandFrom := len(pool)
 	if m.params.TopQuartileOnly && len(pool) >= 4 {
@@ -154,11 +157,9 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 	span.SetAttr("repeats", r.repeats)
 	span.SetAttr("box_fallbacks", r.fallbacks)
 	span.SetAttr("rounds", r.rounds)
-	if m.lat != nil {
-		m2, miss2 := m.lat.Stats()
-		span.SetAttr("lattice_masks", int(m2-masks))
-		span.SetAttr("memo_misses", int(miss2-misses))
-	}
+	m2, miss2 := lat.Stats()
+	span.SetAttr("lattice_masks", int(m2-masks))
+	span.SetAttr("memo_misses", int(miss2-misses))
 	span.End()
 	reg := obs.RegistryFrom(ctx)
 	reg.Counter("scorpion_merge_attempts_total", "algo", m.algo).Add(float64(r.attempts))
@@ -168,10 +169,12 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 
 // run is one MergeSeeded call: the pool in score order with each member's
 // piece and key class (the first pool index with its key), what the
-// expansions absorbed (by class), and the memo of every box met so far —
-// its slot in scores, which are at the call's c.
+// expansions absorbed (by class), the lattice that scores its boxes, and the
+// memo of every box met so far — its slot in scores, which are at the
+// call's c.
 type run struct {
 	*Merger
+	lat      *influence.Lattice
 	cands    []partition.Candidate
 	pieces   []*partition.Piece
 	class    []int32
@@ -179,7 +182,6 @@ type run struct {
 	memo     map[predicate.Box]int
 	scores   []float64
 	buf      []attempt // an expansion round's attempts
-	todo     []int     // the attempts of buf that need a score
 
 	attempts, repeats, fallbacks, rounds int
 }
@@ -203,9 +205,10 @@ type shape struct {
 // newRun indexes the sorted pool. A member without a piece of this space
 // (an MC or shard pool, or a DT pool scored over another space) gets one
 // built here.
-func (m *Merger) newRun(pool []partition.Candidate) *run {
+func (m *Merger) newRun(pool []partition.Candidate, lat *influence.Lattice) *run {
 	r := &run{
 		Merger:   m,
+		lat:      lat,
 		cands:    pool,
 		pieces:   make([]*partition.Piece, len(pool)),
 		class:    make([]int32, len(pool)),
@@ -254,14 +257,13 @@ func (r *run) predOf(s *shape) predicate.Predicate {
 }
 
 // expand grows one candidate by greedily absorbing adjacent pool members
-// while the influence increases. Candidate-merge scoring fans
-// out over the attached worker pool; the greedy choice — the highest score,
-// earliest pool index on ties, strictly above the current score — matches
-// the serial scan exactly, so parallel and serial expansions agree.
+// while the influence increases: each round takes the highest-scoring
+// merge, the earliest pool index on ties, when it is strictly above the
+// current score.
 func (r *run) expand(c partition.Candidate) partition.Candidate {
 	cur := c
 	at := r.shapeOf(cur.Pred)
-	curScore := r.scoreMemo(&at)
+	curScore := r.scores[r.slot(&at)]
 	rounds := r.params.MaxRounds
 	if rounds <= 0 {
 		rounds = len(r.cands) + 1
@@ -271,9 +273,8 @@ func (r *run) expand(c partition.Candidate) partition.Candidate {
 			break
 		}
 		r.rounds++
-		// Gather the merge candidates cheaply, then score the boxes not met
-		// before in parallel.
-		r.buf, r.todo = r.buf[:0], r.todo[:0]
+		// Gather the merge candidates, scoring the boxes not met before.
+		r.buf = r.buf[:0]
 		for i := range r.cands {
 			if merged, ok := r.join(&at, i); ok {
 				r.buf = append(r.buf, attempt{idx: i, merged: merged})
@@ -281,21 +282,7 @@ func (r *run) expand(c partition.Candidate) partition.Candidate {
 		}
 		r.attempts += len(r.buf)
 		for k := range r.buf {
-			var fresh bool
-			if r.buf[k].slot, fresh = r.slot(&r.buf[k].merged); fresh {
-				r.todo = append(r.todo, k)
-			}
-		}
-		if err := r.pool.ForEach(len(r.todo), func(k int) {
-			a := &r.buf[r.todo[k]]
-			r.scores[a.slot] = r.score(&a.merged)
-		}); err != nil {
-			for _, k := range r.todo {
-				if a := &r.buf[k]; a.merged.boxed {
-					delete(r.memo, a.merged.box)
-				}
-			}
-			break // cancelled mid-scoring: unscored attempts must not win
+			r.buf[k].slot = r.slot(&r.buf[k].merged)
 		}
 		bestScore, best := curScore, -1
 		for k := range r.buf {
@@ -347,37 +334,23 @@ func (r *run) join(cur *shape, i int) (shape, bool) {
 	return r.shapeOf(merged), true
 }
 
-// slot returns s's slot in the call's scores and whether it still needs
-// its score: a box met before shares the slot (a memo hit), any other
-// shape gets a new one.
-func (r *run) slot(s *shape) (int, bool) {
+// slot returns s's slot in the call's scores: a box met before shares its
+// slot (a memo hit), any other shape is scored into a new one.
+func (r *run) slot(s *shape) int {
 	if s.boxed {
 		if i, ok := r.memo[s.box]; ok {
 			r.repeats++
-			return i, false
+			return i
 		}
 		r.memo[s.box] = len(r.scores)
 	}
-	r.scores = append(r.scores, 0)
-	return len(r.scores) - 1, true
+	r.scores = append(r.scores, r.score(s))
+	return len(r.scores) - 1
 }
 
-// scoreMemo is score through the call's memo.
-func (r *run) scoreMemo(s *shape) float64 {
-	i, fresh := r.slot(s)
-	if fresh {
-		r.scores[i] = r.score(s)
-	}
-	return r.scores[i]
-}
-
-// score is the influence of a box: through the lattice when the Merger has
-// one (a shape no Box holds is folded from its predicate), else through
-// Scorer.Influence, whose score memo MC's units share.
+// score is the influence of a box, through the run's lattice (a shape no
+// Box holds is folded from its predicate).
 func (r *run) score(s *shape) float64 {
-	if r.lat == nil {
-		return r.scorer.Influence(r.predOf(s))
-	}
 	lambda := r.scorer.Task().Lambda
 	out, hold, _ := r.lat.Parts(s.box, s.boxed, s.pred)
 	return lambda*out - (1-lambda)*hold

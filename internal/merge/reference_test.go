@@ -67,11 +67,10 @@ func (m *Merger) refMergeSeeded(cands []partition.Candidate, seeds []partition.C
 	return out
 }
 
-// refExpand is expand on predicates: it grows one candidate by greedily absorbing adjacent pool members
-// while the (estimated) influence increases. Candidate-merge scoring fans
-// out over the attached worker pool; the greedy choice — the highest score,
-// earliest pool index on ties, strictly above the current score — matches
-// the serial scan exactly, so parallel and serial expansions agree.
+// refExpand is expand on predicates: it grows one candidate by greedily
+// absorbing adjacent pool members while the influence increases, taking the
+// highest score, the earliest pool index on ties, strictly above the
+// current score.
 func (m *Merger) refExpand(c partition.Candidate, pool []partition.Candidate, absorbed map[string]bool) partition.Candidate {
 	cur := c
 	curScore := m.scorer.Influence(cur.Pred)
@@ -83,7 +82,7 @@ func (m *Merger) refExpand(c partition.Candidate, pool []partition.Candidate, ab
 		if m.pool.Cancelled() {
 			break
 		}
-		// Gather the merge candidates cheaply, then score them in parallel.
+		// Gather the merge candidates, then score them.
 		type attempt struct {
 			idx    int
 			merged predicate.Predicate
@@ -109,10 +108,8 @@ func (m *Merger) refExpand(c partition.Candidate, pool []partition.Candidate, ab
 			}
 			attempts = append(attempts, attempt{idx: i, merged: merged})
 		}
-		if err := m.pool.ForEach(len(attempts), func(i int) {
+		for i := range attempts {
 			attempts[i].score = m.scorer.Influence(attempts[i].merged)
-		}); err != nil {
-			break // cancelled mid-scoring: unscored attempts must not win
 		}
 		bestScore := curScore
 		var bestPred predicate.Predicate
@@ -358,14 +355,13 @@ func sameMerge(t *testing.T, what string, got, want []partition.Candidate) {
 
 // TestMergeMatchesReference holds the Box kernel's Merger to the
 // Predicate Merger that scores every attempt through Scorer.Influence,
-// candidate for candidate and bit for bit: without a lattice (MC's and the
-// shard combine's path), and with one per call over a scorer without the
+// candidate for candidate and bit for bit: with the lattice the merge
+// starts itself, and with one the caller passes over a scorer without the
 // selection memo and over one that keeps it across calls — over random
 // pools on continuous and discrete columns (some members on a column too
 // wide for a Box, so the fallback runs too) and over DT partitionings,
 // with and without seeds (some off every piece's bounds, some too wide for
-// a Box) and top-quartile expansion, on 1, 2 and 4 workers (a lattice on
-// one: it has one user).
+// a Box) and top-quartile expansion.
 func TestMergeMatchesReference(t *testing.T) {
 	type input struct {
 		name        string
@@ -427,20 +423,15 @@ func TestMergeMatchesReference(t *testing.T) {
 				seeds = in.seeds
 			}
 			for _, quartile := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4} {
-					params := Params{TopQuartileOnly: quartile}
-					what := in.name + " seeded=" + strconv.FormatBool(seeded) + " quartile=" + strconv.FormatBool(quartile) + " workers=" + strconv.Itoa(workers)
-					want := New(in.scorer, in.space, params).WithPool(partition.NewPool(ctx, workers)).refMergeSeeded(in.pool, seeds)
-					merger := func(s *influence.Scorer) *Merger {
-						return New(s, in.space, params).WithPool(partition.NewPool(ctx, workers))
-					}
-					sameMerge(t, what+" Influence", merger(in.scorer).MergeSeeded(in.pool, seeds), want)
-					if workers > 1 {
-						continue // a lattice has one user: its Merger runs on one worker
-					}
-					sameMerge(t, what+" lattice", merger(in.scorer).WithLattice(in.scorer.NewLattice(in.space)).MergeSeeded(in.pool, seeds), want)
-					sameMerge(t, what+" lattice+memo", merger(memo).WithLattice(memo.NewLattice(in.space)).MergeSeeded(in.pool, seeds), want)
+				params := Params{TopQuartileOnly: quartile}
+				what := in.name + " seeded=" + strconv.FormatBool(seeded) + " quartile=" + strconv.FormatBool(quartile)
+				merger := func(s *influence.Scorer) *Merger {
+					return New(s, in.space, params).WithPool(partition.NewPool(ctx, 1))
 				}
+				want := merger(in.scorer).refMergeSeeded(in.pool, seeds)
+				sameMerge(t, what+" own lattice", merger(in.scorer).MergeSeeded(in.pool, seeds), want)
+				sameMerge(t, what+" lattice", merger(in.scorer).WithLattice(in.scorer.NewLattice(in.space)).MergeSeeded(in.pool, seeds), want)
+				sameMerge(t, what+" lattice+memo", merger(memo).WithLattice(memo.NewLattice(in.space)).MergeSeeded(in.pool, seeds), want)
 			}
 		}
 		if hits, _ := memo.MemoStats(); hits == 0 {

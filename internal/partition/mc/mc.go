@@ -10,12 +10,16 @@
 // intent. A unit p is pruned only when BOTH optimistic bounds fall below the
 // best influence so far:
 //
-//  1. its hold-out-free influence λ·inf(O, ∅, p, V) — because a refinement
+//  1. its hold-out-free influence inf(O, ∅, p, V) — because a refinement
 //     of p may escape hold-out penalties (Figure 6a) but cannot gain
 //     outlier influence beyond anti-monotonic Δ, and
-//  2. λ times the maximum single-tuple influence inside p — because
-//     influence is only anti-monotonic when the best tuple of a subset
-//     cannot dominate the subset's mean (the {1, 50, 100} SUM example).
+//  2. the maximum single-tuple influence inside p — because influence is
+//     only anti-monotonic when the best tuple of a subset cannot dominate
+//     the subset's mean (the {1, 50, 100} SUM example).
+//
+// A run scores every unit and every merge through one influence.Lattice,
+// on the search's goroutine; the first bound is the outlier mean of the
+// unit's own scoring fold.
 package mc
 
 import (
@@ -69,23 +73,25 @@ type Result struct {
 	Interrupted bool
 }
 
-// unit is a candidate predicate with its cached row set over g_O.
+// unit is a candidate predicate with its Box over the run's space (boxed
+// false when no Box holds it), its cached row set over g_O, and its score
+// with the outlier mean it was computed from.
 type unit struct {
-	pred predicate.Predicate
-	rows *relation.RowSet
+	pred  predicate.Predicate
+	box   predicate.Box
+	boxed bool
+	rows  *relation.RowSet
 	// dims is the number of constrained attributes.
-	dims  int
-	score float64
+	dims           int
+	score, outMean float64
 }
 
-// RunContext executes the MC algorithm with cancellation and a worker
-// budget: unit scoring, pruning bounds, per-tuple influence labeling and
-// merge expansion fan out over a shared pool, and the bottom-up loop stops early (returning the
-// best candidates found so far with Result.Interrupted set) once ctx is
-// cancelled. workers <= 0 uses GOMAXPROCS. The candidate output is
-// identical for any worker count.
+// RunContext executes the MC algorithm on the calling goroutine, stopping
+// early (returning the best candidates found so far with
+// Result.Interrupted set) once ctx is cancelled. workers is unused: MC
+// scores through a lattice, which has one user.
 func RunContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Result, error) {
-	return runPool(partition.NewPool(ctx, workers), scorer, space, params)
+	return runPool(partition.NewPool(ctx, 1), scorer, space, params)
 }
 
 // runPool is the search core shared by every entry point.
@@ -105,7 +111,7 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 		}
 	}
 
-	m := &runner{scorer: scorer, space: space, params: params, task: task, pool: pool}
+	m := &runner{scorer: scorer, space: space, params: params, task: task, pool: pool, lat: scorer.NewLattice(space)}
 	m.init()
 	return m.run()
 }
@@ -116,12 +122,13 @@ type runner struct {
 	params Params
 	task   *influence.Task
 	pool   *partition.Pool
+	lat    *influence.Lattice // scores every unit and merge of the run
 
 	gO       *relation.RowSet // union of outlier groups
 	tupleInf []float64        // per-row influence (NaN outside g_O)
 	units    []unit
-	// interrupted records a cancellation observed during a parallel phase;
-	// partially-scored state must not feed best-so-far updates.
+	// interrupted records a cancellation observed mid-phase; partially
+	// scored state must not feed best-so-far updates.
 	interrupted bool
 }
 
@@ -137,9 +144,6 @@ func groupValues(task *influence.Task, g influence.Group) []float64 {
 }
 
 // init precomputes g_O, per-tuple influences, and the generation-1 units.
-// The per-tuple labeling and unit scoring — the dominant setup costs — fan
-// out over the pool; each task writes a distinct slot, so the result is
-// identical for any worker count.
 func (m *runner) init() {
 	t := m.task
 	m.gO = t.OutlierUnion()
@@ -147,16 +151,12 @@ func (m *runner) init() {
 	for i := range m.tupleInf {
 		m.tupleInf[i] = math.NaN()
 	}
-	type ref struct{ gi, row int }
-	var refs []ref
 	for gi, g := range t.Outliers {
-		g.Rows.ForEach(func(r int) { refs = append(refs, ref{gi, r}) })
-	}
-	if err := m.pool.ForEach(len(refs), func(i int) {
-		m.tupleInf[refs[i].row] = m.scorer.TupleOutlierInfluence(refs[i].gi, refs[i].row)
-	}); err != nil {
-		m.interrupted = true
-		return
+		if m.pool.Cancelled() {
+			m.interrupted = true
+			return
+		}
+		g.Rows.ForEach(func(r int) { m.tupleInf[r] = m.scorer.TupleOutlierInfluence(gi, r) })
 	}
 	for _, col := range m.space.Columns() {
 		if m.space.Kind(col) == relation.Continuous {
@@ -168,14 +168,19 @@ func (m *runner) init() {
 	m.scoreUnits()
 }
 
-// scoreUnits fills every unit's influence score across the pool. On
-// cancellation it flags the runner interrupted so partial scores are never
-// consumed.
+// scoreUnits fills every unit's influence score and outlier mean through
+// the run's lattice. On cancellation it flags the runner interrupted so
+// partial scores are never consumed.
 func (m *runner) scoreUnits() {
-	if err := m.pool.ForEach(len(m.units), func(i int) {
-		m.units[i].score = m.scorer.Influence(m.units[i].pred)
-	}); err != nil {
-		m.interrupted = true
+	lambda := m.task.Lambda
+	for i := range m.units {
+		if m.pool.Cancelled() {
+			m.interrupted = true
+			return
+		}
+		u := &m.units[i]
+		outMean, hold, _ := m.lat.Parts(u.box, u.boxed, u.pred)
+		u.score, u.outMean = lambda*outMean-(1-lambda)*hold, outMean
 	}
 }
 
@@ -215,7 +220,13 @@ func (m *runner) addUnit(p predicate.Predicate) {
 	if rows.IsEmpty() {
 		return
 	}
-	m.units = append(m.units, unit{pred: p, rows: rows, dims: p.NumClauses()})
+	m.units = append(m.units, m.newUnit(p, rows, p.NumClauses()))
+}
+
+// newUnit boxes p over the run's space.
+func (m *runner) newUnit(p predicate.Predicate, rows *relation.RowSet, dims int) unit {
+	b, boxed := m.space.Box(p)
+	return unit{pred: p, box: b, boxed: boxed, rows: rows, dims: dims}
 }
 
 // run is the main MC loop (the paper's pseudocode, §6.2). Two deliberate
@@ -240,7 +251,7 @@ func (m *runner) run() (*Result, error) {
 	}
 	maxIter := len(m.space.Columns())
 
-	merger := merge.New(m.scorer, m.space, merge.Params{}).WithPool(m.pool).WithAlgo("mc")
+	merger := merge.New(m.scorer, m.space, merge.Params{}).WithPool(m.pool).WithLattice(m.lat).WithAlgo("mc")
 	global := partition.Candidate{Score: math.Inf(-1)}
 	haveGlobal := false
 	prevBest := math.Inf(-1) // the pseudocode's `best`: Null initially
@@ -311,10 +322,14 @@ func (m *runner) run() (*Result, error) {
 		}
 		// Line 15: retain units contained in some winner.
 		winnerRows := make([]*relation.RowSet, len(winners))
-		if err := m.pool.ForEach(len(winners), func(i int) {
-			winnerRows[i] = winners[i].Pred.Eval(m.task.Table.Data(), m.gO)
-		}); err != nil {
-			m.interrupted = true
+		for i, w := range winners {
+			if m.pool.Cancelled() {
+				m.interrupted = true
+				break
+			}
+			winnerRows[i] = w.Pred.Eval(m.task.Table.Data(), m.gO)
+		}
+		if m.interrupted {
 			break
 		}
 		var kept []unit
@@ -350,40 +365,36 @@ func (m *runner) run() (*Result, error) {
 }
 
 // prune drops units whose optimistic bounds cannot beat the generation's
-// best score (see package comment). Both bounds are unweighted (no λ, no
-// hold-out penalty), making them true upper bounds of the objective. The
-// bound computations fan out over the pool; the keep/drop filter runs on
-// the coordinating goroutine, preserving unit order. A cancellation
-// mid-computation skips pruning entirely (keeping extra units is always
-// sound) and lets the main loop observe the interruption.
+// best score (see package comment), preserving unit order. Both bounds are
+// unweighted (no λ, no hold-out penalty), making them true upper bounds of
+// the objective. A cancellation mid-way skips pruning entirely (keeping
+// extra units is always sound) and lets the main loop observe the
+// interruption.
 func (m *runner) prune(units []unit, bestScore float64) []unit {
 	if math.IsInf(bestScore, -1) {
 		return units
 	}
-	keep := make([]bool, len(units))
-	if err := m.pool.ForEach(len(units), func(i int) {
-		u := units[i]
-		if m.scorer.InfluenceOutliersOnly(u.pred) >= bestScore {
-			keep[i] = true
-			return
-		}
-		maxTuple := math.Inf(-1)
-		u.rows.ForEach(func(r int) {
-			if v := m.tupleInf[r]; v > maxTuple {
-				maxTuple = v
-			}
-		})
-		keep[i] = maxTuple >= bestScore
-	}); err != nil {
-		return units
-	}
 	var kept []unit
-	for i, u := range units {
-		if keep[i] {
+	for _, u := range units {
+		if m.pool.Cancelled() {
+			return units
+		}
+		if u.outMean >= bestScore || m.maxTuple(u) >= bestScore {
 			kept = append(kept, u)
 		}
 	}
 	return kept
+}
+
+// maxTuple is the largest single-tuple influence among u's rows.
+func (m *runner) maxTuple(u unit) float64 {
+	best := math.Inf(-1)
+	u.rows.ForEach(func(r int) {
+		if v := m.tupleInf[r]; v > best {
+			best = v
+		}
+	})
+	return best
 }
 
 // intersect performs the apriori join: pairs of k-dim units sharing k−1
@@ -411,7 +422,7 @@ func (m *runner) intersect(units []unit) []unit {
 			if rows.IsEmpty() {
 				continue
 			}
-			out = append(out, unit{pred: p, rows: rows, dims: a.dims + 1})
+			out = append(out, m.newUnit(p, rows, a.dims+1))
 			if len(out) >= m.params.MaxUnits {
 				return out
 			}

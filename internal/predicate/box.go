@@ -1,7 +1,6 @@
 package predicate
 
 import (
-	"math"
 	"math/bits"
 	"sort"
 
@@ -150,20 +149,6 @@ func (b Box) WithRange(i int, lo, hi float64, hiInc bool) Box {
 		b.inc |= 1 << uint(i)
 	}
 	return b
-}
-
-// Hash spreads boxes over a sharded table: boxes that are == hash alike
-// (adding +0 folds a −0 bound into +0, which == does not tell apart).
-func (b Box) Hash() uint64 {
-	h := b.cols ^ uint64(b.inc)<<56
-	mix := func(x uint64) { h = bits.RotateLeft64(h^x, 29) * 0x9e3779b97f4a7c15 }
-	for i := range b.dims {
-		d := &b.dims[i]
-		mix(math.Float64bits(d.lo + 0))
-		mix(math.Float64bits(d.hi + 0))
-		mix(d.codes)
-	}
-	return h ^ h>>32
 }
 
 // AdjacentBoxes is Adjacent on boxes.

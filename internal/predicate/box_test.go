@@ -120,9 +120,6 @@ func checkBoxes(t *testing.T, s *Space, p, q Predicate) {
 	if want := p.Merge(q); merged.Key() != want.Key() {
 		t.Fatalf("Merge(%v, %v): box %v, predicate %v", p, q, merged, want)
 	}
-	if pb == qb && pb.Hash() != qb.Hash() {
-		t.Fatalf("%v == %v, but their boxes hash apart", p, q)
-	}
 	var cs [MaxBoxDims]BoxClause
 	n := s.Clauses(pb, &cs)
 	if n != p.NumClauses() {

@@ -60,17 +60,6 @@ func NewSetClause(col int, name string, codes []int32) Clause {
 	return Clause{Col: col, Name: name, Kind: relation.Discrete, Values: out}
 }
 
-// matchFloat reports whether the continuous clause admits v.
-func (c *Clause) matchFloat(v float64) bool {
-	if v < c.Lo {
-		return false
-	}
-	if c.HiInc {
-		return v <= c.Hi
-	}
-	return v < c.Hi
-}
-
 // matchCode reports whether the discrete clause admits the code.
 func (c *Clause) matchCode(code int32) bool {
 	lo, hi := 0, len(c.Values)
@@ -87,7 +76,8 @@ func (c *Clause) matchCode(code int32) bool {
 
 // MatchMask tests the n consecutive rows [lo, lo+n) of t, 1 <= n <= 64,
 // against the clause on its column slice and returns the matches as a
-// bitmask: bit i is set when row lo+i satisfies the clause.
+// bitmask: bit i is set when row lo+i satisfies the clause. It is the one
+// row test: Predicate.Match and Eval run through it.
 func (c *Clause) MatchMask(t *relation.Table, lo, n int) uint64 {
 	var m uint64
 	if c.Kind != relation.Continuous {
@@ -98,8 +88,9 @@ func (c *Clause) MatchMask(t *relation.Table, lo, n int) uint64 {
 		}
 		return m
 	}
-	// Both bounds are tested without a data-dependent branch: a NaN fails
-	// each comparison, exactly as in matchFloat.
+	// Both bounds are tested without a data-dependent branch. A NaN, in the
+	// row or in a bound, fails each comparison, so a clause with a NaN bound
+	// admits no row.
 	vals := t.Floats(c.Col)[lo : lo+n]
 	cl, ch := c.Lo, c.Hi
 	if c.HiInc {
@@ -247,28 +238,17 @@ func (p Predicate) Columns() []int {
 	return out
 }
 
-// Match reports whether row r of table t satisfies the predicate.
+// Match reports whether row r of table t satisfies the predicate: MatchMask
+// on the one-row window at r.
 func (p Predicate) Match(t *relation.Table, r int) bool {
-	for i := range p.clauses {
-		c := &p.clauses[i]
-		if c.Kind == relation.Continuous {
-			if !c.matchFloat(t.Floats(c.Col)[r]) {
-				return false
-			}
-		} else {
-			if !c.matchCode(t.Codes(c.Col)[r]) {
-				return false
-			}
-		}
-	}
-	return true
+	return p.MatchMask(t, r, 1) != 0
 }
 
 // MatchMask tests the n consecutive rows [lo, lo+n) of t, 1 <= n <= 64,
 // against the predicate and returns the matches as a bitmask: bit i is set
-// when row lo+i satisfies every clause. It is Match for a window of rows:
-// each clause runs down its own column slice, so nothing is looked up per
-// row, and a window no row of which survives a clause skips the rest.
+// when row lo+i satisfies every clause. Each clause runs down its own column
+// slice, so nothing is looked up per row, and a window no row of which
+// survives a clause skips the rest.
 func (p Predicate) MatchMask(t *relation.Table, lo, n int) uint64 {
 	m := ^uint64(0) >> uint(64-n)
 	for i := range p.clauses {
@@ -518,7 +498,7 @@ func (p Predicate) Equal(o Predicate) bool {
 
 // Key returns a canonical string usable as a map key for de-duplication.
 // The fingerprint is built on the first call and kept, so the callers that
-// look keys up repeatedly — the scorer's memo, candidate de-duplication,
+// look keys up repeatedly — candidate de-duplication, the Merger's classes,
 // obs labels — pay the string build once and a pointer read afterwards.
 func (p Predicate) Key() string {
 	if p.key == nil {

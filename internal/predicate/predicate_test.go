@@ -53,6 +53,45 @@ func TestRangeClauseMatch(t *testing.T) {
 	}
 }
 
+// TestMatchAgreesOnNonFinite: Match, MatchMask and Eval are one row test,
+// also where a bound or a cell is NaN or ±Inf — the box NaN <= x < 55.74
+// among them, which admits no row (every comparison with NaN fails).
+func TestMatchAgreesOnNonFinite(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "x", Kind: relation.Continuous},
+		relation.Column{Name: "color", Kind: relation.Discrete},
+	)
+	b := relation.NewBuilder(schema)
+	cells := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -3, 0, 20, 55.74, 55.75, 1e300}
+	colors := []string{"red", "green"}
+	for i := 0; i < 150; i++ { // three windows of 64 rows, the last partial
+		b.MustAppend(relation.Row{relation.F(cells[i%len(cells)]), relation.S(colors[i%2])})
+	}
+	tbl := b.Build()
+	nan, inf := math.NaN(), math.Inf(1)
+	red, _ := tbl.Dict(1).Lookup("red")
+	var preds []Predicate
+	for _, r := range [][2]float64{{nan, 55.74}, {0, nan}, {nan, nan}, {0, inf}, {-inf, 55.74}, {-inf, inf}, {-inf, -inf}, {inf, inf}, {55.74, 55.74}} {
+		for _, hiInc := range []bool{false, true} {
+			c := NewRangeClause(0, "x", r[0], r[1], hiInc)
+			preds = append(preds, MustNew(c), MustNew(c, NewSetClause(1, "color", []int32{red})))
+		}
+	}
+	for _, p := range preds {
+		rows := p.Eval(tbl, nil)
+		for r := 0; r < tbl.NumRows(); r++ {
+			lo := r &^ 63
+			mask := p.MatchMask(tbl, lo, min(64, tbl.NumRows()-lo))&(1<<uint(r-lo)) != 0
+			if got := p.Match(tbl, r); got != mask || got != rows.Contains(r) {
+				t.Fatalf("%v row %d (x=%v): Match %v, MatchMask %v, Eval %v", p, r, tbl.Floats(0)[r], got, mask, rows.Contains(r))
+			}
+		}
+		if c := p.Clauses()[0]; (math.IsNaN(c.Lo) || math.IsNaN(c.Hi)) && !rows.IsEmpty() {
+			t.Fatalf("%v admits %d rows under a NaN bound, want none", p, rows.Count())
+		}
+	}
+}
+
 func TestSetClauseMatch(t *testing.T) {
 	tbl := testTable(t)
 	colorCol := tbl.Schema().MustIndex("color")

@@ -175,17 +175,17 @@ func TestExplainWorkersValidation(t *testing.T) {
 	}
 }
 
-// TestDTJobGrantedOneWorker: an unsharded DT job runs on one goroutine,
-// so admission grants it one worker whatever it asks, and its job view
-// says so; MC, and Auto (whose algorithm is chosen when the job runs),
-// keep their ask.
-func TestDTJobGrantedOneWorker(t *testing.T) {
+// TestDTAndMCJobsGrantedOneWorker: an unsharded DT or MC job runs on one
+// goroutine, so admission grants it one worker whatever it asks, and its
+// job view says so; Auto, whose algorithm is chosen when the job runs,
+// keeps its ask.
+func TestDTAndMCJobsGrantedOneWorker(t *testing.T) {
 	srv := multiTableServer(t, jobs.Options{Budget: 2})
 	ask := min(2, runtime.GOMAXPROCS(0))
 	for _, tc := range []struct {
 		algo, agg string
 		want      int
-	}{{"dt", "avg", 1}, {"mc", "sum", ask}, {"auto", "avg", ask}} {
+	}{{"dt", "avg", 1}, {"mc", "sum", 1}, {"auto", "avg", ask}} {
 		rec := postJSON(t, srv, "/jobs", map[string]any{
 			"table":              "sensors",
 			"sql":                "SELECT " + tc.agg + "(temp), time FROM sensors GROUP BY time",

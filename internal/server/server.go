@@ -414,9 +414,9 @@ type ExplainRequest struct {
 	TopK             int      `json:"top_k,omitempty"`
 	// Workers requests a search worker grant: 0 = server default, -1 =
 	// GOMAXPROCS; other negative values are rejected. The scheduler clamps
-	// the grant against its global budget. An unsharded "dt" request runs
-	// on one goroutine and is granted one worker; "auto" keeps its ask, as
-	// its algorithm is chosen when the job runs.
+	// the grant against its global budget. An unsharded "dt" or "mc"
+	// request runs on one goroutine and is granted one worker; "auto" keeps
+	// its ask, as its algorithm is chosen when the job runs.
 	Workers int `json:"workers,omitempty"`
 	// Shards fans the search across horizontal slices of the table
 	// (scorpion.Request.Shards): 0 = auto from the table size and worker

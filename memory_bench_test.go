@@ -76,9 +76,9 @@ func BenchmarkProvenanceMemory(b *testing.B) {
 			denseBytes += d.MemBytes()
 		}
 
-		// Memo cost: score a grid of candidate predicates through a scorer
-		// over the flagged groups (4 outliers, 3 hold-outs keeps the bench
-		// about memory, not scan time).
+		// Memo cost: score a grid of candidate boxes through a scorer that
+		// keeps the selection memo, over the flagged groups (4 outliers, 3
+		// hold-outs keeps the bench about memory, not scan time).
 		task := &influence.Task{
 			Table:  ds.Table,
 			Agg:    q.Agg,
@@ -106,11 +106,18 @@ func BenchmarkProvenanceMemory(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		space, err := predicate.NewSpace(ds.Table, []string{synth.DimName(0)}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scorer.MemoizeSelections(space)
+		lat := scorer.NewLattice(space)
 		col := ds.Table.Schema().MustIndex(synth.DimName(0))
 		for g := 0; g < 25; g++ {
 			lo := float64(g * 4)
 			p := predicate.MustNew(predicate.NewRangeClause(col, synth.DimName(0), lo, lo+8, false))
-			_ = scorer.Influence(p)
+			box, ok := space.Box(p)
+			lat.Parts(box, ok, p)
 		}
 		memoEntries, memoBytes = scorer.MemoSize()
 	}

@@ -115,9 +115,9 @@ func (r *Request) Plan() (*Plan, error) {
 		p.shards = min(r.Table.NumRows()/autoShardRows, max(workers, maxAutoSerialShards))
 	}
 	p.shards = max(1, min(p.shards, maxShards))
-	// Unsharded DT runs on one goroutine, so it holds one worker. This
-	// comes after the shard count, which the ask still picks.
-	if p.dtPath(r.Algorithm) {
+	// Unsharded DT and MC run on one goroutine, so they hold one worker.
+	// This comes after the shard count, which the ask still picks.
+	if (r.Algorithm == DT || r.Algorithm == MC) && p.shards <= 1 {
 		p.workers = 1
 	}
 	p.outliers, p.holdOuts = sortedKeys(r.Outliers), sortedKeys(r.HoldOuts)
@@ -154,7 +154,7 @@ func (p *Plan) MayReusePartition() bool {
 
 // Workers is the worker budget the search runs on: the request's ask
 // (negative for GOMAXPROCS), or 1 when the ask is unset or the request is
-// for unsharded DT.
+// for unsharded DT or MC.
 func (p *Plan) Workers() int { return p.workers }
 
 // SQL is the request's aggregate query.

@@ -89,6 +89,23 @@ func TestPlanCoversRequest(t *testing.T) {
 	}
 }
 
+// TestPlanWorkers: an unsharded DT or MC request runs on one goroutine, so
+// its Plan holds one worker whatever it asks; NAIVE, Auto (whose algorithm
+// is chosen later) and a sharded request keep the ask.
+func TestPlanWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		algo   Algorithm
+		shards int
+		want   int
+	}{{DT, 1, 1}, {MC, 1, 1}, {Naive, 1, 4}, {Auto, 1, 4}, {DT, 3, 4}, {MC, 3, 4}} {
+		req := Request{Table: sensorsTable(t), SQL: "SELECT sum(temp), time FROM sensors GROUP BY time",
+			Outliers: []string{"12PM"}, Algorithm: tc.algo, Shards: tc.shards, Workers: 4}
+		if got := mustPlan(t, &req).Workers(); got != tc.want {
+			t.Errorf("%v over %d shards asking 4 workers: Plan.Workers() = %d, want %d", tc.algo, tc.shards, got, tc.want)
+		}
+	}
+}
+
 // TestTopKReachesEveryAlgorithm: a top-k above NAIVE's default retention
 // of 10 reaches every algorithm, NAIVE included, which keeps the request's
 // top-k candidates rather than its own 10.

@@ -111,11 +111,16 @@ var algorithms = map[string]scorpion.Algorithm{
 // §8.1 query) at the given c, forcing one named algorithm ("naive", "dt",
 // "mc").
 func (s Scale) RunAlgorithm(algo string, ds *synth.Dataset, c float64) (AlgoOutcome, error) {
+	return s.runAggregate(algo, "sum", ds, c)
+}
+
+// runAggregate is RunAlgorithm under the aggregate agg.
+func (s Scale) runAggregate(algo, agg string, ds *synth.Dataset, c float64) (AlgoOutcome, error) {
 	a, ok := algorithms[algo]
 	if !ok {
 		return AlgoOutcome{}, fmt.Errorf("eval: unknown algorithm %q", algo)
 	}
-	req := synthRequest(ds, "sum", a, c)
+	req := synthRequest(ds, agg, a, c)
 	req.Bins = s.Bins
 	ctx := context.Background()
 	if a == scorpion.Naive {

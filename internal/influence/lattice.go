@@ -19,12 +19,12 @@ import (
 // it does in a row test, and ±Inf compare as they do there. Above scores a
 // box against a floor and stops folding once the box cannot pass it.
 //
-// Nothing is built before the first box the selection memo does not hold:
-// then the Layout, and each half-space when a box first needs it. A box
-// folded here goes into the scorer's selection memo when the memo keeps
-// this space's boxes. The Lattice belongs to the search that started it and
-// is dropped with it; it has that one user and is not safe for concurrent
-// use.
+// Nothing is built before the first box the selection memo does not hold,
+// or the first OutlierBits: then the Layout, and each half-space when a box
+// first needs it. A box folded here goes into the scorer's selection memo
+// when the memo keeps this space's boxes. The Lattice belongs to the search
+// that started it and is dropped with it; it has that one user and is not
+// safe for concurrent use.
 type Lattice struct {
 	s     *Scorer
 	space *predicate.Space
@@ -147,6 +147,38 @@ func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floo
 		l.holdStops++
 	}
 	return score, holdPen, ok
+}
+
+// OutlierBits returns the matches of the predicate b holds in the outlier
+// groups, as one bitset over their Layout positions: group g's position i is
+// bit i of the group's words, which follow group g−1's, ⌈|g|/64⌉ words per
+// group. It is the AND of b's half-spaces; when no Box holds the predicate
+// (boxed false) p is tested row by row. It folds nothing and counts no call.
+func (l *Lattice) OutlierBits(b predicate.Box, boxed bool, p predicate.Predicate) []uint64 {
+	if l.l == nil {
+		l.build()
+	}
+	nOut := len(l.s.task.Outliers)
+	dst := make([]uint64, l.off[nOut])
+	if !boxed {
+		for g := range nOut {
+			l.l.positionMask(g, dst[l.off[g]:l.off[g+1]], func(lo, n int) uint64 { return p.MatchMask(l.s.tab, lo, n) })
+		}
+		return dst
+	}
+	var buf [2 * predicate.MaxBoxDims][]uint64
+	hs := l.halves(b, &buf)
+	for g := range nOut {
+		n := l.l.groups[g].n
+		for w, at := 0, l.off[g]; w<<6 < n; w, at = w+1, at+1 {
+			m := ^uint64(0) >> uint(64-min(64, n-w<<6))
+			for _, h := range hs {
+				m &= h[at]
+			}
+			dst[at] = m
+		}
+	}
+	return dst
 }
 
 // fold appends b's selection of every group to dst, outliers then

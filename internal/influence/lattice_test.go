@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
@@ -135,6 +136,62 @@ func TestLatticeMatchesSelect(t *testing.T) {
 		}
 	}
 	t.Logf("%d selections compared", compared)
+}
+
+// TestLatticeOutlierBitsMatchEval: OutlierBits of a box, by its
+// half-spaces and row by row, sets exactly the outlier-group positions
+// whose rows Predicate.Eval matches, each group from a word boundary, and
+// counts no call, over random boxes (the match-everything box among them)
+// and the three RowSet encodings.
+func TestLatticeOutlierBitsMatchEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	tbl := kernelTable(rng, true)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	shapes := [][]int{
+		groupShape(rng, 0, 8192, 60),
+		groupShape(rng, 1000, 1200, 45),
+		groupShape(rng, 2000, 2100, 1),
+		groupShape(rng, 5000, 5600, 60),
+	}
+	preds := latticeBoxes(rng)
+	for _, enc := range []string{"dense", "runs", "sparse"} {
+		var groups []Group
+		for i, rows := range shapes {
+			groups = append(groups, Group{Key: fmt.Sprint(i), Rows: encode(t, n, rows, enc), Direction: TooHigh})
+		}
+		task := &Task{Table: tbl, Agg: aggregate.Sum{}, AggCol: 3, Outliers: groups[:3], HoldOuts: groups[3:], Lambda: 0.6, C: 0.4}
+		s, err := NewScorer(task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := s.NewLattice(space)
+		for _, p := range preds {
+			rows := p.Eval(tbl, nil)
+			var want []uint64
+			for _, g := range task.Outliers {
+				words := make([]uint64, (g.Rows.Count()+63)/64)
+				i := 0
+				g.Rows.ForEach(func(r int) {
+					if rows.Contains(r) {
+						words[i>>6] |= 1 << uint(i&63)
+					}
+					i++
+				})
+				want = append(want, words...)
+			}
+			b := boxOf(t, space, p)
+			before := s.Calls()
+			for _, boxed := range []bool{true, false} {
+				if got := lat.OutlierBits(b, boxed, p); !slices.Equal(got, want) {
+					t.Fatalf("enc=%s %v boxed=%v: OutlierBits %x, Eval %x", enc, p, boxed, got, want)
+				}
+			}
+			if d := s.Calls() - before; d != 0 {
+				t.Fatalf("OutlierBits advanced Calls() by %d", d)
+			}
+		}
+	}
 }
 
 // TestLatticeBuiltOnFirstMiss: a lattice builds nothing — no Layout, no

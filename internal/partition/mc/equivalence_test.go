@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/eval"
 	"github.com/scorpiondb/scorpion/internal/influence"
+	"github.com/scorpiondb/scorpion/internal/merge"
 	"github.com/scorpiondb/scorpion/internal/partition"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 	"github.com/scorpiondb/scorpion/internal/relation"
@@ -164,4 +166,105 @@ func TestUnitsMatchPartsMatched(t *testing.T) {
 	if unboxed == 0 {
 		t.Fatal("no unit took the unboxed PartsMatched fallback")
 	}
+}
+
+// outlierBits is the reference for a unit's bitset: Predicate.Eval over
+// g_O, laid out as Lattice.OutlierBits lays the outlier groups out — each
+// group's rows in ascending order from a word boundary.
+func outlierBits(task *influence.Task, p predicate.Predicate) []uint64 {
+	rows := p.Eval(task.Table.Data(), task.OutlierUnion())
+	var out []uint64
+	for _, g := range task.Outliers {
+		words := make([]uint64, (g.Rows.Count()+63)/64)
+		i := 0
+		g.Rows.ForEach(func(r int) {
+			if rows.Contains(r) {
+				words[i>>6] |= 1 << uint(i&63)
+			}
+			i++
+		})
+		out = append(out, words...)
+	}
+	return out
+}
+
+// TestUnitBitsMatchEval: every unit MC keeps a bitset for — generation 1
+// and every intersection round, pruned as a run prunes them — holds exactly
+// Predicate.Eval's rows of g_O, as does Lattice.OutlierBits of the unit's
+// predicate itself, and line 15 keeps exactly the units whose
+// Eval rows lie inside some winner's, by RowSet Intersect and Equal. The
+// winners are each generation's top three merged candidates. It runs SYNTH
+// 2-D/3-D Easy/Hard under SUM and COUNT(*), and a table with codes past 63
+// and NaN/±Inf cells, whose units no Box holds are tested row by row, at
+// c ∈ {0, 0.5}.
+func TestUnitBitsMatchEval(t *testing.T) {
+	fixtures := append(synthFixtures(t), oddFixture(t))
+	var unboxed, kept, dropped int
+	for _, fx := range fixtures {
+		for _, c := range []float64{0, 0.5} {
+			task := fx.task(0.5, c)
+			scorer, err := influence.NewScorer(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &runner{scorer: scorer, space: fx.space, params: fx.params.withDefaults(), task: task,
+				pool: partition.NewPool(context.Background(), 1), lat: scorer.NewLattice(fx.space)}
+			m.init()
+			merger := merge.New(scorer, fx.space, merge.Params{}).WithLattice(m.lat)
+			gO := task.OutlierUnion()
+			for gen := 0; gen < len(fx.space.Columns()) && len(m.units) > 0; gen++ {
+				if gen > 0 {
+					m.units = m.intersect(m.units)
+					m.scoreUnits()
+				}
+				best := math.Inf(-1)
+				for _, u := range m.units {
+					want := outlierBits(task, u.pred)
+					if !slices.Equal(u.out, want) {
+						t.Fatalf("%s c=%v generation %d %v: bitset %x, Eval %x", fx.name, c, gen+1, u.pred, u.out, want)
+					}
+					if direct := m.lat.OutlierBits(u.box, u.boxed, u.pred); !slices.Equal(direct, want) {
+						t.Fatalf("%s c=%v generation %d %v: OutlierBits %x, Eval %x", fx.name, c, gen+1, u.pred, direct, want)
+					}
+					if !u.boxed {
+						unboxed++
+					}
+					best = max(best, u.score)
+				}
+				m.units = m.prune(m.units, best)
+				cands := make([]partition.Candidate, len(m.units))
+				for i, u := range m.units {
+					cands[i] = partition.Candidate{Pred: u.pred, Score: u.score}
+				}
+				winners := merger.Merge(cands)
+				partition.SortByScore(winners)
+				winners = winners[:min(3, len(winners))]
+				var want []string
+				for _, u := range m.units {
+					rows := u.pred.Eval(task.Table.Data(), gO)
+					for _, w := range winners {
+						if rows.Intersect(w.Pred.Eval(task.Table.Data(), gO)).Equal(rows) {
+							want = append(want, u.pred.Key())
+							break
+						}
+					}
+				}
+				got := m.contained(m.units, winners)
+				var gotKeys []string
+				for _, u := range got {
+					gotKeys = append(gotKeys, u.pred.Key())
+				}
+				if !slices.Equal(gotKeys, want) {
+					t.Fatalf("%s c=%v generation %d: line 15 keeps %v, the row-set reference %v", fx.name, c, gen+1, gotKeys, want)
+				}
+				kept += len(got)
+				dropped += len(m.units) - len(got)
+				m.units = got
+			}
+		}
+	}
+	if unboxed == 0 || kept == 0 || dropped == 0 {
+		t.Fatalf("unboxed units %d, kept %d, dropped %d: each must be positive", unboxed, kept, dropped)
+	}
+	t.Logf("unboxed units %d; line 15 kept %d and dropped %d", unboxed, kept, dropped)
 }

@@ -19,13 +19,18 @@
 //
 // A run scores every unit and every merge through one influence.Lattice,
 // on the search's goroutine; the first bound is the outlier mean of the
-// unit's own scoring fold.
+// unit's own scoring fold. The lattice is also the run's only lineage: a
+// unit's outlier rows are its bitset over the outlier groups' positions
+// (Lattice.OutlierBits), which the apriori join ANDs, the second bound
+// walks, and line 15 tests for containment in a winner's bitset.
 package mc
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/scorpiondb/scorpion/internal/aggregate"
 	"github.com/scorpiondb/scorpion/internal/influence"
@@ -74,13 +79,14 @@ type Result struct {
 }
 
 // unit is a candidate predicate with its Box over the run's space (boxed
-// false when no Box holds it), its cached row set over g_O, and its score
-// with the outlier mean it was computed from.
+// false when no Box holds it), its matches in the outlier groups as the
+// lattice's bitset over their positions, and its score with the outlier
+// mean it was computed from.
 type unit struct {
 	pred  predicate.Predicate
 	box   predicate.Box
 	boxed bool
-	rows  *relation.RowSet
+	out   []uint64
 	// dims is the number of constrained attributes.
 	dims           int
 	score, outMean float64
@@ -124,12 +130,16 @@ type runner struct {
 	pool   *partition.Pool
 	lat    *influence.Lattice // scores every unit and merge of the run
 
-	gO       *relation.RowSet // union of outlier groups
-	tupleInf []float64        // per-row influence (NaN outside g_O)
+	gO *relation.RowSet // union of outlier groups, for the unit grid
+	// tupleInf is each outlier tuple's influence, indexed as the bits of a
+	// unit's bitset.
+	tupleInf []float64
 	units    []unit
 	// interrupted records a cancellation observed mid-phase; partially
 	// scored state must not feed best-so-far updates.
 	interrupted bool
+	// noPrune, set only by tests, makes prune keep every unit.
+	noPrune bool
 }
 
 // groupValues projects the aggregate attribute of a group.
@@ -147,16 +157,14 @@ func groupValues(task *influence.Task, g influence.Group) []float64 {
 func (m *runner) init() {
 	t := m.task
 	m.gO = t.OutlierUnion()
-	m.tupleInf = make([]float64, t.Table.NumRows())
-	for i := range m.tupleInf {
-		m.tupleInf[i] = math.NaN()
-	}
 	for gi, g := range t.Outliers {
 		if m.pool.Cancelled() {
 			m.interrupted = true
 			return
 		}
-		g.Rows.ForEach(func(r int) { m.tupleInf[r] = m.scorer.TupleOutlierInfluence(gi, r) })
+		g.Rows.ForEach(func(r int) { m.tupleInf = append(m.tupleInf, m.scorer.TupleOutlierInfluence(gi, r)) })
+		// Pad to a word boundary, where the bitsets start the next group.
+		m.tupleInf = append(m.tupleInf, make([]float64, -len(m.tupleInf)&63)...)
 	}
 	for _, col := range m.space.Columns() {
 		if m.space.Kind(col) == relation.Continuous {
@@ -215,18 +223,12 @@ func (m *runner) initDiscreteUnits(col int) {
 	}
 }
 
+// addUnit adds p as a generation-1 unit unless it matches no outlier row.
 func (m *runner) addUnit(p predicate.Predicate) {
-	rows := p.Eval(m.task.Table.Data(), m.gO)
-	if rows.IsEmpty() {
-		return
-	}
-	m.units = append(m.units, m.newUnit(p, rows, p.NumClauses()))
-}
-
-// newUnit boxes p over the run's space.
-func (m *runner) newUnit(p predicate.Predicate, rows *relation.RowSet, dims int) unit {
 	b, boxed := m.space.Box(p)
-	return unit{pred: p, box: b, boxed: boxed, rows: rows, dims: dims}
+	if out := m.lat.OutlierBits(b, boxed, p); !empty(out) {
+		m.units = append(m.units, unit{pred: p, box: b, boxed: boxed, out: out, dims: p.NumClauses()})
+	}
 }
 
 // run is the main MC loop (the paper's pseudocode, §6.2). Two deliberate
@@ -321,27 +323,9 @@ func (m *runner) run() (*Result, error) {
 			break
 		}
 		// Line 15: retain units contained in some winner.
-		winnerRows := make([]*relation.RowSet, len(winners))
-		for i, w := range winners {
-			if m.pool.Cancelled() {
-				m.interrupted = true
-				break
-			}
-			winnerRows[i] = w.Pred.Eval(m.task.Table.Data(), m.gO)
-		}
-		if m.interrupted {
+		if m.units = m.contained(m.units, winners); m.interrupted {
 			break
 		}
-		var kept []unit
-		for _, u := range m.units {
-			for _, wr := range winnerRows {
-				if u.rows.SubsetOf(wr) {
-					kept = append(kept, u)
-					break
-				}
-			}
-		}
-		m.units = kept
 		// Line 16: update best.
 		if top, ok := partition.Top(winners); ok && top.Score > prevBest {
 			prevBest = top.Score
@@ -364,6 +348,31 @@ func (m *runner) run() (*Result, error) {
 	return res, nil
 }
 
+// contained returns the units contained in some winner: p ≺D q over the
+// outlier rows, a unit's bitset a subset of the winner's. A cancellation
+// flags the runner interrupted, and the result is then not to be used.
+func (m *runner) contained(units []unit, winners []partition.Candidate) []unit {
+	winnerOut := make([][]uint64, len(winners))
+	for i, w := range winners {
+		if m.pool.Cancelled() {
+			m.interrupted = true
+			return nil
+		}
+		b, boxed := m.space.Box(w.Pred)
+		winnerOut[i] = m.lat.OutlierBits(b, boxed, w.Pred)
+	}
+	var kept []unit
+	for _, u := range units {
+		for _, wo := range winnerOut {
+			if subset(u.out, wo) {
+				kept = append(kept, u)
+				break
+			}
+		}
+	}
+	return kept
+}
+
 // prune drops units whose optimistic bounds cannot beat the generation's
 // best score (see package comment), preserving unit order. Both bounds are
 // unweighted (no λ, no hold-out penalty), making them true upper bounds of
@@ -371,7 +380,7 @@ func (m *runner) run() (*Result, error) {
 // extra units is always sound) and lets the main loop observe the
 // interruption.
 func (m *runner) prune(units []unit, bestScore float64) []unit {
-	if math.IsInf(bestScore, -1) {
+	if m.noPrune || math.IsInf(bestScore, -1) {
 		return units
 	}
 	var kept []unit
@@ -386,23 +395,26 @@ func (m *runner) prune(units []unit, bestScore float64) []unit {
 	return kept
 }
 
-// maxTuple is the largest single-tuple influence among u's rows.
+// maxTuple is the largest single-tuple influence among u's outlier rows.
 func (m *runner) maxTuple(u unit) float64 {
 	best := math.Inf(-1)
-	u.rows.ForEach(func(r int) {
-		if v := m.tupleInf[r]; v > best {
-			best = v
+	for w, x := range u.out {
+		for ; x != 0; x &= x - 1 {
+			if v := m.tupleInf[w<<6+bits.TrailingZeros64(x)]; v > best {
+				best = v
+			}
 		}
-	})
+	}
 	return best
 }
 
 // intersect performs the apriori join: pairs of k-dim units sharing k−1
-// attributes produce (k+1)-dim units. Row sets compose by AND, so no fresh
-// table scans are needed.
+// attributes produce (k+1)-dim units. A join's outlier rows are the AND of
+// its parents' bitsets, so no rows are tested.
 func (m *runner) intersect(units []unit) []unit {
 	seen := make(map[string]bool)
 	var out []unit
+	var and []uint64
 	for i := 0; i < len(units); i++ {
 		for j := i + 1; j < len(units); j++ {
 			a, b := units[i], units[j]
@@ -418,17 +430,41 @@ func (m *runner) intersect(units []unit) []unit {
 				continue
 			}
 			seen[key] = true
-			rows := a.rows.Intersect(b.rows)
-			if rows.IsEmpty() {
+			and = and[:0]
+			for w := range a.out {
+				and = append(and, a.out[w]&b.out[w])
+			}
+			if empty(and) {
 				continue
 			}
-			out = append(out, m.newUnit(p, rows, a.dims+1))
+			box, boxed := m.space.Box(p)
+			out = append(out, unit{pred: p, box: box, boxed: boxed, out: slices.Clone(and), dims: a.dims + 1})
 			if len(out) >= m.params.MaxUnits {
 				return out
 			}
 		}
 	}
 	return out
+}
+
+// empty reports whether bitset a has no bit set.
+func empty(a []uint64) bool {
+	for _, x := range a {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// subset reports whether every bit of a is set in b, of the same length.
+func subset(a, b []uint64) bool {
+	for w, x := range a {
+		if x&^b[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // sharedAttrs counts attributes constrained by both predicates.

@@ -40,7 +40,7 @@ func BenchmarkPredicateEvalConjunction(b *testing.B) {
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.Count(tbl, nil)
+		_ = p.Eval(tbl, nil)
 	}
 }
 

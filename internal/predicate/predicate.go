@@ -124,38 +124,6 @@ func (c Clause) isEmptyRange() bool {
 	return c.Lo > c.Hi || (c.Lo == c.Hi && !c.HiInc)
 }
 
-// containsClause reports whether c admits every value admitted by o
-// (syntactic containment on a single attribute; both clauses must share
-// Col and Kind).
-func (c Clause) containsClause(o Clause) bool {
-	if c.Col != o.Col || c.Kind != o.Kind {
-		return false
-	}
-	if c.Kind == relation.Continuous {
-		if o.Lo < c.Lo {
-			return false
-		}
-		if o.Hi < c.Hi {
-			return true
-		}
-		if o.Hi > c.Hi {
-			return false
-		}
-		return c.HiInc || !o.HiInc
-	}
-	// Discrete: o.Values ⊆ c.Values. Both sorted.
-	i := 0
-	for _, v := range o.Values {
-		for i < len(c.Values) && c.Values[i] < v {
-			i++
-		}
-		if i >= len(c.Values) || c.Values[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Predicate is a conjunction of clauses, at most one per attribute, kept
 // sorted by column index. The zero Predicate has no clauses and matches
 // every row.
@@ -289,13 +257,6 @@ func (p Predicate) Eval(t *relation.Table, universe *relation.RowSet) *relation.
 	return out
 }
 
-// Count returns |p(universe)| without materializing the row set.
-func (p Predicate) Count(t *relation.Table, universe *relation.RowSet) int {
-	n := 0
-	p.forEachMask(t, universe, func(_ int, m uint64) { n += bits.OnesCount64(m) })
-	return n
-}
-
 // Intersect conjoins two predicates. The second result is false when the
 // intersection is syntactically empty (some shared attribute has
 // incompatible clauses).
@@ -427,45 +388,6 @@ func mergeClauses(a, b Clause) Clause {
 	m := a
 	m.Values = vals
 	return m
-}
-
-// Contains reports syntactic containment: every row matched by o is matched
-// by p, provable from the clauses alone. For each clause of p, o must have a
-// clause on the same attribute that p's clause contains. (Attributes p does
-// not constrain are unconstrained, hence contained.)
-func (p Predicate) Contains(o Predicate) bool {
-	for _, pc := range p.clauses {
-		oc, ok := o.ClauseOn(pc.Col)
-		if !ok {
-			return false
-		}
-		if !pc.containsClause(oc) {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainedIn implements the paper's p ≺D q relation semantically: p(D) ⊆
-// q(D) over the rows of universe. Unlike Contains, this consults the data.
-func (p Predicate) ContainedIn(q Predicate, t *relation.Table, universe *relation.RowSet) bool {
-	contained := true
-	check := func(r int) {
-		if !contained {
-			return
-		}
-		if p.Match(t, r) && !q.Match(t, r) {
-			contained = false
-		}
-	}
-	if universe == nil {
-		for r := 0; r < t.NumRows() && contained; r++ {
-			check(r)
-		}
-	} else {
-		universe.ForEach(check)
-	}
-	return contained
 }
 
 // Equal reports whether two predicates have identical clauses.

@@ -48,7 +48,7 @@ func TestRangeClauseMatch(t *testing.T) {
 	}
 	// Inclusive upper bound adds row 10.
 	p = MustNew(NewRangeClause(0, "x", 5, 10, true))
-	if n := p.Count(tbl, nil); n != 6 {
+	if n := p.Eval(tbl, nil).Count(); n != 6 {
 		t.Fatalf("inclusive Count = %d, want 6", n)
 	}
 }
@@ -97,12 +97,12 @@ func TestSetClauseMatch(t *testing.T) {
 	colorCol := tbl.Schema().MustIndex("color")
 	red, _ := tbl.Dict(colorCol).Lookup("red")
 	p := MustNew(NewSetClause(colorCol, "color", []int32{red}))
-	if n := p.Count(tbl, nil); n != 10 {
+	if n := p.Eval(tbl, nil).Count(); n != 10 {
 		t.Fatalf("red count = %d, want 10", n)
 	}
 	// Evaluation restricted to a universe.
 	universe := relation.RowSetOf(tbl.NumRows(), 0, 1, 2, 3, 4, 5)
-	if n := p.Count(tbl, universe); n != 2 { // rows 0, 3
+	if n := p.Eval(tbl, universe).Count(); n != 2 { // rows 0, 3
 		t.Fatalf("red count in universe = %d, want 2", n)
 	}
 }
@@ -123,7 +123,7 @@ func TestConjunction(t *testing.T) {
 		NewSetClause(colorCol, "color", []int32{red}),
 	)
 	// x<15 and red: rows 0,3,6,9,12.
-	if n := p.Count(tbl, nil); n != 5 {
+	if n := p.Eval(tbl, nil).Count(); n != 5 {
 		t.Fatalf("conjunction count = %d, want 5", n)
 	}
 }
@@ -144,7 +144,7 @@ func TestTruePredicate(t *testing.T) {
 	if !p.IsTrue() {
 		t.Fatal("True() not IsTrue")
 	}
-	if n := p.Count(tbl, nil); n != tbl.NumRows() {
+	if n := p.Eval(tbl, nil).Count(); n != tbl.NumRows() {
 		t.Fatalf("True matches %d rows, want %d", n, tbl.NumRows())
 	}
 	if p.String() != "true" {
@@ -219,49 +219,6 @@ func TestMergeDiscrete(t *testing.T) {
 	m := a.Merge(b)
 	if vs := m.Clauses()[0].Values; len(vs) != 3 {
 		t.Fatalf("union = %v, want 3 codes", vs)
-	}
-}
-
-func TestContains(t *testing.T) {
-	outer := MustNew(NewRangeClause(0, "x", 0, 100, true))
-	inner := MustNew(
-		NewRangeClause(0, "x", 10, 20, false),
-		NewRangeClause(1, "y", 0, 5, false),
-	)
-	if !outer.Contains(inner) {
-		t.Error("outer should contain inner")
-	}
-	if inner.Contains(outer) {
-		t.Error("inner should not contain outer")
-	}
-	if !True().Contains(outer) {
-		t.Error("true should contain everything")
-	}
-	if outer.Contains(True()) {
-		t.Error("range should not contain true")
-	}
-}
-
-func TestContainsBoundaryInclusivity(t *testing.T) {
-	halfOpen := MustNew(NewRangeClause(0, "x", 0, 10, false))
-	closed := MustNew(NewRangeClause(0, "x", 0, 10, true))
-	if halfOpen.Contains(closed) {
-		t.Error("[0,10) must not contain [0,10]")
-	}
-	if !closed.Contains(halfOpen) {
-		t.Error("[0,10] must contain [0,10)")
-	}
-}
-
-func TestContainedInSemantic(t *testing.T) {
-	tbl := testTable(t)
-	p := MustNew(NewRangeClause(0, "x", 0, 5, false))
-	q := MustNew(NewRangeClause(0, "x", 0, 20, false))
-	if !p.ContainedIn(q, tbl, nil) {
-		t.Error("p ≺D q expected")
-	}
-	if q.ContainedIn(p, tbl, nil) {
-		t.Error("q ≺D p not expected")
 	}
 }
 
@@ -356,21 +313,23 @@ func randomPredicate(rng *rand.Rand) Predicate {
 	return MustNew(clauses...)
 }
 
-// Property: Merge yields a predicate containing both inputs (syntactically).
+// Property: Merge yields a predicate matching every row either input
+// matches.
 func TestMergeIsUpperBoundProperty(t *testing.T) {
+	tbl := testTable(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomPredicate(rng), randomPredicate(rng)
-		m := a.Merge(b)
-		return m.Contains(a) && m.Contains(b)
+		m := a.Merge(b).Eval(tbl, nil)
+		ar, br := a.Eval(tbl, nil), b.Eval(tbl, nil)
+		return ar.Intersect(m).Equal(ar) && br.Intersect(m).Equal(br)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Intersect result is contained in both inputs, and matches
-// exactly the AND of the row sets.
+// Property: Intersect matches exactly the AND of the row sets.
 func TestIntersectSemanticsProperty(t *testing.T) {
 	tbl := testTable(t)
 	f := func(seed int64) bool {
@@ -382,53 +341,9 @@ func TestIntersectSemanticsProperty(t *testing.T) {
 			// Syntactically empty must imply semantically empty.
 			return want.IsEmpty()
 		}
-		if !a.Contains(m) || !b.Contains(m) {
-			return false
-		}
 		return m.Eval(tbl, nil).Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: syntactic containment implies semantic containment.
-func TestContainsImpliesContainedInProperty(t *testing.T) {
-	tbl := testTable(t)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := randomPredicate(rng), randomPredicate(rng)
-		if a.Contains(b) && !b.ContainedIn(a, tbl, nil) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Contains is reflexive and transitive on random predicates.
-func TestContainsPartialOrderProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := randomPredicate(rng), randomPredicate(rng)
-		c := a.Merge(b)
-		if !a.Contains(a) {
-			return false
-		}
-		// c contains a; a contains (a ∩ b) when non-empty — so c contains it.
-		if m, ok := a.Intersect(b); ok {
-			if !a.Contains(m) {
-				return false
-			}
-			if !c.Contains(m) { // transitivity through a
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

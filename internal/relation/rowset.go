@@ -31,7 +31,7 @@ import (
 // Views never copies bitmap words unless the set really is dense.
 //
 // All read-only methods (Contains, Count, ForEach, ForEachRun, Rows,
-// SubsetOf, Equal, Intersect, Slice, Embed, Min, Max) never re-encode the
+// Equal, Intersect, Slice, Embed, Min, Max) never re-encode the
 // receiver and are safe for concurrent readers; the mutating methods (Add,
 // AddRange, And, Or) are not.
 type RowSet struct {
@@ -834,38 +834,6 @@ func (s *RowSet) Equal(o *RowSet) bool {
 			return true
 		}
 		if alo != blo || ahi != bhi {
-			return false
-		}
-	}
-}
-
-// SubsetOf reports whether every row of s is in o.
-func (s *RowSet) SubsetOf(o *RowSet) bool {
-	if s.n != o.n {
-		return false
-	}
-	if s.enc == encDense && o.enc == encDense {
-		for i := range s.words {
-			if s.words[i]&^o.words[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	// Each maximal run of s must lie inside one maximal run of o (maximal
-	// runs of o are separated by gaps, so a covered contiguous run cannot
-	// straddle two of them).
-	ia, ib := s.iter(), o.iter()
-	blo, bhi, bok := ib.next()
-	for {
-		alo, ahi, aok := ia.next()
-		if !aok {
-			return true
-		}
-		for bok && bhi <= alo {
-			blo, bhi, bok = ib.next()
-		}
-		if !bok || blo > alo || bhi < ahi {
 			return false
 		}
 	}

@@ -71,7 +71,7 @@ func TestUniformSample(t *testing.T) {
 	if n < 800 || n > 1200 {
 		t.Errorf("sample size %d far from expected 1000", n)
 	}
-	if !s.SubsetOf(set) {
+	if !s.Intersect(set).Equal(s) {
 		t.Error("sample not a subset")
 	}
 	// Rate 1 returns everything.

@@ -56,7 +56,7 @@ func TestGroundTruthFractions(t *testing.T) {
 	if math.Abs(float64(innerN)-wantInner) > wantInner*0.3 {
 		t.Errorf("inner rows = %d, want ≈ %v", innerN, wantInner)
 	}
-	if !ds.InnerRows.SubsetOf(ds.OuterRows) {
+	if !ds.InnerRows.Intersect(ds.OuterRows).Equal(ds.InnerRows) {
 		t.Error("inner rows must be a subset of outer rows")
 	}
 }

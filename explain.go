@@ -594,9 +594,9 @@ func (s *dtSearcher) TakeLattice() *influence.Lattice {
 }
 
 // latticeSearcher is a searcher whose boxes were scored through one
-// Lattice over the request's space — DT's, and the shard coordinator's
-// combine — which the rank step's exact re-score takes over, since a
-// lattice has one user.
+// Lattice over the request's space — DT's, MC's and the shard
+// coordinator's combine — which the rank step's exact re-score takes over,
+// since a lattice has one user.
 type latticeSearcher interface {
 	TakeLattice() *influence.Lattice
 }
@@ -637,8 +637,9 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 // slice as the run's candidate pool. With keep set (an incremental scorer)
 // it also returns each candidate's per-group selections, sels[i] belonging
 // to the returned cands[i], for a warm refresh to extend; otherwise sels is
-// nil, and the search's lattice, when given, scores each candidate by its
-// Box.
+// nil, a candidate marked Exact keeps the values it carries, and the
+// search's lattice, when given, scores each other candidate by its Box. No
+// returned candidate is marked Exact.
 func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []partition.Candidate, keep bool) ([]partition.Candidate, [][]influence.Selection) {
 	r := ranked{cands: partition.Dedupe(cands)}
 	task := scorer.Task()
@@ -652,7 +653,11 @@ func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []part
 		var outMean, holdPen float64
 		var matched int
 		p := r.cands[i].Pred
+		exact := r.cands[i].Exact
+		r.cands[i].Exact = false
 		switch {
+		case exact && !keep:
+			continue
 		case keep:
 			r.sels[i] = scorer.Select(p, flat[i*groups:i*groups:(i+1)*groups])
 			outMean, holdPen, matched = scorer.ScoreMatched(r.sels[i])

@@ -2,17 +2,15 @@ package influence
 
 import (
 	"math"
-	"math/bits"
 
 	"github.com/scorpiondb/scorpion/internal/predicate"
-	"github.com/scorpiondb/scorpion/internal/relation"
 )
 
 // Lattice scores the boxes of one search over one space — a DT run's
 // pieces, an MC run's units, their merge attempts, the shard combine's
 // re-score and climb — from half-space bitsets instead of row tests. Per continuous column and bound it keeps one bitset over each
 // group's Layout positions for v ≥ lo, v < hi or v ≤ hi, and per discrete
-// column and code set one from the clause's MatchMask. A box's matches in a
+// column and code set one for the set's codes. A box's matches in a
 // group are the AND of its clauses' bitsets, folded from the lowest bit up:
 // Layout's order, which is ascending row order, so a box's selections are
 // Scorer.Select's, bit for bit. A NaN fails every comparison in a bitset as
@@ -20,24 +18,31 @@ import (
 // box against a floor and stops folding once the box cannot pass it.
 //
 // Nothing is built before the first box the selection memo does not hold,
-// or the first OutlierBits: then the Layout, and each half-space when a box
-// first needs it. A box folded here goes into the scorer's selection memo
-// when the memo keeps this space's boxes. The Lattice belongs to the search
-// that started it and is dropped with it; it has that one user and is not
-// safe for concurrent use.
+// or the first OutlierBits: then the Layout. A half-space's bitset is
+// allocated when a box first needs it, and a group's words of it are filled
+// when a fold first reaches that group, so a box Above declines on its
+// outlier groups fills no hold-out's words. A box folded here goes into the
+// scorer's selection memo when the memo keeps this space's boxes. The
+// Lattice belongs to the search that started it and is dropped with it; it
+// has that one user and is not safe for concurrent use.
 type Lattice struct {
 	s     *Scorer
 	space *predicate.Space
 	memo  bool // the scorer's selection memo keeps this space's boxes
 
-	l    *Layout // nil until the first fold
-	off  []int   // group g's words are [off[g], off[g+1]) of every bitset
+	l *Layout // nil until the first fold
+	// off[g] is where group g's words start in every bitset; the group
+	// built-flags, one bit per group, follow the last group's words.
+	off  []int
 	half map[halfSpace][]uint64
 	// sels is the scratch a fold the memo does not keep folds into.
 	sels []Selection
+	// hot is the hold-out group that last set Above's penalty, which Above
+	// folds first.
+	hot int
 
-	masks, misses       int64
-	declined, holdStops int64
+	masks, filled, misses int64
+	declined, holdStops   int64
 }
 
 // halfSpace names one bitset: a bound of a continuous column (op geLo,
@@ -47,6 +52,12 @@ type halfSpace struct {
 	col int
 	op  uint8
 	v   uint64
+}
+
+// half is a box's half-space and its bitset.
+type half struct {
+	halfSpace
+	m []uint64
 }
 
 const (
@@ -64,9 +75,19 @@ func (s *Scorer) NewLattice(space *predicate.Space) *Lattice {
 // Space returns the space the lattice's boxes are of.
 func (l *Lattice) Space() *predicate.Space { return l.space }
 
-// Stats reports the half-space bitsets built so far and the boxes folded:
-// those the selection memo did not hold, Above's partial folds included.
+// Stats reports the half-space bitsets allocated so far and the boxes
+// folded: those the selection memo did not hold, Above's partial folds
+// included.
 func (l *Lattice) Stats() (masks, misses int64) { return l.masks, l.misses }
+
+// Filled reports the group bitsets filled so far: one per half-space per
+// group a fold reached.
+func (l *Lattice) Filled() int64 { return l.filled }
+
+// Partial reports whether Above folds a box only as far as its floor needs:
+// false over the selection memo and for a black-box aggregate, where every
+// box is scored whole.
+func (l *Lattice) Partial() bool { return !l.memo && l.s.rem != nil }
 
 // Declines reports the boxes Above found not above their floor: on the
 // outlier groups alone, and after folding some of the hold-outs.
@@ -102,8 +123,11 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 // folds the outlier groups first and declines, folding no hold-out, when
 // λ·outMean is not above floor: the penalty is never negative and IEEE
 // subtraction of a non-negative value is monotone, so λ·outMean bounds the
-// objective. It then folds the hold-outs in order and declines once
-// λ·outMean − (1−λ)·(the penalty so far) is not above floor. When ok, score
+// objective. It then folds the hold-outs and declines once
+// λ·outMean − (1−λ)·(the penalty so far) is not above floor, so a partial
+// score bounds the objective from above. The hold-out that set the last
+// penalty goes first, then the others in order: the penalty is a max of
+// finite terms, so its bits do not depend on the order. When ok, score
 // and holdPen have the bits Parts gives; a NaN objective is never above any
 // floor, nor is any objective above a NaN floor. It counts one call per
 // group folded. A box the selection memo keeps, a predicate no Box holds
@@ -112,12 +136,12 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score, holdPen float64, ok bool) {
 	s := l.s
 	lambda := s.task.Lambda
-	if !boxed || s.rem == nil || l.memo {
+	if !boxed || !l.Partial() {
 		outMean, hold, _ := l.Parts(b, boxed, p)
 		score = lambda*outMean - (1-lambda)*hold
 		return score, hold, score > floor
 	}
-	var buf [2 * predicate.MaxBoxDims][]uint64
+	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)
 	nOut := len(s.task.Outliers)
 	outMean := 0.0
@@ -126,22 +150,30 @@ func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floo
 		outMean += s.outlierTerm(g, &x, s.sizes[g])
 	}
 	outMean /= float64(nOut)
-	g := nOut
-	for ; ; g++ {
-		if score = lambda*outMean - (1-lambda)*holdPen; !(score > floor) || g == len(s.sizes) {
+	k, hot := nOut, l.hot
+	for ; ; k++ {
+		if score = lambda*outMean - (1-lambda)*holdPen; !(score > floor) || k == len(s.sizes) {
 			break
+		}
+		// The k-th group folded: hot, then the other hold-outs in order.
+		g := k
+		switch {
+		case k == nOut:
+			g = hot
+		case k <= hot:
+			g = k - 1
 		}
 		x := l.group(g, hs)
 		if h := s.holdOutTerm(g-nOut, &x, s.sizes[g]); h > holdPen {
-			holdPen = h
+			holdPen, l.hot = h, g
 		}
 	}
-	l.l.Count(g)
+	l.l.Count(k)
 	l.misses++
 	ok = score > floor
 	switch {
 	case ok:
-	case g == nOut:
+	case k == nOut:
 		l.declined++
 	default:
 		l.holdStops++
@@ -166,14 +198,15 @@ func (l *Lattice) OutlierBits(b predicate.Box, boxed bool, p predicate.Predicate
 		}
 		return dst
 	}
-	var buf [2 * predicate.MaxBoxDims][]uint64
+	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)
 	for g := range nOut {
+		l.fill(hs, g)
 		n := l.l.groups[g].n
 		for w, at := 0, l.off[g]; w<<6 < n; w, at = w+1, at+1 {
 			m := ^uint64(0) >> uint(64-min(64, n-w<<6))
 			for _, h := range hs {
-				m &= h[at]
+				m &= h.m[at]
 			}
 			dst[at] = m
 		}
@@ -184,7 +217,7 @@ func (l *Lattice) OutlierBits(b predicate.Box, boxed bool, p predicate.Predicate
 // fold appends b's selection of every group to dst, outliers then
 // hold-outs, and counts one call per group.
 func (l *Lattice) fold(b predicate.Box, dst []Selection) []Selection {
-	var buf [2 * predicate.MaxBoxDims][]uint64
+	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)
 	for g := range l.l.groups {
 		dst = append(dst, l.group(g, hs).Selection)
@@ -194,9 +227,9 @@ func (l *Lattice) fold(b predicate.Box, dst []Selection) []Selection {
 	return dst
 }
 
-// halves returns the half-space bitsets whose AND is b, in buf, building
-// the layout on the lattice's first fold.
-func (l *Lattice) halves(b predicate.Box, buf *[2 * predicate.MaxBoxDims][]uint64) [][]uint64 {
+// halves returns the half-spaces whose AND is b, in buf, building the
+// layout on the lattice's first fold.
+func (l *Lattice) halves(b predicate.Box, buf *[2 * predicate.MaxBoxDims]half) []half {
 	if l.l == nil {
 		l.build()
 	}
@@ -219,14 +252,15 @@ func (l *Lattice) halves(b predicate.Box, buf *[2 * predicate.MaxBoxDims][]uint6
 }
 
 // group folds group g's selection of the box whose half-spaces are hs.
-func (l *Lattice) group(g int, hs [][]uint64) selection {
+func (l *Lattice) group(g int, hs []half) selection {
+	l.fill(hs, g)
 	lg := &l.l.groups[g]
 	var x selection
 	for w, at := 0, l.off[g]; w<<6 < lg.n; w, at = w+1, at+1 {
 		n := min(64, lg.n-w<<6)
 		m := ^uint64(0) >> uint(64-n)
 		for _, h := range hs {
-			m &= h[at]
+			m &= h.m[at]
 		}
 		if m != 0 {
 			x.take(lg.vals, w<<6, n, m, l.s.mode)
@@ -243,66 +277,111 @@ func (l *Lattice) build() {
 		l.off[g+1] = l.off[g] + l.l.Words(g)
 	}
 	l.half = make(map[halfSpace][]uint64)
+	l.hot = len(l.s.task.Outliers)
 }
 
-// mask returns h's bitset over every group, building it on first use.
-// A bound of a continuous column costs one comparison per row; a code set
-// is a discrete clause's MatchMask.
-func (l *Lattice) mask(h halfSpace) []uint64 {
-	if m, ok := l.half[h]; ok {
-		return m
+// mask returns h and its bitset over every group, allocating it on first
+// use with every group unfilled.
+func (l *Lattice) mask(h halfSpace) half {
+	m, ok := l.half[h]
+	if !ok {
+		words := l.off[len(l.off)-1]
+		m = make([]uint64, words+(len(l.l.groups)+63)/64)
+		l.half[h] = m
+		l.masks++
 	}
-	var match func(lo, n int) uint64
-	if h.op == inCodes {
-		c := predicate.Clause{Col: h.col, Kind: relation.Discrete}
-		for codes := h.v; codes != 0; codes &= codes - 1 {
-			c.Values = append(c.Values, int32(bits.TrailingZeros64(codes)))
+	return half{h, m}
+}
+
+// fill fills group g's words of each of hs's bitsets that a fold has not
+// reached before. A bound of a continuous column costs one comparison per
+// row, a code set one lookup per row.
+func (l *Lattice) fill(hs []half, g int) {
+	flag, bit := l.off[len(l.off)-1]+g>>6, uint64(1)<<(g&63)
+	for _, h := range hs {
+		if h.m[flag]&bit != 0 {
+			continue
 		}
-		match = func(lo, n int) uint64 { return c.MatchMask(l.s.tab, lo, n) }
-	} else {
-		col, bound := l.s.tab.Floats(h.col), math.Float64frombits(h.v)
-		match = func(lo, n int) uint64 { return halfMask(col[lo:lo+n], h.op, bound) }
+		h.m[flag] |= bit
+		l.filled++
+		dst := h.m[l.off[g]:l.off[g+1]]
+		if h.op == inCodes {
+			codes := l.s.tab.Codes(h.col)
+			l.l.positionMask(g, dst, func(lo, n int) uint64 { return codeMask(codes[lo:lo+n], h.v) })
+			continue
+		}
+		col, op, bound := l.s.tab.Floats(h.col), h.op, math.Float64frombits(h.v)
+		l.l.positionMask(g, dst, func(lo, n int) uint64 { return halfMask(col[lo:lo+n], op, bound) })
 	}
-	m := make([]uint64, l.off[len(l.off)-1])
-	for g := range l.l.groups {
-		l.l.positionMask(g, m[l.off[g]:l.off[g+1]], match)
-	}
-	l.half[h] = m
-	l.masks++
-	return m
 }
 
 // halfMask is bit i set when vals[i] lies in the half-space op of bound:
 // v ≥ bound, v < bound or v ≤ bound. A NaN fails each, as it fails a row
-// test, and ±Inf compare as they do there. vals holds at most 64 values;
-// the & 63 tells the compiler so, and it drops the shift's range check.
+// test, and ±Inf compare as they do there. vals holds at most 64 values. A
+// full window is built in four interleaved lanes of 16 values, each from its
+// top with a constant shift, so no bit waits on a variable shift of the one
+// before; a shorter window goes value by value (the & 63 tells the compiler
+// the shift is in range).
 func halfMask(vals []float64, op uint8, bound float64) uint64 {
+	if len(vals) == 64 {
+		w := (*[64]float64)(vals)
+		var m0, m1, m2, m3 uint64
+		switch op {
+		case geLo:
+			for i := 15; i >= 0; i-- {
+				m0 = m0<<1 | b2u(w[i] >= bound)
+				m1 = m1<<1 | b2u(w[16+i] >= bound)
+				m2 = m2<<1 | b2u(w[32+i] >= bound)
+				m3 = m3<<1 | b2u(w[48+i] >= bound)
+			}
+		case ltHi:
+			for i := 15; i >= 0; i-- {
+				m0 = m0<<1 | b2u(w[i] < bound)
+				m1 = m1<<1 | b2u(w[16+i] < bound)
+				m2 = m2<<1 | b2u(w[32+i] < bound)
+				m3 = m3<<1 | b2u(w[48+i] < bound)
+			}
+		default:
+			for i := 15; i >= 0; i-- {
+				m0 = m0<<1 | b2u(w[i] <= bound)
+				m1 = m1<<1 | b2u(w[16+i] <= bound)
+				m2 = m2<<1 | b2u(w[32+i] <= bound)
+				m3 = m3<<1 | b2u(w[48+i] <= bound)
+			}
+		}
+		return m0 | m1<<16 | m2<<32 | m3<<48
+	}
 	var m uint64
 	switch op {
 	case geLo:
 		for i, v := range vals {
-			var a uint64
-			if v >= bound {
-				a = 1
-			}
-			m |= a << (uint(i) & 63)
+			m |= b2u(v >= bound) << (uint(i) & 63)
 		}
 	case ltHi:
 		for i, v := range vals {
-			var a uint64
-			if v < bound {
-				a = 1
-			}
-			m |= a << (uint(i) & 63)
+			m |= b2u(v < bound) << (uint(i) & 63)
 		}
 	default:
 		for i, v := range vals {
-			var a uint64
-			if v <= bound {
-				a = 1
-			}
-			m |= a << (uint(i) & 63)
+			m |= b2u(v <= bound) << (uint(i) & 63)
 		}
 	}
 	return m
+}
+
+// codeMask is bit i set when codes[i] is in set, bit k of which is code k.
+func codeMask(codes []int32, set uint64) uint64 {
+	var m uint64
+	for i, c := range codes {
+		m |= b2u(uint32(c) < 64 && set>>(uint32(c)&63)&1 != 0) << (uint(i) & 63)
+	}
+	return m
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -631,3 +631,148 @@ func TestSquaresOnlyWhenRead(t *testing.T) {
 		}
 	}
 }
+
+// TestHalfMaskLanes holds halfMask, whose full windows are built in lanes,
+// and codeMask to the one-comparison-per-value definition, for the three
+// bound ops and every window length from 1 to 64, over values and bounds
+// among NaN, ±Inf, ±0, ±MaxFloat64, subnormals and ordinary numbers.
+func TestHalfMaskLanes(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1030, -0x1p-1030, 1, -1, 2.5, 40}
+	rng := rand.New(rand.NewSource(29))
+	vals := make([]float64, 64)
+	codes := make([]int32, 64)
+	for trial := 0; trial < 200; trial++ {
+		for i := range vals {
+			if rng.Intn(3) == 0 {
+				vals[i] = rng.NormFloat64() * 10
+			} else {
+				vals[i] = specials[rng.Intn(len(specials))]
+			}
+			codes[i] = int32(rng.Intn(70)) - 3
+		}
+		set := rng.Uint64()
+		for n := 1; n <= 64; n++ {
+			for _, bound := range append(specials, vals[rng.Intn(n)]) {
+				for _, op := range []uint8{geLo, ltHi, leHi} {
+					var want uint64
+					for i, v := range vals[:n] {
+						if op == geLo && v >= bound || op == ltHi && v < bound || op == leHi && v <= bound {
+							want |= 1 << uint(i)
+						}
+					}
+					if got := halfMask(vals[:n], op, bound); got != want {
+						t.Fatalf("halfMask(%v, op %d, %v) = %x, want %x", vals[:n], op, bound, got, want)
+					}
+				}
+			}
+			var want uint64
+			for i, c := range codes[:n] {
+				if c >= 0 && c < 64 && set>>uint(c)&1 != 0 {
+					want |= 1 << uint(i)
+				}
+			}
+			if got := codeMask(codes[:n], set); got != want {
+				t.Fatalf("codeMask(%v, %x) = %x, want %x", codes[:n], set, got, want)
+			}
+		}
+	}
+}
+
+// TestAboveBuildsOnlyWhatItFolds: a box Above declines on its outlier
+// groups fills its half-spaces' outlier words only, and leaves every
+// hold-out's words and built-flag untouched; a box it scores whole fills
+// the rest, and scores as Parts does.
+func TestAboveBuildsOnlyWhatItFolds(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tbl := kernelTable(rng, false)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	var groups []Group
+	for i, rows := range [][]int{
+		groupShape(rng, 0, 2000, 60),
+		groupShape(rng, 2000, 4000, 60),
+		groupShape(rng, 4000, 6000, 60),
+		groupShape(rng, 6000, 8192, 60),
+	} {
+		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: encode(t, n, rows, "runs"), Direction: TooHigh})
+	}
+	s, err := NewScorer(&Task{Table: tbl, Agg: aggregate.Sum{}, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.5, C: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := s.NewLattice(space)
+	p := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{0, 1, 3}), predicate.NewRangeClause(1, "x", 5, 95, false))
+	b := boxOf(t, space, p)
+	if _, _, ok := lat.Above(b, true, p, math.Inf(1)); ok {
+		t.Fatal("Above passed a box over a +Inf floor")
+	}
+	if declined, _ := lat.Declines(); declined != 1 {
+		t.Fatalf("Above declined %d boxes on their outlier groups, want 1", declined)
+	}
+	// x ≥ 5, x < 95 and d ∈ {0, 1, 3}, on the two outlier groups.
+	if masks, filled := len(lat.half), lat.Filled(); masks != 3 || filled != 3*2 {
+		t.Fatalf("a declined box allocated %d half-spaces and filled %d group bitsets, want 3 and 6", masks, filled)
+	}
+	flags := lat.off[len(lat.off)-1]
+	for h, m := range lat.half {
+		if m[flags] != 0b11 {
+			t.Fatalf("%+v: built-flags %b, want the outlier groups' 11", h, m[flags])
+		}
+		for i, w := range m[lat.off[2]:flags] {
+			if w != 0 {
+				t.Fatalf("%+v: hold-out word %d is %x, want it unfilled", h, i, w)
+			}
+		}
+	}
+	out, hold, _ := s.PartsMatched(p)
+	want := 0.5*out - 0.5*hold
+	if score, holdPen, ok := lat.Above(b, true, p, math.Inf(-1)); !ok || !sameBits(score, want) || !sameBits(holdPen, hold) {
+		t.Fatalf("Above = (%v, %v, %v), Parts (%v, %v)", score, holdPen, ok, want, hold)
+	}
+	if filled := lat.Filled(); filled != 3*4 {
+		t.Fatalf("a whole fold left %d group bitsets filled, want 12", filled)
+	}
+}
+
+// TestAboveFoldsEachHoldOutOnce: Above folds the hold-out that set the last
+// penalty first and every other hold-out once, so over a run of boxes whose
+// worst hold-out moves from group to group, a box it passes has Parts'
+// bits, and a whole fold counts one call per group.
+func TestAboveFoldsEachHoldOutOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	tbl := kernelTable(rng, false)
+	space := kernelSpace(t, tbl)
+	n := tbl.NumRows()
+	var groups []Group
+	for g := 0; g < 10; g++ {
+		groups = append(groups, Group{Key: fmt.Sprint(g), Rows: encode(t, n, groupShape(rng, g*800, g*800+800, 50+g), "runs"), Direction: TooHigh})
+	}
+	for _, aggName := range []string{"sum", "avg"} {
+		agg, _ := aggregate.ByName(aggName)
+		s, err := NewScorer(&Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.5, C: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := s.NewLattice(space)
+		hots := map[int]bool{}
+		for _, p := range latticeBoxes(rng) {
+			b := boxOf(t, space, p)
+			out, hold, _ := s.PartsMatched(p)
+			want := 0.5*out - 0.5*hold
+			before := s.Calls()
+			score, holdPen, ok := lat.Above(b, true, p, math.Inf(-1))
+			if ok != (want > math.Inf(-1)) || ok && (!sameBits(score, want) || !sameBits(holdPen, hold)) {
+				t.Fatalf("%s %v after hot hold-out %d: Above (%v, %v, %v), Parts (%v, %v)", aggName, p, lat.hot, score, holdPen, ok, want, hold)
+			}
+			if d := s.Calls() - before; ok && d != int64(len(groups)) {
+				t.Fatalf("%s %v: Above counted %d calls for a whole fold of %d groups", aggName, p, d, len(groups))
+			}
+			hots[lat.hot] = true
+		}
+		if len(hots) < 3 {
+			t.Fatalf("%s: the worst hold-out was only ever %v", aggName, hots)
+		}
+	}
+}

@@ -2,9 +2,11 @@
 // §6.3 optimizations: candidate predicates are expanded in decreasing score
 // order by greedily absorbing adjacent predicates while the influence
 // increases. Top-quartile expansion uses only predicates whose score is in
-// the top quartile as expansion seeds. Every merge is scored exactly: the
-// paper's second optimization, estimating a merged box from its parts'
-// cached tuples, is not implemented (DESIGN.md says why).
+// the top quartile as expansion seeds. Every merge the Merger takes is
+// scored exactly, and one that cannot beat its round's best is folded only
+// far enough to show that: the paper's second optimization, estimating a
+// merged box from its parts' cached tuples, is not implemented (DESIGN.md
+// says why).
 //
 // Merged results can also seed a later run with a lower c value (§8.3.3
 // caching experiment) via MergeSeeded.
@@ -13,7 +15,8 @@
 // comparable values, and builds a Predicate only for the boxes it keeps.
 // Every box is scored through one influence.Lattice on the calling
 // goroutine: the search's own (DT's, MC's, the shard combine's), or one the
-// merge starts. A predicate a Box cannot hold takes the Predicate path, is
+// merge starts. An expansion from a candidate marked Exact starts from the
+// score it carries, unfolded. A predicate a Box cannot hold takes the Predicate path, is
 // folded row by row and is counted as a box fallback.
 package merge
 
@@ -54,6 +57,10 @@ type Merger struct {
 	// algo labels the merge's counters.
 	algo string
 }
+
+// scoreWhole, set only by tests, makes every merge score each attempt
+// whole: the reference that scoring through Lattice.Above must match.
+var scoreWhole bool
 
 // New builds a Merger over the given scorer and search space. It is
 // uncancellable unless WithPool is called.
@@ -109,8 +116,10 @@ func (m *Merger) Merge(cands []partition.Candidate) []partition.Candidate {
 // cheap.
 //
 // The call is one "merge" span under the pool's, with its work as attrs
-// (also the half-space bitsets the lattice built and the boxes the
-// selection memo did not hold); its counters land in the pool's registry.
+// (also the half-space bitsets the lattice built, the boxes the selection
+// memo did not hold, and the attempts Above declined on their outlier
+// groups or part way through the hold-outs); its counters land in the
+// pool's registry.
 func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Candidate) []partition.Candidate {
 	if len(cands) == 0 && len(seeds) == 0 {
 		return nil
@@ -122,6 +131,7 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 		lat = m.scorer.NewLattice(m.space)
 	}
 	masks, misses := lat.Stats()
+	declined, stops := lat.Declines()
 	pool := make([]partition.Candidate, len(cands))
 	copy(pool, cands)
 	partition.SortByScore(pool)
@@ -160,6 +170,9 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 	m2, miss2 := lat.Stats()
 	span.SetAttr("lattice_masks", int(m2-masks))
 	span.SetAttr("memo_misses", int(miss2-misses))
+	declined2, stops2 := lat.Declines()
+	span.SetAttr("declined", int(declined2-declined))
+	span.SetAttr("holdout_stops", int(stops2-stops))
 	span.End()
 	reg := obs.RegistryFrom(ctx)
 	reg.Counter("scorpion_merge_attempts_total", "algo", m.algo).Add(float64(r.attempts))
@@ -170,8 +183,8 @@ func (m *Merger) MergeSeeded(cands []partition.Candidate, seeds []partition.Cand
 // run is one MergeSeeded call: the pool in score order with each member's
 // piece and key class (the first pool index with its key), what the
 // expansions absorbed (by class), the lattice that scores its boxes, and the
-// memo of every box met so far — its slot in scores, which are at the
-// call's c.
+// memo of every box met so far, at the call's c: its exact score, or, for a
+// box Above declined, an upper bound on it.
 type run struct {
 	*Merger
 	lat      *influence.Lattice
@@ -179,18 +192,15 @@ type run struct {
 	pieces   []*partition.Piece
 	class    []int32
 	absorbed []bool
-	memo     map[predicate.Box]int
-	scores   []float64
-	buf      []attempt // an expansion round's attempts
+	memo     map[predicate.Box]memoScore
 
 	attempts, repeats, fallbacks, rounds int
 }
 
-// attempt is one merge an expansion round scores.
-type attempt struct {
-	idx    int
-	merged shape
-	slot   int
+// memoScore is a box's exact score, or (exact false) an upper bound on it.
+type memoScore struct {
+	v     float64
+	exact bool
 }
 
 // shape is a box under search: its Box when the Box type can represent
@@ -213,7 +223,7 @@ func (m *Merger) newRun(pool []partition.Candidate, lat *influence.Lattice) *run
 		pieces:   make([]*partition.Piece, len(pool)),
 		class:    make([]int32, len(pool)),
 		absorbed: make([]bool, len(pool)),
-		memo:     make(map[predicate.Box]int),
+		memo:     make(map[predicate.Box]memoScore),
 	}
 	var own []partition.Piece
 	first := make(map[string]int32, len(pool))
@@ -259,11 +269,20 @@ func (r *run) predOf(s *shape) predicate.Predicate {
 // expand grows one candidate by greedily absorbing adjacent pool members
 // while the influence increases: each round takes the highest-scoring
 // merge, the earliest pool index on ties, when it is strictly above the
-// current score.
+// current score. A round scores its merges in pool order against the best
+// so far, so a merge that cannot beat it is folded only far enough to show
+// that (Lattice.Above). A candidate marked Exact starts from its score: the
+// shard combine scored it through this lattice's scorer.
 func (r *run) expand(c partition.Candidate) partition.Candidate {
 	cur := c
 	at := r.shapeOf(cur.Pred)
-	curScore := r.scores[r.slot(&at)]
+	var curScore float64
+	if c.Exact && at.boxed {
+		curScore = c.Score
+		r.memo[at.box] = memoScore{c.Score, true}
+	} else {
+		curScore = r.exact(&at)
+	}
 	rounds := r.params.MaxRounds
 	if rounds <= 0 {
 		rounds = len(r.cands) + 1
@@ -273,30 +292,24 @@ func (r *run) expand(c partition.Candidate) partition.Candidate {
 			break
 		}
 		r.rounds++
-		// Gather the merge candidates, scoring the boxes not met before.
-		r.buf = r.buf[:0]
-		for i := range r.cands {
-			if merged, ok := r.join(&at, i); ok {
-				r.buf = append(r.buf, attempt{idx: i, merged: merged})
-			}
-		}
-		r.attempts += len(r.buf)
-		for k := range r.buf {
-			r.buf[k].slot = r.slot(&r.buf[k].merged)
-		}
 		bestScore, best := curScore, -1
-		for k := range r.buf {
-			if v := r.scores[r.buf[k].slot]; v > bestScore {
-				bestScore, best = v, k
+		var bestShape shape
+		for i := range r.cands {
+			merged, ok := r.join(&at, i)
+			if !ok {
+				continue
+			}
+			r.attempts++
+			if v, ok := r.above(&merged, bestScore); ok {
+				bestScore, best, bestShape = v, i, merged
 			}
 		}
 		if best < 0 {
 			break
 		}
-		a := &r.buf[best]
-		q := &r.cands[a.idx]
-		r.absorbed[r.class[a.idx]] = true
-		at = a.merged
+		q := &r.cands[best]
+		r.absorbed[r.class[best]] = true
+		at = bestShape
 		cur = partition.Candidate{
 			Pred:              r.predOf(&at),
 			Score:             bestScore,
@@ -334,26 +347,48 @@ func (r *run) join(cur *shape, i int) (shape, bool) {
 	return r.shapeOf(merged), true
 }
 
-// slot returns s's slot in the call's scores: a box met before shares its
-// slot (a memo hit), any other shape is scored into a new one.
-func (r *run) slot(s *shape) int {
+// exact returns s's score: from the memo when it holds the exact score,
+// else folded whole and kept there when boxed.
+func (r *run) exact(s *shape) float64 {
 	if s.boxed {
-		if i, ok := r.memo[s.box]; ok {
+		if m, ok := r.memo[s.box]; ok && m.exact {
 			r.repeats++
-			return i
+			return m.v
 		}
-		r.memo[s.box] = len(r.scores)
 	}
-	r.scores = append(r.scores, r.score(s))
-	return len(r.scores) - 1
-}
-
-// score is the influence of a box, through the run's lattice (a shape no
-// Box holds is folded from its predicate).
-func (r *run) score(s *shape) float64 {
 	lambda := r.scorer.Task().Lambda
 	out, hold, _ := r.lat.Parts(s.box, s.boxed, s.pred)
-	return lambda*out - (1-lambda)*hold
+	v := lambda*out - (1-lambda)*hold
+	if s.boxed {
+		r.memo[s.box] = memoScore{v, true}
+	}
+	return v
+}
+
+// above reports whether s's score is above floor, and then the score. A
+// box met before is answered from the memo when its exact score is there,
+// or its bound is not above floor; any other is scored through the
+// lattice's Above (whole for a shape no Box holds). The memo keeps its exact
+// score or, when Above declines it, the partial score, which bounds it from
+// above. A lattice whose Above scores every box whole (over the selection memo, or
+// for a black-box aggregate) scores each box once, exactly.
+func (r *run) above(s *shape, floor float64) (float64, bool) {
+	if scoreWhole || !r.lat.Partial() {
+		v := r.exact(s)
+		return v, v > floor
+	}
+	if s.boxed {
+		if m, ok := r.memo[s.box]; ok && (m.exact || !(m.v > floor)) {
+			r.repeats++
+			return m.v, m.v > floor
+		}
+	}
+	v, _, ok := r.lat.Above(s.box, s.boxed, s.pred, floor)
+	if s.boxed {
+		// Without hold-outs a declined box's score is whole too.
+		r.memo[s.box] = memoScore{v, ok || len(r.scorer.Task().HoldOuts) == 0}
+	}
+	return v, ok
 }
 
 // sameColumns reports whether two predicates constrain identical columns

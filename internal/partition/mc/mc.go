@@ -97,11 +97,12 @@ type unit struct {
 // Result.Interrupted set) once ctx is cancelled. workers is unused: MC
 // scores through a lattice, which has one user.
 func RunContext(ctx context.Context, scorer *influence.Scorer, space *predicate.Space, params Params, workers int) (*Result, error) {
-	return runPool(partition.NewPool(ctx, 1), scorer, space, params)
+	return runPool(partition.NewPool(ctx, 1), scorer, space, params, scorer.NewLattice(space))
 }
 
-// runPool is the search core shared by every entry point.
-func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Space, params Params) (*Result, error) {
+// runPool is the search core shared by every entry point; lat, a lattice
+// of scorer over space, scores every unit and merge.
+func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Space, params Params, lat *influence.Lattice) (*Result, error) {
 	params = params.withDefaults()
 	task := scorer.Task()
 	if !task.Agg.Independent() {
@@ -117,7 +118,7 @@ func runPool(pool *partition.Pool, scorer *influence.Scorer, space *predicate.Sp
 		}
 	}
 
-	m := &runner{scorer: scorer, space: space, params: params, task: task, pool: pool, lat: scorer.NewLattice(space)}
+	m := &runner{scorer: scorer, space: space, params: params, task: task, pool: pool, lat: lat}
 	m.init()
 	return m.run()
 }

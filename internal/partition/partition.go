@@ -29,6 +29,12 @@ type Candidate struct {
 	// InfluencesHoldOut marks partitions that overlap an influential
 	// hold-out partition after the §6.1.4 combine step.
 	InfluencesHoldOut bool
+	// Exact marks a candidate whose Score, HoldPenalty and Matched are
+	// already the exact values the rank step's re-score would give it (the
+	// shard combine scored it on the full table): the re-score keeps them,
+	// folds it no more, and clears the mark. It sits beside the other bool,
+	// in padding, so a Candidate is no larger for it.
+	Exact bool
 	// Matched is |p(g_O)| as the exact re-score counted it (0 before it).
 	Matched int
 	// Piece, when set, is the candidate's entry in its DT partitioning's

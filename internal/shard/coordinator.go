@@ -344,7 +344,8 @@ func finishShard(outcome *partition.Outcome) shardResult {
 // into the predicate an unsharded search would have scored whole. Every
 // exact score from here on, the rank step's included, folds half-space
 // bitsets of one Lattice over the full-table space, which has this one
-// goroutine as its user.
+// goroutine as its user. A candidate the merge and the climb hand back
+// unchanged keeps its Exact mark, and the rank step does not fold it again.
 func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) []partition.Candidate {
 	if len(all) == 0 {
 		return nil
@@ -362,6 +363,7 @@ func (c *Coordinator) combine(pool *partition.Pool, all []partition.Candidate) [
 		masks, misses := c.lat.Stats()
 		span.SetAttr("lattice_masks", int(masks))
 		span.SetAttr("lattice_misses", int(misses))
+		span.SetAttr("mask_groups", int(c.lat.Filled()))
 	}()
 	for i := range all {
 		c.scoreExact(&all[i])
@@ -399,20 +401,15 @@ func (c *Coordinator) TakeLattice() *influence.Lattice {
 	return lat
 }
 
-// scoreExact gives a candidate its exact full-table score through the
-// lattice.
+// scoreExact gives a candidate its exact full-table score, penalty and
+// |p(g_O)| through the lattice, and marks it Exact for the rank step.
 func (c *Coordinator) scoreExact(cand *partition.Candidate) {
 	b, boxed := c.space.Box(cand.Pred)
-	cand.Score, cand.HoldPenalty = c.exact(b, boxed, cand.Pred)
-	cand.InfluencesHoldOut = cand.HoldPenalty > 0
-}
-
-// exact is the full-table objective of the predicate b holds (p, when no
-// Box does), folded through the lattice, and its hold-out penalty.
-func (c *Coordinator) exact(b predicate.Box, boxed bool, p predicate.Predicate) (score, holdPen float64) {
-	outMean, holdPen, _ := c.lat.Parts(b, boxed, p)
+	outMean, holdPen, matched := c.lat.Parts(b, boxed, cand.Pred)
 	lambda := c.scorer.Task().Lambda
-	return lambda*outMean - (1-lambda)*holdPen, holdPen
+	cand.Score = lambda*outMean - (1-lambda)*holdPen
+	cand.HoldPenalty, cand.InfluencesHoldOut = holdPen, holdPen > 0
+	cand.Matched, cand.Exact = matched, true
 }
 
 // refineTop is how many leading candidates the combiner refines.
@@ -515,18 +512,18 @@ func (c *Coordinator) refine(pool *partition.Pool, span *obs.Span, cands []parti
 	if top > len(cands) {
 		top = len(cands)
 	}
+	declined, stops := c.lat.Declines()
 	var refined []partition.Candidate
 	for i := 0; i < top && !pool.Cancelled(); i++ {
 		if cand, ok := r.climb(cands[i]); ok {
 			refined = append(refined, cand)
 		}
 	}
-	// The climb is the lattice's only caller of Above.
-	declined, stops := c.lat.Declines()
+	declined2, stops2 := c.lat.Declines()
 	span.SetAttr("steps", r.steps)
 	span.SetAttr("moves", r.moves)
-	span.SetAttr("declined", int(declined))
-	span.SetAttr("holdout_stops", int(stops))
+	span.SetAttr("declined", int(declined2-declined))
+	span.SetAttr("holdout_stops", int(stops2-stops))
 	span.SetAttr("box_fallbacks", r.fallbacks)
 	if len(refined) == 0 {
 		return cands

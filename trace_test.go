@@ -84,7 +84,7 @@ func TestExplainSpanTree(t *testing.T) {
 		root.WriteTree(&buf)
 		t.Fatalf("combine has no refine child; trace:\n%s", buf.String())
 	}
-	for _, attr := range []string{"lattice_masks", "lattice_misses"} {
+	for _, attr := range []string{"lattice_masks", "lattice_misses", "mask_groups"} {
 		if n, ok := combine.Attrs[attr].(int); !ok || n == 0 {
 			t.Errorf("combine attrs = %v, want an int %s > 0", combine.Attrs, attr)
 		}
@@ -93,6 +93,26 @@ func TestExplainSpanTree(t *testing.T) {
 		if _, ok := refine.Attrs[attr].(int); !ok {
 			t.Errorf("refine attrs = %v, want an int %s", refine.Attrs, attr)
 		}
+	}
+	// The combine's merge scores through the same lattice and reports its
+	// own declines: refine's are its climb's moves alone.
+	if d, s, m := refine.Attrs["declined"].(int), refine.Attrs["holdout_stops"].(int), refine.Attrs["moves"].(int); d+s > m {
+		t.Errorf("refine declined %d moves and stopped %d in the hold-outs, of %d moves", d, s, m)
+	}
+	var merged bool
+	for _, c := range search.Children {
+		if c.Name != "merge" {
+			continue
+		}
+		merged = true
+		for _, attr := range []string{"declined", "holdout_stops"} {
+			if _, ok := c.Attrs[attr].(int); !ok {
+				t.Errorf("the combine's merge attrs = %v, want an int %s", c.Attrs, attr)
+			}
+		}
+	}
+	if !merged {
+		t.Error("no merge span under search for the combine's merge")
 	}
 	if shard.Attrs["shard"] == nil || shard.Attrs["rows"] == nil {
 		t.Errorf("shard.search attrs = %v, want shard and rows", shard.Attrs)
@@ -136,7 +156,7 @@ func TestExplainSpanTree(t *testing.T) {
 		root.WriteTree(&buf)
 		t.Fatalf("want candidates and merge spans under search and rescore and present under rank; trace:\n%s", buf.String())
 	}
-	for _, attr := range []string{"attempts", "repeats", "box_fallbacks", "rounds", "lattice_masks", "memo_misses"} {
+	for _, attr := range []string{"attempts", "repeats", "box_fallbacks", "rounds", "lattice_masks", "memo_misses", "declined", "holdout_stops"} {
 		if _, ok := merge.Attrs[attr].(int); !ok {
 			t.Errorf("merge attrs = %v, want an int %s", merge.Attrs, attr)
 		}

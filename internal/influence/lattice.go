@@ -37,9 +37,6 @@ type Lattice struct {
 	half map[halfSpace][]uint64
 	// sels is the scratch a fold the memo does not keep folds into.
 	sels []Selection
-	// hot is the hold-out group that last set Above's penalty, which Above
-	// folds first.
-	hot int
 
 	masks, filled, misses int64
 	declined, holdStops   int64
@@ -123,14 +120,11 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 // folds the outlier groups first and declines, folding no hold-out, when
 // λ·outMean is not above floor: the penalty is never negative and IEEE
 // subtraction of a non-negative value is monotone, so λ·outMean bounds the
-// objective. It then folds the hold-outs and declines once
+// objective. It then folds the hold-outs in order and declines once
 // λ·outMean − (1−λ)·(the penalty so far) is not above floor, so a partial
-// score bounds the objective from above. The hold-out that set the last
-// penalty goes first, then the others in order: the penalty is a max of
-// finite terms, so its bits do not depend on the order. When ok, score
-// and holdPen have the bits Parts gives; a NaN objective is never above any
-// floor, nor is any objective above a NaN floor. It counts one call per
-// group folded. A box the selection memo keeps, a predicate no Box holds
+// score bounds the objective from above. When ok, score and holdPen have
+// the bits Parts gives; a NaN objective is never above any floor, nor is
+// any objective above a NaN floor. It counts one call per group folded. A box the selection memo keeps, a predicate no Box holds
 // (boxed false) and a black-box aggregate are scored whole through Parts and
 // then compared.
 func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score, holdPen float64, ok bool) {
@@ -150,30 +144,22 @@ func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floo
 		outMean += s.outlierTerm(g, &x, s.sizes[g])
 	}
 	outMean /= float64(nOut)
-	k, hot := nOut, l.hot
-	for ; ; k++ {
-		if score = lambda*outMean - (1-lambda)*holdPen; !(score > floor) || k == len(s.sizes) {
+	g := nOut
+	for ; ; g++ {
+		if score = lambda*outMean - (1-lambda)*holdPen; !(score > floor) || g == len(s.sizes) {
 			break
-		}
-		// The k-th group folded: hot, then the other hold-outs in order.
-		g := k
-		switch {
-		case k == nOut:
-			g = hot
-		case k <= hot:
-			g = k - 1
 		}
 		x := l.group(g, hs)
 		if h := s.holdOutTerm(g-nOut, &x, s.sizes[g]); h > holdPen {
-			holdPen, l.hot = h, g
+			holdPen = h
 		}
 	}
-	l.l.Count(k)
+	l.l.Count(g)
 	l.misses++
 	ok = score > floor
 	switch {
 	case ok:
-	case k == nOut:
+	case g == nOut:
 		l.declined++
 	default:
 		l.holdStops++
@@ -277,7 +263,6 @@ func (l *Lattice) build() {
 		l.off[g+1] = l.off[g] + l.l.Words(g)
 	}
 	l.half = make(map[halfSpace][]uint64)
-	l.hot = len(l.s.task.Outliers)
 }
 
 // mask returns h and its bitset over every group, allocating it on first

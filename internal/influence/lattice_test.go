@@ -735,44 +735,3 @@ func TestAboveBuildsOnlyWhatItFolds(t *testing.T) {
 		t.Fatalf("a whole fold left %d group bitsets filled, want 12", filled)
 	}
 }
-
-// TestAboveFoldsEachHoldOutOnce: Above folds the hold-out that set the last
-// penalty first and every other hold-out once, so over a run of boxes whose
-// worst hold-out moves from group to group, a box it passes has Parts'
-// bits, and a whole fold counts one call per group.
-func TestAboveFoldsEachHoldOutOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	tbl := kernelTable(rng, false)
-	space := kernelSpace(t, tbl)
-	n := tbl.NumRows()
-	var groups []Group
-	for g := 0; g < 10; g++ {
-		groups = append(groups, Group{Key: fmt.Sprint(g), Rows: encode(t, n, groupShape(rng, g*800, g*800+800, 50+g), "runs"), Direction: TooHigh})
-	}
-	for _, aggName := range []string{"sum", "avg"} {
-		agg, _ := aggregate.ByName(aggName)
-		s, err := NewScorer(&Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: 0.5, C: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat := s.NewLattice(space)
-		hots := map[int]bool{}
-		for _, p := range latticeBoxes(rng) {
-			b := boxOf(t, space, p)
-			out, hold, _ := s.PartsMatched(p)
-			want := 0.5*out - 0.5*hold
-			before := s.Calls()
-			score, holdPen, ok := lat.Above(b, true, p, math.Inf(-1))
-			if ok != (want > math.Inf(-1)) || ok && (!sameBits(score, want) || !sameBits(holdPen, hold)) {
-				t.Fatalf("%s %v after hot hold-out %d: Above (%v, %v, %v), Parts (%v, %v)", aggName, p, lat.hot, score, holdPen, ok, want, hold)
-			}
-			if d := s.Calls() - before; ok && d != int64(len(groups)) {
-				t.Fatalf("%s %v: Above counted %d calls for a whole fold of %d groups", aggName, p, d, len(groups))
-			}
-			hots[lat.hot] = true
-		}
-		if len(hots) < 3 {
-			t.Fatalf("%s: the worst hold-out was only ever %v", aggName, hots)
-		}
-	}
-}

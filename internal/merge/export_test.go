@@ -1,5 +1,9 @@
 package merge
 
-// ScoreWhole makes every merge score each attempt whole (on) or through
-// Lattice.Above (off), for tests outside the package.
-func ScoreWhole(on bool) { scoreWhole = on }
+import "github.com/scorpiondb/scorpion/internal/partition"
+
+// RefMergeSeeded is the whole-scoring reference merge, for tests outside
+// the package.
+func (m *Merger) RefMergeSeeded(cands, seeds []partition.Candidate) []partition.Candidate {
+	return m.refMergeSeeded(cands, seeds)
+}

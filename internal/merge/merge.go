@@ -58,10 +58,6 @@ type Merger struct {
 	algo string
 }
 
-// scoreWhole, set only by tests, makes every merge score each attempt
-// whole: the reference that scoring through Lattice.Above must match.
-var scoreWhole bool
-
 // New builds a Merger over the given scorer and search space. It is
 // uncancellable unless WithPool is called.
 func New(scorer *influence.Scorer, space *predicate.Space, params Params) *Merger {
@@ -367,21 +363,23 @@ func (r *run) exact(s *shape) float64 {
 
 // above reports whether s's score is above floor, and then the score. A
 // box met before is answered from the memo when its exact score is there,
-// or its bound is not above floor; any other is scored through the
-// lattice's Above (whole for a shape no Box holds). The memo keeps its exact
-// score or, when Above declines it, the partial score, which bounds it from
-// above. A lattice whose Above scores every box whole (over the selection memo, or
-// for a black-box aggregate) scores each box once, exactly.
+// or its bound is not above floor; one whose bound is above floor is scored
+// whole, so no box is folded more than twice. A box met for the first time
+// is scored through the lattice's Above (whole for a shape no Box holds).
+// The memo keeps its exact score or, when Above declines it, the partial
+// score, which bounds it from above. A lattice whose Above scores every box
+// whole (over the selection memo, or for a black-box aggregate) scores each
+// box once, exactly.
 func (r *run) above(s *shape, floor float64) (float64, bool) {
-	if scoreWhole || !r.lat.Partial() {
+	m, met := r.memo[s.box]
+	met = met && s.boxed
+	if met && (m.exact || !(m.v > floor)) {
+		r.repeats++
+		return m.v, m.v > floor
+	}
+	if met || !r.lat.Partial() {
 		v := r.exact(s)
 		return v, v > floor
-	}
-	if s.boxed {
-		if m, ok := r.memo[s.box]; ok && (m.exact || !(m.v > floor)) {
-			r.repeats++
-			return m.v, m.v > floor
-		}
 	}
 	v, _, ok := r.lat.Above(s.box, s.boxed, s.pred, floor)
 	if s.boxed {

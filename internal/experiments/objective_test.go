@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // naiveFloor is the share of NAIVE's top influence that DT's and MC's top
@@ -48,6 +49,8 @@ var dtNaiveLedger = map[string]float64{
 	"seed=4/3-D/Easy/c=0.2":     0.79,
 	"seed=4/3-D/Hard/c=0":       0.64,
 	"seed=4/3-D/Hard/c=0.2":     0.69,
+	"seed=1/4-D/Hard/c=0":       0.72,
+	"seed=1/4-D/Hard/c=0.5":     0.70,
 }
 
 // mcNaiveLedger is dtNaiveLedger for MC, all on 3-D. MC's §6.2 prune
@@ -62,7 +65,8 @@ var mcNaiveLedger = map[string]float64{
 
 // TestDTReachesNaive holds DT's top influence to NAIVE's on the quick
 // SYNTH cells of seeds 1–4: 2-D and 3-D, Easy and Hard, under SUM, and 2-D
-// Easy and Hard under AVG, at c ∈ {0, 0.2, 0.4, 0.5}.
+// Easy and Hard under AVG, at c ∈ {0, 0.2, 0.4, 0.5}; and at seed 1 on 4-D
+// Easy and Hard under SUM at c ∈ {0, 0.5}.
 func TestDTReachesNaive(t *testing.T) {
 	reachesNaive(t, "dt", []string{"sum", "avg"}, dtNaiveLedger)
 }
@@ -74,7 +78,10 @@ func TestMCReachesNaive(t *testing.T) {
 }
 
 // reachesNaive compares algo's top influence with NAIVE's, cell by cell,
-// against naiveFloor and ledger; an AVG cell is 2-D only. NAIVE is
+// against naiveFloor and ledger; an AVG cell is 2-D only, and a 4-D cell
+// is seed 1's, under SUM, at c = 0 or 0.5, with NAIVE given 10 s (a quick
+// 4-D NAIVE run takes up to ~1.4 s alone, too near the quick 2 s deadline
+// on a loaded host for a yardstick). NAIVE is
 // exhaustive over its grid, so a NAIVE run that finishes inside its
 // deadline is the yardstick; one its deadline interrupts fails the cell
 // instead of being compared against a cut-short search.
@@ -84,7 +91,14 @@ func reachesNaive(t *testing.T, algo string, aggs []string, ledger map[string]fl
 		s := QuickScale()
 		s.Seed = seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			for _, dims := range []int{2, 3} {
+			for _, dims := range []int{2, 3, 4} {
+				if dims == 4 && seed != 1 {
+					continue
+				}
+				s := s
+				if dims == 4 {
+					s.NaiveDeadline = 10 * time.Second
+				}
 				for _, difficulty := range []string{"Easy", "Hard"} {
 					ds := s.synthDataset(dims, mu(difficulty))
 					for _, agg := range aggs {
@@ -92,6 +106,9 @@ func reachesNaive(t *testing.T, algo string, aggs []string, ledger map[string]fl
 							continue
 						}
 						for _, c := range []float64{0, 0.2, 0.4, 0.5} {
+							if dims == 4 && c != 0 && c != 0.5 {
+								continue
+							}
 							cell := fmt.Sprintf("%d-D/%s/c=%v", dims, difficulty, c)
 							if agg != "sum" {
 								cell = fmt.Sprintf("%d-D/%s/%s/c=%v", dims, difficulty, agg, c)

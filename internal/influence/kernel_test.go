@@ -596,7 +596,7 @@ func TestExtendMatchesSelect(t *testing.T) {
 				prefix := *task
 				prefix.Outliers, prefix.HoldOuts = nil, nil
 				for i, g := range groups {
-					g.Rows = g.Rows.Slice(0, from).Embed(0, n)
+					g.Rows = g.Rows.Slice(0, from).Grow(relation.NewRowSet(n - from))
 					if i == 0 {
 						prefix.Outliers = append(prefix.Outliers, g)
 					} else {

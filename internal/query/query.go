@@ -119,6 +119,13 @@ func FromSQL(t relation.Relation, sql string) (*AggregateQuery, error) {
 	if err != nil {
 		return nil, err
 	}
+	return FromStmt(t, stmt)
+}
+
+// FromStmt binds an already-parsed statement against the relation, so a
+// caller that binds one statement to many relations (the streaming
+// tracker, once per append batch) parses it once.
+func FromStmt(t relation.Relation, stmt *sqlparse.SelectStmt) (*AggregateQuery, error) {
 	where, err := CompileWhere(t, stmt.Where)
 	if err != nil {
 		return nil, err
@@ -249,50 +256,134 @@ func (q *AggregateQuery) Run() (*Result, error) {
 	return NewResult(q, rows), nil
 }
 
-// NewResult assembles a Result from externally maintained rows — the
-// streaming tracker's path, where per-group provenance and aggregate values
-// are advanced incrementally per append batch instead of recomputed by Run.
-// Rows are sorted into Run's canonical key order and indexed; the slice is
-// taken over (not copied).
+// NewResult assembles a Result from externally maintained rows, sorting
+// them into Run's canonical key order (SortRows) and indexing them; the
+// slice is taken over (not copied).
 func NewResult(q *AggregateQuery, rows []ResultRow) *Result {
+	SortRows(rows)
+	return NewOrderedResult(q, rows)
+}
+
+// NewOrderedResult assembles a Result from rows already in canonical key
+// order — the streaming tracker's path, which keeps its groups in that
+// order and re-sorts only when a batch brings a new group. The slice is
+// taken over (not copied).
+func NewOrderedResult(q *AggregateQuery, rows []ResultRow) *Result {
 	res := &Result{Query: q, Rows: rows, byKey: make(map[string]int, len(rows))}
-	sort.Slice(res.Rows, func(i, j int) bool {
-		return lessKeyValues(res.Rows[i].KeyValues, res.Rows[j].KeyValues)
-	})
-	for i, row := range res.Rows {
+	for i, row := range rows {
 		res.byKey[row.Key] = i
 	}
 	return res
 }
 
-// lessKeyValues orders key tuples component-wise: continuous numerically,
-// discrete by numeric value when both parse as numbers, else lexically.
-func lessKeyValues(a, b []relation.Value) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
+// SortRows sorts rows into the canonical key order, a total order:
+// component by component, two numbers — continuous values, and discrete
+// values that parse as numbers — compare numerically with NaN after every
+// number, a number sorts before a discrete value that is not one, and two
+// of those compare lexically; rows whose components all tie (−0 and +0, "1"
+// and "1.0") order by their raw Key. Each component is parsed once, before
+// the sort.
+func SortRows(rows []ResultRow) {
+	if len(rows) < 2 {
+		return
+	}
+	width := 0
+	for _, row := range rows {
+		width += len(row.KeyValues)
+	}
+	flat := make([]keyPart, 0, width)
+	parts := make([][]keyPart, len(rows))
+	for i, row := range rows {
+		lo := len(flat)
+		for _, v := range row.KeyValues {
+			flat = append(flat, parseKeyPart(v))
 		}
-		av, bv := a[i], b[i]
-		if av.Kind() == relation.Continuous && bv.Kind() == relation.Continuous {
-			if av.Float() != bv.Float() {
-				return av.Float() < bv.Float()
-			}
-			continue
-		}
-		as, bs := av.String(), bv.String()
-		an, aerr := strconv.ParseFloat(as, 64)
-		bn, berr := strconv.ParseFloat(bs, 64)
-		if aerr == nil && berr == nil {
-			if an != bn {
-				return an < bn
-			}
-			continue
-		}
-		if as != bs {
-			return as < bs
+		parts[i] = flat[lo:len(flat):len(flat)]
+	}
+	sort.Sort(keyOrder{rows, parts})
+}
+
+// keyOrder sorts rows together with their parsed key components.
+type keyOrder struct {
+	rows  []ResultRow
+	parts [][]keyPart
+}
+
+func (o keyOrder) Len() int { return len(o.rows) }
+
+func (o keyOrder) Swap(i, j int) {
+	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
+	o.parts[i], o.parts[j] = o.parts[j], o.parts[i]
+}
+
+func (o keyOrder) Less(i, j int) bool {
+	a, b := o.parts[i], o.parts[j]
+	for k := range min(len(a), len(b)) {
+		if c := a[k].compare(b[k]); c != 0 {
+			return c < 0
 		}
 	}
+	return o.rows[i].Key < o.rows[j].Key
+}
+
+// keyPart is one parsed key component: num tells whether it reads as a
+// number (a continuous value, or a discrete one strconv.ParseFloat
+// accepts), f is that number, and s the discrete string that is not one.
+type keyPart struct {
+	s   string
+	f   float64
+	num bool
+}
+
+func parseKeyPart(v relation.Value) keyPart {
+	if v.Kind() == relation.Continuous {
+		return keyPart{f: v.Float(), num: true}
+	}
+	if mayParse(v.Str()) {
+		if f, err := strconv.ParseFloat(v.Str(), 64); err == nil {
+			return keyPart{f: f, num: true}
+		}
+	}
+	return keyPart{s: v.Str()}
+}
+
+// mayParse is false for strings strconv.ParseFloat rejects by their first
+// character after an optional sign — a number starts with a digit or a
+// point, "inf" and "nan" with their letter — so that keys like "g7" cost no
+// parse and no error value.
+func mayParse(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
 	return false
+}
+
+// compare orders two components: numbers numerically with NaN after every
+// number, numbers before strings, strings lexically.
+func (a keyPart) compare(b keyPart) int {
+	switch {
+	case a.num && b.num:
+		switch an, bn := a.f != a.f, b.f != b.f; {
+		case a.f < b.f || bn && !an:
+			return -1
+		case a.f > b.f || an && !bn:
+			return 1
+		}
+		return 0
+	case a.num != b.num:
+		if a.num {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.s, b.s)
 }
 
 // Lookup returns the result row with the given key.

@@ -2,6 +2,9 @@ package query
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/relation"
@@ -278,6 +281,113 @@ func TestResultOrderingNumericAware(t *testing.T) {
 			t.Fatalf("Keys() = %v, want %v", got, want)
 		}
 	}
+}
+
+// TestResultOrderIsTotal: NewResult's group order is a total order, so the
+// order the rows arrive in — a tracker's map, a table's row order — cannot
+// show through. Every shuffle of the rows sorts to the same keys, a NaN key
+// sorts after every number, ties (−0 and +0, "1" and "1.0") order by their
+// raw Key, and the order equals lessKeyValues's, the order before,
+// wherever that was strict. A discrete column that mixes numbers with other
+// strings has no such order to agree with (lessKeyValues cycles on it):
+// there numbers sort first, and each kind keeps lessKeyValues's order.
+func TestResultOrderIsTotal(t *testing.T) {
+	F, S := relation.F, relation.S
+	nan, inf := math.NaN(), math.Inf(1)
+	keyed := func(keys ...[]relation.Value) []ResultRow {
+		rows := make([]ResultRow, len(keys))
+		for i, k := range keys {
+			rows[i] = ResultRow{Key: GroupKey(k), KeyValues: k}
+		}
+		return rows
+	}
+	var cont, nums, words, pairs, mixed [][]relation.Value
+	for _, f := range []float64{nan, 3, 1.5, -2, 0, math.Copysign(0, -1), inf, -inf, 1e300} {
+		cont = append(cont, []relation.Value{F(f)})
+	}
+	for _, d := range []string{"1", "1.0", "01", "NaN", "nan", "inf", "-Inf", "-2", "10", "9", "0x1p4", ".5", "+3", "1_0"} {
+		nums = append(nums, []relation.Value{S(d)})
+	}
+	for _, d := range []string{"g7", "g10", "x", "", "1e400", "-x", "Apple", "_1", "+nan", "0x10"} {
+		words = append(words, []relation.Value{S(d)})
+	}
+	for _, d := range []string{"1", "1.0", "a", "b"} {
+		for _, f := range []float64{nan, 2, 0, math.Copysign(0, -1), -1} {
+			pairs = append(pairs, []relation.Value{S(d), F(f)}, []relation.Value{F(f), S(d)})
+		}
+	}
+	mixed = append(append(mixed, nums...), words...)
+	rng := rand.New(rand.NewSource(1))
+	order := func(rows []ResultRow) []string {
+		want := NewResult(nil, slices.Clone(rows)).Keys()
+		for p := 0; p < 50; p++ {
+			shuffled := slices.Clone(rows)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if got := NewResult(nil, shuffled).Keys(); !slices.Equal(got, want) {
+				t.Fatalf("shuffle %d sorts to %q, the first sort to %q", p, got, want)
+			}
+		}
+		return want
+	}
+	isNum := func(v relation.Value) bool {
+		if v.Kind() == relation.Continuous {
+			return true
+		}
+		_, err := strconv.ParseFloat(v.Str(), 64)
+		return err == nil
+	}
+	for name, keys := range map[string][][]relation.Value{"continuous": cont, "numbers": nums, "words": words, "pairs": pairs, "mixed": mixed} {
+		rows := keyed(keys...)
+		res := NewResult(nil, keyed(keys...))
+		got := order(rows)
+		at := make(map[string]int, len(got))
+		for i, k := range got {
+			at[k] = i
+		}
+		for _, a := range rows {
+			for _, b := range rows {
+				if !lessKeyValues(a.KeyValues, b.KeyValues) {
+					continue
+				}
+				// In the mixed column lessKeyValues is strict across kinds
+				// in both directions somewhere; compare within a kind only.
+				if name == "mixed" && isNum(a.KeyValues[0]) != isNum(b.KeyValues[0]) {
+					continue
+				}
+				if at[a.Key] > at[b.Key] {
+					t.Fatalf("%s: lessKeyValues puts %q before %q, the order %q", name, a.Key, b.Key, got)
+				}
+			}
+		}
+		for i := 1; i < len(res.Rows); i++ {
+			prev, row := res.Rows[i-1].KeyValues[0], res.Rows[i].KeyValues[0]
+			if isNum(row) && !isNum(prev) {
+				t.Fatalf("%s: number %v sorts after %v, the order %q", name, row, prev, got)
+			}
+			if isNum(prev) && isNum(row) && num(prev) != num(prev) && num(row) == num(row) {
+				t.Fatalf("%s: NaN %v sorts before %v, the order %q", name, prev, row, got)
+			}
+		}
+	}
+	// Ties order by the raw key.
+	for _, tie := range [][2]string{{"1", "1.0"}, {"-0", "0"}} {
+		got := order(keyed(nums...))
+		if tie[0] == "-0" {
+			got = order(keyed(cont...))
+		}
+		if slices.Index(got, tie[0]) > slices.Index(got, tie[1]) {
+			t.Fatalf("tie %q sorts after %q: %q", tie[0], tie[1], got)
+		}
+	}
+}
+
+// num is a key component's numeric value: its float, or its parse.
+func num(v relation.Value) float64 {
+	if v.Kind() == relation.Continuous {
+		return v.Float()
+	}
+	f, _ := strconv.ParseFloat(v.Str(), 64)
+	return f
 }
 
 func TestAggValues(t *testing.T) {

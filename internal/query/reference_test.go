@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"github.com/scorpiondb/scorpion/internal/relation"
@@ -38,6 +39,39 @@ func referenceRun(q *AggregateQuery) *Result {
 		rows = append(rows, ResultRow{Key: key, KeyValues: keyVals[key], Value: q.Agg.Compute(q.AggValues(set)), Group: set})
 	}
 	return NewResult(q, rows)
+}
+
+// lessKeyValues is the order NewResult sorted with before SortRows:
+// component-wise, continuous numerically, discrete by numeric value when
+// both parse as numbers, else lexically. It is not a strict weak order: a
+// NaN ties with every number, "1" ties with "1.0", and a discrete column
+// mixing numbers and other strings can cycle ("9" < "10" < "5x" < "9").
+func lessKeyValues(a, b []relation.Value) bool {
+	for i := range a {
+		if i >= len(b) {
+			return false
+		}
+		av, bv := a[i], b[i]
+		if av.Kind() == relation.Continuous && bv.Kind() == relation.Continuous {
+			if av.Float() != bv.Float() {
+				return av.Float() < bv.Float()
+			}
+			continue
+		}
+		as, bs := av.String(), bv.String()
+		an, aerr := strconv.ParseFloat(as, 64)
+		bn, berr := strconv.ParseFloat(bs, 64)
+		if aerr == nil && berr == nil {
+			if an != bn {
+				return an < bn
+			}
+			continue
+		}
+		if as != bs {
+			return as < bs
+		}
+	}
+	return false
 }
 
 // TestRunMatchesReference: Run, which looks rows up by their raw cells and

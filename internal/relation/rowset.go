@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -26,12 +28,15 @@ import (
 // Selection heuristics (see maxRuns): a set starts sparse, converts to runs
 // past sparseMaxLen members, and converts to dense once its run count would
 // make the spans cost more than the bitmap. Every operation is defined
-// across all encoding pairs; Slice and Embed are O(#runs) offset arithmetic
-// for the compact encodings, so id translation between a table and its
-// Views never copies bitmap words unless the set really is dense.
+// across all encoding pairs; Slice is O(#runs) offset arithmetic for the
+// compact encodings, so id translation from a table to its Views never
+// copies bitmap words unless the set really is dense. Grow, which widens a
+// set over an appended tail (and so maps window-local rows back to global
+// ids), shares the run array it grows from, so a batch costs its own runs,
+// not the set's history.
 //
 // All read-only methods (Contains, Count, ForEach, ForEachRun, Rows,
-// Equal, Intersect, Slice, Embed, Min, Max) never re-encode the
+// Equal, Intersect, Slice, Grow, Min, Max) never change the
 // receiver and are safe for concurrent readers; the mutating methods (Add,
 // AddRange, And, Or) are not.
 type RowSet struct {
@@ -40,7 +45,16 @@ type RowSet struct {
 	words []uint64 // dense: (n+63)/64 words, trailing bits clear
 	runs  []span   // runs: sorted, disjoint, non-adjacent, each lo < hi
 	elems []int32  // sparse: sorted, strictly increasing
+	// claim is non-nil when runs may share its backing array with other
+	// sets (Grow's results); a mutation copies the runs first.
+	claim *runClaim
 }
+
+// runClaim is shared by the sets whose runs view one backing array: it
+// holds the longest prefix of the array any of them has claimed. The set
+// whose length equals the claim owns the array's last element, so it alone
+// may append into the spare capacity past it; any other set copies first.
+type runClaim struct{ n atomic.Int32 }
 
 // Encoding discriminants. The zero value is sparse so that the zero RowSet
 // (universe 0, no storage) is valid.
@@ -185,7 +199,7 @@ func (s *RowSet) toDense() {
 			setWordRange(words, int(r.lo), int(r.hi))
 		}
 	}
-	s.words, s.runs, s.elems, s.enc = words, nil, nil, encDense
+	s.words, s.runs, s.elems, s.enc, s.claim = words, nil, nil, encDense, nil
 }
 
 // toRuns re-encodes the set as spans, preserving membership. The caller is
@@ -203,7 +217,7 @@ func (s *RowSet) toRuns() {
 				runs = append(runs, span{e, e + 1})
 			}
 		}
-		s.runs, s.elems, s.words, s.enc = runs, nil, nil, encRuns
+		s.runs, s.elems, s.words, s.enc, s.claim = runs, nil, nil, encRuns, nil
 	default: // dense
 		var runs []span
 		it := s.iter()
@@ -214,7 +228,7 @@ func (s *RowSet) toRuns() {
 			}
 			runs = append(runs, span{int32(lo), int32(hi)})
 		}
-		s.runs, s.elems, s.words, s.enc = runs, nil, nil, encRuns
+		s.runs, s.elems, s.words, s.enc, s.claim = runs, nil, nil, encRuns, nil
 	}
 }
 
@@ -227,7 +241,15 @@ func (s *RowSet) toSparse() {
 	}
 	elems := make([]int32, 0, s.Count())
 	s.ForEach(func(r int) { elems = append(elems, int32(r)) })
-	s.elems, s.runs, s.words, s.enc = elems, nil, nil, encSparse
+	s.elems, s.runs, s.words, s.enc, s.claim = elems, nil, nil, encSparse, nil
+}
+
+// own gives s a run array of its own before an in-place edit: one that Grow
+// shares with other sets is copied first.
+func (s *RowSet) own() {
+	if s.claim != nil {
+		s.runs, s.claim = slices.Clone(s.runs), nil
+	}
 }
 
 // Add inserts row i. It panics if i is outside the universe.
@@ -264,6 +286,7 @@ func (s *RowSet) addSparse(r int32) {
 }
 
 func (s *RowSet) addRuns(r int32) {
+	s.own()
 	k := len(s.runs)
 	// Fast path: ascending construction extends or appends the tail run.
 	if k == 0 || r >= s.runs[k-1].hi {
@@ -327,6 +350,7 @@ func (s *RowSet) AddRange(lo, hi int) {
 
 // addRangeRuns merges the span [lo, hi) into the run list.
 func (s *RowSet) addRangeRuns(lo, hi int32) {
+	s.own()
 	// i: first run that overlaps or is left-adjacent to [lo, hi).
 	i := sort.Search(len(s.runs), func(k int) bool { return s.runs[k].hi >= lo })
 	// j: first run past the overlap/right-adjacency.
@@ -619,7 +643,7 @@ func (b *setBuilder) add(lo, hi int) {
 // store writes the built set into dst, replacing its contents.
 func (b *setBuilder) store(dst *RowSet) {
 	dst.n = b.n
-	dst.words, dst.runs, dst.elems = nil, nil, nil
+	dst.words, dst.runs, dst.elems, dst.claim = nil, nil, nil, nil
 	switch {
 	case b.words != nil:
 		dst.enc, dst.words = encDense, b.words
@@ -841,8 +865,8 @@ func (s *RowSet) Equal(o *RowSet) bool {
 
 // Slice projects the members in [lo, hi) into a new set over the universe
 // [0, hi-lo), shifting each row by -lo — the window-local translation a
-// View needs. O(#runs) offset arithmetic for the compact encodings. It
-// panics unless 0 <= lo <= hi <= Universe().
+// View needs; Grow maps such a set back. O(#runs) offset arithmetic for
+// the compact encodings. It panics unless 0 <= lo <= hi <= Universe().
 func (s *RowSet) Slice(lo, hi int) *RowSet {
 	if lo < 0 || hi < lo || hi > s.n {
 		panic(fmt.Sprintf("relation: slice [%d,%d) outside universe [0,%d)", lo, hi, s.n))
@@ -888,62 +912,63 @@ func (s *RowSet) Slice(lo, hi int) *RowSet {
 	return out
 }
 
-// Embed shifts every member by +off into a new set over the universe
-// [0, universe) — the inverse of Slice, mapping window-local rows back to
-// global ids. O(#runs) offset arithmetic for the compact encodings. It
-// panics unless off >= 0 and off+Universe() <= universe.
-func (s *RowSet) Embed(off, universe int) *RowSet {
-	if off < 0 || off+s.n > universe {
-		panic(fmt.Sprintf("relation: embed at %d of universe %d into %d", off, s.n, universe))
-	}
-	out := &RowSet{n: universe}
-	if !compressible(universe) && s.enc != encDense {
-		// A compact set cannot address a beyond-int32 universe; fall back
-		// to dense.
-		out.enc = encDense
-		out.words = make([]uint64, (universe+63)/64)
-		it := s.iter()
-		for {
-			lo, hi, ok := it.next()
-			if !ok {
-				break
-			}
-			setWordRange(out.words, lo+off, hi+off)
+// Grow returns the set over the universe [0, s.Universe()+tail.Universe())
+// holding s's rows and tail's, each shifted by s.Universe() — an append
+// batch's window-local rows folded into a set over the rows before it. s
+// does not change.
+//
+// A runs-encoded result shares s's run array. When s owns the array's last
+// element and the spare capacity past it holds tail's runs, they are
+// appended there and nothing is copied; otherwise — s was never grown, a
+// set grown from s (or from a set sharing its array) already appended past
+// it, tail's first run extends s's last, or the capacity is spent — the
+// runs are copied once into an array with room to grow. So growing a set
+// batch after batch costs the batches' runs, amortized, not the set's
+// history, and every set handed out before keeps exactly its rows. Other
+// encodings are copied.
+func (s *RowSet) Grow(tail *RowSet) *RowSet {
+	off := s.n
+	out := &RowSet{n: off + tail.n}
+	if s.enc != encRuns || !compressible(out.n) {
+		if s.enc == encDense {
+			out.enc = encDense
+			out.words = make([]uint64, (out.n+63)/64)
+			copy(out.words, s.words)
+			tail.ForEachRun(func(lo, hi int) { setWordRange(out.words, lo+off, hi+off) })
+			return out
 		}
+		b := newSetBuilder(out.n)
+		s.ForEachRun(b.add)
+		tail.ForEachRun(func(lo, hi int) { b.add(lo+off, hi+off) })
+		b.store(out)
 		return out
 	}
-	switch s.enc {
-	case encDense:
-		out.enc = encDense
-		out.words = make([]uint64, (universe+63)/64)
-		shift := uint(off & 63)
-		w0 := off >> 6
-		for i, w := range s.words {
-			if w == 0 {
-				continue
-			}
-			out.words[w0+i] |= w << shift
-			if shift != 0 {
-				// High bits spilling into the next word are real members
-				// (off+row < universe), so the index is always in range.
-				if hi := w >> (64 - shift); hi != 0 {
-					out.words[w0+i+1] |= hi
-				}
-			}
-		}
-	case encRuns:
-		runs := make([]span, len(s.runs))
-		for i, r := range s.runs {
-			runs[i] = span{r.lo + int32(off), r.hi + int32(off)}
-		}
-		out.enc, out.runs = encRuns, runs
-	default: // sparse
-		elems := make([]int32, len(s.elems))
-		for i, e := range s.elems {
-			elems[i] = e + int32(off)
-		}
-		out.enc, out.elems = encSparse, elems
+	m, k, joins := len(s.runs), 0, false
+	it := tail.iter()
+	for lo, _, ok := it.next(); ok; lo, _, ok = it.next() {
+		joins = joins || k == 0 && m > 0 && int(s.runs[m-1].hi) == lo+off
+		k++
 	}
+	runs, claim := s.runs, s.claim
+	switch {
+	case claim != nil && k == 0:
+		// Nothing is written: share the array as it is.
+	case claim == nil || joins || cap(runs)-m < k || !claim.n.CompareAndSwap(int32(m), int32(m+k)):
+		runs, claim = slices.Grow(runs[:m:m], k), &runClaim{}
+	}
+	it = tail.iter()
+	for lo, hi, ok := it.next(); ok; lo, hi, ok = it.next() {
+		if j := len(runs); j > 0 && int(runs[j-1].hi) == lo+off {
+			runs[j-1].hi = int32(hi + off) // joins: runs is a fresh copy
+			continue
+		}
+		runs = append(runs, span{int32(lo + off), int32(hi + off)})
+	}
+	if claim.n.Load() < int32(len(runs)) {
+		claim.n.Store(int32(len(runs)))
+	}
+	out.enc, out.runs, out.claim = encRuns, runs, claim
+	out.adapt()
 	return out
 }
 
@@ -1026,6 +1051,9 @@ func (s *RowSet) check() error {
 	case encRuns:
 		if s.words != nil || s.elems != nil {
 			return fmt.Errorf("runs: stale storage")
+		}
+		if s.claim != nil && int(s.claim.n.Load()) < len(s.runs) {
+			return fmt.Errorf("runs: %d runs past a claim of %d", len(s.runs), s.claim.n.Load())
 		}
 		prev := int32(-1)
 		for i, r := range s.runs {

@@ -190,10 +190,16 @@ func TestBinaryOpsSelfAlias(t *testing.T) {
 	}
 }
 
-// Property: Slice then Embed restores exactly the members inside the
-// window, for every encoding — the LocalRows/GlobalRows round-trip the
-// shard combiner leans on (extends the PR 4 view property suite).
-func TestSliceEmbedRoundTripProperty(t *testing.T) {
+// embedAt maps a window-local set back to the universe [0, n), the window
+// starting at off: the prefix grows by the set, then by the rows after it.
+func embedAt(s *RowSet, off, n int) *RowSet {
+	return NewRowSet(off).Grow(s).Grow(NewRowSet(n - off - s.Universe()))
+}
+
+// Property: Slice then Grow restores exactly the members inside the
+// window, for every encoding — the round trip between a table's ids and a
+// View's that the shard combiner leans on.
+func TestSliceGrowRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(600)
@@ -220,9 +226,9 @@ func TestSliceEmbedRoundTripProperty(t *testing.T) {
 					return false
 				}
 			}
-			back := sl.Embed(lo, n)
+			back := embedAt(sl, lo, n)
 			if err := back.check(); err != nil {
-				t.Fatalf("embed: %v", err)
+				t.Fatalf("grow: %v", err)
 			}
 			if !back.Equal(want) {
 				return false
@@ -317,7 +323,8 @@ func TestConcurrentReaders(t *testing.T) {
 					_ = s.Min()
 					_ = s.Max()
 					_ = s.Slice(250, 1750)
-					_ = s.Embed(0, 4000)
+					_ = s.Grow(NewRowSet(2000))
+					_ = NewRowSet(100).Grow(s)
 					_ = s.Intersect(y) // Clone-based; receiver unchanged
 					sum := 0
 					s.ForEach(func(r int) { sum += r })

@@ -6,7 +6,10 @@ package relation
 // the working set — one forced into each encoding before every step — and
 // asserts after every operation that all three agree with a map-based
 // reference model on membership, cardinality, iteration order, and the
-// pure query kernels (Slice/Embed round-trip, Equal, Min/Max). Any divergence between encodings, structural-invariant
+// pure query kernels (Slice/Grow round-trip, Equal, Min/Max). Grow widens
+// the universe by a tail; every set grown from keeps exactly its old rows
+// through the operations that follow, and so does a second set grown from
+// the same one. Any divergence between encodings, structural-invariant
 // violation, or panic is a finding.
 //
 // Run it locally with:
@@ -24,6 +27,7 @@ const (
 	fuzzOpAddRange
 	fuzzOpAnd
 	fuzzOpOr
+	fuzzOpGrow
 	fuzzOpCount // number of opcodes
 )
 
@@ -55,6 +59,8 @@ func FuzzRowSet(f *testing.F) {
 	f.Add([]byte{255, fuzzOpOr, 1, 3, fuzzOpOr, 5, 7, fuzzOpOr, 9, 11, fuzzOpAnd, 2, 200})
 	f.Add([]byte{0})
 	f.Add([]byte{0, fuzzOpAdd, 0, 0, fuzzOpOr, 0, 0})
+	f.Add([]byte{100, fuzzOpAddRange, 0, 99, fuzzOpGrow, 10, 0, fuzzOpGrow, 10, 13, fuzzOpGrow, 23, 5, fuzzOpAdd, 3, 0})
+	f.Add([]byte{255, fuzzOpAddRange, 0, 200, fuzzOpOr, 210, 220, fuzzOpGrow, 20, 21, fuzzOpGrow, 7, 2, fuzzOpGrow, 0, 0, fuzzOpAddRange, 250, 100})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -68,6 +74,12 @@ func FuzzRowSet(f *testing.F) {
 		if len(data) > 3*64 {
 			data = data[:3*64] // bound per-input work
 		}
+		// grownFrom holds sets Grow was called on, with the rows they held.
+		type frozen struct {
+			s    *RowSet
+			rows []int
+		}
+		var grownFrom []frozen
 		for len(data) >= 3 {
 			op, a, b := int(data[0])%fuzzOpCount, int(data[1]), int(data[2])
 			data = data[3:]
@@ -94,7 +106,28 @@ func FuzzRowSet(f *testing.F) {
 				}
 				return o
 			}
-			apply := func(s *RowSet) {
+			// The tail for Grow: k new rows, from a point on all of them,
+			// every other one, or that point alone.
+			k := a % 24
+			tail := func() *RowSet {
+				o := NewRowSet(k)
+				if k == 0 {
+					return o
+				}
+				from := b % k
+				switch b / k % 3 {
+				case 0:
+					o.AddRange(from, k)
+				case 1:
+					for r := from; r < k; r += 2 {
+						o.Add(r)
+					}
+				default:
+					o.Add(from)
+				}
+				return o
+			}
+			apply := func(s *RowSet) *RowSet {
 				switch op {
 				case fuzzOpAdd:
 					s.Add(ra)
@@ -104,7 +137,10 @@ func FuzzRowSet(f *testing.F) {
 					s.And(operand())
 				case fuzzOpOr:
 					s.Or(operand())
+				case fuzzOpGrow:
+					return s.Grow(tail())
 				}
+				return s
 			}
 			switch op {
 			case fuzzOpAdd:
@@ -122,13 +158,56 @@ func FuzzRowSet(f *testing.F) {
 				}
 			case fuzzOpOr:
 				operand().ForEach(func(r int) { model.add(r) })
+			case fuzzOpGrow:
+				old := n
+				n += k
+				model.n, model.in = n, append(model.in, make([]bool, k)...)
+				tail().ForEach(func(r int) { model.add(old + r) })
+				if len(grownFrom) < 8 {
+					grownFrom = append(grownFrom, frozen{work, work.Rows()})
+				}
 			}
 			// Apply the op to the adaptive set and to each forced encoding
 			// in lockstep; all four must agree with the model.
 			variants := encVariants(work)
-			apply(work)
-			for _, v := range variants {
-				apply(v)
+			prev := work
+			work = apply(work)
+			for i, v := range variants {
+				variants[i] = apply(v)
+			}
+			if op == fuzzOpGrow {
+				// A second set grown from the same one, by all k rows, has
+				// prev's rows and the tail's, whatever work took.
+				sib := prev.Grow(FullRowSet(k))
+				if err := sib.check(); err != nil {
+					t.Fatalf("second grow: invariant: %v", err)
+				}
+				want := prev.Rows()
+				for r := prev.Universe(); r < n; r++ {
+					want = append(want, r)
+				}
+				if got := sib.Rows(); sib.Universe() != n || len(got) != len(want) {
+					t.Fatalf("second grow: %d rows over %d, want %d over %d", len(got), sib.Universe(), len(want), n)
+				}
+				for i, r := range sib.Rows() {
+					if r != want[i] {
+						t.Fatalf("second grow: Rows[%d] = %d, want %d", i, r, want[i])
+					}
+				}
+			}
+			for _, f := range grownFrom {
+				if err := f.s.check(); err != nil {
+					t.Fatalf("grown-from set: invariant: %v", err)
+				}
+				got := f.s.Rows()
+				if len(got) != len(f.rows) {
+					t.Fatalf("grown-from set: %d rows, had %d", len(got), len(f.rows))
+				}
+				for i := range got {
+					if got[i] != f.rows[i] {
+						t.Fatalf("grown-from set: Rows[%d] = %d, had %d", i, got[i], f.rows[i])
+					}
+				}
 			}
 			want := model.rows()
 			all := [4]*RowSet{work, variants[0], variants[1], variants[2]}
@@ -156,12 +235,12 @@ func FuzzRowSet(f *testing.F) {
 					}
 				}
 				if n > 0 {
-					back := s.Slice(lo, hi).Embed(lo, n)
+					back := embedAt(s.Slice(lo, hi), lo, n)
 					if back.Count() != wantRange {
-						t.Fatalf("variant %d (%s): Slice/Embed count %d, want %d", vi, s.Encoding(), back.Count(), wantRange)
+						t.Fatalf("variant %d (%s): Slice/Grow count %d, want %d", vi, s.Encoding(), back.Count(), wantRange)
 					}
 					if !back.Intersect(s).Equal(back) {
-						t.Fatalf("variant %d (%s): Slice/Embed not a subset", vi, s.Encoding())
+						t.Fatalf("variant %d (%s): Slice/Grow not a subset", vi, s.Encoding())
 					}
 				}
 				wantMin, wantMax := -1, -1

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,5 +179,75 @@ func TestRowSetForEachMatchesRows(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrowSharesRuns: a runs-encoded set grown batch after batch appends
+// each batch's runs into one array. A set grown from the array's last
+// owner copies nothing; one grown from an older set, one whose batch
+// extends its last run, and one edited in place copy first. A reader of an
+// older set meanwhile sees no write (the race detector checks) and no
+// changed row.
+func TestGrowSharesRuns(t *testing.T) {
+	base := NewRowSet(1 << 16) // room for 1,024 runs before dense
+	base.AddRange(0, 100)
+	base.AddRange(200, 300)
+	g1 := base.Grow(RowSetOf(4, 1)) // base was never grown: a copy, with room
+	if cap(g1.runs) == len(g1.runs) {
+		t.Fatalf("the copy of %d runs has no spare capacity", len(g1.runs))
+	}
+	g2 := g1.Grow(RowSetOf(4, 3))
+	if &g2.runs[0] != &g1.runs[0] {
+		t.Fatal("a set grown from the array's last owner copied its runs")
+	}
+	if g3 := g1.Grow(RowSetOf(4, 2)); &g3.runs[0] == &g1.runs[0] {
+		t.Fatal("a second set grown from g1 shares the array g2 appended to")
+	}
+	if g4 := g2.Grow(NewRowSet(7)); &g4.runs[0] != &g2.runs[0] {
+		t.Fatal("growing by no rows copied the runs")
+	}
+	if g5 := g2.Grow(RowSetOf(4, 0)); &g5.runs[0] == &g2.runs[0] || g5.Count() != g2.Count()+1 || len(g5.runs) != len(g2.runs) {
+		t.Fatalf("a batch extending the last run: %v over %d runs, shared %v", g5, len(g5.runs), &g5.runs[0] == &g2.runs[0])
+	}
+	edited := g2.Grow(NewRowSet(0))
+	edited.Add(150)
+	if !slices.Equal(g2.Rows(), append(base.Rows(), 1<<16+1, 1<<16+7)) {
+		t.Fatalf("an in-place edit of a set sharing g2's runs changed g2: %v", g2.Rows())
+	}
+
+	// Readers of a set with spare capacity while sets grown from it append
+	// past it (in place) or extend its last run (a copy).
+	snap := g2
+	for snap.enc == encRuns && cap(snap.runs)-len(snap.runs) < 8 {
+		snap = snap.Grow(RowSetOf(4, 3)) // ends on its last row
+	}
+	if snap.enc != encRuns {
+		t.Fatalf("snapshot %v is not runs-encoded", snap)
+	}
+	for _, joinEvery := range []int{1, 7} {
+		want := snap.Rows()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 200; i++ {
+				if got := snap.Rows(); !slices.Equal(got, want) {
+					t.Errorf("the snapshot's rows changed to %d rows", len(got))
+					return
+				}
+			}
+		}()
+		cur := snap
+		for i := 1; i <= 200; i++ {
+			tail := RowSetOf(4, 1, 3)
+			if i%joinEvery == 0 {
+				tail = RowSetOf(4, 0, 3) // extends cur's last run
+			}
+			cur = cur.Grow(tail)
+			mustCheck(t, cur)
+		}
+		<-done
+		if cur.Count() != len(want)+400 || cur.Universe() != snap.Universe()+800 {
+			t.Fatalf("grown set %v, want %d rows over %d", cur, len(want)+400, snap.Universe()+800)
+		}
 	}
 }

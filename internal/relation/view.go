@@ -61,8 +61,8 @@ func (t *Table) Off() int { return 0 }
 // O(rows).
 //
 // A View is itself a Relation with local row ids [0, Len()); LocalRows
-// and GlobalRows translate provenance sets between the window and the
-// base table's id space, and Off gives the window's offset.
+// projects a base-table provenance set onto the window (RowSet.Grow maps a
+// local set back), and Off gives the window's offset.
 type View struct {
 	win  *Table // the windowed sub-table: subslices of base, shared dicts
 	base *Table
@@ -179,16 +179,6 @@ func (v *View) LocalRows(global *RowSet) *RowSet {
 		panic(fmt.Sprintf("relation: LocalRows universe %d != base %d", global.Universe(), v.base.n))
 	}
 	return global.Slice(v.off, v.off+v.win.n)
-}
-
-// GlobalRows embeds a window-local RowSet back into the base table's id
-// space: the inverse of LocalRows, so v.GlobalRows(v.LocalRows(s)) equals
-// s restricted to the window.
-func (v *View) GlobalRows(local *RowSet) *RowSet {
-	if local.Universe() != v.win.n {
-		panic(fmt.Sprintf("relation: GlobalRows universe %d != window %d", local.Universe(), v.win.n))
-	}
-	return local.Embed(v.off, v.base.n)
 }
 
 // String renders a small summary, e.g. "View([100,200) of 1000)".

@@ -131,9 +131,9 @@ func TestShardsAt(t *testing.T) {
 	}
 }
 
-// TestRowSetSliceEmbedRoundTrip is the offset-translation property test:
-// Slice then Embed recovers exactly the members inside the window.
-func TestRowSetSliceEmbedRoundTrip(t *testing.T) {
+// TestRowSetSliceGrowRoundTrip is the offset-translation property test:
+// Slice then Grow recovers exactly the members inside the window.
+func TestRowSetSliceGrowRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(400)
@@ -156,8 +156,8 @@ func TestRowSetSliceEmbedRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d [%d,%d): local %d membership mismatch", n, lo, hi, l)
 			}
 		}
-		// Round trip: embed back and compare against s ∩ [lo, hi).
-		back := local.Embed(lo, n)
+		// Round trip: grow back and compare against s ∩ [lo, hi).
+		back := embedAt(local, lo, n)
 		want := NewRowSet(n)
 		s.ForEach(func(i int) {
 			if i >= lo && i < hi {
@@ -165,12 +165,12 @@ func TestRowSetSliceEmbedRoundTrip(t *testing.T) {
 			}
 		})
 		if !back.Equal(want) {
-			t.Fatalf("n=%d [%d,%d): embed(slice) != restriction", n, lo, hi)
+			t.Fatalf("n=%d [%d,%d): grow(slice) != restriction", n, lo, hi)
 		}
 	}
 }
 
-func TestViewLocalGlobalRows(t *testing.T) {
+func TestViewLocalRows(t *testing.T) {
 	tbl := viewTestTable(t, 200)
 	v := tbl.Window(63, 170)
 	global := NewRowSet(200)
@@ -191,13 +191,13 @@ func TestViewLocalGlobalRows(t *testing.T) {
 			}
 		}
 	}
-	back := v.GlobalRows(local)
+	back := embedAt(local, v.Off(), tbl.NumRows())
 	for _, r := range []int{63, 64, 100, 169} {
 		if !back.Contains(r) {
-			t.Errorf("GlobalRows lost row %d", r)
+			t.Errorf("the round trip lost row %d", r)
 		}
 	}
 	if back.Count() != 4 {
-		t.Errorf("GlobalRows count %d", back.Count())
+		t.Errorf("the round trip holds %d rows", back.Count())
 	}
 }

@@ -3,18 +3,22 @@
 // streaming-ingestion counterpart of §5.1's decomposable aggregates.
 //
 // A Tracker follows one (table lineage, query) pair. It keeps, per output
-// group, the provenance RowSet and the aggregate's Removable state; when
-// the table grows by an append batch, Advance runs the query over ONLY the
+// group, the provenance RowSet and the aggregate's Removable state, with
+// the groups in the query's canonical key order; when the table grows by
+// an append batch, Advance runs the query's parsed statement over ONLY the
 // tail window (the rows the batch added, modeled as a relation.View),
-// embeds the tail's group slices into the new global id space, and folds
-// their states into the existing ones with Removable.Update. All QUERY
-// work is proportional to the batch, never to the table — including the
-// universe growth: group provenance over a grouped scan is run-encoded
-// (see relation.RowSet), so widening a group's set to the new row count is
-// O(#runs) offset arithmetic, not a |D|/64-word bitmap copy; only a group
-// that degraded to the dense encoding still pays the word copy. The
-// refreshed states seed influence.NewScorerSeeded, so a warm re-explain
-// skips the cold path's full scan, regroup, and per-group state rebuild.
+// grows every group's provenance over the new rows with RowSet.Grow, and
+// folds the tail's states into the existing ones with Removable.Update.
+// An advance costs its batch and the groups, never the table or its
+// history: a run-encoded group (the encoding a grouped scan settles into)
+// grows by appending the batch's runs into its run array, shared with the
+// set it grew from, so an untouched group copies nothing and a touched one
+// copies only when its array is full (amortized O(1) per run) or the batch
+// extends its last run; only a group that degraded to the dense encoding
+// still pays a |D|/64-word copy. New groups are sorted in when they appear,
+// so Result indexes the groups without sorting them. The refreshed states
+// seed influence.NewScorerSeeded, so a warm re-explain skips the cold
+// path's full scan, regroup, and per-group state rebuild.
 //
 // The Tracker is deliberately label-agnostic: it maintains ALL groups, and
 // the caller (which knows the request's outlier/hold-out labels and λ)
@@ -31,6 +35,7 @@ import (
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/query"
 	"github.com/scorpiondb/scorpion/internal/relation"
+	"github.com/scorpiondb/scorpion/internal/sqlparse"
 )
 
 // GroupState is one output group's incrementally maintained state.
@@ -65,12 +70,13 @@ type Delta struct {
 // query over one append-only table lineage. It is not safe for concurrent
 // use; its caller, a scorpion.Session, serializes runs.
 type Tracker struct {
-	sql    string
+	stmt   *sqlparse.SelectStmt // parsed once, bound to every batch's tail
 	table  *relation.Table
 	rows   int
 	q      *query.AggregateQuery // bound against the current table
 	rem    aggregate.Removable
 	groups map[string]*GroupState
+	order  []*GroupState // the groups in canonical key order
 }
 
 // NewTracker executes the query cold over the table and captures every
@@ -78,7 +84,11 @@ type Tracker struct {
 // incrementally removable — black-box aggregates have no decomposable
 // state to maintain, so streaming callers fall back to cold runs.
 func NewTracker(tbl *relation.Table, sql string) (*Tracker, error) {
-	q, err := query.FromSQL(tbl, sql)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	q, err := query.FromStmt(tbl, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +96,7 @@ func NewTracker(tbl *relation.Table, sql string) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTracker(tbl, sql, q, res)
+	return newTracker(tbl, stmt, q, res)
 }
 
 // NewTrackerFromResult builds a tracker from an ALREADY-EXECUTED query
@@ -100,29 +110,37 @@ func NewTrackerFromResult(tbl *relation.Table, sql string, res *query.Result) (*
 	if res.Query.Table.Data() != tbl {
 		return nil, fmt.Errorf("stream: query result was executed against a different table")
 	}
-	return newTracker(tbl, sql, res.Query, res)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return newTracker(tbl, stmt, res.Query, res)
 }
 
-func newTracker(tbl *relation.Table, sql string, q *query.AggregateQuery, res *query.Result) (*Tracker, error) {
+func newTracker(tbl *relation.Table, stmt *sqlparse.SelectStmt, q *query.AggregateQuery, res *query.Result) (*Tracker, error) {
 	rem, ok := q.Agg.(aggregate.Removable)
 	if !ok {
 		return nil, fmt.Errorf("stream: aggregate %q is not incrementally removable", q.Agg.Name())
 	}
 	tr := &Tracker{
-		sql:    sql,
+		stmt:   stmt,
 		table:  tbl,
 		rows:   tbl.NumRows(),
 		q:      q,
 		rem:    rem,
 		groups: make(map[string]*GroupState, len(res.Rows)),
+		order:  make([]*GroupState, 0, len(res.Rows)),
 	}
+	// A Result's rows are in canonical key order already.
 	for _, row := range res.Rows {
-		tr.groups[row.Key] = &GroupState{
+		g := &GroupState{
 			Key:       row.Key,
 			KeyValues: row.KeyValues,
 			Rows:      row.Group,
 			State:     influence.GroupState(tbl, q.AggCol, row.Group),
 		}
+		tr.groups[row.Key] = g
+		tr.order = append(tr.order, g)
 	}
 	return tr, nil
 }
@@ -177,9 +195,9 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 		return &Delta{}, nil
 	}
 	tail := succ.Tail(tr.rows)
-	// Re-binding against the tail view recompiles the WHERE filter and the
+	// Binding against the tail view compiles the WHERE filter and the
 	// grouping over window-local ids; Run costs O(tail).
-	tq, err := query.FromSQL(tail, tr.sql)
+	tq, err := query.FromStmt(tail, tr.stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -187,59 +205,78 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	delta := &Delta{}
-	// Grow every existing group's universe to the new row count. Embed
-	// allocates fresh sets, so previously handed-out snapshots (scorer
-	// tasks, query results) keep reading their own frozen state.
-	for _, g := range tr.groups {
-		g.Rows = g.Rows.Embed(0, n)
+	q, err := query.FromStmt(succ, tr.stmt)
+	if err != nil {
+		return nil, err
 	}
+	// Every group gets a new set, so previously handed-out snapshots (scorer
+	// tasks, query results) keep reading their own frozen state.
+	delta := &Delta{}
 	for _, row := range tres.Rows {
 		local := row.Group
 		delta.TailRows += local.Count()
-		global := tail.GlobalRows(local)
 		tailState := influence.GroupState(tail, tr.q.AggCol, local)
 		if g, ok := tr.groups[row.Key]; ok {
-			g.Rows.Or(global)
+			g.Rows = g.Rows.Grow(local)
 			g.State = tr.rem.Update(g.State, tailState)
 			delta.Touched = append(delta.Touched, row.Key)
 		} else {
-			tr.groups[row.Key] = &GroupState{
+			g := &GroupState{
 				Key:       row.Key,
 				KeyValues: row.KeyValues,
-				Rows:      global,
+				Rows:      relation.NewRowSet(tr.rows).Grow(local),
 				State:     tailState,
 			}
+			tr.groups[row.Key] = g
+			tr.order = append(tr.order, g)
 			delta.New = append(delta.New, row.Key)
 		}
+	}
+	none := relation.NewRowSet(n - tr.rows)
+	for _, g := range tr.order {
+		if g.Rows.Universe() < n {
+			g.Rows = g.Rows.Grow(none)
+		}
+	}
+	if len(delta.New) > 0 {
+		tr.sortOrder()
 	}
 	sort.Strings(delta.Touched)
 	sort.Strings(delta.New)
 	tr.table = succ
 	tr.rows = n
-	q, err := query.FromSQL(succ, tr.sql)
-	if err != nil {
-		return nil, err
-	}
 	tr.q = q
 	return delta, nil
 }
 
+// sortOrder puts tr.order back into canonical key order after new groups
+// were appended to it.
+func (tr *Tracker) sortOrder() {
+	rows := make([]query.ResultRow, len(tr.order))
+	for i, g := range tr.order {
+		rows[i] = query.ResultRow{Key: g.Key, KeyValues: g.KeyValues}
+	}
+	query.SortRows(rows)
+	for i, row := range rows {
+		tr.order[i] = tr.groups[row.Key]
+	}
+}
+
 // Result materializes the tracked groups as a query.Result over the
 // current table — values recovered from the maintained states, provenance
-// shared with the tracker's current sets. Equivalent to re-running the
-// query, at O(groups) cost.
+// shared with the tracker's current sets, rows in the order the tracker
+// keeps. Equivalent to re-running the query, at O(groups) cost.
 func (tr *Tracker) Result() *query.Result {
-	rows := make([]query.ResultRow, 0, len(tr.groups))
-	for _, g := range tr.groups {
-		rows = append(rows, query.ResultRow{
+	rows := make([]query.ResultRow, len(tr.order))
+	for i, g := range tr.order {
+		rows[i] = query.ResultRow{
 			Key:       g.Key,
 			KeyValues: g.KeyValues,
 			Value:     tr.rem.Recover(g.State),
 			Group:     g.Rows,
-		})
+		}
 	}
-	return query.NewResult(tr.q, rows)
+	return query.NewOrderedResult(tr.q, rows)
 }
 
 // States collects the Removable states for the given group keys, in order.

@@ -1,7 +1,10 @@
 package stream
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -236,5 +239,88 @@ func TestTrackerSnapshotsStableUnderConcurrentAdvance(t *testing.T) {
 	wg.Wait()
 	if frozenRows.Universe() != base.NumRows() {
 		t.Fatalf("frozen rowset universe changed to %d", frozenRows.Universe())
+	}
+}
+
+// TestAdvanceCostFlat: an advance costs its batch, not the batches before
+// it. On live-append's shape — 30 groups × 2,000 rows, clustered by group,
+// then 50-row batches dealt over the groups at random — the bytes one
+// Advance allocates after 500 earlier batches stay within 1.5× of the
+// bytes after 10. Each side is the mean of ten consecutive advances, so a
+// group whose run array happens to fill up on one batch does not decide
+// it. It counts allocations, not time, so it is deterministic.
+func TestAdvanceCostFlat(t *testing.T) {
+	const groups, perGroup, batch = 30, 2000, 50
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, groups)
+	for g := range keys {
+		keys[g] = fmt.Sprintf("g%d", g)
+	}
+	var rows []relation.Row
+	for g := 0; g < groups; g++ {
+		for i := 0; i < perGroup; i++ {
+			rows = append(rows, row(keys[g], rng.Float64(), rng.Float64()))
+		}
+	}
+	base := buildTable(t, rows)
+	tr, err := NewTracker(base, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := relation.AppenderFor(base)
+	next := func() *relation.Table {
+		b := make([]relation.Row, batch)
+		for i := range b {
+			b[i] = row(keys[rng.Intn(groups)], rng.Float64(), rng.Float64())
+		}
+		succ, err := app.Append(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return succ
+	}
+	// bytesPerAdvance advances over ten new batches, built beforehand, and
+	// returns the mean bytes each advance allocated.
+	bytesPerAdvance := func() float64 {
+		succ := make([]*relation.Table, 10)
+		for i := range succ {
+			succ[i] = next()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, s := range succ {
+			if _, err := tr.Advance(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(succ))
+	}
+	advanceTo := func(batches int) {
+		for (tr.Rows()-groups*perGroup)/batch < batches {
+			if _, err := tr.Advance(next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	advanceTo(10)
+	early := bytesPerAdvance()
+	advanceTo(500)
+	late := bytesPerAdvance()
+	t.Logf("bytes per advance: %.0f after 10 batches, %.0f after 500", early, late)
+	if late > 1.5*early {
+		t.Fatalf("an advance after 500 batches allocates %.0f bytes, %.1f× the %.0f after 10", late, late/early, early)
+	}
+	// The grown tracker still holds what a cold one does.
+	cold, err := NewTracker(tr.Table(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		w, _ := tr.Group(k)
+		c, _ := cold.Group(k)
+		if !w.Rows.Equal(c.Rows) {
+			t.Fatalf("group %q provenance %v != cold %v", k, w.Rows, c.Rows)
+		}
 	}
 }

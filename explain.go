@@ -682,14 +682,16 @@ func setScore(c *partition.Candidate, lambda, outMean, holdPen float64, matched 
 	c.Matched = matched
 }
 
-// ranked is a candidate list with, when kept, each candidate's selections.
+// ranked is a candidate list with, when kept, each candidate's selections
+// and WHERE string.
 type ranked struct {
 	cands []partition.Candidate
 	sels  [][]influence.Selection
+	where []string
 }
 
 // sort orders the candidates as partition.SortByScore does, moving each
-// candidate's selections with it.
+// candidate's selections and WHERE string with it.
 func (r ranked) sort() {
 	if r.sels == nil {
 		partition.SortByScore(r.cands)
@@ -703,22 +705,36 @@ func (r ranked) Less(i, j int) bool { return partition.Better(r.cands[i].Score, 
 func (r ranked) Swap(i, j int) {
 	r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
 	r.sels[i], r.sels[j] = r.sels[j], r.sels[i]
+	if r.where != nil {
+		r.where[i], r.where[j] = r.where[j], r.where[i]
+	}
 }
 
 // present renders the deduped, exactly-scored pool as the Plan's top-k
 // ranked explanations; Stats.Candidates counts the whole pool. It does not
 // mutate cands, and evaluates no predicate: the re-score counted the
-// matches.
-func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, qres *query.Result) *Result {
+// matches. A non-nil where keeps cands[i]'s WHERE string in where[i] from
+// the first time it is shown ("" before), so a kept pool formats each once.
+func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, where []string, qres *query.Result) *Result {
 	res := &Result{QueryResult: qres, task: scorer.Task()}
 	res.Stats.Candidates = len(cands)
 	if len(cands) > p.topK {
 		cands = cands[:p.topK]
 	}
-	for _, c := range cands {
+	for i, c := range cands {
+		var w string
+		switch {
+		case where == nil:
+			w = c.Pred.Format(p.req.Table)
+		case where[i] == "":
+			where[i] = c.Pred.Format(p.req.Table)
+			fallthrough
+		default:
+			w = where[i]
+		}
 		res.Explanations = append(res.Explanations, Explanation{
 			Predicate:            c.Pred,
-			Where:                c.Pred.Format(p.req.Table),
+			Where:                w,
 			Influence:            c.Score,
 			MatchedOutlierTuples: c.Matched,
 			HoldOutPenalty:       c.HoldPenalty,

@@ -182,7 +182,10 @@ type Scorer struct {
 	// SetC). A c sweep's warm run scores memoized selections, and math.Pow
 	// would be most of it. A looked-up power has the bits of a computed one,
 	// and workers that race to compute one store the same bits.
+	// SharePowers hands a seeded scorer its pool's table.
 	pow []atomic.Uint64
+	// win is Extend's window from its last non-zero row.
+	win *window
 }
 
 // maxMemoSelections caps the selection memo's entries: past it a box is
@@ -644,18 +647,71 @@ func (s *Scorer) Select(p predicate.Predicate, dst []Selection) []Selection {
 // onto sels, one Selection per group as Select lays them out, and returns
 // the number of rows it tested. Each selection must hold p's fold of its
 // group's rows before from: a group that only grew by rows at or after from
-// then holds exactly what Select would fold for it. It allocates nothing.
+// then holds exactly what Select would fold for it. From a row past 0 it
+// tests each row of [from, n) once: p's match mask of each 64-row word, cut
+// by each group's bits of the word (the scorer's window, built on the first
+// call from that row, after which it allocates nothing). It is not safe
+// for concurrent use.
 func (s *Scorer) Extend(p predicate.Predicate, from int, sels []Selection) int {
 	s.mustIncremental()
-	tested := 0
-	nOut := len(s.task.Outliers)
+	if from == 0 {
+		tested := 0
+		nOut := len(s.task.Outliers)
+		for gi := range sels {
+			x := selection{Selection: sels[gi]}
+			tested += s.fold(s.group(gi, nOut), p, 0, &x)
+			sels[gi] = x.Selection
+		}
+		return tested
+	}
+	w := s.window(from)
+	n := s.tab.NumRows()
+	for i := range w.masks {
+		lo := from + 64*i
+		w.masks[i] = p.MatchMask(s.tab, lo, min(64, n-lo))
+	}
+	s.calls.Add(int64(len(sels)))
 	for gi := range sels {
-		g := s.group(gi, nOut)
 		x := selection{Selection: sels[gi]}
-		tested += s.fold(g, p, from, &x)
+		for i, b := range w.bits[gi*len(w.masks) : (gi+1)*len(w.masks)] {
+			if m := w.masks[i] & b; m != 0 {
+				x.take(s.aggVals, from+64*i, 64, m, s.mode)
+			}
+		}
 		sels[gi] = x.Selection
 	}
-	return tested
+	return w.rows
+}
+
+// window is Extend's view of the rows at or after from: per 64-row word of
+// [from, n), each group's rows in it (bits, group-major, outliers then
+// hold-outs) and the last predicate's mask.
+type window struct {
+	from        int
+	bits, masks []uint64
+	rows        int // the groups' rows in the window
+}
+
+// window returns the scorer's window from row from, building it when the
+// last one started elsewhere.
+func (s *Scorer) window(from int) *window {
+	if s.win != nil && s.win.from == from {
+		return s.win
+	}
+	words := (s.tab.NumRows() - from + 63) / 64
+	w := &window{from: from, bits: make([]uint64, len(s.sizes)*words), masks: make([]uint64, words)}
+	nOut := len(s.task.Outliers)
+	for gi := range s.sizes {
+		bits := w.bits[gi*words : (gi+1)*words]
+		s.group(gi, nOut).Rows.ForEachRunFrom(from, func(lo, hi int) {
+			w.rows += hi - lo
+			for r := lo - from; r < hi-from; r++ {
+				bits[r>>6] |= 1 << (r & 63)
+			}
+		})
+	}
+	s.win = w
+	return w
 }
 
 // Score returns Parts' two components from one selection per group, laid
@@ -752,6 +808,21 @@ func (s *Scorer) tupleInfluence(g Group, orig float64, state aggregate.State, r 
 		}
 	})
 	return finite(orig - s.task.Agg.Compute(rest))
+}
+
+// Powers is an n^c table for one c, which the scorers at that c share.
+type Powers struct{ tab []atomic.Uint64 }
+
+// SharePowers makes pw, which a scorer at the same c filled, the scorer's
+// n^c table and returns it: a Session keeps one per pool, a pool being per
+// c. When pw is nil or too short for the scorer's largest group, a new one
+// takes its place, with room for the groups to grow by a quarter.
+func (s *Scorer) SharePowers(pw *Powers) *Powers {
+	if n := min(slices.Max(s.sizes), maxPowTable); pw == nil || len(pw.tab) <= n {
+		pw = &Powers{make([]atomic.Uint64, min(n+n/4, maxPowTable)+1)}
+	}
+	s.pow = pw.tab
+	return pw
 }
 
 // SetC updates the task's c knob in place and clears the n^c table scale

@@ -329,3 +329,47 @@ func TestScalePowTable(t *testing.T) {
 	}
 	check(0)
 }
+
+// TestSharePowersOutgrown: scorers at one c share the n^c table SharePowers
+// hands them while it covers their largest group, with room for the groups
+// to grow by a quarter, and get a longer one when a group outgrows it; a
+// shared table holds math.Pow's bits whichever scorer filled an entry.
+func TestSharePowersOutgrown(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	tbl := kernelTable(rng, false)
+	n := tbl.NumRows()
+	scorer := func(size int) *Scorer {
+		t.Helper()
+		rows := make([]int, size)
+		for r := range rows {
+			rows[r] = r
+		}
+		s, err := NewScorer(&Task{Table: tbl, Agg: aggregate.Sum{}, AggCol: 3, Lambda: 0.5, C: 0.3,
+			Outliers: []Group{{Key: "o", Rows: encode(t, n, rows, "runs"), Direction: TooHigh}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a, b, c := scorer(100), scorer(125), scorer(250)
+	pw := a.SharePowers(nil)
+	if len(pw.tab) != 126 {
+		t.Fatalf("a table for groups of 100 has %d entries, want 126", len(pw.tab))
+	}
+	a.scale(1, 99)
+	if b.SharePowers(pw) != pw {
+		t.Fatal("a group of 125 did not share a table of 126 entries")
+	}
+	if got := math.Float64frombits(b.pow[99].Load()); !sameBits(got, math.Pow(99, 0.3)) {
+		t.Fatalf("the shared table holds %v for n=99, want %v", got, math.Pow(99, 0.3))
+	}
+	if longer := c.SharePowers(pw); longer == pw || len(longer.tab) != 313 {
+		t.Fatalf("a group of 250 got a table of %d entries (the old one: %v), want a new one of 313", len(longer.tab), longer == pw)
+	}
+	for _, k := range []int{1, 99, 250} {
+		if got, want := c.scale(2, k), 2/math.Pow(float64(k), 0.3); !sameBits(got, want) {
+			t.Fatalf("scale(2, %d) = %v, want %v", k, got, want)
+		}
+	}
+}

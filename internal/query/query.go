@@ -186,29 +186,69 @@ func (q *AggregateQuery) AggValues(rows *relation.RowSet) []float64 {
 	return out
 }
 
+// Cells reads rows' raw group-by cells, the identity Run groups rows by: a
+// discrete cell's code, a continuous cell's Float64bits with every NaN made
+// one. Those map one to one onto the rendered keys (a dictionary code onto
+// its string, a float's bits onto its shortest 'g' form, −0 apart from +0,
+// every NaN onto "NaN"), so grouping by cells forms the rendered keys'
+// groups and renders each key once, for the row that opens its group. An
+// append keeps every code's meaning, so cells read from one snapshot name
+// the same groups in every later snapshot of its append chain.
+type Cells struct {
+	t      *relation.Table
+	cols   []int
+	floats [][]float64
+	codes  [][]int32
+}
+
+// Cells binds the query's group-by columns to t: the query's own data, or
+// a snapshot of its append chain.
+func (q *AggregateQuery) Cells(t *relation.Table) *Cells {
+	c := &Cells{t: t, cols: q.GroupBy, floats: make([][]float64, len(q.GroupBy)), codes: make([][]int32, len(q.GroupBy))}
+	for i, col := range q.GroupBy {
+		if t.Schema().Column(col).Kind == relation.Continuous {
+			c.floats[i] = t.Floats(col)
+		} else {
+			c.codes[i] = t.Codes(col)
+		}
+	}
+	return c
+}
+
+// Append appends row r's cells to dst.
+func (c *Cells) Append(dst []byte, r int) []byte {
+	for i, f := range c.floats {
+		if f == nil {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(c.codes[i][r]))
+			continue
+		}
+		v := f[r]
+		if v != v {
+			v = math.NaN()
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// Open returns the result row of the group row r opens: its rendered key,
+// its key values and an empty provenance set over n rows.
+func (c *Cells) Open(r, n int) ResultRow {
+	vals := make([]relation.Value, len(c.cols))
+	for i, col := range c.cols {
+		vals[i] = c.t.Value(col, r)
+	}
+	return ResultRow{Key: GroupKey(vals), KeyValues: vals, Group: relation.NewRowSet(n)}
+}
+
 // Run executes the query, producing one ResultRow per group with full
 // provenance. Rows are ordered by their key values (numeric-aware per
 // component). Row ids (and the provenance RowSets) are local to the
-// query's relation.
-//
-// A row finds its group by its raw group-by cells: a discrete cell's code,
-// a continuous cell's Float64bits with every NaN made one. Those map one to
-// one onto the rendered keys (a dictionary code onto its string, a float's
-// bits onto its shortest 'g' form, −0 apart from +0, every NaN onto
-// "NaN"), so the groups are the rendered keys' groups, and GroupKey renders
-// each key once, for the row that opens its group.
+// query's relation. A row finds its group by its Cells.
 func (q *AggregateQuery) Run() (*Result, error) {
 	t := q.Table.Data()
 	n := t.NumRows()
-	floats := make([][]float64, len(q.GroupBy))
-	codes := make([][]int32, len(q.GroupBy))
-	for i, col := range q.GroupBy {
-		if t.Schema().Column(col).Kind == relation.Continuous {
-			floats[i] = t.Floats(col)
-		} else {
-			codes[i] = t.Codes(col)
-		}
-	}
+	cr := q.Cells(t)
 	// Group provenance is built by one ascending row scan, so each set sees
 	// in-order appends: on tables clustered by the group-by key (the common
 	// time-series layout) the RowSets settle into the run encoding — a few
@@ -223,28 +263,13 @@ func (q *AggregateQuery) Run() (*Result, error) {
 		if q.Where != nil && !q.Where(r) {
 			continue
 		}
-		cells = cells[:0]
-		for i := range q.GroupBy {
-			if floats[i] == nil {
-				cells = binary.LittleEndian.AppendUint32(cells, uint32(codes[i][r]))
-				continue
-			}
-			v := floats[i][r]
-			if v != v {
-				v = math.NaN()
-			}
-			cells = binary.LittleEndian.AppendUint64(cells, math.Float64bits(v))
-		}
+		cells = cr.Append(cells[:0], r)
 		if g < 0 || !bytes.Equal(cells, prev) {
 			var ok bool
 			if g, ok = index[string(cells)]; !ok {
 				g = len(rows)
 				index[string(cells)] = g
-				vals := make([]relation.Value, len(q.GroupBy))
-				for i, col := range q.GroupBy {
-					vals[i] = t.Value(col, r)
-				}
-				rows = append(rows, ResultRow{Key: GroupKey(vals), KeyValues: vals, Group: relation.NewRowSet(n)})
+				rows = append(rows, cr.Open(r, n))
 			}
 			cells, prev = prev, cells
 		}

@@ -3,22 +3,24 @@
 // streaming-ingestion counterpart of §5.1's decomposable aggregates.
 //
 // A Tracker follows one (table lineage, query) pair. It keeps, per output
-// group, the provenance RowSet and the aggregate's Removable state, with
-// the groups in the query's canonical key order; when the table grows by
-// an append batch, Advance runs the query's parsed statement over ONLY the
-// tail window (the rows the batch added, modeled as a relation.View),
-// grows every group's provenance over the new rows with RowSet.Grow, and
-// folds the tail's states into the existing ones with Removable.Update.
+// group, the provenance RowSet and the aggregate's Removable state, in the
+// query's canonical key order, and finds a group by its raw group-by cells
+// (query.Cells, the identity query.Run groups by). When the table grows by
+// an append batch, Advance routes each qualifying tail row to its group by
+// its cells, folds each touched group's tail rows, in ascending order, into
+// a tail state merged with Removable.Update, and grows the group's
+// provenance with RowSet.Grow. Only a row with new cells renders a key and
+// opens a group, and only then do the groups re-sort; the statement is
+// bound once, and an advance recompiles only its WHERE filter, if any.
 // An advance costs its batch and the groups, never the table or its
 // history: a run-encoded group (the encoding a grouped scan settles into)
 // grows by appending the batch's runs into its run array, shared with the
 // set it grew from, so an untouched group copies nothing and a touched one
 // copies only when its array is full (amortized O(1) per run) or the batch
 // extends its last run; only a group that degraded to the dense encoding
-// still pays a |D|/64-word copy. New groups are sorted in when they appear,
-// so Result indexes the groups without sorting them. The refreshed states
-// seed influence.NewScorerSeeded, so a warm re-explain skips the cold
-// path's full scan, regroup, and per-group state rebuild.
+// still pays a |D|/64-word copy. The refreshed states seed
+// influence.NewScorerSeeded, so a warm re-explain skips the cold path's
+// full scan, regroup, and per-group state rebuild.
 //
 // The Tracker is deliberately label-agnostic: it maintains ALL groups, and
 // the caller (which knows the request's outlier/hold-out labels and λ)
@@ -28,6 +30,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -50,6 +53,8 @@ type GroupState struct {
 	Rows *relation.RowSet
 	// State is the aggregate's Removable state over Rows.
 	State aggregate.State
+	// tail collects the group's rows of the batch Advance is folding.
+	tail *relation.RowSet
 }
 
 // Value recovers the group's aggregate result from its state.
@@ -76,7 +81,8 @@ type Tracker struct {
 	q      *query.AggregateQuery // bound against the current table
 	rem    aggregate.Removable
 	groups map[string]*GroupState
-	order  []*GroupState // the groups in canonical key order
+	order  []*GroupState          // the groups in canonical key order
+	index  map[string]*GroupState // the groups by raw cells (query.Cells)
 }
 
 // NewTracker executes the query cold over the table and captures every
@@ -130,8 +136,11 @@ func newTracker(tbl *relation.Table, stmt *sqlparse.SelectStmt, q *query.Aggrega
 		rem:    rem,
 		groups: make(map[string]*GroupState, len(res.Rows)),
 		order:  make([]*GroupState, 0, len(res.Rows)),
+		index:  make(map[string]*GroupState, len(res.Rows)),
 	}
-	// A Result's rows are in canonical key order already.
+	// A Result's rows are in canonical key order already; a group's first
+	// row holds its cells.
+	cells, key := q.Cells(tbl), []byte(nil)
 	for _, row := range res.Rows {
 		g := &GroupState{
 			Key:       row.Key,
@@ -141,6 +150,8 @@ func newTracker(tbl *relation.Table, stmt *sqlparse.SelectStmt, q *query.Aggrega
 		}
 		tr.groups[row.Key] = g
 		tr.order = append(tr.order, g)
+		key = cells.Append(key[:0], row.Group.Min())
+		tr.index[string(key)] = g
 	}
 	return tr, nil
 }
@@ -194,43 +205,54 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 		tr.table = succ
 		return &Delta{}, nil
 	}
-	tail := succ.Tail(tr.rows)
-	// Binding against the tail view compiles the WHERE filter and the
-	// grouping over window-local ids; Run costs O(tail).
-	tq, err := query.FromStmt(tail, tr.stmt)
-	if err != nil {
+	// Only a WHERE filter reads the snapshot's columns and dictionaries.
+	q := *tr.q
+	q.Table = succ
+	var err error
+	if q.Where, err = query.CompileWhere(succ, tr.stmt.Where); err != nil {
 		return nil, err
 	}
-	tres, err := tq.Run()
-	if err != nil {
-		return nil, err
-	}
-	q, err := query.FromStmt(succ, tr.stmt)
-	if err != nil {
-		return nil, err
+	// Collect each touched group's tail rows, ascending, as Run groups rows.
+	cells := q.Cells(succ)
+	var touched []*GroupState
+	var g *GroupState
+	var key, prev []byte
+	for r := tr.rows; r < n; r++ {
+		if q.Where != nil && !q.Where(r) {
+			continue
+		}
+		key = cells.Append(key[:0], r)
+		if g == nil || !bytes.Equal(key, prev) {
+			if g = tr.index[string(key)]; g == nil {
+				row := cells.Open(r, tr.rows)
+				g = &GroupState{Key: row.Key, KeyValues: row.KeyValues, Rows: row.Group}
+				tr.index[string(key)] = g
+			}
+			if g.tail == nil {
+				g.tail = relation.NewRowSet(n - tr.rows)
+				touched = append(touched, g)
+			}
+			key, prev = prev, key
+		}
+		g.tail.Add(r - tr.rows)
 	}
 	// Every group gets a new set, so previously handed-out snapshots (scorer
 	// tasks, query results) keep reading their own frozen state.
 	delta := &Delta{}
-	for _, row := range tres.Rows {
-		local := row.Group
-		delta.TailRows += local.Count()
-		tailState := influence.GroupState(tail, tr.q.AggCol, local)
-		if g, ok := tr.groups[row.Key]; ok {
-			g.Rows = g.Rows.Grow(local)
-			g.State = tr.rem.Update(g.State, tailState)
-			delta.Touched = append(delta.Touched, row.Key)
-		} else {
-			g := &GroupState{
-				Key:       row.Key,
-				KeyValues: row.KeyValues,
-				Rows:      relation.NewRowSet(tr.rows).Grow(local),
-				State:     tailState,
-			}
-			tr.groups[row.Key] = g
+	tail := succ.Tail(tr.rows)
+	for _, g := range touched {
+		delta.TailRows += g.tail.Count()
+		st := influence.GroupState(tail, tr.q.AggCol, g.tail)
+		if !g.Rows.IsEmpty() {
+			g.State = tr.rem.Update(g.State, st)
+			delta.Touched = append(delta.Touched, g.Key)
+		} else { // the batch opened the group
+			g.State = st
+			tr.groups[g.Key] = g
 			tr.order = append(tr.order, g)
-			delta.New = append(delta.New, row.Key)
+			delta.New = append(delta.New, g.Key)
 		}
+		g.Rows, g.tail = g.Rows.Grow(g.tail), nil
 	}
 	none := relation.NewRowSet(n - tr.rows)
 	for _, g := range tr.order {
@@ -245,7 +267,7 @@ func (tr *Tracker) Advance(succ *relation.Table) (*Delta, error) {
 	sort.Strings(delta.New)
 	tr.table = succ
 	tr.rows = n
-	tr.q = q
+	tr.q = &q
 	return delta, nil
 }
 

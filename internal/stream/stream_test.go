@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/scorpiondb/scorpion/internal/influence"
+	"github.com/scorpiondb/scorpion/internal/query"
 	"github.com/scorpiondb/scorpion/internal/relation"
 )
 
@@ -323,4 +325,109 @@ func TestAdvanceCostFlat(t *testing.T) {
 			t.Fatalf("group %q provenance %v != cold %v", k, w.Rows, c.Rows)
 		}
 	}
+}
+
+// TestAdvanceRoutesLikeRun: a tracker that routes each batch's rows by
+// their raw group cells forms the groups query.Run forms on the same
+// snapshot. The table groups by a discrete and a continuous column whose
+// cells include two NaNs with different bits (one group), −0 and +0 (two
+// groups); the batches bring a discrete value new to the dictionary (which
+// also makes the WHERE filter's literal known), open groups, and one has no
+// row the filter keeps. After every advance Result() has Run's keys in
+// Run's order, its provenance, and its values and states to the bit. The
+// aggregated values are small integers, so every partial sum is exact and
+// the states Update merges are the ones a single ascending fold builds.
+func TestAdvanceRoutesLikeRun(t *testing.T) {
+	sch := relation.MustSchema(
+		relation.Column{Name: "d", Kind: relation.Discrete},
+		relation.Column{Name: "x", Kind: relation.Continuous},
+		relation.Column{Name: "a", Kind: relation.Continuous},
+		relation.Column{Name: "v", Kind: relation.Continuous},
+	)
+	xs := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000001), 0, 1.5, 2, -7}
+	negZero := math.Copysign(0, -1)
+	sqls := []string{
+		"SELECT sum(v), d, x FROM t GROUP BY d, x",
+		"SELECT sum(v), d, x FROM t WHERE a < 0.5 OR d = 'q9' GROUP BY d, x",
+		"SELECT count(*), d, x FROM t WHERE a >= 0.25 GROUP BY d, x",
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mk := func(d string, x float64, a float64) relation.Row {
+			return relation.Row{relation.S(d), relation.F(x), relation.F(a), relation.F(float64(rng.Intn(41) - 20))}
+		}
+		random := func(n int, ds []string) []relation.Row {
+			rows := make([]relation.Row, n)
+			for i := range rows {
+				rows[i] = mk(ds[rng.Intn(len(ds))], xs[rng.Intn(len(xs))], rng.Float64())
+			}
+			return rows
+		}
+		old := []string{"p", "q", "10", "2.5"}
+		baseRows := random(200, old)
+		batches := [][]relation.Row{
+			random(20, old),
+			append(random(10, old), mk("q9", 1.5, 0.9), mk("q9", 1.5, 0.1), mk("p", 99, 0.2)), // new code, new groups
+			{mk("p", 0, 0.7), mk("q", 2, 0.6), mk("10", 1.5, 0.99)},                           // no row passes the second filter
+			{mk("p", negZero, 0.1), mk("q9", negZero, 0.3), mk("2.5", math.NaN(), 0.4)},       // −0 beside +0
+			random(50, append(old, "q9")),
+		}
+		for _, sql := range sqls {
+			base := buildTableOf(t, sch, baseRows)
+			tr, err := NewTracker(base, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := relation.AppenderFor(base)
+			for b, batch := range batches {
+				succ, err := app.Append(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tr.Advance(succ); err != nil {
+					t.Fatal(err)
+				}
+				cell := fmt.Sprintf("seed %d, %q, batch %d", seed, sql, b)
+				q, err := query.FromSQL(succ, sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := q.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := tr.Result()
+				if len(got.Rows) != len(want.Rows) {
+					t.Fatalf("%s: %d groups, Run has %d: %v vs %v", cell, len(got.Rows), len(want.Rows), got.Keys(), want.Keys())
+				}
+				for i, w := range want.Rows {
+					g := got.Rows[i]
+					if g.Key != w.Key {
+						t.Fatalf("%s: group %d is %q, Run's is %q", cell, i, g.Key, w.Key)
+					}
+					if !g.Group.Equal(w.Group) {
+						t.Fatalf("%s: group %q rows %v, Run's %v", cell, w.Key, g.Group, w.Group)
+					}
+					if math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+						t.Fatalf("%s: group %q value %v, Run's %v", cell, w.Key, g.Value, w.Value)
+					}
+					st, _ := tr.Group(w.Key)
+					ws := influence.GroupState(succ, q.AggCol, w.Group)
+					if math.Float64bits(st.State.Sum) != math.Float64bits(ws.Sum) ||
+						math.Float64bits(st.State.SumSq) != math.Float64bits(ws.SumSq) || math.Float64bits(st.State.N) != math.Float64bits(ws.N) {
+						t.Fatalf("%s: group %q state %+v, a fold of Run's rows %+v", cell, w.Key, st.State, ws)
+					}
+				}
+			}
+		}
+	}
+}
+
+func buildTableOf(t *testing.T, sch *relation.Schema, rows []relation.Row) *relation.Table {
+	t.Helper()
+	b := relation.NewBuilder(sch)
+	for _, r := range rows {
+		b.MustAppend(r)
+	}
+	return b.Build()
 }

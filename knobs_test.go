@@ -6,6 +6,7 @@ package scorpion
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 		{Pred: holdOutTouching, Score: 0.5, InfluencesHoldOut: false},
 	}
 	scored, _ := rescoreExact(scorer, nil, cands, false)
-	res := present(p, scorer, scored, nil)
+	res := present(p, scorer, scored, nil, nil)
 	if len(res.Explanations) != 2 {
 		t.Fatalf("explanations = %d, want 2", len(res.Explanations))
 	}
@@ -363,5 +364,36 @@ func TestExplainerSessionReusesPartitioning(t *testing.T) {
 	}
 	if warmTop < 0.9*coldTop {
 		t.Errorf("warm top influence %v degraded vs cold %v", warmTop, coldTop)
+	}
+}
+
+// TestRescoreKeptPoolReorders: the exact re-score that keeps a pool's
+// selections sorts a pool that arrives out of order, moving each
+// candidate's selections with it.
+func TestRescoreKeptPoolReorders(t *testing.T) {
+	req := &Request{
+		Table:            sensorsTable(t),
+		SQL:              "SELECT avg(temp), time FROM sensors GROUP BY time",
+		Outliers:         []string{"12PM", "1PM"},
+		AllOthersHoldOut: true,
+		Direction:        TooHigh,
+	}
+	scorer, _, _, err := buildScorer(mustPlan(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tempCol := req.Table.Schema().MustIndex("temp")
+	var cands []partition.Candidate
+	for _, lo := range []float64{34, 60, 80} {
+		cands = append(cands, partition.Candidate{Pred: predicate.MustNew(predicate.NewRangeClause(tempCol, "temp", lo, 200, true))})
+	}
+	scored, sels := rescoreExact(scorer, nil, cands, true)
+	if len(scored) != len(cands) || scored[0].Score <= scored[len(scored)-1].Score {
+		t.Fatalf("scores %v, %v not sorted best first", scored[0].Score, scored[len(scored)-1].Score)
+	}
+	for i, c := range scored {
+		if want := scorer.Select(c.Pred, nil); !reflect.DeepEqual(sels[i], want) {
+			t.Fatalf("candidate %d keeps selections %v, its own are %v", i, sels[i], want)
+		}
 	}
 }

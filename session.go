@@ -92,9 +92,13 @@ type prepared struct {
 // keeps, per candidate, one influence.Selection per labelled group: sels[i]
 // belongs to cands[i] and follows the group order of keys. absorbed is the
 // row count the selections cover; a refresh folds only the rows after it.
+// Such a pool also keeps each candidate's WHERE string once a refresh
+// showed it (where[i], "" before) and the n^c table its refreshes share.
 type pool struct {
 	cands    []partition.Candidate
 	sels     [][]influence.Selection
+	where    []string
+	pow      *influence.Powers
 	keys     []string
 	absorbed int
 	gen      int64
@@ -351,7 +355,7 @@ func (s *Session) run(ctx context.Context, p *Plan, gen int64) (*Result, error) 
 	scored, sels := rescoreExact(pr.scorer, lat, outcome.Candidates, refreshable)
 	rescore.End()
 	_, presentSpan := obs.StartSpan(rankCtx, "present")
-	res := present(p, pr.scorer, scored, pr.qres)
+	res := present(p, pr.scorer, scored, nil, pr.qres)
 	presentSpan.End()
 	if !session {
 		rankSpan.SetAttr("candidates", len(scored))
@@ -422,6 +426,7 @@ func (s *Session) keep(p *Plan, gen int64, pr *prepared, session bool, searcher 
 			task := pr.scorer.Task()
 			pl.keys = append(groupKeys(task.Outliers), groupKeys(task.HoldOuts)...)
 			pl.absorbed = pl.rows
+			pl.where = make([]string, len(pl.cands))
 		}
 		s.store(p.c, pl)
 	}
@@ -513,7 +518,12 @@ func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*R
 	r := &pl.req
 	tbl := r.Table
 	_, advance := obs.StartSpan(ctx, "advance")
-	_, err := s.tracker.Advance(tbl)
+	delta, err := s.tracker.Advance(tbl)
+	if err == nil {
+		advance.SetAttr("tail_rows", delta.TailRows)
+		advance.SetAttr("touched", len(delta.Touched))
+		advance.SetAttr("new_groups", len(delta.New))
+	}
 	advance.End()
 	if err != nil {
 		// An advance that failed structurally may have been a half-applied
@@ -545,7 +555,9 @@ func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*R
 		outMean, holdPen, matched := scorer.ScoreMatched(p.sels[i])
 		setScore(&p.cands[i], lambda, outMean, holdPen, matched)
 	}
-	ranked{p.cands, p.sels}.sort()
+	ranked{p.cands, p.sels, p.where}.sort()
+	rescore.SetAttr("candidates", len(p.cands))
+	rescore.SetAttr("rows_tested", tested)
 	rescore.End()
 	obs.RegistryFrom(ctx).Counter("scorpion_refresh_rows_scanned_total").Add(float64(tested))
 	s.refreshedFrom = p.gen
@@ -553,7 +565,7 @@ func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*R
 	p.absorbed, p.gen = tbl.NumRows(), gen
 
 	_, presentSpan := obs.StartSpan(ctx, "present")
-	res := present(pl, scorer, p.cands, qres)
+	res := present(pl, scorer, p.cands, p.where, qres)
 	presentSpan.End()
 	res.Stats.Algorithm = p.algo
 	res.Stats.Duration = time.Since(start)
@@ -607,6 +619,7 @@ func (s *Session) seed(pl *Plan, p *pool) (*influence.Scorer, *query.Result) {
 		s.fallback = "new_group" // a labelled group the selections never covered
 		return nil, nil
 	}
+	p.pow = scorer.SharePowers(p.pow)
 	return scorer, qres
 }
 

@@ -209,7 +209,7 @@ func refreshMatchesFullRescan(t *testing.T, sess *Session, r *Request, gen int64
 			}
 		}
 	}
-	wantRes := present(plan, ref, want, qres)
+	wantRes := present(plan, ref, want, nil, qres)
 	if len(got.Explanations) != len(wantRes.Explanations) {
 		t.Fatalf("explanations: tail refresh %d, full rescan %d", len(got.Explanations), len(wantRes.Explanations))
 	}
@@ -437,5 +437,80 @@ func TestSessionPoolAlignsSelectionsByKey(t *testing.T) {
 	}
 	if strings.Join(p.keys, ",") != "hold2,out,hold1" {
 		t.Fatalf("aligned keys %v", p.keys)
+	}
+}
+
+// TestSessionRefreshPowersPerC: a session holding pools at c = 0.2, 0.35
+// and 0 refreshes each in turn, with an append before every refresh, and
+// every explanation it serves carries the bits the cold one-shot path's
+// scorer gives its predicate on the same snapshot. Each pool's refreshes
+// share one n^c table; a table that leaked to another c would move these
+// bits. The aggregated values are whole numbers, so a group state the
+// tracker merged from batches has the bits of the cold scorer's single
+// fold.
+func TestSessionRefreshPowersPerC(t *testing.T) {
+	base, batches, outliers, _, dims := tailFixture(t, 6)
+	vcol, _ := base.Schema().Index("v")
+	whole := func(rows []Row) []Row {
+		out := make([]Row, len(rows))
+		for i, row := range rows {
+			out[i] = append(Row(nil), row...)
+			out[i][vcol] = F(math.Round(row[vcol].Float()))
+		}
+		return out
+	}
+	var baseRows []Row
+	for r := 0; r < base.NumRows(); r++ {
+		baseRows = append(baseRows, base.Row(r))
+	}
+	tbl := buildFrom(t, base.Schema(), whole(baseRows))
+	req := &Request{
+		Table: tbl, SQL: "SELECT sum(v), g FROM synth GROUP BY g", Outliers: outliers,
+		AllOthersHoldOut: true, Attributes: dims, Algorithm: MC,
+	}
+	at := func(tbl *Table, c float64) *Request {
+		r := *req
+		r.Table = tbl
+		r.SetC(c)
+		return &r
+	}
+	cs := []float64{0.2, 0.35, 0}
+	sess := NewSession(req)
+	for _, c := range cs {
+		if _, err := sess.Explain(context.Background(), at(tbl, c), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app := AppenderFor(tbl)
+	for b, batch := range batches {
+		succ, err := app.Append(whole(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cs[b%len(cs)]
+		r := at(succ, c)
+		res, err := sess.Explain(context.Background(), r, int64(b+2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stats.Refreshed {
+			t.Fatalf("batch %d at c=%v did not refresh: %s", b, c, sess.FallbackReason())
+		}
+		plan, err := r.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, _, _, err := buildScorer(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Explanations) == 0 {
+			t.Fatalf("batch %d at c=%v: no explanation", b, c)
+		}
+		for _, e := range res.Explanations {
+			if want := cold.Influence(e.Predicate); math.Float64bits(e.Influence) != math.Float64bits(want) {
+				t.Fatalf("batch %d at c=%v: %s scores %v warm, %v cold", b, c, e.Where, e.Influence, want)
+			}
+		}
 	}
 }

@@ -206,3 +206,54 @@ func TestExplainSpanTreeSession(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshSpanAttrs: a warm refresh's trace says what the batch cost.
+// The advance span carries the batch's tail rows, the groups it touched and
+// those it opened; the rescore span the pool's candidates and the rows it
+// tested, each appended row once per candidate when every group is
+// labelled.
+func TestRefreshSpanAttrs(t *testing.T) {
+	base, batches, outliers, _, dims := tailFixture(t, 2)
+	req := &Request{
+		Table: base, SQL: "SELECT sum(v), g FROM synth GROUP BY g", Outliers: outliers,
+		AllOthersHoldOut: true, Attributes: dims, Algorithm: MC,
+	}
+	sess := NewSession(req)
+	if _, err := sess.Explain(context.Background(), req, 1); err != nil {
+		t.Fatal(err)
+	}
+	succ, err := AppenderFor(base).Append(batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]bool{}
+	for _, row := range batches[0] {
+		groups[row[0].String()] = true
+	}
+	root := obs.NewSpan("explain")
+	r := *req
+	r.Table = succ
+	res, err := sess.Explain(obs.ContextWithSpan(context.Background(), root), &r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	node := root.Snapshot()
+	refresh := node.Find("refresh")
+	if res.Stats.Candidates == 0 || !res.Stats.Refreshed || refresh == nil || refresh.Find("advance") == nil || refresh.Find("rescore") == nil {
+		var buf bytes.Buffer
+		root.WriteTree(&buf)
+		t.Fatalf("refreshed %v; trace:\n%s", res.Stats.Refreshed, buf.String())
+	}
+	for span, want := range map[string]map[string]int{
+		"advance": {"tail_rows": len(batches[0]), "touched": len(groups), "new_groups": 0},
+		"rescore": {"candidates": res.Stats.Candidates, "rows_tested": res.Stats.Candidates * len(batches[0])},
+	} {
+		attrs := refresh.Find(span).Attrs
+		for k, v := range want {
+			if attrs[k] != v {
+				t.Errorf("%s span: %s = %v, want %d (attrs %v)", span, k, attrs[k], v, attrs)
+			}
+		}
+	}
+}

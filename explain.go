@@ -474,6 +474,7 @@ func bindTask(p *Plan, agg aggregate.Func, aggCol int, qres *query.Result) (*inf
 		Lambda: p.lambda,
 		C:      p.c,
 	}
+	task.Outliers = make([]influence.Group, 0, len(req.Outliers))
 	flagged := make(map[string]bool, len(req.Outliers))
 	for _, key := range req.Outliers {
 		row, ok := qres.Lookup(key)
@@ -485,12 +486,14 @@ func bindTask(p *Plan, agg aggregate.Func, aggCol int, qres *query.Result) (*inf
 	}
 	holdKeys := req.HoldOuts
 	if len(holdKeys) == 0 && req.AllOthersHoldOut {
-		for _, key := range qres.Keys() {
-			if !flagged[key] {
-				holdKeys = append(holdKeys, key)
+		holdKeys = make([]string, 0, len(qres.Rows)-len(flagged))
+		for _, row := range qres.Rows {
+			if !flagged[row.Key] {
+				holdKeys = append(holdKeys, row.Key)
 			}
 		}
 	}
+	task.HoldOuts = make([]influence.Group, 0, len(holdKeys))
 	for _, key := range holdKeys {
 		if flagged[key] {
 			return nil, fmt.Errorf("scorpion: group %q is both outlier and hold-out", key)

@@ -178,11 +178,11 @@ type Scorer struct {
 	// sels is the selection memo; nil unless MemoizeSelections turned it on.
 	sels *selectionMemo
 	// pow[n] holds the Float64bits of n^c for the current c, 0 until scale
-	// first needs it; SetC sizes and clears it (nil before the first
-	// SetC). A c sweep's warm run scores memoized selections, and math.Pow
-	// would be most of it. A looked-up power has the bits of a computed one,
-	// and workers that race to compute one store the same bits.
-	// SharePowers hands a seeded scorer its pool's table.
+	// first needs it; SetC and NewLayout size it, and SetC clears it. A c
+	// sweep's warm run and a grid search would spend most of their time in
+	// math.Pow. A looked-up power has the bits of a computed one, and
+	// workers that race to compute one store the same bits. SharePowers
+	// hands a seeded scorer its pool's table.
 	pow []atomic.Uint64
 	// win is Extend's window from its last non-zero row.
 	win *window
@@ -511,6 +511,21 @@ func (x *selection) take(vals []float64, base, n int, m uint64, mode foldMode) {
 	}
 }
 
+// takeMask folds a group of n tuples into the selection from its position
+// bitset: bit i of mask (⌈n/64⌉ words) is the group's i-th row, whose value
+// is vals[i] (nil vals: count(*)'s ones). It is take over each word, lowest
+// first, so the fold is in ascending row order.
+func (x *selection) takeMask(vals []float64, n int, mask []uint64, mode foldMode) {
+	if mode == foldRest {
+		x.rest = make([]float64, 0, n)
+	}
+	for w, m := range mask {
+		if m != 0 || mode == foldRest {
+			x.take(vals, w<<6, min(64, n-w<<6), m, mode)
+		}
+	}
+}
+
 // finish computes Δagg for one group of total tuples from its selection.
 func (s *Scorer) finish(orig float64, state aggregate.State, x *selection, total int) float64 {
 	if x.matched == 0 {
@@ -603,12 +618,10 @@ func (s *Scorer) HoldOutInfluence(i int, p predicate.Predicate) float64 {
 	return s.scale(d, n)
 }
 
-// Influence computes the full objective inf(O, H, p, V): λ times Parts'
-// mean outlier influence minus (1−λ) times its hold-out penalty. It folds p
-// over every group on each call.
+// Influence computes the full objective inf(O, H, p, V) from Parts' two
+// components. It folds p over every group on each call.
 func (s *Scorer) Influence(p predicate.Predicate) float64 {
-	outPart, worstHold := s.Parts(p)
-	return s.task.Lambda*outPart - (1-s.task.Lambda)*worstHold
+	return s.combine(s.Parts(p))
 }
 
 // Parts returns the two components of the objective: the mean outlier
@@ -625,10 +638,13 @@ func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
 // keeps disjoint. The exact re-score reads it so that ranking needs no
 // second pass over g_O.
 func (s *Scorer) PartsMatched(p predicate.Predicate) (outMean, holdPenalty float64, matched int) {
-	return s.objective(func(g Group, _ int) (x selection, total int) {
-		total = s.fold(g, p, 0, &x)
-		return x, total
-	})
+	nOut := len(s.task.Outliers)
+	_, outMean, holdPenalty, matched, _, _ = s.objective(func(gi int) (float64, int) {
+		var x selection
+		total := s.fold(s.group(gi, nOut), p, 0, &x)
+		return s.term(gi, &x, total), x.matched
+	}, math.Inf(-1), false)
+	return outMean, holdPenalty, matched
 }
 
 // Select folds p over every group of the task from its first row — the
@@ -723,44 +739,65 @@ func (s *Scorer) Score(sels []Selection) (outMean, holdPenalty float64) {
 
 // ScoreMatched is Score plus |p(g_O)|, as PartsMatched counts it.
 func (s *Scorer) ScoreMatched(sels []Selection) (outMean, holdPenalty float64, matched int) {
-	return s.objective(func(_ Group, gi int) (selection, int) {
-		return selection{Selection: sels[gi]}, s.sizes[gi]
-	})
-}
-
-// objective is the one formula behind Parts and Score: gather returns each
-// group's selection and |g| — the outliers first, then the hold-outs, gi
-// counting across both — and objective combines them into the mean outlier
-// influence and the hold-out penalty, and sums the outlier groups' matches.
-// Selections travel by value: a pointer handed to a func value would move
-// every one of them to the heap.
-func (s *Scorer) objective(gather func(g Group, gi int) (selection, int)) (outMean, holdPenalty float64, matched int) {
-	nOut := len(s.task.Outliers)
-	for i, g := range s.task.Outliers {
-		x, total := gather(g, i)
-		matched += x.matched
-		outMean += s.outlierTerm(i, &x, total)
-	}
-	outMean /= float64(nOut)
-	for i, g := range s.task.HoldOuts {
-		x, total := gather(g, nOut+i)
-		if h := s.holdOutTerm(i, &x, total); h > holdPenalty {
-			holdPenalty = h
-		}
-	}
+	_, outMean, holdPenalty, matched, _, _ = s.objective(func(gi int) (float64, int) {
+		x := selection{Selection: sels[gi]}
+		return s.term(gi, &x, s.sizes[gi]), x.matched
+	}, math.Inf(-1), false)
 	return outMean, holdPenalty, matched
 }
 
-// outlierTerm is inf(o_i, p, v_i) from outlier i's selection x of its total
-// tuples: objective's summand.
-func (s *Scorer) outlierTerm(i int, x *selection, total int) float64 {
-	return s.scale(s.finish(s.outOrig[i], s.outState[i], x, total), x.matched) * float64(s.task.Outliers[i].Direction)
+// combine is the objective from its two components: λ·outMean −
+// (1−λ)·holdPenalty.
+func (s *Scorer) combine(outMean, holdPenalty float64) float64 {
+	return s.task.Lambda*outMean - (1-s.task.Lambda)*holdPenalty
 }
 
-// holdOutTerm is |inf(h_i, p)| from hold-out i's selection x of its total
-// tuples: the penalty objective takes the largest of.
-func (s *Scorer) holdOutTerm(i int, x *selection, total int) float64 {
-	return math.Abs(s.scale(s.finish(s.holdOrig[i], s.holdState[i], x, total), x.matched))
+// objective is the one combination rule of every scoring path: gather
+// folds group gi, outliers first, and returns its term (term of its
+// selection) and matched count. It folds every outlier, then the hold-outs
+// in order, and before each hold-out stops once the score so far declines
+// against floor. The penalty is never negative and only grows, and IEEE
+// subtraction is monotone, so a score so far bounds the whole from above;
+// an undeclined score (ok) has the whole's bits. Strict, only a score above
+// floor passes (NaN passes nothing, nothing passes a NaN floor); else only
+// one below it declines (NaN never does), so −Inf declines nothing. folded
+// counts the groups folded; matched sums the outliers' matches. It counts
+// no call. A gather keeps its selection on its own stack: one handed to a
+// func value by pointer would move to the heap, and one returned by value
+// costs a copy per group.
+func (s *Scorer) objective(gather func(gi int) (term float64, matched int), floor float64, strict bool) (score, outMean, holdPen float64, matched, folded int, ok bool) {
+	nOut := len(s.task.Outliers)
+	for gi := range nOut {
+		t, m := gather(gi)
+		matched += m
+		outMean += t
+	}
+	outMean /= float64(nOut)
+	for folded = nOut; ; folded++ {
+		score = s.combine(outMean, holdPen)
+		if strict {
+			ok = score > floor
+		} else {
+			ok = !(score < floor)
+		}
+		if !ok || folded == len(s.sizes) {
+			return score, outMean, holdPen, matched, folded, ok
+		}
+		if h, _ := gather(folded); h > holdPen {
+			holdPen = h
+		}
+	}
+}
+
+// term is group gi's summand of the objective, counting the outliers first,
+// from its selection x of its total tuples: inf(o, p, v_o) for an outlier,
+// and for a hold-out |inf(h, p)|, which the penalty takes the largest of.
+func (s *Scorer) term(gi int, x *selection, total int) float64 {
+	if nOut := len(s.task.Outliers); gi >= nOut {
+		gi -= nOut
+		return math.Abs(s.scale(s.finish(s.holdOrig[gi], s.holdState[gi], x, total), x.matched))
+	}
+	return s.scale(s.finish(s.outOrig[gi], s.outState[gi], x, total), x.matched) * float64(s.task.Outliers[gi].Direction)
 }
 
 // group returns group gi, counting the outliers first and then the
@@ -819,7 +856,7 @@ type Powers struct{ tab []atomic.Uint64 }
 // takes its place, with room for the groups to grow by a quarter.
 func (s *Scorer) SharePowers(pw *Powers) *Powers {
 	if n := min(slices.Max(s.sizes), maxPowTable); pw == nil || len(pw.tab) <= n {
-		pw = &Powers{make([]atomic.Uint64, min(n+n/4, maxPowTable)+1)}
+		pw = &Powers{powerTable(n + n/4)}
 	}
 	s.pow = pw.tab
 	return pw
@@ -840,8 +877,17 @@ func (s *Scorer) SetC(c float64) error {
 	}
 	s.task.C = c
 	if s.pow == nil {
-		s.pow = make([]atomic.Uint64, min(slices.Max(s.sizes), maxPowTable)+1)
+		s.pow = powerTable(slices.Max(s.sizes))
 	}
 	clear(s.pow)
 	return nil
+}
+
+// maxPowTable bounds an n^c table (32 KiB) whatever the group sizes.
+const maxPowTable = 4096
+
+// powerTable is an empty n^c table for selections of up to n tuples, at
+// most maxPowTable: min(n, maxPowTable) + 1 entries.
+func powerTable(n int) []atomic.Uint64 {
+	return make([]atomic.Uint64, min(n, maxPowTable)+1)
 }

@@ -380,8 +380,9 @@ func checkKernel(t *testing.T, name string, task *Task, preds []predicate.Predic
 }
 
 // TestLayoutMatchesScorer checks the position-mask entry point against the
-// predicate one: a conjunction scored as the AND of its clauses' masks has
-// the bits of Scorer.Influence, and costs the same number of calls.
+// predicate one: a conjunction scored through Layout.Score as the AND of
+// its clauses' masks, against a floor of −Inf, has the bits of
+// Scorer.Influence, folds every group and counts no call.
 func TestLayoutMatchesScorer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tbl := kernelTable(rng, true)
@@ -417,9 +418,9 @@ func TestLayoutMatchesScorer(t *testing.T) {
 				}
 			}
 			before := s.Calls()
-			got := l.Influence(masks)
-			if n := s.Calls() - before; n != int64(len(groups)) {
-				t.Fatalf("layout scoring counted %d calls, want %d", n, len(groups))
+			got := layoutInfluence(t, l, masks)
+			if n := s.Calls() - before; n != 0 {
+				t.Fatalf("layout scoring counted %d calls, want none", n)
 			}
 			if want := s.Influence(p); !sameBits(got, want) {
 				t.Fatalf("agg=%s: layout influence of %v = %v, scorer %v", aggName, p, got, want)
@@ -428,15 +429,20 @@ func TestLayoutMatchesScorer(t *testing.T) {
 	}
 }
 
-// TestLayoutGateMatchesInfluence holds the gated entry point — Bound, then
-// HoldOut only when Bound is not below the floor, as NAIVE calls them — to
-// Layout.Influence on random masks: a returned score has Influence's bits,
-// and a declined predicate scores below the floor. A NaN never gates, as
-// the floor or as the bound (the nasty table's NaN values under SUM make
-// NaN bounds). The one declined predicate that does not score below the
-// floor scores NaN, which ranks below every floor: at λ = 1 an infinite
-// hold-out penalty (an Inf value under SUM, whole group deleted) turns the
-// objective's 0·Inf into NaN.
+// TestLayoutGateMatchesInfluence holds Layout.Score against a floor, as
+// NAIVE calls it, to its score against −Inf on random masks: a returned
+// score has those bits, and a declined predicate scores below the floor.
+// The outlier bound, the score of the outlier groups alone (their masks
+// with every hold-out's emptied), is never below the whole score, and a
+// predicate is declined on its outlier groups, folding no hold-out and
+// never asking for the hold-out masks, exactly when that bound is below the
+// floor. The hold-out masks, handed over lazily, are asked for at most
+// once, and the lazy call returns what the call with every mask filled
+// returns. A NaN never gates, as the floor or as the bound (the nasty
+// table's NaN values under SUM make NaN bounds). The one declined predicate
+// that does not score below the floor scores NaN, which ranks below every
+// floor: at λ = 1 an infinite hold-out penalty (an Inf value under SUM,
+// whole group deleted) turns the objective's 0·Inf into NaN.
 func TestLayoutGateMatchesInfluence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tbl := kernelTable(rng, true)
@@ -448,6 +454,7 @@ func TestLayoutGateMatchesInfluence(t *testing.T) {
 		}
 		groups = append(groups, Group{Key: fmt.Sprint(i), Rows: rows, Direction: Direction(1 - 2*(i%2))})
 	}
+	const nOut = 2
 	randomMasks := func(l *Layout) [][]uint64 {
 		masks := make([][]uint64, l.Groups())
 		for g := range masks {
@@ -462,11 +469,19 @@ func TestLayoutGateMatchesInfluence(t *testing.T) {
 		}
 		return masks
 	}
+	// withHoldOuts copies masks with every hold-out's mask set to fill(g).
+	withHoldOuts := func(masks [][]uint64, fill func(g int) []uint64) [][]uint64 {
+		out := append([][]uint64(nil), masks...)
+		for g := nOut; g < len(out); g++ {
+			out[g] = fill(g)
+		}
+		return out
+	}
 	nanBounds, declined, early := 0, 0, 0
 	for _, aggName := range []string{"sum", "avg", "stddev", "median"} {
 		for _, lambda := range []float64{0, 0.5, 1} {
 			agg, _ := aggregate.ByName(aggName)
-			task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:2], HoldOuts: groups[2:], Lambda: lambda, C: 0.2}
+			task := &Task{Table: tbl, Agg: agg, AggCol: 3, Outliers: groups[:nOut], HoldOuts: groups[nOut:], Lambda: lambda, C: 0.2}
 			s, err := NewScorer(task)
 			if err != nil {
 				t.Fatal(err)
@@ -474,8 +489,8 @@ func TestLayoutGateMatchesInfluence(t *testing.T) {
 			l := s.NewLayout()
 			for trial := 0; trial < 60; trial++ {
 				masks := randomMasks(l)
-				want := l.Influence(masks)
-				bound := l.Bound(masks)
+				want := layoutInfluence(t, l, masks)
+				bound := layoutInfluence(t, l, withHoldOuts(masks, func(g int) []uint64 { return make([]uint64, l.Words(g)) }))
 				if math.IsNaN(bound) {
 					nanBounds++
 				} else if bound < want {
@@ -485,18 +500,31 @@ func TestLayoutGateMatchesInfluence(t *testing.T) {
 					math.Nextafter(want, math.Inf(1)), math.Nextafter(want, math.Inf(-1)), rng.NormFloat64() * 50} {
 					name := fmt.Sprintf("agg=%s λ=%v floor=%v", aggName, lambda, floor)
 					before := s.Calls()
-					score, folded, ok := 0.0, 0, false
-					if !(bound < floor) {
-						score, folded, ok = l.HoldOut(bound, floor, masks)
-					}
-					// HoldOut alone gates on the bound too.
-					if alone, _, aloneOK := l.HoldOut(bound, floor, masks); aloneOK != ok || ok && !sameBits(alone, score) {
-						t.Fatalf("%s: HoldOut alone gives %v, %v; gated %v, %v", name, alone, aloneOK, score, ok)
+					// The lazy masks start as every row of each hold-out, so a
+					// hold-out folded before it is asked for scores wrong.
+					lazy := withHoldOuts(masks, func(g int) []uint64 {
+						all := make([]uint64, l.Words(g))
+						for i := 0; i < groups[g].Rows.Count(); i++ {
+							all[i>>6] |= 1 << (i & 63)
+						}
+						return all
+					})
+					asked := 0
+					score, folded, ok := l.Score(lazy, func() { asked++; copy(lazy[nOut:], masks[nOut:]) }, floor)
+					if eager, eagerFolded, eagerOK := l.Score(masks, nil, floor); eagerOK != ok || eagerFolded != folded || !sameBits(eager, score) {
+						t.Fatalf("%s: lazy hold-out masks give %v, %d, %v; filled ones %v, %d, %v", name, score, folded, ok, eager, eagerFolded, eagerOK)
 					}
 					if s.Calls() != before {
-						t.Fatalf("%s: Bound and HoldOut counted calls", name)
+						t.Fatalf("%s: Score counted calls", name)
 					}
-					if !ok && folded > 0 {
+					gated := !ok && folded == nOut
+					if gated != (bound < floor) {
+						t.Fatalf("%s: declined on the outliers %v, but the bound %v is below the floor %v", name, gated, bound, bound < floor)
+					}
+					if want := min(1, folded-nOut); asked != want {
+						t.Fatalf("%s: the hold-out masks were asked for %d times after folding %d groups", name, asked, folded)
+					}
+					if !ok && folded > nOut {
 						early++
 					}
 					if math.IsNaN(floor) || math.IsNaN(bound) {
@@ -508,8 +536,8 @@ func TestLayoutGateMatchesInfluence(t *testing.T) {
 						if !sameBits(score, want) {
 							t.Fatalf("%s: gated score %v, Influence %v", name, score, want)
 						}
-						if folded != len(groups)-2 {
-							t.Fatalf("%s: a returned score folded %d hold-outs", name, folded)
+						if folded != len(groups) {
+							t.Fatalf("%s: a returned score folded %d groups", name, folded)
 						}
 						continue
 					}

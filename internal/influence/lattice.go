@@ -35,8 +35,10 @@ type Lattice struct {
 	// built-flags, one bit per group, follow the last group's words.
 	off  []int
 	half map[halfSpace][]uint64
-	// sels is the scratch a fold the memo does not keep folds into.
-	sels []Selection
+	// sels is the scratch a fold the memo does not keep folds into, and
+	// words the one a group's matches are ANDed into.
+	sels  []Selection
+	words []uint64
 
 	masks, filled, misses int64
 	declined, holdStops   int64
@@ -114,52 +116,35 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 	return l.s.ScoreMatched(l.sels)
 }
 
-// Above is the objective λ·outMean − (1−λ)·holdPenalty of Parts' two
-// components, and the hold-out penalty, when that objective is above floor;
-// ok is false when it is not, and score and holdPen are then partial. It
-// folds the outlier groups first and declines, folding no hold-out, when
-// λ·outMean is not above floor: the penalty is never negative and IEEE
-// subtraction of a non-negative value is monotone, so λ·outMean bounds the
-// objective. It then folds the hold-outs in order and declines once
-// λ·outMean − (1−λ)·(the penalty so far) is not above floor, so a partial
-// score bounds the objective from above. When ok, score and holdPen have
-// the bits Parts gives; a NaN objective is never above any floor, nor is
-// any objective above a NaN floor. It counts one call per group folded. A box the selection memo keeps, a predicate no Box holds
-// (boxed false) and a black-box aggregate are scored whole through Parts and
-// then compared.
+// Above is the objective of Parts' two components, and the hold-out
+// penalty, when that objective is above floor; ok is false when it is not,
+// and score and holdPen are then partial. It scores a box through the
+// Scorer's objective with a strict floor: the outlier groups first,
+// declining without a hold-out fold when they alone do not put the score
+// above floor, then the hold-outs in order, declining once the score so far
+// is not above floor. When ok, score and holdPen have the bits Parts gives;
+// a NaN objective is never above any floor, nor is any objective above a
+// NaN floor. It counts one call per group folded. A box the selection memo
+// keeps, a predicate no Box holds (boxed false) and a black-box aggregate
+// are scored whole through Parts and then compared.
 func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score, holdPen float64, ok bool) {
 	s := l.s
-	lambda := s.task.Lambda
 	if !boxed || !l.Partial() {
 		outMean, hold, _ := l.Parts(b, boxed, p)
-		score = lambda*outMean - (1-lambda)*hold
+		score = s.combine(outMean, hold)
 		return score, hold, score > floor
 	}
 	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)
-	nOut := len(s.task.Outliers)
-	outMean := 0.0
-	for g := range nOut {
-		x := l.group(g, hs)
-		outMean += s.outlierTerm(g, &x, s.sizes[g])
-	}
-	outMean /= float64(nOut)
-	g := nOut
-	for ; ; g++ {
-		if score = lambda*outMean - (1-lambda)*holdPen; !(score > floor) || g == len(s.sizes) {
-			break
-		}
-		x := l.group(g, hs)
-		if h := s.holdOutTerm(g-nOut, &x, s.sizes[g]); h > holdPen {
-			holdPen = h
-		}
-	}
-	l.l.Count(g)
+	score, _, holdPen, _, folded, ok := s.objective(func(gi int) (float64, int) {
+		x := l.group(gi, hs)
+		return s.term(gi, &x, s.sizes[gi]), x.matched
+	}, floor, true)
+	l.l.Count(folded)
 	l.misses++
-	ok = score > floor
 	switch {
 	case ok:
-	case g == nOut:
+	case folded == len(s.task.Outliers):
 		l.declined++
 	default:
 		l.holdStops++
@@ -187,15 +172,7 @@ func (l *Lattice) OutlierBits(b predicate.Box, boxed bool, p predicate.Predicate
 	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)
 	for g := range nOut {
-		l.fill(hs, g)
-		n := l.l.groups[g].n
-		for w, at := 0, l.off[g]; w<<6 < n; w, at = w+1, at+1 {
-			m := ^uint64(0) >> uint(64-min(64, n-w<<6))
-			for _, h := range hs {
-				m &= h.m[at]
-			}
-			dst[at] = m
-		}
+		l.and(hs, g, dst[l.off[g]:l.off[g+1]])
 	}
 	return dst
 }
@@ -239,29 +216,37 @@ func (l *Lattice) halves(b predicate.Box, buf *[2 * predicate.MaxBoxDims]half) [
 
 // group folds group g's selection of the box whose half-spaces are hs.
 func (l *Lattice) group(g int, hs []half) selection {
-	l.fill(hs, g)
 	lg := &l.l.groups[g]
+	m := l.words[:l.off[g+1]-l.off[g]]
+	l.and(hs, g, m)
 	var x selection
-	for w, at := 0, l.off[g]; w<<6 < lg.n; w, at = w+1, at+1 {
-		n := min(64, lg.n-w<<6)
-		m := ^uint64(0) >> uint(64-n)
-		for _, h := range hs {
-			m &= h.m[at]
-		}
-		if m != 0 {
-			x.take(lg.vals, w<<6, n, m, l.s.mode)
-		}
-	}
+	x.takeMask(lg.vals, lg.n, m, l.s.mode)
 	return x
+}
+
+// and writes the AND of hs's words of group g, filled first, into dst.
+func (l *Lattice) and(hs []half, g int, dst []uint64) {
+	l.fill(hs, g)
+	n, off := l.l.groups[g].n, l.off[g]
+	for w := range dst {
+		m := ^uint64(0) >> uint(64-min(64, n-w<<6))
+		for _, h := range hs {
+			m &= h.m[off+w]
+		}
+		dst[w] = m
+	}
 }
 
 // build lays the groups out, on the first fold.
 func (l *Lattice) build() {
 	l.l = l.s.layout()
 	l.off = make([]int, len(l.l.groups)+1)
+	most := 0
 	for g := range l.l.groups {
 		l.off[g+1] = l.off[g] + l.l.Words(g)
+		most = max(most, l.l.Words(g))
 	}
+	l.words = make([]uint64, most)
 	l.half = make(map[halfSpace][]uint64)
 }
 

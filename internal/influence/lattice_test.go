@@ -354,7 +354,7 @@ func TestLatticeFoldZeroAlloc(t *testing.T) {
 // TestLayoutContiguousMatchesInterleaved: a table whose groups are each one
 // run of rows, whose layouts read the aggregate column in place, and a
 // table with the same groups' rows dealt out row by row, whose layouts copy
-// them, give every box the same Lattice parts and Layout.Influence, bit for
+// them, give every box the same Lattice parts and Layout.Score, bit for
 // bit: within a group the rows keep their order, so every fold adds the
 // same values in the same order.
 func TestLayoutContiguousMatchesInterleaved(t *testing.T) {
@@ -458,7 +458,7 @@ func TestLayoutContiguousMatchesInterleaved(t *testing.T) {
 						}
 					}
 				}
-				infs[k] = sd.l.Influence(masks)
+				infs[k] = layoutInfluence(t, sd.l, masks)
 			}
 			if !sameBits(outs[0], outs[1]) || !sameBits(holds[0], holds[1]) || matched[0] != matched[1] {
 				t.Fatalf("%s %v: contiguous lattice parts %v/%v/%d, interleaved %v/%v/%d", aggName, p, outs[0], holds[0], matched[0], outs[1], holds[1], matched[1])
@@ -625,7 +625,7 @@ func TestSquaresOnlyWhenRead(t *testing.T) {
 					}
 				}
 			}
-			if got, want := layout.Influence(masks), task.Lambda*wantOut-(1-task.Lambda)*wantHold; !sameBits(got, want) {
+			if got, want := layoutInfluence(t, layout, masks), task.Lambda*wantOut-(1-task.Lambda)*wantHold; !sameBits(got, want) {
 				t.Fatalf("%s %v: layout influence %v, with squares %v", aggName, p, got, want)
 			}
 		}

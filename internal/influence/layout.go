@@ -18,9 +18,9 @@ import (
 // (bit i ⇔ the group's i-th row matches). The search evaluates each clause
 // once per group with ClauseMask and scores a conjunction as the AND of its
 // clauses' bitsets, instead of testing every row against every conjunction.
-// A mask is folded from its lowest bit up, which is ascending row order, so
-// Influence returns the very bits Scorer.Influence returns for the same
-// predicate.
+// A mask is folded from its lowest bit up, which is ascending row order, and
+// scored by the Scorer's objective, so Score returns the very bits
+// Scorer.Influence returns for the same predicate.
 //
 // A Layout belongs to the search that built it and dies with it: the Scorer
 // keeps no reference. It is read-only after construction, so the workers of
@@ -28,24 +28,14 @@ import (
 type Layout struct {
 	s      *Scorer
 	groups []layoutGroup // the task's outliers, then its hold-outs
-	// pow[n] is n^c, the c-knob denominator of a selection of n tuples: a
-	// grid search asks for the same few powers once per predicate per group
-	// (math.Pow was 40 % of a NAIVE search), and a looked-up power has the
-	// bits of a computed one. Selections past the table compute theirs.
-	pow []float64
 	// subsets reports whether SubsetBound bounds anything (see there).
 	subsets bool
 }
 
-// maxPowTable bounds the power table (32 KiB) whatever the group sizes.
-const maxPowTable = 4096
-
 type layoutGroup struct {
-	rows  *relation.RowSet
-	n     int
-	vals  []float64 // aggregate value per position; nil for count(*)
-	orig  float64
-	state aggregate.State
+	rows *relation.RowSet
+	n    int
+	vals []float64 // aggregate value per position; nil for count(*)
 	// dir is the outlier's error vector; hold-outs, which have none, carry 0.
 	dir float64
 	// For SubsetBound, on an outlier group: one is the per-row term of
@@ -57,55 +47,41 @@ type layoutGroup struct {
 	slack float64
 }
 
-// NewLayout lays the scorer's groups out by position.
+// NewLayout lays the scorer's groups out by position, and gives the scorer
+// an n^c table when it has none. Call it before scoring, not concurrently
+// with it.
 func (s *Scorer) NewLayout() *Layout {
 	l := s.layout()
-	maxN := 0
-	for i := range l.groups {
-		maxN = max(maxN, l.groups[i].n)
-	}
-	l.pow = make([]float64, min(maxN, maxPowTable)+1)
-	for n := range l.pow {
-		l.pow[n] = math.Pow(float64(n), s.task.C)
+	if s.pow == nil {
+		s.pow = powerTable(slices.Max(s.sizes))
 	}
 	l.subsets = l.prepareSubsets()
 	return l
 }
 
-// layout is NewLayout without the power table, for a Lattice, which scores
-// through the Scorer.
+// layout is NewLayout without the n^c table and SubsetBound, for a Lattice.
 func (s *Scorer) layout() *Layout {
-	l := &Layout{s: s, groups: make([]layoutGroup, 0, len(s.task.Outliers)+len(s.task.HoldOuts))}
-	add := func(groups []Group, orig []float64, states []aggregate.State, outlier bool) {
-		for i, g := range groups {
-			lg := layoutGroup{rows: g.Rows, n: g.Rows.Count(), orig: orig[i], state: states[i]}
-			switch {
-			case s.aggVals == nil:
-			case lg.n > 0 && g.Rows.Max()-g.Rows.Min()+1 == lg.n:
-				// One run of rows: its values are a window of the column,
-				// which the layout only reads and an append leaves as it is.
-				lo := g.Rows.Min()
-				lg.vals = s.aggVals[lo : lo+lg.n : lo+lg.n]
-			default:
-				lg.vals = s.groupValues(g.Rows)
-			}
-			if outlier {
-				lg.dir = float64(g.Direction)
-			}
-			l.groups = append(l.groups, lg)
+	l := &Layout{s: s, groups: make([]layoutGroup, 0, len(s.sizes))}
+	nOut := len(s.task.Outliers)
+	for gi, n := range s.sizes {
+		g := s.group(gi, nOut)
+		lg := layoutGroup{rows: g.Rows, n: n}
+		if gi < nOut {
+			lg.dir = float64(g.Direction)
 		}
+		switch {
+		case s.aggVals == nil:
+		case n > 0 && g.Rows.Max()-g.Rows.Min()+1 == n:
+			// One run of rows: its values are a window of the column,
+			// which the layout only reads and an append leaves as it is.
+			lo := g.Rows.Min()
+			lg.vals = s.aggVals[lo : lo+n : lo+n]
+		default:
+			lg.vals = s.groupValues(g.Rows)
+		}
+		l.groups = append(l.groups, lg)
 	}
-	add(s.task.Outliers, s.outOrig, s.outState, true)
-	add(s.task.HoldOuts, s.holdOrig, s.holdState, false)
 	return l
-}
-
-// scale is Scorer.scale with the power looked up.
-func (l *Layout) scale(delta float64, n int) float64 {
-	if n == 0 || n >= len(l.pow) || l.s.task.C == 0 {
-		return l.s.scale(delta, n)
-	}
-	return delta / l.pow[n]
 }
 
 // Groups reports the number of groups: the task's outliers, then its
@@ -149,63 +125,49 @@ func (l *Layout) positionMask(g int, dst []uint64, match func(lo, n int) uint64)
 	})
 }
 
-// Influence computes the full objective inf(O, H, p, V) of the predicate
-// whose matches in group g are masks[g], exactly as Scorer.Influence would.
-// The Calls counter advances by one per group, in one step.
-func (l *Layout) Influence(masks [][]uint64) float64 {
-	l.Count(len(l.groups))
-	score, _, _ := l.HoldOut(l.Bound(masks), math.Inf(-1), masks)
-	return score
-}
-
-// Bound folds the outlier groups (the first Outliers() masks) and returns
-// λ·outMean, an upper bound on the objective since the hold-out penalty is
-// never negative: against a floor, HoldOut and the hold-out masks are needed
-// only when Bound is not below it. Neither counts calls.
-func (l *Layout) Bound(masks [][]uint64) float64 {
-	sum := 0.0
-	for g := range l.Outliers() {
-		d, n := l.delta(g, masks[g])
-		sum += l.scale(d, n) * l.groups[g].dir
-	}
-	return l.s.task.Lambda * (sum / float64(l.Outliers()))
-}
-
-// HoldOut completes the objective from bound = Bound(masks), folding the
-// hold-outs in order, with the bits Influence gives. Once bound − (1−λ)·
-// (running penalty) is below floor it declines (ok false): the penalty only
-// grows and IEEE subtraction is monotone, so the objective is below floor
-// too. A NaN never declines. folded counts the hold-outs folded.
-func (l *Layout) HoldOut(bound, floor float64, masks [][]uint64) (score float64, folded int, ok bool) {
-	penalty := 0.0
-	for g := l.Outliers(); ; g++ {
-		if score = bound - (1-l.s.task.Lambda)*penalty; score < floor || g == len(l.groups) {
-			return score, folded, !(score < floor)
+// Score is the objective of the predicate whose matches in group g are
+// masks[g], as the Scorer's objective combines it, against floor: it
+// declines (ok false) once the score so far is below floor, so a NaN never
+// declines, and otherwise returns the bits Scorer.Influence gives. It folds
+// the outlier groups, then the hold-outs in order; holdOuts, when not nil,
+// is called once before the first hold-out's mask is read, so a caller can
+// leave masks[Outliers():] to be filled only when a hold-out is folded.
+// folded counts the groups folded; a score declined with folded =
+// Outliers() was declined on its outlier groups alone. It counts no call.
+func (l *Layout) Score(masks [][]uint64, holdOuts func(), floor float64) (score float64, folded int, ok bool) {
+	nOut := l.Outliers()
+	score, _, _, _, folded, ok = l.s.objective(func(gi int) (float64, int) {
+		if gi == nOut && holdOuts != nil {
+			holdOuts()
 		}
-		d, n := l.delta(g, masks[g])
-		if h := math.Abs(l.scale(d, n)); h > penalty {
-			penalty = h
-		}
-		folded++
-	}
+		g := &l.groups[gi]
+		var x selection
+		x.takeMask(g.vals, g.n, masks[gi], l.s.mode)
+		return l.s.term(gi, &x, g.n), x.matched
+	}, floor, false)
+	return score, folded, ok
 }
 
-// SubsetBound returns an upper bound on Bound(sub) over every sub of masks
-// — every choice of sub[g] ⊆ masks[g] for each outlier group, the empty
-// ones included — so a search that has assembled a prefix conjunction's
-// outlier bitsets can skip every conjunction that extends the prefix when
-// this is below its floor. Only the outlier masks are read. Where no bound
-// exists it returns +Inf: for an aggregate other than SUM and COUNT, and
-// for SUM over a non-finite value or sums that could overflow.
+// SubsetBound returns an upper bound on the outlier bound of every sub of
+// masks — every choice of sub[g] ⊆ masks[g] for each outlier group, the
+// empty ones included — where the outlier bound is the score Score combines
+// from the outlier groups alone, λ·outMean, before any hold-out penalty:
+// Score declines a conjunction against a floor above it without folding a
+// hold-out. So a search that has assembled a prefix conjunction's outlier
+// bitsets can skip every conjunction that extends the prefix when this is
+// below its floor. Only the outlier masks are read. Where no bound exists
+// it returns +Inf: for an aggregate other than SUM and COUNT, and for SUM
+// over a non-finite value or sums that could overflow.
 //
 // For SUM and COUNT, dir·Δ of a removed row set S is the sum over S of a
 // per-row term (dir·v, or dir for COUNT), so no S of m rows exceeds the sum
 // T_m of the m largest terms under the mask. The per-group bound is
-// max(0, max over m of scale(T_m + slack, m)), combined over groups exactly
-// as Bound combines them. slack covers the rounding of T_m's sum and of
-// finish's orig − (Sum − selSum) (see prepareSubsets), so T_m + slack ≥
-// the dir·Δ Bound folds; IEEE division by the same power, addition, /nOut
-// and λ· are monotone, which carries the inequality to Bound's bits. The
+// max(0, max over m of scale(T_m + slack, m)), combined over groups as the
+// objective combines the outlier terms with no penalty. slack covers the
+// rounding of T_m's sum and of finish's orig − (Sum − selSum) (see
+// prepareSubsets), so T_m + slack ≥ the dir·Δ the outlier term folds; IEEE
+// division by the same power, addition, /nOut, λ· and subtracting 0 are
+// monotone, which carries the inequality to the outlier bound's bits. The
 // 0 covers the empty selection and a Δ that finite maps to 0.
 func (l *Layout) SubsetBound(masks [][]uint64) float64 {
 	if !l.subsets {
@@ -215,7 +177,7 @@ func (l *Layout) SubsetBound(masks [][]uint64) float64 {
 	for g := range l.Outliers() {
 		sum += l.groupSubsetBound(g, masks[g])
 	}
-	return l.s.task.Lambda * (sum / float64(l.Outliers()))
+	return l.s.combine(sum/float64(l.Outliers()), 0)
 }
 
 // SubsetBounded reports whether SubsetBound can return less than +Inf.
@@ -246,7 +208,7 @@ func (l *Layout) groupSubsetBound(gi int, mask []uint64) float64 {
 		if x <= 0 && t <= 0 {
 			break // no later term is larger, so no later x is positive
 		}
-		if b := l.scale(x, m); b > best {
+		if b := l.s.scale(x, m); b > best {
 			best = b
 		}
 	}
@@ -267,7 +229,7 @@ func (l *Layout) groupSubsetBound(gi int, mask []uint64) float64 {
 // n·u < 1/100 that totals under 2.1·(n+1)·u·A, and slack = 4·(n+2)·u·A,
 // computed from a sum of |v| that is itself within γ·A, covers it. (COUNT's
 // Δ and T_m are exact integers.) Σ 4A over the outlier groups is finite,
-// so no sum SubsetBound or Bound forms can overflow.
+// so no sum SubsetBound or the outlier bound forms can overflow.
 func (l *Layout) prepareSubsets() bool {
 	_, count := l.s.task.Agg.(aggregate.Count)
 	if _, sum := l.s.task.Agg.(aggregate.Sum); !sum && !count {
@@ -301,20 +263,4 @@ func (l *Layout) prepareSubsets() bool {
 		}
 	}
 	return true
-}
-
-// delta is Scorer.delta over a position mask instead of a predicate.
-func (l *Layout) delta(gi int, mask []uint64) (float64, int) {
-	g := &l.groups[gi]
-	var x selection
-	mode := l.s.mode
-	if mode == foldRest {
-		x.rest = make([]float64, 0, g.n)
-	}
-	for w, m := range mask {
-		if m != 0 || mode == foldRest {
-			x.take(g.vals, w<<6, min(64, g.n-w<<6), m, mode)
-		}
-	}
-	return l.s.finish(g.orig, g.state, &x, g.n), x.matched
 }

@@ -45,8 +45,21 @@ func subsetTable(rng *rand.Rand, offset float64, sizes []int, special float64) (
 	return b.Build(), sets
 }
 
-// TestSubsetBoundCoversExtensions: SubsetBound(prefix) is at least Bound
-// of every sub-mask of the prefix, the empty one included, for SUM, COUNT
+// layoutInfluence is the whole objective of masks through Layout.Score,
+// which a floor of −Inf declines nowhere: every group is folded.
+func layoutInfluence(t *testing.T, l *Layout, masks [][]uint64) float64 {
+	t.Helper()
+	score, folded, ok := l.Score(masks, nil, math.Inf(-1))
+	if !ok || folded != l.Groups() {
+		t.Fatalf("Score against −Inf: ok %v after folding %d of %d groups", ok, folded, l.Groups())
+	}
+	return score
+}
+
+// TestSubsetBoundCoversExtensions: SubsetBound(prefix) is at least the
+// outlier bound (the score of the outlier groups alone, through
+// Layout.Score with every hold-out mask empty) of every sub-mask of the
+// prefix, the empty one included, for SUM, COUNT
 // and count(*), both directions, c in {0, 0.2, 0.5, 1}, λ in {0, 0.5, 1},
 // on values offset by 0, 1e9 and 1e15. The groups hold at most 12 rows, so
 // every sub-mask is enumerated. AVG, the variance family and black-box
@@ -141,9 +154,9 @@ func TestSubsetBoundCoversExtensions(t *testing.T) {
 	}
 }
 
-// coverSubMasks checks Bound ≤ bound on every combination of sub-masks of
-// the first nOut masks of prefix (the others stay empty) and returns how
-// many it checked.
+// coverSubMasks checks the outlier bound ≤ bound on every combination of
+// sub-masks of the first nOut masks of prefix (the others stay empty, so
+// the score is the outlier bound) and returns how many it checked.
 func coverSubMasks(t *testing.T, l *Layout, prefix [][]uint64, nOut int, bound float64, name string) int {
 	t.Helper()
 	sub := make([][]uint64, len(prefix))
@@ -155,8 +168,8 @@ func coverSubMasks(t *testing.T, l *Layout, prefix [][]uint64, nOut int, bound f
 	walk = func(g int) {
 		if g == nOut {
 			checked++
-			if b := l.Bound(sub); !(b <= bound) {
-				t.Fatalf("%s: Bound %v of sub-mask %x exceeds SubsetBound %v of prefix %x", name, b, sub[:nOut], bound, prefix[:nOut])
+			if b := layoutInfluence(t, l, sub); !(b <= bound) {
+				t.Fatalf("%s: outlier bound %v of sub-mask %x exceeds SubsetBound %v of prefix %x", name, b, sub[:nOut], bound, prefix[:nOut])
 			}
 			return
 		}

@@ -260,6 +260,7 @@ func TestSelectionMemoHitZeroAlloc(t *testing.T) {
 // the largest group (at most maxPowTable) and filled on first use, with
 // the bits math.Pow gives; a group past the table computes its power, a
 // new c clears the table, the same c keeps it, and c = 0 divides by 1.
+// NewLayout sizes the same table, and a lattice's layout none.
 func TestScalePowTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tbl := kernelTable(rng, false)
@@ -328,6 +329,33 @@ func TestScalePowTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(0)
+
+	// NewLayout sizes a table as SetC does, empty until scale fills it,
+	// and keeps a table the scorer has; the layout a Lattice builds gives
+	// the scorer none.
+	task.C = 0.5
+	fresh, err := NewScorer(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.layout(); fresh.pow != nil {
+		t.Fatal("a lattice's layout built an n^c table")
+	}
+	fresh.NewLayout()
+	if len(fresh.pow) != maxPowTable+1 {
+		t.Fatalf("NewLayout's n^c table has %d entries, want maxPowTable+1", len(fresh.pow))
+	}
+	for k := range fresh.pow {
+		if fresh.pow[k].Load() != 0 {
+			t.Fatalf("NewLayout filled n=%d's power before scale asked for it", k)
+		}
+	}
+	if got, want := fresh.scale(1, 7), 1/math.Pow(7, 0.5); !sameBits(got, want) || fresh.pow[7].Load() == 0 {
+		t.Fatalf("scale(1, 7) = %v, want %v from a filled entry", got, want)
+	}
+	if tab := fresh.pow; fresh.NewLayout() != nil && &fresh.pow[0] != &tab[0] {
+		t.Fatal("a second NewLayout replaced the scorer's n^c table")
+	}
 }
 
 // TestSharePowersOutgrown: scorers at one c share the n^c table SharePowers

@@ -589,21 +589,20 @@ func (b *conjBatch) at(i int) conj {
 }
 
 // score scores the batch, assembling a conjunction's hold-out bitsets only
-// when its outliers' bound reaches the floor, and adds the groups it folded
-// to the scorer's calls in one step.
+// when the layout's objective first folds a hold-out, and adds the groups
+// it folded to the scorer's calls in one step.
 func (b *conjBatch) score(t *clauseTable) {
 	nOut, n := t.layout.Outliers(), len(t.words)
 	for i := range b.len() {
-		t.fill(b.at(i), &b.scratch, 0, nOut)
-		bound := t.layout.Bound(b.masks)
-		if b.folds += nOut; bound < b.floor {
-			b.gated++
-			continue
-		}
-		t.fill(b.at(i), &b.scratch, nOut, n)
-		score, folded, ok := t.layout.HoldOut(bound, b.floor, b.masks)
-		if b.folds += folded; ok {
+		c := b.at(i)
+		t.fill(c, &b.scratch, 0, nOut)
+		score, folded, ok := t.layout.Score(b.masks, func() { t.fill(c, &b.scratch, nOut, n) }, b.floor)
+		b.folds += folded
+		switch {
+		case ok:
 			b.hits = append(b.hits, ranked[int32]{score, b.first + int64(i), int32(i)})
+		case folded == nOut:
+			b.gated++
 		}
 	}
 	t.layout.Count(b.folds)

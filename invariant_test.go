@@ -31,6 +31,44 @@ var dtRowOrderLedger = map[string]float64{
 	"Hard/avg/c=0.5/dt": 0.36,
 }
 
+// shiftKs are the shifts TestAnswersInvariant adds to every v of the
+// VARIANCE and STDDEV cells.
+var shiftKs = []float64{1e5, 3e7, 1e9, 1.7e9}
+
+// shiftLedger records, per VARIANCE or STDDEV cell of TestAnswersInvariant
+// whose answer moves when every v is shifted by K, the ratio of its top
+// influence to the unshifted top influence, rounded to two places. The
+// variance family is shift-invariant, but its one-pass moments
+// (SumSq/N − mean²) cancel catastrophically once K² dwarfs the spread
+// (Finding 7). A cell's ratio may not move, and a cell that serves the
+// unshifted top predicate at the unshifted influence must leave the ledger.
+var shiftLedger = map[string]float64{
+	"Easy/variance/c=0.5/naive/v+3e+07":   1.00,
+	"Easy/variance/c=0.5/naive/v+1e+09":   1.75,
+	"Easy/variance/c=0.5/naive/v+1.7e+09": 2.90,
+	"Easy/variance/c=0.5/dt/v+3e+07":      1.01,
+	"Easy/variance/c=0.5/dt/v+1e+09":      0.00,
+	"Easy/variance/c=0.5/dt/v+1.7e+09":    -3.01,
+	"Easy/stddev/c=0.5/naive/v+3e+07":     1.00,
+	"Easy/stddev/c=0.5/naive/v+1e+09":     1.03,
+	"Easy/stddev/c=0.5/naive/v+1.7e+09":   4.45,
+	"Easy/stddev/c=0.5/dt/v+3e+07":        1.01,
+	"Easy/stddev/c=0.5/dt/v+1e+09":        0.56,
+	"Easy/stddev/c=0.5/dt/v+1.7e+09":      0.66,
+	"Hard/variance/c=0.5/naive/v+3e+07":   1.00,
+	"Hard/variance/c=0.5/naive/v+1e+09":   47.99,
+	"Hard/variance/c=0.5/naive/v+1.7e+09": 137.88,
+	"Hard/variance/c=0.5/dt/v+3e+07":      1.03,
+	"Hard/variance/c=0.5/dt/v+1e+09":      9.73,
+	"Hard/variance/c=0.5/dt/v+1.7e+09":    -30.49,
+	"Hard/stddev/c=0.5/naive/v+3e+07":     0.99,
+	"Hard/stddev/c=0.5/naive/v+1e+09":     12.16,
+	"Hard/stddev/c=0.5/naive/v+1.7e+09":   40.17,
+	"Hard/stddev/c=0.5/dt/v+3e+07":        0.86,
+	"Hard/stddev/c=0.5/dt/v+1e+09":        10.14,
+	"Hard/stddev/c=0.5/dt/v+1.7e+09":      0.00,
+}
+
 // dtAttrOrderLedger lists the DT cells of TestAnswersInvariant whose answer
 // changes below its top predicate when the attribute list is reversed: DT
 // splits on the attributes in list order, and so do its ties. A cell whose
@@ -75,7 +113,11 @@ func permuteRows(t *testing.T, tbl *Table, perm []int) *Table {
 //   - with the rows stored in any of 12 random orders, the top predicate is
 //     the same, its influence within 1e-12 relative (the fold order
 //     follows the rows). DT's departures are on dtRowOrderLedger, which
-//     pins how far its top influence falls.
+//     pins how far its top influence falls;
+//   - with every v shifted by K in shiftKs, NAIVE and DT serve the same
+//     top predicate under VARIANCE and STDDEV at c = 0.5, its influence
+//     within 1e-6 relative. The cells that do not are on shiftLedger,
+//     which pins their top-influence ratios.
 func TestAnswersInvariant(t *testing.T) {
 	type answer struct {
 		where []string
@@ -101,7 +143,7 @@ func TestAnswersInvariant(t *testing.T) {
 		}
 		return a
 	}
-	seenLedger := map[string]bool{}
+	seenLedger, seenShift := map[string]bool{}, map[string]bool{}
 	for _, diff := range []struct {
 		name string
 		mu   float64
@@ -123,6 +165,10 @@ func TestAnswersInvariant(t *testing.T) {
 		doubledV := transformRows(t, ds.Table, func(row Row) { row[vCol] = F(2 * row[vCol].Float()) })
 		doubledA := transformRows(t, ds.Table, dims(func(a float64) float64 { return 2 * a }))
 		shiftedA := transformRows(t, ds.Table, dims(func(a float64) float64 { return a + 1e6 }))
+		var shiftedV []*Table
+		for _, k := range shiftKs {
+			shiftedV = append(shiftedV, transformRows(t, ds.Table, func(row Row) { row[vCol] = F(row[vCol].Float() + k) }))
+		}
 		rng := rand.New(rand.NewSource(1))
 		var permuted []*Table
 		for range invariantPermutations {
@@ -131,6 +177,31 @@ func TestAnswersInvariant(t *testing.T) {
 		attrs := ds.DimNames()
 		reversed := slices.Clone(attrs)
 		slices.Reverse(reversed)
+		// v + K: VARIANCE and STDDEV do not move when every v shifts, but
+		// the one-pass moments lose them (Finding 7); the broken cells are on
+		// shiftLedger.
+		for _, agg := range []string{"variance", "stddev"} {
+			for _, algo := range []Algorithm{Naive, DT} {
+				base := explain(ds.Table, ds, agg, 0.5, algo, attrs)
+				for i, k := range shiftKs {
+					cell := fmt.Sprintf("%s/%s/c=0.5/%v/v+%g", diff.name, agg, algo, k)
+					got := explain(shiftedV[i], ds, agg, 0.5, algo, attrs)
+					holds := got.where[0] == base.where[0] && math.Abs(got.infl[0]-base.infl[0]) <= 1e-6*math.Abs(base.infl[0])
+					ratio := math.Round(got.infl[0]/base.infl[0]*100) / 100
+					recorded, ok := shiftLedger[cell]
+					seenShift[cell] = ok
+					t.Logf("%s: tops at %s %v, K = 0 at %s %v (ratio %.2f)", cell, got.where[0], got.infl[0], base.where[0], base.infl[0], ratio)
+					switch {
+					case holds && ok:
+						t.Errorf("%s: serves K = 0's top predicate and influence: remove it from the shift ledger", cell)
+					case !holds && !ok:
+						t.Errorf("%s: tops at %s %v, want %s %v within 1e-6 (ratio %.2f), and the shift ledger has no ratio for it", cell, got.where[0], got.infl[0], base.where[0], base.infl[0], ratio)
+					case !holds && ratio != recorded:
+						t.Errorf("%s: tops at %.2f of K = 0's influence, its shift ledger ratio is %.2f", cell, ratio, recorded)
+					}
+				}
+			}
+		}
 		for _, agg := range []string{"sum", "avg"} {
 			for _, c := range []float64{0, 0.5} {
 				for _, algo := range []Algorithm{Naive, DT, MC} {
@@ -208,5 +279,14 @@ func TestAnswersInvariant(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("row-order ledger cells no run covers: %s", strings.Join(stale, ", "))
+	}
+	stale = stale[:0]
+	for cell := range shiftLedger {
+		if !seenShift[cell] {
+			stale = append(stale, cell)
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("shift ledger cells no run covers: %s", strings.Join(stale, ", "))
 	}
 }

@@ -4,7 +4,13 @@
 # fuzz target that `go test -list` finds in that step's packages. go test
 # runs whatever a list matches and passes, so without this a renamed or
 # deleted test would drop out of its guard unnoticed. Steps that run no
-# test (`-run '^$'`) are skipped. Run it from the root of the repository:
+# test (`-run '^$'`) are skipped.
+#
+# It also fails when non-test Go outside internal/influence writes the
+# objective's λ combination by hand — `(1-lambda)`, `(1 - lambda)` or
+# `(1-<x>.Lambda)` — instead of reading influence.Score's Value. Test files
+# keep their own copy on purpose, as an independent check of it. Run it
+# from the root of the repository:
 #
 #	bash .github/guard-lists.sh
 set -euo pipefail
@@ -27,4 +33,12 @@ while IFS= read -r line; do
 		fi
 	done
 done < <(grep -E "^[[:space:]]*run: go test .*-run '" "$workflow")
+# benchmark/ (the ladder) and internal/estimate/ (the interval bounds) are
+# exempt until ROADMAP items B1 and P2 delete them.
+if copies=$(grep -rnE --include='*.go' '\(1 ?- ?([[:alnum:]_]+\.)*[Ll]ambda\)' . |
+	grep -v '_test\.go:' | grep -vE '^\./(internal/influence|benchmark|internal/estimate)/'); then
+	echo "the objective's λ combination is written outside internal/influence (read influence.Score's Value):" >&2
+	echo "$copies" >&2
+	status=1
+fi
 exit $status

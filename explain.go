@@ -168,7 +168,8 @@ type Explanation struct {
 	MatchedOutlierTuples int
 	// HoldOutPenalty is max_h |inf(h, p)|.
 	HoldOutPenalty float64
-	// InfluencesHoldOut marks explanations that perturb a hold-out result.
+	// InfluencesHoldOut marks explanations that perturb a hold-out result:
+	// HoldOutPenalty > 0.
 	InfluencesHoldOut bool
 }
 
@@ -618,7 +619,7 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	}
 	s.lat = s.scorer.NewLattice(s.space)
 	span := obs.SpanFrom(ctx).Child("candidates")
-	cands := pt.Score(ctx, s.scorer, s.lat)
+	cands := pt.Score(ctx, s.lat)
 	span.End()
 	// The scored leaves are a valid partial answer while the merge runs.
 	pool.PublishBest(cands)
@@ -631,18 +632,14 @@ func (s *dtSearcher) Search(pool *partition.Pool) (*partition.Outcome, error) {
 	}, nil
 }
 
-// rescoreExact dedupes candidates, re-scores them exactly, and sorts
-// descending — mutating the slice in place. The hold-out flag is
-// recomputed from the exact penalty rather than copied from the search:
-// partitioners set it from estimates (sampled influence, the §6.1.4
-// combine step), so the search-time flag could contradict the exact
-// HoldOutPenalty reported right beside it. A Session keeps the returned
-// slice as the run's candidate pool. With keep set (an incremental scorer)
-// it also returns each candidate's per-group selections, sels[i] belonging
-// to the returned cands[i], for a warm refresh to extend; otherwise sels is
-// nil, a candidate marked Exact keeps the values it carries, and the
-// search's lattice, when given, scores each other candidate by its Box. No
-// returned candidate is marked Exact.
+// rescoreExact dedupes candidates, re-scores them exactly through
+// Candidate.SetScore, and sorts descending — mutating the slice in place. A
+// Session keeps the returned slice as the run's candidate pool. With keep
+// set (an incremental scorer) it also returns each candidate's per-group
+// selections, sels[i] belonging to the returned cands[i], for a warm
+// refresh to extend; otherwise sels is nil, a candidate marked Exact keeps
+// the values it carries, and the search's lattice, when given, scores each
+// other candidate by its Box. No returned candidate is marked Exact.
 func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []partition.Candidate, keep bool) ([]partition.Candidate, [][]influence.Selection) {
 	r := ranked{cands: partition.Dedupe(cands)}
 	task := scorer.Task()
@@ -653,8 +650,7 @@ func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []part
 		flat = make([]influence.Selection, len(r.cands)*groups)
 	}
 	for i := range r.cands {
-		var outMean, holdPen float64
-		var matched int
+		var sc influence.Score
 		p := r.cands[i].Pred
 		exact := r.cands[i].Exact
 		r.cands[i].Exact = false
@@ -663,26 +659,17 @@ func rescoreExact(scorer *influence.Scorer, lat *influence.Lattice, cands []part
 			continue
 		case keep:
 			r.sels[i] = scorer.Select(p, flat[i*groups:i*groups:(i+1)*groups])
-			outMean, holdPen, matched = scorer.ScoreMatched(r.sels[i])
+			sc = scorer.ScoreMatched(r.sels[i])
 		case lat != nil:
 			b, boxed := lat.Space().Box(p)
-			outMean, holdPen, matched = lat.Parts(b, boxed, p)
+			sc = lat.Parts(b, boxed, p)
 		default:
-			outMean, holdPen, matched = scorer.PartsMatched(p)
+			sc = scorer.PartsMatched(p)
 		}
-		setScore(&r.cands[i], task.Lambda, outMean, holdPen, matched)
+		r.cands[i].SetScore(sc)
 	}
 	r.sort()
 	return r.cands, r.sels
-}
-
-// setScore gives a candidate its exact objective from the two parts, and
-// its |p(g_O)|.
-func setScore(c *partition.Candidate, lambda, outMean, holdPen float64, matched int) {
-	c.Score = lambda*outMean - (1-lambda)*holdPen
-	c.HoldPenalty = holdPen
-	c.InfluencesHoldOut = holdPen > 0
-	c.Matched = matched
 }
 
 // ranked is a candidate list with, when kept, each candidate's selections
@@ -741,7 +728,7 @@ func present(p *Plan, scorer *influence.Scorer, cands []partition.Candidate, whe
 			Influence:            c.Score,
 			MatchedOutlierTuples: c.Matched,
 			HoldOutPenalty:       c.HoldPenalty,
-			InfluencesHoldOut:    c.InfluencesHoldOut,
+			InfluencesHoldOut:    c.HoldPenalty > 0,
 		})
 	}
 	return res

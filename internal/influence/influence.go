@@ -618,39 +618,54 @@ func (s *Scorer) HoldOutInfluence(i int, p predicate.Predicate) float64 {
 	return s.scale(d, n)
 }
 
-// Influence computes the full objective inf(O, H, p, V) from Parts' two
-// components. It folds p over every group on each call.
+// Score is a predicate's objective beside its parts, as the Scorer's
+// objective combines them: every served candidate takes its score, penalty
+// and match count from one (partition.Candidate.SetScore).
+type Score struct {
+	// Value is the objective inf(O, H, p, V): λ·OutMean − (1−λ)·HoldPen.
+	Value float64
+	// OutMean is the mean outlier influence, before the λ weighting.
+	OutMean float64
+	// HoldPen is the hold-out penalty max_h |inf(h, p)| (0 without
+	// hold-outs), before the λ weighting.
+	HoldPen float64
+	// Matched is |p(g_O)|, the number of outlier tuples p matches: the sum
+	// of the outlier groups' Selection.Matched, which GROUP BY keeps
+	// disjoint. The exact re-score reads it so that ranking needs no second
+	// pass over g_O.
+	Matched int
+}
+
+// Influence computes the full objective inf(O, H, p, V), PartsMatched's
+// Value. It folds p over every group on each call.
 func (s *Scorer) Influence(p predicate.Predicate) float64 {
-	return s.combine(s.Parts(p))
+	return s.PartsMatched(p).Value
 }
 
-// Parts returns the two components of the objective: the mean outlier
-// influence and the hold-out penalty max_h |inf(h, p)| (0 without
-// hold-outs), before the λ weighting. It folds each whole group into a
-// selection and scores the selections: Score(Select(p, nil)) has its bits.
+// Parts returns the two components of the objective, PartsMatched's
+// OutMean and HoldPen.
 func (s *Scorer) Parts(p predicate.Predicate) (outMean, holdPenalty float64) {
-	outMean, holdPenalty, _ = s.PartsMatched(p)
-	return outMean, holdPenalty
+	sc := s.PartsMatched(p)
+	return sc.OutMean, sc.HoldPen
 }
 
-// PartsMatched is Parts plus |p(g_O)|, the number of outlier tuples p
-// matches: the sum of the outlier groups' Selection.Matched, which GROUP BY
-// keeps disjoint. The exact re-score reads it so that ranking needs no
-// second pass over g_O.
-func (s *Scorer) PartsMatched(p predicate.Predicate) (outMean, holdPenalty float64, matched int) {
+// PartsMatched scores p. It folds each whole group into a selection and
+// scores the selections: ScoreMatched(Select(p, nil)) has its bits.
+func (s *Scorer) PartsMatched(p predicate.Predicate) Score {
 	nOut := len(s.task.Outliers)
-	_, outMean, holdPenalty, matched, _, _ = s.objective(func(gi int) (float64, int) {
+	v, outMean, holdPen, matched, _, _ := s.objective(func(gi int) (float64, int) {
 		var x selection
 		total := s.fold(s.group(gi, nOut), p, 0, &x)
 		return s.term(gi, &x, total), x.matched
 	}, math.Inf(-1), false)
-	return outMean, holdPenalty, matched
+	return Score{v, outMean, holdPen, matched}
 }
 
 // Select folds p over every group of the task from its first row — the
 // outliers, then the hold-outs — into dst (grown as needed), one Selection
-// per group, and returns it. Score(Select(p, nil)) is Parts(p). It needs the
-// incremental path: a black-box aggregate has no state to keep.
+// per group, and returns it. ScoreMatched(Select(p, nil)) is
+// PartsMatched(p). It needs the incremental path: a black-box aggregate has
+// no state to keep.
 func (s *Scorer) Select(p predicate.Predicate, dst []Selection) []Selection {
 	s.mustIncremental()
 	dst = slices.Grow(dst[:0], len(s.sizes))[:len(s.sizes)]
@@ -730,20 +745,14 @@ func (s *Scorer) window(from int) *window {
 	return w
 }
 
-// Score returns Parts' two components from one selection per group, laid
-// out as Select lays them out.
-func (s *Scorer) Score(sels []Selection) (outMean, holdPenalty float64) {
-	outMean, holdPenalty, _ = s.ScoreMatched(sels)
-	return outMean, holdPenalty
-}
-
-// ScoreMatched is Score plus |p(g_O)|, as PartsMatched counts it.
-func (s *Scorer) ScoreMatched(sels []Selection) (outMean, holdPenalty float64, matched int) {
-	_, outMean, holdPenalty, matched, _, _ = s.objective(func(gi int) (float64, int) {
+// ScoreMatched scores one selection per group, laid out as Select lays
+// them out, as PartsMatched scores a predicate.
+func (s *Scorer) ScoreMatched(sels []Selection) Score {
+	v, outMean, holdPen, matched, _, _ := s.objective(func(gi int) (float64, int) {
 		x := selection{Selection: sels[gi]}
 		return s.term(gi, &x, s.sizes[gi]), x.matched
 	}, math.Inf(-1), false)
-	return outMean, holdPenalty, matched
+	return Score{v, outMean, holdPen, matched}
 }
 
 // combine is the objective from its two components: λ·outMean −

@@ -656,7 +656,8 @@ func TestExtendMatchesSelect(t *testing.T) {
 							t.Fatalf("enc=%s agg=%s from=%d group %d: extended %+v, whole %+v", enc, aggName, from, g, sels[g], whole[g])
 						}
 					}
-					gotOut, gotHold := full.Score(sels)
+					got := full.ScoreMatched(sels)
+					gotOut, gotHold := got.OutMean, got.HoldPen
 					wantOut, wantHold := full.Parts(p)
 					if !sameBits(gotOut, wantOut) || !sameBits(gotHold, wantHold) {
 						t.Fatalf("enc=%s agg=%s from=%d: Score = (%v, %v), Parts (%v, %v)", enc, aggName, from, gotOut, gotHold, wantOut, wantHold)
@@ -700,8 +701,8 @@ func TestTailFoldZeroAlloc(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(100, func() {
 			s.Extend(p, n-200, sels)
-			o, h := s.Score(sels)
-			sink += o + h
+			sc := s.ScoreMatched(sels)
+			sink += sc.OutMean + sc.HoldPen
 		}); a != 0 {
 			t.Errorf("%s group: Extend and Score allocate %v times per call", rows.Encoding(), a)
 		}

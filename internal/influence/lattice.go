@@ -95,7 +95,7 @@ func (l *Lattice) Declines() (outliers, holdOuts int64) { return l.declined, l.h
 // Parts is Scorer.PartsMatched of the predicate b holds. When no Box holds
 // the predicate (boxed false) it is PartsMatched(p): p is folded row by row
 // and kept nowhere.
-func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (outMean, holdPenalty float64, matched int) {
+func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) Score {
 	switch {
 	case !boxed:
 		return l.s.PartsMatched(p)
@@ -116,23 +116,21 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) (out
 	return l.s.ScoreMatched(l.sels)
 }
 
-// Above is the objective of Parts' two components, and the hold-out
-// penalty, when that objective is above floor; ok is false when it is not,
-// and score and holdPen are then partial. It scores a box through the
-// Scorer's objective with a strict floor: the outlier groups first,
-// declining without a hold-out fold when they alone do not put the score
-// above floor, then the hold-outs in order, declining once the score so far
-// is not above floor. When ok, score and holdPen have the bits Parts gives;
-// a NaN objective is never above any floor, nor is any objective above a
-// NaN floor. It counts one call per group folded. A box the selection memo
-// keeps, a predicate no Box holds (boxed false) and a black-box aggregate
-// are scored whole through Parts and then compared.
+// Above is Parts' Value and HoldPen when that Value is above floor; ok is
+// false when it is not, and score and holdPen are then partial. It scores a
+// box through the Scorer's objective with a strict floor: the outlier
+// groups first, declining without a hold-out fold when they alone do not
+// put the score above floor, then the hold-outs in order, declining once
+// the score so far is not above floor. When ok, score and holdPen have the
+// bits Parts gives; a NaN objective is never above any floor, nor is any
+// objective above a NaN floor. It counts one call per group folded. A box
+// the selection memo keeps, a predicate no Box holds (boxed false) and a
+// black-box aggregate are scored whole through Parts and then compared.
 func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score, holdPen float64, ok bool) {
 	s := l.s
 	if !boxed || !l.Partial() {
-		outMean, hold, _ := l.Parts(b, boxed, p)
-		score = s.combine(outMean, hold)
-		return score, hold, score > floor
+		sc := l.Parts(b, boxed, p)
+		return sc.Value, sc.HoldPen, sc.Value > floor
 	}
 	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)

@@ -125,9 +125,11 @@ func TestLatticeMatchesSelect(t *testing.T) {
 					}
 					compared++
 				}
-				wantOut, wantHold, wantMatched := s.PartsMatched(p)
+				ref := s.PartsMatched(p)
+				wantOut, wantHold, wantMatched := ref.OutMean, ref.HoldPen, ref.Matched
 				for _, l := range []*Lattice{lat, memoLat, memoLat} {
-					out, hold, matched := l.Parts(b, true, p)
+					got := l.Parts(b, true, p)
+					out, hold, matched := got.OutMean, got.HoldPen, got.Matched
 					if !sameBits(out, wantOut) || !sameBits(hold, wantHold) || matched != wantMatched {
 						t.Fatalf("enc=%s agg=%s %v: Parts = (%v, %v, %d), PartsMatched (%v, %v, %d)", enc, aggName, p, out, hold, matched, wantOut, wantHold, wantMatched)
 					}
@@ -277,10 +279,12 @@ func TestLatticeKeepsWhatNoLookupFinds(t *testing.T) {
 		if c.boxed {
 			b = boxOf(t, space, c.p)
 		}
-		wantOut, wantHold, wantMatched := s.PartsMatched(c.p)
+		want := s.PartsMatched(c.p)
+		wantOut, wantHold, wantMatched := want.OutMean, want.HoldPen, want.Matched
 		for rep := 0; rep < 2; rep++ {
 			before := s.Calls()
-			out, hold, matched := lat.Parts(b, c.boxed, c.p)
+			got := lat.Parts(b, c.boxed, c.p)
+			out, hold, matched := got.OutMean, got.HoldPen, got.Matched
 			if !sameBits(out, wantOut) || !sameBits(hold, wantHold) || matched != wantMatched {
 				t.Fatalf("%s: Parts = (%v, %v, %d), PartsMatched (%v, %v, %d)", c.what, out, hold, matched, wantOut, wantHold, wantMatched)
 			}
@@ -333,8 +337,8 @@ func TestLatticeFoldZeroAlloc(t *testing.T) {
 		for _, p := range boxes {
 			b := boxOf(t, space, p)
 			if n := testing.AllocsPerRun(100, func() {
-				out, hold, _ := lat.Parts(b, true, p)
-				sink += out + hold
+				sc := lat.Parts(b, true, p)
+				sink += sc.OutMean + sc.HoldPen
 			}); n != 0 {
 				t.Errorf("%s: a 30-group lattice fold of %v allocates %v times", aggName, p, n)
 			}
@@ -443,7 +447,8 @@ func TestLayoutContiguousMatchesInterleaved(t *testing.T) {
 			var matched [2]int
 			for k := range sides {
 				sd := &sides[k]
-				outs[k], holds[k], matched[k] = sd.lat.Parts(boxOf(t, sd.lat.Space(), p), true, p)
+				sc := sd.lat.Parts(boxOf(t, sd.lat.Space(), p), true, p)
+				outs[k], holds[k], matched[k] = sc.OutMean, sc.HoldPen, sc.Matched
 				masks := make([][]uint64, sd.l.Groups())
 				for g := range masks {
 					masks[g] = make([]uint64, sd.l.Words(g))
@@ -518,7 +523,7 @@ func TestLatticeAboveMatchesParts(t *testing.T) {
 				lat, memoLat := s.NewLattice(space), memo.NewLattice(space)
 				for _, p := range preds {
 					b := boxOf(t, space, p)
-					out, hold, _ := s.PartsMatched(p)
+					out, hold := s.Parts(p)
 					want := lambda*out - (1-lambda)*hold
 					for _, floor := range []float64{math.Inf(-1), math.Inf(1), math.NaN(), want,
 						math.Nextafter(want, math.Inf(-1)), math.Nextafter(want, math.Inf(1))} {
@@ -604,12 +609,13 @@ func TestSquaresOnlyWhenRead(t *testing.T) {
 					t.Fatalf("%s %v group %d: Select %+v, State.Add fold %+v", aggName, p, g, sels[g], full[g])
 				}
 			}
-			wantOut, wantHold := s.Score(full)
+			want := s.ScoreMatched(full)
+			wantOut, wantHold := want.OutMean, want.HoldPen
 			if out, hold := s.Parts(p); !sameBits(out, wantOut) || !sameBits(hold, wantHold) {
 				t.Fatalf("%s %v: Parts (%v, %v), with squares (%v, %v)", aggName, p, out, hold, wantOut, wantHold)
 			}
-			if out, hold, _ := lat.Parts(boxOf(t, space, p), true, p); !sameBits(out, wantOut) || !sameBits(hold, wantHold) {
-				t.Fatalf("%s %v: lattice (%v, %v), with squares (%v, %v)", aggName, p, out, hold, wantOut, wantHold)
+			if got := lat.Parts(boxOf(t, space, p), true, p); !sameBits(got.OutMean, wantOut) || !sameBits(got.HoldPen, wantHold) {
+				t.Fatalf("%s %v: lattice (%v, %v), with squares (%v, %v)", aggName, p, got.OutMean, got.HoldPen, wantOut, wantHold)
 			}
 			masks := make([][]uint64, layout.Groups())
 			for g := range masks {
@@ -726,7 +732,7 @@ func TestAboveBuildsOnlyWhatItFolds(t *testing.T) {
 			}
 		}
 	}
-	out, hold, _ := s.PartsMatched(p)
+	out, hold := s.Parts(p)
 	want := 0.5*out - 0.5*hold
 	if score, holdPen, ok := lat.Above(b, true, p, math.Inf(-1)); !ok || !sameBits(score, want) || !sameBits(holdPen, hold) {
 		t.Fatalf("Above = (%v, %v, %v), Parts (%v, %v)", score, holdPen, ok, want, hold)

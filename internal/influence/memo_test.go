@@ -25,8 +25,8 @@ func boxOf(t testing.TB, space *predicate.Space, p predicate.Predicate) predicat
 // boxParts scores p through lat by its Box, as a DT run does.
 func boxParts(t testing.TB, lat *Lattice, p predicate.Predicate) (outMean, holdPenalty float64) {
 	t.Helper()
-	outMean, holdPenalty, _ = lat.Parts(boxOf(t, lat.Space(), p), true, p)
-	return outMean, holdPenalty
+	sc := lat.Parts(boxOf(t, lat.Space(), p), true, p)
+	return sc.OutMean, sc.HoldPen
 }
 
 // kernelSpace is the space of kernelTable's attributes.
@@ -250,7 +250,7 @@ func TestSelectionMemoHitZeroAlloc(t *testing.T) {
 	}
 	lat := s.NewLattice(space)
 	var sink float64
-	if n := testing.AllocsPerRun(100, func() { out, hold, _ := lat.Parts(b, true, p); sink += out + hold }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { sc := lat.Parts(b, true, p); sink += sc.OutMean + sc.HoldPen }); n != 0 {
 		t.Errorf("Parts on a memoized box allocates %v times per call", n)
 	}
 	_ = sink

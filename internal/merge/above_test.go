@@ -145,9 +145,9 @@ func exact(s *influence.Scorer, space *predicate.Space, cands []partition.Candid
 	out := make([]partition.Candidate, len(cands))
 	for i, c := range cands {
 		b, boxed := space.Box(c.Pred)
-		outMean, hold, matched := lat.Parts(b, boxed, c.Pred)
-		out[i] = partition.Candidate{Pred: c.Pred, Score: lambda*outMean - (1-lambda)*hold,
-			HoldPenalty: hold, InfluencesHoldOut: hold > 0, Matched: matched, Exact: true}
+		sc := lat.Parts(b, boxed, c.Pred)
+		out[i] = partition.Candidate{Pred: c.Pred, Score: lambda*sc.OutMean - (1-lambda)*sc.HoldPen,
+			HoldPenalty: sc.HoldPen, Matched: sc.Matched, Exact: true}
 	}
 	return out
 }
@@ -162,7 +162,7 @@ func sameCands(t *testing.T, what string, got, want []partition.Candidate) {
 	for i := range got {
 		g, w := got[i], want[i]
 		if g.Pred.Key() != w.Pred.Key() || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
-			math.Float64bits(g.HoldPenalty) != math.Float64bits(w.HoldPenalty) || g.InfluencesHoldOut != w.InfluencesHoldOut {
+			math.Float64bits(g.HoldPenalty) != math.Float64bits(w.HoldPenalty) {
 			t.Fatalf("%s: candidate %d %v (%v, pen %v), whole-scoring reference %v (%v, pen %v)",
 				what, i, g.Pred, g.Score, g.HoldPenalty, w.Pred, w.Score, w.HoldPenalty)
 		}

@@ -22,7 +22,6 @@ package merge
 
 import (
 	"context"
-	"math"
 
 	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/obs"
@@ -303,15 +302,9 @@ func (r *run) expand(c partition.Candidate) partition.Candidate {
 		if best < 0 {
 			break
 		}
-		q := &r.cands[best]
 		r.absorbed[r.class[best]] = true
 		at = bestShape
-		cur = partition.Candidate{
-			Pred:              r.predOf(&at),
-			Score:             bestScore,
-			HoldPenalty:       math.Max(cur.HoldPenalty, q.HoldPenalty),
-			InfluencesHoldOut: cur.InfluencesHoldOut || q.InfluencesHoldOut,
-		}
+		cur = partition.Candidate{Pred: r.predOf(&at)}
 		curScore = bestScore
 	}
 	cur.Score = curScore
@@ -352,9 +345,7 @@ func (r *run) exact(s *shape) float64 {
 			return m.v
 		}
 	}
-	lambda := r.scorer.Task().Lambda
-	out, hold, _ := r.lat.Parts(s.box, s.boxed, s.pred)
-	v := lambda*out - (1-lambda)*hold
+	v := r.lat.Parts(s.box, s.boxed, s.pred).Value
 	if s.boxed {
 		r.memo[s.box] = memoScore{v, true}
 	}

@@ -123,13 +123,7 @@ func (m *Merger) refExpand(c partition.Candidate, pool []partition.Candidate, ab
 			break
 		}
 		absorbed[pool[bestIdx].Pred.Key()] = true
-		cur = partition.Candidate{
-			Pred:        bestPred,
-			Score:       bestScore,
-			HoldPenalty: math.Max(cur.HoldPenalty, pool[bestIdx].HoldPenalty),
-			InfluencesHoldOut: cur.InfluencesHoldOut ||
-				pool[bestIdx].InfluencesHoldOut,
-		}
+		cur = partition.Candidate{Pred: bestPred, Score: bestScore}
 		curScore = bestScore
 	}
 	cur.Score = curScore
@@ -328,7 +322,6 @@ func (fx boxFixture) mergePool(rng *rand.Rand, n int) []partition.Candidate {
 		case 4, 5, 6, 7, 8:
 			pool[i].Pred = fx.gridBox(rng)
 		}
-		pool[i].InfluencesHoldOut = rng.Intn(5) == 0
 	}
 	return pool
 }
@@ -346,9 +339,9 @@ func sameMerge(t *testing.T, what string, got, want []partition.Candidate) {
 	for i := range got {
 		g, w := got[i], want[i]
 		if !g.Pred.Equal(w.Pred) || g.Pred.Key() != w.Pred.Key() || !bitsEqual(g.Score, w.Score) ||
-			!bitsEqual(g.HoldPenalty, w.HoldPenalty) || g.InfluencesHoldOut != w.InfluencesHoldOut {
-			t.Fatalf("%s: candidate %d = %v (%v, pen %v, %v), reference %v (%v, pen %v, %v)", what, i,
-				g.Pred, g.Score, g.HoldPenalty, g.InfluencesHoldOut, w.Pred, w.Score, w.HoldPenalty, w.InfluencesHoldOut)
+			!bitsEqual(g.HoldPenalty, w.HoldPenalty) {
+			t.Fatalf("%s: candidate %d = %v (%v, pen %v), reference %v (%v, pen %v)", what, i,
+				g.Pred, g.Score, g.HoldPenalty, w.Pred, w.Score, w.HoldPenalty)
 		}
 	}
 }

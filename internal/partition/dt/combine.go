@@ -9,8 +9,8 @@ import (
 
 // combine implements §6.1.4: outlier partitions are split along their
 // intersections with influential hold-out partitions, so pieces that would
-// perturb hold-out results are separated (and flagged) from pieces that only
-// influence outliers.
+// perturb hold-out results are separated from pieces that only influence
+// outliers.
 func (pt *Partitioning) combine(space *predicate.Space) {
 	influential := influentialHoldOuts(pt.HoldOutLeaves, holdOutFrac)
 	pt.Combined = pt.Combined[:0]
@@ -21,7 +21,7 @@ func (pt *Partitioning) combine(space *predicate.Space) {
 			for _, piece := range pending {
 				inside, ok, outside := splitByBox(piece, h.Pred, space)
 				if ok {
-					pt.Combined = append(pt.Combined, combinedPiece{pred: inside, influencesHoldOut: true})
+					pt.Combined = append(pt.Combined, combinedPiece{pred: inside})
 				}
 				next = append(next, outside...)
 			}

@@ -100,8 +100,7 @@ type Partitioning struct {
 }
 
 type combinedPiece struct {
-	pred              predicate.Predicate
-	influencesHoldOut bool
+	pred predicate.Predicate
 	// piece is its Box for the Merger and the Lattice, built once with the
 	// partitioning.
 	piece partition.Piece
@@ -148,28 +147,22 @@ func PartitionContext(ctx context.Context, scorer *influence.Scorer, space *pred
 	return Partition(ctx, scorer, space, params)
 }
 
-// Score scores the combined partitioning through lat, a lattice of scorer
-// over the partitioning's space, producing Merger-ready candidates: a
-// piece is scored by its Box, from the scorer's selection memo or folded
-// from the lattice's bitsets. Once ctx is cancelled the remaining pieces
-// are dropped — the returned list is the scored best-so-far subset, never
-// zero-value (match-everything, score-0) placeholders.
-func (pt *Partitioning) Score(ctx context.Context, scorer *influence.Scorer, lat *influence.Lattice) []partition.Candidate {
-	task := scorer.Task()
+// Score scores the combined partitioning through lat, a lattice over the
+// partitioning's space, producing Merger-ready candidates: a piece is
+// scored by its Box, from the scorer's selection memo or folded from the
+// lattice's bitsets. Once ctx is cancelled the remaining pieces are dropped
+// — the returned list is the scored best-so-far subset, never zero-value
+// (match-everything, score-0) placeholders.
+func (pt *Partitioning) Score(ctx context.Context, lat *influence.Lattice) []partition.Candidate {
 	out := make([]partition.Candidate, 0, len(pt.Combined))
 	for i := range pt.Combined {
 		if ctx.Err() != nil {
 			break
 		}
 		piece := &pt.Combined[i]
-		outMean, holdPen, _ := lat.Parts(piece.piece.Box, piece.piece.Boxed, piece.pred)
-		out = append(out, partition.Candidate{
-			Pred:              piece.pred,
-			Score:             task.Lambda*outMean - (1-task.Lambda)*holdPen,
-			HoldPenalty:       holdPen,
-			InfluencesHoldOut: piece.influencesHoldOut,
-			Piece:             &piece.piece,
-		})
+		c := partition.Candidate{Pred: piece.pred, Piece: &piece.piece}
+		c.SetScore(lat.Parts(piece.piece.Box, piece.piece.Boxed, piece.pred))
+		out = append(out, c)
 	}
 	partition.SortByScore(out)
 	return out
@@ -177,7 +170,7 @@ func (pt *Partitioning) Score(ctx context.Context, scorer *influence.Scorer, lat
 
 // Candidates is Score through a lattice of its own, uncancellable.
 func (pt *Partitioning) Candidates(scorer *influence.Scorer) []partition.Candidate {
-	return pt.Score(context.Background(), scorer, scorer.NewLattice(pt.space))
+	return pt.Score(context.Background(), scorer.NewLattice(pt.space))
 }
 
 // threshold computes the Figure 4 error threshold for a partition whose

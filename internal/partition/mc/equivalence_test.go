@@ -147,7 +147,7 @@ func TestUnitsMatchPartsMatched(t *testing.T) {
 					}
 					best := math.Inf(-1)
 					for _, u := range m.units {
-						outMean, hold, _ := scorer.PartsMatched(u.pred)
+						outMean, hold := scorer.Parts(u.pred)
 						score := lambda*outMean - (1-lambda)*hold
 						if math.Float64bits(u.score) != math.Float64bits(score) || math.Float64bits(u.outMean) != math.Float64bits(outMean) {
 							t.Fatalf("%s c=%v λ=%v generation %d %v: unit (score %v, outMean %v), PartsMatched (%v, %v)",

@@ -181,15 +181,14 @@ func (m *runner) init() {
 // the run's lattice. On cancellation it flags the runner interrupted so
 // partial scores are never consumed.
 func (m *runner) scoreUnits() {
-	lambda := m.task.Lambda
 	for i := range m.units {
 		if m.pool.Cancelled() {
 			m.interrupted = true
 			return
 		}
 		u := &m.units[i]
-		outMean, hold, _ := m.lat.Parts(u.box, u.boxed, u.pred)
-		u.score, u.outMean = lambda*outMean-(1-lambda)*hold, outMean
+		sc := m.lat.Parts(u.box, u.boxed, u.pred)
+		u.score, u.outMean = sc.Value, sc.OutMean
 	}
 }
 

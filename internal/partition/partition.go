@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/scorpiondb/scorpion/internal/influence"
 	"github.com/scorpiondb/scorpion/internal/predicate"
 )
 
@@ -24,22 +25,26 @@ type Candidate struct {
 	Pred predicate.Predicate
 	// Score is the (estimated) influence inf(O, H, p, V).
 	Score float64
-	// HoldPenalty is max_h |inf(h, p)| at scoring time.
+	// HoldPenalty is max_h |inf(h, p)| as the exact re-score gives it, set
+	// only by SetScore (0 before it).
 	HoldPenalty float64
-	// InfluencesHoldOut marks partitions that overlap an influential
-	// hold-out partition after the §6.1.4 combine step.
-	InfluencesHoldOut bool
 	// Exact marks a candidate whose Score, HoldPenalty and Matched are
 	// already the exact values the rank step's re-score would give it (the
 	// shard combine scored it on the full table): the re-score keeps them,
-	// folds it no more, and clears the mark. It sits beside the other bool,
-	// in padding, so a Candidate is no larger for it.
+	// folds it no more, and clears the mark.
 	Exact bool
-	// Matched is |p(g_O)| as the exact re-score counted it (0 before it).
+	// Matched is |p(g_O)| as the exact re-score counts it, set only by
+	// SetScore (0 before it).
 	Matched int
 	// Piece, when set, is the candidate's entry in its DT partitioning's
 	// piece table, which the Merger reads instead of deriving it again.
 	Piece *Piece
+}
+
+// SetScore gives c the objective sc and its parts: Score, HoldPenalty and
+// Matched. Every exact score a served candidate carries is written here.
+func (c *Candidate) SetScore(sc influence.Score) {
+	c.Score, c.HoldPenalty, c.Matched = sc.Value, sc.HoldPen, sc.Matched
 }
 
 // Piece is a candidate as the Merger and a Lattice read it: its Box over a

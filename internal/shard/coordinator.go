@@ -405,11 +405,8 @@ func (c *Coordinator) TakeLattice() *influence.Lattice {
 // |p(g_O)| through the lattice, and marks it Exact for the rank step.
 func (c *Coordinator) scoreExact(cand *partition.Candidate) {
 	b, boxed := c.space.Box(cand.Pred)
-	outMean, holdPen, matched := c.lat.Parts(b, boxed, cand.Pred)
-	lambda := c.scorer.Task().Lambda
-	cand.Score = lambda*outMean - (1-lambda)*holdPen
-	cand.HoldPenalty, cand.InfluencesHoldOut = holdPen, holdPen > 0
-	cand.Matched, cand.Exact = matched, true
+	cand.SetScore(c.lat.Parts(b, boxed, cand.Pred))
+	cand.Exact = true
 }
 
 // refineTop is how many leading candidates the combiner refines.
@@ -586,21 +583,19 @@ func (r *climber) climb(cand partition.Candidate) (out partition.Candidate, ok b
 		r.fallbacks++
 	}
 	curScore := cand.Score
-	var holdPen float64
 	moved := bound{clause: -1}
 	for step := 0; step < refineMaxSteps; step++ {
 		r.steps++
 		best, bestMove := curScore, bound{clause: -1}
 		var bestShape shape
-		var bestHold float64
 		try := func(b bound, lo, hi float64, inc bool) {
 			if lo > hi || (lo == hi && !inc) {
 				return
 			}
 			next := r.with(&cur, b.clause, lo, hi, inc)
 			r.moves++
-			if s, hold, ok := r.lat.Above(next.box, next.boxed, next.pred, best); ok {
-				best, bestMove, bestShape, bestHold = s, b, next, hold
+			if s, _, ok := r.lat.Above(next.box, next.boxed, next.pred, best); ok {
+				best, bestMove, bestShape = s, b, next
 			}
 		}
 		for ci, cl := range r.bounds(&cur) {
@@ -625,7 +620,7 @@ func (r *climber) climb(cand partition.Candidate) (out partition.Candidate, ok b
 		if bestMove.clause < 0 {
 			break
 		}
-		cur, curScore, holdPen, moved = bestShape, best, bestHold, bestMove
+		cur, curScore, moved = bestShape, best, bestMove
 	}
 	if !(curScore > cand.Score) { // a NaN-scored candidate never improves
 		return cand, false
@@ -633,12 +628,7 @@ func (r *climber) climb(cand partition.Candidate) (out partition.Candidate, ok b
 	if cur.boxed {
 		cur.pred = r.space.Predicate(cur.box)
 	}
-	return partition.Candidate{
-		Pred:              cur.pred,
-		Score:             curScore,
-		HoldPenalty:       holdPen,
-		InfluencesHoldOut: holdPen > 0,
-	}, true
+	return partition.Candidate{Pred: cur.pred, Score: curScore}, true
 }
 
 // bounds reads s's clauses back, in column order.

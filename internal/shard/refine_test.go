@@ -81,12 +81,7 @@ func referenceRefine(c *Coordinator, scorer *influence.Scorer, cands []partition
 		}
 		if curScore > cands[i].Score {
 			outMean, holdPen := scorer.Parts(cur.Pred)
-			refined = append(refined, partition.Candidate{
-				Pred:              cur.Pred,
-				Score:             lambda*outMean - (1-lambda)*holdPen,
-				HoldPenalty:       holdPen,
-				InfluencesHoldOut: holdPen > 0,
-			})
+			refined = append(refined, partition.Candidate{Pred: cur.Pred, Score: lambda*outMean - (1-lambda)*holdPen})
 		}
 	}
 	if len(refined) == 0 {
@@ -145,14 +140,14 @@ func exactCandidates(scorer *influence.Scorer, preds []predicate.Predicate) []pa
 	var cands []partition.Candidate
 	for _, p := range preds {
 		outMean, holdPen := scorer.Parts(p)
-		cands = append(cands, partition.Candidate{Pred: p, Score: lambda*outMean - (1-lambda)*holdPen, HoldPenalty: holdPen, InfluencesHoldOut: holdPen > 0})
+		cands = append(cands, partition.Candidate{Pred: p, Score: lambda*outMean - (1-lambda)*holdPen, HoldPenalty: holdPen})
 	}
 	partition.SortByScore(cands)
 	return partition.Dedupe(cands)
 }
 
 // sameCandidates reports the first difference between two ranked lists:
-// predicate keys, score and penalty bits, hold-out flags.
+// predicate keys, score and penalty bits.
 func sameCandidates(got, want []partition.Candidate) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d candidates, want %d", len(got), len(want))
@@ -160,9 +155,9 @@ func sameCandidates(got, want []partition.Candidate) error {
 	for i := range got {
 		g, w := got[i], want[i]
 		if g.Pred.Key() != w.Pred.Key() || math.Float64bits(g.Score) != math.Float64bits(w.Score) ||
-			math.Float64bits(g.HoldPenalty) != math.Float64bits(w.HoldPenalty) || g.InfluencesHoldOut != w.InfluencesHoldOut {
-			return fmt.Errorf("candidate %d: %v (%v, penalty %v, %v), want %v (%v, penalty %v, %v)",
-				i, g.Pred, g.Score, g.HoldPenalty, g.InfluencesHoldOut, w.Pred, w.Score, w.HoldPenalty, w.InfluencesHoldOut)
+			math.Float64bits(g.HoldPenalty) != math.Float64bits(w.HoldPenalty) {
+			return fmt.Errorf("candidate %d: %v (%v, penalty %v), want %v (%v, penalty %v)",
+				i, g.Pred, g.Score, g.HoldPenalty, w.Pred, w.Score, w.HoldPenalty)
 		}
 	}
 	return nil

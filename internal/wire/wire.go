@@ -123,16 +123,16 @@ type Result struct {
 	Interrupted bool        `json:"interrupted,omitempty"`
 }
 
-// Candidate mirrors partition.Candidate with the predicate exploded into
-// clauses plus its canonical fingerprint.
+// Candidate is a shard's partition.Candidate: its predicate exploded into
+// clauses plus its canonical fingerprint, and its shard-local score. The
+// coordinator re-scores every candidate exactly before it reads a penalty,
+// so none travels.
 type Candidate struct {
 	Clauses []Clause `json:"clauses"`
 	// Key is the producer's predicate.Key(); the decoder recomputes it
 	// from Clauses and rejects the candidate on mismatch.
-	Key               string  `json:"key"`
-	Score             float64 `json:"score"`
-	HoldPenalty       float64 `json:"hold_penalty"`
-	InfluencesHoldOut bool    `json:"influences_holdout,omitempty"`
+	Key   string  `json:"key"`
+	Score float64 `json:"score"`
 }
 
 // Clause is one predicate clause. Kind is "continuous" or "discrete".
@@ -216,13 +216,7 @@ func EncodeCandidates(cands []partition.Candidate) []Candidate {
 				Values: cl.Values,
 			}
 		}
-		out[i] = Candidate{
-			Clauses:           wc,
-			Key:               c.Pred.Key(),
-			Score:             c.Score,
-			HoldPenalty:       c.HoldPenalty,
-			InfluencesHoldOut: c.InfluencesHoldOut,
-		}
+		out[i] = Candidate{Clauses: wc, Key: c.Pred.Key(), Score: c.Score}
 	}
 	return out
 }
@@ -254,12 +248,7 @@ func DecodeCandidates(cands []Candidate) ([]partition.Candidate, error) {
 		if pred.Key() != c.Key {
 			return nil, fmt.Errorf("wire: candidate %d: fingerprint mismatch: rebuilt %q, wire %q", i, pred.Key(), c.Key)
 		}
-		out[i] = partition.Candidate{
-			Pred:              pred,
-			Score:             c.Score,
-			HoldPenalty:       c.HoldPenalty,
-			InfluencesHoldOut: c.InfluencesHoldOut,
-		}
+		out[i] = partition.Candidate{Pred: pred, Score: c.Score}
 	}
 	return out, nil
 }

@@ -100,7 +100,7 @@ func testCandidates(t *testing.T) []partition.Candidate {
 		t.Fatal(err)
 	}
 	return []partition.Candidate{
-		{Pred: p1, Score: 1.5, HoldPenalty: 0.25, InfluencesHoldOut: true},
+		{Pred: p1, Score: 1.5},
 		{Pred: p2, Score: -2},
 	}
 }
@@ -134,16 +134,18 @@ func TestOutcomeRoundTrip(t *testing.T) {
 		if g.Pred.Key() != w.Pred.Key() {
 			t.Fatalf("candidate %d: key %q != %q", i, g.Pred.Key(), w.Pred.Key())
 		}
-		if g.Score != w.Score || g.HoldPenalty != w.HoldPenalty || g.InfluencesHoldOut != w.InfluencesHoldOut {
+		if g.Score != w.Score {
 			t.Fatalf("candidate %d drifted: %+v vs %+v", i, g, w)
 		}
 	}
 }
 
 // TestDecodeOutcomeIgnoresRetiredStats: a version-2 worker that still
-// sends the per-group statistics Candidate used to carry (group_cards,
-// cached_rows, mean_influences) yields the same predicates, scores and
-// penalties as one that does not — the removal keeps Version at 2.
+// sends the fields Candidate used to carry — the per-group statistics
+// (group_cards, cached_rows, mean_influences) and the hold-out penalty and
+// flag (hold_penalty, influences_holdout), which the coordinator's exact
+// re-score replaces — yields the same predicates and scores as one that
+// does not: the removals keep Version at 2.
 func TestDecodeOutcomeIgnoresRetiredStats(t *testing.T) {
 	data, err := json.Marshal(EncodeOutcome(&partition.Outcome{Candidates: testCandidates(t), Work: 7}))
 	if err != nil {
@@ -158,9 +160,14 @@ func TestDecodeOutcomeIgnoresRetiredStats(t *testing.T) {
 	}
 	for _, c := range old["candidates"].([]any) {
 		c := c.(map[string]any)
+		if _, ok := c["hold_penalty"]; ok {
+			t.Fatalf("encoded candidate %v still carries hold_penalty", c)
+		}
 		c["group_cards"] = []float64{3, 0}
 		c["cached_rows"] = []int{7, -1}
 		c["mean_influences"] = []float64{0.5, 0}
+		c["hold_penalty"] = 0.25
+		c["influences_holdout"] = true
 	}
 	oldData, err := json.Marshal(old)
 	if err != nil {
@@ -184,7 +191,7 @@ func TestDecodeOutcomeIgnoresRetiredStats(t *testing.T) {
 	}
 	for i, g := range got.Candidates {
 		w := want.Candidates[i]
-		if g.Pred.Key() != w.Pred.Key() || g.Score != w.Score || g.HoldPenalty != w.HoldPenalty || g.InfluencesHoldOut != w.InfluencesHoldOut {
+		if g.Pred.Key() != w.Pred.Key() || g.Score != w.Score || g.HoldPenalty != w.HoldPenalty {
 			t.Fatalf("candidate %d: old peer %+v, want %+v", i, g, w)
 		}
 	}

@@ -181,10 +181,9 @@ func TestLambdaZeroChangesRanking(t *testing.T) {
 }
 
 // TestAssembleRecomputesHoldOutFlag checks the rank phase derives
-// InfluencesHoldOut from the exact re-scored penalty instead of copying
-// the partitioner's search-time estimate: a wrongly-true flag on a
-// predicate that touches no hold-out rows is cleared, and a wrongly-false
-// flag on one that perturbs a hold-out is set.
+// InfluencesHoldOut from the exact re-scored penalty: a predicate that
+// touches no hold-out rows is not flagged, and one that perturbs a
+// hold-out is.
 func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 	req := &Request{
 		Table:            sensorsTable(t),
@@ -200,14 +199,13 @@ func TestAssembleRecomputesHoldOutFlag(t *testing.T) {
 	}
 	tempCol := req.Table.Schema().MustIndex("temp")
 	// temp ∈ [80, 200] matches rows only in the outlier groups (11AM temps
-	// are ~35): exact hold-out penalty 0, yet the search claims true.
+	// are ~35): exact hold-out penalty 0.
 	outlierOnly := predicate.MustNew(predicate.NewRangeClause(tempCol, "temp", 80, 200, true))
-	// temp ∈ [34, 34.5] matches one 11AM row: exact penalty > 0, yet the
-	// search claims false.
+	// temp ∈ [34, 34.5] matches one 11AM row: exact penalty > 0.
 	holdOutTouching := predicate.MustNew(predicate.NewRangeClause(tempCol, "temp", 34, 34.5, true))
 	cands := []partition.Candidate{
-		{Pred: outlierOnly, Score: 1, InfluencesHoldOut: true},
-		{Pred: holdOutTouching, Score: 0.5, InfluencesHoldOut: false},
+		{Pred: outlierOnly, Score: 1},
+		{Pred: holdOutTouching, Score: 0.5},
 	}
 	scored, _ := rescoreExact(scorer, nil, cands, false)
 	res := present(p, scorer, scored, nil, nil)

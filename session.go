@@ -549,11 +549,9 @@ func (s *Session) refresh(ctx context.Context, pl *Plan, p *pool, gen int64) (*R
 	// pool was searched, not per-batch growth.
 	_, rescore := obs.StartSpan(ctx, "rescore")
 	tested := 0
-	lambda := scorer.Task().Lambda
 	for i := range p.cands {
 		tested += scorer.Extend(p.cands[i].Pred, p.absorbed, p.sels[i])
-		outMean, holdPen, matched := scorer.ScoreMatched(p.sels[i])
-		setScore(&p.cands[i], lambda, outMean, holdPen, matched)
+		p.cands[i].SetScore(scorer.ScoreMatched(p.sels[i]))
 	}
 	ranked{p.cands, p.sels, p.where}.sort()
 	rescore.SetAttr("candidates", len(p.cands))

@@ -198,7 +198,7 @@ func refreshMatchesFullRescan(t *testing.T, sess *Session, r *Request, gen int64
 	for i, w := range want {
 		c := p.cands[i]
 		if !c.Pred.Equal(w.Pred) || math.Float64bits(c.Score) != math.Float64bits(w.Score) ||
-			math.Float64bits(c.HoldPenalty) != math.Float64bits(w.HoldPenalty) || c.InfluencesHoldOut != w.InfluencesHoldOut {
+			math.Float64bits(c.HoldPenalty) != math.Float64bits(w.HoldPenalty) {
 			t.Fatalf("rank %d: tail refresh %v %v/%v, full rescan %v %v/%v",
 				i, c.Pred.Key(), c.Score, c.HoldPenalty, w.Pred.Key(), w.Score, w.HoldPenalty)
 		}

@@ -15,9 +15,10 @@ import (
 // Session per worker count — a prime at the top of the range, then 56
 // shuffled c values — once with the scorer's selection memo and once
 // without it. Both sweeps must answer identically: the same predicates with
-// bit-equal influence and penalty and the same matched counts. Every score
-// a run reports must be Parts on a scorer freshly built at that c, and the
-// memo must spare the warm runs their folds.
+// bit-equal influence and penalty and the same matched counts. Every
+// explanation a run reports must carry what a scorer freshly built at that
+// c gives it (freshScorer.check), and the memo must spare the warm runs
+// their folds.
 func TestDTSweepSelectionMemo(t *testing.T) {
 	req := synthRequest(t, "avg", 300)
 	req.Algorithm = DT
@@ -63,24 +64,30 @@ func TestDTSweepSelectionMemo(t *testing.T) {
 		for i, c := range cs {
 			identicalResults(t, with[i], without[i], fmt.Sprintf("workers=%d c=%v, memo on vs off", workers, c))
 			if fresh[i] == nil {
-				fresh[i] = newFreshScorer(t, req, c)
+				fresh[i] = newFreshScorer(t, atC(req, c))
 			}
 			fresh[i].check(t, with[i], c)
 		}
 	}
 }
 
-// freshScorer is a scorer built from scratch for one c, with the Plan's λ.
+// freshScorer is a scorer built from scratch for one request, over its
+// whole table, with the Plan's λ.
 type freshScorer struct {
 	lambda float64
 	s      *influence.Scorer
 }
 
-func newFreshScorer(t *testing.T, req *Request, c float64) *freshScorer {
-	t.Helper()
+// atC is a copy of req at c.
+func atC(req *Request, c float64) *Request {
 	r := *req
 	r.SetC(c)
-	p, err := r.Plan()
+	return &r
+}
+
+func newFreshScorer(t *testing.T, req *Request) *freshScorer {
+	t.Helper()
+	p, err := req.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +98,20 @@ func newFreshScorer(t *testing.T, req *Request, c float64) *freshScorer {
 	return &freshScorer{lambda: p.lambda, s: s}
 }
 
-// check fails unless every explanation of res carries the influence and
-// penalty Parts gives on the fresh scorer.
+// check fails unless every explanation of res carries what the fresh
+// scorer gives its predicate: the influence λ·outMean − (1−λ)·penalty from
+// PartsMatched's parts, combined here by hand as an independent check, and
+// the penalty, both bit for bit; the matched count; and the hold-out flag
+// as the penalty's sign.
 func (f *freshScorer) check(t *testing.T, res *Result, c float64) {
 	t.Helper()
 	for i, e := range res.Explanations {
-		out, hold := f.s.Parts(e.Predicate)
-		want := f.lambda*out - (1-f.lambda)*hold
-		if math.Float64bits(e.Influence) != math.Float64bits(want) || math.Float64bits(e.HoldOutPenalty) != math.Float64bits(hold) {
-			t.Fatalf("c=%v rank %d %q: reported (%v, penalty %v), a fresh scorer's Parts give (%v, penalty %v)",
-				c, i, e.Where, e.Influence, e.HoldOutPenalty, want, hold)
+		sc := f.s.PartsMatched(e.Predicate)
+		want := f.lambda*sc.OutMean - (1-f.lambda)*sc.HoldPen
+		if math.Float64bits(e.Influence) != math.Float64bits(want) || math.Float64bits(e.HoldOutPenalty) != math.Float64bits(sc.HoldPen) ||
+			e.MatchedOutlierTuples != sc.Matched || e.InfluencesHoldOut != (e.HoldOutPenalty > 0) {
+			t.Fatalf("c=%v rank %d %q: reported (%v, penalty %v, matched %d, flag %v), a fresh scorer gives (%v, penalty %v, matched %d)",
+				c, i, e.Where, e.Influence, e.HoldOutPenalty, e.MatchedOutlierTuples, e.InfluencesHoldOut, want, sc.HoldPen, sc.Matched)
 		}
 	}
 }
@@ -175,7 +186,7 @@ func TestSessionSweepSharesLattice(t *testing.T) {
 	}
 	for i, c := range cs {
 		identicalResults(t, on[i], off[i], fmt.Sprintf("c=%v, memo on vs off", c))
-		fresh := newFreshScorer(t, req, c)
+		fresh := newFreshScorer(t, atC(req, c))
 		fresh.check(t, on[i], c)
 		fresh.check(t, off[i], c)
 	}
@@ -188,7 +199,7 @@ func TestDTExplainScoresExact(t *testing.T) {
 	req := synthRequest(t, "avg", 200)
 	req.Algorithm = DT
 	for _, c := range []float64{0.5, 0.2, 0.05} {
-		fresh := newFreshScorer(t, req, c)
+		fresh := newFreshScorer(t, atC(req, c))
 		for _, workers := range []int{1, 2} {
 			r := *req
 			r.SetC(c)

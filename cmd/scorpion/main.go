@@ -48,6 +48,7 @@ import (
 	scorpion "github.com/scorpiondb/scorpion"
 	"github.com/scorpiondb/scorpion/internal/obs"
 	"github.com/scorpiondb/scorpion/internal/plot"
+	"github.com/scorpiondb/scorpion/internal/server"
 )
 
 func main() {
@@ -126,12 +127,19 @@ func run(ctx context.Context, args []string) error {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		body := map[string]any{
-			"table":    *table,
-			"sql":      *sqlText,
-			"outliers": splitList(*outliers),
-			"c":        *cKnob,
-			"lambda":   *lambda,
+		body := server.ExplainRequest{
+			Table:            *table,
+			SQL:              *sqlText,
+			Outliers:         splitList(*outliers),
+			HoldOuts:         splitList(*holdouts),
+			AllOthersHoldOut: *allOthers,
+			Direction:        unlessDefault(strings.ToLower(*direction), "high"),
+			Attributes:       splitList(*attrs),
+			C:                cKnob,
+			Lambda:           lambda,
+			Algorithm:        unlessDefault(strings.ToLower(*algo), "auto"),
+			TopK:             unlessDefault(*topK, 5),
+			Shards:           *shards,
 		}
 		// Send workers only when the flag was given, preserving its local
 		// semantics: an explicit 0 means serial (a 1-worker grant), not
@@ -139,48 +147,24 @@ func run(ctx context.Context, args []string) error {
 		// GOMAXPROCS on both sides. An unset flag defers to the server.
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "workers" {
-				w := *workers
-				if w == 0 {
-					w = 1
+				body.Workers = *workers
+				if body.Workers == 0 {
+					body.Workers = 1
 				}
-				body["workers"] = w
 			}
 		})
-		if hs := splitList(*holdouts); len(hs) > 0 {
-			body["holdouts"] = hs
-		}
-		if *allOthers {
-			body["all_others_holdout"] = true
-		}
-		if d := strings.ToLower(*direction); d != "high" {
-			body["direction"] = d
-		}
-		if a := strings.ToLower(*algo); a != "auto" {
-			body["algorithm"] = a
-		}
-		if as := splitList(*attrs); len(as) > 0 {
-			body["attributes"] = as
-		}
-		if *topK != 5 {
-			body["top_k"] = *topK
-		}
-		if *shards != 0 {
-			body["shards"] = *shards
-		}
 		if *noCache {
-			body["cache"] = "bypass"
+			body.Cache = "bypass"
 		}
 		return runRemote(ctx, remoteOptions{
 			base:       strings.TrimRight(*serverURL, "/"),
-			table:      *table,
 			async:      *asyncMode,
 			follow:     *follow,
 			appendPath: *appendCSV,
 			poll:       *pollEvery,
 			timeout:    *timeout,
 			showQuery:  *showQuery,
-			body:       body,
-			sql:        *sqlText,
+			body:       &body,
 		})
 	}
 	if *csvPath == "" || *sqlText == "" || *outliers == "" {
@@ -330,6 +314,16 @@ func run(ctx context.Context, args []string) error {
 			i+1, e.Influence, e.MatchedOutlierTuples, e.Where, marker)
 	}
 	return nil
+}
+
+// unlessDefault returns v, or the zero value when v equals the flag's
+// default, so the /explain body leaves a default knob to the server.
+func unlessDefault[T comparable](v, def T) T {
+	if v == def {
+		var zero T
+		return zero
+	}
+	return v
 }
 
 func splitList(s string) []string {

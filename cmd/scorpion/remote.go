@@ -13,66 +13,37 @@ import (
 
 	"github.com/scorpiondb/scorpion/internal/dispatch"
 	"github.com/scorpiondb/scorpion/internal/plot"
+	"github.com/scorpiondb/scorpion/internal/server"
 )
 
 // remoteOptions carries one explanation request aimed at a running
 // scorpion-server instead of a locally loaded CSV.
 type remoteOptions struct {
 	base       string // server base URL, e.g. http://localhost:8080
-	table      string // catalog table name ("" = server's only table)
 	async      bool   // submit as a job and poll best-so-far
 	follow     bool   // keep re-explaining as the table grows
 	appendPath string // CSV batch to append before explaining ("" = none)
 	poll       time.Duration
 	timeout    time.Duration // the -timeout flag; also caps the transport's dial/TLS phases
 	showQuery  bool
-	body       map[string]any // the /explain request body
-	sql        string
+	body       *server.ExplainRequest // the /explain request body; its Table and SQL also serve -append and -show-query
 }
 
-// remoteExplanation mirrors the server's ExplanationJSON.
-type remoteExplanation struct {
-	Where     string  `json:"where"`
-	Influence float64 `json:"influence"`
-	Matched   int     `json:"matched_outlier_tuples"`
-}
-
-// remoteResult mirrors the server's /explain response body; Error captures
-// the {"error": ...} shape of non-200 answers.
+// remoteResult is the server's /explain response body plus the
+// {"error": ...} shape of non-200 answers.
 type remoteResult struct {
-	Algorithm       string              `json:"algorithm"`
-	DurationMS      int64               `json:"duration_ms"`
-	ScorerCalls     int64               `json:"scorer_calls"`
-	Shards          int                 `json:"shards"`
-	Explanations    []remoteExplanation `json:"explanations"`
-	Cached          bool                `json:"cached"`
-	ReusedPartition bool                `json:"reused_partition"`
-	Refreshed       bool                `json:"refreshed"`
-	RefreshedFrom   int64               `json:"refreshed_from"`
-	Interrupted     bool                `json:"interrupted"`
-	InterruptReason string              `json:"interrupt_reason"`
-	Error           string              `json:"error"`
+	server.ExplainResponse
+	Error string `json:"error"`
 }
 
-// jobView mirrors the fields of the server's /jobs/{id} response the CLI
+// jobView holds the fields of the server's /jobs/{id} response the CLI
 // uses.
 type jobView struct {
-	ID       string `json:"id"`
-	Status   string `json:"status"`
-	Progress *struct {
-		ElapsedMS   int64 `json:"elapsed_ms"`
-		ScorerCalls int64 `json:"scorer_calls"`
-		Best        []struct {
-			Where     string  `json:"where"`
-			Influence float64 `json:"influence"`
-		} `json:"best"`
-		Shards []struct {
-			Shard string `json:"shard"`
-		} `json:"shards"`
-		Version int64 `json:"version"`
-	} `json:"progress"`
-	Result *remoteResult `json:"result"`
-	Error  string        `json:"error"`
+	ID       string              `json:"id"`
+	Status   string              `json:"status"`
+	Progress *server.JobProgress `json:"progress"`
+	Result   *remoteResult       `json:"result"`
+	Error    string              `json:"error"`
 }
 
 // minPollInterval floors the -poll knob: a zero or negative interval would
@@ -255,7 +226,7 @@ func remoteAppend(ctx context.Context, client *http.Client, opts remoteOptions) 
 		return err
 	}
 	defer f.Close()
-	url := opts.base + "/tables/" + opts.table + "/rows"
+	url := opts.base + "/tables/" + opts.body.Table + "/rows"
 	req, err := http.NewRequestWithContext(ctx, "POST", url, f)
 	if err != nil {
 		return err
@@ -280,7 +251,7 @@ func remoteAppend(ctx context.Context, client *http.Client, opts remoteOptions) 
 		return fmt.Errorf("append: HTTP %d", code)
 	}
 	fmt.Printf("appended %d rows to %s (now %d rows, generation %d)\n\n",
-		out.Appended, opts.table, out.Table.Rows, out.Table.Gen)
+		out.Appended, opts.body.Table, out.Table.Rows, out.Table.Gen)
 	return nil
 }
 
@@ -317,7 +288,7 @@ func followRemote(ctx context.Context, client *http.Client, opts remoteOptions) 
 			}
 			return fmt.Errorf("server: %s", httpErrorText(code, &res))
 		}
-		if first || !res.Cached {
+		if first || res.Cached == nil || !*res.Cached {
 			fmt.Printf("--- %s ---\n", time.Now().Format(time.TimeOnly))
 			printRemoteResult(&res)
 			fmt.Println()
@@ -341,13 +312,13 @@ func remoteQuery(ctx context.Context, client *http.Client, opts remoteOptions) e
 		} `json:"rows"`
 		Error string `json:"error"`
 	}
-	body := map[string]any{"table": opts.table, "sql": opts.sql}
+	body := server.QueryRequest{Table: opts.body.Table, SQL: opts.body.SQL}
 	if code, err := postJSON(ctx, client, opts.base+"/query", body, &out); err != nil {
 		return err
 	} else if code != http.StatusOK {
 		return fmt.Errorf("query: %s", out.Error)
 	}
-	fmt.Printf("query: %s\n\n", opts.sql)
+	fmt.Printf("query: %s\n\n", opts.body.SQL)
 	points := make([]plot.Point, 0, len(out.Rows))
 	for _, row := range out.Rows {
 		points = append(points, plot.Point{Label: row.Key, Value: row.Value})
@@ -359,7 +330,7 @@ func remoteQuery(ctx context.Context, client *http.Client, opts remoteOptions) e
 
 func printRemoteResult(res *remoteResult) {
 	note := ""
-	if res.Cached {
+	if res.Cached != nil && *res.Cached {
 		note = "   (served from the server's result cache)"
 	} else if res.Refreshed {
 		note = "   (refreshed incrementally"

@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,5 +199,106 @@ func TestRemoteAsyncPollZeroDoesNotBusyLoop(t *testing.T) {
 	// handful of polls in, a busy loop gets thousands.
 	if got := polls.Load(); got > 50 {
 		t.Errorf("%d polls for a near-instant job: -poll 0 busy-looped", got)
+	}
+}
+
+// TestRemoteExplainBody runs the CLI with -server against a server that
+// records each /explain body, and pins the body each flag set sends: the
+// knobs always, every other field only off its default, and -workers only
+// when given, with 0 sent as a 1-worker grant.
+func TestRemoteExplainBody(t *testing.T) {
+	f, err := os.Open(writeCSV(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	table, err := scorpion.ReadCSV(f, scorpion.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(table)
+	t.Cleanup(srv.Close)
+	var (
+		mu     sync.Mutex
+		bodies [][]byte
+	)
+	recording := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/explain" {
+			data, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			bodies = append(bodies, data)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(data))
+		}
+		srv.ServeHTTP(w, r)
+	})
+	hs := httptest.NewServer(recording)
+	t.Cleanup(hs.Close)
+
+	const sql = "SELECT avg(v), grp FROM t GROUP BY grp"
+	body := func(extra map[string]any) map[string]any {
+		b := map[string]any{
+			"table":    "default",
+			"sql":      sql,
+			"outliers": []string{"g2"},
+			"c":        scorpion.DefaultC,
+			"lambda":   scorpion.DefaultLambda,
+		}
+		for k, v := range extra {
+			b[k] = v
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		want  map[string]any
+	}{
+		{"defaults", nil, body(nil)},
+		{"workers 0", []string{"-workers", "0"}, body(map[string]any{"workers": 1})},
+		{"workers -1", []string{"-workers", "-1"}, body(map[string]any{"workers": -1})},
+		{"workers 2", []string{"-workers", "2"}, body(map[string]any{"workers": 2})},
+		{"direction low", []string{"-direction", "LOW"}, body(map[string]any{"direction": "low"})},
+		{"direction high", []string{"-direction", "high"}, body(nil)},
+		{"holdouts", []string{"-holdouts", "g1"}, body(map[string]any{"holdouts": []string{"g1"}})},
+		{"all others", []string{"-all-others"}, body(map[string]any{"all_others_holdout": true})},
+		{"no cache", []string{"-no-cache"}, body(map[string]any{"cache": "bypass"})},
+		{"shards 2", []string{"-shards", "2"}, body(map[string]any{"shards": 2})},
+		{"knobs", []string{"-c", "0", "-lambda", "1", "-algo", "naive", "-topk", "3", "-attrs", "src"},
+			body(map[string]any{"c": 0, "lambda": 1, "algorithm": "naive", "top_k": 3, "attributes": []string{"src"}})},
+		{"default algo and topk", []string{"-algo", "AUTO", "-topk", "5"}, body(nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mu.Lock()
+			bodies = nil
+			mu.Unlock()
+			args := append([]string{"-server", hs.URL, "-table", "default", "-show-query=false",
+				"-sql", sql, "-outliers", "g2"}, tc.flags...)
+			if err := run(context.Background(), args); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(bodies) != 1 {
+				t.Fatalf("%d /explain requests, want 1", len(bodies))
+			}
+			var got, want map[string]any
+			if err := json.Unmarshal(bodies[0], &got); err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("body %s, want %s", bodies[0], data)
+			}
+		})
 	}
 }

@@ -84,9 +84,6 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Capacity returns the entry bound.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Get returns the value stored under key and marks it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
 	c.mu.Lock()

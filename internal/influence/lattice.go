@@ -116,25 +116,24 @@ func (l *Lattice) Parts(b predicate.Box, boxed bool, p predicate.Predicate) Scor
 	return l.s.ScoreMatched(l.sels)
 }
 
-// Above is Parts' Value and HoldPen when that Value is above floor; ok is
-// false when it is not, and score and holdPen are then partial. It scores a
-// box through the Scorer's objective with a strict floor: the outlier
-// groups first, declining without a hold-out fold when they alone do not
-// put the score above floor, then the hold-outs in order, declining once
-// the score so far is not above floor. When ok, score and holdPen have the
-// bits Parts gives; a NaN objective is never above any floor, nor is any
+// Above is Parts' Value when that Value is above floor; ok is false when
+// it is not, and score is then partial. It scores a box through the
+// Scorer's objective with a strict floor: the outlier groups first,
+// declining without a hold-out fold when they alone do not put the score
+// above floor, then the hold-outs in order, declining once the score so far
+// is not above floor. When ok, score has the bits Parts gives; a NaN objective is never above any floor, nor is any
 // objective above a NaN floor. It counts one call per group folded. A box
 // the selection memo keeps, a predicate no Box holds (boxed false) and a
 // black-box aggregate are scored whole through Parts and then compared.
-func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score, holdPen float64, ok bool) {
+func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floor float64) (score float64, ok bool) {
 	s := l.s
 	if !boxed || !l.Partial() {
 		sc := l.Parts(b, boxed, p)
-		return sc.Value, sc.HoldPen, sc.Value > floor
+		return sc.Value, sc.Value > floor
 	}
 	var buf [2 * predicate.MaxBoxDims]half
 	hs := l.halves(b, &buf)
-	score, _, holdPen, _, folded, ok := s.objective(func(gi int) (float64, int) {
+	score, _, _, _, folded, ok := s.objective(func(gi int) (float64, int) {
 		x := l.group(gi, hs)
 		return s.term(gi, &x, s.sizes[gi]), x.matched
 	}, floor, true)
@@ -147,7 +146,7 @@ func (l *Lattice) Above(b predicate.Box, boxed bool, p predicate.Predicate, floo
 	default:
 		l.holdStops++
 	}
-	return score, holdPen, ok
+	return score, ok
 }
 
 // OutlierBits returns the matches of the predicate b holds in the outlier

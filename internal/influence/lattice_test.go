@@ -344,8 +344,8 @@ func TestLatticeFoldZeroAlloc(t *testing.T) {
 			}
 			for _, floor := range []float64{math.Inf(-1), 0, math.Inf(1)} {
 				if n := testing.AllocsPerRun(100, func() {
-					score, hold, _ := lat.Above(b, true, p, floor)
-					sink += score + hold
+					score, _ := lat.Above(b, true, p, floor)
+					sink += score
 				}); n != 0 {
 					t.Errorf("%s: a 30-group Above of %v at floor %v allocates %v times", aggName, p, floor, n)
 				}
@@ -480,7 +480,7 @@ func TestLayoutContiguousMatchesInterleaved(t *testing.T) {
 
 // TestLatticeAboveMatchesParts: Above reports ok exactly when Parts'
 // objective λ·outMean − (1−λ)·holdPenalty is above the floor, and then
-// returns its bits and Parts' penalty, for floors at ±Inf, NaN, the exact
+// returns its bits, for floors at ±Inf, NaN, the exact
 // score and its neighbours, over random boxes, λ and c at 0, ½ and 1, the
 // five removable aggregates, NaN and ±Inf values, and the paths that score
 // whole (the selection memo, a predicate handed over unboxed). A box Above
@@ -532,7 +532,7 @@ func TestLatticeAboveMatchesParts(t *testing.T) {
 							boxed bool
 						}{{lat, true}, {lat, false}, {memoLat, true}} {
 							before := side.lat.s.Calls()
-							score, holdPen, ok := side.lat.Above(b, side.boxed, p, floor)
+							score, ok := side.lat.Above(b, side.boxed, p, floor)
 							if calls := side.lat.s.Calls() - before; calls > int64(len(groups)) {
 								t.Fatalf("Above counted %d calls, a whole fold counts %d", calls, len(groups))
 							}
@@ -543,8 +543,8 @@ func TestLatticeAboveMatchesParts(t *testing.T) {
 								declined++
 								continue
 							}
-							if !sameBits(score, want) || !sameBits(holdPen, hold) {
-								t.Fatalf("%s λ=%v c=%v boxed=%v %v floor %v: Above (%v, %v), Parts (%v, %v)", aggName, lambda, c, side.boxed, p, floor, score, holdPen, want, hold)
+							if !sameBits(score, want) {
+								t.Fatalf("%s λ=%v c=%v boxed=%v %v floor %v: Above %v, Parts %v", aggName, lambda, c, side.boxed, p, floor, score, want)
 							}
 							compared++
 						}
@@ -711,7 +711,7 @@ func TestAboveBuildsOnlyWhatItFolds(t *testing.T) {
 	lat := s.NewLattice(space)
 	p := predicate.MustNew(predicate.NewSetClause(0, "d", []int32{0, 1, 3}), predicate.NewRangeClause(1, "x", 5, 95, false))
 	b := boxOf(t, space, p)
-	if _, _, ok := lat.Above(b, true, p, math.Inf(1)); ok {
+	if _, ok := lat.Above(b, true, p, math.Inf(1)); ok {
 		t.Fatal("Above passed a box over a +Inf floor")
 	}
 	if declined, _ := lat.Declines(); declined != 1 {
@@ -734,8 +734,8 @@ func TestAboveBuildsOnlyWhatItFolds(t *testing.T) {
 	}
 	out, hold := s.Parts(p)
 	want := 0.5*out - 0.5*hold
-	if score, holdPen, ok := lat.Above(b, true, p, math.Inf(-1)); !ok || !sameBits(score, want) || !sameBits(holdPen, hold) {
-		t.Fatalf("Above = (%v, %v, %v), Parts (%v, %v)", score, holdPen, ok, want, hold)
+	if score, ok := lat.Above(b, true, p, math.Inf(-1)); !ok || !sameBits(score, want) {
+		t.Fatalf("Above = (%v, %v), Parts %v", score, ok, want)
 	}
 	if filled := lat.Filled(); filled != 3*4 {
 		t.Fatalf("a whole fold left %d group bitsets filled, want 12", filled)

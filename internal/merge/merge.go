@@ -372,7 +372,7 @@ func (r *run) above(s *shape, floor float64) (float64, bool) {
 		v := r.exact(s)
 		return v, v > floor
 	}
-	v, _, ok := r.lat.Above(s.box, s.boxed, s.pred, floor)
+	v, ok := r.lat.Above(s.box, s.boxed, s.pred, floor)
 	if s.boxed {
 		// Without hold-outs a declined box's score is whole too.
 		r.memo[s.box] = memoScore{v, ok || len(r.scorer.Task().HoldOuts) == 0}

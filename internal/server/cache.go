@@ -155,39 +155,25 @@ type inflight struct {
 // accounting. It is structural, not a JSON encoding: it runs inside
 // jobs.Task.OnDone — under the scheduler's lock — so it must stay O(top-k)
 // cheap.
-func approxSize(v any) int64 {
+func approxSize(r *ExplainResponse) int64 {
 	size := int64(256) // fixed fields: algorithm, durations, counters, key
-	m, ok := v.(map[string]any)
-	if !ok {
-		return size
-	}
-	if exps, ok := m["explanations"].([]ExplanationJSON); ok {
-		for _, e := range exps {
-			size += int64(len(e.Where)) + 96
-		}
+	for _, e := range r.Explanations {
+		size += int64(len(e.Where)) + 96
 	}
 	return size
 }
 
-// cachedResponse clones a stored result map and marks it as served from
-// the cache. (The stored map is shared by every future hit — it must never
-// be mutated in place.)
-func cachedResponse(v any, key string) map[string]any {
-	src, ok := v.(map[string]any)
-	if !ok {
-		return map[string]any{"cached": true, "cache_key": key}
-	}
-	out := make(map[string]any, len(src)+1)
-	for k, val := range src {
-		if k == "trace" {
-			// A hit ran none of the phases the stored timeline describes;
-			// serving it would misattribute another request's timings.
-			continue
-		}
-		out[k] = val
-	}
-	out["cached"] = true
-	return out
+// cachedResponse copies a stored result and marks the copy as served from
+// the cache. (The stored value is shared by every future hit — it must
+// never be mutated in place.)
+func cachedResponse(v any) *ExplainResponse {
+	out := *v.(*ExplainResponse)
+	// A hit ran none of the phases the stored timeline describes; serving
+	// it would misattribute another request's timings.
+	out.Trace = nil
+	hit := true
+	out.Cached = &hit
+	return &out
 }
 
 // dispatchExplain routes a compiled request through the cache: a hit is
@@ -197,13 +183,13 @@ func cachedResponse(v any, key string) map[string]any {
 // whose result (on success) populates the cache. Exactly one of hit and
 // job is non-nil on success; inflight is non-nil only for coalescable
 // jobs.
-func (s *Server) dispatchExplain(plan *explainPlan, async bool) (job *jobs.Job, inf *inflight, hit map[string]any, err error) {
+func (s *Server) dispatchExplain(plan *explainPlan, async bool) (job *jobs.Job, inf *inflight, hit *ExplainResponse, err error) {
 	if s.cache == nil || plan.key == "" {
 		job, err := s.sched.Submit(plan.task)
 		return job, nil, nil, err
 	}
 	if v, ok := s.cache.Get(plan.key); ok {
-		res := cachedResponse(v, plan.key)
+		res := cachedResponse(v)
 		if !async {
 			// Serve the hit without minting a job: unbounded hit traffic
 			// must not churn the scheduler's terminal-job retention ring
@@ -221,7 +207,7 @@ func (s *Server) dispatchExplain(plan *explainPlan, async bool) (job *jobs.Job, 
 		// worker grant recomputing an entry already in store.
 		if v, ok := s.cache.Get(plan.key); ok {
 			flight.Abandon()
-			res := cachedResponse(v, plan.key)
+			res := cachedResponse(v)
 			if !async {
 				return nil, nil, res, nil
 			}
@@ -237,7 +223,7 @@ func (s *Server) dispatchExplain(plan *explainPlan, async bool) (job *jobs.Job, 
 		// failures must re-run next time, not be served as final.
 		task.OnDone = func(res any, jerr error) {
 			if jerr == nil && res != nil {
-				s.cache.Put(key, res, approxSize(res))
+				s.cache.Put(key, res, approxSize(res.(*ExplainResponse)))
 			}
 			flight.Forget()
 		}

@@ -443,6 +443,35 @@ type ExplanationJSON struct {
 	InfluencesHoldOut bool    `json:"influences_holdout"`
 }
 
+// ExplainResponse is the /explain body, the result of an explain job, and
+// the value the result cache stores; a hit is served as a copy. Fields are
+// declared in key order, so the body's keys come out sorted.
+type ExplainResponse struct {
+	Algorithm string `json:"algorithm"`
+	// CacheKey is the request's result-cache key, present when Cached is.
+	CacheKey string `json:"cache_key,omitempty"`
+	// Cached is false on a run the cache routes and true on a hit; it is
+	// absent on a "cache": "bypass" request or when caching is disabled.
+	Cached     *bool `json:"cached,omitempty"`
+	DurationMS int64 `json:"duration_ms"`
+	// Explanations is never nil: it encodes as an array, empty or not.
+	Explanations []ExplanationJSON `json:"explanations"`
+	// InterruptReason is the context error that stopped the search,
+	// present exactly when Interrupted is.
+	InterruptReason string `json:"interrupt_reason,omitempty"`
+	Interrupted     bool   `json:"interrupted,omitempty"`
+	// Refreshed marks a warm re-score of a previous run's candidates;
+	// RefreshedFrom, when above 0, is the generation they came from.
+	Refreshed       bool  `json:"refreshed,omitempty"`
+	RefreshedFrom   int64 `json:"refreshed_from,omitempty"`
+	ReusedPartition bool  `json:"reused_partition,omitempty"`
+	ScorerCalls     int64 `json:"scorer_calls"`
+	// Shards is the number of table shards searched, present only above 1.
+	Shards int `json:"shards,omitempty"`
+	// Trace is the run's phase timeline; a cache hit carries none.
+	Trace []*obs.Node `json:"trace,omitempty"`
+}
+
 // JobProgress is the best-so-far snapshot a running job exposes to polls.
 type JobProgress struct {
 	ElapsedMS   int64                `json:"elapsed_ms"`
@@ -622,14 +651,12 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 				return nil, err
 			}
 			// A partial (interrupted) result is still worth returning.
-			out := explainResultJSON(res)
-			out["trace"] = []*obs.Node{root.Snapshot()}
-			if refreshedFrom > 0 {
-				out["refreshed_from"] = refreshedFrom
-			}
+			out := newExplainResponse(res)
+			out.Trace = []*obs.Node{root.Snapshot()}
+			out.RefreshedFrom = refreshedFrom
 			if key != "" {
-				out["cached"] = false
-				out["cache_key"] = key
+				out.Cached = new(bool)
+				out.CacheKey = key
 			}
 			return out, err
 		},
@@ -637,11 +664,21 @@ func (s *Server) buildExplainTask(req *ExplainRequest, reqID string) (*explainPl
 	return &explainPlan{task: task, key: key}, 0, nil
 }
 
-// explainResultJSON renders a search result as the /explain response body.
-func explainResultJSON(res *scorpion.Result) map[string]any {
-	explanations := make([]ExplanationJSON, 0, len(res.Explanations))
+// newExplainResponse renders a search result as the /explain response
+// body. The fields a run adds beyond the result (Trace, RefreshedFrom,
+// Cached, CacheKey) are left for the job to set.
+func newExplainResponse(res *scorpion.Result) *ExplainResponse {
+	out := &ExplainResponse{
+		Algorithm:       res.Stats.Algorithm.String(),
+		DurationMS:      res.Stats.Duration.Milliseconds(),
+		Explanations:    make([]ExplanationJSON, 0, len(res.Explanations)),
+		Interrupted:     res.Stats.Interrupted,
+		Refreshed:       res.Stats.Refreshed,
+		ReusedPartition: res.Stats.ReusedPartition,
+		ScorerCalls:     res.Stats.ScorerCalls,
+	}
 	for _, e := range res.Explanations {
-		explanations = append(explanations, ExplanationJSON{
+		out.Explanations = append(out.Explanations, ExplanationJSON{
 			Where:             e.Where,
 			Influence:         e.Influence,
 			Matched:           e.MatchedOutlierTuples,
@@ -649,24 +686,11 @@ func explainResultJSON(res *scorpion.Result) map[string]any {
 			InfluencesHoldOut: e.InfluencesHoldOut,
 		})
 	}
-	out := map[string]any{
-		"algorithm":    res.Stats.Algorithm.String(),
-		"duration_ms":  res.Stats.Duration.Milliseconds(),
-		"scorer_calls": res.Stats.ScorerCalls,
-		"explanations": explanations,
+	if res.Stats.Interrupted {
+		out.InterruptReason = res.Stats.InterruptReason
 	}
 	if res.Stats.Shards > 1 {
-		out["shards"] = res.Stats.Shards
-	}
-	if res.Stats.ReusedPartition {
-		out["reused_partition"] = true
-	}
-	if res.Stats.Refreshed {
-		out["refreshed"] = true
-	}
-	if res.Stats.Interrupted {
-		out["interrupted"] = true
-		out["interrupt_reason"] = res.Stats.InterruptReason
+		out.Shards = res.Stats.Shards
 	}
 	return out
 }

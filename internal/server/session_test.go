@@ -234,11 +234,9 @@ func testBusyAndStale(t *testing.T) {
 		if err != nil && ctx.Err() == nil {
 			t.Fatal(err)
 		}
-		m, _ := out.(map[string]any)
 		var r routed
-		r.Refreshed, _ = m["refreshed"].(bool)
-		if from, ok := m["refreshed_from"].(int64); ok {
-			r.RefreshedFrom = from
+		if res, ok := out.(*ExplainResponse); ok {
+			r.Refreshed, r.RefreshedFrom = res.Refreshed, res.RefreshedFrom
 		}
 		return r
 	}

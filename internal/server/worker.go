@@ -67,26 +67,25 @@ func (s *Server) DispatchStats() dispatch.Stats {
 }
 
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
-	status := func(code int, reason string) {
+	status := func(reason string) {
 		s.reg.Counter("scorpion_worker_shard_searches_total", "status", reason).Inc()
-		_ = code
 	}
 	var t wire.Task
 	body := http.MaxBytesReader(w, r.Body, maxShardTaskBytes)
 	if err := json.NewDecoder(body).Decode(&t); err != nil {
-		status(http.StatusBadRequest, "bad_request")
+		status("bad_request")
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode shard task: %w", err))
 		return
 	}
 	if t.Version != wire.Version {
-		status(http.StatusBadRequest, "version_mismatch")
+		status("version_mismatch")
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("wire version %d not supported (worker speaks %d)", t.Version, wire.Version))
 		return
 	}
 	entry, err := s.resolveTable(t.Table)
 	if err != nil {
-		status(http.StatusNotFound, "no_table")
+		status("no_table")
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -94,7 +93,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	case s.workerSem <- struct{}{}:
 		defer func() { <-s.workerSem }()
 	default:
-		status(http.StatusTooManyRequests, "busy")
+		status("busy")
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("worker at capacity (%d shard searches in flight)", cap(s.workerSem)))
 		return
@@ -118,15 +117,15 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		var mismatch *worker.ErrTableMismatch
 		switch {
 		case errors.As(err, &mismatch):
-			status(http.StatusConflict, "table_mismatch")
+			status("table_mismatch")
 			writeError(w, http.StatusConflict, err)
 		case r.Context().Err() != nil:
 			// The coordinator gave up (per-shard timeout or cancelled
 			// search); the response goes nowhere, but account for it.
-			status(499, "cancelled")
+			status("cancelled")
 			writeError(w, http.StatusServiceUnavailable, err)
 		default:
-			status(http.StatusInternalServerError, "error")
+			status("error")
 			writeError(w, http.StatusInternalServerError, err)
 		}
 		if s.log != nil {
@@ -134,6 +133,6 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	status(http.StatusOK, "ok")
+	status("ok")
 	writeJSON(w, http.StatusOK, res)
 }

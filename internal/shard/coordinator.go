@@ -594,7 +594,7 @@ func (r *climber) climb(cand partition.Candidate) (out partition.Candidate, ok b
 			}
 			next := r.with(&cur, b.clause, lo, hi, inc)
 			r.moves++
-			if s, _, ok := r.lat.Above(next.box, next.boxed, next.pred, best); ok {
+			if s, ok := r.lat.Above(next.box, next.boxed, next.pred, best); ok {
 				best, bestMove, bestShape = s, b, next
 			}
 		}

@@ -14,8 +14,8 @@ import (
 // its predicate — influence and penalty bits, matched count, and the
 // hold-out flag as the penalty's sign (scorpion.CheckFresh) — for NAIVE,
 // MC and DT unsharded and over three shards, NAIVE and MC with every shard
-// answered by an in-process worker through a dispatch.Pool, and a
-// Session's warm refresh after an append.
+// answered by an in-process worker through a dispatch.Pool, a Session's
+// warm refresh after an append, and NAIVE with no hold-outs.
 func TestServedFieldsMatchFreshScorer(t *testing.T) {
 	ds := synth.Generate(synth.Config{
 		Dims: 2, TuplesPerGroup: 300, Groups: 6, OutlierGroups: 3, Mu: 80, Seed: 11,
@@ -74,6 +74,19 @@ func TestServedFieldsMatchFreshScorer(t *testing.T) {
 		}
 		return req, res
 	}
+	// With no hold-outs every penalty is 0, so the flag must read false:
+	// the one cell that tells a flag of penalty > 0 from one of >= 0.
+	noHoldOuts := func(t *testing.T) (*scorpion.Request, *scorpion.Result) {
+		req := remoteRequest(ds, "sum", scorpion.Naive, 1)
+		req.AllOthersHoldOut = false
+		req, res := explain(req)(t)
+		for _, e := range res.Explanations {
+			if e.HoldOutPenalty != 0 {
+				t.Fatalf("%q: hold-out penalty %v without hold-outs", e.Where, e.HoldOutPenalty)
+			}
+		}
+		return req, res
+	}
 	for _, c := range []struct {
 		name string
 		run  run
@@ -87,6 +100,7 @@ func TestServedFieldsMatchFreshScorer(t *testing.T) {
 		{"dt", local(scorpion.DT, "avg", 1)},
 		{"dt/shards=3", local(scorpion.DT, "avg", 3)},
 		{"refresh", refresh},
+		{"naive/no hold-outs", noHoldOuts},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			req, res := c.run(t)
